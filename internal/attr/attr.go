@@ -458,9 +458,15 @@ func NewSink(opts Options) *Sink {
 func (s *Sink) job(id int) *jobState {
 	if id >= 0 && id < denseLimit {
 		if id >= len(s.dense) {
-			grown := make([]jobState, id+1, (id+1)*2)
-			copy(grown, s.dense)
-			s.dense = grown
+			// Grow geometrically and only past capacity; a new ID inside
+			// it is a reslice (the spare tail is still zeroed), so a
+			// replay's IDs cost O(log n) table copies, not one each.
+			if id >= cap(s.dense) {
+				grown := make([]jobState, len(s.dense), (id+1)*2)
+				copy(grown, s.dense)
+				s.dense = grown
+			}
+			s.dense = s.dense[:id+1]
 		}
 		j := &s.dense[id]
 		if !j.seen {
@@ -490,7 +496,13 @@ func (s *Sink) initJob(j *jobState, id int) {
 	j.rIdleStart = math.NaN()
 	j.preemptor = -1
 	if s.opts.Trace != nil {
-		for _, tj := range s.opts.Trace.Jobs {
+		jobs := s.opts.Trace.Jobs
+		// Normalized traces carry dense IDs (ID == index): look there
+		// first, so naming a job is not a scan of everything before it.
+		if id >= 0 && id < len(jobs) && jobs[id].ID == id {
+			jobs = jobs[id : id+1]
+		}
+		for _, tj := range jobs {
 			if tj.ID == id {
 				j.name = tj.Name
 				j.deadline = tj.Deadline

@@ -454,3 +454,67 @@ func TestForkContinuesAttribution(t *testing.T) {
 		}
 	}
 }
+
+// capWatch counts how often the attribution sink's dense job table
+// changed capacity; teed after the sink, it sees every event's effect.
+type capWatch struct {
+	sink    *attr.Sink
+	cap     int
+	growths int
+}
+
+func (w *capWatch) Event(obs.Event) {
+	if c := w.sink.DenseCap(); c != w.cap {
+		w.cap = c
+		w.growths++
+	}
+}
+
+func (w *capWatch) RunEnd(obs.Counters) {}
+
+// TestDenseTableGrowsGeometrically: a 20 000-job replay introduces
+// 20 000 new job IDs to the sink; its job table must absorb them in
+// O(log n) reallocations (it used to reallocate and copy the whole
+// table for every one — quadratic), and what it reports must not depend
+// on how the table grew: a sink whose table was sized up front renders
+// the same report byte for byte.
+func TestDenseTableGrowsGeometrically(t *testing.T) {
+	const n = 20000
+	tr, err := synth.GenerateTrace(synth.MultiTenantShape(), n, 30, rand.New(rand.NewSource(20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.DefaultConfig()
+	opts := attr.Options{MapSlots: cfg.MapSlots, ReduceSlots: cfg.ReduceSlots, Trace: tr}
+
+	grown := attr.NewSink(opts)
+	watch := &capWatch{sink: grown}
+	cfg.Sink = obs.Tee(grown, watch)
+	res, err := engine.Run(cfg, tr, sched.FIFO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Doubling from 2 to past 20 000 is 15 steps; leave slack for the
+	// growth factor, none for a per-job or per-hundred-jobs pattern.
+	if watch.growths == 0 || watch.growths > 20 {
+		t.Fatalf("dense table changed capacity %d times over %d jobs, want O(log n) ≤ 20", watch.growths, n)
+	}
+	checkConservation(t, res, grown, "grown table")
+
+	presized := attr.NewSink(opts)
+	presized.Presize(n)
+	cfg.Sink = presized
+	if _, err := engine.Run(cfg, tr, sched.FIFO{}); err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := grown.Report().WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := presized.Report().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("report differs between a grown and a presized job table")
+	}
+}

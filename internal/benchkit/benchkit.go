@@ -12,6 +12,7 @@ import (
 
 	"simmr/internal/obs"
 	"simmr/internal/sched"
+	"simmr/internal/sched/schedtest"
 	"simmr/internal/synth"
 	"simmr/pkg/simmr"
 )
@@ -125,24 +126,25 @@ func multiTenantFixture() *simmr.Trace {
 
 // multiTenantPolicy picks the benchmark policy: MaxEDF, the
 // deadline-ordered middle of the policy family (FIFO's index is
-// cheaper, Capacity's dearer). indexed selects the BatchPolicy fast
-// path; the policy instance is reused across pool runs — engine Reset
-// re-arms its index via ResetQueue, so steady-state allocs/op reflect
-// reuse, exactly like the engine pool itself.
-func multiTenantPolicy(indexed bool) simmr.Policy {
-	if indexed {
-		return sched.Indexed(sched.MaxEDF{})
+// cheaper, Capacity's dearer). The bare value runs on the engine's
+// scheduling index, as every user-facing path does; scan forces the
+// paper's per-slot ChooseNext* loop — the differential oracle — so the
+// pair keeps measuring what the index buys.
+func multiTenantPolicy(scan bool) simmr.Policy {
+	if scan {
+		return schedtest.ScanOnly(sched.MaxEDF{})
 	}
 	return sched.MaxEDF{}
 }
 
 // MultiTenant measures whole-trace replay throughput at 1000
-// concurrently active jobs on the scan or indexed scheduling path. The
-// two are byte-identical in outcome (the engine differential suite
-// proves it); only events/sec and allocs/op differ.
-func MultiTenant(b *testing.B, indexed bool) {
+// concurrently active jobs on the engine's default (indexed) scheduling
+// path, or with scan set on the reference scan. The two are
+// byte-identical in outcome (the engine differential suite proves it);
+// only events/sec and allocs/op differ.
+func MultiTenant(b *testing.B, scan bool) {
 	tr := multiTenantFixture()
-	policy := multiTenantPolicy(indexed)
+	policy := multiTenantPolicy(scan)
 	var pool simmr.ReplayPool
 	// Primed for the same reason as Replay: sched_allocs_per_op guards
 	// the pooled steady state (filler slabs recycled, Validate memoized),
@@ -167,11 +169,11 @@ func MultiTenant(b *testing.B, indexed bool) {
 // Preempt is MultiTenant with map-task preemption enabled: every
 // deadline arrival hunts latest-deadline victims, pinning the cost of
 // preemptFor at 1k concurrent jobs. Victim selection uses the engine's
-// preemption index on both paths; indexed additionally batches slot
-// allocation.
-func Preempt(b *testing.B, indexed bool) {
+// preemption index on both paths; the default path additionally batches
+// slot allocation.
+func Preempt(b *testing.B, scan bool) {
 	tr := multiTenantFixture()
-	policy := multiTenantPolicy(indexed)
+	policy := multiTenantPolicy(scan)
 	cfg := simmr.DefaultReplayConfig()
 	cfg.PreemptMapTasks = true
 	var pool simmr.ReplayPool
@@ -257,8 +259,8 @@ type Metrics struct {
 	SweepSpeedupSkipped bool    `json:"sweep_speedup_skipped,omitempty"`
 
 	// The multi-tenant scheduling pair: replay throughput at 1000
-	// concurrently active jobs on the indexed fast path
-	// (sched_events_per_sec) versus the reference per-slot scan
+	// concurrently active jobs on the engine's scheduling index — the
+	// default path (sched_events_per_sec) — versus the reference per-slot scan
 	// (sched_scan_events_per_sec), and their ratio. SchedAllocsPerOp is
 	// the indexed path's steady-state allocations per replay — the
 	// allocate() regression guard's baseline. PreemptEventsPerSec is the
@@ -337,15 +339,15 @@ func Collect() Metrics {
 	m.ReplayAllocsPerOp = rep.AllocsPerOp()
 	m.ReplayBytesPerOp = rep.AllocedBytesPerOp()
 
-	scan := testing.Benchmark(func(b *testing.B) { MultiTenant(b, false) })
-	idx := testing.Benchmark(func(b *testing.B) { MultiTenant(b, true) })
+	scan := testing.Benchmark(func(b *testing.B) { MultiTenant(b, true) })
+	idx := testing.Benchmark(func(b *testing.B) { MultiTenant(b, false) })
 	m.SchedScanEventsPerSec = scan.Extra["events/sec"]
 	m.SchedEventsPerSec = idx.Extra["events/sec"]
 	m.SchedAllocsPerOp = idx.AllocsPerOp()
 	if m.SchedScanEventsPerSec > 0 {
 		m.SchedSpeedup = m.SchedEventsPerSec / m.SchedScanEventsPerSec
 	}
-	pre := testing.Benchmark(func(b *testing.B) { Preempt(b, true) })
+	pre := testing.Benchmark(func(b *testing.B) { Preempt(b, false) })
 	m.PreemptEventsPerSec = pre.Extra["events/sec"]
 
 	at := testing.Benchmark(Attr)

@@ -200,7 +200,7 @@ func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 	// Skipped against baselines that predate the sched metrics.
 	var schedLimit int64
 	if base.SchedAllocsPerOp > 0 {
-		sb := testing.Benchmark(func(b *testing.B) { MultiTenant(b, true) })
+		sb := testing.Benchmark(func(b *testing.B) { MultiTenant(b, false) })
 		rep.SchedAllocsPerOp = sb.AllocsPerOp()
 		rep.SchedEventsPerSec = sb.Extra["events/sec"]
 		schedLimit = allocLimit(base.SchedAllocsPerOp)

@@ -7,19 +7,21 @@ import (
 
 	"simmr/internal/obs"
 	"simmr/internal/sched"
+	"simmr/internal/sched/schedtest"
 	"simmr/internal/synth"
 	"simmr/internal/trace"
 )
 
-// This file is the correctness oracle for the BatchPolicy fast path
-// (DESIGN.md §11): every indexed policy is replayed against the
-// reference scan on the same trace and must be byte-identical — same
-// JobOutcomes, same makespan, same event count, and the same
-// observability event sequence in the same order. The scan path is the
-// paper's semantics; any divergence is a fast-path bug by definition.
+// This file is the correctness oracle for the engine's scheduling index
+// (DESIGN.md §11): every indexable policy is replayed as the engine runs
+// it by default and again forced through the paper's per-slot scan
+// (schedtest.ScanOnly hides the concrete type the engine keys the index
+// on), and the two must be byte-identical — same JobOutcomes, same
+// makespan, same event count, and the same observability event sequence
+// in the same order. The scan path is the paper's semantics; any
+// divergence is an index bug by definition.
 
-// diffPolicies returns the scan policies with indexed equivalents, as
-// factories (indexed policies are stateful — one instance per engine).
+// diffPolicies returns the policies the engine indexes, as factories.
 func diffPolicies() []struct {
 	name string
 	mk   func() sched.Policy
@@ -54,19 +56,22 @@ func replayRecorded(t *testing.T, cfg Config, tr *trace.Trace, p sched.Policy) (
 // (cfg, trace, policy) cell down to the observability stream.
 func assertIdenticalReplays(t *testing.T, cfg Config, tr *trace.Trace, mk func() sched.Policy) {
 	t.Helper()
-	scanPolicy := mk()
-	indexedPolicy := sched.Indexed(mk())
-	if _, ok := indexedPolicy.(sched.BatchPolicy); !ok {
-		t.Fatalf("Indexed(%s) = %T does not implement BatchPolicy", scanPolicy.Name(), indexedPolicy)
-	}
-	// Guard against a silently disabled fast path: the engine must have
-	// resolved the batch interface at Reset.
-	e, err := New(cfg, tr, indexedPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.batch == nil {
-		t.Fatalf("engine did not select the batch fast path for %T", indexedPolicy)
+	scanPolicy := schedtest.ScanOnly(mk())
+	indexedPolicy := mk()
+	// Guard against a silently disabled index, or an oracle that is not
+	// one: the engine must resolve the index for the bare value at Reset
+	// and must not for the wrapped one.
+	for _, c := range []struct {
+		p       sched.Policy
+		indexed bool
+	}{{indexedPolicy, true}, {scanPolicy, false}} {
+		e, err := New(cfg, tr, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.batch != nil; got != c.indexed {
+			t.Fatalf("engine on %T: scheduling index in use = %v, want %v", c.p, got, c.indexed)
+		}
 	}
 
 	scanRes, scanSink := replayRecorded(t, cfg, tr, scanPolicy)
@@ -193,8 +198,8 @@ func TestDifferentialIndexedAblations(t *testing.T) {
 
 // TestDifferentialIndexedSparseIDs replays a hand-built trace whose job
 // IDs are non-dense (engine dispatch falls back to the indexOf map) —
-// the indexed policies key their own maps by job ID and must not
-// assume density either.
+// the index returns job IDs the engine resolves the same way and must
+// not assume density either.
 func TestDifferentialIndexedSparseIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tr := &trace.Trace{Name: "sparse-ids"}
@@ -232,9 +237,9 @@ func TestDifferentialIndexedSparseIDs(t *testing.T) {
 	}
 }
 
-// TestIndexedEngineReuseDeterministic re-runs one engine + one indexed
-// policy instance through Reset and asserts the second replay is
-// byte-identical — the ResetQueue leg of the engine-reuse contract.
+// TestIndexedEngineReuseDeterministic re-runs one engine through Reset
+// and asserts the second replay is byte-identical — the recycled-index
+// leg of the engine-reuse contract.
 func TestIndexedEngineReuseDeterministic(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(200, rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -243,7 +248,7 @@ func TestIndexedEngineReuseDeterministic(t *testing.T) {
 	for _, pc := range diffPolicies() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
-			p := sched.Indexed(pc.mk())
+			p := pc.mk()
 			cfg := DefaultConfig()
 			cfg.PreemptMapTasks = true
 			e, err := New(cfg, tr, p)
@@ -262,7 +267,7 @@ func TestIndexedEngineReuseDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(first, second) {
-				t.Fatal("reused engine + indexed policy diverged from first run")
+				t.Fatal("reused engine + recycled index diverged from first run")
 			}
 		})
 	}

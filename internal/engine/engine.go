@@ -243,7 +243,13 @@ type Engine struct {
 	// during a run.
 	jobs    []simJob
 	indexOf map[int]int // job ID -> index in jobs; nil when IDs are dense
-	active  []*sched.JobInfo
+	// active lists the arrived jobs in arrival order — the queue the
+	// paper's policy interface is handed. A departure only decrements
+	// live; the job's entry stays until compactActive squeezes it out,
+	// which every reader that needs the exact queue does first, so the
+	// cost of a departure does not grow with the queue.
+	active []*sched.JobInfo
+	live   int // arrived and not yet departed
 
 	freeMap    int
 	freeReduce int
@@ -264,11 +270,14 @@ type Engine struct {
 	snap        *Snapshot
 	stats       ForkStats
 
-	// Policy capability dispatch, resolved once per Reset so the hot
-	// path never repeats a type assertion. batch non-nil selects the
-	// sub-linear allocation fast path (DESIGN.md §11); arrive is the
-	// paper-interface arrival hook used on the scan path.
+	// Policy dispatch, resolved by setPolicy so the hot path never
+	// repeats a type assertion. batch is the engine-owned scheduling
+	// index (DESIGN.md §11) when the policy is a stateless built-in, and
+	// nil for any other policy, which is driven through the paper's
+	// two-call interface with arrive as its arrival hook. index retains
+	// the last index built so pooled re-arms recycle its trees.
 	batch  sched.BatchPolicy
+	index  sched.BatchPolicy
 	arrive sched.ArrivalAware
 
 	// preemptIdx, allocated only under PreemptMapTasks, indexes active
@@ -330,7 +339,7 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 	}
 	n := len(tr.Jobs)
 	e.cfg = cfg
-	e.policy = policy
+	e.setPolicy(policy)
 	e.sink = cfg.Sink
 	e.depth, _ = cfg.Sink.(obs.DepthSampler)
 	e.prog, _ = cfg.Sink.(obs.ProgressSampler)
@@ -352,6 +361,7 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 	} else {
 		e.active = make([]*sched.JobInfo, 0, n)
 	}
+	e.live = 0
 	e.freeMap = cfg.MapSlots
 	e.freeReduce = cfg.ReduceSlots
 	e.remaining = n
@@ -372,11 +382,6 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 		e.indexOf = nil
 		e.sharedIndex = false
 	}
-	e.batch, _ = policy.(sched.BatchPolicy)
-	if e.batch != nil {
-		e.batch.ResetQueue()
-	}
-	e.arrive, _ = policy.(sched.ArrivalAware)
 	e.arrivalSeq = 0
 	switch {
 	case !cfg.PreemptMapTasks:
@@ -458,22 +463,39 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 	return nil
 }
 
+// setPolicy installs p and resolves how it is driven: through an empty
+// scheduling index when sched has one for it, else through the paper's
+// interface. Callers with live jobs (fork, SetPolicy) re-admit them.
+func (e *Engine) setPolicy(p sched.Policy) {
+	e.policy = p
+	e.arrive = nil
+	if e.batch = sched.IndexFor(p, e.index); e.batch != nil {
+		e.index = e.batch
+	} else {
+		e.arrive, _ = p.(sched.ArrivalAware)
+	}
+}
+
 // newPreemptIdx builds the preemption victim tournament: active jobs
-// ordered by latest effective deadline (ties: earliest arrival seq),
-// eligible while they have running map tasks. The closures read
-// through jobROByID — pure lookups that must not trigger a
-// copy-on-write chunk copy on forked engines.
+// ordered by latest effective deadline (ties: earliest arrival seq) —
+// both fixed once a job has arrived. A job contends while it has running
+// map tasks (preemptible); the handlers that change that say so. The
+// comparator reads through jobROByID — pure lookups that must not
+// trigger a copy-on-write chunk copy on forked engines.
 func (e *Engine) newPreemptIdx() *sched.Tournament {
-	return sched.NewTournament(
-		func(a, b *sched.JobInfo) bool {
+	return sched.NewTournament(sched.LaneAux, sched.Order{
+		Better: func(a, b *sched.JobInfo) bool {
 			if da, db := a.EffectiveDeadline(), b.EffectiveDeadline(); da != db {
 				return da > db // latest deadline wins the victim tournament
 			}
 			return e.jobROByID(a.ID).seq < e.jobROByID(b.ID).seq
 		},
-		func(j *sched.JobInfo) bool { return len(e.jobROByID(j.ID).runningMaps) > 0 },
-	)
+		Static: true,
+	})
 }
+
+// preemptible reports whether the job has a running map task to kill.
+func (sj *simJob) preemptible() bool { return len(sj.runningMaps) > 0 }
 
 // jobAt returns the mutable engine-local state of the job at slab index
 // i, first copying its chunk from the fork source if this engine is a
@@ -728,16 +750,22 @@ func (e *Engine) handle(ev *des.Event) error {
 
 // allocate is the slot-allocation step run after every event: while free
 // slots remain and the policy nominates jobs, reserve slots and emit
-// task-arrival events. A BatchPolicy hands out all free slots in one
-// call per task kind; the two paths produce identical event sequences
-// (the differential suite replays every policy on both and compares
-// outcomes and observability streams byte for byte).
+// task-arrival events. The scheduling index hands out all free slots in
+// one call per task kind; the two paths produce identical event
+// sequences (the differential suite replays every policy on both and
+// compares outcomes and observability streams byte for byte).
 func (e *Engine) allocate() {
 	now := e.clock.Now()
 	if e.batch != nil {
+		// The index never reads the queue; just keep departed entries
+		// from outnumbering live ones.
+		if len(e.active) > 2*e.live+16 {
+			e.compactActive()
+		}
 		e.allocateBatch(now)
 		return
 	}
+	e.compactActive()
 	for e.freeMap > 0 {
 		idx := e.policy.ChooseNextMapTask(e.active)
 		if idx < 0 {
@@ -768,31 +796,30 @@ func (e *Engine) allocate() {
 	}
 }
 
-// allocateBatch is the indexed fast path: one AssignMapSlots and one
-// AssignReduceSlots call cover the whole allocation round. The policy
-// increments ScheduledMaps/ScheduledReduces per grant (the BatchPolicy
-// contract), so only the engine-side bookkeeping happens here — in the
-// same order the scan path would apply it.
+// allocateBatch is the indexed path: one AssignMapSlots and one
+// AssignReduceSlots call cover the whole allocation round. The index
+// increments ScheduledMaps/ScheduledReduces per grant and returns the
+// granted job IDs (the BatchPolicy contract), so only the engine-side
+// bookkeeping happens here — in the same order the scan path would
+// apply it.
 func (e *Engine) allocateBatch(now float64) {
 	if e.freeMap > 0 {
-		for _, idx := range e.batch.AssignMapSlots(e.active, e.freeMap) {
-			info := e.active[idx]
+		for _, id := range e.batch.AssignMapSlots(e.active, e.freeMap) {
 			e.freeMap--
 			e.mapSlotAllocs++
-			e.q.Push(now, evMapTaskArrival, info.ID, nil)
+			e.q.Push(now, evMapTaskArrival, id, nil)
 			if e.sink != nil {
-				e.emit(obs.KindMapSlotAlloc, info.ID, -1, 0, 0)
+				e.emit(obs.KindMapSlotAlloc, id, -1, 0, 0)
 			}
 		}
 	}
 	if e.freeReduce > 0 {
-		for _, idx := range e.batch.AssignReduceSlots(e.active, e.freeReduce) {
-			info := e.active[idx]
+		for _, id := range e.batch.AssignReduceSlots(e.active, e.freeReduce) {
 			e.freeReduce--
 			e.reduceSlotAllocs++
-			e.q.Push(now, evReduceTaskArrival, info.ID, nil)
+			e.q.Push(now, evReduceTaskArrival, id, nil)
 			if e.sink != nil {
-				e.emit(obs.KindReduceSlotAlloc, info.ID, -1, 0, 0)
+				e.emit(obs.KindReduceSlotAlloc, id, -1, 0, 0)
 			}
 		}
 	}
@@ -803,6 +830,7 @@ func (e *Engine) onJobArrival(sj *simJob) {
 	sj.arrived = true
 	e.arrivalSeq++
 	e.active = append(e.active, &sj.info)
+	e.live++
 	if e.sink != nil {
 		e.emit(obs.KindJobArrival, sj.info.ID, -1, 0, 0)
 	}
@@ -812,7 +840,7 @@ func (e *Engine) onJobArrival(sj *simJob) {
 		e.arrive.OnJobArrival(&sj.info, e.cfg.MapSlots, e.cfg.ReduceSlots)
 	}
 	if e.preemptIdx != nil {
-		e.preemptIdx.Add(&sj.info)
+		e.preemptIdx.Add(&sj.info, sj.preemptible())
 	}
 	if e.cfg.PreemptMapTasks {
 		e.preemptFor(sj)
@@ -862,7 +890,7 @@ func (e *Engine) preemptVictim(victim *simJob) bool {
 	victim.out.PreemptedMaps++
 	e.preemptions++
 	e.freeMap++
-	e.preemptIdx.Fix(&victim.info)
+	e.preemptIdx.Fix(&victim.info, victim.preemptible())
 	if e.batch != nil {
 		e.batch.OnJobUpdate(&victim.info)
 	}
@@ -881,7 +909,7 @@ func (e *Engine) preemptVictim(victim *simJob) bool {
 // job the scan would have picked (no-deadline jobs carry +Inf and so
 // still win outright, ties resolve to the earliest-arrived victim).
 func (e *Engine) latestDeadlineVictim(than float64) *simJob {
-	info := e.preemptIdx.Best()
+	info := e.preemptIdx.Best(0)
 	if info == nil || info.EffectiveDeadline() <= than {
 		return nil
 	}
@@ -905,7 +933,7 @@ func (e *Engine) onMapTaskArrival(sj *simJob) {
 	ev := e.q.PushTask(now+dur, evMapTaskDeparture, sj.info.ID, i)
 	if e.cfg.PreemptMapTasks {
 		sj.runningMaps[i] = ev
-		e.preemptIdx.Fix(&sj.info) // job may have become a preemption candidate
+		e.preemptIdx.Fix(&sj.info, true) // now a preemption candidate
 	}
 	if e.sink != nil {
 		e.emit(obs.KindMapTaskStart, sj.info.ID, i, now+dur, 0)
@@ -930,7 +958,7 @@ func (e *Engine) onMapTaskDeparture(sj *simJob, task int) {
 		e.batch.OnJobUpdate(&sj.info)
 	}
 	if e.preemptIdx != nil {
-		e.preemptIdx.Fix(&sj.info) // one fewer running map
+		e.preemptIdx.Fix(&sj.info, sj.preemptible()) // one fewer running map
 	}
 	if sj.info.MapsDone() && !sj.mapStageEvent {
 		sj.mapStageEvent = true
@@ -1058,12 +1086,25 @@ func (e *Engine) onJobDeparture(sj *simJob) {
 	if e.preemptIdx != nil {
 		e.preemptIdx.Remove(&sj.info)
 	}
-	for i, info := range e.active {
-		if info == &sj.info {
-			e.active = append(e.active[:i], e.active[i+1:]...)
-			break
+	e.live--
+}
+
+// compactActive drops departed jobs from the active queue, preserving
+// arrival order. It runs only between macro-steps or at the end of one
+// (allocate, Snapshot, SetPolicy), where every job marked departed has
+// had its departure event handled, so exactly live entries remain.
+func (e *Engine) compactActive() {
+	if len(e.active) == e.live {
+		return
+	}
+	kept := e.active[:0]
+	for _, info := range e.active {
+		if !e.jobROByID(info.ID).departed {
+			kept = append(kept, info)
 		}
 	}
+	clear(e.active[len(kept):])
+	e.active = kept
 }
 
 // Run is a convenience wrapper: build and run in one call.

@@ -92,6 +92,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	if e.src != nil {
 		e.materialize()
 	}
+	e.compactActive() // forks copy the queue as sealed: make it exact
 	e.state = runSealed
 	e.snap = &Snapshot{e: e}
 	return e.snap, nil
@@ -192,14 +193,14 @@ func (e *Engine) fixupJob(sj *simJob) {
 // ForkOptions parameterizes one fork off a snapshot.
 type ForkOptions struct {
 	// Policy is the fork's scheduling policy instance. Nil shares the
-	// snapshot's policy — valid for the stateless built-in values (FIFO,
-	// MaxEDF, MinEDF, Fair, Capacity) but rejected when the snapshot
-	// runs an indexed (BatchPolicy) instance, whose per-engine index
-	// cannot be shared across forks: pass a fresh instance of the same
-	// policy then. To *change* policy at the branch point, fork with the
-	// old policy and call SetPolicy on the fork — that re-admits jobs
-	// under the new policy exactly like a from-scratch replay switching
-	// at the same event would.
+	// snapshot's policy — right for the stateless built-in values (FIFO,
+	// MaxEDF, MinEDF, Fair, Capacity; each fork builds its own
+	// scheduling index for them), while a policy carrying mutable state
+	// of its own (DynamicPriority) needs an instance per fork. To
+	// *change* policy at the branch point, fork with the old policy and
+	// call SetPolicy on the fork — that re-admits jobs under the new
+	// policy exactly like a from-scratch replay switching at the same
+	// event would.
 	Policy sched.Policy
 	// Sink receives the fork's own event stream (suffix only — the
 	// shared prefix was observed by the snapshot engine's sink) and the
@@ -212,12 +213,11 @@ type ForkOptions struct {
 // warmed storage exactly like Reset does — the pooled-fork path. dst
 // resumes from the snapshot's macro-step boundary: same clock, same
 // pending events (cloned), same per-job progress (borrowed
-// copy-on-write), same policy decisions ahead of it. Index state
-// (batch-policy tournaments, the preemption index) is rebuilt from the
-// forked queue in O(active · log) rather than cloned — rebuild benches
-// faster than an O(index-size) deep clone at replay scale and needs no
-// per-policy clone hooks; the fork differential suite pins its
-// equivalence.
+// copy-on-write), same policy decisions ahead of it. Index state (the
+// scheduling index, the preemption index) is rebuilt from the forked
+// queue in O(active · log) rather than cloned — rebuild benches faster
+// than an O(index-size) deep clone at replay scale and needs no clone
+// hooks; the fork differential suite pins its equivalence.
 func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	src := s.e
 	if dst == src {
@@ -228,9 +228,6 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	}
 	policy := opts.Policy
 	if policy == nil {
-		if _, ok := src.policy.(sched.BatchPolicy); ok {
-			return fmt.Errorf("engine: forking an engine on an indexed (batch) policy requires ForkOptions.Policy: one fresh instance per fork")
-		}
 		policy = src.policy
 	}
 
@@ -242,7 +239,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.depth, _ = opts.Sink.(obs.DepthSampler)
 	dst.prog, _ = opts.Sink.(obs.ProgressSampler)
 	dst.depthTick = 0
-	dst.policy = policy
+	dst.setPolicy(policy)
 	dst.clock = src.clock
 	dst.freeMap = src.freeMap
 	dst.freeReduce = src.freeReduce
@@ -310,16 +307,15 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	for _, info := range src.active {
 		dst.active = append(dst.active, &dst.jobByID(info.ID).info)
 	}
+	dst.live = len(dst.active)
 
-	// Policy index state: rebuild by re-admitting the active jobs in
-	// queue order. Re-admission is idempotent — OnJobAdmit sizing
-	// (IndexedMinEDF) is a deterministic function of the copied JobInfo,
-	// and tournament winners are insertion-order independent — so the
-	// rebuilt index answers exactly as the snapshot's did.
-	dst.batch, _ = policy.(sched.BatchPolicy)
-	dst.arrive, _ = policy.(sched.ArrivalAware)
+	// Scheduling index: setPolicy left dst's own index empty; rebuild it
+	// by re-admitting the active jobs in queue order. Re-admission is
+	// idempotent — OnJobAdmit sizing (MinEDF) is a deterministic function
+	// of the copied JobInfo, and tournament winners are insertion-order
+	// independent — so the rebuilt index answers exactly as the
+	// snapshot's did.
 	if dst.batch != nil {
-		dst.batch.ResetQueue()
 		for _, info := range dst.active {
 			dst.batch.OnJobAdmit(info, dst.cfg.MapSlots, dst.cfg.ReduceSlots)
 		}
@@ -334,7 +330,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	}
 	if dst.preemptIdx != nil {
 		for _, info := range dst.active {
-			dst.preemptIdx.Add(info)
+			dst.preemptIdx.Add(info, dst.jobByID(info.ID).preemptible())
 		}
 	}
 	return nil
@@ -508,9 +504,8 @@ func (e *Engine) ownIndex() {
 // "what if we ran MaxEDF from here on" branch mutation. Active jobs
 // are re-admitted under the new policy as if they had just arrived:
 // their WantedMaps/WantedReduces sizing is cleared and re-derived by
-// the new policy's hooks, and a batch policy's index is rebuilt in
-// queue order. The instance must be fresh for stateful policies
-// (indexed ones always are per-engine).
+// the new policy's hooks, and the scheduling index is rebuilt in queue
+// order. The instance must be fresh for stateful policies.
 func (e *Engine) SetPolicy(p sched.Policy) error {
 	if err := e.mutable("SetPolicy"); err != nil {
 		return err
@@ -518,14 +513,12 @@ func (e *Engine) SetPolicy(p sched.Policy) error {
 	if p == nil {
 		return fmt.Errorf("engine: SetPolicy: nil policy")
 	}
-	e.policy = p
-	e.batch, _ = p.(sched.BatchPolicy)
-	e.arrive, _ = p.(sched.ArrivalAware)
+	e.setPolicy(p)
+	e.compactActive()
 	for _, info := range e.active {
 		info.WantedMaps, info.WantedReduces = 0, 0
 	}
 	if e.batch != nil {
-		e.batch.ResetQueue()
 		for _, info := range e.active {
 			e.batch.OnJobAdmit(info, e.cfg.MapSlots, e.cfg.ReduceSlots)
 		}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"simmr/internal/sched"
 	"simmr/internal/synth"
 	"simmr/internal/trace"
 )
@@ -52,11 +51,7 @@ func FuzzForkAtEvent(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := ForkOptions{}
-		if _, ok := prefix.policy.(sched.BatchPolicy); ok {
-			opts.Policy = mk()
-		}
-		fork, err := snap.Fork(opts)
+		fork, err := snap.Fork(ForkOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"simmr/internal/obs"
 	"simmr/internal/sched"
+	"simmr/internal/sched/schedtest"
 	"simmr/internal/synth"
 	"simmr/internal/trace"
 )
@@ -105,7 +106,9 @@ func pauseAt(t *testing.T, cfg Config, tr *trace.Trace, p sched.Policy, events u
 }
 
 // assertForkMatchesScratch is the per-cell oracle. mk builds the replay
-// policy (fresh instance per engine — indexed policies are stateful).
+// policy; the fork itself always takes a nil ForkOptions.Policy, so it
+// shares the snapshot's policy value and — on the indexed variants —
+// must rebuild its own scheduling index by re-admitting the live jobs.
 func assertForkMatchesScratch(t *testing.T, cfg Config, tr *trace.Trace, mk func() sched.Policy, forkEvents uint64, mut forkMutation) {
 	t.Helper()
 
@@ -116,11 +119,7 @@ func assertForkMatchesScratch(t *testing.T, cfg Config, tr *trace.Trace, mk func
 		t.Fatalf("Snapshot: %v", err)
 	}
 	forkSink := &obs.RecordSink{}
-	opts := ForkOptions{Sink: forkSink}
-	if _, batch := prefix.policy.(sched.BatchPolicy); batch {
-		opts.Policy = mk() // stateful: fresh instance per fork
-	} // else nil: exercise the shared-policy path
-	fork, err := snap.Fork(opts)
+	fork, err := snap.Fork(ForkOptions{Sink: forkSink})
 	if err != nil {
 		t.Fatalf("Fork: %v", err)
 	}
@@ -178,9 +177,11 @@ func assertForkMatchesScratch(t *testing.T, cfg Config, tr *trace.Trace, mk func
 	}
 }
 
-// forkPolicyVariants enumerates the full PR 5 policy suite in both scan
-// and indexed form, with the matching policy-swap target for the
-// swap-policy mutation (scan swaps to scan, indexed to indexed).
+// forkPolicyVariants enumerates the full PR 5 policy suite on both
+// scheduling paths — "indexed" is the bare value as every caller passes
+// it, "scan" the same value forced through the two-call interface — with
+// the matching policy-swap target for the swap-policy mutation (scan
+// swaps to scan, indexed to indexed).
 func forkPolicyVariants() []struct {
 	name string
 	mk   func() sched.Policy
@@ -198,13 +199,13 @@ func forkPolicyVariants() []struct {
 				name string
 				mk   func() sched.Policy
 				swap func() sched.Policy
-			}{pc.name + "/scan", pc.mk, func() sched.Policy { return sched.MaxEDF{} }},
+			}{pc.name + "/scan", func() sched.Policy { return schedtest.ScanOnly(pc.mk()) },
+				func() sched.Policy { return schedtest.ScanOnly(sched.MaxEDF{}) }},
 			struct {
 				name string
 				mk   func() sched.Policy
 				swap func() sched.Policy
-			}{pc.name + "/indexed", func() sched.Policy { return sched.Indexed(pc.mk()) },
-				func() sched.Policy { return sched.Indexed(sched.MaxEDF{}) }},
+			}{pc.name + "/indexed", pc.mk, func() sched.Policy { return sched.MaxEDF{} }},
 		)
 	}
 	return out
@@ -441,7 +442,9 @@ func TestForkOfFork(t *testing.T) {
 }
 
 // TestForkConcurrent fans 8 forks out of one snapshot from 8 goroutines
-// — under -race this is the lock-free shared-snapshot proof. Each fork
+// — under -race this is the lock-free shared-snapshot proof, and, every
+// fork sharing the snapshot's one MinEDF value, the proof that the
+// scheduling index lives in the engines and not in the policy. Each fork
 // applies a distinct mutation; each must match its own serial scratch.
 func TestForkConcurrent(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(60, rand.New(rand.NewSource(13)))
@@ -450,13 +453,13 @@ func TestForkConcurrent(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.PreemptMapTasks = true
-	total, err := Run(cfg, tr, sched.Indexed(sched.MinEDF{}))
+	total, err := Run(cfg, tr, sched.MinEDF{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	forkAt := total.Events / 2
 
-	prefix, _ := pauseAt(t, cfg, tr, sched.Indexed(sched.MinEDF{}), forkAt)
+	prefix, _ := pauseAt(t, cfg, tr, sched.MinEDF{}, forkAt)
 	snap, err := prefix.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +473,7 @@ func TestForkConcurrent(t *testing.T) {
 	for i := 0; i < branches; i++ {
 		go func(i int) {
 			defer wg.Done()
-			f, err := snap.Fork(ForkOptions{Policy: sched.Indexed(sched.MinEDF{})})
+			f, err := snap.Fork(ForkOptions{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -492,7 +495,7 @@ func TestForkConcurrent(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("branch %d: %v", i, errs[i])
 		}
-		scratch, _ := pauseAt(t, cfg, tr, sched.Indexed(sched.MinEDF{}), forkAt)
+		scratch, _ := pauseAt(t, cfg, tr, sched.MinEDF{}, forkAt)
 		if err := scratch.InjectJob(&trace.Job{
 			ID:      9_100_000 + i,
 			Arrival: scratch.Now() + float64(i)*0.5, Deadline: scratch.Now() + 200 + float64(i),
@@ -608,9 +611,8 @@ func TestForkStatsAccounting(t *testing.T) {
 }
 
 // TestForkAPIErrors pins the guard rails: sealed engines reject Run and
-// mutation, forks of batch-policy snapshots need a fresh instance,
-// destinations can't be the source or sealed, mutations validate their
-// inputs.
+// mutation, destinations can't be the source or sealed, mutations
+// validate their inputs.
 func TestForkAPIErrors(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(20, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -618,7 +620,7 @@ func TestForkAPIErrors(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 
-	e, err := New(cfg, tr, sched.Indexed(sched.MinEDF{}))
+	e, err := New(cfg, tr, sched.MinEDF{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,14 +637,11 @@ func TestForkAPIErrors(t *testing.T) {
 	if err := e.InjectJob(&trace.Job{ID: 999, Arrival: 1e9, Template: injectTemplate()}); err == nil {
 		t.Fatal("InjectJob on a sealed engine did not error")
 	}
-	if _, err := snap.Fork(ForkOptions{}); err == nil {
-		t.Fatal("nil-policy fork of a batch-policy snapshot did not error")
-	}
-	if err := snap.ForkInto(e, ForkOptions{Policy: sched.Indexed(sched.MinEDF{})}); err == nil {
+	if err := snap.ForkInto(e, ForkOptions{}); err == nil {
 		t.Fatal("ForkInto the snapshot's own source did not error")
 	}
 
-	f, err := snap.Fork(ForkOptions{Policy: sched.Indexed(sched.MinEDF{})})
+	f, err := snap.Fork(ForkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +662,7 @@ func TestForkAPIErrors(t *testing.T) {
 	}
 
 	// Reset un-seals: the source engine is an ordinary engine again.
-	if err := e.Reset(cfg, tr, sched.Indexed(sched.MinEDF{})); err != nil {
+	if err := e.Reset(cfg, tr, sched.MinEDF{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {

@@ -240,3 +240,52 @@ func TestPoolRejectsInvalidThenRecovers(t *testing.T) {
 		t.Fatalf("pool did not recover from rejected arming: %v", err)
 	}
 }
+
+// TestReArmAcrossPoliciesKeepsAllocFloor cycles one engine through
+// FIFO → MaxEDF → MinEDF → FIFO: every replay must equal a fresh one,
+// and — the scheduling index being recycled across policies, not
+// rebuilt — the steady state must stay at the pooled-replay allocation
+// bound (the Result and its outcome slice; BENCH_engine.json's
+// sched_allocs_per_op guards ≤ 4).
+func TestReArmAcrossPoliciesKeepsAllocFloor(t *testing.T) {
+	tr, err := synth.MultiTenantTrace(300, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cycle := []sched.Policy{sched.FIFO{}, sched.MaxEDF{}, sched.MinEDF{}, sched.FIFO{}}
+	e, err := New(cfg, tr, cycle[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rearm := func(p sched.Policy) *Result {
+		if err := e.Reset(cfg, tr, p); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, p := range cycle {
+		want, err := Run(cfg, tr, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rearm(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("re-armed %s replay diverged from a fresh engine's", p.Name())
+		}
+	}
+	if raceDetectorEnabled {
+		return // the detector's own allocations make the count meaningless
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, p := range cycle {
+			rearm(p)
+		}
+	})
+	if perReplay := allocs / float64(len(cycle)); perReplay > 4 {
+		t.Fatalf("re-arming across policies allocates %.1f per replay, want ≤ 4", perReplay)
+	}
+}

@@ -1,65 +1,53 @@
 package sched
 
-// This file adds the optional sub-linear fast path to the paper's
-// narrow policy interface (DESIGN.md §11). The reference policies in
-// sched.go / extra.go nominate one job per call with an O(active-jobs)
-// argmin scan; the engine consults them once per free slot after every
-// event, which is O(slots × jobs) per event — quadratic at multi-tenant
-// scale. A BatchPolicy instead maintains an incrementally updated
-// Tournament index (see index.go) keyed by the policy's ordering and
-// hands out all free slots in one call. The reference scan stays the
-// correctness oracle: the engine's differential suite replays every
-// policy on both paths and asserts byte-identical outcomes.
+// This file is the engine's scheduling index (DESIGN.md §11). The
+// paper's engine asks the policy for one job per free slot after every
+// event; with the built-in policies' O(active-jobs) argmin scans that
+// is O(slots × jobs) per event — quadratic at multi-tenant scale. The
+// built-in policy values stay what the paper describes — stateless,
+// shareable, two-call — and the engine instead keeps, per engine, an
+// incrementally updated Tournament index (index.go) keyed by the
+// policy's ordering, which hands out all free slots in one call. The
+// scan methods remain the correctness oracle: the engine's differential
+// suite replays every policy on both paths and asserts byte-identical
+// outcomes.
 
-// BatchPolicy is the optional engine fast path. The engine detects it
-// with one type assertion at Reset and then:
+// BatchPolicy is the contract between the engine and its scheduling
+// index. The engine obtains one from IndexFor and then:
 //
 //   - routes job lifecycle through OnJobAdmit / OnJobDepart instead of
-//     the ArrivalAware hook (OnJobAdmit subsumes it — IndexedMinEDF
+//     the ArrivalAware hook (OnJobAdmit subsumes it — the MinEDF index
 //     sizes its allocation there exactly like MinEDF.OnJobArrival);
 //   - calls OnJobUpdate after every engine-side mutation of a job's
 //     scheduler-visible counters (task completions, preemption kills),
 //     so the index never goes stale;
 //   - replaces the per-slot ChooseNext* loop with one AssignMapSlots /
-//     AssignReduceSlots call per allocation round;
-//   - calls ResetQueue when the engine is reset, so pooled engine reuse
-//     re-arms the index along with everything else.
+//     AssignReduceSlots call per allocation round.
 //
-// Assign* returns the chosen queue positions in assignment order and
-// must increment the nominated job's ScheduledMaps / ScheduledReduces
-// itself for each grant — exactly the state change the engine applies
-// between successive ChooseNext* calls on the scan path — so that later
-// grants in the same batch see the earlier ones. The returned slice is
-// valid until the next Assign* call on the same policy.
-//
-// The hooks are deliberately *not* named OnJobArrival: a BatchPolicy
-// must not implement ArrivalAware, so that callers which know only the
-// paper's narrow interface (the cluster emulator) never feed a partial
-// view into the index. For such callers the indexed policies fall back
-// to the reference scan (see chooseMap/chooseReduce) and remain
-// correct, just not sub-linear.
+// Assign* returns the granted job IDs in assignment order and must
+// increment the nominated job's ScheduledMaps / ScheduledReduces itself
+// for each grant — exactly the state change the engine applies between
+// successive ChooseNext* calls on the scan path — so that later grants
+// in the same batch see the earlier ones. It answers from the state the
+// hooks delivered; the queue argument is the engine's arrival-ordered
+// job list, which may still carry jobs that have since departed and
+// which the built-in indexes do not consult. The returned slice is
+// valid until the next Assign* call on the same index.
 //
 // Rebuild contract (the engine's fork path, DESIGN.md §12): calling
 // ResetQueue and then OnJobAdmit for every live job in queue order —
 // even jobs mid-flight, with nonzero progress counters — must yield an
-// index that answers every Choose*/Assign* query exactly like the
-// instance that was maintained incrementally through the full hook
-// stream. This holds for all built-in indexed policies because admit
-// derives everything from the job's current JobInfo: sizing
-// (IndexedMinEDF) is a pure function of Arrival/Deadline/Profile/slot
-// totals, queue loads (IndexedCapacity) fold in the job's current
-// running counts, and tournament answers are insertion-order
-// independent (comparators break all ties down to job ID). Custom
-// BatchPolicy implementations must preserve this property — admit
-// hooks may not assume a job is freshly arrived — or forked engines
-// will diverge from scratch replays. TestIndexRebuildEquivalence pins
-// it; the engine's fork differential suite enforces it end to end.
+// index that answers every Assign* query exactly like the instance that
+// was maintained incrementally through the full hook stream. This holds
+// because admit derives everything from the job's current JobInfo:
+// sizing (MinEDF) is a pure function of Arrival/Deadline/Profile/slot
+// totals, queue loads (Capacity) fold in the job's current running
+// counts, and tournament answers are insertion-order independent
+// (comparators break all ties down to job ID). TestIndexRebuildEquivalence
+// pins it; the engine's fork differential suite enforces it end to end.
 //
-// A BatchPolicy carries per-engine mutable state: never share one
-// instance across concurrent engines (use SweepConfig.PolicyFactory).
+// An index is per-engine mutable state, never shared.
 type BatchPolicy interface {
-	Policy
-
 	OnJobAdmit(j *JobInfo, totalMapSlots, totalReduceSlots int)
 	OnJobDepart(j *JobInfo)
 	OnJobUpdate(j *JobInfo)
@@ -69,604 +57,279 @@ type BatchPolicy interface {
 	AssignReduceSlots(q []*JobInfo, n int) []int
 }
 
-// Indexed returns the sub-linear indexed equivalent of a built-in
-// policy: FIFO, MaxEDF, MinEDF (any estimator), Fair, and Capacity map
-// to their BatchPolicy counterparts; any other policy (DynamicPriority,
-// user-defined) is returned unchanged and keeps the reference scan
-// path. The returned policy is stateful — one instance per engine.
-func Indexed(p Policy) Policy {
+// IndexFor returns an empty scheduling index that decides exactly like
+// the stateless built-in policy value p — FIFO, MaxEDF, MinEDF (any
+// estimator), Fair, Capacity — or nil for any other policy
+// (DynamicPriority, user-defined, wrapped), which the engine then
+// drives through the paper's two-call interface. prev, when non-nil, is
+// an index an earlier IndexFor call returned to the same owner; it is
+// recycled when its shape fits, so a pooled engine re-armed under a
+// different policy keeps its warmed trees.
+func IndexFor(p Policy, prev BatchPolicy) BatchPolicy {
 	switch pp := p.(type) {
 	case FIFO:
-		return NewIndexedFIFO()
+		return jobIndexFor(prev, byArrival, byArrival, true)
 	case MaxEDF:
-		return NewIndexedMaxEDF()
+		return jobIndexFor(prev, byDeadline, byDeadline, true)
 	case MinEDF:
-		return NewIndexedMinEDF(pp.Estimate)
+		ix := jobIndexFor(prev, byDeadline, byDeadline, true)
+		ix.sized, ix.estimate = true, pp.Estimate
+		return ix
 	case Fair:
-		return NewIndexedFair()
+		return jobIndexFor(prev, fairMapBetter, fairReduceBetter, false)
 	case Capacity:
-		return NewIndexedCapacity(pp)
+		return capacityIndexFor(prev, pp)
 	default:
-		return p
+		return nil
 	}
 }
 
-// queueMirror tracks each indexed job's position in the engine's active
-// queue, mirroring the engine's append-on-arrival / ordered-removal
-// discipline so Assign* can return queue indices without scanning.
-type queueMirror struct {
-	order   []*JobInfo
-	pos     map[int]int
-	scratch []int
+// The two rankings every scheduling index keeps over its jobs.
+const (
+	forMaps    = 0 // who gets the next map slot
+	forReduces = 1 // who gets the next reduce slot
+)
+
+// newSlotTournament builds the tournament both index types are made of:
+// jobs ranked for map slots and for reduce slots.
+func newSlotTournament(mapBetter, redBetter func(a, b *JobInfo) bool, static bool) *Tournament {
+	return NewTournament(LaneSched,
+		Order{Better: mapBetter, Static: static},
+		Order{Better: redBetter, Static: static})
 }
 
-func (m *queueMirror) admit(j *JobInfo) {
-	if m.pos == nil {
-		m.pos = make(map[int]int)
+// wants reports whether j can use one more slot of the given kind — the
+// eligibility the scan policies filter on.
+func wants(j *JobInfo, kind int) bool {
+	if kind == forMaps {
+		return j.wantsMapSlot()
 	}
-	m.pos[j.ID] = len(m.order)
-	m.order = append(m.order, j)
+	return j.wantsReduceSlot()
 }
 
-func (m *queueMirror) depart(j *JobInfo) {
-	p, ok := m.pos[j.ID]
-	if !ok {
-		return
-	}
-	delete(m.pos, j.ID)
-	copy(m.order[p:], m.order[p+1:])
-	m.order[len(m.order)-1] = nil
-	m.order = m.order[:len(m.order)-1]
-	for i := p; i < len(m.order); i++ {
-		m.pos[m.order[i].ID] = i
-	}
-}
-
-func (m *queueMirror) reset() {
-	for i := range m.order {
-		m.order[i] = nil
-	}
-	m.order = m.order[:0]
-	clear(m.pos)
-	m.scratch = m.scratch[:0]
-}
-
-// synced reports whether the mirror matches the queue the caller passed:
-// true only when every lifecycle hook has been delivered, i.e. the
-// caller is the engine's fast path. Callers that bypass the hooks (the
-// cluster emulator's masked queues, hand-built test queues) fail this
-// check and get the reference scan instead.
-func (m *queueMirror) synced(q []*JobInfo) bool {
-	if len(m.order) != len(q) {
-		return false
-	}
-	// Cheap spot checks instead of a full compare: the engine appends on
-	// arrival and removes in order, so ends matching implies the rest.
-	if n := len(q); n > 0 && (q[0] != m.order[0] || q[n-1] != m.order[n-1]) {
-		return false
-	}
-	return true
-}
-
-// indexedPair is one map tournament plus one reduce tournament over the
-// mirrored queue — the whole index for every single-queue policy.
-type indexedPair struct {
-	queueMirror
-	mapT, redT *Tournament
-}
-
-func newIndexedPair(mapBetter, redBetter func(a, b *JobInfo) bool) indexedPair {
-	return indexedPair{
-		mapT: NewTournament(mapBetter, (*JobInfo).wantsMapSlot),
-		redT: NewTournament(redBetter, (*JobInfo).wantsReduceSlot),
-	}
-}
-
-func (ix *indexedPair) admitJob(j *JobInfo) {
-	ix.admit(j)
-	ix.mapT.Add(j)
-	ix.redT.Add(j)
-}
-
-func (ix *indexedPair) departJob(j *JobInfo) {
-	ix.depart(j)
-	ix.mapT.Remove(j)
-	ix.redT.Remove(j)
-}
-
-func (ix *indexedPair) updateJob(j *JobInfo) {
-	ix.mapT.Fix(j)
-	ix.redT.Fix(j)
-}
-
-func (ix *indexedPair) resetQueue() {
-	ix.reset()
-	ix.mapT.Reset()
-	ix.redT.Reset()
-}
-
-func (ix *indexedPair) chooseMap(q []*JobInfo, fallback Policy) int {
-	if !ix.synced(q) {
-		return fallback.ChooseNextMapTask(q)
-	}
-	j := ix.mapT.Best()
-	if j == nil {
-		return -1
-	}
-	return ix.pos[j.ID]
-}
-
-func (ix *indexedPair) chooseReduce(q []*JobInfo, fallback Policy) int {
-	if !ix.synced(q) {
-		return fallback.ChooseNextReduceTask(q)
-	}
-	j := ix.redT.Best()
-	if j == nil {
-		return -1
-	}
-	return ix.pos[j.ID]
-}
-
-func (ix *indexedPair) assignMaps(q []*JobInfo, n int, fallback Policy) []int {
-	ix.scratch = ix.scratch[:0]
-	if !ix.synced(q) {
-		for len(ix.scratch) < n {
-			idx := fallback.ChooseNextMapTask(q)
-			if idx < 0 {
-				break
-			}
-			q[idx].ScheduledMaps++
-			ix.scratch = append(ix.scratch, idx)
-		}
-		return ix.scratch
-	}
-	for len(ix.scratch) < n {
-		j := ix.mapT.Best()
-		if j == nil {
-			break
-		}
+// grant applies one slot grant of the given kind to j's counters — the
+// increment the engine makes between ChooseNext* calls on the scan path.
+func grant(j *JobInfo, kind int) {
+	if kind == forMaps {
 		j.ScheduledMaps++
-		ix.mapT.Fix(j) // a map grant never changes reduce eligibility or keys
-		ix.scratch = append(ix.scratch, ix.pos[j.ID])
+	} else {
+		j.ScheduledReduces++
 	}
-	return ix.scratch
 }
 
-func (ix *indexedPair) assignReduces(q []*JobInfo, n int, fallback Policy) []int {
-	ix.scratch = ix.scratch[:0]
-	if !ix.synced(q) {
-		for len(ix.scratch) < n {
-			idx := fallback.ChooseNextReduceTask(q)
-			if idx < 0 {
-				break
-			}
-			q[idx].ScheduledReduces++
-			ix.scratch = append(ix.scratch, idx)
-		}
-		return ix.scratch
+// jobIndex is one tournament over the active jobs — the whole index for
+// every single-queue policy, which differ only in their comparator pair
+// and in whether admission first sizes the job's allocation (MinEDF,
+// per estimator).
+type jobIndex struct {
+	t        *Tournament
+	sized    bool
+	estimate Estimator
+	grants   []int
+}
+
+func jobIndexFor(prev BatchPolicy, mapBetter, redBetter func(a, b *JobInfo) bool, static bool) *jobIndex {
+	ix, ok := prev.(*jobIndex)
+	if ok {
+		ix.ResetQueue()
+		ix.t.reorder(forMaps, mapBetter, static)
+		ix.t.reorder(forReduces, redBetter, static)
+	} else {
+		ix = &jobIndex{t: newSlotTournament(mapBetter, redBetter, static)}
 	}
-	for len(ix.scratch) < n {
-		j := ix.redT.Best()
+	ix.sized = false
+	return ix
+}
+
+// OnJobAdmit implements BatchPolicy.
+func (ix *jobIndex) OnJobAdmit(j *JobInfo, totalMapSlots, totalReduceSlots int) {
+	if ix.sized {
+		MinEDF{Estimate: ix.estimate}.OnJobArrival(j, totalMapSlots, totalReduceSlots)
+	}
+	ix.t.Add(j, j.wantsMapSlot(), j.wantsReduceSlot())
+}
+
+// OnJobDepart implements BatchPolicy.
+func (ix *jobIndex) OnJobDepart(j *JobInfo) { ix.t.Remove(j) }
+
+// OnJobUpdate implements BatchPolicy.
+func (ix *jobIndex) OnJobUpdate(j *JobInfo) { ix.t.Fix(j, j.wantsMapSlot(), j.wantsReduceSlot()) }
+
+// ResetQueue implements BatchPolicy.
+func (ix *jobIndex) ResetQueue() { ix.t.Reset() }
+
+// assign grants up to n slots of one kind: take the winner, count the
+// grant, re-rank it. A grant of one kind never changes the other
+// ranking's eligibility or keys.
+func (ix *jobIndex) assign(kind, n int) []int {
+	ix.grants = ix.grants[:0]
+	for len(ix.grants) < n {
+		j := ix.t.Best(kind)
 		if j == nil {
 			break
 		}
-		j.ScheduledReduces++
-		ix.redT.Fix(j)
-		ix.scratch = append(ix.scratch, ix.pos[j.ID])
+		grant(j, kind)
+		ix.t.FixOrder(kind, j, wants(j, kind))
+		ix.grants = append(ix.grants, j.ID)
 	}
-	return ix.scratch
+	return ix.grants
 }
-
-// IndexedFIFO is FIFO over an arrival-ordered tournament. Build with
-// NewIndexedFIFO; one instance per engine.
-type IndexedFIFO struct{ ix indexedPair }
-
-// NewIndexedFIFO returns the indexed FIFO fast path.
-func NewIndexedFIFO() *IndexedFIFO {
-	return &IndexedFIFO{ix: newIndexedPair(byArrival, byArrival)}
-}
-
-// Name implements Policy (same name as the reference scan — it is the
-// same policy, only the lookup structure differs).
-func (p *IndexedFIFO) Name() string { return FIFO{}.Name() }
-
-// ChooseNextMapTask implements Policy.
-func (p *IndexedFIFO) ChooseNextMapTask(q []*JobInfo) int { return p.ix.chooseMap(q, FIFO{}) }
-
-// ChooseNextReduceTask implements Policy.
-func (p *IndexedFIFO) ChooseNextReduceTask(q []*JobInfo) int { return p.ix.chooseReduce(q, FIFO{}) }
-
-// OnJobAdmit implements BatchPolicy.
-func (p *IndexedFIFO) OnJobAdmit(j *JobInfo, _, _ int) { p.ix.admitJob(j) }
-
-// OnJobDepart implements BatchPolicy.
-func (p *IndexedFIFO) OnJobDepart(j *JobInfo) { p.ix.departJob(j) }
-
-// OnJobUpdate implements BatchPolicy.
-func (p *IndexedFIFO) OnJobUpdate(j *JobInfo) { p.ix.updateJob(j) }
-
-// ResetQueue implements BatchPolicy.
-func (p *IndexedFIFO) ResetQueue() { p.ix.resetQueue() }
 
 // AssignMapSlots implements BatchPolicy.
-func (p *IndexedFIFO) AssignMapSlots(q []*JobInfo, n int) []int {
-	return p.ix.assignMaps(q, n, FIFO{})
-}
+func (ix *jobIndex) AssignMapSlots(_ []*JobInfo, n int) []int { return ix.assign(forMaps, n) }
 
 // AssignReduceSlots implements BatchPolicy.
-func (p *IndexedFIFO) AssignReduceSlots(q []*JobInfo, n int) []int {
-	return p.ix.assignReduces(q, n, FIFO{})
-}
+func (ix *jobIndex) AssignReduceSlots(_ []*JobInfo, n int) []int { return ix.assign(forReduces, n) }
 
-// IndexedMaxEDF is MaxEDF over a deadline-ordered tournament.
-type IndexedMaxEDF struct{ ix indexedPair }
-
-// NewIndexedMaxEDF returns the indexed MaxEDF fast path.
-func NewIndexedMaxEDF() *IndexedMaxEDF {
-	return &IndexedMaxEDF{ix: newIndexedPair(byDeadline, byDeadline)}
-}
-
-// Name implements Policy.
-func (p *IndexedMaxEDF) Name() string { return MaxEDF{}.Name() }
-
-// ChooseNextMapTask implements Policy.
-func (p *IndexedMaxEDF) ChooseNextMapTask(q []*JobInfo) int { return p.ix.chooseMap(q, MaxEDF{}) }
-
-// ChooseNextReduceTask implements Policy.
-func (p *IndexedMaxEDF) ChooseNextReduceTask(q []*JobInfo) int { return p.ix.chooseReduce(q, MaxEDF{}) }
-
-// OnJobAdmit implements BatchPolicy.
-func (p *IndexedMaxEDF) OnJobAdmit(j *JobInfo, _, _ int) { p.ix.admitJob(j) }
-
-// OnJobDepart implements BatchPolicy.
-func (p *IndexedMaxEDF) OnJobDepart(j *JobInfo) { p.ix.departJob(j) }
-
-// OnJobUpdate implements BatchPolicy.
-func (p *IndexedMaxEDF) OnJobUpdate(j *JobInfo) { p.ix.updateJob(j) }
-
-// ResetQueue implements BatchPolicy.
-func (p *IndexedMaxEDF) ResetQueue() { p.ix.resetQueue() }
-
-// AssignMapSlots implements BatchPolicy.
-func (p *IndexedMaxEDF) AssignMapSlots(q []*JobInfo, n int) []int {
-	return p.ix.assignMaps(q, n, MaxEDF{})
-}
-
-// AssignReduceSlots implements BatchPolicy.
-func (p *IndexedMaxEDF) AssignReduceSlots(q []*JobInfo, n int) []int {
-	return p.ix.assignReduces(q, n, MaxEDF{})
-}
-
-// IndexedMinEDF is MinEDF over a deadline-ordered tournament: the
-// ARIA-model allocation sizing happens in OnJobAdmit exactly as the
-// reference MinEDF does in OnJobArrival; the WantedMaps/WantedReduces
-// caps flow into eligibility through wantsMapSlot/wantsReduceSlot, so
-// the tournament's bitset enforces them.
-type IndexedMinEDF struct {
-	est Estimator
-	ix  indexedPair
-}
-
-// NewIndexedMinEDF returns the indexed MinEDF fast path for an
-// estimator (EstimatorAvg is the paper default).
-func NewIndexedMinEDF(est Estimator) *IndexedMinEDF {
-	return &IndexedMinEDF{est: est, ix: newIndexedPair(byDeadline, byDeadline)}
-}
-
-// scan returns the reference policy this index mirrors.
-func (p *IndexedMinEDF) scan() MinEDF { return MinEDF{Estimate: p.est} }
-
-// Name implements Policy.
-func (p *IndexedMinEDF) Name() string { return p.scan().Name() }
-
-// ChooseNextMapTask implements Policy.
-func (p *IndexedMinEDF) ChooseNextMapTask(q []*JobInfo) int { return p.ix.chooseMap(q, p.scan()) }
-
-// ChooseNextReduceTask implements Policy.
-func (p *IndexedMinEDF) ChooseNextReduceTask(q []*JobInfo) int { return p.ix.chooseReduce(q, p.scan()) }
-
-// OnJobAdmit implements BatchPolicy: size the minimal allocation, then
-// index the job.
-func (p *IndexedMinEDF) OnJobAdmit(j *JobInfo, totalMapSlots, totalReduceSlots int) {
-	p.scan().OnJobArrival(j, totalMapSlots, totalReduceSlots)
-	p.ix.admitJob(j)
-}
-
-// OnJobDepart implements BatchPolicy.
-func (p *IndexedMinEDF) OnJobDepart(j *JobInfo) { p.ix.departJob(j) }
-
-// OnJobUpdate implements BatchPolicy.
-func (p *IndexedMinEDF) OnJobUpdate(j *JobInfo) { p.ix.updateJob(j) }
-
-// ResetQueue implements BatchPolicy.
-func (p *IndexedMinEDF) ResetQueue() { p.ix.resetQueue() }
-
-// AssignMapSlots implements BatchPolicy.
-func (p *IndexedMinEDF) AssignMapSlots(q []*JobInfo, n int) []int {
-	return p.ix.assignMaps(q, n, p.scan())
-}
-
-// AssignReduceSlots implements BatchPolicy.
-func (p *IndexedMinEDF) AssignReduceSlots(q []*JobInfo, n int) []int {
-	return p.ix.assignReduces(q, n, p.scan())
-}
-
-// fairMapBetter orders by fewest running maps, then arrival, then ID —
-// the Fair scan's comparator. The running count is fully dynamic; every
-// grant and completion reaches the tournament through Fix.
-func fairMapBetter(a, b *JobInfo) bool {
-	if ra, rb := a.RunningMaps(), b.RunningMaps(); ra != rb {
-		return ra < rb
-	}
-	return byArrival(a, b)
-}
-
-func fairReduceBetter(a, b *JobInfo) bool {
-	if ra, rb := a.RunningReduces(), b.RunningReduces(); ra != rb {
-		return ra < rb
-	}
-	return byArrival(a, b)
-}
-
-// IndexedFair is the Fair scheduler over a running-count-ordered
-// tournament.
-type IndexedFair struct{ ix indexedPair }
-
-// NewIndexedFair returns the indexed Fair fast path.
-func NewIndexedFair() *IndexedFair {
-	return &IndexedFair{ix: newIndexedPair(fairMapBetter, fairReduceBetter)}
-}
-
-// Name implements Policy.
-func (p *IndexedFair) Name() string { return Fair{}.Name() }
-
-// ChooseNextMapTask implements Policy.
-func (p *IndexedFair) ChooseNextMapTask(q []*JobInfo) int { return p.ix.chooseMap(q, Fair{}) }
-
-// ChooseNextReduceTask implements Policy.
-func (p *IndexedFair) ChooseNextReduceTask(q []*JobInfo) int { return p.ix.chooseReduce(q, Fair{}) }
-
-// OnJobAdmit implements BatchPolicy.
-func (p *IndexedFair) OnJobAdmit(j *JobInfo, _, _ int) { p.ix.admitJob(j) }
-
-// OnJobDepart implements BatchPolicy.
-func (p *IndexedFair) OnJobDepart(j *JobInfo) { p.ix.departJob(j) }
-
-// OnJobUpdate implements BatchPolicy.
-func (p *IndexedFair) OnJobUpdate(j *JobInfo) { p.ix.updateJob(j) }
-
-// ResetQueue implements BatchPolicy.
-func (p *IndexedFair) ResetQueue() { p.ix.resetQueue() }
-
-// AssignMapSlots implements BatchPolicy.
-func (p *IndexedFair) AssignMapSlots(q []*JobInfo, n int) []int {
-	return p.ix.assignMaps(q, n, Fair{})
-}
-
-// AssignReduceSlots implements BatchPolicy.
-func (p *IndexedFair) AssignReduceSlots(q []*JobInfo, n int) []int {
-	return p.ix.assignReduces(q, n, Fair{})
-}
-
-// IndexedCapacity is the Capacity scheduler with one arrival-ordered
-// tournament per queue plus incrementally maintained per-queue running
-// counts. Slot assignment picks the most underserved queue (smallest
-// running/share ratio, ties by the queue head's arrival order — the
-// scan's exact tie-break) and takes that queue's FIFO head: O(queues +
-// log jobs) per slot instead of O(jobs).
+// capacityIndex is the multi-queue variant: one arrival-ordered
+// tournament per Capacity queue plus incrementally maintained per-queue
+// running counts. Slot assignment picks the most underserved queue
+// (smallest running/share ratio, ties by the queue head's arrival order
+// — the scan's exact tie-break) and takes that queue's FIFO head:
+// O(queues + log jobs) per slot instead of O(jobs).
 //
-// The job→queue mapping is cached at admit time, so a custom QueueOf
-// must be a pure function of the job (the scan re-evaluates it per
-// decision; any sane assignment — and the default ID-modulo one — is
-// stable, making the paths identical).
-type IndexedCapacity struct {
-	cfg Capacity // queue mapping + fallback scan
-
-	queueMirror
-	mapTs, redTs     []*Tournament
-	mapLoad, redLoad []int
-
-	// jobQueue / lastRun cache each job's queue and the running counts
-	// last folded into the loads, so updates are O(1) deltas.
-	jobQueue map[int]int
-	lastRunM map[int]int
-	lastRunR map[int]int
+// A job's queue is re-derived from cfg.queue on every hook, so a custom
+// QueueOf must be a pure function of the job (the scan re-evaluates it
+// per decision too; any sane assignment — and the default ID-modulo
+// one — is stable, making the paths identical).
+type capacityIndex struct {
+	cfg    Capacity
+	queues []capacityQueue
+	grants []int
 }
 
-// NewIndexedCapacity returns the indexed Capacity fast path for the
-// given queue configuration.
-func NewIndexedCapacity(cfg Capacity) *IndexedCapacity {
-	nq := len(cfg.Shares)
-	if nq == 0 {
-		nq = 1
-	}
-	p := &IndexedCapacity{
-		cfg:      cfg,
-		mapTs:    make([]*Tournament, nq),
-		redTs:    make([]*Tournament, nq),
-		mapLoad:  make([]int, nq),
-		redLoad:  make([]int, nq),
-		jobQueue: make(map[int]int),
-		lastRunM: make(map[int]int),
-		lastRunR: make(map[int]int),
-	}
-	for i := range p.mapTs {
-		p.mapTs[i] = NewTournament(byArrival, (*JobInfo).wantsMapSlot)
-		p.redTs[i] = NewTournament(byArrival, (*JobInfo).wantsReduceSlot)
-	}
-	return p
+type capacityQueue struct {
+	t     *Tournament
+	share float64 // normalizing share, guarded like the scan's
+	// load is the queue's running tasks per kind; run caches, per leaf
+	// slot, the job's running counts last folded into it, so updates
+	// are O(1) deltas.
+	load [2]int
+	run  [][2]int
 }
 
-// Name implements Policy.
-func (p *IndexedCapacity) Name() string { return p.cfg.Name() }
-
-// share returns queue qi's normalizing share, matching the scan's
-// guard against nonpositive shares.
-func (p *IndexedCapacity) share(qi int) float64 {
-	if len(p.cfg.Shares) == 0 {
-		return 1
+func capacityIndexFor(prev BatchPolicy, cfg Capacity) *capacityIndex {
+	nq := max(len(cfg.Shares), 1)
+	ix, ok := prev.(*capacityIndex)
+	if ok && len(ix.queues) == nq {
+		ix.ResetQueue()
+	} else {
+		ix = &capacityIndex{queues: make([]capacityQueue, nq)}
+		for qi := range ix.queues {
+			ix.queues[qi].t = newSlotTournament(byArrival, byArrival, true)
+		}
 	}
-	if s := p.cfg.Shares[qi]; s > 0 {
-		return s
+	ix.cfg = cfg
+	for qi := range ix.queues {
+		share := 1.0
+		if len(cfg.Shares) > 0 {
+			if share = cfg.Shares[qi]; share <= 0 {
+				share = 1e-9
+			}
+		}
+		ix.queues[qi].share = share
 	}
-	return 1e-9
+	return ix
 }
 
-// bestQueue returns the winning (queue, job) under the scan's ordering:
-// smallest running/share ratio among queues with an eligible job,
-// breaking ratio ties by the candidate jobs' arrival order.
-func (p *IndexedCapacity) bestQueue(ts []*Tournament, load []int) (int, *JobInfo) {
-	bestQ, bestJ := -1, (*JobInfo)(nil)
+// fold brings the queue's loads up to date with the running counts of
+// the job at leaf s.
+func (q *capacityQueue) fold(s int32, j *JobInfo) {
+	now := [2]int{forMaps: j.RunningMaps(), forReduces: j.RunningReduces()}
+	for kind, n := range now {
+		q.load[kind] += n - q.run[s][kind]
+	}
+	q.run[s] = now
+}
+
+// OnJobAdmit implements BatchPolicy.
+func (ix *capacityIndex) OnJobAdmit(j *JobInfo, _, _ int) {
+	q := &ix.queues[ix.cfg.queue(j)]
+	q.t.Add(j, j.wantsMapSlot(), j.wantsReduceSlot())
+	s, _ := q.t.slot(j)
+	for int(s) >= len(q.run) {
+		q.run = append(q.run, [2]int{})
+	}
+	q.fold(s, j)
+}
+
+// OnJobDepart implements BatchPolicy.
+func (ix *capacityIndex) OnJobDepart(j *JobInfo) {
+	q := &ix.queues[ix.cfg.queue(j)]
+	if s, ok := q.t.slot(j); ok {
+		for kind, n := range q.run[s] {
+			q.load[kind] -= n
+		}
+		q.run[s] = [2]int{}
+		q.t.Remove(j)
+	}
+}
+
+// OnJobUpdate implements BatchPolicy.
+func (ix *capacityIndex) OnJobUpdate(j *JobInfo) {
+	q := &ix.queues[ix.cfg.queue(j)]
+	if s, ok := q.t.slot(j); ok {
+		q.fold(s, j)
+		q.t.Fix(j, j.wantsMapSlot(), j.wantsReduceSlot())
+	}
+}
+
+// ResetQueue implements BatchPolicy.
+func (ix *capacityIndex) ResetQueue() {
+	for qi := range ix.queues {
+		q := &ix.queues[qi]
+		q.t.Reset()
+		q.load = [2]int{}
+		clear(q.run)
+	}
+}
+
+// best returns the winning queue for one kind of slot under the scan's
+// ordering — smallest running/share ratio among queues with an eligible
+// job, ratio ties broken by the candidate jobs' arrival order — or nil.
+func (ix *capacityIndex) best(kind int) *capacityQueue {
+	var bestQ *capacityQueue
+	var bestJ *JobInfo
 	var bestRatio float64
-	for qi, t := range ts {
-		j := t.Best()
+	for qi := range ix.queues {
+		q := &ix.queues[qi]
+		j := q.t.Best(kind)
 		if j == nil {
 			continue
 		}
-		ratio := float64(load[qi]) / p.share(qi)
+		ratio := float64(q.load[kind]) / q.share
 		if bestJ == nil || ratio < bestRatio ||
 			(ratio == bestRatio && byArrival(j, bestJ)) {
-			bestQ, bestJ, bestRatio = qi, j, ratio
+			bestQ, bestJ, bestRatio = q, j, ratio
 		}
 	}
-	return bestQ, bestJ
+	return bestQ
 }
 
-// ChooseNextMapTask implements Policy.
-func (p *IndexedCapacity) ChooseNextMapTask(q []*JobInfo) int {
-	if !p.synced(q) {
-		return p.cfg.ChooseNextMapTask(q)
+// assign grants up to n slots of one kind, one queue choice per slot:
+// each grant is one more running task in the winning queue, which can
+// change the next choice.
+func (ix *capacityIndex) assign(kind, n int) []int {
+	ix.grants = ix.grants[:0]
+	for len(ix.grants) < n {
+		q := ix.best(kind)
+		if q == nil {
+			break
+		}
+		j := q.t.Best(kind)
+		grant(j, kind)
+		s, _ := q.t.slot(j)
+		q.fold(s, j)
+		q.t.FixOrder(kind, j, wants(j, kind))
+		ix.grants = append(ix.grants, j.ID)
 	}
-	if _, j := p.bestQueue(p.mapTs, p.mapLoad); j != nil {
-		return p.pos[j.ID]
-	}
-	return -1
-}
-
-// ChooseNextReduceTask implements Policy.
-func (p *IndexedCapacity) ChooseNextReduceTask(q []*JobInfo) int {
-	if !p.synced(q) {
-		return p.cfg.ChooseNextReduceTask(q)
-	}
-	if _, j := p.bestQueue(p.redTs, p.redLoad); j != nil {
-		return p.pos[j.ID]
-	}
-	return -1
-}
-
-// OnJobAdmit implements BatchPolicy.
-func (p *IndexedCapacity) OnJobAdmit(j *JobInfo, _, _ int) {
-	p.admit(j)
-	qi := p.cfg.queue(j)
-	p.jobQueue[j.ID] = qi
-	runM, runR := j.RunningMaps(), j.RunningReduces()
-	p.lastRunM[j.ID], p.lastRunR[j.ID] = runM, runR
-	p.mapLoad[qi] += runM
-	p.redLoad[qi] += runR
-	p.mapTs[qi].Add(j)
-	p.redTs[qi].Add(j)
-}
-
-// OnJobDepart implements BatchPolicy.
-func (p *IndexedCapacity) OnJobDepart(j *JobInfo) {
-	qi, ok := p.jobQueue[j.ID]
-	if !ok {
-		return
-	}
-	p.depart(j)
-	p.mapLoad[qi] -= p.lastRunM[j.ID]
-	p.redLoad[qi] -= p.lastRunR[j.ID]
-	delete(p.jobQueue, j.ID)
-	delete(p.lastRunM, j.ID)
-	delete(p.lastRunR, j.ID)
-	p.mapTs[qi].Remove(j)
-	p.redTs[qi].Remove(j)
-}
-
-// OnJobUpdate implements BatchPolicy.
-func (p *IndexedCapacity) OnJobUpdate(j *JobInfo) {
-	qi, ok := p.jobQueue[j.ID]
-	if !ok {
-		return
-	}
-	if runM := j.RunningMaps(); runM != p.lastRunM[j.ID] {
-		p.mapLoad[qi] += runM - p.lastRunM[j.ID]
-		p.lastRunM[j.ID] = runM
-	}
-	if runR := j.RunningReduces(); runR != p.lastRunR[j.ID] {
-		p.redLoad[qi] += runR - p.lastRunR[j.ID]
-		p.lastRunR[j.ID] = runR
-	}
-	p.mapTs[qi].Fix(j)
-	p.redTs[qi].Fix(j)
-}
-
-// ResetQueue implements BatchPolicy.
-func (p *IndexedCapacity) ResetQueue() {
-	p.reset()
-	for i := range p.mapTs {
-		p.mapTs[i].Reset()
-		p.redTs[i].Reset()
-		p.mapLoad[i] = 0
-		p.redLoad[i] = 0
-	}
-	clear(p.jobQueue)
-	clear(p.lastRunM)
-	clear(p.lastRunR)
+	return ix.grants
 }
 
 // AssignMapSlots implements BatchPolicy.
-func (p *IndexedCapacity) AssignMapSlots(q []*JobInfo, n int) []int {
-	p.scratch = p.scratch[:0]
-	if !p.synced(q) {
-		for len(p.scratch) < n {
-			idx := p.cfg.ChooseNextMapTask(q)
-			if idx < 0 {
-				break
-			}
-			q[idx].ScheduledMaps++
-			p.scratch = append(p.scratch, idx)
-		}
-		return p.scratch
-	}
-	for len(p.scratch) < n {
-		qi, j := p.bestQueue(p.mapTs, p.mapLoad)
-		if j == nil {
-			break
-		}
-		j.ScheduledMaps++
-		p.mapLoad[qi]++ // one more running map in the winning queue
-		p.lastRunM[j.ID]++
-		p.mapTs[qi].Fix(j)
-		p.scratch = append(p.scratch, p.pos[j.ID])
-	}
-	return p.scratch
-}
+func (ix *capacityIndex) AssignMapSlots(_ []*JobInfo, n int) []int { return ix.assign(forMaps, n) }
 
 // AssignReduceSlots implements BatchPolicy.
-func (p *IndexedCapacity) AssignReduceSlots(q []*JobInfo, n int) []int {
-	p.scratch = p.scratch[:0]
-	if !p.synced(q) {
-		for len(p.scratch) < n {
-			idx := p.cfg.ChooseNextReduceTask(q)
-			if idx < 0 {
-				break
-			}
-			q[idx].ScheduledReduces++
-			p.scratch = append(p.scratch, idx)
-		}
-		return p.scratch
-	}
-	for len(p.scratch) < n {
-		qi, j := p.bestQueue(p.redTs, p.redLoad)
-		if j == nil {
-			break
-		}
-		j.ScheduledReduces++
-		p.redLoad[qi]++
-		p.lastRunR[j.ID]++
-		p.redTs[qi].Fix(j)
-		p.scratch = append(p.scratch, p.pos[j.ID])
-	}
-	return p.scratch
+func (ix *capacityIndex) AssignReduceSlots(_ []*JobInfo, n int) []int {
+	return ix.assign(forReduces, n)
 }

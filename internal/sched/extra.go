@@ -19,22 +19,29 @@ func (Fair) Name() string { return "Fair" }
 
 // ChooseNextMapTask implements Policy.
 func (Fair) ChooseNextMapTask(q []*JobInfo) int {
-	return argmin(q, (*JobInfo).wantsMapSlot, func(a, b *JobInfo) bool {
-		if a.RunningMaps() != b.RunningMaps() {
-			return a.RunningMaps() < b.RunningMaps()
-		}
-		return byArrival(a, b)
-	})
+	return argmin(q, (*JobInfo).wantsMapSlot, fairMapBetter)
 }
 
 // ChooseNextReduceTask implements Policy.
 func (Fair) ChooseNextReduceTask(q []*JobInfo) int {
-	return argmin(q, (*JobInfo).wantsReduceSlot, func(a, b *JobInfo) bool {
-		if a.RunningReduces() != b.RunningReduces() {
-			return a.RunningReduces() < b.RunningReduces()
-		}
-		return byArrival(a, b)
-	})
+	return argmin(q, (*JobInfo).wantsReduceSlot, fairReduceBetter)
+}
+
+// fairMapBetter orders by fewest running maps, then arrival, then ID.
+// The running count is fully dynamic: in the scheduling index every
+// grant and completion reaches the tournament through Fix.
+func fairMapBetter(a, b *JobInfo) bool {
+	if ra, rb := a.RunningMaps(), b.RunningMaps(); ra != rb {
+		return ra < rb
+	}
+	return byArrival(a, b)
+}
+
+func fairReduceBetter(a, b *JobInfo) bool {
+	if ra, rb := a.RunningReduces(), b.RunningReduces(); ra != rb {
+		return ra < rb
+	}
+	return byArrival(a, b)
 }
 
 // Capacity approximates the Hadoop Capacity scheduler: jobs are assigned

@@ -6,10 +6,10 @@ import "math"
 // stable 64-bit identity for every built-in policy: two policies with
 // the same fingerprint MUST make identical scheduling decisions on
 // every input, because cache keys built from the fingerprint treat
-// their results as interchangeable. That is why the Indexed variants
-// return their reference policy's fingerprint — the differential suite
-// pins them byte-identical — and why stateful or caller-extended
-// policies (DynamicPriority, Capacity with a custom QueueOf) refuse to
+// their results as interchangeable. The engine's scheduling index is
+// not part of a policy's identity — the differential suite pins it
+// byte-identical to the scan — but stateful or caller-extended policies
+// (DynamicPriority, Capacity with a custom QueueOf) refuse to
 // fingerprint at all: a wrong cache hit is a silent correctness bug,
 // a bypass is just a slower replay.
 //
@@ -106,18 +106,3 @@ func (p Capacity) Fingerprint() (uint64, bool) {
 // configurations diverge as soon as state accumulates, so it always
 // declines and bypasses the cache.
 func (*DynamicPriority) Fingerprint() (uint64, bool) { return 0, false }
-
-// The Indexed variants are pinned byte-identical to their reference
-// policies by the differential suite, so they share the reference
-// fingerprint — a sweep run with Indexed(MaxEDF{}) hits entries cached
-// by MaxEDF{} and vice versa.
-
-func (*IndexedFIFO) Fingerprint() (uint64, bool)   { return FIFO{}.Fingerprint() }
-func (*IndexedMaxEDF) Fingerprint() (uint64, bool) { return MaxEDF{}.Fingerprint() }
-func (p *IndexedMinEDF) Fingerprint() (uint64, bool) {
-	return p.scan().Fingerprint()
-}
-func (*IndexedFair) Fingerprint() (uint64, bool) { return Fair{}.Fingerprint() }
-func (p *IndexedCapacity) Fingerprint() (uint64, bool) {
-	return p.cfg.Fingerprint()
-}

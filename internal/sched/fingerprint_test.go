@@ -35,27 +35,6 @@ func TestFingerprintGolden(t *testing.T) {
 		}
 	}
 
-	// Indexed variants must share their reference policy's fingerprint:
-	// the differential suite pins them byte-identical, so cached entries
-	// are interchangeable between scan and indexed execution.
-	indexed := []struct {
-		name   string
-		p, ref Policy
-	}{
-		{"Indexed(FIFO)", Indexed(FIFO{}), FIFO{}},
-		{"Indexed(MaxEDF)", Indexed(MaxEDF{}), MaxEDF{}},
-		{"Indexed(MinEDF/low)", Indexed(MinEDF{Estimate: EstimatorLow}), MinEDF{Estimate: EstimatorLow}},
-		{"Indexed(Fair)", Indexed(Fair{}), Fair{}},
-		{"Indexed(Capacity)", Indexed(Capacity{Shares: []float64{0.5, 0.5}}), Capacity{Shares: []float64{0.5, 0.5}}},
-	}
-	for _, g := range indexed {
-		got, ok := FingerprintOf(g.p)
-		ref, _ := FingerprintOf(g.ref)
-		if !ok || got != ref {
-			t.Errorf("%s: fingerprint %#x (ok=%v), want reference %#x", g.name, got, ok, ref)
-		}
-	}
-
 	// Unfingerprintable configurations must decline: a wrong cache hit
 	// is a silent correctness bug, a bypass is just a slower replay.
 	decline := []struct {
@@ -64,7 +43,6 @@ func TestFingerprintGolden(t *testing.T) {
 	}{
 		{"DynamicPriority", &DynamicPriority{Budgets: map[int]float64{1: 2}}},
 		{"Capacity/customQueueOf", Capacity{Shares: []float64{1}, QueueOf: func(*JobInfo) int { return 0 }}},
-		{"Indexed(Capacity/customQueueOf)", Indexed(Capacity{Shares: []float64{1}, QueueOf: func(*JobInfo) int { return 0 }})},
 	}
 	for _, g := range decline {
 		if fp, ok := FingerprintOf(g.p); ok {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -24,14 +25,14 @@ func naiveBest(jobs map[int]*JobInfo, better func(a, b *JobInfo) bool, eligible 
 func TestTournamentMatchesNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	eligible := (*JobInfo).wantsMapSlot
-	tour := NewTournament(byDeadline, eligible)
+	tour := NewTournament(LaneSched, Order{byDeadline, true})
 	live := map[int]*JobInfo{}
 	nextID := 0
 
 	check := func(step int) {
 		t.Helper()
 		want := naiveBest(live, byDeadline, eligible)
-		got := tour.Best()
+		got := tour.Best(0)
 		if got != want {
 			t.Fatalf("step %d: Best() = %+v, naive scan wants %+v", step, got, want)
 		}
@@ -46,7 +47,7 @@ func TestTournamentMatchesNaiveScan(t *testing.T) {
 			j := mkJob(nextID, float64(rng.Intn(3)), float64(rng.Intn(3)*100), 1+rng.Intn(5), 0)
 			nextID++
 			live[j.ID] = j
-			tour.Add(j)
+			tour.Add(j, j.wantsMapSlot())
 		case op < 6: // remove a random live job
 			for _, j := range live {
 				delete(live, j.ID)
@@ -60,7 +61,7 @@ func TestTournamentMatchesNaiveScan(t *testing.T) {
 				} else if j.CompletedMaps < j.ScheduledMaps {
 					j.CompletedMaps++
 				}
-				tour.Fix(j)
+				tour.Fix(j, j.wantsMapSlot())
 				break
 			}
 		}
@@ -69,76 +70,167 @@ func TestTournamentMatchesNaiveScan(t *testing.T) {
 }
 
 func TestTournamentRemoveUnknownAndReAdd(t *testing.T) {
-	tour := NewTournament(byArrival, (*JobInfo).wantsMapSlot)
+	tour := NewTournament(LaneSched, Order{byArrival, true})
 	a := mkJob(1, 1, 0, 2, 0)
 	tour.Remove(a) // unknown: no-op
-	tour.Add(a)
-	tour.Add(a) // idempotent
-	if tour.Len() != 1 || tour.Best() != a {
-		t.Fatalf("Len=%d Best=%v after double add", tour.Len(), tour.Best())
+	tour.Add(a, a.wantsMapSlot())
+	tour.Add(a, a.wantsMapSlot()) // idempotent
+	if tour.Len() != 1 || tour.Best(0) != a {
+		t.Fatalf("Len=%d Best=%v after double add", tour.Len(), tour.Best(0))
 	}
 	tour.Remove(a)
-	if tour.Len() != 0 || tour.Best() != nil {
-		t.Fatalf("Len=%d Best=%v after remove", tour.Len(), tour.Best())
+	if tour.Len() != 0 || tour.Best(0) != nil {
+		t.Fatalf("Len=%d Best=%v after remove", tour.Len(), tour.Best(0))
 	}
 }
 
 func TestTournamentResetKeepsCapacityDropsJobs(t *testing.T) {
-	tour := NewTournament(byArrival, (*JobInfo).wantsMapSlot)
+	tour := NewTournament(LaneSched, Order{byArrival, true})
 	for i := 0; i < 100; i++ {
-		tour.Add(mkJob(i, float64(i), 0, 1, 0))
+		tour.Add(mkJob(i, float64(i), 0, 1, 0), true)
 	}
 	size := tour.size
 	tour.Reset()
-	if tour.Len() != 0 || tour.Best() != nil {
-		t.Fatalf("Len=%d Best=%v after Reset", tour.Len(), tour.Best())
+	if tour.Len() != 0 || tour.Best(0) != nil {
+		t.Fatalf("Len=%d Best=%v after Reset", tour.Len(), tour.Best(0))
 	}
 	if tour.size != size {
 		t.Fatalf("Reset changed capacity: %d -> %d", size, tour.size)
 	}
 	b := mkJob(500, 3, 0, 1, 0)
-	tour.Add(b)
-	if tour.Best() != b {
+	tour.Add(b, b.wantsMapSlot())
+	if tour.Best(0) != b {
 		t.Fatal("reset tournament does not accept fresh jobs")
 	}
 }
 
+// TestTournamentSiftShortcuts pins the two shortcuts that keep the tree
+// cheap at small queues against the cases that must defeat them: a Fix
+// that leaves eligibility alone is skipped under a static key but not
+// under a dynamic one, and the early exit from sift must not fire when
+// the unchanged winner is the touched leaf itself (its key moved).
+func TestTournamentSiftShortcuts(t *testing.T) {
+	// Static key, eligibility unchanged: the skipped Fix changes nothing.
+	fifo := NewTournament(LaneSched, Order{byArrival, true})
+	a, b := mkJob(1, 1, 0, 5, 0), mkJob(2, 2, 0, 5, 0)
+	fifo.Add(a, a.wantsMapSlot())
+	fifo.Add(b, b.wantsMapSlot())
+	a.ScheduledMaps++ // still pending maps: still eligible
+	fifo.Fix(a, a.wantsMapSlot())
+	if fifo.Best(0) != a {
+		t.Fatalf("static skip: Best = job %d, want 1", fifo.Best(0).ID)
+	}
+	a.ScheduledMaps = a.NumMaps // eligibility flips: must sift
+	fifo.Fix(a, a.wantsMapSlot())
+	if fifo.Best(0) != b {
+		t.Fatalf("after job 1 ran out of maps: Best = %v, want job 2", fifo.Best(0))
+	}
+
+	// Dynamic key, touched leaf is the current winner and stays eligible:
+	// its running count grows past the runner-up's, so the root must move.
+	fair := NewTournament(LaneSched, Order{fairMapBetter, false})
+	var jobs []*JobInfo
+	for id := 0; id < 8; id++ { // spread over several subtrees
+		j := mkJob(id, float64(id), 0, 9, 0)
+		jobs = append(jobs, j)
+		fair.Add(j, j.wantsMapSlot())
+	}
+	for round := 0; round < 20; round++ {
+		w := fair.Best(0)
+		if want := naiveBest(liveSet(jobs), fairMapBetter, (*JobInfo).wantsMapSlot); w != want {
+			t.Fatalf("round %d: Best = job %d, naive scan wants %d", round, w.ID, want.ID)
+		}
+		w.ScheduledMaps++ // winner's key worsens, eligibility unchanged
+		fair.Fix(w, w.wantsMapSlot())
+	}
+}
+
+func liveSet(jobs []*JobInfo) map[int]*JobInfo {
+	m := make(map[int]*JobInfo, len(jobs))
+	for _, j := range jobs {
+		m[j.ID] = j
+	}
+	return m
+}
+
 // --- Scan vs indexed equivalence (satellite: tie-break property tests) ---
 
-// policyPair couples a reference scan policy with a factory for its
-// indexed equivalent (indexed policies are stateful: one per trial).
+// policyPair couples a reference scan policy with a factory for the
+// scheduling index the engine would build for it (an index is stateful:
+// one per trial).
 type policyPair struct {
 	name string
 	scan Policy
-	mk   func() Policy
+	mk   func() BatchPolicy
 }
 
 func policyPairs() []policyPair {
-	capCfg := Capacity{Shares: []float64{3, 1, 2}}
-	return []policyPair{
-		{"FIFO", FIFO{}, func() Policy { return Indexed(FIFO{}) }},
-		{"MaxEDF", MaxEDF{}, func() Policy { return Indexed(MaxEDF{}) }},
-		{"MinEDF-avg", MinEDF{}, func() Policy { return Indexed(MinEDF{}) }},
-		{"MinEDF-low", MinEDF{Estimate: EstimatorLow}, func() Policy { return Indexed(MinEDF{Estimate: EstimatorLow}) }},
-		{"MinEDF-up", MinEDF{Estimate: EstimatorUp}, func() Policy { return Indexed(MinEDF{Estimate: EstimatorUp}) }},
-		{"Fair", Fair{}, func() Policy { return Indexed(Fair{}) }},
-		{"Capacity", capCfg, func() Policy { return Indexed(capCfg) }},
+	var out []policyPair
+	for _, pc := range []struct {
+		name string
+		p    Policy
+	}{
+		{"FIFO", FIFO{}},
+		{"MaxEDF", MaxEDF{}},
+		{"MinEDF-avg", MinEDF{}},
+		{"MinEDF-low", MinEDF{Estimate: EstimatorLow}},
+		{"MinEDF-up", MinEDF{Estimate: EstimatorUp}},
+		{"Fair", Fair{}},
+		{"Capacity", Capacity{Shares: []float64{3, 1, 2}}},
+	} {
+		p := pc.p
+		out = append(out, policyPair{pc.name, p, func() BatchPolicy { return IndexFor(p, nil) }})
 	}
+	return out
+}
+
+// peekMap and peekReduce read the index's next grant without taking it,
+// as a position in q (-1: none) — the read-only counterpart of
+// ChooseNext* the fuzz tests compare against the scan.
+func peekMap(ix BatchPolicy, q []*JobInfo) int    { return peek(ix, q, false) }
+func peekReduce(ix BatchPolicy, q []*JobInfo) int { return peek(ix, q, true) }
+
+func peek(ix BatchPolicy, q []*JobInfo, reduce bool) int {
+	kind := forMaps
+	if reduce {
+		kind = forReduces
+	}
+	var j *JobInfo
+	switch ix := ix.(type) {
+	case *jobIndex:
+		j = ix.t.Best(kind)
+	case *capacityIndex:
+		if cq := ix.best(kind); cq != nil {
+			j = cq.t.Best(kind)
+		}
+	}
+	for i := range q {
+		if q[i] == j {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestIndexedReturnsBatchPolicyForBuiltins(t *testing.T) {
 	for _, pc := range policyPairs() {
-		p := pc.mk()
-		if _, ok := p.(BatchPolicy); !ok {
-			t.Errorf("Indexed(%s) = %T, not a BatchPolicy", pc.name, p)
+		if pc.mk() == nil {
+			t.Errorf("IndexFor(%s) = nil, want a scheduling index", pc.name)
 		}
-		if p.Name() != pc.scan.Name() {
-			t.Errorf("Indexed(%s).Name() = %q, want %q", pc.name, p.Name(), pc.scan.Name())
+		if _, ok := pc.scan.(BatchPolicy); ok {
+			t.Errorf("%s: the policy value itself must stay stateless, not carry the index", pc.name)
 		}
 	}
-	dp := NewDynamicPriority(nil, nil)
-	if got := Indexed(dp); got != Policy(dp) {
-		t.Errorf("Indexed(DynamicPriority) = %T, want the policy unchanged", got)
+	if got := IndexFor(NewDynamicPriority(nil, nil), nil); got != nil {
+		t.Errorf("IndexFor(DynamicPriority) = %T, want nil (two-call interface)", got)
+	}
+	// Re-arming recycles a fitting index and replaces a misfit.
+	fifo := IndexFor(FIFO{}, nil)
+	if got := IndexFor(Fair{}, fifo); got != fifo {
+		t.Error("single-queue index not recycled across single-queue policies")
+	}
+	if got := IndexFor(Capacity{Shares: []float64{1, 1}}, fifo); got == fifo {
+		t.Error("Capacity recycled a single-queue index")
 	}
 }
 
@@ -155,7 +247,7 @@ func TestIndexedTieBreakByID(t *testing.T) {
 				mkJob(2, 4, 100, 3, 1),
 				mkJob(5, 4, 100, 3, 1),
 			}
-			indexed := pc.mk().(BatchPolicy)
+			indexed := pc.mk()
 			for _, j := range q {
 				indexed.OnJobAdmit(j, 64, 64)
 			}
@@ -163,10 +255,10 @@ func TestIndexedTieBreakByID(t *testing.T) {
 			if got := pc.scan.ChooseNextMapTask(q); got != wantIdx {
 				t.Fatalf("scan map pick = %d, want %d (lowest ID)", got, wantIdx)
 			}
-			if got := indexed.ChooseNextMapTask(q); got != wantIdx {
+			if got := peekMap(indexed, q); got != wantIdx {
 				t.Fatalf("indexed map pick = %d, want %d (lowest ID)", got, wantIdx)
 			}
-			if got := indexed.ChooseNextReduceTask(q); got != pc.scan.ChooseNextReduceTask(q) {
+			if got := peekReduce(indexed, q); got != pc.scan.ChooseNextReduceTask(q) {
 				t.Fatalf("reduce picks disagree: indexed %d", got)
 			}
 		})
@@ -216,7 +308,7 @@ func mutateJob(rng *rand.Rand, j *JobInfo) {
 
 // TestIndexedChoiceMatchesScanFuzz walks random queues through random
 // admissions, counter mutations, and departures, comparing every
-// ChooseNext* decision between the scan and indexed paths. Both read
+// next-grant decision between the scan and indexed paths. Both read
 // the same JobInfo objects, so any disagreement is an ordering bug, not
 // a state-divergence artifact.
 func TestIndexedChoiceMatchesScanFuzz(t *testing.T) {
@@ -224,7 +316,7 @@ func TestIndexedChoiceMatchesScanFuzz(t *testing.T) {
 		t.Run(pc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for trial := 0; trial < 30; trial++ {
-				indexed := pc.mk().(BatchPolicy)
+				indexed := pc.mk()
 				q := randomTieQueue(rng, 1+rng.Intn(40))
 				for _, j := range q {
 					indexed.OnJobAdmit(j, 64, 64)
@@ -246,10 +338,10 @@ func TestIndexedChoiceMatchesScanFuzz(t *testing.T) {
 						mutateJob(rng, j)
 						indexed.OnJobUpdate(j)
 					}
-					if got, want := indexed.ChooseNextMapTask(q), pc.scan.ChooseNextMapTask(q); got != want {
+					if got, want := peekMap(indexed, q), pc.scan.ChooseNextMapTask(q); got != want {
 						t.Fatalf("trial %d step %d: map pick indexed=%d scan=%d", trial, step, got, want)
 					}
-					if got, want := indexed.ChooseNextReduceTask(q), pc.scan.ChooseNextReduceTask(q); got != want {
+					if got, want := peekReduce(indexed, q), pc.scan.ChooseNextReduceTask(q); got != want {
 						t.Fatalf("trial %d step %d: reduce pick indexed=%d scan=%d", trial, step, got, want)
 					}
 				}
@@ -269,61 +361,86 @@ func cloneQueue(q []*JobInfo) []*JobInfo {
 	return c
 }
 
-// TestIndexedBatchMatchesScanFuzz checks the batch contract: one
-// AssignMapSlots(q, n) call must grant exactly the sequence n
-// successive scan ChooseNextMapTask calls would (each followed by the
-// engine's ScheduledMaps increment), and leave identical counters.
+// scanGrants is the reference for one Assign* call: n successive scan
+// choices over ref, each followed by the engine's Scheduled* increment,
+// reported as job IDs.
+func scanGrants(ref []*JobInfo, n int, choose func([]*JobInfo) int, grant func(*JobInfo)) []int {
+	var ids []int
+	for len(ids) < n {
+		idx := choose(ref)
+		if idx < 0 {
+			break
+		}
+		grant(ref[idx])
+		ids = append(ids, ref[idx].ID)
+	}
+	return ids
+}
+
+// TestIndexedBatchMatchesScanFuzz checks the batch contract over random
+// admit / update / depart / assign streams: every AssignMapSlots(_, n)
+// call must grant exactly the job IDs n successive scan
+// ChooseNextMapTask calls would (each followed by the engine's
+// ScheduledMaps increment), reduces likewise, and leave identical
+// counters. The index runs on its own JobInfos and the scan on a
+// parallel clone, so a stale tree cannot hide behind shared state. Jobs
+// carry several tasks, so most grants leave the winner eligible: under
+// the static-key policies that is the Fix the tree skips, under Fair it
+// is the touched-leaf-is-the-winner case the sift early exit must not
+// swallow. Assign* is handed a nil queue: the index answers from its
+// hooks alone.
 func TestIndexedBatchMatchesScanFuzz(t *testing.T) {
 	for _, pc := range policyPairs() {
 		t.Run(pc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			for trial := 0; trial < 40; trial++ {
-				indexed := pc.mk().(BatchPolicy)
+				indexed := pc.mk()
 				q := randomTieQueue(rng, 1+rng.Intn(30))
 				for _, j := range q {
 					indexed.OnJobAdmit(j, 64, 64)
 				}
 				ref := cloneQueue(q)
-				n := 1 + rng.Intn(20)
-
-				var wantMaps []int
-				for len(wantMaps) < n {
-					idx := pc.scan.ChooseNextMapTask(ref)
-					if idx < 0 {
-						break
-					}
-					ref[idx].ScheduledMaps++
-					wantMaps = append(wantMaps, idx)
-				}
-				gotMaps := indexed.AssignMapSlots(q, n)
-				if len(gotMaps) != len(wantMaps) {
-					t.Fatalf("trial %d: AssignMapSlots granted %d, scan grants %d", trial, len(gotMaps), len(wantMaps))
-				}
-				for i := range wantMaps {
-					if gotMaps[i] != wantMaps[i] {
-						t.Fatalf("trial %d: map grant %d: indexed=%d scan=%d", trial, i, gotMaps[i], wantMaps[i])
+				// MinEDF sizes on admit: the scan side's arrival hook.
+				if aa, ok := pc.scan.(ArrivalAware); ok {
+					for _, j := range ref {
+						aa.OnJobArrival(j, 64, 64)
 					}
 				}
-
-				var wantReds []int
-				for len(wantReds) < n {
-					idx := pc.scan.ChooseNextReduceTask(ref)
-					if idx < 0 {
-						break
+				nextID := 1000 * (trial + 1)
+				for step := 0; step < 50; step++ {
+					switch op := rng.Intn(10); {
+					case op == 0: // admit
+						j := mkJob(nextID, float64(rng.Intn(3)), float64(rng.Intn(3)*100), 1+rng.Intn(4), rng.Intn(3))
+						nextID++
+						cp := *j
+						q, ref = append(q, j), append(ref, &cp)
+						indexed.OnJobAdmit(j, 64, 64)
+						if aa, ok := pc.scan.(ArrivalAware); ok {
+							aa.OnJobArrival(&cp, 64, 64)
+						}
+					case op == 1 && len(q) > 0: // depart
+						i := rng.Intn(len(q))
+						indexed.OnJobDepart(q[i])
+						q, ref = append(q[:i], q[i+1:]...), append(ref[:i], ref[i+1:]...)
+					case op < 6 && len(q) > 0: // one engine-side counter change
+						i, seed := rng.Intn(len(q)), rng.Int63()
+						mutateJob(rand.New(rand.NewSource(seed)), q[i])
+						mutateJob(rand.New(rand.NewSource(seed)), ref[i])
+						indexed.OnJobUpdate(q[i])
+					case op < 8: // map allocation round
+						n := 1 + rng.Intn(20)
+						want := scanGrants(ref, n, pc.scan.ChooseNextMapTask, func(j *JobInfo) { j.ScheduledMaps++ })
+						if got := indexed.AssignMapSlots(nil, n); !slices.Equal(got, want) {
+							t.Fatalf("trial %d step %d: AssignMapSlots(%d) = %v, scan grants %v", trial, step, n, got, want)
+						}
+					default: // reduce allocation round
+						n := 1 + rng.Intn(20)
+						want := scanGrants(ref, n, pc.scan.ChooseNextReduceTask, func(j *JobInfo) { j.ScheduledReduces++ })
+						if got := indexed.AssignReduceSlots(nil, n); !slices.Equal(got, want) {
+							t.Fatalf("trial %d step %d: AssignReduceSlots(%d) = %v, scan grants %v", trial, step, n, got, want)
+						}
 					}
-					ref[idx].ScheduledReduces++
-					wantReds = append(wantReds, idx)
 				}
-				gotReds := indexed.AssignReduceSlots(q, n)
-				if len(gotReds) != len(wantReds) {
-					t.Fatalf("trial %d: AssignReduceSlots granted %d, scan grants %d", trial, len(gotReds), len(wantReds))
-				}
-				for i := range wantReds {
-					if gotReds[i] != wantReds[i] {
-						t.Fatalf("trial %d: reduce grant %d: indexed=%d scan=%d", trial, i, gotReds[i], wantReds[i])
-					}
-				}
-
 				for i := range q {
 					if q[i].ScheduledMaps != ref[i].ScheduledMaps || q[i].ScheduledReduces != ref[i].ScheduledReduces {
 						t.Fatalf("trial %d: job %d counters diverge: batch (%d,%d) scan (%d,%d)",
@@ -336,77 +453,28 @@ func TestIndexedBatchMatchesScanFuzz(t *testing.T) {
 	}
 }
 
-// TestIndexedFallsBackWhenUnsynced covers the cluster-emulator shape:
-// a caller that never delivers lifecycle hooks (or passes a masked
-// sub-queue) must still get reference-scan answers.
-func TestIndexedFallsBackWhenUnsynced(t *testing.T) {
-	for _, pc := range policyPairs() {
-		t.Run(pc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(5))
-			indexed := pc.mk().(BatchPolicy)
-			// No hooks delivered at all.
-			q := randomTieQueue(rng, 12)
-			if got, want := indexed.ChooseNextMapTask(q), pc.scan.ChooseNextMapTask(q); got != want {
-				t.Fatalf("unsynced map pick = %d, scan = %d", got, want)
-			}
-			if got, want := indexed.ChooseNextReduceTask(q), pc.scan.ChooseNextReduceTask(q); got != want {
-				t.Fatalf("unsynced reduce pick = %d, scan = %d", got, want)
-			}
-			// Hooks delivered, but the caller passes a masked sub-queue
-			// (the emulator's per-node view): must fall back, not panic.
-			for _, j := range q {
-				indexed.OnJobAdmit(j, 64, 64)
-			}
-			masked := q[:len(q)/2]
-			if got, want := indexed.ChooseNextMapTask(masked), pc.scan.ChooseNextMapTask(masked); got != want {
-				t.Fatalf("masked map pick = %d, scan = %d", got, want)
-			}
-			// Batch calls on an unsynced queue replicate the scan loop.
-			ref := cloneQueue(masked)
-			var want []int
-			for len(want) < 3 {
-				idx := pc.scan.ChooseNextMapTask(ref)
-				if idx < 0 {
-					break
-				}
-				ref[idx].ScheduledMaps++
-				want = append(want, idx)
-			}
-			got := indexed.(BatchPolicy).AssignMapSlots(masked, 3)
-			if len(got) != len(want) {
-				t.Fatalf("masked batch granted %d, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("masked batch grant %d: got %d want %d", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
 // TestIndexedResetQueueReArms verifies the pooled-reuse contract: after
 // ResetQueue the index accepts a fresh queue and still matches the scan.
 func TestIndexedResetQueueReArms(t *testing.T) {
 	for _, pc := range policyPairs() {
 		t.Run(pc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			indexed := pc.mk().(BatchPolicy)
+			indexed := pc.mk()
 			q := randomTieQueue(rng, 20)
 			for _, j := range q {
 				indexed.OnJobAdmit(j, 64, 64)
 			}
-			indexed.AssignMapSlots(q, 8)
+			indexed.AssignMapSlots(nil, 8)
 			indexed.ResetQueue()
 
 			q2 := randomTieQueue(rng, 15)
 			for _, j := range q2 {
 				indexed.OnJobAdmit(j, 64, 64)
 			}
-			if got, want := indexed.ChooseNextMapTask(q2), pc.scan.ChooseNextMapTask(q2); got != want {
+			if got, want := peekMap(indexed, q2), pc.scan.ChooseNextMapTask(q2); got != want {
 				t.Fatalf("post-reset map pick = %d, scan = %d", got, want)
 			}
-			if got, want := indexed.ChooseNextReduceTask(q2), pc.scan.ChooseNextReduceTask(q2); got != want {
+			if got, want := peekReduce(indexed, q2), pc.scan.ChooseNextReduceTask(q2); got != want {
 				t.Fatalf("post-reset reduce pick = %d, scan = %d", got, want)
 			}
 		})

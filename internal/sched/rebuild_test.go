@@ -17,18 +17,6 @@ import (
 // rebuild is O(live jobs · log) with zero per-policy clone code, and
 // at fork depths that matter most of the queue has already departed.
 func TestIndexRebuildEquivalence(t *testing.T) {
-	indexed := []struct {
-		name string
-		mk   func() BatchPolicy
-	}{
-		{"FIFO", func() BatchPolicy { return NewIndexedFIFO() }},
-		{"MaxEDF", func() BatchPolicy { return NewIndexedMaxEDF() }},
-		{"MinEDF-avg", func() BatchPolicy { return NewIndexedMinEDF(EstimatorAvg) }},
-		{"MinEDF-low", func() BatchPolicy { return NewIndexedMinEDF(EstimatorLow) }},
-		{"MinEDF-up", func() BatchPolicy { return NewIndexedMinEDF(EstimatorUp) }},
-		{"Fair", func() BatchPolicy { return NewIndexedFair() }},
-		{"Capacity", func() BatchPolicy { return NewIndexedCapacity(Capacity{Shares: []float64{3, 1, 2}}) }},
-	}
 	tpl := &trace.Template{
 		AppName: "rebuild", NumMaps: 12, NumReduces: 4,
 		MapDurations:    fill(12, 10),
@@ -36,7 +24,7 @@ func TestIndexRebuildEquivalence(t *testing.T) {
 		TypicalShuffle:  fill(4, 5),
 		ReduceDurations: fill(4, 3),
 	}
-	for _, pc := range indexed {
+	for _, pc := range policyPairs() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(pc.name))))
@@ -76,19 +64,21 @@ func TestIndexRebuildEquivalence(t *testing.T) {
 				}
 			}
 
-			// Rebuild a fresh instance from the live queue, mid-flight
-			// state included — exactly what Snapshot.ForkInto does.
+			// Rebuild a fresh instance from a copy of the live queue,
+			// mid-flight state included — exactly what Snapshot.ForkInto
+			// does: the fork's jobs are slab copies, stale leaf handles
+			// of the source's index and all.
+			fq := cloneQueue(q)
 			rebuilt := pc.mk()
 			rebuilt.ResetQueue()
-			for _, j := range q {
+			for _, j := range fq {
 				rebuilt.OnJobAdmit(j, 64, 64)
 			}
 
-			// Both indexes must drain the queue identically. Choose* is
-			// read-only, so compare then apply the grant to the shared
-			// jobs and notify both instances.
+			// Both indexes must drain their queues identically. peek* is
+			// read-only, so compare, then apply the grant on each side.
 			for rounds := 0; ; rounds++ {
-				a, b := live.ChooseNextMapTask(q), rebuilt.ChooseNextMapTask(q)
+				a, b := peekMap(live, q), peekMap(rebuilt, fq)
 				if a != b {
 					t.Fatalf("map grant %d diverged: live %d, rebuilt %d", rounds, a, b)
 				}
@@ -96,11 +86,12 @@ func TestIndexRebuildEquivalence(t *testing.T) {
 					break
 				}
 				q[a].ScheduledMaps++
+				fq[a].ScheduledMaps++
 				live.OnJobUpdate(q[a])
-				rebuilt.OnJobUpdate(q[a])
+				rebuilt.OnJobUpdate(fq[a])
 			}
 			for rounds := 0; ; rounds++ {
-				a, b := live.ChooseNextReduceTask(q), rebuilt.ChooseNextReduceTask(q)
+				a, b := peekReduce(live, q), peekReduce(rebuilt, fq)
 				if a != b {
 					t.Fatalf("reduce grant %d diverged: live %d, rebuilt %d", rounds, a, b)
 				}
@@ -108,8 +99,9 @@ func TestIndexRebuildEquivalence(t *testing.T) {
 					break
 				}
 				q[a].ScheduledReduces++
+				fq[a].ScheduledReduces++
 				live.OnJobUpdate(q[a])
-				rebuilt.OnJobUpdate(q[a])
+				rebuilt.OnJobUpdate(fq[a])
 			}
 		})
 	}

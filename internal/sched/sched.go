@@ -36,6 +36,12 @@ type JobInfo struct {
 	// tasks to be launched (the engine's minMapPercentCompleted gate).
 	ReduceReady bool
 
+	// leaf holds the job's leaf slot + 1 in the Tournament of each Lane
+	// (0 = not indexed); see Tournament.slot. Index bookkeeping only —
+	// no policy decision reads it. (Placed here to share ReduceReady's
+	// alignment padding.)
+	leaf [numLanes]int32
+
 	// Profile carries the compact job profile for model-based policies.
 	Profile trace.Profile
 

@@ -8,6 +8,7 @@ import (
 	"simmr/internal/engine"
 	"simmr/internal/obs"
 	"simmr/internal/sched"
+	"simmr/internal/sched/schedtest"
 	"simmr/internal/synth"
 	"simmr/internal/trace"
 )
@@ -142,9 +143,10 @@ func TestDifferentialJSONVsSTRCShared(t *testing.T) {
 	}
 }
 
-// TestDifferentialIndexedOnPacked replays the packed-loaded trace with
-// indexed policies against the packed-loaded scan — the sched.Indexed
-// fast path must behave identically on an arena-backed trace.
+// TestDifferentialIndexedOnPacked replays the packed-loaded trace as
+// the engine runs it by default, on its scheduling index, against the
+// same trace forced through the per-slot scan — the index must behave
+// identically on an arena-backed trace.
 func TestDifferentialIndexedOnPacked(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(300, rand.New(rand.NewSource(9)))
 	if err != nil {
@@ -162,8 +164,8 @@ func TestDifferentialIndexedOnPacked(t *testing.T) {
 	for _, pc := range strcPolicies() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
-			scanRes, scanSink := replayRecorded(t, engine.DefaultConfig(), binTr, pc.mk())
-			idxRes, idxSink := replayRecorded(t, engine.DefaultConfig(), binTr, sched.Indexed(pc.mk()))
+			scanRes, scanSink := replayRecorded(t, engine.DefaultConfig(), binTr, schedtest.ScanOnly(pc.mk()))
+			idxRes, idxSink := replayRecorded(t, engine.DefaultConfig(), binTr, pc.mk())
 			if !reflect.DeepEqual(scanRes.Jobs, idxRes.Jobs) {
 				t.Fatal("indexed policy diverged from scan on packed trace")
 			}

@@ -171,3 +171,47 @@ func TestReplayBatchErrorIdentifiesSpec(t *testing.T) {
 		t.Fatal("invalid spec config should fail the batch")
 	}
 }
+
+// TestSharedPolicyValueAcrossWorkers: one MaxEDF and one MinEDF value,
+// each handed to every concurrent engine of a Workers: 4 capacity sweep
+// and of a replay batch, must give what Workers: 1 gives. The engines
+// now run these policies on a scheduling index; under -race this is the
+// proof that the index is the engine's and the policy value stayed
+// stateless and shareable.
+func TestSharedPolicyValueAcrossWorkers(t *testing.T) {
+	tr, err := MultiTenantTrace(150, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Policy{NewMaxEDF(), NewMinEDF()} {
+		sweep := func(workers int) []SweepPoint {
+			pts, err := CapacitySweepCtx(context.Background(), tr, SweepConfig{
+				MapSlotCounts: []int{4, 8, 16, 32, 48, 64}, Policy: p, Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pts
+		}
+		if !reflect.DeepEqual(sweep(4), sweep(1)) {
+			t.Fatalf("%s: Workers: 4 sweep over one shared policy value differs from Workers: 1", p.Name())
+		}
+
+		var specs []ReplaySpec
+		for _, slots := range []int{4, 8, 16, 32, 48, 64} {
+			cfg := DefaultReplayConfig()
+			cfg.MapSlots, cfg.ReduceSlots = slots, slots
+			specs = append(specs, ReplaySpec{Config: cfg, Trace: tr, Policy: p})
+		}
+		batch := func(workers int) []*ReplayResult {
+			res, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: workers}, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if !reflect.DeepEqual(batch(4), batch(1)) {
+			t.Fatalf("%s: Workers: 4 batch over one shared policy value differs from Workers: 1", p.Name())
+		}
+	}
+}

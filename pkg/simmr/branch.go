@@ -23,7 +23,7 @@ type WhatIf struct {
 	// Policy, when set, replaces the scheduling policy at the branch
 	// point (Engine.SetPolicy): active jobs are re-admitted under it as
 	// if they had just arrived. Use a fresh instance per branch for
-	// stateful policies (Indexed ones always are).
+	// stateful policies.
 	Policy Policy
 	// SetDeadlines moves the deadlines of not-yet-arrived jobs, keyed by
 	// job ID (0 removes a deadline). Applied in ascending ID order.
@@ -58,13 +58,12 @@ type BranchSetConfig struct {
 	// Trace is the replayed workload, shared read-only.
 	Trace *Trace
 	// Policy schedules the prefix and (unless a branch overrides it)
-	// the branches; nil means FIFO. Must be stateless when set directly
-	// — for Indexed policies set PolicyFactory instead.
+	// the branches; nil means FIFO. The built-in policy values are
+	// stateless and shared safely by the prefix and every branch.
 	Policy Policy
-	// PolicyFactory, when set, builds one fresh policy instance for the
-	// prefix and one per branch, overriding Policy. Required for
-	// stateful (Indexed) policies, whose per-engine index cannot be
-	// shared across forks.
+	// PolicyFactory, when set, builds the policy instance the prefix
+	// runs under, overriding Policy; branches inherit that instance
+	// unless their WhatIf.Policy replaces it.
 	PolicyFactory func() Policy
 	// BranchEvents is the branch point as a total-event count: the
 	// prefix runs until this many events have fired (or the replay
@@ -167,8 +166,6 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 	if tel != nil {
 		pool.OnGet = tel.PoolGet
 	}
-	_, sharedPolicy := mkPolicy().(sched.BatchPolicy)
-
 	results, err := parallel.MapProgress(ctx, cfg.Workers, len(branches), run.ProgressFunc(cfg.Progress), func(_ context.Context, i int) (*ReplayResult, error) {
 		b := &branches[i]
 		fail := func(err error) (*ReplayResult, error) {
@@ -179,9 +176,6 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 			bsink = b.SinkFactory()
 		}
 		opts := engine.ForkOptions{Sink: bsink}
-		if sharedPolicy {
-			opts.Policy = mkPolicy() // stateful: fresh instance per fork
-		}
 		flightDone := func(*ReplayResult, error) {}
 		if prefixRec != nil {
 			var rec *obs.FlightRecorder

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"simmr/internal/sched/schedtest"
 )
 
 // branchFixture builds a production-shaped trace with one guaranteed
@@ -122,8 +124,8 @@ func lateBranches(bs []WhatIf) []WhatIf {
 
 // TestBranchSetMatchesIndependentReplays is the package-level
 // differential: every BranchSet branch must equal a from-scratch engine
-// paused at the same event with the same edits, for a stateless policy
-// and for an Indexed (stateful) one via PolicyFactory.
+// paused at the same event with the same edits, on the engine's
+// scheduling index (via PolicyFactory) and on the reference scan.
 func TestBranchSetMatchesIndependentReplays(t *testing.T) {
 	tr, total, horizon := branchFixture(t, 40, NewMinEDF())
 	variants := []struct {
@@ -131,9 +133,9 @@ func TestBranchSetMatchesIndependentReplays(t *testing.T) {
 		cfg  BranchSetConfig
 		mk   func() Policy
 	}{
-		{"scan", BranchSetConfig{Policy: NewMinEDF()}, func() Policy { return NewMinEDF() }},
-		{"indexed", BranchSetConfig{PolicyFactory: func() Policy { return Indexed(NewMinEDF()) }},
-			func() Policy { return Indexed(NewMinEDF()) }},
+		{"scan", BranchSetConfig{Policy: schedtest.ScanOnly(NewMinEDF())},
+			func() Policy { return schedtest.ScanOnly(NewMinEDF()) }},
+		{"indexed", BranchSetConfig{PolicyFactory: NewMinEDF}, NewMinEDF},
 	}
 	for _, v := range variants {
 		v := v

@@ -12,8 +12,9 @@ import (
 )
 
 // cachePolicies enumerates every fingerprintable built-in — the seven
-// reference schedulers plus their indexed equivalents — as factories so
-// stateful (Indexed) policies get a fresh instance per replay.
+// reference schedulers, plus each passed through the deprecated Indexed
+// identity, which must keep replaying and caching exactly like the bare
+// value — as factories.
 func cachePolicies() []struct {
 	name string
 	mk   func() Policy

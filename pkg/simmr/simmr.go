@@ -235,18 +235,13 @@ func MinEDFWithEstimator(which string) Policy {
 // given queue shares (extension beyond the paper).
 func NewCapacity(shares []float64) Policy { return sched.Capacity{Shares: shares} }
 
-// Indexed returns the sub-linear indexed equivalent of a built-in
-// policy (FIFO, MaxEDF, MinEDF, Fair, Capacity): the engine detects the
-// fast path and hands out all free slots per allocation round through
-// incrementally maintained ordered indexes instead of one O(active-jobs)
-// scan per slot. Simulated outcomes are byte-identical to the reference
-// policy (the engine's differential suite enforces this); only the
-// lookup cost changes — worth it from a few hundred concurrently active
-// jobs up. Policies without an indexed form are returned unchanged.
+// Indexed returns p unchanged.
 //
-// The returned policy is stateful: use one instance per engine, and
-// with SweepConfig use PolicyFactory, never a shared Policy.
-func Indexed(p Policy) Policy { return sched.Indexed(p) }
+// Deprecated: every replay now runs the built-in policies (FIFO,
+// MaxEDF, MinEDF, Fair, Capacity) on the engine's own sub-linear
+// scheduling index, so there is nothing left to opt into; pass the
+// policy directly.
+func Indexed(p Policy) Policy { return p }
 
 // DefaultReplayConfig returns the paper's validation setup: 64 map and
 // 64 reduce slots, Hadoop-style 5% reduce slowstart.
@@ -421,8 +416,7 @@ func ProductionTrace(n int, rng *rand.Rand) (*Trace, error) {
 
 // MultiTenantTrace generates an n-job burst of small concurrent jobs —
 // the multi-tenant regime where nearly all jobs are simultaneously
-// active and slot-allocation cost dominates; pair it with Indexed
-// policies at scale.
+// active and slot-allocation cost dominates.
 func MultiTenantTrace(n int, rng *rand.Rand) (*Trace, error) {
 	return synth.MultiTenantTrace(n, rng)
 }

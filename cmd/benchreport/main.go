@@ -115,18 +115,18 @@ func main() {
 	}
 	appendHistory(*history, benchkit.HistoryRecord{
 		Time: now, Mode: "bench", Pass: true,
-		Version:             buildinfo.Version,
-		EventsPerSec:        m.EventsPerSec,
-		AllocsPerOp:         m.ReplayAllocsPerOp,
-		BytesPerOp:          m.ReplayBytesPerOp,
-		SchedEventsPerSec:   m.SchedEventsPerSec,
-		SchedAllocsPerOp:    m.SchedAllocsPerOp,
-		ForkNsPerOp:         m.ForkNsPerOp,
-		BranchEventsPerSec:  m.BranchEventsPerSec,
-		BranchSpeedup:       m.BranchSpeedup,
-		AttrEventsPerSec:    m.AttrEventsPerSec,
-		FlightEventsPerSec:  m.FlightEventsPerSec,
-		FlightAllocsPerOp:   m.FlightAllocsPerOp,
+		Version:              buildinfo.Version,
+		EventsPerSec:         m.EventsPerSec,
+		AllocsPerOp:          m.ReplayAllocsPerOp,
+		BytesPerOp:           m.ReplayBytesPerOp,
+		SchedEventsPerSec:    m.SchedEventsPerSec,
+		SchedAllocsPerOp:     m.SchedAllocsPerOp,
+		ForkNsPerOp:          m.ForkNsPerOp,
+		BranchEventsPerSec:   m.BranchEventsPerSec,
+		BranchSpeedup:        m.BranchSpeedup,
+		AttrEventsPerSec:     m.AttrEventsPerSec,
+		FlightEventsPerSec:   m.FlightEventsPerSec,
+		FlightAllocsPerOp:    m.FlightAllocsPerOp,
 		TraceLoadJobsPerSec:  m.TraceLoadJobsPerSec,
 		TraceLoadSpeedup:     m.TraceLoadSpeedup,
 		TraceBytesPerJob:     m.TraceBytesPerJob,

@@ -1,0 +1,100 @@
+package des
+
+import "testing"
+
+// sparseSchedule returns n arrivals one second apart.
+func sparseSchedule(n int) []Arrival {
+	s := make([]Arrival, n)
+	for i := range s {
+		s[i] = Arrival{Time: Time(i), JobID: i}
+	}
+	return s
+}
+
+func TestPreloadMisusePanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("unsorted schedule", func() {
+		var q EventQueue
+		q.Preload(0, []Arrival{{Time: 2}, {Time: 1}})
+	})
+	mustPanic("Preload after Push", func() {
+		var q EventQueue
+		q.Push(1, 0, 0, nil)
+		q.Preload(0, sparseSchedule(3))
+	})
+	mustPanic("second Preload", func() {
+		var q EventQueue
+		q.Preload(0, sparseSchedule(3))
+		q.Preload(0, sparseSchedule(3))
+	})
+}
+
+// TestCloneSharesSchedule pins what makes a fork's queue clone cost the
+// in-flight events and not the trace: the clone reads the source's
+// schedule in place, allocates nothing once warmed however many entries
+// are pending, and OwnSchedule ends the sharing without changing what
+// pops.
+func TestCloneSharesSchedule(t *testing.T) {
+	const n = 100_000
+	var src, dst EventQueue
+	src.Preload(7, sparseSchedule(n))
+	for i := 0; i < 10; i++ {
+		src.Free(src.Pop())
+		src.PushTask(Time(i)+0.5, 1, i, i)
+		src.Push(Time(i), 2, i, nil) // same-instant lane
+	}
+	src.CloneInto(&dst)
+	if dst.Len() != src.Len() || dst.Preloaded() != src.Preloaded() || dst.HighWater() != src.HighWater() {
+		t.Fatalf("clone len/preloaded/high-water = %d/%d/%d, source %d/%d/%d",
+			dst.Len(), dst.Preloaded(), dst.HighWater(), src.Len(), src.Preloaded(), src.HighWater())
+	}
+	if &dst.sched[0] != &src.sched[0] {
+		t.Fatal("clone copied the schedule")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { src.CloneInto(&dst) }); allocs > 0 {
+		t.Errorf("warmed CloneInto over %d pending arrivals allocated %.0f/op, want 0", src.Preloaded(), allocs)
+	}
+
+	own := dst.OwnSchedule(nil)
+	if &own[0] == &src.sched[0] || &dst.sched[0] != &own[0] {
+		t.Fatal("OwnSchedule left the clone on the shared schedule")
+	}
+	for i := 0; i < 200; i++ {
+		a, b := src.Pop(), dst.Pop()
+		if a.Time != b.Time || a.Type != b.Type || a.JobID != b.JobID || a.seq != b.seq {
+			t.Fatalf("pop %d: source %v seq=%d, clone %v seq=%d", i, a, a.seq, b, b.seq)
+		}
+	}
+}
+
+// TestSameInstantLaneStaysBounded drives the lane so it never drains —
+// two pushes at the current instant for every pop — and then, with a
+// steady population, checks its storage tracked the population rather
+// than the traffic.
+func TestSameInstantLaneStaysBounded(t *testing.T) {
+	var q EventQueue
+	q.Push(1, 0, 0, nil)
+	for i := 0; i < 64; i++ {
+		q.Free(q.Pop())
+		q.Push(1, 0, i, nil)
+		q.Push(1, 0, i, nil)
+	}
+	for i := 0; i < 100_000; i++ {
+		q.Free(q.Pop())
+		q.Push(1, 0, i, nil)
+	}
+	if q.Len() != 65 || len(q.h) != 0 {
+		t.Fatalf("len %d (heap %d), want 65 events all in the same-instant lane", q.Len(), len(q.h))
+	}
+	if cap(q.f) > 4*q.Len() {
+		t.Fatalf("same-instant lane holds %d slots for %d events", cap(q.f), q.Len())
+	}
+}

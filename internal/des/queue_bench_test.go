@@ -7,12 +7,21 @@ import (
 )
 
 // BenchmarkEventQueue measures the queue's hot mix — push, pop, and
-// update (the filler-shuffle patch) — at steady live-event populations
-// matching real replays: the engine's heap high-water is roughly
-// cluster slots + queued arrivals, i.e. hundreds to a few thousand
-// pending events. Each iteration performs one pop+free, one push, and
-// (every 8th) one update, so ns/op reads as "cost per event through
-// the queue core".
+// update (the filler-shuffle patch).
+//
+// The live= cases hold a steady population of timed events in the heap
+// lane alone: a replay's running tasks are bounded by cluster slots
+// (live=128), and the larger populations are what a simulator pushing
+// its whole arrival list up front (mumak, the cluster emulator) sees.
+// Each iteration performs one pop+free, one push, and (every 8th) one
+// update, so ns/op reads as "cost per event through the heap".
+//
+// The replay= cases are shaped like the engine's use of all three
+// lanes: N job arrivals preloaded as the schedule, at most 128 timed
+// departures in flight, and every second push at the current instant
+// (task arrivals, stage completions, job departures). ns/op reads as
+// "cost per event through the queue in a replay of N jobs" and must not
+// grow with N.
 func BenchmarkEventQueue(b *testing.B) {
 	for _, population := range []int{128, 1024, 8192} {
 		b.Run(fmt.Sprintf("live=%d", population), func(b *testing.B) {
@@ -41,6 +50,58 @@ func BenchmarkEventQueue(b *testing.B) {
 				}
 			}
 		})
+	}
+	for _, jobs := range []int{4_000, 100_000} {
+		b.Run(fmt.Sprintf("replay=%d", jobs), func(b *testing.B) { benchReplayShaped(b, jobs) })
+	}
+}
+
+// benchReplayShaped drains a schedule of n arrivals 60 s apart, over
+// and over. Each arrival fans out the way a job fans out into tasks:
+// four same-instant hand-offs, each starting a chain of three timed
+// departures (at most 128 in flight) with a same-instant hand-off
+// between one departure and the next — 25 events per arrival, every
+// second push at the current instant.
+func benchReplayShaped(b *testing.B, n int) {
+	const (
+		evArrival = iota
+		evDeparture
+		evHandOff
+		slots = 128
+	)
+	sched := make([]Arrival, n)
+	for i := range sched {
+		sched[i] = Arrival{Time: Time(i) * 60, JobID: i}
+	}
+	rng := rand.New(rand.NewSource(9))
+	var q EventQueue
+	inFlight := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if q.Len() == 0 {
+			q.Reset()
+			q.Preload(evArrival, sched)
+		}
+		e := q.Pop()
+		now, typ, left := e.Time, e.Type, e.Task
+		q.Free(e)
+		switch typ {
+		case evArrival:
+			for k := 0; k < 4; k++ {
+				q.PushTask(now, evHandOff, i, 3)
+			}
+		case evDeparture:
+			inFlight--
+			if left > 1 {
+				q.PushTask(now, evHandOff, i, left-1)
+			}
+		case evHandOff:
+			if inFlight < slots {
+				inFlight++
+				q.PushTask(now+1+rng.Float64()*600, evDeparture, i, left)
+			}
+		}
 	}
 }
 

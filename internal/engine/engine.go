@@ -24,8 +24,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"simmr/internal/des"
@@ -237,6 +239,10 @@ type Engine struct {
 
 	clock des.Clock
 	q     des.EventQueue
+	// arrivals is the job-arrival schedule start() preloads into q — one
+	// entry per job, recycled across re-arms. Forks borrow the snapshot
+	// engine's through the cloned queue and leave their own untouched.
+	arrivals []des.Arrival
 
 	// jobs is a single contiguous slab; pointers into it (sj.info) stay
 	// valid because it is fully sized in Reset and never reallocated
@@ -565,18 +571,27 @@ func (e *Engine) jobLookup(id int) (*simJob, bool) {
 	return e.jobAt(i), true
 }
 
-// start pushes the initial job arrivals, moving the engine from armed
-// to in-flight. Idempotent while the run is in flight; rejected once
-// the run finished (the old "Run called twice" protection) or the
+// start preloads the job arrivals as the queue's schedule, moving the
+// engine from armed to in-flight. Arrivals fire in (time, trace
+// position) order; a trace already in arrival order — every Normalized
+// one — is taken as is. Idempotent while the run is in flight; rejected
+// once the run finished (the old "Run called twice" protection) or the
 // engine was sealed by Snapshot.
 func (e *Engine) start() error {
 	switch e.state {
 	case runIdle:
 		e.state = runStarted
+		s, sorted := e.arrivals[:0], true
 		for i := range e.jobs {
-			sj := &e.jobs[i]
-			e.q.Push(sj.info.Arrival, evJobArrival, sj.info.ID, nil)
+			info := &e.jobs[i].info
+			sorted = sorted && (i == 0 || s[i-1].Time <= info.Arrival)
+			s = append(s, des.Arrival{Time: info.Arrival, JobID: info.ID})
 		}
+		if !sorted {
+			slices.SortStableFunc(s, func(a, b des.Arrival) int { return cmp.Compare(a.Time, b.Time) })
+		}
+		e.arrivals = s
+		e.q.Preload(evJobArrival, s)
 		return nil
 	case runStarted:
 		return nil

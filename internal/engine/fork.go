@@ -1,9 +1,11 @@
 // Copy-on-write engine forking (DESIGN.md §12): pause a replay at any
 // macro-step boundary, seal it into an immutable Snapshot, and fork as
 // many cheap branch engines off it as there are what-if questions.
-// Each fork owns a full clone of the pending event queue (small — the
-// live-event population, not the trace) and borrows the sealed jobs
-// slab read-only, copying 16-job chunks lazily on first write. Forks
+// Each fork owns a clone of the materialized pending events (running
+// tasks and same-instant hand-offs: bounded by cluster slots, not by
+// the trace — the arrivals yet to fire are the queue's immutable
+// schedule, which the clone shares) and borrows the sealed jobs slab
+// read-only, copying 16-job chunks lazily on first write. Forks
 // are independent engines: they run, pause, mutate (SetDeadline,
 // InjectJob, SetPolicy), and produce Results byte-identical to a
 // from-scratch replay that took the same decisions at the same events
@@ -38,10 +40,11 @@ const (
 
 // ForkStats reports how much engine state a fork physically duplicated
 // versus still serves read-only from its snapshot. BytesCopied counts
-// the cloned event queue plus every jobs-slab chunk copied — eagerly
-// for active jobs at fork time, lazily on first write after;
-// BytesShared counts the jobs-slab bytes still borrowed. Bytes migrate
-// from shared to copied as the branch diverges, so read the stats
+// the events the queue clone physically copied plus every jobs-slab
+// chunk copied — eagerly for active jobs at fork time, lazily on first
+// write after; BytesShared counts the jobs-slab bytes still borrowed
+// (the shared arrival schedule is in neither: it never migrates). Bytes
+// move from shared to copied as the branch diverges, so read the stats
 // after the branch's Run for the end-of-life split.
 type ForkStats struct {
 	BytesCopied uint64
@@ -98,12 +101,14 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	return e.snap, nil
 }
 
-// materialize copies every still-clean chunk from the fork source and
-// drops the source link, making the engine self-contained.
+// materialize copies every still-clean chunk and the borrowed arrival
+// schedule from the fork source and drops the source link, making the
+// engine self-contained.
 func (e *Engine) materialize() {
 	for c := 0; c*cowChunkJobs < len(e.jobs); c++ {
 		e.ensureChunk(c)
 	}
+	e.arrivals = e.q.OwnSchedule(e.arrivals)
 	e.src = nil
 }
 
@@ -252,8 +257,9 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.state = runStarted
 	dst.snap = nil
 
-	// Pending events: a full clone with positions preserved — the
-	// remapEvent contract — into dst's recycled slab.
+	// Pending events: materialized ones cloned with positions preserved
+	// — the remapEvent contract — into dst's recycled slab; un-arrived
+	// jobs stay in the snapshot's schedule, shared.
 	src.q.CloneInto(&dst.q)
 
 	// Jobs slab: sized but not copied; chunks borrow from the snapshot
@@ -278,7 +284,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.indexOf = src.indexOf // borrowed read-only; InjectJob copies on write
 	dst.sharedIndex = src.indexOf != nil
 	dst.stats = ForkStats{
-		BytesCopied: uint64(dst.q.Len()) * eventBytes,
+		BytesCopied: uint64(dst.q.Len()-dst.q.Preloaded()) * eventBytes,
 		BytesShared: uint64(n) * jobBytes,
 	}
 

@@ -370,6 +370,15 @@ func TestForkOfFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Spread the burst out so jobs are still to arrive at both branch
+	// points: the forks then depend on the snapshot's arrival schedule.
+	for _, j := range tr.Jobs {
+		shift := j.Arrival * 399
+		j.Arrival += shift
+		if j.Deadline > 0 {
+			j.Deadline += shift
+		}
+	}
 	cfg := DefaultConfig()
 	total, err := Run(cfg, tr, sched.MinEDF{})
 	if err != nil {
@@ -408,6 +417,18 @@ func TestForkOfFork(t *testing.T) {
 	}
 	if mid.src != nil {
 		t.Fatal("sealing a fork did not materialize it: src link still set")
+	}
+	// Self-contained means the first source can be re-armed and run —
+	// rewriting the arrival schedule mid borrowed until it was sealed.
+	other, err := synth.MultiTenantTrace(60, rand.New(rand.NewSource(10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prefix.Reset(cfg, other, sched.FIFO{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prefix.Run(); err != nil {
+		t.Fatal(err)
 	}
 	leafSink := &obs.RecordSink{}
 	leaf, err := snap2.Fork(ForkOptions{Sink: leafSink})

@@ -1,0 +1,208 @@
+package engine
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"simmr/internal/obs"
+	"simmr/internal/sched"
+	"simmr/internal/trace"
+)
+
+// This file pins what the engine relies on from the event queue's lanes
+// (DESIGN.md §9): start() may hand over arrivals in any trace order, a
+// same-instant event can still be cancelled, and a fork pays for the
+// events in flight, not for the arrivals still to come.
+
+// shuffledTrace builds a trace that is not in arrival order, with sparse
+// IDs and runs of exactly tied arrivals: the input start() has to sort,
+// and the only kind no Normalized trace exercises.
+func shuffledTrace(n int, rng *rand.Rand) *trace.Trace {
+	tr := &trace.Trace{Name: "shuffled"}
+	for i := 0; i < n; i++ {
+		nm, nr := 1+rng.Intn(5), rng.Intn(3)
+		tpl := uniformTemplate(nm, nr, 0, 2, 3, 4)
+		for k := range tpl.MapDurations {
+			tpl.MapDurations[k] = float64(5 + rng.Intn(40))
+		}
+		job := &trace.Job{
+			ID:       i*5 + 2,
+			Arrival:  float64(i / 3 * 4), // three jobs per instant
+			Template: tpl,
+		}
+		if i%3 != 1 {
+			job.Deadline = job.Arrival + 40 + float64(rng.Intn(200))
+		}
+		tr.Jobs = append(tr.Jobs, job)
+	}
+	rng.Shuffle(n, func(i, j int) { tr.Jobs[i], tr.Jobs[j] = tr.Jobs[j], tr.Jobs[i] })
+	return tr
+}
+
+// TestUnsortedTraceReplaysLikeSortedCopy is the metamorphic check on
+// start()'s schedule: a trace out of arrival order replays exactly like
+// its stably sorted copy — same obs stream, same counters, and the same
+// outcome for every job.
+func TestUnsortedTraceReplaysLikeSortedCopy(t *testing.T) {
+	tr := shuffledTrace(90, rand.New(rand.NewSource(31)))
+	sorted := &trace.Trace{Name: tr.Name, Jobs: append([]*trace.Job(nil), tr.Jobs...)}
+	sort.SliceStable(sorted.Jobs, func(i, j int) bool { return sorted.Jobs[i].Arrival < sorted.Jobs[j].Arrival })
+	if reflect.DeepEqual(tr.Jobs, sorted.Jobs) {
+		t.Fatal("test trace is already in arrival order")
+	}
+
+	small := Config{MapSlots: 6, ReduceSlots: 3, MinMapPercentCompleted: 0.05}
+	preempt := small
+	preempt.PreemptMapTasks = true
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		p    sched.Policy
+	}{
+		{"FIFO", small, sched.FIFO{}},
+		{"MinEDF", small, sched.MinEDF{}},
+		{"MaxEDF-preempt", preempt, sched.MaxEDF{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, gotSink := replayRecorded(t, c.cfg, tr, c.p)
+			want, wantSink := replayRecorded(t, c.cfg, sorted, c.p)
+			if c.cfg.PreemptMapTasks && wantSink.Counters.Preemptions == 0 {
+				t.Fatal("preemption never fired: the cell checks nothing")
+			}
+			if !reflect.DeepEqual(gotSink, wantSink) {
+				for i := range wantSink.Events {
+					if gotSink.Events[i] != wantSink.Events[i] {
+						t.Fatalf("obs event %d: unsorted %+v, sorted %+v", i, gotSink.Events[i], wantSink.Events[i])
+					}
+				}
+				t.Fatalf("run counters: unsorted %+v, sorted %+v", gotSink.Counters, wantSink.Counters)
+			}
+			// Results list jobs in trace order, which is what differs.
+			byID := make(map[int]JobOutcome, len(want.Jobs))
+			for _, o := range want.Jobs {
+				byID[o.ID] = o
+			}
+			for i, o := range got.Jobs {
+				if o.ID != tr.Jobs[i].ID {
+					t.Fatalf("outcome %d is job %d, want trace order (job %d)", i, o.ID, tr.Jobs[i].ID)
+				}
+				if !reflect.DeepEqual(o, byID[o.ID]) {
+					t.Fatalf("job %d: unsorted %+v, sorted %+v", o.ID, o, byID[o.ID])
+				}
+			}
+			if got.Events != want.Events || got.Makespan != want.Makespan {
+				t.Fatalf("events/makespan %d/%v, want %d/%v", got.Events, got.Makespan, want.Events, want.Makespan)
+			}
+		})
+	}
+}
+
+// TestZeroDurationMapPreemptedAtItsOwnInstant cancels a departure that
+// sits in the queue's same-instant lane: a zero-length map task starts
+// and — before its departure, due at the same instant, is popped — an
+// urgent job injected at that instant preempts it. The killed task must
+// re-run and nothing may be lost or double-counted.
+func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
+	tr := &trace.Trace{Jobs: []*trace.Job{
+		{Name: "lazy", Arrival: 0, Deadline: 10000, Template: uniformTemplate(4, 0, 0, 0, 0, 0)},
+	}}
+	tr.Normalize()
+	sink := &obs.RecordSink{}
+	cfg := Config{MapSlots: 2, ReduceSlots: 1, MinMapPercentCompleted: 0.05, PreemptMapTasks: true, Sink: sink}
+	e, err := New(cfg, tr, sched.MaxEDF{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One macro-step: the arrival fires and both slots are handed out;
+	// the two map-task arrivals are pending at t=0.
+	if _, err := e.RunEvents(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.InjectJob(&trace.Job{
+		ID: 9, Name: "urgent", Arrival: 0, Deadline: 50, Template: uniformTemplate(2, 0, 7, 0, 0, 0),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	started := map[int]bool{} // lazy's map tasks started at t=0, ending at t=0
+	killedInFlight := 0
+	for _, ev := range sink.Events {
+		switch {
+		case ev.Kind == obs.KindMapTaskStart && ev.JobID == 0 && ev.Time == 0 && ev.End == 0:
+			started[ev.Task] = true
+		case ev.Kind == obs.KindPreempt && ev.JobID == 0 && ev.Time == 0 && started[ev.Task]:
+			killedInFlight++
+		}
+	}
+	if killedInFlight == 0 {
+		t.Fatalf("no zero-duration map task was preempted at its own instant; preemptions = %d", sink.Counters.Preemptions)
+	}
+	lazy, urgent := res.Jobs[0], res.Jobs[1]
+	// The urgent job holds both slots for 7 s; lazy's four instant maps
+	// (two of them second attempts) run when it lets go.
+	if lazy.PreemptedMaps != killedInFlight || lazy.MapTasksRun != 4 || lazy.Finish != 7 || urgent.Finish != 7 {
+		t.Fatalf("lazy: preempted %d (saw %d), %d maps run, finish %v; urgent finish %v; want 4 maps run, both finishing at 7",
+			lazy.PreemptedMaps, killedInFlight, lazy.MapTasksRun, lazy.Finish, urgent.Finish)
+	}
+}
+
+// TestForkCostBoundedBySlots forks a long sparse trace at event 0 and
+// at its midpoint: what ForkInto copies, and what it allocates into a
+// warmed engine, is bounded by the cluster's slots — the arrivals still
+// to come stay in the snapshot's schedule.
+func TestForkCostBoundedBySlots(t *testing.T) {
+	const n = 20_000
+	tpl := uniformTemplate(4, 1, 20, 2, 3, 5)
+	tr := &trace.Trace{Name: "sparse"}
+	for i := 0; i < n; i++ {
+		tr.Jobs = append(tr.Jobs, &trace.Job{ID: i, Arrival: float64(i) * 60, Template: tpl})
+	}
+	cfg := Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}
+	total, err := Run(cfg, tr, sched.FIFO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := uint64(cfg.MapSlots + cfg.ReduceSlots)
+	// Per slot: one event in flight, and at worst one eagerly copied
+	// jobs-slab chunk for the active job holding it.
+	bound := (slots + 1) * (eventBytes + cowChunkJobs*jobBytes)
+	if unarrived := n / 2 * eventBytes; bound >= unarrived {
+		t.Fatalf("bound %d B does not separate slots from %d B of un-arrived jobs", bound, unarrived)
+	}
+	dst := &Engine{}
+	for _, at := range []uint64{0, total.Events / 2} {
+		prefix, _ := pauseAt(t, cfg, tr, sched.FIFO{}, at)
+		snap, err := prefix.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork := func() {
+			if err := snap.ForkInto(dst, ForkOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fork()
+		if got := dst.ForkStats().BytesCopied; got > bound {
+			t.Errorf("fork at event %d copied %d B, want ≤ %d B (slots, not jobs)", at, got, bound)
+		}
+		if raceDetectorEnabled {
+			continue // the detector's own allocations make the count meaningless
+		}
+		if allocs := testing.AllocsPerRun(5, fork); allocs > float64(4*slots) {
+			t.Errorf("fork at event %d into a warmed engine allocated %.0f times, want ≤ %d", at, allocs, 4*slots)
+		}
+	}
+	res, err := dst.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, total) {
+		t.Fatal("fork at the midpoint diverged from the scratch replay")
+	}
+}

@@ -108,8 +108,9 @@ type Counters struct {
 	// Events is the number of engine events processed (queue pops).
 	Events uint64
 	// HeapHighWater is the peak pending-event population of the event
-	// queue — the quantity that bounds steady-state allocations under
-	// the slab/free-list discipline (DESIGN.md §5).
+	// queue across all its lanes (DESIGN.md §9), not of its heap alone:
+	// un-arrived jobs count from the start, so it is at least the job
+	// count.
 	HeapHighWater int
 	// Preemptions counts map tasks killed under PreemptMapTasks.
 	Preemptions uint64

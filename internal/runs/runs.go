@@ -341,10 +341,12 @@ func (h *Handle) Subscribe() (<-chan Snapshot, func()) {
 		h.subs = make(map[chan Snapshot]struct{})
 	}
 	h.subs[ch] = struct{}{}
+	// First frame so a tailer renders instantly. Sent under subMu: once
+	// the lock drops, End may close ch. The buffer is empty, so the send
+	// cannot block.
+	ch <- h.Snapshot()
 	h.subMu.Unlock()
 
-	// First frame so a tailer renders instantly.
-	ch <- h.Snapshot()
 	cancel := func() {
 		h.subMu.Lock()
 		if _, ok := h.subs[ch]; ok {

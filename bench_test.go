@@ -93,6 +93,15 @@ func BenchmarkCapacitySweepSerial(b *testing.B) { benchkit.Sweep(b, 1) }
 // read-only trace).
 func BenchmarkCapacitySweepParallel(b *testing.B) { benchkit.Sweep(b, 0) }
 
+// BenchmarkSweepAfterSerialSweep times the same two-worker sweep on
+// engines its own workers built and on engines a serial caller left in
+// the process-wide pool. The pair must agree within noise: it is the
+// visible half of the scheduling index's cache-line isolation.
+// layout-cost is the paired version, engines built side by side against
+// engines built apart, and reports the difference in percent (see
+// benchkit.SweepAfterSerialSweep; needs >= 2 CPUs).
+func BenchmarkSweepAfterSerialSweep(b *testing.B) { benchkit.SweepAfterSerialSweep(b) }
+
 // BenchmarkTraceLoadBin measures full `.strc` decode (CRC verify,
 // template dedup reconstruction, zero-copy arena views, Validate) in
 // jobs/sec on a 20000-job deduplicated trace.

@@ -77,6 +77,8 @@ func main() {
 			BytesPerOp:           rep.BytesPerOp,
 			SchedEventsPerSec:    rep.SchedEventsPerSec,
 			SchedAllocsPerOp:     rep.SchedAllocsPerOp,
+			SweepAllocsPerOp:     rep.SweepAllocsPerOp,
+			SweepBytesPerOp:      rep.SweepBytesPerOp,
 			BranchEventsPerSec:   rep.BranchEventsPerSec,
 			BranchSpeedup:        rep.BranchSpeedup,
 			AttrEventsPerSec:     rep.AttrEventsPerSec,
@@ -121,6 +123,8 @@ func main() {
 		BytesPerOp:           m.ReplayBytesPerOp,
 		SchedEventsPerSec:    m.SchedEventsPerSec,
 		SchedAllocsPerOp:     m.SchedAllocsPerOp,
+		SweepAllocsPerOp:     m.SweepAllocsPerOp,
+		SweepBytesPerOp:      m.SweepBytesPerOp,
 		ForkNsPerOp:          m.ForkNsPerOp,
 		BranchEventsPerSec:   m.BranchEventsPerSec,
 		BranchSpeedup:        m.BranchSpeedup,
@@ -139,6 +143,7 @@ func main() {
 	if m.SweepSpeedupSkipped {
 		sweep = fmt.Sprintf("sweep %.3fs serial, speedup skipped (single CPU)", m.SweepSerialSeconds)
 	}
+	sweep += fmt.Sprintf(", %d allocs / %d B per warmed sweep", m.SweepAllocsPerOp, m.SweepBytesPerOp)
 	fmt.Printf("wrote %s: %.0f events/sec, %d allocs/replay, sched %.0f indexed / %.0f scan events/sec (%.1fx at 1k jobs), fork %.0fns, branch %.0f events/sec (%.1fx vs independent), attr %.0f events/sec, flight %.0f events/sec at %d allocs/op, trace load %.0f jobs/sec (%.1fx over JSON, %.1f B/job), cache %.0f hit jobs/sec (%.0fx warm, %.3f%% cold overhead), %s\n",
 		*out, m.EventsPerSec, m.ReplayAllocsPerOp,
 		m.SchedEventsPerSec, m.SchedScanEventsPerSec, m.SchedSpeedup,

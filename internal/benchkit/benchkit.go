@@ -6,11 +6,18 @@
 package benchkit
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"simmr/internal/engine"
 	"simmr/internal/obs"
+	"simmr/internal/parallel"
 	"simmr/internal/sched"
 	"simmr/internal/sched/schedtest"
 	"simmr/internal/synth"
@@ -225,10 +232,18 @@ func Attr(b *testing.B) {
 
 // Sweep measures a 16-cell square capacity sweep with the given worker
 // count (1 = serial reference, 0 = one worker per CPU). Cells share one
-// trace; results are byte-identical across worker counts.
+// trace; results are byte-identical across worker counts. Each cell
+// folds its outcome on an engine from the process-wide pool, so after
+// the priming sweep allocs/op is what the sweep itself costs — the
+// grid, the fan-out, one label per cell — and nothing per job.
 func Sweep(b *testing.B, workers int) {
 	tr := fixture(sweepJobs)
 	cfg := simmr.SweepConfig{MapSlotCounts: sweepSlotCounts, Workers: workers}
+	// Primed for the same reason as Replay: the harness collects garbage
+	// between its calls, which empties the engine pool.
+	if _, err := simmr.CapacitySweep(tr, cfg); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -236,6 +251,159 @@ func Sweep(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// serialSweep runs Sweep at one worker on one P — the reference the
+// parallel sweep is timed against and, its allocation counts being
+// deterministic there, what sweep_allocs_per_op records and guards.
+func serialSweep() testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		prev := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(prev)
+		Sweep(b, 1)
+	})
+}
+
+// SweepAfterSerialSweep times one 8×8 sweep of a 4000-job sparse trace
+// at two workers (sweep-grid's operation in the repo benchmark) from two
+// histories of the process-wide engine pool. own-engines: the pool is
+// emptied and two-worker sweeps arm it, each worker building the engine
+// it keeps using. after-serial: the pool is emptied and three Workers: 1
+// sweeps arm it before the first two-worker one, so one goroutine builds
+// the first engine and whichever worker comes up short builds the other
+// later — after a GC has flushed the allocator's per-P caches — out of
+// the same spans. The two must run within noise of each other. When the
+// engines' scheduling indexes were ordinary small allocations,
+// after-serial put both engines' index state in shared cache lines and
+// ran 1.2–1.6× slower, CPU time up with it (internal/sched/index.go,
+// "Line isolation"); TestIndexIsolation guards the cause, this shows
+// the effect. It needs two CPUs to show anything.
+//
+// Timing one history after the other only resolves that gross effect:
+// the box's own speed moves by more than 5 % between two sub-benchmarks,
+// and where the allocator puts the spare worker's engine is a lottery.
+// layout-cost draws the losing ticket on purpose and measures it paired:
+// one pool gets two engines built back to back by a single goroutine —
+// the index objects of one next to the other's — a second pool two
+// engines born at the same moment on two goroutines, out of different
+// Ps' spans, and one sweep on each alternates, A B B A. The drift
+// cancels in the pair; together-vs-apart-% (median over the pairs) is
+// what adjacency costs: +4 to +11 % with the index isolated in 64-byte
+// units, 0 to +3 % in 128-byte units (30 pairs a run, four runs each) —
+// the adjacent-line prefetcher's share, which the repo benchmark's
+// processes paid or not (+0.4 to +12 %) depending on where their second
+// engine landed.
+func SweepAfterSerialSweep(b *testing.B) {
+	s, err := simmr.NewTraceStream(simmr.StreamConfig{
+		Name: "sweep", Jobs: 4000, MeanInterArrival: 60, TemplatePool: 256,
+		DeadlineFraction: 0.5, DeadlineSlack: 900,
+		Shapes: []simmr.WeightedShape{{Shape: simmr.MultiTenantShape(), Weight: 1}},
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := s.Collect()
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := []int{16, 24, 32, 48, 64, 80, 96, 128}
+	sweep := func(b *testing.B, workers int) {
+		cfg := simmr.SweepConfig{MapSlotCounts: grid, ReduceSlotCounts: grid, Workers: workers}
+		if _, err := simmr.CapacitySweep(tr, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, history := range []struct {
+		name string
+		arm  []int // worker counts of the sweeps that arm the emptied pool
+	}{
+		{"own-engines", []int{2, 2}},
+		{"after-serial", []int{1, 1, 1, 2}},
+	} {
+		b.Run(history.name, func(b *testing.B) {
+			runtime.GC() // two cycles let go of every pooled engine
+			runtime.GC()
+			for _, workers := range history.arm {
+				sweep(b, workers)
+				if workers == 1 {
+					runtime.GC()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep(b, 2)
+			}
+		})
+	}
+
+	// foldSweep is the sweep's fan-out on a given pool: two workers, one
+	// Fold per cell.
+	foldSweep := func(b *testing.B, pool *engine.Pool) time.Duration {
+		start := time.Now()
+		_, err := parallel.Map(context.Background(), 2, len(grid)*len(grid), func(_ context.Context, i int) (float64, error) {
+			cfg := engine.Config{MapSlots: grid[i/len(grid)], ReduceSlots: grid[i%len(grid)], MinMapPercentCompleted: 0.05}
+			var makespan float64
+			err := pool.Fold(cfg, tr, sched.FIFO{}, func(res *engine.Result) { makespan = res.Makespan })
+			return makespan, err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	b.Run("layout-cost", func(b *testing.B) {
+		if runtime.GOMAXPROCS(0) < 2 {
+			b.Skip("needs two Ps")
+		}
+		cfg := engine.Config{MapSlots: 128, ReduceSlots: 128, MinMapPercentCompleted: 0.05}
+		born := func(pool *engine.Pool) *engine.Engine {
+			e, err := pool.Get(cfg, tr, sched.FIFO{})
+			if err != nil {
+				b.Error(err)
+			}
+			return e
+		}
+		var together, apart engine.Pool
+		e1, e2 := born(&together), born(&together)
+		together.Put(e1)
+		together.Put(e2)
+		// Each goroutine holds its P, spinning, until both engines exist,
+		// so the second is not built on the P the first was.
+		var built atomic.Int32
+		var done sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				e := born(&apart)
+				for built.Add(1); built.Load() < 2; {
+				}
+				apart.Put(e)
+			}()
+		}
+		done.Wait()
+		if b.Failed() {
+			return
+		}
+		foldSweep(b, &together)
+		foldSweep(b, &apart)
+		diffs := make([]float64, 0, b.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var tog, apt time.Duration
+			if i%2 == 0 {
+				tog = foldSweep(b, &together)
+				apt = foldSweep(b, &apart)
+			} else {
+				apt = foldSweep(b, &apart)
+				tog = foldSweep(b, &together)
+			}
+			diffs = append(diffs, 200*(tog-apt).Seconds()/(tog+apt).Seconds())
+		}
+		sort.Float64s(diffs)
+		b.ReportMetric(diffs[len(diffs)/2], "together-vs-apart-%")
+	})
 }
 
 // Metrics summarizes one Collect run; cmd/benchreport serializes it as
@@ -248,6 +416,12 @@ type Metrics struct {
 	ReplayBytesPerOp     int64   `json:"replay_bytes_per_op"`
 	SweepSerialSeconds   float64 `json:"sweep_serial_seconds"`
 	SweepParallelSeconds float64 `json:"sweep_parallel_seconds,omitempty"`
+	// SweepAllocsPerOp / SweepBytesPerOp are the warmed serial sweep's
+	// allocations: per sweep and per cell, nothing per job (each cell
+	// folds its outcome in place on a pooled engine). Deterministic, and
+	// guarded like ReplayAllocsPerOp.
+	SweepAllocsPerOp int64 `json:"sweep_allocs_per_op"`
+	SweepBytesPerOp  int64 `json:"sweep_bytes_per_op"`
 	// SweepSpeedup is serial / parallel wall time for the same grid; it
 	// approaches NumCPU on unloaded multicore hosts. On a single-CPU
 	// host the ratio is pure scheduling noise, so Collect skips the
@@ -396,12 +570,10 @@ func Collect() Metrics {
 		m.BranchSpeedup = indSec / bsSec
 	}
 
-	serial := testing.Benchmark(func(b *testing.B) {
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
-		Sweep(b, 1)
-	})
+	serial := serialSweep()
 	m.SweepSerialSeconds = serial.T.Seconds() / float64(serial.N)
+	m.SweepAllocsPerOp = serial.AllocsPerOp()
+	m.SweepBytesPerOp = serial.AllocedBytesPerOp()
 	if m.NumCPU == 1 {
 		// A parallel/serial ratio on one CPU measures goroutine context
 		// switching, not the worker pool; skip it rather than record

@@ -91,6 +91,11 @@ type GuardReport struct {
 	SchedAllocsPerOp  int64
 	SchedEventsPerSec float64
 
+	// The fan-out smoke: the warmed serial capacity sweep's allocations,
+	// guarded when the baseline records sweep_allocs_per_op.
+	SweepAllocsPerOp int64
+	SweepBytesPerOp  int64
+
 	// The what-if branching smoke: K=8 fan-out throughput and its
 	// speedup over independent replays, guarded when the baseline
 	// records branch_speedup.
@@ -208,6 +213,22 @@ func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 			rep.SchedAllocsPerOp, base.SchedAllocsPerOp, schedLimit,
 			rep.SchedEventsPerSec, base.SchedEventsPerSec)
 	}
+	// Fan-out smoke: rerun the warmed serial sweep and hold both of its
+	// allocation counts to the replay's deterministic bound. A sweep cell
+	// keeps seven numbers of its replay; a count that grows with the
+	// trace means a cell took a Result of its own again. Skipped against
+	// baselines that predate the sweep allocation metrics.
+	var sweepAllocLimit, sweepBytesLimit int64
+	if base.SweepAllocsPerOp > 0 {
+		sw := serialSweep()
+		rep.SweepAllocsPerOp = sw.AllocsPerOp()
+		rep.SweepBytesPerOp = sw.AllocedBytesPerOp()
+		sweepAllocLimit = allocLimit(base.SweepAllocsPerOp)
+		sweepBytesLimit = allocLimit(base.SweepBytesPerOp)
+		rep.Summary += fmt.Sprintf("; sweep allocs/op %d (baseline %d, limit %d), %d B/op (baseline %d, limit %d)",
+			rep.SweepAllocsPerOp, base.SweepAllocsPerOp, sweepAllocLimit,
+			rep.SweepBytesPerOp, base.SweepBytesPerOp, sweepBytesLimit)
+	}
 	// A baseline may legitimately lack the parallel sweep numbers: on
 	// single-CPU hosts Collect skips that run and the fields are omitted
 	// from the JSON entirely. Absent (zero after unmarshal) means "never
@@ -319,6 +340,10 @@ func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 	if schedLimit > 0 && floor > 0 && base.SchedEventsPerSec > 0 && rep.SchedEventsPerSec < base.SchedEventsPerSec*floor {
 		return rep, fmt.Errorf("benchkit: indexed multi-tenant throughput collapsed: %.0f events/sec vs baseline %.0f (floor %.2f)",
 			rep.SchedEventsPerSec, base.SchedEventsPerSec, floor)
+	}
+	if sweepAllocLimit > 0 && (rep.SweepAllocsPerOp > sweepAllocLimit || rep.SweepBytesPerOp > sweepBytesLimit) {
+		return rep, fmt.Errorf("benchkit: warmed sweep allocations regressed >%.0f%%: %d allocs, %d B per sweep vs baseline %d allocs, %d B",
+			AllocTolerance*100, rep.SweepAllocsPerOp, rep.SweepBytesPerOp, base.SweepAllocsPerOp, base.SweepBytesPerOp)
 	}
 	if base.BranchSpeedup > 0 && rep.BranchSpeedup < BranchSpeedupFloor {
 		return rep, fmt.Errorf("benchkit: what-if branching lost its shared-prefix advantage: %.2fx over independent replays vs floor %.1fx (baseline %.2fx)",

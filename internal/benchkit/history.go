@@ -29,6 +29,11 @@ type HistoryRecord struct {
 	SchedEventsPerSec float64 `json:"sched_events_per_sec,omitempty"`
 	SchedAllocsPerOp  int64   `json:"sched_allocs_per_op,omitempty"`
 
+	// Warmed serial capacity sweep (16 cells folded in place on pooled
+	// engines); zero on runs predating the sweep allocation metrics.
+	SweepAllocsPerOp int64 `json:"sweep_allocs_per_op,omitempty"`
+	SweepBytesPerOp  int64 `json:"sweep_bytes_per_op,omitempty"`
+
 	// What-if branching (K=8 copy-on-write fan-out off one shared
 	// prefix); zero on runs predating the fork benchmarks.
 	ForkNsPerOp        float64 `json:"fork_ns_per_op,omitempty"`

@@ -46,6 +46,8 @@ var watchMetrics = []watchMetric{
 	{"bytes_per_op", func(r *HistoryRecord) float64 { return float64(r.BytesPerOp) }, false},
 	{"sched_events_per_sec", func(r *HistoryRecord) float64 { return r.SchedEventsPerSec }, true},
 	{"sched_allocs_per_op", func(r *HistoryRecord) float64 { return float64(r.SchedAllocsPerOp) }, false},
+	{"sweep_allocs_per_op", func(r *HistoryRecord) float64 { return float64(r.SweepAllocsPerOp) }, false},
+	{"sweep_bytes_per_op", func(r *HistoryRecord) float64 { return float64(r.SweepBytesPerOp) }, false},
 	{"fork_ns_per_op", func(r *HistoryRecord) float64 { return r.ForkNsPerOp }, false},
 	{"branch_events_per_sec", func(r *HistoryRecord) float64 { return r.BranchEventsPerSec }, true},
 	{"branch_speedup", func(r *HistoryRecord) float64 { return r.BranchSpeedup }, true},

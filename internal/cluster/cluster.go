@@ -252,7 +252,6 @@ func (s *Simulator) prepareJob(id int, j Job) *simJob {
 			ID: id, Name: name,
 			Arrival: j.Arrival, Deadline: j.Deadline,
 			NumMaps: j.Spec.NumMaps, NumReduces: j.Spec.NumReduces,
-			Profile: j.Profile,
 		},
 		res: JobResult{
 			ID: id, Name: name, App: j.Spec.App, Dataset: j.Spec.Dataset,
@@ -268,6 +267,7 @@ func (s *Simulator) prepareJob(id int, j Job) *simJob {
 		replicaSets:   make([]map[int]bool, j.Spec.NumMaps),
 		skipSince:     -1,
 	}
+	sj.info.Profile = &sj.job.Profile
 	if j.Spec.NumReduces > 0 {
 		sj.partPerMapMB = j.Spec.BlockMB * j.Spec.Selectivity / float64(j.Spec.NumReduces)
 		sj.partTotalMB = sj.partPerMapMB * float64(j.Spec.NumMaps)

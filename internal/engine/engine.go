@@ -165,7 +165,13 @@ func (o *JobOutcome) ExceededDeadline() bool {
 	return o.Deadline > 0 && o.Finish > o.Deadline
 }
 
-// Result is the outcome of one replay.
+// Result is the outcome of one replay. A Result returned by Run (and
+// by everything built on it: Pool.Run, simmr.Replay, ReplayBatch) is
+// owned by the caller and never touched by the engine again. A Result
+// handed to a Pool.Fold callback is the engine's own scratch: it is
+// valid only until the callback returns, and nothing reached through
+// Jobs may be retained except the span slices, which every arm
+// allocates fresh.
 type Result struct {
 	Jobs     []JobOutcome
 	Events   uint64
@@ -309,6 +315,11 @@ type Engine struct {
 	fillerPatches    uint64
 	mapSlotAllocs    uint64
 	reduceSlotAllocs uint64
+
+	// scratch is the Result Pool.Fold runs into and lends to its
+	// callback; its Jobs capacity is recycled across folds and emptied
+	// after each, so an idle engine pins no outcome.
+	scratch Result
 }
 
 // New builds an engine for the trace and policy. The trace is validated
@@ -332,7 +343,8 @@ func New(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, error) {
 // the active slice, the ID-dispatch map, and per-job retry/filler
 // scratch slices, so steady-state reuse allocates only the per-run
 // outputs (Result, outcomes, spans) instead of rebuilding the engine's
-// working set from scratch.
+// working set from scratch. Pool.Put decides which engines are worth
+// keeping that way.
 func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -430,7 +442,7 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 			ID: j.ID, Name: j.Name,
 			Arrival: j.Arrival, Deadline: j.Deadline,
 			NumMaps: j.Template.NumMaps, NumReduces: j.Template.NumReduces,
-			Profile: j.Template.Profile(),
+			Profile: j.Template.ProfileRef(),
 		}
 		sj.tpl = j.Template
 		// The previous run's outcome (and its span slices) escaped into
@@ -654,16 +666,32 @@ const depthSampleEvery = 64
 // after RunEvents continues the paused replay; Run on a fork continues
 // from the branch point.
 func (e *Engine) Run() (*Result, error) {
-	if err := e.start(); err != nil {
+	res := new(Result)
+	if err := e.RunInto(res); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// RunInto is Run writing the outcome into a caller-owned Result: every
+// field is overwritten, and res.Jobs' backing array is reused when it
+// is large enough, so a caller that folds each replay into a few
+// numbers allocates nothing per run. On error res holds no jobs.
+func (e *Engine) RunInto(res *Result) error {
+	*res = Result{Jobs: res.Jobs[:0]}
+	if err := e.start(); err != nil {
+		return err
 	}
 	for e.remaining > 0 {
 		if err := e.step(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	e.state = runDone
-	res := &Result{Events: e.q.Fired(), Jobs: make([]JobOutcome, 0, len(e.jobs)+len(e.extra))}
+	res.Events = e.q.Fired()
+	if n := len(e.jobs) + len(e.extra); cap(res.Jobs) < n {
+		res.Jobs = make([]JobOutcome, 0, n)
+	}
 	for i := range e.jobs {
 		sj := e.jobRO(i)
 		res.Jobs = append(res.Jobs, sj.out)
@@ -680,7 +708,7 @@ func (e *Engine) Run() (*Result, error) {
 	if e.sink != nil {
 		e.sink.RunEnd(e.counters(res))
 	}
-	return res, nil
+	return nil
 }
 
 // RunEvents advances the replay until at least n total events have
@@ -1135,50 +1163,115 @@ func Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, error) {
 // sweep, replay batch, deadline sweep) that replays hundreds of cells
 // holds roughly one engine per worker goroutine instead of building —
 // and garbage-collecting — one engine per cell: the queue slab, free
-// list, jobs slab, and scratch slices all carry over through Reset.
+// list, jobs slab, scheduling index and scratch slices all carry over
+// through Reset.
 //
 // The zero value is ready to use, and a Pool is safe for concurrent
-// use (it wraps sync.Pool, so idle engines are dropped under GC
-// pressure and the steady-state population tracks GOMAXPROCS).
-// Determinism is unaffected: a reset engine is observationally
-// identical to a fresh one, so pooled results stay byte-identical to
-// unpooled runs.
+// use (it wraps sync.Pool, so the steady-state population tracks
+// GOMAXPROCS and an engine idle through two GC cycles is dropped,
+// releasing the last trace it ran). Determinism is unaffected: a reset
+// engine is observationally identical to a fresh one, so pooled results
+// stay byte-identical to unpooled runs.
 type Pool struct {
 	p sync.Pool
 
-	// OnGet, when set, observes every Get with whether a warmed engine
-	// was reused (true) or a fresh one built (false) — the telemetry
-	// hook behind the engine-reuse hit rate. Set it before the first
-	// Get; it is called from whichever goroutine acquires the engine,
-	// so it must be safe for concurrent calls.
-	OnGet func(reused bool)
+	// parent and onGet are set only on the handles Observed returns: the
+	// pool whose engines the handle draws on, and who hears about it.
+	parent *Pool
+	onGet  func(reused bool)
+}
+
+// Shared is the process-wide pool behind every fan-out entry point
+// (CapacitySweep, ReplayBatch, BranchSet, the deadline sweeps): an
+// engine armed for a trace by one call is still warm for the next call
+// of the session. What it may pin is bounded by Put.
+var Shared Pool
+
+// Observed returns a handle on p that reports each acquisition (Get,
+// Run, Fold, Fork) to onGet with whether a warmed engine was reused
+// (true) or a fresh one built (false) — the telemetry hook behind the
+// engine-reuse hit rate. Engines still come from and go back to p, so
+// one call's observer never hears another's acquisitions. onGet is
+// called from whichever goroutine acquires the engine and must be safe
+// for concurrent calls.
+func (p *Pool) Observed(onGet func(reused bool)) *Pool {
+	if p.parent != nil {
+		p = p.parent
+	}
+	return &Pool{parent: p, onGet: onGet}
+}
+
+// store is where p's engines live: its own sync.Pool, or for an
+// Observed handle the observed pool's.
+func (p *Pool) store() *sync.Pool {
+	if p.parent != nil {
+		return &p.parent.p
+	}
+	return &p.p
+}
+
+// take returns an idle engine, or nil when a fresh one must be built.
+func (p *Pool) take() *Engine {
+	e, _ := p.store().Get().(*Engine)
+	if p.onGet != nil {
+		p.onGet(e != nil)
+	}
+	return e
 }
 
 // Get returns an engine armed for (cfg, tr, policy): a reused engine
 // when one is idle in the pool, a newly built one otherwise.
 func (p *Pool) Get(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, error) {
-	if v := p.p.Get(); v != nil {
-		if p.OnGet != nil {
-			p.OnGet(true)
-		}
-		e := v.(*Engine)
+	if e := p.take(); e != nil {
 		if err := e.Reset(cfg, tr, policy); err != nil {
 			return nil, err
 		}
 		return e, nil
 	}
-	if p.OnGet != nil {
-		p.OnGet(false)
-	}
 	return New(cfg, tr, policy)
 }
 
+// poolSlabSlack and poolSmallSlab state what an idle engine may hold:
+// a jobs slab (and with it every per-job array: scratch Result, arrival
+// schedule, active list) at most poolSlabSlack times the job count of
+// the run it just finished — slabs of up to poolSmallSlab jobs are kept
+// regardless, there is nothing to win below that.
+const (
+	poolSlabSlack = 4
+	poolSmallSlab = 1024
+)
+
 // Put returns an engine to the pool. The caller must not use it
 // afterwards; the next Get may hand it to another goroutine.
+//
+// The pool outlives every caller, so Put bounds what an idle engine
+// keeps alive. Dropped instead of pooled: an engine whose jobs slab is
+// more than poolSlabSlack times the jobs it just ran (one 100 000-job
+// replay must not leave 40 MB parked under a session of 1 000-job
+// sweeps — the next big replay pays one cold arm instead), and an
+// engine sealed by Snapshot (its forks may still be reading it).
+// Released before pooling: everything that belongs to the caller — the
+// sink, the policy instance, a fork's link to its snapshot. What stays
+// is warmed capacity plus the jobs' template pointers, which the next
+// arm overwrites (Reset zeroes any tail) and sync.Pool lets go of when
+// the engine sits idle through two GC cycles.
 func (p *Pool) Put(e *Engine) {
-	if e != nil {
-		p.p.Put(e)
+	if e == nil || !e.poolable() {
+		return
 	}
+	e.cfg.Sink, e.sink, e.depth, e.prog = nil, nil, nil, nil
+	e.policy, e.arrive = nil, nil
+	e.src = nil
+	if e.sharedIndex {
+		e.indexOf, e.sharedIndex = nil, false
+	}
+	p.store().Put(e)
+}
+
+// poolable is Put's rule for which engines are worth keeping.
+func (e *Engine) poolable() bool {
+	c := cap(e.jobs)
+	return e.state != runSealed && (c <= poolSmallSlab || c <= poolSlabSlack*len(e.jobs))
 }
 
 // Run replays tr on a pooled engine: Get, Run, Put. The engine is
@@ -1192,4 +1285,26 @@ func (p *Pool) Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, e
 	res, err := e.Run()
 	p.Put(e)
 	return res, err
+}
+
+// Fold is Run for callers that reduce the outcome on the spot: the
+// replay runs into the pooled engine's own scratch Result, fn reads it,
+// and the engine goes back to the pool — no Result, no per-job outcome
+// array is allocated, which is what makes a warmed sweep cell
+// allocation-free. The Result is lent, not given: it is emptied when fn
+// returns (see Result for what may be kept). fn is not called when the
+// replay fails.
+func (p *Pool) Fold(cfg Config, tr *trace.Trace, policy sched.Policy, fn func(*Result)) error {
+	e, err := p.Get(cfg, tr, policy)
+	if err != nil {
+		return err
+	}
+	res := &e.scratch
+	if err = e.RunInto(res); err == nil {
+		fn(res)
+	}
+	clear(res.Jobs)
+	res.Jobs = res.Jobs[:0]
+	p.Put(e)
+	return err
 }

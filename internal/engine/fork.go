@@ -366,18 +366,11 @@ func (e *Engine) Fork(opts ForkOptions) (*Engine, error) {
 // warmed engine, ForkInto it. Put it back after the branch's Run as
 // usual. Safe for concurrent use like the rest of Pool.
 func (p *Pool) Fork(s *Snapshot, opts ForkOptions) (*Engine, error) {
-	if v := p.p.Get(); v != nil {
-		if p.OnGet != nil {
-			p.OnGet(true)
-		}
-		e := v.(*Engine)
+	if e := p.take(); e != nil {
 		if err := s.ForkInto(e, opts); err != nil {
 			return nil, err
 		}
 		return e, nil
-	}
-	if p.OnGet != nil {
-		p.OnGet(false)
 	}
 	return s.Fork(opts)
 }
@@ -462,7 +455,7 @@ func (e *Engine) InjectJob(j *trace.Job) error {
 			ID: j.ID, Name: j.Name,
 			Arrival: j.Arrival, Deadline: j.Deadline,
 			NumMaps: j.Template.NumMaps, NumReduces: j.Template.NumReduces,
-			Profile: j.Template.Profile(),
+			Profile: j.Template.ProfileRef(),
 		},
 		tpl: j.Template,
 		out: JobOutcome{

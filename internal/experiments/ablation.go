@@ -164,19 +164,14 @@ func AblationMinEDFEstimator(repetitions int, seed int64) (*EstimatorAblationRes
 				if err != nil {
 					return EstimatorAblationRow{}, fmt.Errorf("experiments: estimator ablation: %w", err)
 				}
-				obs := make([]metrics.DeadlineObservation, 0, len(res.Jobs))
 				for _, j := range res.Jobs {
-					obs = append(obs, metrics.DeadlineObservation{
-						RelCompletion: j.Finish - j.Arrival,
-						RelDeadline:   j.Deadline - j.Arrival,
-					})
 					if j.ExceededDeadline() {
 						missSum++
 					}
 					complSum += j.Finish - j.Arrival
 					jobs++
 				}
-				utilSum += metrics.RelativeDeadlineExceeded(obs)
+				utilSum += utility(res)
 			}
 			return EstimatorAblationRow{
 				Estimator:      ests[ei].String(),

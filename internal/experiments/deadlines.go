@@ -212,12 +212,13 @@ func deadlineSweep(name string, cfg DeadlineSweepConfig, gen traceGen) (*Deadlin
 	}
 	engCfg := EngineConfig()
 	// A paper-scale sweep is 18 cells × 400 repetitions × 2 policies =
-	// 14,400 replays; pooling holds that to ~one engine per worker.
-	var pool engine.Pool
+	// 14,400 replays, each reduced to one number; the shared pool holds
+	// that to ~one engine per worker and runUtility folds in place.
+	pool := &engine.Shared
 	tel := cfg.Telemetry
 	if tel != nil {
 		tel.ExpectRuns(len(cells) * cfg.Repetitions * 2)
-		pool.OnGet = tel.PoolGet
+		pool = pool.Observed(tel.PoolGet)
 	}
 	var cacheHits atomic.Uint64
 	points, err := parallel.MapProgress(context.Background(), 0, len(cells), cfg.Progress,
@@ -238,11 +239,11 @@ func deadlineSweep(name string, cfg DeadlineSweepConfig, gen traceGen) (*Deadlin
 				assignDeadlines(tr, baselines, c.df, rng)
 				tr.Normalize()
 
-				maxVal, err := runUtility(&pool, tel, cfg.Cache, &cacheHits, cellCfg, tr, sched.MaxEDF{})
+				maxVal, err := runUtility(pool, tel, cfg.Cache, &cacheHits, cellCfg, tr, sched.MaxEDF{})
 				if err != nil {
 					return DeadlineSweepPoint{}, fmt.Errorf("experiments: %s MaxEDF: %w", name, err)
 				}
-				minVal, err := runUtility(&pool, tel, cfg.Cache, &cacheHits, cellCfg, tr, sched.MinEDF{})
+				minVal, err := runUtility(pool, tel, cfg.Cache, &cacheHits, cellCfg, tr, sched.MinEDF{})
 				if err != nil {
 					return DeadlineSweepPoint{}, fmt.Errorf("experiments: %s MinEDF: %w", name, err)
 				}
@@ -279,48 +280,49 @@ func assignDeadlines(tr *trace.Trace, baselines []float64, df float64, rng *rand
 	}
 }
 
-// runUtility replays the trace on a pooled engine and evaluates the
-// relative-deadline-exceeded utility. The engine treats the trace as
-// read-only, so back-to-back replays need no clone. With a cache the
-// replay is memoized: a hit skips the engine (and per-replay
-// telemetry — the caller rebalances ExpectRuns by the hit count).
+// runUtility replays the trace on a pooled engine and folds the outcome
+// into the relative-deadline-exceeded utility while the engine still
+// owns it. The engine treats the trace as read-only, so back-to-back
+// replays need no clone. With a cache the replay is memoized: a hit
+// skips the engine (and per-replay telemetry — the caller rebalances
+// ExpectRuns by the hit count). tel, cache and hits may be nil.
 func runUtility(pool *engine.Pool, tel *telemetry.SimMetrics, cache *rcache.Cache, hits *atomic.Uint64, cfg engine.Config, tr *trace.Trace, policy sched.Policy) (float64, error) {
-	var res *engine.Result
 	var key rcache.Key
 	var keyOK bool
 	if cache != nil {
 		if key, keyOK = rcache.KeyFor(tr.ContentHash(), cfg, policy); keyOK {
-			if r, ok := cache.Get(key); ok {
+			if res, ok := cache.Get(key); ok {
 				hits.Add(1)
-				res = r
+				return utility(res), nil
 			}
 		}
 	}
-	if res == nil {
-		var start time.Time
-		if tel != nil {
-			start = time.Now()
-		}
-		var err error
-		res, err = pool.Run(cfg, tr, policy)
-		if err != nil {
-			return 0, err
-		}
+	var start time.Time
+	if tel != nil {
+		start = time.Now()
+	}
+	var util float64
+	err := pool.Fold(cfg, tr, policy, func(res *engine.Result) {
 		if keyOK {
 			cache.Put(key, res)
 		}
 		if tel != nil {
 			tel.ReplayDone(time.Since(start), res.Events)
 		}
+		util = utility(res)
+	})
+	return util, err
+}
+
+// utility is the paper's relative-deadline-exceeded utility (§V-A) of
+// one replay, summed over the jobs in outcome order.
+func utility(res *engine.Result) float64 {
+	var sum float64
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		sum += metrics.DeadlineExcess(j.Finish-j.Arrival, j.Deadline-j.Arrival)
 	}
-	obs := make([]metrics.DeadlineObservation, 0, len(res.Jobs))
-	for _, j := range res.Jobs {
-		obs = append(obs, metrics.DeadlineObservation{
-			RelCompletion: j.Finish - j.Arrival,
-			RelDeadline:   j.Deadline - j.Arrival,
-		})
-	}
-	return metrics.RelativeDeadlineExceeded(obs), nil
+	return sum
 }
 
 // Render renders one sweep: a block per deadline factor with both

@@ -47,7 +47,6 @@ func AblationPreemption(repetitions int, seed int64) (*PreemptionResult, error) 
 	// workloads, and the pool templates are shared read-only.
 	rates := []float64{10, 100, 1000}
 	variants := []bool{false, true}
-	var engines engine.Pool
 	utils, err := parallel.Map(context.Background(), 0, len(rates)*len(variants),
 		func(_ context.Context, i int) (float64, error) {
 			meanIA := rates[i/len(variants)]
@@ -67,7 +66,7 @@ func AblationPreemption(repetitions int, seed int64) (*PreemptionResult, error) 
 				}
 				assignDeadlines(tr, tjs, 1, rng) // df = 1: the bump regime
 				tr.Normalize()
-				util, err := runUtilityWith(&engines, cfg, tr, sched.MaxEDF{})
+				util, err := runUtility(&engine.Shared, nil, nil, nil, cfg, tr, sched.MaxEDF{})
 				if err != nil {
 					return 0, err
 				}
@@ -87,26 +86,6 @@ func AblationPreemption(repetitions int, seed int64) (*PreemptionResult, error) 
 		})
 	}
 	return out, nil
-}
-
-// runUtilityWith is runUtility with an explicit engine configuration.
-// The engine treats the trace as read-only; no clone is needed.
-func runUtilityWith(engines *engine.Pool, cfg engine.Config, tr *trace.Trace, policy sched.Policy) (float64, error) {
-	res, err := engines.Run(cfg, tr, policy)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, j := range res.Jobs {
-		rel := j.Deadline - j.Arrival
-		if rel <= 0 {
-			continue
-		}
-		if c := j.Finish - j.Arrival; c > rel {
-			sum += (c - rel) / rel
-		}
-	}
-	return sum, nil
 }
 
 // Render writes the comparison table.

@@ -20,14 +20,19 @@ import (
 func RelativeDeadlineExceeded(jobs []DeadlineObservation) float64 {
 	var sum float64
 	for _, j := range jobs {
-		if j.RelDeadline <= 0 {
-			continue
-		}
-		if j.RelCompletion > j.RelDeadline {
-			sum += (j.RelCompletion - j.RelDeadline) / j.RelDeadline
-		}
+		sum += DeadlineExcess(j.RelCompletion, j.RelDeadline)
 	}
 	return sum
+}
+
+// DeadlineExcess is one job's term of RelativeDeadlineExceeded:
+// (T_J − D_J)/D_J when the job has a deadline and exceeded it, else 0 —
+// for callers that fold the utility over outcomes they already hold.
+func DeadlineExcess(relCompletion, relDeadline float64) float64 {
+	if relDeadline <= 0 || relCompletion <= relDeadline {
+		return 0
+	}
+	return (relCompletion - relDeadline) / relDeadline
 }
 
 // DeadlineObservation is one job's completion and deadline, both

@@ -169,7 +169,7 @@ func New(cfg Config, tr *trace.Trace, policy sched.Policy) (*Simulator, error) {
 				ID: j.ID, Name: j.Name,
 				Arrival: j.Arrival, Deadline: j.Deadline,
 				NumMaps: j.Template.NumMaps, NumReduces: j.Template.NumReduces,
-				Profile: j.Template.Profile(),
+				Profile: j.Template.ProfileRef(),
 			},
 			tpl:          j.Template,
 			out:          JobOutcome{ID: j.ID, Name: j.Name, Arrival: j.Arrival},

@@ -1,5 +1,7 @@
 package sched
 
+import "unsafe"
+
 // This file is the engine's scheduling index (DESIGN.md §11). The
 // paper's engine asks the policy for one job per free slot after every
 // event; with the built-in policies' O(active-jobs) argmin scans that
@@ -128,6 +130,19 @@ type jobIndex struct {
 	grants   []int
 }
 
+// jobIndexBlock and capacityIndexBlock pad the index structs to whole
+// isolation units, like tournamentBlock (index.go, "Line isolation"): assign
+// rewrites the grants slice header on every allocation round.
+type jobIndexBlock struct {
+	jobIndex
+	_ [(isolationUnit - unsafe.Sizeof(jobIndex{})%isolationUnit) % isolationUnit]byte
+}
+
+type capacityIndexBlock struct {
+	capacityIndex
+	_ [(isolationUnit - unsafe.Sizeof(capacityIndex{})%isolationUnit) % isolationUnit]byte
+}
+
 func jobIndexFor(prev BatchPolicy, mapBetter, redBetter func(a, b *JobInfo) bool, static bool) *jobIndex {
 	ix, ok := prev.(*jobIndex)
 	if ok {
@@ -135,7 +150,9 @@ func jobIndexFor(prev BatchPolicy, mapBetter, redBetter func(a, b *JobInfo) bool
 		ix.t.reorder(forMaps, mapBetter, static)
 		ix.t.reorder(forReduces, redBetter, static)
 	} else {
-		ix = &jobIndex{t: newSlotTournament(mapBetter, redBetter, static)}
+		ix = &new(jobIndexBlock).jobIndex
+		ix.t = newSlotTournament(mapBetter, redBetter, static)
+		ix.grants = lineSlice[int](0)
 	}
 	ix.sized = false
 	return ix
@@ -214,9 +231,12 @@ func capacityIndexFor(prev BatchPolicy, cfg Capacity) *capacityIndex {
 	if ok && len(ix.queues) == nq {
 		ix.ResetQueue()
 	} else {
-		ix = &capacityIndex{queues: make([]capacityQueue, nq)}
+		ix = &new(capacityIndexBlock).capacityIndex
+		ix.queues = lineSlice[capacityQueue](nq)
+		ix.grants = lineSlice[int](0)
 		for qi := range ix.queues {
 			ix.queues[qi].t = newSlotTournament(byArrival, byArrival, true)
+			ix.queues[qi].run = lineSlice[[2]int](0)
 		}
 	}
 	ix.cfg = cfg

@@ -138,7 +138,7 @@ func TestMinEDFEstimatorOrdering(t *testing.T) {
 	}
 	mk := func(e Estimator) int {
 		j := mkJob(0, 0, 500, 100, 20)
-		j.Profile = tpl.Profile()
+		j.Profile = tpl.ProfileRef()
 		MinEDF{Estimate: e}.OnJobArrival(j, 64, 64)
 		return j.WantedMaps + j.WantedReduces
 	}

@@ -1,5 +1,7 @@
 package sched
 
+import "unsafe"
+
 // This file implements the incrementally maintained ordered index behind
 // the engine's scheduling index (DESIGN.md §11): winner trees (complete
 // binary tournaments) over the active jobs with an eligibility bitset at
@@ -20,6 +22,57 @@ package sched
 // queues of a sparse replay most updates touch one or two nodes.
 // Fair's fully dynamic key (running-task count) fits the same mold
 // because every counter change already flows through a Fix call.
+
+// Line isolation. An index is hammered by exactly one engine — every
+// event rewrites a grant slice header, an eligibility word, a few tree
+// nodes — and engines now live in a process-wide pool (engine.Shared),
+// so the second engine of a parallel sweep is often built long after the
+// first, by whichever goroutine needed it, out of the same allocator
+// spans. Left to the size classes, one engine's 216-byte Tournament or
+// 8-byte eligibility word then sits in the same cache line as another's,
+// and two cores replaying unrelated cells invalidate each other on every
+// event (measured: a 2-worker sweep twice as expensive in CPU time).
+//
+// The unit kept apart is a pair of lines, not one. The L2 spatial
+// prefetcher of the x86 parts this runs on fetches lines in 128-byte
+// aligned pairs, so a miss on one engine's line pulls in its buddy too,
+// and when the buddy is another engine's index state that core loses
+// ownership of it just as if the line were shared. With 64-byte units
+// the cost depended on where the allocator happened to put the second
+// engine — a lottery drawn once per process, since pooled engines never
+// move: two engines built back to back by one goroutine ran the 2-worker
+// sweep 3–9 % slower than two built on different Ps (paired in-process
+// comparison, six processes), and within ±1 % of them at 128.
+//
+// The fix needs no alignment primitive: Go carves a span into equal
+// slots starting at a page boundary, every multiple of 128 up to 1024 B
+// is a size class and every larger class is a multiple of 128, so a
+// request that is a whole number of units gets a slot of whole units and
+// shares them with nobody. Every allocation an index makes is therefore
+// rounded up to whole units: slices through lineSlice, the structs
+// through the padded *Block wrappers. TestIndexIsolation fails if an
+// allocation slips past this.
+const isolationUnit = 128
+
+// lineSlice returns make([]T, n, c) for the smallest c ≥ max(n, 1) whose
+// backing array is a whole number of isolation units. Slices grown by
+// append from such a start stay whole: append doubles, and past 1024 B
+// the allocator's classes are unit multiples already.
+func lineSlice[T any](n int) []T {
+	var z T
+	c := max(n, 1)
+	for uintptr(c)*unsafe.Sizeof(z)%isolationUnit != 0 {
+		c++
+	}
+	return make([]T, n, c)
+}
+
+// tournamentBlock is the allocation unit of a Tournament: the struct
+// padded to whole isolation units (see lineSlice).
+type tournamentBlock struct {
+	Tournament
+	_ [(isolationUnit - unsafe.Sizeof(Tournament{})%isolationUnit) % isolationUnit]byte
+}
 
 // Lane names which of a JobInfo's leaf handles a Tournament owns. A job
 // sits in at most one tournament per lane at a time; the handle makes
@@ -88,7 +141,9 @@ const minTournamentSize = 16
 // NewTournament builds an empty index on the given lane, ranked under
 // each of orders (one or two); Best(k) answers under orders[k].
 func NewTournament(lane Lane, orders ...Order) *Tournament {
-	t := &Tournament{lane: lane, n: len(orders)}
+	t := &new(tournamentBlock).Tournament
+	t.lane, t.n = lane, len(orders)
+	t.free = lineSlice[int32](0)
 	for k, o := range orders {
 		t.trees[k].Order = o
 	}
@@ -99,14 +154,14 @@ func NewTournament(lane Lane, orders ...Order) *Tournament {
 // alloc sizes the leaf and tree arrays for the given leaf capacity.
 func (t *Tournament) alloc(size int) {
 	t.size = size
-	t.jobs = make([]*JobInfo, size)
+	t.jobs = lineSlice[*JobInfo](size)
 	for k := 0; k < t.n; k++ {
 		tr := &t.trees[k]
-		tr.win = make([]int32, 2*size)
+		tr.win = lineSlice[int32](2 * size)
 		for i := range tr.win {
 			tr.win[i] = -1
 		}
-		tr.elig = make([]uint64, (size+63)/64)
+		tr.elig = lineSlice[uint64]((size + 63) / 64)
 	}
 }
 

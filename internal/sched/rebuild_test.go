@@ -38,7 +38,7 @@ func TestIndexRebuildEquivalence(t *testing.T) {
 				if id%2 == 0 {
 					j.Deadline = j.Arrival + 200 + float64(rng.Intn(400))
 				}
-				j.Profile = tpl.Profile()
+				j.Profile = tpl.ProfileRef()
 				live.OnJobAdmit(j, 64, 64)
 				q = append(q, j)
 

@@ -42,8 +42,10 @@ type JobInfo struct {
 	// alignment padding.)
 	leaf [numLanes]int32
 
-	// Profile carries the compact job profile for model-based policies.
-	Profile trace.Profile
+	// Profile points at the compact job profile for model-based policies
+	// — the template's memoized one (Template.ProfileRef), shared
+	// read-only by every job built from it. Nil reads as the zero profile.
+	Profile *trace.Profile
 
 	// WantedMaps / WantedReduces cap concurrent tasks for policies that
 	// size allocations (MinEDF). Zero means unlimited.
@@ -204,17 +206,21 @@ func (m MinEDF) OnJobArrival(j *JobInfo, totalMapSlots, totalReduceSlots int) {
 		j.WantedMaps, j.WantedReduces = 0, 0
 		return
 	}
+	var profile trace.Profile
+	if j.Profile != nil {
+		profile = *j.Profile
+	}
 	var coeffs model.Coeffs
 	switch m.Estimate {
 	case EstimatorLow:
-		coeffs = model.LowCoeffs(j.Profile)
+		coeffs = model.LowCoeffs(profile)
 	case EstimatorUp:
-		coeffs = model.UpCoeffs(j.Profile)
+		coeffs = model.UpCoeffs(profile)
 	default:
-		coeffs = model.AvgCoeffs(j.Profile)
+		coeffs = model.AvgCoeffs(profile)
 	}
 	relDeadline := j.Deadline - j.Arrival
-	alloc := model.MinimalSlotsCoeffs(j.Profile, coeffs, relDeadline, totalMapSlots, totalReduceSlots)
+	alloc := model.MinimalSlotsCoeffs(profile, coeffs, relDeadline, totalMapSlots, totalReduceSlots)
 	j.WantedMaps = alloc.MapSlots
 	j.WantedReduces = alloc.ReduceSlots
 }

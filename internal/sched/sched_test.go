@@ -125,7 +125,7 @@ func TestMinEDFOnJobArrivalSizesAllocation(t *testing.T) {
 		ReduceDurations: fill(20, 3),
 	}
 	j := mkJob(0, 0, 0, 100, 20)
-	j.Profile = tpl.Profile()
+	j.Profile = tpl.ProfileRef()
 
 	// Without a deadline: unlimited.
 	(MinEDF{}).OnJobArrival(j, 64, 64)

@@ -223,7 +223,7 @@ func (t *SimMetrics) ForkDone(bytesCopied, bytesShared uint64) {
 	t.forkBytesShared.Add(sh, bytesShared)
 }
 
-// PoolGet records one engine acquisition; wire it to engine.Pool.OnGet.
+// PoolGet records one engine acquisition; hand it to engine.Pool.Observed.
 func (t *SimMetrics) PoolGet(reused bool) {
 	if t == nil {
 		return

@@ -114,11 +114,17 @@ type Profile struct {
 
 // Profile returns the compact per-phase profile of the template,
 // computed on first call and cached (safe for concurrent use).
-func (t *Template) Profile() Profile {
+func (t *Template) Profile() Profile { return *t.ProfileRef() }
+
+// ProfileRef is Profile without the copy: a pointer to the template's
+// memoized profile, shared by every caller and never written again, so
+// per-job scheduler state can point at it instead of carrying 80 bytes
+// each. Callers must treat it as read-only.
+func (t *Template) ProfileRef() *Profile {
 	if p := t.profile.Load(); p != nil {
-		return *p
+		return p
 	}
-	p := Profile{
+	p := &Profile{
 		NumMaps:    t.NumMaps,
 		NumReduces: t.NumReduces,
 		Map:        phaseProfile(t.MapDurations),
@@ -127,7 +133,7 @@ func (t *Template) Profile() Profile {
 		TypicalShuffle: phaseProfile(t.TypicalShuffle),
 		Reduce:         phaseProfile(t.ReduceDurations),
 	}
-	t.profile.Store(&p)
+	t.profile.Store(p)
 	return p
 }
 

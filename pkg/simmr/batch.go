@@ -87,13 +87,15 @@ func ReplayBatchCfg(ctx context.Context, bcfg BatchConfig, specs []ReplaySpec) (
 			return nil, fmt.Errorf("simmr: replay batch spec %d (%s): %w", i, specName(&specs[i]), ErrEmptyWorkload)
 		}
 	}
-	// Specs share one engine pool: the batch holds ~one engine per
-	// worker regardless of how many specs it replays.
-	var pool engine.Pool
+	// Specs run on the process-wide engine pool: the batch holds ~one
+	// engine per worker regardless of how many specs it replays, and
+	// finds them warm when the session replayed these traces before.
+	// Each spec's Result is the caller's to keep, so this is Run, not Fold.
+	pool := &engine.Shared
 	tel := bcfg.Telemetry
 	if tel != nil {
 		tel.ExpectRuns(len(specs))
-		pool.OnGet = tel.PoolGet
+		pool = pool.Observed(tel.PoolGet)
 	}
 	run := beginRun(bcfg.Runs, runs.KindBatch, batchTrace(specs), nil,
 		fmt.Sprintf("specs=%d", len(specs)))

@@ -162,9 +162,9 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 	run.AddEvents(prefixEvents)
 	run.SetPhase("branches")
 
-	var pool engine.Pool
+	pool := &engine.Shared
 	if tel != nil {
-		pool.OnGet = tel.PoolGet
+		pool = pool.Observed(tel.PoolGet)
 	}
 	results, err := parallel.MapProgress(ctx, cfg.Workers, len(branches), run.ProgressFunc(cfg.Progress), func(_ context.Context, i int) (*ReplayResult, error) {
 		b := &branches[i]

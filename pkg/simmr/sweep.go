@@ -44,8 +44,8 @@ type SweepPoint struct {
 // SweepConfig parameterizes CapacitySweep.
 type SweepConfig struct {
 	// MapSlotCounts and ReduceSlotCounts are the grid axes. If
-	// ReduceSlotCounts is nil, reduce slots track map slots (a square
-	// sweep, the common what-if).
+	// ReduceSlotCounts is empty (nil or zero-length), reduce slots track
+	// map slots (a square sweep, the common what-if).
 	MapSlotCounts    []int
 	ReduceSlotCounts []int
 	// Policy defaults to FIFO. The policy value is shared by every
@@ -142,13 +142,11 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 
 	// Flatten the grid up front: preallocates the output exactly and
 	// avoids the old per-map-slot []int{m} allocation for square sweeps.
-	rows := len(cfg.ReduceSlotCounts)
-	if rows == 0 {
-		rows = 1
-	}
+	square := len(cfg.ReduceSlotCounts) == 0
+	rows := max(len(cfg.ReduceSlotCounts), 1)
 	cells := make([]sweepCell, 0, len(cfg.MapSlotCounts)*rows)
 	for _, m := range cfg.MapSlotCounts {
-		if cfg.ReduceSlotCounts == nil {
+		if square {
 			cells = append(cells, sweepCell{m, m})
 			continue
 		}
@@ -183,15 +181,16 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		}
 	}
 
-	// One engine pool per sweep: concurrent cells reuse ~one engine per
-	// worker (queue slab, free list, per-job state) instead of building
-	// an engine per cell. Reset makes reused engines byte-identical to
-	// fresh ones, so determinism across worker counts is preserved.
-	var pool engine.Pool
+	// Cells run on the process-wide engine pool: ~one engine per worker
+	// (queue slab, free list, per-job state), still warm from the
+	// session's previous sweep or batch. Reset makes reused engines
+	// byte-identical to fresh ones, so determinism across worker counts
+	// is preserved.
+	pool := &engine.Shared
 	tel := cfg.Telemetry
 	if tel != nil {
 		tel.ExpectRuns(len(sel))
-		pool.OnGet = tel.PoolGet
+		pool = pool.Observed(tel.PoolGet)
 	}
 	// The full-content trace digest is cell-invariant; hoisting it keeps
 	// the per-cell cache-key cost independent of trace size (ContentHash
@@ -242,20 +241,27 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 			ecfg.Sink = obs.Tee(ecfg.Sink, tel.EngineSink())
 			start = time.Now()
 		}
-		res, err := pool.Run(ecfg, tr, pol)
-		flightDone(res, err)
+		// The cell keeps seven numbers of the replay, so it folds the
+		// outcome while the engine still owns it instead of taking a
+		// Result of its own.
+		var point SweepPoint
+		err := pool.Fold(ecfg, tr, pol, func(res *engine.Result) {
+			flightDone(res, nil)
+			if keyOK {
+				cfg.Cache.Put(key, res)
+			}
+			if tel != nil {
+				tel.ReplayDone(time.Since(start), res.Events)
+			}
+			run.AddEvents(res.Events)
+			run.AddJobs(uint64(len(res.Jobs)))
+			point = sweepPoint(cell, c, res)
+		})
 		if err != nil {
+			flightDone(nil, err)
 			return SweepPoint{}, fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
 		}
-		if keyOK {
-			cfg.Cache.Put(key, res)
-		}
-		if tel != nil {
-			tel.ReplayDone(time.Since(start), res.Events)
-		}
-		run.AddEvents(res.Events)
-		run.AddJobs(uint64(len(res.Jobs)))
-		return sweepPoint(cell, c, res), nil
+		return point, nil
 	})
 	if h := hits.Load(); h > 0 {
 		// Cached cells never replayed: rebalance the expected-run count

@@ -21,11 +21,12 @@ import (
 // bounded by the peak live-event population, not the total event count.
 func BenchmarkReplayAllocs(b *testing.B) { benchkit.Replay(b) }
 
-// BenchmarkReplayObserved is BenchmarkReplayAllocs with a metrics sink
-// attached — compare the two for the cost of turning observability on.
-// `make bench-guard` enforces that the no-sink path stays within 5% of
-// the BENCH_engine.json allocation baseline.
-func BenchmarkReplayObserved(b *testing.B) { benchkit.ReplayObserved(b) }
+// BenchmarkReplayObserved is BenchmarkReplayAllocs with the session's
+// sink stack attached (metrics sink, flight recorder, telemetry sink) —
+// compare the two for the cost of turning observability on. `make
+// bench-guard` holds its allocs/op to BenchmarkReplayAllocs' bound and
+// the no-sink path to within 5% of the BENCH_engine.json baseline.
+func BenchmarkReplayObserved(b *testing.B) { benchkit.ObservedReplay(b) }
 
 // BenchmarkAttr is BenchmarkReplayAllocs with the causal attribution
 // sink attached — the full `simmr trace explain` event pipeline (phase

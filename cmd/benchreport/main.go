@@ -84,6 +84,8 @@ func main() {
 			AttrEventsPerSec:     rep.AttrEventsPerSec,
 			FlightEventsPerSec:   rep.FlightEventsPerSec,
 			FlightAllocsPerOp:    rep.FlightAllocsPerOp,
+			ObservedEventsPerSec: rep.ObservedEventsPerSec,
+			ObservedAllocsPerOp:  rep.ObservedAllocsPerOp,
 			TraceLoadJobsPerSec:  rep.TraceLoadJobsPerSec,
 			TraceLoadSpeedup:     rep.TraceLoadSpeedup,
 			CacheHitJobsPerSec:   rep.CacheHitJobsPerSec,
@@ -131,6 +133,8 @@ func main() {
 		AttrEventsPerSec:     m.AttrEventsPerSec,
 		FlightEventsPerSec:   m.FlightEventsPerSec,
 		FlightAllocsPerOp:    m.FlightAllocsPerOp,
+		ObservedEventsPerSec: m.ObservedEventsPerSec,
+		ObservedAllocsPerOp:  m.ObservedAllocsPerOp,
 		TraceLoadJobsPerSec:  m.TraceLoadJobsPerSec,
 		TraceLoadSpeedup:     m.TraceLoadSpeedup,
 		TraceBytesPerJob:     m.TraceBytesPerJob,
@@ -144,11 +148,12 @@ func main() {
 		sweep = fmt.Sprintf("sweep %.3fs serial, speedup skipped (single CPU)", m.SweepSerialSeconds)
 	}
 	sweep += fmt.Sprintf(", %d allocs / %d B per warmed sweep", m.SweepAllocsPerOp, m.SweepBytesPerOp)
-	fmt.Printf("wrote %s: %.0f events/sec, %d allocs/replay, sched %.0f indexed / %.0f scan events/sec (%.1fx at 1k jobs), fork %.0fns, branch %.0f events/sec (%.1fx vs independent), attr %.0f events/sec, flight %.0f events/sec at %d allocs/op, trace load %.0f jobs/sec (%.1fx over JSON, %.1f B/job), cache %.0f hit jobs/sec (%.0fx warm, %.3f%% cold overhead), %s\n",
+	fmt.Printf("wrote %s: %.0f events/sec, %d allocs/replay, sched %.0f indexed / %.0f scan events/sec (%.1fx at 1k jobs), fork %.0fns, branch %.0f events/sec (%.1fx vs independent), attr %.0f events/sec, flight %.0f events/sec at %d allocs/op, observed %.0f events/sec at %d allocs/op, trace load %.0f jobs/sec (%.1fx over JSON, %.1f B/job), cache %.0f hit jobs/sec (%.0fx warm, %.3f%% cold overhead), %s\n",
 		*out, m.EventsPerSec, m.ReplayAllocsPerOp,
 		m.SchedEventsPerSec, m.SchedScanEventsPerSec, m.SchedSpeedup,
 		m.ForkNsPerOp, m.BranchEventsPerSec, m.BranchSpeedup, m.AttrEventsPerSec,
 		m.FlightEventsPerSec, m.FlightAllocsPerOp,
+		m.ObservedEventsPerSec, m.ObservedAllocsPerOp,
 		m.TraceLoadJobsPerSec, m.TraceLoadSpeedup, m.TraceBytesPerJob,
 		m.CacheHitJobsPerSec, m.CacheWarmSpeedup, m.CacheColdOverheadPct, sweep)
 }

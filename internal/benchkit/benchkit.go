@@ -21,6 +21,7 @@ import (
 	"simmr/internal/sched"
 	"simmr/internal/sched/schedtest"
 	"simmr/internal/synth"
+	"simmr/internal/telemetry"
 	"simmr/pkg/simmr"
 )
 
@@ -62,29 +63,7 @@ func fixture(jobs int) *simmr.Trace {
 // CapacitySweep and ReplayBatch use, so after the first iteration the
 // engine's jobs slab and the queue's event slab are fully recycled and
 // allocs/op reflects the pooled steady state, not cold construction.
-func Replay(b *testing.B) {
-	tr := fixture(replayJobs)
-	var pool simmr.ReplayPool
-	// Prime outside the timer: cold engine construction and the trace's
-	// one-shot Validate memo are one-time costs that would otherwise
-	// amortize differently as b.N varies run to run, and the steady
-	// state is lean enough that the jitter exceeds the guard's ±5%.
-	if _, err := pool.Run(simmr.DefaultReplayConfig(), tr, simmr.NewFIFO()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		res, err := pool.Run(simmr.DefaultReplayConfig(), tr, simmr.NewFIFO())
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-}
+func Replay(b *testing.B) { pooledReplay(b, nil) }
 
 // FlightReplay is Replay with a flight recorder attached — the ops
 // plane's always-on post-mortem capture. The recorder is built once and
@@ -94,14 +73,34 @@ func Replay(b *testing.B) {
 // this benchmark to the very same alloc bound as Replay, proving the
 // recorder's zero-alloc steady state rather than asserting it.
 func FlightReplay(b *testing.B) {
+	pooledReplay(b, obs.NewFlightRecorder(0)) // 4096-event default ring
+}
+
+// ObservedReplay is Replay observed the way a session observes it: a
+// MetricsSink, a flight recorder and a telemetry engine sink teed on
+// the engine — the stack ReplayBatchCfg builds per spec under Runs,
+// Flight and Telemetry. The sinks are built once and serve every pooled
+// run, and the events reach them through the engine's own block, which
+// survives pooling; so the guard holds allocs/op to Replay's exact
+// bound here too, and events/sec prices observation end to end.
+func ObservedReplay(b *testing.B) {
+	pooledReplay(b, obs.Tee(obs.NewMetricsSink(), obs.NewFlightRecorder(0),
+		telemetry.NewSimMetrics(0).EngineSink()))
+}
+
+// pooledReplay is the body the three replay benchmarks share; sink may
+// be nil.
+func pooledReplay(b *testing.B, sink obs.Sink) {
 	tr := fixture(replayJobs)
-	rec := obs.NewFlightRecorder(0) // 4096-event default ring
 	cfg := simmr.DefaultReplayConfig()
-	cfg.Sink = rec
+	cfg.Sink = sink
 	var pool simmr.ReplayPool
-	// Primed for the same reason as Replay — and the guard holds this
-	// benchmark to Replay's exact alloc bound, so both must exclude
-	// cold construction identically.
+	// Prime outside the timer: cold engine construction and the trace's
+	// one-shot Validate memo are one-time costs that would otherwise
+	// amortize differently as b.N varies run to run, and the steady
+	// state is lean enough that the jitter exceeds the guard's ±5%. The
+	// guard holds the observed variants to the bare replay's exact alloc
+	// bound, so all must exclude cold construction identically.
 	if _, err := pool.Run(cfg, tr, simmr.NewFIFO()); err != nil {
 		b.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func Preempt(b *testing.B, scan bool) {
 // attached — the full observability stack the `simmr trace explain`
 // path pays: every event classified into a wait phase, blame hand-offs
 // tracked, the critical-path graph grown. The sink is single-run, so
-// unlike ReplayObserved each iteration builds a fresh one; Report() is
+// unlike ObservedReplay each iteration builds a fresh one; Report() is
 // deliberately outside the loop (report rendering is a cold path).
 // Compare events/sec against Replay for the price of explanation.
 func Attr(b *testing.B) {
@@ -472,6 +471,15 @@ type Metrics struct {
 	FlightEventsPerSec float64 `json:"flight_events_per_sec"`
 	FlightAllocsPerOp  int64   `json:"flight_allocs_per_op"`
 
+	// ObservedEventsPerSec / ObservedAllocsPerOp are the same with the
+	// whole session stack attached (MetricsSink + flight recorder +
+	// telemetry sink through one tee): what switching the ops plane on
+	// costs a replay. The guard holds the allocations to the bare
+	// replay's bound — the observation block is the engine's and
+	// survives pooling.
+	ObservedEventsPerSec float64 `json:"observed_events_per_sec"`
+	ObservedAllocsPerOp  int64   `json:"observed_allocs_per_op"`
+
 	// The trace-loader pair: full-decode jobs/sec for the columnar
 	// `.strc` store (trace_load_jobs_per_sec) versus the reference JSON
 	// loader (trace_json_load_jobs_per_sec) on the identical 20000-job
@@ -530,6 +538,9 @@ func Collect() Metrics {
 	fl := testing.Benchmark(FlightReplay)
 	m.FlightEventsPerSec = fl.Extra["events/sec"]
 	m.FlightAllocsPerOp = fl.AllocsPerOp()
+	ob := testing.Benchmark(ObservedReplay)
+	m.ObservedEventsPerSec = ob.Extra["events/sec"]
+	m.ObservedAllocsPerOp = ob.AllocsPerOp()
 
 	binLoad := testing.Benchmark(TraceLoadBin)
 	jsonLoad := testing.Benchmark(TraceLoadJSON)

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"os"
 	"testing"
-
-	"simmr/internal/obs"
-	"simmr/pkg/simmr"
 )
 
 // AllocTolerance is the accepted allocs-per-replay regression against
@@ -37,30 +34,6 @@ func allocLimit(base int64) int64 {
 // machine stays within a few percent; regenerate BENCH_engine.json via
 // `make bench` when a deliberate trade-off moves the baseline.
 const ThroughputFloor = 0.90
-
-// ReplayObserved is Replay with a metrics sink attached — the worst
-// realistic always-on observability cost (every event tallied, run
-// counters aggregated). Compare its allocs/op and events/sec against
-// Replay for the price of turning observability on.
-func ReplayObserved(b *testing.B) {
-	tr := fixture(replayJobs)
-	sink := obs.NewMetricsSink()
-	cfg := simmr.DefaultReplayConfig()
-	cfg.Sink = sink
-	var pool simmr.ReplayPool // pooled like Replay, so the delta is the sink alone
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		res, err := pool.Run(cfg, tr, simmr.NewFIFO())
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-}
 
 // LoadBaseline reads a BENCH_engine.json produced by cmd/benchreport.
 func LoadBaseline(path string) (Metrics, error) {
@@ -112,6 +85,12 @@ type GuardReport struct {
 	// the baseline records flight_events_per_sec.
 	FlightEventsPerSec float64
 	FlightAllocsPerOp  int64
+
+	// The observed-replay smoke: replay with the session's sink stack
+	// teed on the engine, held to that same allocation bound, guarded
+	// when the baseline records observed_events_per_sec.
+	ObservedEventsPerSec float64
+	ObservedAllocsPerOp  int64
 
 	// The trace-loader smoke: `.strc` decode vs JSON decode on the same
 	// trace, guarded when the baseline records trace_load_speedup.
@@ -285,6 +264,20 @@ func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 			rep.FlightAllocsPerOp, replayAllocLimit, rep.FlightEventsPerSec, base.FlightEventsPerSec)
 	}
 
+	// Observed-replay smoke: the same bound for the whole session stack.
+	// The sinks allocate nothing per run and the events travel in the
+	// engine's own block, so a single allocation over the bare replay
+	// means the block stopped surviving the pool or a sink started
+	// allocating per block. Skipped against baselines that predate the
+	// observed benchmark.
+	if base.ObservedEventsPerSec > 0 {
+		ob := testing.Benchmark(ObservedReplay)
+		rep.ObservedAllocsPerOp = ob.AllocsPerOp()
+		rep.ObservedEventsPerSec = ob.Extra["events/sec"]
+		rep.Summary += fmt.Sprintf("; observed allocs/op %d (replay limit %d), %.0f events/sec (baseline %.0f)",
+			rep.ObservedAllocsPerOp, replayAllocLimit, rep.ObservedEventsPerSec, base.ObservedEventsPerSec)
+	}
+
 	// Trace-loader smoke: when the baseline records a load speedup,
 	// rerun the `.strc` and JSON loaders on the shared fixture and hold
 	// their ratio to the structural floor. A fixed bound, not a fraction
@@ -360,6 +353,14 @@ func GuardWithFloor(baselinePath string, floor float64) (GuardReport, error) {
 	if base.FlightEventsPerSec > 0 && floor > 0 && rep.FlightEventsPerSec < base.FlightEventsPerSec*floor {
 		return rep, fmt.Errorf("benchkit: flight-recorded replay throughput collapsed: %.0f events/sec vs baseline %.0f (floor %.2f)",
 			rep.FlightEventsPerSec, base.FlightEventsPerSec, floor)
+	}
+	if base.ObservedEventsPerSec > 0 && rep.ObservedAllocsPerOp > replayAllocLimit {
+		return rep, fmt.Errorf("benchkit: observed replay allocates per run: %d allocs/op vs bare-replay limit %d",
+			rep.ObservedAllocsPerOp, replayAllocLimit)
+	}
+	if base.ObservedEventsPerSec > 0 && floor > 0 && rep.ObservedEventsPerSec < base.ObservedEventsPerSec*floor {
+		return rep, fmt.Errorf("benchkit: observed replay throughput collapsed: %.0f events/sec vs baseline %.0f (floor %.2f)",
+			rep.ObservedEventsPerSec, base.ObservedEventsPerSec, floor)
 	}
 	if base.TraceLoadSpeedup > 0 && rep.TraceLoadSpeedup < TraceLoadSpeedupFloor {
 		return rep, fmt.Errorf("benchkit: packed trace loader lost its advantage over JSON: %.1fx vs floor %.0fx (baseline %.1fx)",

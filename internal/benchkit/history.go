@@ -50,6 +50,12 @@ type HistoryRecord struct {
 	FlightEventsPerSec float64 `json:"flight_events_per_sec,omitempty"`
 	FlightAllocsPerOp  int64   `json:"flight_allocs_per_op,omitempty"`
 
+	// Replay with the session's whole sink stack attached, under the
+	// same allocation bound. Zero on runs predating the observed
+	// benchmark.
+	ObservedEventsPerSec float64 `json:"observed_events_per_sec,omitempty"`
+	ObservedAllocsPerOp  int64   `json:"observed_allocs_per_op,omitempty"`
+
 	// Columnar `.strc` trace loader vs the JSON reference loader; zero
 	// on runs predating the binary trace store.
 	TraceLoadJobsPerSec float64 `json:"trace_load_jobs_per_sec,omitempty"`

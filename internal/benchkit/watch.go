@@ -53,6 +53,7 @@ var watchMetrics = []watchMetric{
 	{"branch_speedup", func(r *HistoryRecord) float64 { return r.BranchSpeedup }, true},
 	{"attr_events_per_sec", func(r *HistoryRecord) float64 { return r.AttrEventsPerSec }, true},
 	{"flight_events_per_sec", func(r *HistoryRecord) float64 { return r.FlightEventsPerSec }, true},
+	{"observed_events_per_sec", func(r *HistoryRecord) float64 { return r.ObservedEventsPerSec }, true},
 	{"trace_load_jobs_per_sec", func(r *HistoryRecord) float64 { return r.TraceLoadJobsPerSec }, true},
 	{"trace_load_speedup", func(r *HistoryRecord) float64 { return r.TraceLoadSpeedup }, true},
 	{"cache_hit_jobs_per_sec", func(r *HistoryRecord) float64 { return r.CacheHitJobsPerSec }, true},

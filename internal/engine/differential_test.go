@@ -196,11 +196,10 @@ func TestDifferentialIndexedAblations(t *testing.T) {
 	}
 }
 
-// TestDifferentialIndexedSparseIDs replays a hand-built trace whose job
-// IDs are non-dense (engine dispatch falls back to the indexOf map) —
-// the index returns job IDs the engine resolves the same way and must
-// not assume density either.
-func TestDifferentialIndexedSparseIDs(t *testing.T) {
+// sparseIDTrace is a hand-built trace whose job IDs are non-dense, so
+// engine dispatch falls back to the indexOf map.
+func sparseIDTrace(t *testing.T) *trace.Trace {
+	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	tr := &trace.Trace{Name: "sparse-ids"}
 	for i := 0; i < 40; i++ {
@@ -229,6 +228,14 @@ func TestDifferentialIndexedSparseIDs(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+// TestDifferentialIndexedSparseIDs replays the sparse-ID trace — the
+// index returns job IDs the engine resolves through the indexOf map and
+// must not assume density either.
+func TestDifferentialIndexedSparseIDs(t *testing.T) {
+	tr := sparseIDTrace(t)
 	for _, pc := range diffPolicies() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {

@@ -88,12 +88,13 @@ type Config struct {
 	PreemptMapTasks bool
 
 	// Sink, when non-nil, receives every engine event (obs.Kind
-	// taxonomy) synchronously in handled order, plus the run-level
-	// counters at the end of Run. Every emission sits behind a single
-	// nil check, so a nil Sink costs nothing on the hot path
-	// (`make bench-guard` enforces this). Sinks need not be safe for
-	// concurrent use — each engine must own its own instance; parallel
-	// runtimes build them via obs.SinkFactory (DESIGN.md §8).
+	// taxonomy) in handled order — a block at a time, complete whenever
+	// the engine is not inside Run or RunEvents (the delivery contract,
+	// DESIGN.md §8) — plus the run-level counters at the end of Run.
+	// Every emission sits behind a single nil check, so a nil Sink costs
+	// nothing on the hot path (`make bench-guard` enforces this). Sinks
+	// need not be safe for concurrent use — each engine must own its own
+	// instance; parallel runtimes build them via obs.SinkFactory.
 	Sink obs.Sink
 }
 
@@ -300,10 +301,17 @@ type Engine struct {
 	arrivalSeq int
 
 	// sink mirrors cfg.Sink; every emission is guarded by a nil check
-	// so the disabled path stays allocation- and branch-cheap.
-	sink obs.Sink
+	// so the disabled path stays allocation- and branch-cheap. Events do
+	// not go to it one by one: emit appends to block and flush hands the
+	// filled part to feed, the sink with its block-taking side resolved.
+	// The block is made the first time the engine is armed with a sink
+	// and kept across Reset and pooling (it holds no pointers); an engine
+	// that never has a sink never has one.
+	sink  obs.Sink
+	feed  obs.Feed
+	block []obs.Event
 	// depth and prog are cfg.Sink's DepthSampler / ProgressSampler
-	// sides, resolved once at Reset so step() pays cached-field nil
+	// sides, resolved by setSink so step() pays cached-field nil
 	// checks instead of per-step type assertions; depthTick counts
 	// macro-steps between samples (one cadence for both).
 	depth     obs.DepthSampler
@@ -358,10 +366,7 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 	n := len(tr.Jobs)
 	e.cfg = cfg
 	e.setPolicy(policy)
-	e.sink = cfg.Sink
-	e.depth, _ = cfg.Sink.(obs.DepthSampler)
-	e.prog, _ = cfg.Sink.(obs.ProgressSampler)
-	e.depthTick = 0
+	e.setSink(cfg.Sink)
 	e.clock.Reset()
 	e.q.Reset()
 	if cap(e.jobs) >= n {
@@ -492,6 +497,28 @@ func (e *Engine) setPolicy(p sched.Policy) {
 	} else {
 		e.arrive, _ = p.(sched.ArrivalAware)
 	}
+}
+
+// blockEvents is the capacity of an engine's observation block: how far
+// a sink may trail the engine. 512 events (28 KB) amortize a delivery —
+// the sinks' locks and atomic publishes, the interface hops — to
+// nothing per event while a block still sits in L1.
+const blockEvents = 512
+
+// setSink installs s as the engine's sink, resolves the interfaces the
+// run loop calls it through, and starts it on an empty block. nil
+// detaches (Pool.Put).
+func (e *Engine) setSink(s obs.Sink) {
+	e.cfg.Sink = s
+	e.sink = s
+	e.feed = obs.FeedOf(s)
+	e.depth, _ = s.(obs.DepthSampler)
+	e.prog, _ = s.(obs.ProgressSampler)
+	e.depthTick = 0
+	if s != nil && e.block == nil {
+		e.block = make([]obs.Event, 0, blockEvents)
+	}
+	e.block = e.block[:0]
 }
 
 // newPreemptIdx builds the preemption victim tournament: active jobs
@@ -644,6 +671,9 @@ func (e *Engine) step() error {
 	if e.depth != nil || e.prog != nil {
 		if e.depthTick++; e.depthTick >= depthSampleEvery {
 			e.depthTick = 0
+			// A sample describes the engine now; the sinks must have
+			// seen everything that led here first.
+			e.flush()
 			if e.depth != nil {
 				e.depth.SampleDepth(e.clock.Now(), e.q.Len())
 			}
@@ -682,10 +712,8 @@ func (e *Engine) RunInto(res *Result) error {
 	if err := e.start(); err != nil {
 		return err
 	}
-	for e.remaining > 0 {
-		if err := e.step(); err != nil {
-			return err
-		}
+	if err := e.stepUntil(math.MaxUint64); err != nil {
+		return err
 	}
 	e.state = runDone
 	res.Events = e.q.Fired()
@@ -719,17 +747,30 @@ func (e *Engine) RunInto(res *Result) error {
 // t=0 snapshot is well-defined. A paused engine accepts the mutation
 // APIs (SetDeadline, InjectJob, SetPolicy), further RunEvents calls,
 // Snapshot, or a finishing Run; note Run, not RunEvents, assembles the
-// Result and emits the sink's RunEnd.
+// Result and emits the sink's RunEnd. The sink has seen every event up
+// to the pause when RunEvents returns.
 func (e *Engine) RunEvents(n uint64) (bool, error) {
 	if err := e.start(); err != nil {
 		return false, err
 	}
-	for e.remaining > 0 && e.q.Fired() < n {
-		if err := e.step(); err != nil {
-			return false, err
-		}
+	if err := e.stepUntil(n); err != nil {
+		return false, err
 	}
 	return e.remaining == 0, nil
+}
+
+// stepUntil is the step loop both Run and RunEvents drive: macro-steps
+// until the replay completes, n events have fired, or a step fails. It
+// is also where the delivery contract is kept — the block is flushed on
+// every way out, so outside this loop the sink is never behind the
+// engine, a failed run included.
+func (e *Engine) stepUntil(n uint64) error {
+	var err error
+	for err == nil && e.remaining > 0 && e.q.Fired() < n {
+		err = e.step()
+	}
+	e.flush()
+	return err
 }
 
 // Now returns the current simulated time — the pause point's timestamp
@@ -754,15 +795,38 @@ func (e *Engine) counters(res *Result) obs.Counters {
 	}
 }
 
-// emit delivers one observability event; callers must have checked
-// e.sink != nil (kept out of this function so the nil test inlines at
-// each cold call site without a call in the disabled case).
+// emit records one observability event in the block, flushing it when
+// that fills it; callers must have checked e.sink != nil (kept out of
+// this function so the nil test inlines at each cold call site without
+// a call in the disabled case). This store is the whole per-event cost
+// of observation inside the engine.
 func (e *Engine) emit(kind obs.Kind, jobID, task int, end, shuffleEnd float64) {
-	e.sink.Event(obs.Event{
-		Time: e.clock.Now(), Kind: kind,
-		JobID: jobID, Task: task,
-		End: end, ShuffleEnd: shuffleEnd,
-	})
+	// Field by field into the slot: building the event as a value and
+	// appending it goes through the stack, and reloading it from there
+	// in 16-byte moves right after the narrow stores stalls on store
+	// forwarding — most of what an emission cost. flush keeps len < cap.
+	n := len(e.block)
+	e.block = e.block[:n+1]
+	ev := &e.block[n]
+	ev.Time, ev.Kind = e.clock.Now(), kind
+	ev.JobID, ev.Task = jobID, task
+	ev.End, ev.ShuffleEnd = end, shuffleEnd
+	if n+1 == cap(e.block) {
+		e.flush()
+	}
+}
+
+// flush hands the filled part of the block to the sink and empties it.
+// It is called when the block is full, before every sampler call, and
+// on every exit of the step loop (stepUntil) — nowhere else; between
+// those points a sink trails the engine by less than one block. With
+// nothing buffered (and so with no sink) it does nothing.
+func (e *Engine) flush() {
+	if len(e.block) == 0 {
+		return
+	}
+	e.feed.Events(e.block)
+	e.block = e.block[:0]
 }
 
 // handle dispatches one event to its handler. Handlers must not retain
@@ -1259,7 +1323,7 @@ func (p *Pool) Put(e *Engine) {
 	if e == nil || !e.poolable() {
 		return
 	}
-	e.cfg.Sink, e.sink, e.depth, e.prog = nil, nil, nil, nil
+	e.setSink(nil)
 	e.policy, e.arrive = nil, nil
 	e.src = nil
 	if e.sharedIndex {

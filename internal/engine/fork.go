@@ -239,11 +239,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	// Scalar replay state, counters included, so the fork's RunEnd
 	// totals match a from-scratch replay's.
 	dst.cfg = src.cfg
-	dst.cfg.Sink = opts.Sink
-	dst.sink = opts.Sink
-	dst.depth, _ = opts.Sink.(obs.DepthSampler)
-	dst.prog, _ = opts.Sink.(obs.ProgressSampler)
-	dst.depthTick = 0
+	dst.setSink(opts.Sink) // and an empty block: the prefix's events are the prefix sink's
 	dst.setPolicy(policy)
 	dst.clock = src.clock
 	dst.freeMap = src.freeMap

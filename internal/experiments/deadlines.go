@@ -287,14 +287,12 @@ func assignDeadlines(tr *trace.Trace, baselines []float64, df float64, rng *rand
 // skips the engine (and per-replay telemetry — the caller rebalances
 // ExpectRuns by the hit count). tel, cache and hits may be nil.
 func runUtility(pool *engine.Pool, tel *telemetry.SimMetrics, cache *rcache.Cache, hits *atomic.Uint64, cfg engine.Config, tr *trace.Trace, policy sched.Policy) (float64, error) {
-	var key rcache.Key
-	var keyOK bool
-	if cache != nil {
-		if key, keyOK = rcache.KeyFor(tr.ContentHash(), cfg, policy); keyOK {
-			if res, ok := cache.Get(key); ok {
-				hits.Add(1)
-				return utility(res), nil
-			}
+	// A fresh keyer per replay: the sweeps re-draw deadlines in place.
+	key, keyOK := cache.Keyer(tr).Key(cfg, policy)
+	if keyOK {
+		if res, ok := cache.Get(key); ok {
+			hits.Add(1)
+			return utility(res), nil
 		}
 	}
 	var start time.Time

@@ -8,15 +8,15 @@ import (
 	"sync/atomic"
 )
 
-// triggerPollMask spaces the flight recorder's trigger-flag polls: the
-// atomic load runs once every 512 ring writes, so an external Trigger
-// costs the hot path one masked branch per event, not an atomic per
-// event.
-const triggerPollMask = 512 - 1
+// triggerPollEvery spaces the flight recorder's trigger-flag polls: the
+// atomic load runs when the write count crosses a multiple of 512, so
+// an external Trigger costs the hot path one compare per block, not an
+// atomic per event.
+const triggerPollEvery = 512
 
 // defaultFlightRing is the ring capacity NewFlightRecorder uses for
 // size <= 0: large enough to hold the full closing act of a thousand-job
-// replay, small enough (4096 * 48 B) to attach one per sweep cell
+// replay, small enough (4096 * 56 B) to attach one per sweep cell
 // without noticing.
 const defaultFlightRing = 4096
 
@@ -28,12 +28,13 @@ const defaultFlightRing = 4096
 // FlightDump for rendering as a Chrome trace or an attr-compatible
 // record.
 //
-// Concurrency follows the Sink contract: Event, RunEnd, Dump, and
-// Fork are owner-side — the engine goroutine (or the caller that owns
-// the engine, once the run has returned). Only Trigger and Latest are
-// safe from other goroutines: Trigger sets a flag the owner polls
-// every 512 events, and Latest loads the last published dump through
-// an atomic pointer. Readers therefore never touch the live ring.
+// Concurrency follows the Sink contract: Event, Events, RunEnd, Dump,
+// and Fork are owner-side — the engine goroutine (or the caller that
+// owns the engine, once the run has returned). Only Trigger and Latest
+// are safe from other goroutines: Trigger sets a flag the owner polls
+// whenever a delivery crosses a 512-event boundary, and Latest loads
+// the last published dump through an atomic pointer. Readers therefore
+// never touch the live ring.
 //
 // The recorder is Tee-composable like any Sink and survives engine
 // reuse: a pooled engine's next run keeps appending to the same ring,
@@ -71,11 +72,25 @@ func NewFlightRecorder(size int) *FlightRecorder {
 // construction.
 func (f *FlightRecorder) SetLabel(label string) { f.label = label }
 
-// Event records one engine event into the ring.
-func (f *FlightRecorder) Event(ev Event) {
-	f.ring[f.written&f.mask] = ev
-	f.written++
-	if f.written&triggerPollMask == 0 && f.want.Load() {
+// Event records one engine event into the ring: the one-element case
+// of Events.
+func (f *FlightRecorder) Event(ev Event) { f.Events((&[1]Event{ev})[:]) }
+
+// Events copies a block into the ring (BatchSink) and polls the trigger
+// flag if the block carried the write count across a 512-event
+// boundary — once per block, however many boundaries it crossed. A
+// block longer than the ring keeps its tail, as recording it event by
+// event would.
+func (f *FlightRecorder) Events(evs []Event) {
+	before := f.written
+	f.written += uint64(len(evs))
+	if over := len(evs) - len(f.ring); over > 0 {
+		evs = evs[over:]
+	}
+	at := (f.written - uint64(len(evs))) & f.mask
+	n := copy(f.ring[at:], evs)
+	copy(f.ring, evs[n:])
+	if before/triggerPollEvery != f.written/triggerPollEvery && f.want.Load() {
 		f.want.Store(false)
 		f.publish(f.capture("trigger"))
 	}

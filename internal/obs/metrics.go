@@ -33,8 +33,9 @@ type MetricsSnapshot struct {
 // sinks it IS safe for concurrent use: Event/RunEnd may race with
 // Snapshot readers (the expvar endpoint), and one MetricsSink may be
 // shared across engines to aggregate a whole sweep — at the cost of a
-// mutex per event, which is why sharing one is a choice, not the
-// default.
+// mutex per delivered block, which is why sharing one is a choice, not
+// the default. A Snapshot taken while an engine runs trails it by at
+// most the engine's undelivered block (DESIGN.md §8).
 type MetricsSink struct {
 	mu sync.Mutex
 	s  MetricsSnapshot
@@ -56,14 +57,21 @@ func (m *MetricsSink) ExpectRuns(n int) {
 	m.mu.Unlock()
 }
 
-// Event tallies one engine event.
-func (m *MetricsSink) Event(ev Event) {
+// Event tallies one engine event: the one-element case of Events.
+func (m *MetricsSink) Event(ev Event) { m.Events((&[1]Event{ev})[:]) }
+
+// Events tallies a block of engine events under one lock (BatchSink).
+func (m *MetricsSink) Events(evs []Event) {
 	m.mu.Lock()
-	m.s.Observed++
-	m.s.ByKind[ev.Kind]++
-	if ev.Time > m.s.SimTime {
-		m.s.SimTime = ev.Time
+	s := &m.s
+	for i := range evs {
+		ev := &evs[i]
+		s.ByKind[ev.Kind]++
+		if ev.Time > s.SimTime {
+			s.SimTime = ev.Time
+		}
 	}
+	s.Observed += uint64(len(evs))
 	m.mu.Unlock()
 }
 

@@ -8,10 +8,22 @@
 //     single nil check; with no sink configured a replay performs no
 //     observability work beyond plain integer counters.
 //     `make bench-guard` enforces this against BENCH_engine.json.
-//   - Exact order. Events are delivered synchronously from the engine's
-//     event handlers, so the recorded sequence is the engine's handled
-//     order — a replayed audit log of the simulation, in the spirit of
-//     the paper's per-job timeline validation (Figures 1–2).
+//   - Exact order, delivered in blocks. The engine appends each event to
+//     a block of its own (512 events) and hands the sink the filled part
+//     when it is full, before every DepthSampler/ProgressSampler call,
+//     and on every way out of Run and RunEvents — finished (before
+//     RunEnd), paused or failed. The delivered sequence is the engine's
+//     handled order, every event exactly once — a replayed audit log of
+//     the simulation, in the spirit of the paper's per-job timeline
+//     validation (Figures 1–2). Whenever the engine is not inside
+//     Run/RunEvents, and whenever a sampler or RunEnd is called, the
+//     sink has seen everything handled so far; in between it trails by
+//     less than one block.
+//   - Sink is the whole obligation. A sink with only Event and RunEnd
+//     receives each block as a loop of Event calls. One that also
+//     implements BatchSink receives it in one Events call: the slice is
+//     in handled order, contiguous with the previous delivery, and valid
+//     only during the call.
 //   - One sink per engine. Sinks are not required to be safe for
 //     concurrent use; under parallel fan-out (ReplayBatch,
 //     CapacitySweep) every engine must own its own sink instance,
@@ -21,7 +33,7 @@
 // occupancy, Figure 1/2-style), ChromeTraceSink (chrome://tracing /
 // Perfetto export), and MetricsSink (concurrency-safe counter
 // snapshots for expvar endpoints). RecordSink captures the raw stream
-// for tests and custom processing.
+// for tests and custom processing; FlightRecorder keeps its tail.
 package obs
 
 import "math"
@@ -128,8 +140,10 @@ type Counters struct {
 // Sink receives the engine's event stream. Implementations need not be
 // safe for concurrent use: the engine calls Event and RunEnd from a
 // single goroutine, and parallel runtimes give every engine its own
-// sink (see SinkFactory). Event is on the simulation hot path —
-// implementations should avoid per-event allocation where practical.
+// sink (see SinkFactory). Event is called once per event, a block's
+// worth in a row (see the package comment) — implementations should
+// avoid per-event allocation where practical, and implement BatchSink
+// if the per-call cost matters.
 type Sink interface {
 	// Event delivers one engine event, in handled order.
 	Event(ev Event)
@@ -182,18 +196,72 @@ type ProgressSampler interface {
 	SampleProgress(now float64, events uint64, jobsDone, jobsTotal int)
 }
 
+// BatchSink is an optional Sink extension for sinks on the hot path: the
+// engine buffers its events in a block (DESIGN.md §8) and hands a sink
+// that implements BatchSink the whole block in one Events call instead
+// of one Event call per element. evs is in handled order, continues
+// exactly where the previous block ended, and is valid only during the
+// call — the engine overwrites it afterwards, so a sink that keeps
+// events copies them. A BatchSink's Event must be the one-element case
+// of Events: both may be called on one sink, and the stream is their
+// concatenation in call order.
+type BatchSink interface {
+	Events(evs []Event)
+}
+
+// Feed is a Sink with its block-taking side resolved once — by the
+// engine when it is armed, by Tee when it is built — the way the
+// samplers are. The zero Feed has no sink and must not be fed.
+type Feed struct {
+	sink  Sink
+	batch BatchSink // sink's BatchSink side, nil when it has none
+}
+
+// FeedOf resolves s, which may be nil.
+func FeedOf(s Sink) Feed {
+	b, _ := s.(BatchSink)
+	return Feed{sink: s, batch: b}
+}
+
+// Events delivers a block: in one call to a BatchSink, as a loop of
+// Event calls to any other sink, which therefore sees exactly the
+// per-event sequence. This is the only place events reach a sink
+// through the plain Sink interface.
+func (f Feed) Events(evs []Event) {
+	if f.batch != nil {
+		f.batch.Events(evs)
+		return
+	}
+	for i := range evs {
+		f.sink.Event(evs[i])
+	}
+}
+
 // teeSink fans one engine's stream out to several sinks in order.
-type teeSink struct{ sinks []Sink }
+type teeSink struct{ feeds []Feed }
+
+// members exposes the fan-out list so Tee can flatten a tee it is
+// handed; the sampling variants inherit it by embedding.
+func (t teeSink) members() []Feed { return t.feeds }
 
 func (t teeSink) Event(ev Event) {
-	for _, s := range t.sinks {
-		s.Event(ev)
+	for _, f := range t.feeds {
+		f.sink.Event(ev)
+	}
+}
+
+// Events forwards a block member by member: each sees the whole block
+// before the next sees any of it, which no sink can tell from
+// per-event interleaving (sinks do not observe one another).
+func (t teeSink) Events(evs []Event) {
+	for _, f := range t.feeds {
+		f.Events(evs)
 	}
 }
 
 func (t teeSink) RunEnd(c Counters) {
-	for _, s := range t.sinks {
-		s.RunEnd(c)
+	for _, f := range t.feeds {
+		f.sink.RunEnd(c)
 	}
 }
 
@@ -237,35 +305,42 @@ func (t fullTeeSink) SampleProgress(now float64, events uint64, jobsDone, jobsTo
 	}
 }
 
-// Tee combines sinks into one that forwards every event and RunEnd to
-// each, in argument order. Nil sinks are skipped; Tee() returns nil.
-// If any member implements DepthSampler or ProgressSampler, so does
-// the combined sink — the samplers are resolved once here, not per
+// Tee combines sinks into one that forwards every event, block and
+// RunEnd to each, in argument order. Nil sinks are skipped; Tee()
+// returns nil. A member that is itself a Tee is replaced by its own
+// members, in place, so composing in steps — Tee(Tee(a, b), c) — costs
+// one fan-out over a, b, c, not a nested dispatch. If any member
+// implements DepthSampler or ProgressSampler, so does the combined
+// sink; samplers and BatchSink sides are resolved once here, not per
 // call.
 func Tee(sinks ...Sink) Sink {
-	live := make([]Sink, 0, len(sinks))
+	live := make([]Feed, 0, len(sinks))
 	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
+		switch t := s.(type) {
+		case nil:
+		case interface{ members() []Feed }:
+			live = append(live, t.members()...)
+		default:
+			live = append(live, FeedOf(s))
 		}
 	}
 	switch len(live) {
 	case 0:
 		return nil
 	case 1:
-		return live[0]
+		return live[0].sink
 	}
 	var samplers []DepthSampler
 	var progress []ProgressSampler
-	for _, s := range live {
-		if ds, ok := s.(DepthSampler); ok {
+	for _, f := range live {
+		if ds, ok := f.sink.(DepthSampler); ok {
 			samplers = append(samplers, ds)
 		}
-		if ps, ok := s.(ProgressSampler); ok {
+		if ps, ok := f.sink.(ProgressSampler); ok {
 			progress = append(progress, ps)
 		}
 	}
-	tee := teeSink{sinks: live}
+	tee := teeSink{feeds: live}
 	switch {
 	case len(samplers) > 0 && len(progress) > 0:
 		return fullTeeSink{depthTeeSink{tee, samplers}, progress}

@@ -281,8 +281,10 @@ func Decode(img []byte, want Key) (*engine.Result, error) {
 		off += 4 * n
 	}
 
+	// One string for every name, sliced per job: one allocation, not one
+	// per job (a cached result's names share their backing bytes).
 	names := img[secs[secNames].off : secs[secNames].off+secs[secNames].size]
-	blob := names[4*(n+1):]
+	blob := string(names[4*(n+1):])
 	prev := uint32(0)
 	for i := 0; i <= n; i++ {
 		cum := binary.LittleEndian.Uint32(names[4*i:])
@@ -290,7 +292,7 @@ func Decode(img []byte, want Key) (*engine.Result, error) {
 			return nil, corrupt("name offset %d non-monotonic or out of blob", i)
 		}
 		if i > 0 {
-			res.Jobs[i-1].Name = string(blob[prev:cum])
+			res.Jobs[i-1].Name = blob[prev:cum]
 		}
 		prev = cum
 	}

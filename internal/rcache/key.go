@@ -27,6 +27,7 @@ import (
 
 	"simmr/internal/engine"
 	"simmr/internal/sched"
+	"simmr/internal/trace"
 )
 
 // keyVersion is folded into every key. Bump it whenever the entry
@@ -76,6 +77,36 @@ func KeyFor(traceDigest uint64, cfg engine.Config, p sched.Policy) (Key, bool) {
 		Hi: keyLane(0x9e3779b97f4a7c15, traceDigest, cfg, fp),
 		Lo: keyLane(0, traceDigest, cfg, fp),
 	}, true
+}
+
+// Keyer derives the keys of one trace's replays: the trace's
+// full-content digest — a walk over every job — is taken once, by
+// Cache.Keyer, and each Key call folds a (config, policy) pair into it.
+// Every entry point keys through here, so a fan-out hashes each
+// distinct trace once however many cells or specs replay it. The zero
+// Keyer keys nothing.
+type Keyer struct {
+	digest uint64
+	ok     bool
+}
+
+// Keyer returns tr's keyer under c. With a nil cache or a nil trace
+// nothing is hashed and every Key call reports ok=false — the same
+// bypass an unfingerprintable policy gets. The digest describes tr as
+// it is now: a caller that edits the trace in place takes a new Keyer.
+func (c *Cache) Keyer(tr *trace.Trace) Keyer {
+	if c == nil || tr == nil {
+		return Keyer{}
+	}
+	return Keyer{digest: tr.ContentHash(), ok: true}
+}
+
+// Key is KeyFor over the keyer's trace.
+func (k Keyer) Key(cfg engine.Config, p sched.Policy) (Key, bool) {
+	if !k.ok || p == nil {
+		return Key{}, false
+	}
+	return KeyFor(k.digest, cfg, p)
 }
 
 // keyLane is one FNV-1a pass over the canonical key material; lane

@@ -50,6 +50,54 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// A hit's cost must not grow with an allocation per job: Decode makes
+// the Result, its Jobs and one string all names are sliced from.
+func TestDecodeAllocsIndependentOfJobCount(t *testing.T) {
+	cfg := engine.DefaultConfig()
+	res, h := testResult(t, 1000, cfg, sched.FIFO{})
+	k, _ := KeyFor(h, cfg, sched.FIFO{})
+	img, err := Encode(k, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Decode(img, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("Decode of a span-less 1000-job entry: %v allocations, want <= 4", allocs)
+	}
+}
+
+// Keyer is KeyFor with the digest taken once; a nil cache or trace
+// keys nothing and hashes nothing.
+func TestKeyerMatchesKeyFor(t *testing.T) {
+	tr, err := synth.ProductionTrace(20, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.DefaultConfig()
+	want, _ := KeyFor(tr.ContentHash(), cfg, sched.MaxEDF{})
+	keyer := New(Options{}).Keyer(tr)
+	if got, ok := keyer.Key(cfg, sched.MaxEDF{}); !ok || got != want {
+		t.Fatalf("Keyer.Key = %v, %v; KeyFor = %v", got, ok, want)
+	}
+	if _, ok := keyer.Key(cfg, sched.NewDynamicPriority(nil, nil)); ok {
+		t.Fatal("an unfingerprintable policy must not key")
+	}
+	if _, ok := keyer.Key(cfg, nil); ok {
+		t.Fatal("a nil policy must not key")
+	}
+	var none *Cache
+	if _, ok := none.Keyer(tr).Key(cfg, sched.MaxEDF{}); ok {
+		t.Fatal("a nil cache must not key")
+	}
+	if _, ok := New(Options{}).Keyer(nil).Key(cfg, sched.MaxEDF{}); ok {
+		t.Fatal("a nil trace must not key")
+	}
+}
+
 func TestKeyDiscriminates(t *testing.T) {
 	base := engine.DefaultConfig()
 	k0, _ := KeyFor(1, base, sched.FIFO{})

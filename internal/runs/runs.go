@@ -226,7 +226,8 @@ func (h *Handle) Cached() uint64 {
 // becomes OutcomeCanceled, anything else OutcomeError. Exactly the
 // first call wins; subscribers receive one final frame and their
 // channels are closed. The handle moves from the registry's active set
-// to its completed ring.
+// to its completed ring, keeping its flight dumps but not the recorders
+// they came from (releaseFlights).
 func (h *Handle) End(err error) {
 	if h == nil {
 		return
@@ -242,6 +243,7 @@ func (h *Handle) End(err error) {
 	if !h.end.CompareAndSwap(nil, rec) {
 		return
 	}
+	h.releaseFlights()
 	if h.reg != nil {
 		h.reg.retire(h)
 	}
@@ -296,27 +298,8 @@ func (h *Handle) Snapshot() Snapshot {
 		s.ElapsedSec = time.Since(h.start).Seconds()
 	}
 	h.flightMu.Lock()
-	n := len(h.dumps)
-	for _, f := range h.flights {
-		d := f.Latest()
-		if d == nil {
-			continue
-		}
-		// A latest capture that was also stored is one dump, not two
-		// (mirrors FlightDumps).
-		stored := false
-		for _, sd := range h.dumps {
-			if sd == d {
-				stored = true
-				break
-			}
-		}
-		if !stored {
-			n++
-		}
-	}
+	s.FlightDumps = len(h.flightDumpsLocked())
 	h.flightMu.Unlock()
-	s.FlightDumps = n
 	return s
 }
 

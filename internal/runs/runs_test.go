@@ -3,6 +3,7 @@ package runs
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -216,6 +217,72 @@ func TestFlightAttachment(t *testing.T) {
 	}
 	if got := len(h.FlightDumps()); got != maxFlightDumps {
 		t.Fatalf("retained %d dumps, want %d", got, maxFlightDumps)
+	}
+}
+
+// End turns what the recorders published into stored dumps and lets the
+// recorders go: the list /runs/{id}/flight serves is unchanged, nothing
+// can be triggered or attached any more.
+func TestEndReleasesFlightRecorders(t *testing.T) {
+	r := New(4)
+	h := r.Begin(Meta{Kind: KindBatch})
+	stored, published, silent := obs.NewFlightRecorder(64), obs.NewFlightRecorder(64), obs.NewFlightRecorder(64)
+	for _, f := range []*obs.FlightRecorder{stored, published, silent} {
+		h.AttachFlight(f)
+		f.Event(obs.Event{Kind: obs.KindJobArrival, Task: -1})
+	}
+	h.AddFlightDump(stored.Dump("deadline-miss")) // stored and that recorder's latest
+	h.TriggerFlight()
+	published.RunEnd(obs.Counters{Events: 1}) // serves the trigger; silent never polls
+	live := h.FlightDumps()
+	if len(live) != 2 || live[0].Trigger != "deadline-miss" || live[1].Trigger != "trigger" {
+		t.Fatalf("live dumps = %+v", live)
+	}
+
+	h.End(nil)
+	after := h.FlightDumps()
+	if len(after) != 2 || after[0] != live[0] || after[1] != live[1] {
+		t.Fatalf("dumps changed at End: %+v, want %+v", after, live)
+	}
+	if s := h.Snapshot(); s.FlightDumps != 2 {
+		t.Fatalf("ended snapshot counts %d dumps, want 2", s.FlightDumps)
+	}
+	if n := h.TriggerFlight(); n != 0 {
+		t.Fatalf("TriggerFlight on an ended run = %d, want 0", n)
+	}
+	h.AttachFlight(obs.NewFlightRecorder(64))
+	if n := h.TriggerFlight(); n != 0 {
+		t.Fatalf("an ended run attached a recorder")
+	}
+}
+
+// The registry keeps its last DefaultRecent finished runs; they must
+// not keep their flight rings (4096 events × 56 B = 229 KB each).
+func TestEndedRunsDoNotPinFlightRings(t *testing.T) {
+	heapInuse := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapInuse
+	}
+	r := New(0)
+	before := heapInuse()
+	for i := 0; i < 300; i++ {
+		h := r.Begin(Meta{Kind: KindBatch})
+		f := obs.NewFlightRecorder(-1)
+		h.AttachFlight(f)
+		f.Event(obs.Event{Kind: obs.KindJobArrival, JobID: i, Task: -1})
+		h.End(nil)
+	}
+	after := heapInuse()
+	// 256 retained rings would be 58 MB; 256 retained handles are well
+	// under 1 MB. 8 MB leaves room for whatever else the process does.
+	if grew := int64(after) - int64(before); grew > 8<<20 {
+		t.Fatalf("300 ended runs grew HeapInuse by %d KB, want < 8 MB: finished runs pin their flight rings", grew>>10)
+	}
+	if got := len(r.List()); got != DefaultRecent {
+		t.Fatalf("registry lists %d runs, want the last %d", got, DefaultRecent)
 	}
 }
 

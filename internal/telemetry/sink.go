@@ -308,10 +308,14 @@ func (t *SimMetrics) EngineSink() obs.Sink {
 	if t == nil {
 		return nil
 	}
+	sh := t.reg.NextShard()
 	return &engineSink{
-		t:        t,
-		shard:    t.reg.NextShard(),
-		arrivals: make(map[int]float64),
+		t:             t,
+		shard:         sh,
+		arrivals:      make(map[int]float64),
+		mapTaskDur:    t.mapTaskDur.NewTally(sh),
+		reduceTaskDur: t.reduceTaskDur.NewTally(sh),
+		jobCompletion: t.jobCompletion.NewTally(sh),
 	}
 }
 
@@ -328,47 +332,75 @@ type engineSink struct {
 	// so KindFillerPatch can observe the full task duration. Lazily
 	// allocated: replays without fillers never build it.
 	fillerStarts map[int64]float64
+	// The per-event histograms, accumulated per block and published at
+	// its end.
+	mapTaskDur, reduceTaskDur, jobCompletion Tally
 }
 
 func fillerKey(jobID, task int) int64 {
 	return int64(jobID)<<20 | int64(task)
 }
 
-// Event tallies one engine event.
-func (s *engineSink) Event(ev obs.Event) {
-	t, sh := s.t, s.shard
-	t.eventsByKind[ev.Kind].Inc(sh)
-	t.simTime.Observe(sh, ev.Time)
-	switch ev.Kind {
-	case obs.KindJobArrival:
-		s.arrivals[ev.JobID] = ev.Time
-	case obs.KindJobDeparture:
-		if a, ok := s.arrivals[ev.JobID]; ok {
-			t.jobCompletion.Observe(sh, ev.Time-a)
-			delete(s.arrivals, ev.JobID)
+// Event tallies one engine event: the one-element case of Events.
+func (s *engineSink) Event(ev obs.Event) { s.Events((&[1]obs.Event{ev})[:]) }
+
+// Events tallies a block of engine events (obs.BatchSink): counts and
+// the simulated-time high-water are kept in locals and the histogram
+// observations in the sink's tallies, and the registry shard is written
+// once per block — a handful of atomics, not two to five per event. A
+// scrape therefore sees a block's events all at once, when it ends.
+func (s *engineSink) Events(evs []obs.Event) {
+	var byKind [obs.KindCount]uint64
+	var simTime float64
+	for i := range evs {
+		ev := &evs[i]
+		byKind[ev.Kind]++
+		if ev.Time > simTime {
+			simTime = ev.Time
 		}
-		t.jobsTotal.Inc(sh)
-	case obs.KindMapTaskStart:
-		// End is the planned departure; preempted attempts are counted
-		// as scheduled (their replanned re-execution is counted again).
-		t.mapTaskDur.Observe(sh, ev.End-ev.Time)
-	case obs.KindReduceTaskStart:
-		if math.IsInf(ev.End, 1) {
-			// First-wave filler: duration unknown until the map stage
-			// completes; remember the start for KindFillerPatch.
-			if s.fillerStarts == nil {
-				s.fillerStarts = make(map[int64]float64)
+		switch ev.Kind {
+		case obs.KindJobArrival:
+			s.arrivals[ev.JobID] = ev.Time
+		case obs.KindJobDeparture:
+			if a, ok := s.arrivals[ev.JobID]; ok {
+				s.jobCompletion.Observe(ev.Time - a)
+				delete(s.arrivals, ev.JobID)
 			}
-			s.fillerStarts[fillerKey(ev.JobID, ev.Task)] = ev.Time
-		} else {
-			t.reduceTaskDur.Observe(sh, ev.End-ev.Time)
-		}
-	case obs.KindFillerPatch:
-		if start, ok := s.fillerStarts[fillerKey(ev.JobID, ev.Task)]; ok {
-			t.reduceTaskDur.Observe(sh, ev.End-start)
-			delete(s.fillerStarts, fillerKey(ev.JobID, ev.Task))
+		case obs.KindMapTaskStart:
+			// End is the planned departure; preempted attempts are counted
+			// as scheduled (their replanned re-execution is counted again).
+			s.mapTaskDur.Observe(ev.End - ev.Time)
+		case obs.KindReduceTaskStart:
+			if math.IsInf(ev.End, 1) {
+				// First-wave filler: duration unknown until the map stage
+				// completes; remember the start for KindFillerPatch.
+				if s.fillerStarts == nil {
+					s.fillerStarts = make(map[int64]float64)
+				}
+				s.fillerStarts[fillerKey(ev.JobID, ev.Task)] = ev.Time
+			} else {
+				s.reduceTaskDur.Observe(ev.End - ev.Time)
+			}
+		case obs.KindFillerPatch:
+			if start, ok := s.fillerStarts[fillerKey(ev.JobID, ev.Task)]; ok {
+				s.reduceTaskDur.Observe(ev.End - start)
+				delete(s.fillerStarts, fillerKey(ev.JobID, ev.Task))
+			}
 		}
 	}
+	t, sh := s.t, s.shard
+	for k, n := range byKind {
+		if n != 0 {
+			t.eventsByKind[k].Add(sh, n)
+		}
+	}
+	if n := byKind[obs.KindJobDeparture]; n != 0 {
+		t.jobsTotal.Add(sh, n)
+	}
+	t.simTime.Observe(sh, simTime)
+	s.mapTaskDur.Flush()
+	s.reduceTaskDur.Flush()
+	s.jobCompletion.Flush()
 }
 
 // SampleDepth implements obs.DepthSampler: the engine reports the

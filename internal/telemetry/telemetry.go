@@ -311,11 +311,8 @@ func newHistogram(shards int, bounds []float64) *Histogram {
 	}
 }
 
-// Observe records v on the given shard: one bucket increment, one count
-// increment, and a CAS float add to the sum — all lock-free, all inside
-// the shard's own cache lines.
-func (h *Histogram) Observe(shard int, v float64) {
-	base := shard * h.stride
+// bucket returns the index of the bucket v falls in.
+func (h *Histogram) bucket(v float64) int {
 	i := 0
 	// Linear scan: bucket counts are small (≤ ~16) and the branch
 	// predictor learns the distribution; a binary search's unpredictable
@@ -323,12 +320,90 @@ func (h *Histogram) Observe(shard int, v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	atomic.AddUint64(&h.slots[base+i], 1)
+	return i
+}
+
+// Observe records v on the given shard: one bucket increment, one count
+// increment, and a CAS float add to the sum — all lock-free, all inside
+// the shard's own cache lines.
+func (h *Histogram) Observe(shard int, v float64) {
+	base := shard * h.stride
+	atomic.AddUint64(&h.slots[base+h.bucket(v)], 1)
 	atomic.AddUint64(&h.slots[base+h.cntOff], 1)
 	sum := &h.slots[base+h.sumOff]
 	for {
 		old := atomic.LoadUint64(sum)
 		next := math.Float64bits(math.Float64frombits(old) + v)
+		if atomic.CompareAndSwapUint64(sum, old, next) {
+			return
+		}
+	}
+}
+
+// Tally is a single-writer accumulator in front of one shard of a
+// Histogram, for a writer that observes in bursts (an engine sink
+// handed a block of events): Observe touches plain memory only, and
+// Flush publishes the burst with one atomic add per bucket touched, one
+// for the count and one CAS for the sum, where Histogram.Observe pays
+// three atomics per value.
+//
+// The sum is carried forward from the shard's value at the burst's
+// first observation, one addition per value in observation order, so a
+// flushed burst leaves the shard bit-for-bit what per-value Observe
+// calls would have — the exposition does not depend on how a stream
+// was cut into blocks. That holds while no other writer adds to the
+// shard's sum during the burst; when one does (two sinks sharing a
+// shard, running at once) Flush adds the burst's total on top of
+// theirs, and the result depends on the interleaving exactly as
+// interleaved Observe calls do.
+type Tally struct {
+	h      *Histogram
+	base   int      // the shard's first slot
+	counts []uint32 // pending observations per bucket
+	n      uint64   // pending observations
+	from   uint64   // bits of the shard's sum the burst started from
+	sum    float64  // from + every pending value, in order
+}
+
+// NewTally returns an empty tally writing to the given shard of h.
+func (h *Histogram) NewTally(shard int) Tally {
+	return Tally{h: h, base: shard * h.stride, counts: make([]uint32, len(h.bounds)+1)}
+}
+
+// Observe records v in the tally; nothing is visible to a scrape
+// until Flush.
+func (t *Tally) Observe(v float64) {
+	if t.n == 0 {
+		t.from = atomic.LoadUint64(&t.h.slots[t.base+t.h.sumOff])
+		t.sum = math.Float64frombits(t.from)
+	}
+	t.counts[t.h.bucket(v)]++
+	t.n++
+	t.sum += v
+}
+
+// Flush publishes the pending observations and empties the tally.
+func (t *Tally) Flush() {
+	if t.n == 0 {
+		return
+	}
+	slots := t.h.slots[t.base : t.base+t.h.stride]
+	for i, c := range t.counts {
+		if c != 0 {
+			atomic.AddUint64(&slots[i], uint64(c))
+			t.counts[i] = 0
+		}
+	}
+	atomic.AddUint64(&slots[t.h.cntOff], t.n)
+	t.n = 0
+	sum := &slots[t.h.sumOff]
+	if atomic.CompareAndSwapUint64(sum, t.from, math.Float64bits(t.sum)) {
+		return
+	}
+	burst := t.sum - math.Float64frombits(t.from)
+	for {
+		old := atomic.LoadUint64(sum)
+		next := math.Float64bits(math.Float64frombits(old) + burst)
 		if atomic.CompareAndSwapUint64(sum, old, next) {
 			return
 		}

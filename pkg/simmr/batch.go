@@ -9,6 +9,7 @@ import (
 	"simmr/internal/engine"
 	"simmr/internal/obs"
 	"simmr/internal/parallel"
+	"simmr/internal/rcache"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 )
@@ -97,6 +98,17 @@ func ReplayBatchCfg(ctx context.Context, bcfg BatchConfig, specs []ReplaySpec) (
 		tel.ExpectRuns(len(specs))
 		pool = pool.Observed(tel.PoolGet)
 	}
+	// A batch replays few distinct traces under many configurations:
+	// each is hashed once, here, not once per spec on the workers.
+	var keyers map[*Trace]rcache.Keyer
+	if bcfg.Cache != nil {
+		keyers = make(map[*Trace]rcache.Keyer)
+		for i := range specs {
+			if _, seen := keyers[specs[i].Trace]; !seen {
+				keyers[specs[i].Trace] = bcfg.Cache.Keyer(specs[i].Trace)
+			}
+		}
+	}
 	run := beginRun(bcfg.Runs, runs.KindBatch, batchTrace(specs), nil,
 		fmt.Sprintf("specs=%d", len(specs)))
 	run.SetPhase("replay")
@@ -118,7 +130,7 @@ func ReplayBatchCfg(ctx context.Context, bcfg BatchConfig, specs []ReplaySpec) (
 		}
 		// Consult the cache before claiming an engine (a cached spec
 		// never simulates, so its sinks do not fire).
-		key, keyOK := cacheKey(bcfg.Cache, cfg, spec.Trace, policy)
+		key, keyOK := keyers[spec.Trace].Key(cfg, policy)
 		if keyOK {
 			if res, ok := bcfg.Cache.Get(key); ok {
 				hits.Add(1)

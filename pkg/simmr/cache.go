@@ -53,7 +53,7 @@ func NewCache(o CacheOptions) *Cache {
 // all degrade to a plain Replay. On a hit cfg.Sink does not fire — no
 // simulation ran.
 func ReplayCached(c *Cache, cfg ReplayConfig, tr *Trace, p Policy) (res *ReplayResult, hit bool, err error) {
-	key, keyOK := cacheKey(c, cfg, tr, p)
+	key, keyOK := c.Keyer(tr).Key(cfg, p)
 	if keyOK {
 		if res, ok := c.Get(key); ok {
 			return res, true, nil
@@ -64,17 +64,4 @@ func ReplayCached(c *Cache, cfg ReplayConfig, tr *Trace, p Policy) (res *ReplayR
 		c.Put(key, res)
 	}
 	return res, false, err
-}
-
-// cacheKey computes the content address for (cfg, tr, p) under c,
-// reporting ok=false whenever the lookup must be bypassed (nil cache,
-// unfingerprintable policy).
-func cacheKey(c *Cache, cfg ReplayConfig, tr *Trace, p Policy) (rcache.Key, bool) {
-	if c == nil || tr == nil || p == nil {
-		return rcache.Key{}, false
-	}
-	// ContentHash, not Hash: the structural hash samples only duration
-	// boundaries, which would let an interior what-if edit hit stale
-	// entries. The registry keeps the cheap Hash; keying needs content.
-	return rcache.KeyFor(tr.ContentHash(), cfg, p)
 }

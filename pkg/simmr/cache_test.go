@@ -232,6 +232,42 @@ func TestBatchCacheSecondPassAllHits(t *testing.T) {
 	}
 }
 
+// A batch keys every spec off a digest taken once per distinct trace;
+// the keys must be the ones a lone ReplayCached of the same inputs
+// computes, whichever trace a spec replays.
+func TestBatchKeysEachDistinctTraceLikeReplayCached(t *testing.T) {
+	a, err := MultiTenantTrace(30, rand.New(rand.NewSource(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := MultiTenantTrace(30, rand.New(rand.NewSource(22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ReplayConfig{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}
+	var specs []ReplaySpec
+	for _, tr := range []*Trace{a, b, a, b} {
+		specs = append(specs, ReplaySpec{Config: cfg, Trace: tr, Policy: NewMaxEDF()})
+	}
+	c := NewCache(CacheOptions{})
+	got, err := ReplayBatchCfg(t.Context(), BatchConfig{Workers: 1, Cache: c}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 2 {
+		t.Fatalf("batch over two distinct traces: %+v, want 2 misses / 2 hits", st)
+	}
+	for i, tr := range []*Trace{a, b} {
+		res, hit, err := ReplayCached(c, cfg, tr, NewMaxEDF())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit || !reflect.DeepEqual(res, got[i]) {
+			t.Fatalf("trace %d: ReplayCached hit=%v on the entry the batch stored", i, hit)
+		}
+	}
+}
+
 // Disk-tier corruption at the public API level: flipping bytes in a
 // stored .srrc entry must degrade ReplayCached to a silent recompute —
 // no error surfaces, the corrupt file is removed, and the re-stored

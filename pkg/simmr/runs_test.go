@@ -103,12 +103,20 @@ func TestBatchRunOutcomes(t *testing.T) {
 func TestBranchSetRegistersRun(t *testing.T) {
 	reg := NewRunRegistry(8)
 	tr := sweepTrace()
+	// Each branch, paused at the branch point, triggers every recorder
+	// attached so far: its own (forked) one is among them.
+	var attached []int
+	trigger := func(*Engine) error {
+		attached = append(attached, reg.Latest().TriggerFlight())
+		return nil
+	}
 	res, err := BranchSet(context.Background(), BranchSetConfig{
 		Trace:        tr,
 		BranchEvents: 4,
+		Workers:      1,
 		Runs:         reg,
 		Flight:       256,
-	}, []WhatIf{{Name: "control"}, {Name: "edf", Policy: NewMinEDF()}})
+	}, []WhatIf{{Name: "control", Mutate: trigger}, {Name: "edf", Policy: NewMinEDF(), Mutate: trigger}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +135,26 @@ func TestBranchSetRegistersRun(t *testing.T) {
 	if snap.Events <= full || snap.Events >= 2*full {
 		t.Fatalf("events = %d, want (one full replay %d, 2x)", snap.Events, full)
 	}
-	// Trigger a capture on the attached (forked) recorders after the
-	// fact: both branch recorders are attached to the run.
-	if n := h.TriggerFlight(); n != 2 {
-		t.Fatalf("attached recorders = %d, want 2", n)
+	// Both branch recorders were attached while the run was live, each
+	// served its trigger, and the captures outlive the recorders: the
+	// ended run keeps the dumps and has let the rings go.
+	if len(attached) != 2 || attached[0] != 1 || attached[1] != 2 {
+		t.Fatalf("recorders attached at each branch point = %v, want [1 2]", attached)
+	}
+	dumps := h.FlightDumps()
+	if len(dumps) != 2 || dumps[0].Label != "control" || dumps[1].Label != "edf" {
+		t.Fatalf("dumps after the run = %+v, want one per branch", dumps)
+	}
+	for _, d := range dumps {
+		if d.Trigger != "trigger" || !d.Ended {
+			t.Fatalf("branch %s dump: trigger %q ended %v", d.Label, d.Trigger, d.Ended)
+		}
+	}
+	if snap.FlightDumps != 2 {
+		t.Fatalf("snapshot counts %d dumps, want 2", snap.FlightDumps)
+	}
+	if n := h.TriggerFlight(); n != 0 {
+		t.Fatalf("ended run still holds %d recorders", n)
 	}
 }
 

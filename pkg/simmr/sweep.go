@@ -10,7 +10,6 @@ import (
 	"simmr/internal/engine"
 	"simmr/internal/obs"
 	"simmr/internal/parallel"
-	"simmr/internal/rcache"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 )
@@ -192,15 +191,10 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		tel.ExpectRuns(len(sel))
 		pool = pool.Observed(tel.PoolGet)
 	}
-	// The full-content trace digest is cell-invariant; hoisting it keeps
-	// the per-cell cache-key cost independent of trace size (ContentHash
-	// walks every duration entry, so per-cell recomputation would scale
-	// the sweep's key cost by the grid size).
-	var trHash uint64
+	// The full-content trace digest is cell-invariant: the keyer takes it
+	// once, so the per-cell cache-key cost is independent of trace size.
+	keyer := cfg.Cache.Keyer(tr)
 	var hits atomic.Uint64
-	if cfg.Cache != nil {
-		trHash = tr.ContentHash()
-	}
 	run := beginRun(cfg.Runs, runs.KindSweep, tr, cfg.Policy,
 		fmt.Sprintf("grid=%dx%d shards=%d", len(cfg.MapSlotCounts), rows, max(cfg.Shards, 1)))
 	run.SetPhase("replay")
@@ -215,16 +209,13 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		pol := newPolicy()
 		// Consult the cache before claiming an engine (or building any
 		// sinks — a cached cell never simulates, so sinks do not fire).
-		var key rcache.Key
-		var keyOK bool
-		if cfg.Cache != nil {
-			if key, keyOK = rcache.KeyFor(trHash, ecfg, pol); keyOK {
-				if res, ok := cfg.Cache.Get(key); ok {
-					hits.Add(1)
-					run.AddCached(1)
-					run.AddJobs(uint64(len(res.Jobs)))
-					return sweepPoint(cell, c, res), nil
-				}
+		key, keyOK := keyer.Key(ecfg, pol)
+		if keyOK {
+			if res, ok := cfg.Cache.Get(key); ok {
+				hits.Add(1)
+				run.AddCached(1)
+				run.AddJobs(uint64(len(res.Jobs)))
+				return sweepPoint(cell, c, res), nil
 			}
 		}
 		if cfg.SinkFactory != nil {

@@ -18,8 +18,16 @@ test:
 # detector (the concurrency model's determinism tests only mean
 # something with -race on). The subscribe/End race in internal/runs
 # showed up once in ~30 runs, so its test is repeated until it would.
+# one-path keeps the run plan the only executor: the calls that make up
+# its sequence (announce, key, observe the pool, attach a recorder,
+# account) appear in non-test code only in internal/plan, in the
+# packages that define them and in the bench harness that times them.
+ONE_PATH = ExpectRuns\(|ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHook\(
 verify:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
+	@second="$$(grep -rnE '$(ONE_PATH)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal \
+		| grep -vE '^internal/(plan|telemetry|engine|rcache|runs|obs|benchkit)/')"; \
+		test -z "$$second" || { echo "run-plan calls outside internal/plan:"; echo "$$second"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

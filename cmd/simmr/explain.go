@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"simmr/internal/plan"
 	"simmr/internal/runs"
 	"simmr/pkg/simmr"
 )
@@ -20,68 +21,35 @@ import (
 func runTraceExplain(args []string) error {
 	fs := flag.NewFlagSet("trace explain", flag.ContinueOnError)
 	var (
-		tracePath   = fs.String("trace", "", "path to a trace JSON file")
-		dbDir       = fs.String("db", "", "trace database directory (with -name)")
-		dbName      = fs.String("name", "", "trace name inside -db")
-		policyName  = fs.String("policy", "fifo", "scheduling policy: fifo, maxedf, minedf, fair, capacity")
-		shares      = fs.String("capacity-shares", "0.5,0.5", "comma-separated queue shares for -policy capacity")
-		mapSlots    = fs.Int("map-slots", 64, "cluster map slots")
-		reduceSlots = fs.Int("reduce-slots", 64, "cluster reduce slots")
-		slowstart   = fs.Float64("slowstart", 0.05, "fraction of maps completed before reduces launch")
-		topK        = fs.Int("top", 10, "rows in the top-K miss and wait tables")
-		asJSON      = fs.Bool("json", false, "emit the report as JSON instead of TSV")
-		out         = fs.String("out", "", "also write a Chrome trace with the critical path as an overlay track")
-		debugAddr   = fs.String("debug-addr", "", "serve Prometheus /metrics (incl. wait-phase histograms and miss-cause counters), expvar, and pprof on this address")
+		topK   = fs.Int("top", 10, "rows in the top-K miss and wait tables")
+		asJSON = fs.Bool("json", false, "emit the report as JSON instead of TSV")
+		out    = fs.String("out", "", "also write a Chrome trace with the critical path as an overlay track")
 	)
+	rf := addReplayFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var tel *simmr.Telemetry
-	if *debugAddr != "" {
-		var err error
-		tel, err = startDebugServer(*debugAddr)
-		if err != nil {
-			return err
-		}
-		tel.ExpectRuns(1)
-	}
-	stopLoad := tel.Span("load")
-	tr, err := loadTrace(*tracePath, *dbDir, *dbName)
-	stopLoad()
+	tel, tr, err := rf.open()
 	if err != nil {
 		return err
 	}
-	policy, err := policyByName(*policyName, *shares)
+	policy, err := rf.policy()
 	if err != nil {
 		return err
 	}
 
-	attrSink := simmr.NewAttrSink(simmr.AttrOptions{
-		MapSlots:    *mapSlots,
-		ReduceSlots: *reduceSlots,
-		Trace:       tr,
-	})
+	cfg := rf.config()
+	attrSink := simmr.NewAttrSink(simmr.AttrOptions{MapSlots: cfg.MapSlots, ReduceSlots: cfg.ReduceSlots, Trace: tr})
 	sink := simmr.Sink(attrSink)
 	var ct *simmr.ChromeTraceSink
 	if *out != "" {
 		ct = simmr.NewChromeTraceSink()
 		sink = simmr.TeeSinks(attrSink, ct)
 	}
-	opsSink, opsDone := opsRegister(tel, runs.KindAttr, tr, policy,
-		fmt.Sprintf("map_slots=%d reduce_slots=%d", *mapSlots, *reduceSlots))
-	if tel != nil {
-		sink = simmr.TeeSinks(sink, tel.EngineSink(), opsSink)
-	}
-	cfg := simmr.ReplayConfig{
-		MapSlots:               *mapSlots,
-		ReduceSlots:            *reduceSlots,
-		MinMapPercentCompleted: *slowstart,
-		Sink:                   sink,
-	}
+	cfg.Sink = sink
 	stopRun := tel.Span("run")
-	res, err := simmr.Replay(cfg, tr, policy)
+	_, _, err = plan.One(opsOptions(tel, nil), runs.KindAttr, cfg, tr, policy)
 	stopRun()
-	opsDone(res, err)
 	if err != nil {
 		return err
 	}
@@ -92,15 +60,7 @@ func runTraceExplain(args []string) error {
 
 	if ct != nil {
 		ct.SetOverlay("critical path", simmr.AttrOverlay(rep.CriticalPath))
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := ct.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*out, ct.WriteJSON); err != nil {
 			return err
 		}
 	}

@@ -56,6 +56,7 @@ import (
 	"strings"
 
 	"simmr/internal/metrics"
+	"simmr/internal/plan"
 	"simmr/internal/runs"
 	"simmr/pkg/simmr"
 )
@@ -92,42 +93,24 @@ func main() {
 
 func run() error {
 	var (
-		tracePath   = flag.String("trace", "", "path to a trace JSON file")
-		dbDir       = flag.String("db", "", "trace database directory (with -name)")
-		dbName      = flag.String("name", "", "trace name inside -db")
-		policyName  = flag.String("policy", "fifo", "scheduling policy: fifo, maxedf, minedf, fair, capacity")
-		shares      = flag.String("capacity-shares", "0.5,0.5", "comma-separated queue shares for -policy capacity")
-		mapSlots    = flag.Int("map-slots", 64, "cluster map slots")
-		reduceSlots = flag.Int("reduce-slots", 64, "cluster reduce slots")
-		slowstart   = flag.Float64("slowstart", 0.05, "fraction of maps completed before reduces launch")
-		engineKind  = flag.String("engine", "simmr", "simulator: simmr or mumak")
-		verbose     = flag.Bool("v", false, "print per-job lines")
-		timeline    = flag.String("timeline", "", "write a task-progress timeline TSV (simmr engine only)")
-		step        = flag.Float64("step", 0, "timeline sample step in seconds (default: makespan/200)")
-		info        = flag.Bool("info", false, "print trace statistics and exit without simulating")
-		sweep       = flag.String("sweep", "", "comma-separated map-slot counts: replay across cluster sizes and exit")
-		shard       = flag.String("shard", "", "replay only shard I of N sweep cells, as I/N; shard outputs carry cell indices for merging")
-		jsonOut     = flag.Bool("json", false, "emit per-job results as JSON lines (simmr engine only)")
-		debugAddr   = flag.String("debug-addr", "", "serve expvar run metrics and pprof on this address (e.g. localhost:6060)")
-		linger      = flag.Duration("linger", 0, "with -debug-addr: keep the process (and its /runs state) alive this long after the run completes, for scrapers and smoke tests")
+		engineKind = flag.String("engine", "simmr", "simulator: simmr or mumak")
+		verbose    = flag.Bool("v", false, "print per-job lines")
+		timeline   = flag.String("timeline", "", "write a task-progress timeline TSV (simmr engine only)")
+		step       = flag.Float64("step", 0, "timeline sample step in seconds (default: makespan/200)")
+		info       = flag.Bool("info", false, "print trace statistics and exit without simulating")
+		sweep      = flag.String("sweep", "", "comma-separated map-slot counts: replay across cluster sizes and exit")
+		shard      = flag.String("shard", "", "replay only shard I of N sweep cells, as I/N; shard outputs carry cell indices for merging")
+		jsonOut    = flag.Bool("json", false, "emit per-job results as JSON lines (simmr engine only)")
+		linger     = flag.Duration("linger", 0, "with -debug-addr: keep the process (and its /runs state) alive this long after the run completes, for scrapers and smoke tests")
 	)
+	rf := addReplayFlags(flag.CommandLine)
 	cf := addCacheFlags(flag.CommandLine)
 	flag.Parse()
 
-	// The debug server comes up before the trace loads so its lifecycle
-	// spans cover the load stage too.
-	var tel *simmr.Telemetry
-	if *debugAddr != "" {
-		var err error
-		tel, err = startDebugServer(*debugAddr)
-		if err != nil {
-			return err
-		}
+	tel, tr, err := rf.open()
+	if tel != nil {
 		defer holdOpen(*linger)
 	}
-	stopLoad := tel.Span("load")
-	tr, err := loadTrace(*tracePath, *dbDir, *dbName)
-	stopLoad()
 	if err != nil {
 		return err
 	}
@@ -142,34 +125,18 @@ func run() error {
 	if *shard != "" {
 		return fmt.Errorf("-shard only applies to -sweep")
 	}
-	policy, err := policyByName(*policyName, *shares)
+	policy, err := rf.policy()
 	if err != nil {
 		return err
 	}
 
 	switch *engineKind {
 	case "simmr":
-		cfg := simmr.ReplayConfig{
-			MapSlots:               *mapSlots,
-			ReduceSlots:            *reduceSlots,
-			MinMapPercentCompleted: *slowstart,
-			RecordSpans:            *timeline != "",
-		}
-		opsSink, opsDone := opsRegister(tel, runs.KindReplay, tr, policy,
-			fmt.Sprintf("map_slots=%d reduce_slots=%d", *mapSlots, *reduceSlots))
-		if tel != nil {
-			tel.ExpectRuns(1)
-			cfg.Sink = simmr.TeeSinks(tel.EngineSink(), opsSink)
-		}
+		cfg := rf.config()
+		cfg.RecordSpans = *timeline != ""
 		stopRun := tel.Span("run")
-		res, hit, err := simmr.ReplayCached(cache, cfg, tr, policy)
+		res, _, err := plan.One(opsOptions(tel, cache), runs.KindReplay, cfg, tr, policy)
 		stopRun()
-		if hit && tel != nil {
-			// The engine never ran, so no sink RunEnd will arrive;
-			// rebalance the expected-run count.
-			tel.ExpectRuns(-1)
-		}
-		opsDone(res, err)
 		if err != nil {
 			return err
 		}
@@ -271,14 +238,10 @@ func runSweep(tr *simmr.Trace, spec, shard string, tel *simmr.Telemetry, cache *
 		}
 		counts = append(counts, n)
 	}
-	scfg := simmr.SweepConfig{MapSlotCounts: counts, Telemetry: tel, Cache: cache}
-	if tel != nil {
-		// The ops plane rides the debug server: register the sweep so
-		// /runs and `simmr ops watch` can follow it, with per-cell
-		// flight recorders for post-mortems.
-		scfg.Runs = simmr.DefaultRuns()
-		scfg.Flight = -1
-	}
+	// The ops plane rides the debug server: /runs and `simmr ops watch`
+	// follow the sweep, with per-cell flight recorders for post-mortems.
+	o := opsOptions(tel, cache)
+	scfg := simmr.SweepConfig{MapSlotCounts: counts, Telemetry: tel, Cache: cache, Runs: o.Runs, Flight: o.Flight}
 	if shard != "" {
 		if _, err := fmt.Sscanf(shard, "%d/%d", &scfg.ShardIndex, &scfg.Shards); err != nil {
 			return fmt.Errorf("bad -shard %q (want I/N)", shard)
@@ -321,6 +284,51 @@ func printInfo(tr *simmr.Trace) {
 		fmt.Printf("%-14s %4d %6d %8d %8.1fs %12.1fs %11.1fs\n",
 			name, a.Jobs, a.Maps, a.Reduces, a.MeanMapDur, a.MeanShuffleDur, a.MeanReduceDur)
 	}
+}
+
+// replayFlags are the flags every replaying command shares: which
+// trace, under which policy, on what cluster, watched from where.
+type replayFlags struct {
+	trace, db, name, policyName, shares, debugAddr *string
+	mapSlots, reduceSlots                          *int
+	slowstart                                      *float64
+}
+
+func addReplayFlags(fs *flag.FlagSet) replayFlags {
+	return replayFlags{
+		trace:       fs.String("trace", "", "path to a trace file (JSON, or packed .strc)"),
+		db:          fs.String("db", "", "trace database directory (with -name)"),
+		name:        fs.String("name", "", "trace name inside -db"),
+		policyName:  fs.String("policy", "fifo", "scheduling policy: fifo, maxedf, minedf, fair, capacity"),
+		shares:      fs.String("capacity-shares", "0.5,0.5", "comma-separated queue shares for -policy capacity"),
+		mapSlots:    fs.Int("map-slots", 64, "cluster map slots"),
+		reduceSlots: fs.Int("reduce-slots", 64, "cluster reduce slots"),
+		slowstart:   fs.Float64("slowstart", 0.05, "fraction of maps completed before reduces launch"),
+		debugAddr:   fs.String("debug-addr", "", "serve Prometheus /metrics, /runs, expvar and pprof on this address (e.g. localhost:6060)"),
+	}
+}
+
+// open loads the trace. With -debug-addr the debug server comes up
+// first, so its lifecycle spans cover the load stage too; the telemetry
+// is returned even when the load fails.
+func (f replayFlags) open() (*simmr.Telemetry, *simmr.Trace, error) {
+	var tel *simmr.Telemetry
+	if *f.debugAddr != "" {
+		var err error
+		if tel, err = startDebugServer(*f.debugAddr); err != nil {
+			return nil, nil, err
+		}
+	}
+	stopLoad := tel.Span("load")
+	tr, err := loadTrace(*f.trace, *f.db, *f.name)
+	stopLoad()
+	return tel, tr, err
+}
+
+func (f replayFlags) policy() (simmr.Policy, error) { return policyByName(*f.policyName, *f.shares) }
+
+func (f replayFlags) config() simmr.ReplayConfig {
+	return simmr.ReplayConfig{MapSlots: *f.mapSlots, ReduceSlots: *f.reduceSlots, MinMapPercentCompleted: *f.slowstart}
 }
 
 func loadTrace(path, dbDir, dbName string) (*simmr.Trace, error) {

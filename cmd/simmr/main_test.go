@@ -1,13 +1,18 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"simmr/internal/sched/schedtest"
 	"simmr/pkg/simmr"
@@ -41,30 +46,16 @@ func TestMain(m *testing.M) {
 // so it runs on the engine's scheduling index; this is the end-to-end
 // proof that the index changed no output.
 func TestReplaySummaryMatchesScanOracle(t *testing.T) {
-	// A contended burst with deadlines on every other job, so the EDF
-	// orderings, MinEDF's sizing and the Capacity queues all matter.
-	tr, err := simmr.MultiTenantTrace(120, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := simmr.DefaultReplayConfig()
-	rng := rand.New(rand.NewSource(5))
-	for i, j := range tr.Jobs {
-		if i%2 == 0 {
-			up := simmr.JobBounds(j.Template.Profile(), cfg.MapSlots, cfg.ReduceSlots).Up
-			j.Deadline = j.Arrival + (1+2*rng.Float64())*up
-		}
-	}
-	path := filepath.Join(t.TempDir(), "small.strc")
-	if err := simmr.WritePackedTrace(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	// The oracle replays what the CLI loads, not what was packed.
+	// The fixture is a contended burst with deadlines on every other job,
+	// so the EDF orderings, MinEDF's sizing and the Capacity queues all
+	// matter. The oracle replays what the CLI loads, not what was packed.
+	path := filepath.Join(cliFixture(t), "trace.strc")
 	loaded, err := simmr.OpenPackedTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
+	cfg := simmr.DefaultReplayConfig()
 
 	for _, name := range []string{"fifo", "maxedf", "minedf", "fair", "capacity"} {
 		t.Run(name, func(t *testing.T) {
@@ -87,5 +78,167 @@ func TestReplaySummaryMatchesScanOracle(t *testing.T) {
 				t.Fatalf("simmr -policy %s printed\n  %q\nscan oracle implies\n  %q", name, got, wantLine)
 			}
 		})
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite cmd/simmr/testdata/*.golden from what the built CLI prints")
+
+// cliFixture writes the CLI tests' workload — a contended 120-job burst,
+// deadlines on every other job — as trace.strc in a fresh directory,
+// which the golden invocations run in: every path the CLI echoes is
+// then relative, and the same on every machine.
+func cliFixture(t *testing.T) string {
+	t.Helper()
+	tr, err := simmr.MultiTenantTrace(120, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := simmr.DefaultReplayConfig()
+	rng := rand.New(rand.NewSource(5))
+	for i, j := range tr.Jobs {
+		if i%2 == 0 {
+			up := simmr.JobBounds(j.Template.Profile(), cfg.MapSlots, cfg.ReduceSlots).Up
+			j.Deadline = j.Arrival + (1+2*rng.Float64())*up
+		}
+	}
+	dir := t.TempDir()
+	if err := simmr.WritePackedTrace(filepath.Join(dir, "trace.strc"), tr); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestCLIGolden pins what a user sees: stdout and exit code of every
+// replaying invocation, byte for byte, against goldens generated at
+// the commit before the CLI moved onto the run plan. Invocations that
+// share a name prefix up to "#" run in order in one directory — the
+// second replay against one -cache-dir prints the hit line and skips
+// its exports. Regenerate with `go test ./cmd/simmr -run CLIGolden
+// -update` only when an output change is intended.
+func TestCLIGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		args string
+		exit int
+	}{
+		{"replay", "-trace trace.strc -policy minedf", 0},
+		{"replay-v", "-trace trace.strc -policy maxedf -v", 0},
+		{"replay-json", "-trace trace.strc -json", 0},
+		{"sweep", "-trace trace.strc -sweep 8,16,32", 0},
+		{"sweep-shard0", "-trace trace.strc -sweep 8,16,32 -shard 0/2", 0},
+		{"sweep-shard1", "-trace trace.strc -sweep 8,16,32 -shard 1/2", 0},
+		{"sweep-bad", "-trace trace.strc -sweep 8,x", 1},
+		{"shard-without-sweep", "-trace trace.strc -shard 0/2", 1},
+		{"trace-run", "trace run -trace trace.strc -policy fair -out events.json -slot-timeline slots.tsv", 0},
+		{"whatif", "trace whatif -trace trace.strc -policies minedf -deadline-scale 2 -explain", 0},
+		{"explain", "trace explain -trace trace.strc -policy maxedf", 0},
+		{"cached#1", "-trace trace.strc -policy minedf -cache-dir cache", 0},
+		{"cached#2", "-trace trace.strc -policy minedf -cache-dir cache", 0},
+		{"cached-sweep#1", "-trace trace.strc -sweep 8,16 -cache-dir cache", 0},
+		{"cached-sweep#2", "-trace trace.strc -sweep 8,16,32 -cache-dir cache", 0},
+		{"cached-run#1", "trace run -trace trace.strc -out events.json -cache-dir cache", 0},
+		{"cached-run#2", "trace run -trace trace.strc -out again.json -cache-dir cache", 0},
+	}
+	dirs := map[string]string{}
+	for _, c := range cases {
+		group, _, _ := strings.Cut(c.name, "#")
+		if dirs[group] == "" {
+			dirs[group] = cliFixture(t)
+		}
+		cmd := exec.Command(simmrBin, strings.Fields(c.args)...)
+		cmd.Dir = dirs[group]
+		out, err := cmd.Output()
+		if code := cmd.ProcessState.ExitCode(); code != c.exit {
+			t.Fatalf("%s: simmr %s: exit %d (%v), want %d", c.name, c.args, code, err, c.exit)
+		}
+		golden := filepath.Join("testdata", strings.ReplaceAll(c.name, "#", "-")+".golden")
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != string(want) {
+			t.Errorf("%s: simmr %s printed\n%s\nwant (%s)\n%s", c.name, c.args, out, golden, want)
+		}
+	}
+	// The second cached `trace run` served a hit: it exported nothing.
+	if _, err := os.Stat(filepath.Join(dirs["cached-run"], "again.json")); err == nil {
+		t.Error("a cache hit wrote its Chrome trace; no events were replayed to export")
+	}
+}
+
+// TestReplayRegistersOnOpsPlane is the live check of a single replay's
+// run plan: with -debug-addr the replay lists at /runs under its kind
+// and policy, named by the trace's content digest, ended ok, holding the
+// one post-mortem its one flight recorder captured (MinEDF misses
+// deadlines on the fixture) — read from the lingering process.
+func TestReplayRegistersOnOpsPlane(t *testing.T) {
+	cmd := exec.Command(simmrBin, "-trace", "trace.strc", "-policy", "minedf", "-debug-addr", "127.0.0.1:0", "-linger", "30s")
+	cmd.Dir = cliFixture(t)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	// The startup line names the bound port.
+	sc := bufio.NewScanner(stderr)
+	var base string
+	for base == "" && sc.Scan() {
+		if _, rest, ok := strings.Cut(sc.Text(), "debug endpoint at "); ok {
+			base = strings.TrimSuffix(strings.Fields(rest)[0], "/metrics")
+		}
+	}
+	if base == "" {
+		t.Fatal("simmr never announced its debug endpoint")
+	}
+	tr, err := simmr.OpenPackedTrace(filepath.Join(cmd.Dir, "trace.strc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	var list struct {
+		Runs []simmr.RunSnapshot `json:"runs"`
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		resp, err := http.Get(base + "/runs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&list)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Runs) == 1 && list.Runs[0].Outcome != "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/runs never showed the finished replay: %+v", list.Runs)
+		}
+	}
+	got := list.Runs[0]
+	if got.Kind != "replay" || got.Policy != "MinEDF" || got.Outcome != "ok" || got.Config != "map_slots=64 reduce_slots=64" {
+		t.Fatalf("/runs lists %+v", got)
+	}
+	if want := fmt.Sprintf("%016x", tr.ContentHash()); got.TraceHash != want {
+		t.Fatalf("trace_hash %q, want the content digest %s", got.TraceHash, want)
+	}
+	if got.FlightDumps != 1 || got.Jobs != uint64(len(tr.Jobs)) || got.Events == 0 {
+		t.Fatalf("one recorder, one deadline-miss dump, every job counted: %+v", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"simmr/internal/plan"
 	"simmr/internal/runs"
 	"simmr/pkg/simmr"
 )
@@ -153,43 +154,18 @@ func orDash(s string) string {
 	return s
 }
 
-// opsRegister registers a CLI invocation with the process-wide run
-// registry (served at /runs while -debug-addr is up) and attaches a
-// default-size flight recorder: the returned sink observes the engine
-// (live progress via the run registry's engine hook plus the flight
-// ring), and finish captures post-mortems — an "error" dump on
-// failure, a "deadline-miss" dump when any job blew its deadline —
-// before ending the run. With tel == nil (no -debug-addr) everything
-// returned is inert.
-func opsRegister(tel *simmr.Telemetry, kind runs.Kind, tr *simmr.Trace, policy simmr.Policy, config string) (simmr.Sink, func(res *simmr.ReplayResult, err error)) {
-	if tel == nil {
-		return nil, func(*simmr.ReplayResult, error) {}
+// opsOptions is the run-plan options of a CLI invocation. With the debug
+// server up (tel != nil) every replay, sweep and what-if fan-out also
+// registers with the process-wide run registry served at /runs — live
+// progress, an SSE stream — and carries default-size flight recorders,
+// whose "error" and "deadline-miss" post-mortems /runs/{id}/flight
+// serves. Without -debug-addr only the cache, if any, is set.
+func opsOptions(tel *simmr.Telemetry, cache *simmr.Cache) plan.Options {
+	o := plan.Options{Telemetry: tel, Cache: cache}
+	if tel != nil {
+		o.Runs, o.Flight = simmr.DefaultRuns(), -1
 	}
-	meta := runs.Meta{Kind: kind, Config: config}
-	if tr != nil {
-		meta.Trace = tr.Name
-		meta.TraceHash = fmt.Sprintf("%016x", tr.Hash())
-	}
-	if policy != nil {
-		meta.Policy = policy.Name()
-	}
-	h := simmr.DefaultRuns().Begin(meta)
-	rec := simmr.NewFlightRecorder(-1)
-	rec.SetLabel(string(kind))
-	h.AttachFlight(rec)
-	return simmr.TeeSinks(h.EngineHook(), rec), func(res *simmr.ReplayResult, err error) {
-		if err != nil {
-			h.AddFlightDump(rec.Dump("error"))
-		} else if res != nil {
-			for i := range res.Jobs {
-				if res.Jobs[i].ExceededDeadline() {
-					h.AddFlightDump(rec.Dump("deadline-miss"))
-					break
-				}
-			}
-		}
-		h.End(err)
-	}
+	return o
 }
 
 // holdOpen keeps the process alive after a run completes so watchers

@@ -3,10 +3,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
 
+	"simmr/internal/plan"
 	"simmr/internal/runs"
 	"simmr/pkg/simmr"
 )
@@ -45,38 +47,19 @@ func runTraceCmd(args []string) error {
 func runTraceRun(args []string) error {
 	fs := flag.NewFlagSet("trace run", flag.ContinueOnError)
 	var (
-		tracePath   = fs.String("trace", "", "path to a trace JSON file")
-		dbDir       = fs.String("db", "", "trace database directory (with -name)")
-		dbName      = fs.String("name", "", "trace name inside -db")
-		policyName  = fs.String("policy", "fifo", "scheduling policy: fifo, maxedf, minedf, fair, capacity")
-		shares      = fs.String("capacity-shares", "0.5,0.5", "comma-separated queue shares for -policy capacity")
-		mapSlots    = fs.Int("map-slots", 64, "cluster map slots")
-		reduceSlots = fs.Int("reduce-slots", 64, "cluster reduce slots")
-		slowstart   = fs.Float64("slowstart", 0.05, "fraction of maps completed before reduces launch")
-		out         = fs.String("out", "trace.json", "Chrome trace-event output path")
-		slotTSV     = fs.String("slot-timeline", "", "also write a slot-occupancy TSV (renders via internal/report)")
-		debugAddr   = fs.String("debug-addr", "", "serve Prometheus /metrics, expvar, and pprof on this address")
+		out     = fs.String("out", "trace.json", "Chrome trace-event output path")
+		slotTSV = fs.String("slot-timeline", "", "also write a slot-occupancy TSV (renders via internal/report)")
 	)
+	rf := addReplayFlags(fs)
 	cf := addCacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var tel *simmr.Telemetry
-	if *debugAddr != "" {
-		var err error
-		tel, err = startDebugServer(*debugAddr)
-		if err != nil {
-			return err
-		}
-		tel.ExpectRuns(1)
-	}
-	stopLoad := tel.Span("load")
-	tr, err := loadTrace(*tracePath, *dbDir, *dbName)
-	stopLoad()
+	tel, tr, err := rf.open()
 	if err != nil {
 		return err
 	}
-	policy, err := policyByName(*policyName, *shares)
+	policy, err := rf.policy()
 	if err != nil {
 		return err
 	}
@@ -90,32 +73,13 @@ func runTraceRun(args []string) error {
 	}
 	// The attribution sink feeds the end-of-run summary (slot-wait
 	// share); completion percentiles come straight from the result.
-	attrSink := simmr.NewAttrSink(simmr.AttrOptions{
-		MapSlots:    *mapSlots,
-		ReduceSlots: *reduceSlots,
-		Trace:       tr,
-	})
-	sink = simmr.TeeSinks(sink, attrSink)
-	opsSink, opsDone := opsRegister(tel, runs.KindReplay, tr, policy,
-		fmt.Sprintf("map_slots=%d reduce_slots=%d", *mapSlots, *reduceSlots))
-	if tel != nil {
-		sink = simmr.TeeSinks(sink, tel.EngineSink(), opsSink)
-	}
-	cfg := simmr.ReplayConfig{
-		MapSlots:               *mapSlots,
-		ReduceSlots:            *reduceSlots,
-		MinMapPercentCompleted: *slowstart,
-		Sink:                   sink,
-	}
+	cfg := rf.config()
+	attrSink := simmr.NewAttrSink(simmr.AttrOptions{MapSlots: cfg.MapSlots, ReduceSlots: cfg.ReduceSlots, Trace: tr})
+	cfg.Sink = simmr.TeeSinks(sink, attrSink)
 	cache := cf.open(tel)
 	stopRun := tel.Span("run")
-	res, hit, err := simmr.ReplayCached(cache, cfg, tr, policy)
+	res, hit, err := plan.One(opsOptions(tel, cache), runs.KindReplay, cfg, tr, policy)
 	stopRun()
-	if hit && tel != nil {
-		// The engine never ran; no sink RunEnd will arrive.
-		tel.ExpectRuns(-1)
-	}
-	opsDone(res, err)
 	if err != nil {
 		return err
 	}
@@ -131,27 +95,11 @@ func runTraceRun(args []string) error {
 		return nil
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := ct.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(*out, ct.WriteJSON); err != nil {
 		return err
 	}
 	if tl != nil {
-		g, err := os.Create(*slotTSV)
-		if err != nil {
-			return err
-		}
-		if err := tl.WriteTSV(g); err != nil {
-			g.Close()
-			return err
-		}
-		if err := g.Close(); err != nil {
+		if err := writeFile(*slotTSV, tl.WriteTSV); err != nil {
 			return err
 		}
 	}
@@ -164,6 +112,20 @@ func runTraceRun(args []string) error {
 		fmt.Printf("wrote %s\n", *slotTSV)
 	}
 	return nil
+}
+
+// writeFile creates path and has write fill it; a failed Close is a
+// failed write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printRunSummary renders the compact end-of-run digest: job-completion

@@ -19,43 +19,25 @@ import (
 func runTraceWhatif(args []string) error {
 	fs := flag.NewFlagSet("trace whatif", flag.ContinueOnError)
 	var (
-		tracePath   = fs.String("trace", "", "path to a trace JSON file")
-		dbDir       = fs.String("db", "", "trace database directory (with -name)")
-		dbName      = fs.String("name", "", "trace name inside -db")
-		policyName  = fs.String("policy", "fifo", "baseline scheduling policy: fifo, maxedf, minedf, fair, capacity")
-		shares      = fs.String("capacity-shares", "0.5,0.5", "comma-separated queue shares for -policy capacity")
-		mapSlots    = fs.Int("map-slots", 64, "cluster map slots")
-		reduceSlots = fs.Int("reduce-slots", 64, "cluster reduce slots")
-		slowstart   = fs.Float64("slowstart", 0.05, "fraction of maps completed before reduces launch")
-		at          = fs.Float64("at", 0.5, "branch point as a fraction of the replay's total events (0..1)")
-		policies    = fs.String("policies", "", "comma-separated policies to swap to at the branch point, one branch each")
-		ddlScales   = fs.String("deadline-scale", "", "comma-separated factors: rescale un-arrived jobs' deadlines, one branch each")
-		workers     = fs.Int("workers", 0, "concurrent branches (0 = one per CPU)")
-		explain     = fs.Bool("explain", false, "attribute every branch causally and diff it against the control (where did each job's time move, which deadline misses were fixed or introduced)")
-		topK        = fs.Int("top", 5, "with -explain: per-branch rows in the diff tables")
-		debugAddr   = fs.String("debug-addr", "", "serve Prometheus /metrics (incl. fork counters), expvar, and pprof on this address")
+		at        = fs.Float64("at", 0.5, "branch point as a fraction of the replay's total events (0..1)")
+		policies  = fs.String("policies", "", "comma-separated policies to swap to at the branch point, one branch each")
+		ddlScales = fs.String("deadline-scale", "", "comma-separated factors: rescale un-arrived jobs' deadlines, one branch each")
+		workers   = fs.Int("workers", 0, "concurrent branches (0 = one per CPU)")
+		explain   = fs.Bool("explain", false, "attribute every branch causally and diff it against the control (where did each job's time move, which deadline misses were fixed or introduced)")
+		topK      = fs.Int("top", 5, "with -explain: per-branch rows in the diff tables")
 	)
+	rf := addReplayFlags(fs) // -policy is the baseline the branches depart from
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *at < 0 || *at > 1 {
 		return fmt.Errorf("-at %g: branch point must be in [0, 1]", *at)
 	}
-	var tel *simmr.Telemetry
-	if *debugAddr != "" {
-		var err error
-		tel, err = startDebugServer(*debugAddr)
-		if err != nil {
-			return err
-		}
-	}
-	stopLoad := tel.Span("load")
-	tr, err := loadTrace(*tracePath, *dbDir, *dbName)
-	stopLoad()
+	tel, tr, err := rf.open()
 	if err != nil {
 		return err
 	}
-	mkPolicy := func() (simmr.Policy, error) { return policyByName(*policyName, *shares) }
+	mkPolicy := rf.policy
 	if _, err := mkPolicy(); err != nil {
 		return err
 	}
@@ -64,7 +46,7 @@ func runTraceWhatif(args []string) error {
 	if *policies != "" {
 		for _, name := range strings.Split(*policies, ",") {
 			name = strings.TrimSpace(name)
-			p, err := policyByName(name, *shares)
+			p, err := policyByName(name, *rf.shares)
 			if err != nil {
 				return err
 			}
@@ -98,20 +80,16 @@ func runTraceWhatif(args []string) error {
 		}
 	}
 
-	cfg := simmr.ReplayConfig{
-		MapSlots:               *mapSlots,
-		ReduceSlots:            *reduceSlots,
-		MinMapPercentCompleted: *slowstart,
-	}
+	cfg := rf.config()
 	// One plain replay prices the trace in events, so -at can be a
 	// fraction instead of an opaque event count.
 	stopRef := tel.Span("build")
 	refPolicy, _ := mkPolicy()
 	ref, err := simmr.Replay(cfg, tr, refPolicy)
+	stopRef()
 	if err != nil {
 		return err
 	}
-	stopRef()
 	branchEvents := uint64(*at * float64(ref.Events))
 
 	// With -explain, one attribution sink observes the shared prefix and
@@ -121,11 +99,7 @@ func runTraceWhatif(args []string) error {
 	var attrPrefix *simmr.AttrSink
 	var branchAttr []*simmr.AttrSink
 	if *explain {
-		attrPrefix = simmr.NewAttrSink(simmr.AttrOptions{
-			MapSlots:    *mapSlots,
-			ReduceSlots: *reduceSlots,
-			Trace:       tr,
-		})
+		attrPrefix = simmr.NewAttrSink(simmr.AttrOptions{MapSlots: cfg.MapSlots, ReduceSlots: cfg.ReduceSlots, Trace: tr})
 		cfg.Sink = attrPrefix
 		branchAttr = make([]*simmr.AttrSink, len(branches))
 		for i := range branches {
@@ -138,6 +112,10 @@ func runTraceWhatif(args []string) error {
 		}
 	}
 
+	// With the debug server up the fan-out shows on its ops plane: /runs
+	// has phases prefix -> branches, each branch carrying a forked
+	// flight recorder.
+	o := opsOptions(tel, nil)
 	bcfg := simmr.BranchSetConfig{
 		Config:        cfg,
 		Trace:         tr,
@@ -145,13 +123,8 @@ func runTraceWhatif(args []string) error {
 		BranchEvents:  branchEvents,
 		Workers:       *workers,
 		Telemetry:     tel,
-	}
-	if tel != nil {
-		// Surface the fan-out on the debug server's ops plane: /runs
-		// shows phases prefix -> branches, each branch carrying a
-		// forked flight recorder.
-		bcfg.Runs = simmr.DefaultRuns()
-		bcfg.Flight = -1
+		Runs:          o.Runs,
+		Flight:        o.Flight,
 	}
 	stopRun := tel.Span("run")
 	results, err := simmr.BranchSet(context.Background(), bcfg, branches)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -32,7 +33,7 @@ func main() {
 		simmr.NewCapacity([]float64{0.6, 0.3, 0.1}),
 		simmr.NewMaxEDF(), // without deadlines this degrades to FIFO order
 	}
-	// One ReplayBatch call replays all four policies concurrently on a
+	// One ReplayBatchCfg call replays all four policies concurrently on a
 	// worker pool. Every spec shares the same trace: the engine treats
 	// traces as read-only, so no clones are needed, and results come
 	// back in spec order.
@@ -40,7 +41,7 @@ func main() {
 	for i, p := range policies {
 		specs[i] = simmr.ReplaySpec{Name: p.Name(), Trace: tr, Policy: p}
 	}
-	results, err := simmr.ReplayBatch(specs)
+	results, err := simmr.ReplayBatchCfg(context.Background(), simmr.BatchConfig{}, specs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@
 //     (the map-stage barrier), down to a job arrival.
 //
 // One Sink per engine (the obs.Sink contract); use Collector to share
-// one aggregation point across a ReplayBatch or sweep.
+// one aggregation point across a ReplayBatchCfg or sweep.
 package attr
 
 import (
@@ -1058,7 +1058,7 @@ func copyJobState(dst, src *jobState) {
 }
 
 // Collector hands out one attribution sink per engine and merges the
-// finished explanations — the shared aggregation point for ReplayBatch
+// finished explanations — the shared aggregation point for ReplayBatchCfg
 // and sweeps. Sink() is safe for concurrent calls (obs.SinkFactory
 // contract), as is the merge each sink performs at its RunEnd.
 type Collector struct {

@@ -319,7 +319,7 @@ func TestDeadlineAndRootCause(t *testing.T) {
 }
 
 // TestCollectorSharedAcrossRuns exercises the factory/merge path
-// serially (the -race ReplayBatch test lives in pkg/simmr).
+// serially (the -race ReplayBatchCfg test lives in pkg/simmr).
 func TestCollectorSharedAcrossRuns(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(40, rand.New(rand.NewSource(5)))
 	if err != nil {

@@ -60,7 +60,7 @@ func fixture(jobs int) *simmr.Trace {
 // Replay measures whole-trace replay on a shared trace: events/sec
 // throughput and — via ReportAllocs — the steady-state allocations per
 // replay. It replays through a ReplayPool, the same engine-reuse path
-// CapacitySweep and ReplayBatch use, so after the first iteration the
+// CapacitySweep and ReplayBatchCfg use, so after the first iteration the
 // engine's jobs slab and the queue's event slab are fully recycled and
 // allocs/op reflects the pooled steady state, not cold construction.
 func Replay(b *testing.B) { pooledReplay(b, nil) }

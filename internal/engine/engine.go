@@ -167,7 +167,7 @@ func (o *JobOutcome) ExceededDeadline() bool {
 }
 
 // Result is the outcome of one replay. A Result returned by Run (and
-// by everything built on it: Pool.Run, simmr.Replay, ReplayBatch) is
+// by everything built on it: Pool.Run, simmr.Replay, ReplayBatchCfg) is
 // owned by the caller and never touched by the engine again. A Result
 // handed to a Pool.Fold callback is the engine's own scratch: it is
 // valid only until the callback returns, and nothing reached through
@@ -1246,7 +1246,7 @@ type Pool struct {
 }
 
 // Shared is the process-wide pool behind every fan-out entry point
-// (CapacitySweep, ReplayBatch, BranchSet, the deadline sweeps): an
+// (CapacitySweep, ReplayBatchCfg, BranchSet, the deadline sweeps): an
 // engine armed for a trace by one call is still warm for the next call
 // of the session. What it may pin is bounded by Put.
 var Shared Pool

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync/atomic"
-	"time"
 
 	"simmr/internal/engine"
 	"simmr/internal/metrics"
 	"simmr/internal/parallel"
+	"simmr/internal/plan"
 	"simmr/internal/rcache"
 	"simmr/internal/sched"
 	"simmr/internal/synth"
@@ -212,60 +211,43 @@ func deadlineSweep(name string, cfg DeadlineSweepConfig, gen traceGen) (*Deadlin
 	}
 	engCfg := EngineConfig()
 	// A paper-scale sweep is 18 cells × 400 repetitions × 2 policies =
-	// 14,400 replays, each reduced to one number; the shared pool holds
-	// that to ~one engine per worker and runUtility folds in place.
-	pool := &engine.Shared
-	tel := cfg.Telemetry
-	if tel != nil {
-		tel.ExpectRuns(len(cells) * cfg.Repetitions * 2)
-		pool = pool.Observed(tel.PoolGet)
-	}
-	var cacheHits atomic.Uint64
-	points, err := parallel.MapProgress(context.Background(), 0, len(cells), cfg.Progress,
-		func(_ context.Context, i int) (DeadlineSweepPoint, error) {
-			c := cells[i]
-			var sumMax, sumMin float64
-			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(c.df*1000) ^ int64(c.meanIA)))
-			// One telemetry sink per cell, reused across the cell's
-			// replays: the cell runs on a single worker goroutine, so
-			// the sink stays single-goroutine while writing its own
-			// registry shard.
-			cellCfg := engCfg
-			if tel != nil {
-				cellCfg.Sink = tel.EngineSink()
-			}
-			for rep := 0; rep < cfg.Repetitions; rep++ {
-				tr, baselines := gen(rep, rng, c.meanIA)
-				assignDeadlines(tr, baselines, c.df, rng)
-				tr.Normalize()
+	// 14,400 replays, each reduced to one number: the plan holds that to
+	// ~one pooled engine per worker and runUtility folds in place.
+	p := plan.Begin(plan.Options{Progress: cfg.Progress, Telemetry: cfg.Telemetry, Cache: cfg.Cache},
+		plan.Run{Replays: len(cells) * cfg.Repetitions * 2})
+	points := make([]DeadlineSweepPoint, len(cells))
+	err := p.End(p.Each(context.Background(), len(cells), func(i int) error {
+		c := cells[i]
+		var sumMax, sumMin float64
+		rng := rand.New(rand.NewSource(cfg.Seed ^ int64(c.df*1000) ^ int64(c.meanIA)))
+		for rep := 0; rep < cfg.Repetitions; rep++ {
+			tr, baselines := gen(rep, rng, c.meanIA)
+			assignDeadlines(tr, baselines, c.df, rng)
+			tr.Normalize()
 
-				maxVal, err := runUtility(pool, tel, cfg.Cache, &cacheHits, cellCfg, tr, sched.MaxEDF{})
-				if err != nil {
-					return DeadlineSweepPoint{}, fmt.Errorf("experiments: %s MaxEDF: %w", name, err)
-				}
-				minVal, err := runUtility(pool, tel, cfg.Cache, &cacheHits, cellCfg, tr, sched.MinEDF{})
-				if err != nil {
-					return DeadlineSweepPoint{}, fmt.Errorf("experiments: %s MinEDF: %w", name, err)
-				}
-				sumMax += maxVal
-				sumMin += minVal
+			maxVal, err := runUtility(p, engCfg, tr, sched.MaxEDF{})
+			if err != nil {
+				return fmt.Errorf("experiments: %s MaxEDF: %w", name, err)
 			}
-			return DeadlineSweepPoint{
-				DeadlineFactor:   c.df,
-				InterArrivalMean: c.meanIA,
-				MaxEDF:           sumMax / float64(cfg.Repetitions),
-				MinEDF:           sumMin / float64(cfg.Repetitions),
-			}, nil
-		})
+			minVal, err := runUtility(p, engCfg, tr, sched.MinEDF{})
+			if err != nil {
+				return fmt.Errorf("experiments: %s MinEDF: %w", name, err)
+			}
+			sumMax += maxVal
+			sumMin += minVal
+		}
+		points[i] = DeadlineSweepPoint{
+			DeadlineFactor:   c.df,
+			InterArrivalMean: c.meanIA,
+			MaxEDF:           sumMax / float64(cfg.Repetitions),
+			MinEDF:           sumMin / float64(cfg.Repetitions),
+		}
+		return nil
+	}))
 	if err != nil {
 		return nil, err
 	}
-	if h := cacheHits.Load(); h > 0 && tel != nil {
-		// Cached replays never fire a sink RunEnd; rebalance the
-		// expected-run count so the expvar "done" counter converges.
-		tel.ExpectRuns(-int(h))
-	}
-	return &DeadlineSweepResult{Name: name, Config: cfg, Points: points, CacheHits: cacheHits.Load()}, nil
+	return &DeadlineSweepResult{Name: name, Config: cfg, Points: points, CacheHits: p.Hits()}, nil
 }
 
 // assignDeadlines draws each job's deadline uniformly in [T_J, df·T_J]
@@ -280,35 +262,12 @@ func assignDeadlines(tr *trace.Trace, baselines []float64, df float64, rng *rand
 	}
 }
 
-// runUtility replays the trace on a pooled engine and folds the outcome
-// into the relative-deadline-exceeded utility while the engine still
-// owns it. The engine treats the trace as read-only, so back-to-back
-// replays need no clone. With a cache the replay is memoized: a hit
-// skips the engine (and per-replay telemetry — the caller rebalances
-// ExpectRuns by the hit count). tel, cache and hits may be nil.
-func runUtility(pool *engine.Pool, tel *telemetry.SimMetrics, cache *rcache.Cache, hits *atomic.Uint64, cfg engine.Config, tr *trace.Trace, policy sched.Policy) (float64, error) {
-	// A fresh keyer per replay: the sweeps re-draw deadlines in place.
-	key, keyOK := cache.Keyer(tr).Key(cfg, policy)
-	if keyOK {
-		if res, ok := cache.Get(key); ok {
-			hits.Add(1)
-			return utility(res), nil
-		}
-	}
-	var start time.Time
-	if tel != nil {
-		start = time.Now()
-	}
-	var util float64
-	err := pool.Fold(cfg, tr, policy, func(res *engine.Result) {
-		if keyOK {
-			cache.Put(key, res)
-		}
-		if tel != nil {
-			tel.ReplayDone(time.Since(start), res.Events)
-		}
-		util = utility(res)
-	})
+// runUtility is one replay of plan p folded into the relative-deadline-
+// exceeded utility while the pooled engine still owns the outcome (or
+// read off the cached one). The engine treats the trace as read-only,
+// so back-to-back replays need no clone.
+func runUtility(p *plan.Plan, cfg engine.Config, tr *trace.Trace, policy sched.Policy) (util float64, err error) {
+	_, err = p.Replay(cfg, tr, policy, plan.Cell{}, func(res *engine.Result) { util = utility(res) })
 	return util, err
 }
 

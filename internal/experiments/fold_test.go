@@ -9,6 +9,7 @@ import (
 
 	"simmr/internal/engine"
 	"simmr/internal/metrics"
+	"simmr/internal/plan"
 	"simmr/internal/sched"
 	"simmr/internal/synth"
 	"simmr/pkg/simmr"
@@ -38,12 +39,12 @@ func TestUtilityFoldMatchesMetrics(t *testing.T) {
 	if got := utility(res); got != want {
 		t.Fatalf("utility fold = %v, metrics.RelativeDeadlineExceeded = %v", got, want)
 	}
-	viaFold, err := runUtility(&engine.Shared, nil, nil, nil, engine.Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}, tr, sched.MaxEDF{})
+	viaFold, err := runUtility(plan.Begin(plan.Options{}, plan.Run{}), engine.Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}, tr, sched.MaxEDF{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaFold != want {
-		t.Fatalf("runUtility on the shared pool = %v, want %v", viaFold, want)
+		t.Fatalf("runUtility on a bare plan = %v, want %v", viaFold, want)
 	}
 }
 

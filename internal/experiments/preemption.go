@@ -6,8 +6,7 @@ import (
 	"io"
 	"math/rand"
 
-	"simmr/internal/engine"
-	"simmr/internal/parallel"
+	"simmr/internal/plan"
 	"simmr/internal/sched"
 	"simmr/internal/trace"
 )
@@ -47,8 +46,10 @@ func AblationPreemption(repetitions int, seed int64) (*PreemptionResult, error) 
 	// workloads, and the pool templates are shared read-only.
 	rates := []float64{10, 100, 1000}
 	variants := []bool{false, true}
-	utils, err := parallel.Map(context.Background(), 0, len(rates)*len(variants),
-		func(_ context.Context, i int) (float64, error) {
+	p := plan.Begin(plan.Options{}, plan.Run{Replays: len(rates) * len(variants) * repetitions})
+	utils := make([]float64, len(rates)*len(variants))
+	err = p.End(p.Each(context.Background(), len(utils),
+		func(i int) error {
 			meanIA := rates[i/len(variants)]
 			cfg := EngineConfig()
 			cfg.PreemptMapTasks = variants[i%len(variants)]
@@ -66,14 +67,15 @@ func AblationPreemption(repetitions int, seed int64) (*PreemptionResult, error) 
 				}
 				assignDeadlines(tr, tjs, 1, rng) // df = 1: the bump regime
 				tr.Normalize()
-				util, err := runUtility(&engine.Shared, nil, nil, nil, cfg, tr, sched.MaxEDF{})
+				util, err := runUtility(p, cfg, tr, sched.MaxEDF{})
 				if err != nil {
-					return 0, err
+					return err
 				}
 				sum += util
 			}
-			return sum / float64(repetitions), nil
-		})
+			utils[i] = sum / float64(repetitions)
+			return nil
+		}))
 	if err != nil {
 		return nil, err
 	}

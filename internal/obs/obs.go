@@ -25,7 +25,7 @@
 //     in handled order, contiguous with the previous delivery, and valid
 //     only during the call.
 //   - One sink per engine. Sinks are not required to be safe for
-//     concurrent use; under parallel fan-out (ReplayBatch,
+//     concurrent use; under parallel fan-out (ReplayBatchCfg,
 //     CapacitySweep) every engine must own its own sink instance,
 //     built via a SinkFactory.
 //
@@ -152,7 +152,7 @@ type Sink interface {
 }
 
 // SinkFactory builds one sink per engine. Parallel entry points
-// (CapacitySweep, ReplayBatch) call it once per concurrent run from the
+// (CapacitySweep, ReplayBatchCfg) call it once per concurrent run from the
 // worker goroutine, so the factory itself must be safe for concurrent
 // calls, while the sinks it returns need not be.
 type SinkFactory func() Sink

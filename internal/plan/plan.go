@@ -1,0 +1,358 @@
+// Package plan is the one path every replay takes. A replay started by
+// the library or the CLI — a single replay, a capacity-sweep cell, a
+// batch spec, a what-if branch, a Figure 7/8 repetition — is a cell of
+// a Plan, and the plan owns everything that is not the caller's own
+// arithmetic:
+//
+//	key → lookup → observe → run-or-fold → store → account
+//
+// in two layers. Begin / Each / End is the fan-out: run registration,
+// the telemetry announcement, the worker pool, and on every exit the
+// rebalance. Replay (Branch for a what-if cell) is the per-replay step
+// inside a cell. The entry points in pkg/simmr, internal/experiments
+// and cmd/simmr generate cells and reduce results; none of them touches
+// the cache, the run registry, a flight recorder, the telemetry
+// registry or the engine pool (`make verify` greps for it). The
+// contract — who takes the digest, when sinks are built, what a hit
+// skips, the rebalance rule, the phase names, what a branch cell varies
+// — is DESIGN.md §7 "The run plan"; TestPlanContract checks it.
+package plan
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"simmr/internal/engine"
+	"simmr/internal/obs"
+	"simmr/internal/parallel"
+	"simmr/internal/rcache"
+	"simmr/internal/runs"
+	"simmr/internal/sched"
+	"simmr/internal/telemetry"
+	"simmr/internal/trace"
+)
+
+// Options are the six cross-cutting knobs, declared here once. Every
+// entry point converts its public config to this value in one
+// expression; a zero Options is a bare fan-out on one worker per CPU.
+type Options struct {
+	// Workers bounds concurrent cells: 0 means one per CPU, 1 is serial.
+	Workers int
+	// Progress receives bounded-rate (done cells, total cells) callbacks.
+	Progress parallel.ProgressFunc
+	// Telemetry records every simulated replay into the sharded registry.
+	Telemetry *telemetry.SimMetrics
+	// Runs registers the plan in the ops-plane run registry.
+	Runs *runs.Registry
+	// Flight, with Runs, is the ring size of each simulated replay's
+	// flight recorder (-1: the default size; 0: none).
+	Flight int
+	// Cache memoizes keyed replays.
+	Cache *rcache.Cache
+}
+
+// Run is what a plan registers as: the identity /runs shows, the traces
+// known up front, and how many replays it announces.
+type Run struct {
+	Kind runs.Kind
+	// Policy is named in the identity when one policy is statically known.
+	Policy sched.Policy
+	// Config fingerprints the entry point's configuration.
+	Config string
+	// Traces lists every trace the cells will replay, as far as known
+	// before the fan-out (repeats allowed). When they are all one trace
+	// the identity carries its name and digest.
+	Traces []*trace.Trace
+	// Replays is the number of Replay/Branch calls of a plan that runs
+	// to completion.
+	Replays int
+}
+
+// Plan is one executing run plan.
+type Plan struct {
+	Options
+	run     *runs.Handle
+	pool    *engine.Pool
+	replays int
+	digests map[*trace.Trace]uint64
+	// single marks One's registered plan: progress and run totals come
+	// from the run handle's engine hook, not from cell completions.
+	single bool
+
+	hits, simulated atomic.Int64
+
+	// The sealed prefix of a branch set (Prefix): every Branch cell
+	// forks from snap, continues a Fork of prefixRec, and inherited
+	// baseline events.
+	snap      *engine.Snapshot
+	prefixRec *obs.FlightRecorder
+	baseline  uint64
+}
+
+// Begin starts a plan: digests, run registration, the telemetry
+// announcement. Every Begin is paired with one End.
+func Begin(o Options, r Run) *Plan {
+	p := &Plan{Options: o, pool: &engine.Shared, replays: r.Replays}
+	if o.Runs != nil || o.Cache != nil {
+		p.digests = make(map[*trace.Trace]uint64, 1)
+		for _, tr := range r.Traces {
+			if _, seen := p.digests[tr]; !seen && tr != nil {
+				p.digests[tr] = tr.ContentHash()
+			}
+		}
+	}
+	if o.Runs != nil {
+		meta := runs.Meta{Kind: r.Kind, Config: r.Config}
+		if tr := sole(r.Traces); tr != nil {
+			meta.Trace, meta.TraceHash = tr.Name, fmt.Sprintf("%016x", p.digests[tr])
+		}
+		if r.Policy != nil {
+			meta.Policy = r.Policy.Name()
+		}
+		p.run = o.Runs.Begin(meta)
+		p.run.SetPhase("replay")
+	}
+	if o.Telemetry != nil {
+		o.Telemetry.ExpectRuns(r.Replays)
+		p.pool = p.pool.Observed(o.Telemetry.PoolGet)
+	}
+	return p
+}
+
+// sole returns the one trace every element names, or nil for none or a
+// mix (a batch over several traces registers anonymously).
+func sole(traces []*trace.Trace) *trace.Trace {
+	if len(traces) == 0 {
+		return nil
+	}
+	for _, tr := range traces[1:] {
+		if tr != traces[0] {
+			return nil
+		}
+	}
+	return traces[0]
+}
+
+// Each runs body(i) for every cell in [0, cells) on the worker pool;
+// body calls Replay or Branch for the cell's replays and writes its
+// reduced result where the caller keeps it. The lowest failing cell's
+// error is returned and the remaining cells are cancelled.
+func (p *Plan) Each(ctx context.Context, cells int, body func(i int) error) error {
+	return parallel.ForEachProgress(ctx, p.Workers, cells, p.run.ProgressFunc(p.Progress),
+		func(_ context.Context, i int) error { return body(i) })
+}
+
+// End settles the plan with the fan-out's outcome and returns it: the
+// rebalance, the "cached" phase, the run's End.
+func (p *Plan) End(err error) error {
+	p.Telemetry.ExpectRuns(int(p.simulated.Load()) - p.replays)
+	if err == nil && p.replays > 0 && p.hits.Load() == int64(p.replays) {
+		p.run.SetPhase("cached")
+	}
+	p.run.End(err)
+	return err
+}
+
+// Hits returns how many replays the cache has served so far.
+func (p *Plan) Hits() uint64 { return uint64(p.hits.Load()) }
+
+// Recording reports whether simulated cells carry a flight recorder —
+// the only time a cell's label is read, so a caller that formats labels
+// can skip it otherwise.
+func (p *Plan) Recording() bool { return p.run != nil && p.Flight != 0 }
+
+// Cell is what one replay brings besides its (config, trace, policy):
+// nothing in it outlives the Replay call.
+type Cell struct {
+	// Label names the replay's flight recorder.
+	Label string
+	// Sink, when set, builds the cell's own observer. It is called on
+	// the worker goroutine, and only if the replay will simulate.
+	Sink func() obs.Sink
+	// Keep hands the fold a Result of its own, as Pool.Run returns it,
+	// instead of lending the engine's, as Pool.Fold does. A hit's Result
+	// is the fold's to keep either way.
+	Keep bool
+	// Edit, on a Branch cell, mutates the paused fork before it runs.
+	Edit func(*engine.Engine) error
+}
+
+// Replay is the per-replay step: it replays tr under cfg (whose Sink is
+// ignored — see Cell.Sink) and pol, or serves the cached result, and
+// hands the outcome to fold. fold is not called when the replay fails.
+func (p *Plan) Replay(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Cell, fold func(*engine.Result)) (hit bool, err error) {
+	var key rcache.Key
+	var keyed bool
+	if p.Cache != nil && tr != nil {
+		digest, known := p.digests[tr]
+		if !known {
+			digest = tr.ContentHash()
+		}
+		if key, keyed = rcache.KeyFor(digest, cfg, pol); keyed {
+			if res, ok := p.Cache.Get(key); ok {
+				p.hits.Add(1)
+				p.run.AddCached(1)
+				p.run.AddJobs(uint64(len(res.Jobs)))
+				fold(res)
+				return true, nil
+			}
+		}
+	}
+
+	// Observe: the cell's sink, a recorder, the engine hook of a single
+	// replay and the telemetry sink, behind one flat Tee — and no Tee at
+	// all on a bare plan.
+	var sink obs.Sink
+	if c.Sink != nil {
+		sink = c.Sink()
+	}
+	var rec *obs.FlightRecorder
+	switch {
+	case p.prefixRec != nil:
+		rec = p.prefixRec.Fork()
+	case p.Recording():
+		rec = obs.NewFlightRecorder(p.Flight)
+	}
+	if rec != nil {
+		rec.SetLabel(c.Label)
+		p.run.AttachFlight(rec)
+		sink = obs.Tee(sink, rec)
+	}
+	if p.single {
+		sink = obs.Tee(sink, p.run.EngineHook())
+	}
+	var start time.Time
+	if tel := p.Telemetry; tel != nil {
+		sink = obs.Tee(sink, tel.EngineSink())
+		start = time.Now()
+	}
+
+	// Store and account, while a lent Result is still the engine's.
+	done := func(res *engine.Result) {
+		if rec != nil && missedDeadline(res) {
+			p.run.AddFlightDump(rec.Dump("deadline-miss"))
+		}
+		if keyed {
+			p.Cache.Put(key, res)
+		}
+		if tel := p.Telemetry; tel != nil {
+			tel.ReplayDone(time.Since(start), res.Events-p.baseline)
+		}
+		if !p.single {
+			p.run.AddEvents(res.Events - p.baseline)
+			p.run.AddJobs(uint64(len(res.Jobs)))
+		}
+		p.simulated.Add(1)
+		fold(res)
+	}
+
+	// Run or fold.
+	switch {
+	case p.snap != nil:
+		err = p.branch(sink, c.Edit, done)
+	case c.Keep:
+		cfg.Sink = sink
+		var res *engine.Result
+		if res, err = p.pool.Run(cfg, tr, pol); err == nil {
+			done(res)
+		}
+	default:
+		cfg.Sink = sink
+		err = p.pool.Fold(cfg, tr, pol, done)
+	}
+	if err != nil && rec != nil {
+		p.run.AddFlightDump(rec.Dump("error"))
+	}
+	return false, err
+}
+
+func missedDeadline(res *engine.Result) bool {
+	for i := range res.Jobs {
+		if res.Jobs[i].ExceededDeadline() {
+			return true
+		}
+	}
+	return false
+}
+
+// Prefix turns the plan into a branch set: it replays tr under cfg and
+// pol on an engine of its own for the given number of events (or to the
+// end of the replay), observed by cfg.Sink, the telemetry sink and a
+// prefix flight recorder, and seals it. Every cell after it is a Branch.
+// The prefix's events are added to the run once, here.
+func (p *Plan) Prefix(cfg engine.Config, tr *trace.Trace, pol sched.Policy, events uint64) error {
+	p.run.SetPhase("prefix")
+	if p.Recording() {
+		p.prefixRec = obs.NewFlightRecorder(p.Flight)
+		cfg.Sink = obs.Tee(cfg.Sink, p.prefixRec)
+	}
+	if tel := p.Telemetry; tel != nil {
+		cfg.Sink = obs.Tee(cfg.Sink, tel.EngineSink())
+	}
+	e, err := engine.New(cfg, tr, pol)
+	if err == nil {
+		_, err = e.RunEvents(events)
+	}
+	if err == nil {
+		p.snap, err = e.Snapshot()
+	}
+	if err != nil {
+		return err
+	}
+	p.baseline = p.snap.Events()
+	p.run.AddEvents(p.baseline)
+	p.run.SetPhase("branches")
+	return nil
+}
+
+// Branch is Replay for a cell of a branch set: armed by Pool.Fork from
+// the sealed prefix instead of Pool.Get, edited by c.Edit while paused,
+// recorded by a Fork of the prefix recorder, accounted for the events
+// beyond the prefix's. Branches are never keyed, and keep their Result.
+func (p *Plan) Branch(c Cell, fold func(*engine.Result)) error {
+	_, err := p.Replay(engine.Config{}, nil, nil, c, fold)
+	return err
+}
+
+// branch is the arm-edit-run variation of run-or-fold.
+func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error, done func(*engine.Result)) error {
+	f, err := p.pool.Fork(p.snap, engine.ForkOptions{Sink: sink})
+	if err != nil {
+		return err
+	}
+	if edit != nil {
+		err = edit(f)
+	}
+	var res *engine.Result
+	if err == nil {
+		res, err = f.Run()
+	}
+	if err != nil {
+		return err
+	}
+	st := f.ForkStats()
+	p.Telemetry.ForkDone(st.BytesCopied, st.BytesShared)
+	p.pool.Put(f)
+	done(res)
+	return nil
+}
+
+// One is the one-cell plan behind every single replay — ReplayCached
+// and the CLI's replay, `trace run` and `trace explain`: cfg.Sink is the
+// cell's sink (it does not fire on a hit), the Result is the caller's,
+// and live progress comes from the run handle's engine hook rather than
+// from cell completions.
+func One(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sched.Policy) (res *engine.Result, hit bool, err error) {
+	r := Run{Kind: kind, Policy: pol, Traces: []*trace.Trace{tr}, Replays: 1}
+	if o.Runs != nil {
+		r.Config = fmt.Sprintf("map_slots=%d reduce_slots=%d", cfg.MapSlots, cfg.ReduceSlots)
+	}
+	p := Begin(o, r)
+	p.single = p.run != nil
+	sink := cfg.Sink
+	hit, err = p.Replay(cfg, tr, pol, Cell{Label: string(kind), Keep: true, Sink: func() obs.Sink { return sink }},
+		func(r *engine.Result) { res = r })
+	return res, hit, p.End(err)
+}

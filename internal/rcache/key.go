@@ -6,9 +6,9 @@
 // invalidation protocol, because a key can only collide with an entry
 // computed from the same inputs ("invalidation by construction"). The
 // key is a 128-bit fingerprint over the trace's full-content digest
-// (trace.ContentHash — every duration entry, not the run registry's
-// boundary-sampled trace.Hash), a canonical binary encoding of the
-// engine.Config identity fields, the sched policy fingerprint, and
+// (trace.ContentHash — every duration entry; the run registry prints
+// the same digest as a run's trace_hash), a canonical binary encoding of
+// the engine.Config identity fields, the sched policy fingerprint, and
 // engine.SemanticsVersion; anything unfingerprintable (custom
 // policies, stateful policies, Capacity with a caller-supplied
 // QueueOf) bypasses the cache rather than risk a wrong hit.
@@ -27,7 +27,6 @@ import (
 
 	"simmr/internal/engine"
 	"simmr/internal/sched"
-	"simmr/internal/trace"
 )
 
 // keyVersion is folded into every key. Bump it whenever the entry
@@ -55,13 +54,14 @@ func (k Key) String() string {
 
 // KeyFor computes the content address for replaying tr (identified by
 // traceDigest = tr.ContentHash()) under cfg with policy p. ok is false
-// when the policy declines to fingerprint; callers must bypass the
-// cache then.
+// when the policy is nil or declines to fingerprint; callers must bypass
+// the cache then. The digest is an argument so that a fan-out takes it
+// once per distinct trace — the run plan does, and registers the same
+// value as the run's trace identity — however many replays key off it.
 //
-// The digest MUST be the full-content ContentHash, not the structural
-// tr.Hash(): the structural hash samples only the boundary entries of
-// each duration vector, so traces differing in interior task durations
-// — exactly what what-if perturbations produce — would collide and
+// The digest MUST cover every entry of every duration vector, as
+// ContentHash does: traces differing only in interior task durations —
+// exactly what what-if perturbations produce — must not collide and
 // serve each other's results.
 //
 // Config.Sink is deliberately excluded: sinks observe a replay, they
@@ -77,36 +77,6 @@ func KeyFor(traceDigest uint64, cfg engine.Config, p sched.Policy) (Key, bool) {
 		Hi: keyLane(0x9e3779b97f4a7c15, traceDigest, cfg, fp),
 		Lo: keyLane(0, traceDigest, cfg, fp),
 	}, true
-}
-
-// Keyer derives the keys of one trace's replays: the trace's
-// full-content digest — a walk over every job — is taken once, by
-// Cache.Keyer, and each Key call folds a (config, policy) pair into it.
-// Every entry point keys through here, so a fan-out hashes each
-// distinct trace once however many cells or specs replay it. The zero
-// Keyer keys nothing.
-type Keyer struct {
-	digest uint64
-	ok     bool
-}
-
-// Keyer returns tr's keyer under c. With a nil cache or a nil trace
-// nothing is hashed and every Key call reports ok=false — the same
-// bypass an unfingerprintable policy gets. The digest describes tr as
-// it is now: a caller that edits the trace in place takes a new Keyer.
-func (c *Cache) Keyer(tr *trace.Trace) Keyer {
-	if c == nil || tr == nil {
-		return Keyer{}
-	}
-	return Keyer{digest: tr.ContentHash(), ok: true}
-}
-
-// Key is KeyFor over the keyer's trace.
-func (k Keyer) Key(cfg engine.Config, p sched.Policy) (Key, bool) {
-	if !k.ok || p == nil {
-		return Key{}, false
-	}
-	return KeyFor(k.digest, cfg, p)
 }
 
 // keyLane is one FNV-1a pass over the canonical key material; lane
@@ -140,7 +110,7 @@ func keyLane(seed, traceDigest uint64, cfg engine.Config, policyFP uint64) uint6
 	return uint64(h)
 }
 
-// fnv64 is the FNV-1a accumulator idiom shared with trace.Hash.
+// fnv64 is the FNV-1a accumulator idiom shared with trace.ContentHash.
 type fnv64 uint64
 
 const (

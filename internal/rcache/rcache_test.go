@@ -70,31 +70,18 @@ func TestDecodeAllocsIndependentOfJobCount(t *testing.T) {
 	}
 }
 
-// Keyer is KeyFor with the digest taken once; a nil cache or trace
-// keys nothing and hashes nothing.
-func TestKeyerMatchesKeyFor(t *testing.T) {
-	tr, err := synth.ProductionTrace(20, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
+// A policy that is nil or declines to fingerprint has no key: its
+// replays bypass the cache.
+func TestKeyForBypasses(t *testing.T) {
 	cfg := engine.DefaultConfig()
-	want, _ := KeyFor(tr.ContentHash(), cfg, sched.MaxEDF{})
-	keyer := New(Options{}).Keyer(tr)
-	if got, ok := keyer.Key(cfg, sched.MaxEDF{}); !ok || got != want {
-		t.Fatalf("Keyer.Key = %v, %v; KeyFor = %v", got, ok, want)
+	if _, ok := KeyFor(1, cfg, sched.MaxEDF{}); !ok {
+		t.Fatal("a built-in stateless policy must key")
 	}
-	if _, ok := keyer.Key(cfg, sched.NewDynamicPriority(nil, nil)); ok {
+	if _, ok := KeyFor(1, cfg, sched.NewDynamicPriority(nil, nil)); ok {
 		t.Fatal("an unfingerprintable policy must not key")
 	}
-	if _, ok := keyer.Key(cfg, nil); ok {
+	if _, ok := KeyFor(1, cfg, nil); ok {
 		t.Fatal("a nil policy must not key")
-	}
-	var none *Cache
-	if _, ok := none.Keyer(tr).Key(cfg, sched.MaxEDF{}); ok {
-		t.Fatal("a nil cache must not key")
-	}
-	if _, ok := New(Options{}).Keyer(nil).Key(cfg, sched.MaxEDF{}); ok {
-		t.Fatal("a nil trace must not key")
 	}
 }
 

@@ -46,8 +46,8 @@ var Kinds = []Kind{KindReplay, KindSweep, KindBatch, KindBranch, KindAttr}
 // Meta is the immutable identity a run registers with.
 type Meta struct {
 	Kind Kind
-	// Trace names the input trace; TraceHash is its content
-	// fingerprint (trace.Hash, formatted by the caller).
+	// Trace names the input trace; TraceHash is its content digest
+	// (trace.ContentHash as %016x — the digest cache keys are built from).
 	Trace     string
 	TraceHash string
 	// Policy names the scheduling policy; Config fingerprints the
@@ -212,14 +212,6 @@ func (h *Handle) AddCached(n uint64) {
 		return
 	}
 	h.cached.Add(n)
-}
-
-// Cached returns the number of cache-served sub-runs so far.
-func (h *Handle) Cached() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.cached.Load()
 }
 
 // End retires the run: nil err means OutcomeOK, context cancellation

@@ -36,7 +36,7 @@ func FingerprintOf(p Policy) (uint64, bool) {
 	return f.Fingerprint()
 }
 
-// fp64 is a FNV-1a accumulator, the same idiom trace.Hash uses.
+// fp64 is a FNV-1a accumulator, the same idiom trace.ContentHash uses.
 type fp64 uint64
 
 const (

@@ -28,53 +28,22 @@ func (h fnv64) str(s string) fnv64 {
 	return h.u64(uint64(len(s)))
 }
 
-// Hash returns a stable 64-bit identity fingerprint of the trace: the
-// name, every job's (ID, arrival, deadline), and each job's template
-// shape (app, dataset, task counts) plus the boundary durations of its
-// duration vectors. It is the run registry's trace identity — two
-// loads of the same trace file hash equal, and edits to arrival times,
-// deadlines, task counts, or endpoints of the duration profile change
-// it. It deliberately skips the interior of the per-task duration
-// vectors so fingerprinting a memory-mapped million-job trace does not
-// fault in every column page; it is not a cryptographic digest (the
-// `.strc` store carries real CRCs for integrity).
-func (t *Trace) Hash() uint64 {
-	h := fnv64(fnvOffset).str(t.Name).u64(uint64(len(t.Jobs)))
-	for _, j := range t.Jobs {
-		h = h.u64(uint64(j.ID)).f64(j.Arrival).f64(j.Deadline)
-		tpl := j.Template
-		if tpl == nil {
-			h = h.u64(0)
-			continue
-		}
-		h = h.str(tpl.AppName).str(tpl.Dataset).
-			u64(uint64(tpl.NumMaps)).u64(uint64(tpl.NumReduces))
-		for _, col := range [][]float64{
-			tpl.MapDurations, tpl.FirstShuffle, tpl.TypicalShuffle, tpl.ReduceDurations,
-		} {
-			h = h.u64(uint64(len(col)))
-			if n := len(col); n > 0 {
-				h = h.f64(col[0]).f64(col[n-1])
-			}
-		}
-	}
-	return uint64(h)
-}
-
-// ContentHash returns a full-content 64-bit digest of the trace: every
-// field Hash covers plus EVERY entry of every per-task duration vector.
-// This is the cache-keying digest (internal/rcache): Hash's boundary
-// sampling is fine for run-registry identity but fatal for memoization,
-// because two traces differing only in interior task durations —
-// exactly what a what-if perturbation or trace edit produces — would
-// share a key and silently serve each other's results. The expensive
-// part — walking every duration entry — is memoized per Template
-// (durations are immutable once hashed, the same contract as the
-// template's profile cache; what-if scaling builds new Templates and
-// transforms touch only Job-level fields), so after the first call
-// over a template set the cost is O(jobs), matching Hash. Per-job
-// fields (arrival, deadline) are always folded fresh, so in-place
-// edits like StripIdle or deadline reassignment still re-key.
+// ContentHash returns a full-content 64-bit digest of the trace: the
+// name, every job's (ID, arrival, deadline), each job's template shape
+// (app, dataset, task counts) and EVERY entry of every per-task
+// duration vector. It is the trace's one identity: the replay result
+// cache keys on it (internal/rcache) and the run registry prints it as
+// a run's trace_hash, so two traces differing only in interior task
+// durations — exactly what a what-if perturbation or trace edit
+// produces — never share a key or a name. It is not a cryptographic
+// digest (the `.strc` store carries real CRCs for integrity). The
+// expensive part — walking every duration entry — is memoized per
+// Template (durations are immutable once hashed, the same contract as
+// the template's profile cache; what-if scaling builds new Templates
+// and transforms touch only Job-level fields), so after the first call
+// over a template set the cost is O(jobs). Per-job fields (arrival,
+// deadline) are always folded fresh, so in-place edits like StripIdle
+// or deadline reassignment still re-key.
 func (t *Trace) ContentHash() uint64 {
 	h := fnv64(fnvOffset).str(t.Name).u64(uint64(len(t.Jobs)))
 	for _, j := range t.Jobs {

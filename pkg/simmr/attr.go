@@ -35,7 +35,7 @@ type (
 	// free-slot blame, trace for names and deadlines).
 	AttrOptions = attr.Options
 	// AttrCollector shares attribution across sequential runs (its
-	// Sink method is a SinkFactory for ReplayBatch-style fan-outs).
+	// Sink method is a SinkFactory for ReplayBatchCfg-style fan-outs).
 	AttrCollector = attr.Collector
 	// AttrReport is a finished run's full attribution: per-job
 	// explanations, deadline-miss root causes, and the critical path.

@@ -20,7 +20,7 @@ func checkAttrConservation(t *testing.T, exps []Explanation, label string) {
 	}
 }
 
-// One AttrCollector shared across a concurrent ReplayBatch: each spec
+// One AttrCollector shared across a concurrent ReplayBatchCfg: each spec
 // gets its own sink from the collector (obs.Sink is single-goroutine),
 // the collector aggregates finished runs under its own lock, and the
 // conservation contract holds for every run. Run under -race by `make
@@ -48,7 +48,7 @@ func TestAttrCollectorSharedAcrossBatch(t *testing.T) {
 			Policy: p,
 		}
 	}
-	results, err := ReplayBatch(specs)
+	results, err := ReplayBatchCfg(context.Background(), BatchConfig{}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,18 +3,15 @@ package simmr
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"simmr/internal/engine"
 	"simmr/internal/obs"
-	"simmr/internal/parallel"
-	"simmr/internal/rcache"
+	"simmr/internal/plan"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 )
 
-// ReplaySpec is one unit of a ReplayBatch: a trace replayed under a
+// ReplaySpec is one unit of a ReplayBatchCfg: a trace replayed under a
 // policy and engine configuration. The zero-value Config means
 // DefaultReplayConfig (Config.Sink may be set on an otherwise-zero
 // Config without losing the defaults); a nil Policy means FIFO. Traces
@@ -30,29 +27,6 @@ type ReplaySpec struct {
 	// (all built-ins except DynamicPriority are); give each spec its own
 	// instance otherwise.
 	Policy Policy
-}
-
-// ReplayBatch replays N independent simulations — any mix of traces,
-// policies, and configurations — concurrently on a bounded worker pool
-// (one worker per CPU). Results come back in spec order, identical to
-// running each spec serially; the first failing spec's error (lowest
-// index) is returned.
-func ReplayBatch(specs []ReplaySpec) ([]*ReplayResult, error) {
-	return ReplayBatchCtx(context.Background(), 0, specs)
-}
-
-// ReplayBatchCtx is ReplayBatch with an explicit worker bound
-// (0 = one per CPU, 1 = serial) and cancellation.
-func ReplayBatchCtx(ctx context.Context, workers int, specs []ReplaySpec) ([]*ReplayResult, error) {
-	return ReplayBatchProgress(ctx, workers, nil, specs)
-}
-
-// ReplayBatchProgress is ReplayBatchCtx with bounded-rate completion
-// reporting: progress (when non-nil) receives (done specs, total
-// specs) callbacks from the worker pool under the parallel package's
-// rate-limit contract.
-func ReplayBatchProgress(ctx context.Context, workers int, progress ProgressFunc, specs []ReplaySpec) ([]*ReplayResult, error) {
-	return ReplayBatchCfg(ctx, BatchConfig{Workers: workers, Progress: progress}, specs)
 }
 
 // BatchConfig parameterizes ReplayBatchCfg beyond the specs themselves.
@@ -80,119 +54,46 @@ type BatchConfig struct {
 	Cache *Cache
 }
 
-// ReplayBatchCfg is the fully configurable batch entry point; the other
-// ReplayBatch variants are shorthands for it.
+// ReplayBatchCfg replays N independent simulations — any mix of traces,
+// policies, and configurations — concurrently on a bounded worker pool.
+// Results come back in spec order, identical to running each spec
+// serially; the first failing spec's error (lowest index) is returned.
 func ReplayBatchCfg(ctx context.Context, bcfg BatchConfig, specs []ReplaySpec) ([]*ReplayResult, error) {
+	traces := make([]*Trace, len(specs))
 	for i := range specs {
 		if specs[i].Trace == nil || len(specs[i].Trace.Jobs) == 0 {
 			return nil, fmt.Errorf("simmr: replay batch spec %d (%s): %w", i, specName(&specs[i]), ErrEmptyWorkload)
 		}
+		traces[i] = specs[i].Trace
 	}
-	// Specs run on the process-wide engine pool: the batch holds ~one
-	// engine per worker regardless of how many specs it replays, and
-	// finds them warm when the session replayed these traces before.
-	// Each spec's Result is the caller's to keep, so this is Run, not Fold.
-	pool := &engine.Shared
-	tel := bcfg.Telemetry
-	if tel != nil {
-		tel.ExpectRuns(len(specs))
-		pool = pool.Observed(tel.PoolGet)
-	}
-	// A batch replays few distinct traces under many configurations:
-	// each is hashed once, here, not once per spec on the workers.
-	var keyers map[*Trace]rcache.Keyer
-	if bcfg.Cache != nil {
-		keyers = make(map[*Trace]rcache.Keyer)
-		for i := range specs {
-			if _, seen := keyers[specs[i].Trace]; !seen {
-				keyers[specs[i].Trace] = bcfg.Cache.Keyer(specs[i].Trace)
-			}
-		}
-	}
-	run := beginRun(bcfg.Runs, runs.KindBatch, batchTrace(specs), nil,
-		fmt.Sprintf("specs=%d", len(specs)))
-	run.SetPhase("replay")
-	var hits atomic.Uint64
-	results, err := parallel.MapProgress(ctx, bcfg.Workers, len(specs), run.ProgressFunc(bcfg.Progress), func(_ context.Context, i int) (*ReplayResult, error) {
+	p := plan.Begin(
+		plan.Options{Workers: bcfg.Workers, Progress: bcfg.Progress, Telemetry: bcfg.Telemetry, Runs: bcfg.Runs, Flight: bcfg.Flight, Cache: bcfg.Cache},
+		plan.Run{Kind: runs.KindBatch, Traces: traces, Replays: len(specs), Config: fmt.Sprintf("specs=%d", len(specs))})
+	results := make([]*ReplayResult, len(specs))
+	err := p.End(p.Each(ctx, len(specs), func(i int) error {
 		spec := &specs[i]
-		cfg := spec.Config
 		// A spec that only sets an observability sink still gets the
 		// default cluster configuration.
-		sink := cfg.Sink
+		cfg := spec.Config
 		cfg.Sink = nil
 		if cfg == (ReplayConfig{}) {
 			cfg = engine.DefaultConfig()
 		}
-		cfg.Sink = sink
 		policy := spec.Policy
 		if policy == nil {
 			policy = sched.FIFO{}
 		}
-		// Consult the cache before claiming an engine (a cached spec
-		// never simulates, so its sinks do not fire).
-		key, keyOK := keyers[spec.Trace].Key(cfg, policy)
-		if keyOK {
-			if res, ok := bcfg.Cache.Get(key); ok {
-				hits.Add(1)
-				run.AddCached(1)
-				run.AddJobs(uint64(len(res.Jobs)))
-				return res, nil
-			}
+		// Each spec's Result is the caller's to keep.
+		pc := plan.Cell{Label: specName(spec), Keep: true, Sink: func() obs.Sink { return spec.Config.Sink }}
+		if _, err := p.Replay(cfg, spec.Trace, policy, pc, func(res *engine.Result) { results[i] = res }); err != nil {
+			return fmt.Errorf("simmr: replay batch spec %d (%s): %w", i, specName(spec), err)
 		}
-		rec, flightDone := runFlight(run, bcfg.Flight, specName(spec))
-		if rec != nil {
-			cfg.Sink = obs.Tee(cfg.Sink, rec)
-		}
-		var start time.Time
-		if tel != nil {
-			// Each spec's telemetry sink writes its own registry shard;
-			// Tee keeps a spec-provided sink observing too.
-			cfg.Sink = obs.Tee(cfg.Sink, tel.EngineSink())
-			start = time.Now()
-		}
-		res, err := pool.Run(cfg, spec.Trace, policy)
-		flightDone(res, err)
-		if err != nil {
-			return nil, fmt.Errorf("simmr: replay batch spec %d (%s): %w", i, specName(spec), err)
-		}
-		if keyOK {
-			bcfg.Cache.Put(key, res)
-		}
-		if tel != nil {
-			tel.ReplayDone(time.Since(start), res.Events)
-		}
-		run.AddEvents(res.Events)
-		run.AddJobs(uint64(len(res.Jobs)))
-		return res, nil
-	})
-	if h := hits.Load(); h > 0 {
-		// Cached specs never replayed: rebalance the expected-run count
-		// and mark a fully memoized batch with its own terminal phase.
-		if tel != nil {
-			tel.ExpectRuns(-int(h))
-		}
-		if err == nil && h == uint64(len(specs)) {
-			run.SetPhase("cached")
-		}
-	}
-	run.End(err)
-	return results, err
-}
-
-// batchTrace names a batch's workload for the run registry: the shared
-// trace when every spec replays the same one, nil (anonymous) for a
-// mixed batch.
-func batchTrace(specs []ReplaySpec) *Trace {
-	if len(specs) == 0 {
 		return nil
+	}))
+	if err != nil {
+		return nil, err
 	}
-	tr := specs[0].Trace
-	for i := 1; i < len(specs); i++ {
-		if specs[i].Trace != tr {
-			return nil
-		}
-	}
-	return tr
+	return results, nil
 }
 
 func specName(s *ReplaySpec) string {

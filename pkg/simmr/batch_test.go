@@ -126,7 +126,7 @@ func TestReplayBatch(t *testing.T) {
 		{Trace: trB, Policy: NewFair()},   // different trace
 		{Trace: trB, Config: ReplayConfig{MapSlots: 4, ReduceSlots: 4, MinMapPercentCompleted: 0.05}},
 	}
-	batch, err := ReplayBatch(specs)
+	batch, err := ReplayBatchCfg(context.Background(), BatchConfig{}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestReplayBatch(t *testing.T) {
 }
 
 func TestReplayBatchEmptySpec(t *testing.T) {
-	_, err := ReplayBatch([]ReplaySpec{{Name: "hollow", Trace: &Trace{}}})
+	_, err := ReplayBatchCfg(context.Background(), BatchConfig{}, []ReplaySpec{{Name: "hollow", Trace: &Trace{}}})
 	if !errors.Is(err, ErrEmptyWorkload) {
 		t.Fatalf("err = %v, want ErrEmptyWorkload", err)
 	}
@@ -163,7 +163,7 @@ func TestReplayBatchEmptySpec(t *testing.T) {
 func TestReplayBatchErrorIdentifiesSpec(t *testing.T) {
 	tr := sweepTrace()
 	bad := ReplayConfig{MapSlots: -1}
-	_, err := ReplayBatchCtx(context.Background(), 2, []ReplaySpec{
+	_, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 2}, []ReplaySpec{
 		{Trace: tr},
 		{Name: "broken", Trace: tr, Config: bad},
 	})

@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"simmr/internal/engine"
 	"simmr/internal/obs"
-	"simmr/internal/parallel"
+	"simmr/internal/plan"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 )
@@ -108,13 +107,11 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 	if len(branches) == 0 {
 		return nil, nil
 	}
-	mkPolicy := cfg.PolicyFactory
-	if mkPolicy == nil {
-		p := cfg.Policy
-		if p == nil {
-			p = sched.FIFO{}
-		}
-		mkPolicy = func() Policy { return p }
+	policy := cfg.Policy
+	if cfg.PolicyFactory != nil {
+		policy = cfg.PolicyFactory()
+	} else if policy == nil {
+		policy = sched.FIFO{}
 	}
 	ecfg := cfg.Config
 	sink := ecfg.Sink
@@ -124,121 +121,64 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 	}
 	ecfg.Sink = sink
 
-	tel := cfg.Telemetry
-	if tel != nil {
-		tel.ExpectRuns(len(branches))
-		ecfg.Sink = obs.Tee(ecfg.Sink, tel.EngineSink())
+	p := plan.Begin(
+		plan.Options{Workers: cfg.Workers, Progress: cfg.Progress, Telemetry: cfg.Telemetry, Runs: cfg.Runs, Flight: cfg.Flight},
+		plan.Run{Kind: runs.KindBranch, Policy: cfg.Policy, Traces: []*Trace{cfg.Trace}, Replays: len(branches),
+			Config: fmt.Sprintf("branches=%d branch_events=%d", len(branches), cfg.BranchEvents)})
+	// Shared prefix: one replay to the branch point, sealed.
+	if err := p.Prefix(ecfg, cfg.Trace, policy, cfg.BranchEvents); err != nil {
+		return nil, p.End(fmt.Errorf("simmr: branch set: prefix: %w", err))
 	}
-
-	run := beginRun(cfg.Runs, runs.KindBranch, cfg.Trace, cfg.Policy,
-		fmt.Sprintf("branches=%d branch_events=%d", len(branches), cfg.BranchEvents))
-	run.SetPhase("prefix")
-	fail := func(err error) ([]*ReplayResult, error) {
-		run.End(err)
+	results := make([]*ReplayResult, len(branches))
+	err := p.End(p.Each(ctx, len(branches), func(i int) error {
+		b := &branches[i]
+		pc := plan.Cell{Edit: b.apply, Sink: b.SinkFactory}
+		if pc.Sink == nil {
+			pc.Sink = func() obs.Sink { return b.Sink }
+		}
+		if p.Recording() {
+			pc.Label = branchName(b, i)
+		}
+		if err := p.Branch(pc, func(res *engine.Result) { results[i] = res }); err != nil {
+			return fmt.Errorf("simmr: branch %d (%s): %w", i, branchName(b, i), err)
+		}
+		return nil
+	}))
+	if err != nil {
 		return nil, err
 	}
-	// The prefix recorder observes the shared history once; each branch
-	// gets its own Fork() below, continuing from the sealed prefix the
-	// way attribution sinks do.
-	var prefixRec *obs.FlightRecorder
-	if run != nil && cfg.Flight != 0 {
-		prefixRec = obs.NewFlightRecorder(cfg.Flight)
-		ecfg.Sink = obs.Tee(ecfg.Sink, prefixRec)
-	}
+	return results, nil
+}
 
-	// Shared prefix: one replay to the branch point, sealed.
-	prefix, err := engine.New(ecfg, cfg.Trace, mkPolicy())
-	if err != nil {
-		return fail(fmt.Errorf("simmr: branch set: prefix: %w", err))
+// apply makes the branch's edits on its paused fork, in the documented
+// order: policy, deadlines, injected jobs, Mutate.
+func (b *WhatIf) apply(f *Engine) error {
+	if b.Policy != nil {
+		if err := f.SetPolicy(b.Policy); err != nil {
+			return err
+		}
 	}
-	if _, err := prefix.RunEvents(cfg.BranchEvents); err != nil {
-		return fail(fmt.Errorf("simmr: branch set: prefix: %w", err))
+	// Map iteration order is random; apply in ascending job ID so a
+	// branch is reproducible run to run.
+	ids := make([]int, 0, len(b.SetDeadlines))
+	for id := range b.SetDeadlines {
+		ids = append(ids, id)
 	}
-	snap, err := prefix.Snapshot()
-	if err != nil {
-		return fail(fmt.Errorf("simmr: branch set: %w", err))
+	sort.Ints(ids)
+	for _, id := range ids {
+		if err := f.SetDeadline(id, b.SetDeadlines[id]); err != nil {
+			return err
+		}
 	}
-	prefixEvents := snap.Events()
-	run.AddEvents(prefixEvents)
-	run.SetPhase("branches")
-
-	pool := &engine.Shared
-	if tel != nil {
-		pool = pool.Observed(tel.PoolGet)
+	for _, j := range b.InjectJobs {
+		if err := f.InjectJob(j); err != nil {
+			return err
+		}
 	}
-	results, err := parallel.MapProgress(ctx, cfg.Workers, len(branches), run.ProgressFunc(cfg.Progress), func(_ context.Context, i int) (*ReplayResult, error) {
-		b := &branches[i]
-		fail := func(err error) (*ReplayResult, error) {
-			return nil, fmt.Errorf("simmr: branch %d (%s): %w", i, branchName(b, i), err)
-		}
-		bsink := b.Sink
-		if b.SinkFactory != nil {
-			bsink = b.SinkFactory()
-		}
-		opts := engine.ForkOptions{Sink: bsink}
-		flightDone := func(*ReplayResult, error) {}
-		if prefixRec != nil {
-			var rec *obs.FlightRecorder
-			rec, flightDone = attachFlight(run, prefixRec.Fork(), branchName(b, i))
-			opts.Sink = obs.Tee(opts.Sink, rec)
-		}
-		var start time.Time
-		if tel != nil {
-			opts.Sink = obs.Tee(opts.Sink, tel.EngineSink())
-			start = time.Now()
-		}
-		f, err := pool.Fork(snap, opts)
-		if err != nil {
-			return fail(err)
-		}
-		if b.Policy != nil {
-			if err := f.SetPolicy(b.Policy); err != nil {
-				return fail(err)
-			}
-		}
-		// Map iteration order is random; apply in ascending job ID so a
-		// branch is reproducible run to run.
-		ids := make([]int, 0, len(b.SetDeadlines))
-		for id := range b.SetDeadlines {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			if err := f.SetDeadline(id, b.SetDeadlines[id]); err != nil {
-				return fail(err)
-			}
-		}
-		for _, j := range b.InjectJobs {
-			if err := f.InjectJob(j); err != nil {
-				return fail(err)
-			}
-		}
-		if b.Mutate != nil {
-			if err := b.Mutate(f); err != nil {
-				return fail(err)
-			}
-		}
-		res, err := f.Run()
-		flightDone(res, err)
-		if err != nil {
-			return fail(err)
-		}
-		if tel != nil {
-			st := f.ForkStats()
-			tel.ForkDone(st.BytesCopied, st.BytesShared)
-			// Branch throughput covers the suffix this branch actually
-			// simulated, not the shared prefix it inherited.
-			tel.ReplayDone(time.Since(start), res.Events-prefixEvents)
-		}
-		pool.Put(f)
-		// Run totals count each branch's own suffix; the shared prefix
-		// was added once, before the fan-out.
-		run.AddEvents(res.Events - prefixEvents)
-		run.AddJobs(uint64(len(res.Jobs)))
-		return res, nil
-	})
-	run.End(err)
-	return results, err
+	if b.Mutate != nil {
+		return b.Mutate(f)
+	}
+	return nil
 }
 
 func branchName(b *WhatIf, i int) string {

@@ -1,8 +1,9 @@
 package simmr
 
 import (
-	"simmr/internal/engine"
+	"simmr/internal/plan"
 	"simmr/internal/rcache"
+	"simmr/internal/runs"
 )
 
 // Cache is the content-addressed replay result cache: a sharded,
@@ -53,15 +54,5 @@ func NewCache(o CacheOptions) *Cache {
 // all degrade to a plain Replay. On a hit cfg.Sink does not fire — no
 // simulation ran.
 func ReplayCached(c *Cache, cfg ReplayConfig, tr *Trace, p Policy) (res *ReplayResult, hit bool, err error) {
-	key, keyOK := c.Keyer(tr).Key(cfg, p)
-	if keyOK {
-		if res, ok := c.Get(key); ok {
-			return res, true, nil
-		}
-	}
-	res, err = engine.Run(cfg, tr, p)
-	if err == nil && keyOK {
-		c.Put(key, res)
-	}
-	return res, false, err
+	return plan.One(plan.Options{Cache: c}, runs.KindReplay, cfg, tr, p)
 }

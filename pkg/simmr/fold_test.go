@@ -72,7 +72,8 @@ func TestSweepEmptyReduceSlotCountsIsSquare(t *testing.T) {
 // cell, never per job — each cell folds its outcome on a pooled engine
 // instead of taking a Result. 64 cells cost 81 mallocs when written
 // (the grid, the fan-out's goroutines and channels, one cell label
-// each); at 136 B of outcome per job the same sweep took over 9 000.
+// each) and 11 to 19 since the run plan formats a label only for a
+// recorder; at 136 B of outcome per job the same sweep took over 9 000.
 func TestSweepAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector allocates on its own account")

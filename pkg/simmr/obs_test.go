@@ -40,10 +40,10 @@ func TestReplayBatchSinkIsolation(t *testing.T) {
 		serialSinks[i] = &RecordSink{}
 		parallelSinks[i] = &RecordSink{}
 	}
-	if _, err := ReplayBatchCtx(context.Background(), 1, mkSpecs(serialSinks)); err != nil {
+	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 1}, mkSpecs(serialSinks)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayBatchCtx(context.Background(), 8, mkSpecs(parallelSinks)); err != nil {
+	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 8}, mkSpecs(parallelSinks)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range serialSinks {
@@ -64,11 +64,11 @@ func TestReplayBatchSinkKeepsDefaultConfig(t *testing.T) {
 	rec := &RecordSink{}
 	var cfg ReplayConfig
 	cfg.Sink = rec
-	withSink, err := ReplayBatch([]ReplaySpec{{Config: cfg, Trace: tr}})
+	withSink, err := ReplayBatchCfg(context.Background(), BatchConfig{}, []ReplaySpec{{Config: cfg, Trace: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ReplayBatch([]ReplaySpec{{Trace: tr}})
+	plain, err := ReplayBatchCfg(context.Background(), BatchConfig{}, []ReplaySpec{{Trace: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestBatchAndSweepProgress(t *testing.T) {
 		specs[i] = ReplaySpec{Trace: tr}
 	}
 	var batchFinals atomic.Int64
-	if _, err := ReplayBatchProgress(context.Background(), 3, func(done, total int) {
+	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 3, Progress: func(done, total int) {
 		if done == total && total == len(specs) {
 			batchFinals.Add(1)
 		}
-	}, specs); err != nil {
+	}}, specs); err != nil {
 		t.Fatal(err)
 	}
 	if batchFinals.Load() != 1 {

@@ -1,8 +1,6 @@
 package simmr
 
 import (
-	"fmt"
-
 	"simmr/internal/obs"
 	"simmr/internal/runs"
 )
@@ -46,59 +44,3 @@ func NewRunRegistry(recentCap int) *RunRegistry { return runs.New(recentCap) }
 // (<= 0 selects the 4096 default). Attach it as (or Tee it into) a
 // replay's Sink; see obs.FlightRecorder for the trigger/dump contract.
 func NewFlightRecorder(size int) *FlightRecorder { return obs.NewFlightRecorder(size) }
-
-// beginRun registers one entry-point invocation with reg (nil reg, nil
-// handle — every Handle method tolerates nil, so call sites stay
-// branch-free). Identity is assembled here: trace name + content hash,
-// policy name when one is statically known, and the caller's config
-// fingerprint.
-func beginRun(reg *runs.Registry, kind runs.Kind, tr *Trace, policy Policy, config string) *runs.Handle {
-	if reg == nil {
-		return nil
-	}
-	meta := runs.Meta{Kind: kind, Config: config}
-	if tr != nil {
-		meta.Trace = tr.Name
-		meta.TraceHash = fmt.Sprintf("%016x", tr.Hash())
-	}
-	if policy != nil {
-		meta.Policy = policy.Name()
-	}
-	return reg.Begin(meta)
-}
-
-// runFlight is the per-engine flight-recorder wiring shared by the
-// sweep, batch, and branch fan-outs: a fresh ring per engine (sinks
-// are single-goroutine), attached to the run for live HTTP triggers.
-// finish inspects the outcome and captures the post-mortems the ops
-// plane promises — "error" on a failed replay, "deadline-miss" when
-// any job blew its deadline — storing them with the run.
-func runFlight(h *runs.Handle, size int, label string) (rec *obs.FlightRecorder, finish func(res *ReplayResult, err error)) {
-	if h == nil || size == 0 {
-		return nil, func(*ReplayResult, error) {}
-	}
-	return attachFlight(h, obs.NewFlightRecorder(size), label)
-}
-
-// attachFlight registers an existing recorder (fresh, or a Fork() of a
-// prefix recorder in a branch fan-out) with the run and returns the
-// outcome-inspecting finish hook.
-func attachFlight(h *runs.Handle, rec *obs.FlightRecorder, label string) (*obs.FlightRecorder, func(res *ReplayResult, err error)) {
-	rec.SetLabel(label)
-	h.AttachFlight(rec)
-	return rec, func(res *ReplayResult, err error) {
-		if err != nil {
-			h.AddFlightDump(rec.Dump("error"))
-			return
-		}
-		if res == nil {
-			return
-		}
-		for i := range res.Jobs {
-			if res.Jobs[i].ExceededDeadline() {
-				h.AddFlightDump(rec.Dump("deadline-miss"))
-				return
-			}
-		}
-	}
-}

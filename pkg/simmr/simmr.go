@@ -258,7 +258,7 @@ func Replay(cfg ReplayConfig, tr *Trace, p Policy) (*ReplayResult, error) {
 // pool.Run(cfg, tr, policy) instead of Replay and skips rebuilding the
 // engine's working set — event-queue slab, free list, per-job state —
 // on every run. The zero value is ready; safe for concurrent use;
-// results are byte-identical to Replay. CapacitySweep, ReplayBatch and
+// results are byte-identical to Replay. CapacitySweep, ReplayBatchCfg and
 // BranchSet need none: they share one process-wide pool, so their
 // engines stay warm from one call to the next.
 type ReplayPool = engine.Pool

@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"simmr/internal/engine"
 	"simmr/internal/obs"
 	"simmr/internal/parallel"
+	"simmr/internal/plan"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 )
@@ -21,7 +20,7 @@ import (
 // concurrently from worker goroutines, and never serialize the pool.
 type ProgressFunc = parallel.ProgressFunc
 
-// ErrEmptyWorkload is returned by CapacitySweep and ReplayBatch when
+// ErrEmptyWorkload is returned by CapacitySweep and ReplayBatchCfg when
 // asked to simulate a workload with no jobs: every per-job statistic
 // (mean completion, deadline misses) would be undefined.
 var ErrEmptyWorkload = errors.New("simmr: empty workload")
@@ -180,93 +179,35 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		}
 	}
 
-	// Cells run on the process-wide engine pool: ~one engine per worker
-	// (queue slab, free list, per-job state), still warm from the
-	// session's previous sweep or batch. Reset makes reused engines
-	// byte-identical to fresh ones, so determinism across worker counts
-	// is preserved.
-	pool := &engine.Shared
-	tel := cfg.Telemetry
-	if tel != nil {
-		tel.ExpectRuns(len(sel))
-		pool = pool.Observed(tel.PoolGet)
-	}
-	// The full-content trace digest is cell-invariant: the keyer takes it
-	// once, so the per-cell cache-key cost is independent of trace size.
-	keyer := cfg.Cache.Keyer(tr)
-	var hits atomic.Uint64
-	run := beginRun(cfg.Runs, runs.KindSweep, tr, cfg.Policy,
-		fmt.Sprintf("grid=%dx%d shards=%d", len(cfg.MapSlotCounts), rows, max(cfg.Shards, 1)))
-	run.SetPhase("replay")
-	points, err := parallel.MapProgress(ctx, cfg.Workers, len(sel), run.ProgressFunc(cfg.Progress), func(_ context.Context, i int) (SweepPoint, error) {
+	// Each cell keeps seven numbers of its replay, so it folds the outcome
+	// while the plan's pooled engine still owns it.
+	p := plan.Begin(
+		plan.Options{Workers: cfg.Workers, Progress: cfg.Progress, Telemetry: cfg.Telemetry, Runs: cfg.Runs, Flight: cfg.Flight, Cache: cfg.Cache},
+		plan.Run{Kind: runs.KindSweep, Policy: cfg.Policy, Traces: []*Trace{tr}, Replays: len(sel),
+			Config: fmt.Sprintf("grid=%dx%d shards=%d", len(cfg.MapSlotCounts), rows, max(cfg.Shards, 1))})
+	points := make([]SweepPoint, len(sel))
+	err := p.End(p.Each(ctx, len(sel), func(i int) error {
 		cell := sel[i]
 		c := cells[cell]
-		ecfg := engine.Config{
-			MapSlots:               c.m,
-			ReduceSlots:            c.r,
-			MinMapPercentCompleted: slowstart,
-		}
-		pol := newPolicy()
-		// Consult the cache before claiming an engine (or building any
-		// sinks — a cached cell never simulates, so sinks do not fire).
-		key, keyOK := keyer.Key(ecfg, pol)
-		if keyOK {
-			if res, ok := cfg.Cache.Get(key); ok {
-				hits.Add(1)
-				run.AddCached(1)
-				run.AddJobs(uint64(len(res.Jobs)))
-				return sweepPoint(cell, c, res), nil
-			}
-		}
+		pc := plan.Cell{}
 		if cfg.SinkFactory != nil {
-			ecfg.Sink = cfg.SinkFactory(c.m, c.r)
+			pc.Sink = func() obs.Sink { return cfg.SinkFactory(c.m, c.r) }
 		}
-		rec, flightDone := runFlight(run, cfg.Flight, fmt.Sprintf("cell-%dx%d", c.m, c.r))
-		if rec != nil {
-			ecfg.Sink = obs.Tee(ecfg.Sink, rec)
+		if p.Recording() {
+			pc.Label = fmt.Sprintf("cell-%dx%d", c.m, c.r)
 		}
-		var start time.Time
-		if tel != nil {
-			// Each cell's telemetry sink writes its own registry shard;
-			// Tee keeps a caller-provided sink observing too.
-			ecfg.Sink = obs.Tee(ecfg.Sink, tel.EngineSink())
-			start = time.Now()
+		ecfg := engine.Config{MapSlots: c.m, ReduceSlots: c.r, MinMapPercentCompleted: slowstart}
+		if _, err := p.Replay(ecfg, tr, newPolicy(), pc, func(res *engine.Result) {
+			points[i] = sweepPoint(cell, c, res)
+		}); err != nil {
+			return fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
 		}
-		// The cell keeps seven numbers of the replay, so it folds the
-		// outcome while the engine still owns it instead of taking a
-		// Result of its own.
-		var point SweepPoint
-		err := pool.Fold(ecfg, tr, pol, func(res *engine.Result) {
-			flightDone(res, nil)
-			if keyOK {
-				cfg.Cache.Put(key, res)
-			}
-			if tel != nil {
-				tel.ReplayDone(time.Since(start), res.Events)
-			}
-			run.AddEvents(res.Events)
-			run.AddJobs(uint64(len(res.Jobs)))
-			point = sweepPoint(cell, c, res)
-		})
-		if err != nil {
-			flightDone(nil, err)
-			return SweepPoint{}, fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
-		}
-		return point, nil
-	})
-	if h := hits.Load(); h > 0 {
-		// Cached cells never replayed: rebalance the expected-run count
-		// so the expvar "done" view converges, and mark a fully
-		// memoized sweep with its own terminal phase.
-		if tel != nil {
-			tel.ExpectRuns(-int(h))
-		}
-		if err == nil && h == uint64(len(sel)) {
-			run.SetPhase("cached")
-		}
+		return nil
+	}))
+	if err != nil {
+		return nil, err
 	}
-	run.End(err)
-	return points, err
+	return points, nil
 }
 
 // sweepPoint condenses one replay into its sweep cell.

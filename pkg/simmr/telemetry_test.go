@@ -3,6 +3,7 @@ package simmr
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"strings"
 	"sync"
@@ -126,5 +127,51 @@ func TestCapacitySweepTelemetryInert(t *testing.T) {
 	}
 	if !v["done"].(bool) {
 		t.Error("done = false after the sweep returned")
+	}
+}
+
+// TestExpectedRunsConvergeAfterFailures: runs_expected is cumulative for
+// the life of a Telemetry, so a fan-out that does not finish must give
+// back what it announced — a cancelled sweep, a batch with a failing
+// spec and a branch set whose prefix fails each used to leave it
+// inflated, and the session never reported done again.
+func TestExpectedRunsConvergeAfterFailures(t *testing.T) {
+	tr := sweepTrace()
+	tel := NewTelemetry()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := CapacitySweepCtx(ctx, tr, SweepConfig{
+		MapSlotCounts: []int{1, 2, 3, 4, 5, 6, 7, 8}, Workers: 1, Telemetry: tel,
+		// Cancel from inside the third cell: the sweep stops after it.
+		SinkFactory: func(m, _ int) Sink {
+			if m == 3 {
+				cancel()
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v", err)
+	}
+	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 1, Telemetry: tel}, []ReplaySpec{
+		{Trace: tr}, {Trace: tr}, {Name: "broken", Trace: tr, Config: ReplayConfig{MapSlots: -1}}, {Trace: tr},
+	}); err == nil {
+		t.Fatal("invalid spec config should fail the batch")
+	}
+	if _, err := BranchSet(context.Background(), BranchSetConfig{
+		Trace: tr, Config: ReplayConfig{MapSlots: -1}, Telemetry: tel,
+	}, []WhatIf{{}, {}, {}}); err == nil {
+		t.Fatal("invalid prefix config should fail the branch set")
+	}
+	if _, err := CapacitySweep(tr, SweepConfig{MapSlotCounts: []int{2, 4}, Telemetry: tel}); err != nil {
+		t.Fatal(err)
+	}
+
+	v := tel.ExpvarValue().(map[string]any)
+	expected, finished := v["runs_expected"].(int64), v["runs_finished"].(uint64)
+	// Three sweep cells and two batch specs ran before their fan-outs
+	// stopped, then the clean sweep's two.
+	if finished != 7 || uint64(expected) != finished || !v["done"].(bool) {
+		t.Fatalf("runs_expected = %d, runs_finished = %d, done = %v; want 7, 7, true", expected, finished, v["done"])
 	}
 }

@@ -40,7 +40,7 @@ func (cf cacheFlags) open(tel *simmr.Telemetry) *simmr.Cache {
 
 // printCacheLine appends the memoization digest to a command's summary
 // output. The format ("cache: N hits, M misses") is part of the CLI
-// contract — scripts/cache_smoke.sh greps it.
+// contract — TestCLIGolden pins it.
 func printCacheLine(c *simmr.Cache) {
 	if c == nil {
 		return

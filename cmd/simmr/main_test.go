@@ -113,7 +113,8 @@ func cliFixture(t *testing.T) string {
 // the commit before the CLI moved onto the run plan. Invocations that
 // share a name prefix up to "#" run in order in one directory — the
 // second replay against one -cache-dir prints the hit line and skips
-// its exports. Regenerate with `go test ./cmd/simmr -run CLIGolden
+// its exports, and `cache info` counts the entries the sweeps before it
+// stored, then none once `cache clear` has run. Regenerate with `go test ./cmd/simmr -run CLIGolden
 // -update` only when an output change is intended.
 func TestCLIGolden(t *testing.T) {
 	cases := []struct {
@@ -136,6 +137,9 @@ func TestCLIGolden(t *testing.T) {
 		{"cached#2", "-trace trace.strc -policy minedf -cache-dir cache", 0},
 		{"cached-sweep#1", "-trace trace.strc -sweep 8,16 -cache-dir cache", 0},
 		{"cached-sweep#2", "-trace trace.strc -sweep 8,16,32 -cache-dir cache", 0},
+		{"cached-sweep#3", "cache info -cache-dir cache", 0},
+		{"cached-sweep#4", "cache clear -cache-dir cache", 0},
+		{"cached-sweep#5", "cache info -cache-dir cache", 0},
 		{"cached-run#1", "trace run -trace trace.strc -out events.json -cache-dir cache", 0},
 		{"cached-run#2", "trace run -trace trace.strc -out again.json -cache-dir cache", 0},
 	}

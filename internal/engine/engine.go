@@ -92,7 +92,7 @@ type Config struct {
 	// the engine is not inside Run or RunEvents (the delivery contract,
 	// DESIGN.md §8) — plus the run-level counters at the end of Run.
 	// Every emission sits behind a single nil check, so a nil Sink costs
-	// nothing on the hot path (`make bench-guard` enforces this). Sinks
+	// nothing on the hot path (TestReplayAllocBudget's bare case). Sinks
 	// need not be safe for concurrent use — each engine must own its own
 	// instance; parallel runtimes build them via obs.SinkFactory.
 	Sink obs.Sink

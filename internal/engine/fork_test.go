@@ -250,7 +250,7 @@ func TestForkDifferential(t *testing.T) {
 					assertForkMatchesScratch(t, DefaultConfig(), tr, pv.mk, forkAt, mut)
 				})
 			}
-			// Deep branch point (~90%), the bench-guard shape.
+			// Deep branch point (~90%), BenchmarkBranchSet's shape.
 			t.Run("deep", func(t *testing.T) {
 				assertForkMatchesScratch(t, DefaultConfig(), tr, pv.mk, total.Events*9/10, forkMutations(pv.swap)[1])
 			})

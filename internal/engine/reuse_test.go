@@ -245,8 +245,7 @@ func TestPoolRejectsInvalidThenRecovers(t *testing.T) {
 // FIFO → MaxEDF → MinEDF → FIFO: every replay must equal a fresh one,
 // and — the scheduling index being recycled across policies, not
 // rebuilt — the steady state must stay at the pooled-replay allocation
-// bound (the Result and its outcome slice; BENCH_engine.json's
-// sched_allocs_per_op guards ≤ 4).
+// bound: the Result and its outcome slice, at most 4 per replay.
 func TestReArmAcrossPoliciesKeepsAllocFloor(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(300, rand.New(rand.NewSource(12)))
 	if err != nil {

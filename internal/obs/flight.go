@@ -22,8 +22,8 @@ const defaultFlightRing = 4096
 
 // FlightRecorder is a fixed-size ring over the engine event stream —
 // the always-on post-mortem capture of the ops plane. It records every
-// event into a preallocated ring (zero allocations steady-state; `make
-// bench-guard` holds the replay alloc bound with one attached) and, on
+// event into a preallocated ring (zero allocations steady-state;
+// TestReplayAllocBudget holds the bare bound with one attached) and, on
 // demand, snapshots the last ringSize events into an immutable
 // FlightDump for rendering as a Chrome trace or an attr-compatible
 // record.

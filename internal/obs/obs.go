@@ -7,7 +7,7 @@
 //   - Zero overhead when off. The engine guards every emission with a
 //     single nil check; with no sink configured a replay performs no
 //     observability work beyond plain integer counters.
-//     `make bench-guard` enforces this against BENCH_engine.json.
+//     TestReplayAllocBudget holds the allocations, bare and observed.
 //   - Exact order, delivered in blocks. The engine appends each event to
 //     a block of its own (512 events) and hands the sink the filled part
 //     when it is full, before every DepthSampler/ProgressSampler call,

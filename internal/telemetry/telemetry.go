@@ -19,8 +19,8 @@
 //     keep it: a per-engine sink holds its shard for its lifetime, so
 //     steady-state updates never touch a shared cache line.
 //   - Disabled means nil. Code paths guard instrumentation with a
-//     single `if tel != nil`; no registry, no cost — `make bench-guard`
-//     holds the no-telemetry replay path to BENCH_engine.json.
+//     single `if tel != nil`; no registry, no cost — the bare case of
+//     TestReplayAllocBudget is the no-telemetry replay path.
 package telemetry
 
 import (

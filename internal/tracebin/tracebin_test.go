@@ -267,6 +267,28 @@ func TestDecodeArenaMatchesZeroCopy(t *testing.T) {
 	}
 }
 
+// Opening a packed trace allocates per template, never per job: the job
+// table decodes into two slabs and names are interned, which is what
+// the format buys over JSON's allocation per inlined template copy. At
+// a fixed template pool, ten times the jobs cost not one allocation
+// more.
+func TestDecodeAllocsIndependentOfJobCount(t *testing.T) {
+	decodeAllocs := func(jobs int) float64 {
+		img, err := Pack(sharedTrace(t, jobs, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Decode(img); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, big := decodeAllocs(2_000), decodeAllocs(20_000); big > small {
+		t.Fatalf("Decode allocates %.0f times for 20000 jobs, %.0f for 2000, over the same 64 templates", big, small)
+	}
+}
+
 // errSource fails after yielding two jobs.
 type errSource struct {
 	tr *trace.Trace

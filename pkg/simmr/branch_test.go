@@ -257,7 +257,8 @@ func TestBranchSetErrorNamesBranch(t *testing.T) {
 }
 
 // TestBranchSetTelemetry wires a Telemetry through a fan-out and checks
-// the fork counters, expected-runs accounting, and byte conservation.
+// the fork counters, expected-runs accounting, byte conservation, and
+// that the prefix's events were emitted once, not once per branch.
 func TestBranchSetTelemetry(t *testing.T) {
 	tr, total, horizon := branchFixture(t, 30, NewFIFO())
 	tel := NewTelemetry()
@@ -289,5 +290,34 @@ func TestBranchSetTelemetry(t *testing.T) {
 		if !strings.Contains(out, name+" ") {
 			t.Errorf("exposition missing %s", name)
 		}
+	}
+	// The fan-out simulates its prefix once. Its sinks were delivered what
+	// one engine emits up to the branch point plus what each branch's
+	// independent replay emits after it; a fork that ran the prefix again
+	// would deliver a whole replay per branch.
+	var want uint64
+	for i := range branches {
+		ms := NewMetricsSink()
+		cfg := DefaultReplayConfig()
+		cfg.Sink = ms
+		e, err := NewEngine(cfg, tr, NewFIFO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunEvents(total / 2); err != nil {
+			t.Fatal(err)
+		}
+		prefix := ms.Snapshot().Observed
+		applyWhatIf(t, e, &branches[i])
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = prefix
+		}
+		want += ms.Snapshot().Observed - prefix
+	}
+	if got := v["observed_events"].(uint64); got != want {
+		t.Errorf("sinks were delivered %d events, want the prefix once and %d suffixes: %d", got, len(branches), want)
 	}
 }

@@ -68,6 +68,58 @@ func TestSweepEmptyReduceSlotCountsIsSquare(t *testing.T) {
 	}
 }
 
+// TestReplayAllocBudget: a pooled replay's steady state allocates its
+// Result and the outcome slice (136 B per job) and nothing per event —
+// bare, with a flight recorder, and under the stack a session tees on
+// (ReplayBatchCfg's per spec under Runs, Flight and Telemetry). The
+// sinks are built once and events reach them in the engine's own block,
+// which survives pooling, so observation gets the bare replay's budget:
+// one allocation over it means the block stopped surviving the pool or a
+// sink allocates per block. 200 jobs take 2 mallocs and 27 312 B; the
+// budget — under 3 on average — leaves room for the telemetry sink's
+// rare amortized ones (0.1 to 0.3 a run) and none for a third per run.
+func TestReplayAllocBudget(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	const maxAllocs, maxBytes, runs = 3, 29 << 10, 20
+	// One P, as testing.AllocsPerRun measures: a goroutine that changes Ps
+	// between Put and Get finds its pool empty and builds an engine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr, err := ProductionTrace(200, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		sink Sink
+	}{
+		{"bare", nil},
+		{"flight", NewFlightRecorder(0)},
+		{"session", TeeSinks(NewMetricsSink(), NewFlightRecorder(0), NewTelemetry().EngineSink())},
+	} {
+		cfg := DefaultReplayConfig()
+		cfg.Sink = c.sink
+		var pool ReplayPool
+		var before, after runtime.MemStats
+		for i := 0; i <= runs; i++ {
+			if i == 1 { // the first run armed the engine
+				runtime.ReadMemStats(&before)
+			}
+			if _, err := pool.Run(cfg, tr, NewFIFO()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.2f mallocs, %.0f B per pooled replay", c.name, allocs, bytes)
+		if allocs >= maxAllocs || bytes > maxBytes {
+			t.Errorf("%s: pooled replay of %d jobs costs %.2f mallocs, %.0f B; budget under %d, %d", c.name, len(tr.Jobs), allocs, bytes, maxAllocs, maxBytes)
+		}
+	}
+}
+
 // TestSweepAllocBudget: a warmed sweep allocates per sweep and per
 // cell, never per job — each cell folds its outcome on a pooled engine
 // instead of taking a Result. 64 cells cost 81 mallocs when written
@@ -78,7 +130,7 @@ func TestSweepAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const budget = 160 // mallocs per 64-cell sweep: ~2× what it takes, ~1/60 of what it took
+	const budget = 40 // mallocs per 64-cell sweep: ~2× what it takes; a Result per cell would be +128
 	counts := []int{16, 24, 32, 48, 64, 80, 96, 128}
 	tr := sparseTestTrace(t, 1000, 1)
 	for _, workers := range []int{1, 2} {

@@ -128,12 +128,22 @@ func TestBranchSetRegistersRun(t *testing.T) {
 	if snap.Done != 2 || snap.Total != 2 {
 		t.Fatalf("branch progress %d/%d", snap.Done, snap.Total)
 	}
-	// Total events = prefix counted once + each branch's suffix: both
-	// branches replay to completion, so the run total must exceed one
-	// full replay and stay under the naive double count.
-	full := res[0].Events
-	if snap.Events <= full || snap.Events >= 2*full {
-		t.Fatalf("events = %d, want (one full replay %d, 2x)", snap.Events, full)
+	// Total events = prefix counted once + each branch's suffix. The
+	// prefix pauses at the first macro-step boundary at or past event 4.
+	e, err := NewEngine(DefaultReplayConfig(), tr, NewFIFO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunEvents(4); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := sealed.Events()
+	if want := prefix + (res[0].Events - prefix) + (res[1].Events - prefix); prefix < 4 || snap.Events != want {
+		t.Fatalf("events = %d, want prefix %d + suffixes = %d", snap.Events, prefix, want)
 	}
 	// Both branch recorders were attached while the run was live, each
 	// served its trigger, and the captures outlive the recorders: the

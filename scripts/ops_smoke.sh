@@ -2,8 +2,8 @@
 # ops_smoke.sh — live end-to-end check of the ops plane (`make
 # smoke-ops`, CI's ops-smoke job).
 #
-# Runs a real 1000-job capacity sweep with the debug server up, and
-# proves, against the live process:
+# Runs a real 127-cell capacity sweep of a 50 000-job trace with the
+# debug server up, and proves, against the live process:
 #
 #   1. /healthz answers "ok" and /buildinfo reports a version
 #   2. /runs lists the sweep, and /runs/latest resolves it
@@ -11,13 +11,13 @@
 #      the run while it is LIVE (outcome "running"), plus the final
 #      frame and the end event after completion
 #   4. the completed snapshot has outcome "ok" and counted events
-#   5. `benchreport -watch` passes against the committed history
 #
-# The sweep grid is sized so the run takes a couple of seconds: long
-# enough for the stream subscription to land mid-run on any machine,
-# short enough to keep CI cheap. -linger keeps the process (and its
-# /runs state) alive after the sweep so the post-completion checks
-# never race the exit.
+# The sweep has to outlast the subscription: 127 cells × 50 000 jobs is
+# ~4 s on two cores and ~80 MB resident (a 12-cell sweep of 1000 jobs is
+# over in 34 ms, before curl can subscribe). The trace is
+# stream-generated straight to .strc, as smoke-bigtrace builds its one.
+# -linger keeps the process (and its /runs state) alive after the sweep
+# so the post-completion checks never race the exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,13 +28,12 @@ trap 'kill $SWEEP_PID 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 go build -o "$WORK/tracegen" ./cmd/tracegen
 go build -o "$WORK/simmr" ./cmd/simmr
-go build -o "$WORK/benchreport" ./cmd/benchreport
 
-"$WORK/tracegen" -kind multitenant -n 1000 -out "$WORK/smoke.json"
+"$WORK/tracegen" -kind multitenant -n 50000 -format bin -stream -pool 256 -out "$WORK/smoke.strc"
 
-# A 12-cell sweep over a 1000-job trace: seconds of work, streamed live.
-"$WORK/simmr" -trace "$WORK/smoke.json" -policy maxedf \
-    -sweep 8,16,24,32,48,64,96,128,160,192,224,256 \
+# Square cells at 4, 6, …, 256 slots: seconds of work, streamed live.
+"$WORK/simmr" -trace "$WORK/smoke.strc" -policy maxedf \
+    -sweep "$(seq -s, 4 2 256)" \
     -debug-addr "$ADDR" -linger 15s >"$WORK/sweep.out" 2>"$WORK/sweep.err" &
 SWEEP_PID=$!
 
@@ -79,5 +78,4 @@ wait $SWEEP_PID || { echo "FAIL: sweep exit status"; cat "$WORK/sweep.err"; exit
 grep -q . "$WORK/sweep.out" || { echo "FAIL: sweep produced no output"; exit 1; }
 echo "ok: sweep completed cleanly"
 
-"$WORK/benchreport" -watch || { echo "FAIL: benchreport -watch"; exit 1; }
 echo "ops-smoke: OK"

@@ -19,10 +19,10 @@ test:
 # something with -race on). The subscribe/End race in internal/runs
 # showed up once in ~30 runs, so its test is repeated until it would.
 # one-path keeps the run plan the only executor: the calls that make up
-# its sequence (announce, key, observe the pool, attach a recorder,
-# account) appear in non-test code only in internal/plan and in the
-# packages that define them.
-ONE_PATH = ExpectRuns\(|ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHook\(
+# its sequence (key, observe the pool, attach a recorder, account)
+# appear in non-test code only in internal/plan and in the packages
+# that define them.
+ONE_PATH = ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHook\(
 verify:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	@second="$$(grep -rnE '$(ONE_PATH)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal \

@@ -8,7 +8,7 @@
 //	experiments                      # everything, paper-scale where feasible
 //	experiments -only fig5,fig6      # a subset
 //	experiments -reps 40             # lighter Figure 7/8 sweeps
-//	experiments -debug-addr :6060    # live /metrics + expvar + pprof
+//	experiments -debug-addr :6060    # live /metrics + pprof
 //	                                 # while the long sweeps run
 package main
 
@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"simmr/internal/debugserver"
 	"simmr/internal/experiments"
 	"simmr/internal/parallel"
 	"simmr/internal/rcache"
@@ -49,7 +50,7 @@ func run() error {
 		fig5Runs  = flag.Int("fig5-runs", 3, "executions per application for Figure 5 (paper: 3)")
 		table1Exe = flag.Int("table1-executions", 5, "executions per application for Table I (paper: 5)")
 		fig6Jobs  = flag.Int("fig6-jobs", 1148, "production-trace size for Figure 6 (paper: 1148)")
-		debugAddr = flag.String("debug-addr", "", "serve Prometheus /metrics, expvar, and pprof on this address (e.g. localhost:6060)")
+		debugAddr = flag.String("debug-addr", "", "serve Prometheus /metrics and pprof on this address (e.g. localhost:6060)")
 		cacheDir  = flag.String("cache-dir", "", "replay result cache directory for the Figure 7/8 sweeps; reruns with identical parameters replay nothing")
 		cacheMem  = flag.Int("cache-mem", 0, "replay result cache memory budget in MiB (0 with -cache-dir: 64 MiB default; 0 alone: caching off)")
 	)
@@ -61,7 +62,7 @@ func run() error {
 	var tel *telemetry.SimMetrics
 	if *debugAddr != "" {
 		var err error
-		tel, err = startDebugServer(*debugAddr)
+		tel, err = debugserver.Start("experiments", *debugAddr)
 		if err != nil {
 			return err
 		}

@@ -29,7 +29,7 @@ func run() error {
 		out    = flag.String("out", "", "output JSON trace file (default stdout)")
 		dbDir  = flag.String("db", "", "store into trace database directory (with -name)")
 		dbName = flag.String("name", "", "trace name inside -db")
-		debug  = flag.String("debug-addr", "", "serve Prometheus /metrics (incl. simmr_build_info), expvar, and pprof on this address")
+		debug  = flag.String("debug-addr", "", "serve Prometheus /metrics (incl. simmr_build_info) and pprof on this address")
 	)
 	flag.Parse()
 	if *logs == "" {

@@ -25,8 +25,8 @@
 //	      [-policy fifo] [-map-slots ...] [-workers N]
 //
 // -debug-addr serves live run telemetry — Prometheus /metrics from the
-// sharded registry, expvar /debug/vars — and the net/http/pprof
-// profiling endpoints while a replay runs. It also mounts the ops
+// sharded registry — and the net/http/pprof profiling endpoints while a
+// replay runs. It also mounts the ops
 // plane: every replay, sweep, and what-if fan-out registers itself at
 // /runs with live progress, an SSE stream, and flight-recorder
 // post-mortems. The `ops` subcommand is the matching client:
@@ -55,6 +55,7 @@ import (
 	"os"
 	"strings"
 
+	"simmr/internal/debugserver"
 	"simmr/internal/metrics"
 	"simmr/internal/plan"
 	"simmr/internal/runs"
@@ -304,7 +305,7 @@ func addReplayFlags(fs *flag.FlagSet) replayFlags {
 		mapSlots:    fs.Int("map-slots", 64, "cluster map slots"),
 		reduceSlots: fs.Int("reduce-slots", 64, "cluster reduce slots"),
 		slowstart:   fs.Float64("slowstart", 0.05, "fraction of maps completed before reduces launch"),
-		debugAddr:   fs.String("debug-addr", "", "serve Prometheus /metrics, /runs, expvar and pprof on this address (e.g. localhost:6060)"),
+		debugAddr:   fs.String("debug-addr", "", "serve Prometheus /metrics, /runs and pprof on this address (e.g. localhost:6060)"),
 	}
 }
 
@@ -315,7 +316,7 @@ func (f replayFlags) open() (*simmr.Telemetry, *simmr.Trace, error) {
 	var tel *simmr.Telemetry
 	if *f.debugAddr != "" {
 		var err error
-		if tel, err = startDebugServer(*f.debugAddr); err != nil {
+		if tel, err = debugserver.Start("simmr", *f.debugAddr); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -46,7 +46,7 @@ func run() error {
 		dlSlack = flag.Float64("deadline-slack", 900, "mean deadline slack beyond arrival for streamed jobs, seconds")
 		dbDir   = flag.String("db", "", "store into trace database directory (with -name)")
 		dbName  = flag.String("name", "", "trace name inside -db")
-		debug   = flag.String("debug-addr", "", "serve Prometheus /metrics (incl. simmr_build_info), expvar, and pprof on this address")
+		debug   = flag.String("debug-addr", "", "serve Prometheus /metrics (incl. simmr_build_info) and pprof on this address")
 	)
 	flag.Parse()
 	if *format != "json" && *format != "bin" {

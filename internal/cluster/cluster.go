@@ -24,7 +24,6 @@ type Job struct {
 	Profile trace.Profile
 }
 
-// MapSpan records one executed map task.
 // Locality classifies how close a map task ran to its input block.
 type Locality int
 

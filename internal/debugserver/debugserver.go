@@ -7,8 +7,6 @@
 //	                    telemetry registry (task-duration / completion
 //	                    histograms, wait-attribution breakdowns, event
 //	                    and slot counters, lifecycle spans, build info)
-//	/debug/vars         expvar JSON, including simmr.metrics (the same
-//	                    registry merged into the legacy snapshot shape)
 //	/debug/pprof/...    net/http/pprof profiles
 //	/healthz            uniform liveness probe across all binaries
 //	/buildinfo          version and Go runtime JSON
@@ -22,7 +20,6 @@
 package debugserver
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -35,7 +32,7 @@ import (
 )
 
 // registered guards the process-global endpoint registrations
-// (expvar.Publish panics on a duplicate name).
+// (http.Handle panics on a duplicate pattern).
 var registered atomic.Bool
 
 // Start serves the debug surface on addr until the process exits and
@@ -54,7 +51,6 @@ func start(component, addr string) (*telemetry.SimMetrics, string, error) {
 	}
 	tel := telemetry.NewSimMetrics(0)
 	tel.StampBuildInfo(buildinfo.Version)
-	expvar.Publish("simmr.metrics", expvar.Func(tel.ExpvarValue))
 	http.Handle("/metrics", telemetry.Handler(tel.Registry()))
 	registerOps(http.DefaultServeMux)
 	registerRunMetrics(tel.Registry())
@@ -62,7 +58,7 @@ func start(component, addr string) (*telemetry.SimMetrics, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("debug server: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "%s: debug endpoint at http://%s/metrics (runs at /runs, expvar at /debug/vars, pprof at /debug/pprof/)\n", component, ln.Addr())
+	fmt.Fprintf(os.Stderr, "%s: debug endpoint at http://%s/metrics (runs at /runs, pprof at /debug/pprof/)\n", component, ln.Addr())
 	go func() {
 		// The server lives as long as the process; errors after a clean
 		// exit are expected and ignored.

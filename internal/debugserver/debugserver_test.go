@@ -15,9 +15,9 @@ import (
 )
 
 // One start covers the full surface: /metrics speaks Prometheus text
-// format with the build-info gauge stamped, /debug/vars serves expvar
-// JSON with the merged registry, and a second start is refused (the
-// endpoint registrations are process-global).
+// format with the build-info gauge stamped, pprof answers, /debug/vars
+// is gone (Prometheus is the one export), and a second start is refused
+// (the endpoint registrations are process-global).
 func TestStartServesDebugSurface(t *testing.T) {
 	tel, addr, err := start("test", "127.0.0.1:0")
 	if err != nil {
@@ -56,12 +56,16 @@ func TestStartServesDebugSurface(t *testing.T) {
 		}
 	}
 
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
-		t.Fatalf("expvar not JSON: %v", err)
+	if out := get("/debug/pprof/"); !strings.Contains(out, "goroutine") {
+		t.Errorf("/debug/pprof/ index = %q", out)
 	}
-	if _, ok := vars["simmr.metrics"]; !ok {
-		t.Error("expvar missing simmr.metrics")
+	resp, err := http.Get("http://" + addr + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: status %d, want 404", resp.StatusCode)
 	}
 
 	if _, _, err := start("test", "127.0.0.1:0"); err == nil {

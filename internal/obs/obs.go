@@ -32,8 +32,8 @@
 // Three concrete sinks ship with the package: TimelineSink (slot
 // occupancy, Figure 1/2-style), ChromeTraceSink (chrome://tracing /
 // Perfetto export), and MetricsSink (concurrency-safe counter
-// snapshots for expvar endpoints). RecordSink captures the raw stream
-// for tests and custom processing; FlightRecorder keeps its tail.
+// snapshots). RecordSink captures the raw stream for tests and custom
+// processing; FlightRecorder keeps its tail.
 package obs
 
 import "math"

@@ -141,9 +141,10 @@ func TestTimelineTSVRendersViaReport(t *testing.T) {
 	}
 }
 
+// A MetricsSink shared by four engines accumulates their totals, and
+// Snapshot may race with delivery: the -race build checks safety.
 func TestMetricsSinkSnapshotAndExpvar(t *testing.T) {
 	m := NewMetricsSink()
-	// Concurrent writers and readers: the -race build checks safety.
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -164,15 +165,8 @@ func TestMetricsSinkSnapshotAndExpvar(t *testing.T) {
 	if s.Counters.Events != 400 || s.Counters.Jobs != 4 || s.Counters.HeapHighWater != 8 {
 		t.Fatalf("aggregated counters %+v", s.Counters)
 	}
-	if !s.Done {
-		t.Fatal("Done not set")
-	}
-	v := m.ExpvarValue().(map[string]any)
-	if v["observed_events"].(uint64) != 400 {
-		t.Fatalf("expvar value %+v", v)
-	}
-	if _, err := json.Marshal(v); err != nil {
-		t.Fatalf("expvar value must be JSON-serializable: %v", err)
+	if s.RunsFinished != 4 {
+		t.Fatalf("RunsFinished = %d, want 4", s.RunsFinished)
 	}
 }
 

@@ -7,15 +7,14 @@
 //	key → lookup → observe → run-or-fold → store → account
 //
 // in two layers. Begin / Each / End is the fan-out: run registration,
-// the telemetry announcement, the worker pool, and on every exit the
-// rebalance. Replay (Branch for a what-if cell) is the per-replay step
-// inside a cell. The entry points in pkg/simmr, internal/experiments
-// and cmd/simmr generate cells and reduce results; none of them touches
-// the cache, the run registry, a flight recorder, the telemetry
-// registry or the engine pool (`make verify` greps for it). The
-// contract — who takes the digest, when sinks are built, what a hit
-// skips, the rebalance rule, the phase names, what a branch cell varies
-// — is DESIGN.md §7 "The run plan"; TestPlanContract checks it.
+// the worker pool, and on every exit the run's End. Replay (Branch for a
+// what-if cell) is the per-replay step inside a cell. The entry points
+// in pkg/simmr, internal/experiments and cmd/simmr generate cells and
+// reduce results; none of them touches the cache, the run registry, a
+// flight recorder, the telemetry registry or the engine pool (`make
+// verify` greps for it). The contract — who takes the digest, when sinks
+// are built, what a hit skips, the phase names, what a branch cell
+// varies — is DESIGN.md §7 "The run plan"; TestPlanContract checks it.
 package plan
 
 import (
@@ -54,7 +53,7 @@ type Options struct {
 }
 
 // Run is what a plan registers as: the identity /runs shows, the traces
-// known up front, and how many replays it announces.
+// known up front, and how many replays it will make.
 type Run struct {
 	Kind runs.Kind
 	// Policy is named in the identity when one policy is statically known.
@@ -80,8 +79,7 @@ type Plan struct {
 	// single marks One's registered plan: progress and run totals come
 	// from the run handle's engine hook, not from cell completions.
 	single bool
-
-	hits, simulated atomic.Int64
+	hits   atomic.Int64
 
 	// The sealed prefix of a branch set (Prefix): every Branch cell
 	// forks from snap, continues a Fork of prefixRec, and inherited
@@ -91,8 +89,8 @@ type Plan struct {
 	baseline  uint64
 }
 
-// Begin starts a plan: digests, run registration, the telemetry
-// announcement. Every Begin is paired with one End.
+// Begin starts a plan: digests, run registration, the observed engine
+// pool. Every Begin is paired with one End.
 func Begin(o Options, r Run) *Plan {
 	p := &Plan{Options: o, pool: &engine.Shared, replays: r.Replays}
 	if o.Runs != nil || o.Cache != nil {
@@ -115,7 +113,6 @@ func Begin(o Options, r Run) *Plan {
 		p.run.SetPhase("replay")
 	}
 	if o.Telemetry != nil {
-		o.Telemetry.ExpectRuns(r.Replays)
 		p.pool = p.pool.Observed(o.Telemetry.PoolGet)
 	}
 	return p
@@ -145,9 +142,8 @@ func (p *Plan) Each(ctx context.Context, cells int, body func(i int) error) erro
 }
 
 // End settles the plan with the fan-out's outcome and returns it: the
-// rebalance, the "cached" phase, the run's End.
+// "cached" phase, the run's End.
 func (p *Plan) End(err error) error {
-	p.Telemetry.ExpectRuns(int(p.simulated.Load()) - p.replays)
 	if err == nil && p.replays > 0 && p.hits.Load() == int64(p.replays) {
 		p.run.SetPhase("cached")
 	}
@@ -244,7 +240,6 @@ func (p *Plan) Replay(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Ce
 			p.run.AddEvents(res.Events - p.baseline)
 			p.run.AddJobs(uint64(len(res.Jobs)))
 		}
-		p.simulated.Add(1)
 		fold(res)
 	}
 

@@ -25,11 +25,6 @@ const entryOverhead = 128
 // destroy foreign data.
 const diskExt = ".srrc"
 
-// numShards stripes the memory tier's locks; power of two, selected by
-// the key's low bits. 16 comfortably exceeds the sweep runtime's
-// worker parallelism on the machines this targets.
-const numShards = 16
-
 // Observer receives cache events for telemetry. All methods must be
 // safe for concurrent use; telemetry.SimMetrics implements it with
 // nil-receiver-safe methods.
@@ -65,46 +60,42 @@ type Stats struct {
 // and nil-receiver-safe: a nil *Cache is an always-miss cache, so call
 // sites need no branching.
 type Cache struct {
-	shards   [numShards]shard
-	dir      string
-	perShard int64
-	obs      Observer
+	dir    string
+	budget int64
+	obs    Observer
+
+	// The memory tier: one LRU under one lock, holding at most budget
+	// bytes. The lock covers map and list surgery only — Decode and the
+	// disk tier run outside it.
+	mu    sync.Mutex
+	m     map[Key]*node
+	head  *node // most recently used
+	tail  *node // least recently used
+	bytes int64
 
 	hits      atomic.Uint64
 	diskHits  atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-	bytes     atomic.Int64
 }
 
-// node is one resident entry in a shard's intrusive LRU list.
+// node is one resident entry in the intrusive LRU list.
 type node struct {
 	key        Key
 	data       []byte
 	prev, next *node
 }
 
-type shard struct {
-	mu    sync.Mutex
-	m     map[Key]*node
-	head  *node // most recently used
-	tail  *node // least recently used
-	bytes int64
-}
+func (n *node) cost() int64 { return int64(len(n.data)) + entryOverhead }
 
 // New builds a cache. If Dir is set it is created eagerly so the first
 // Put never races a missing directory; creation failure degrades to
 // memory-only rather than erroring — the cache is an accelerator, not
 // a dependency.
 func New(opts Options) *Cache {
-	c := &Cache{dir: opts.Dir, obs: opts.Obs}
-	mem := opts.MemBytes
-	if mem <= 0 {
-		mem = DefaultMemBytes
-	}
-	c.perShard = mem / numShards
-	for i := range c.shards {
-		c.shards[i].m = make(map[Key]*node)
+	c := &Cache{dir: opts.Dir, obs: opts.Obs, budget: opts.MemBytes, m: make(map[Key]*node)}
+	if c.budget <= 0 {
+		c.budget = DefaultMemBytes
 	}
 	if c.dir != "" {
 		if err := os.MkdirAll(c.dir, 0o755); err != nil {
@@ -123,15 +114,14 @@ func (c *Cache) Get(k Key) (*engine.Result, bool) {
 	if c == nil {
 		return nil, false
 	}
-	s := &c.shards[k.Lo&(numShards-1)]
-	s.mu.Lock()
-	n, ok := s.m[k]
+	c.mu.Lock()
+	n, ok := c.m[k]
 	var data []byte
 	if ok {
-		s.moveToFront(n)
+		c.moveToFront(n)
 		data = n.data
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if ok {
 		res, err := Decode(data, k)
 		if err == nil {
@@ -183,39 +173,35 @@ func (c *Cache) Put(k Key, res *engine.Result) {
 }
 
 // insert places encoded bytes into the memory tier, evicting LRU
-// entries until the shard fits its budget. Entries larger than the
-// whole shard budget skip the memory tier (they would only thrash it);
-// the disk tier still serves them.
+// entries until it fits the budget. Entries larger than the whole
+// budget skip the memory tier (they would only thrash it); the disk
+// tier still serves them.
 func (c *Cache) insert(k Key, data []byte) {
-	cost := int64(len(data)) + entryOverhead
-	if cost > c.perShard {
+	if int64(len(data))+entryOverhead > c.budget {
 		return
 	}
-	s := &c.shards[k.Lo&(numShards-1)]
 	var evicted uint64
-	s.mu.Lock()
-	n, ok := s.m[k]
+	c.mu.Lock()
+	n, ok := c.m[k]
 	if ok {
-		delta := cost - (int64(len(n.data)) + entryOverhead)
+		c.bytes -= n.cost()
 		n.data = data
-		s.bytes += delta
-		c.bytes.Add(delta)
-		s.moveToFront(n)
+		c.moveToFront(n)
 	} else {
 		n = &node{key: k, data: data}
-		s.m[k] = n
-		s.pushFront(n)
-		s.bytes += cost
-		c.bytes.Add(cost)
+		c.m[k] = n
+		c.pushFront(n)
 	}
+	c.bytes += n.cost()
 	// Evict on both paths: an overwrite that grows the payload can push
-	// the shard over budget just as a fresh insert can. The just-touched
+	// the tier over budget just as a fresh insert can. The just-touched
 	// node is at the front and excluded, so the loop always terminates.
-	for s.bytes > c.perShard && s.tail != nil && s.tail != n {
+	for c.bytes > c.budget && c.tail != n {
 		evicted++
-		c.evictOldest(s)
+		c.drop(c.tail)
 	}
-	s.mu.Unlock()
+	resident := c.bytes
+	c.mu.Unlock()
 	if evicted > 0 {
 		c.evictions.Add(evicted)
 		if c.obs != nil {
@@ -223,64 +209,57 @@ func (c *Cache) insert(k Key, data []byte) {
 		}
 	}
 	if c.obs != nil {
-		c.obs.RCacheBytes(c.bytes.Load())
+		c.obs.RCacheBytes(resident)
 	}
 }
 
 // remove drops k from the memory tier (poisoned entry path).
 func (c *Cache) remove(k Key) {
-	s := &c.shards[k.Lo&(numShards-1)]
-	s.mu.Lock()
-	if n, ok := s.m[k]; ok {
-		s.unlink(n)
-		delete(s.m, k)
-		cost := int64(len(n.data)) + entryOverhead
-		s.bytes -= cost
-		c.bytes.Add(-cost)
+	c.mu.Lock()
+	if n, ok := c.m[k]; ok {
+		c.drop(n)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 }
 
-func (c *Cache) evictOldest(s *shard) {
-	n := s.tail
-	s.unlink(n)
-	delete(s.m, n.key)
-	cost := int64(len(n.data)) + entryOverhead
-	s.bytes -= cost
-	c.bytes.Add(-cost)
+// drop takes n out of the memory tier. The caller holds c.mu.
+func (c *Cache) drop(n *node) {
+	c.unlink(n)
+	delete(c.m, n.key)
+	c.bytes -= n.cost()
 }
 
-func (s *shard) pushFront(n *node) {
-	n.next = s.head
-	if s.head != nil {
-		s.head.prev = n
+func (c *Cache) pushFront(n *node) {
+	n.next = c.head
+	if c.head != nil {
+		c.head.prev = n
 	}
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
+	c.head = n
+	if c.tail == nil {
+		c.tail = n
 	}
 }
 
-func (s *shard) unlink(n *node) {
+func (c *Cache) unlink(n *node) {
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
-		s.head = n.next
+		c.head = n.next
 	}
 	if n.next != nil {
 		n.next.prev = n.prev
 	} else {
-		s.tail = n.prev
+		c.tail = n.prev
 	}
 	n.prev, n.next = nil, nil
 }
 
-func (s *shard) moveToFront(n *node) {
-	if s.head == n {
+func (c *Cache) moveToFront(n *node) {
+	if c.head == n {
 		return
 	}
-	s.unlink(n)
-	s.pushFront(n)
+	c.unlink(n)
+	c.pushFront(n)
 }
 
 // Stats snapshots the counters.
@@ -293,13 +272,10 @@ func (c *Cache) Stats() Stats {
 		DiskHits:  c.diskHits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		MemBytes:  c.bytes.Load(),
 	}
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		st.MemEntries += len(c.shards[i].m)
-		c.shards[i].mu.Unlock()
-	}
+	c.mu.Lock()
+	st.MemBytes, st.MemEntries = c.bytes, len(c.m)
+	c.mu.Unlock()
 	return st
 }
 
@@ -342,17 +318,12 @@ func (c *Cache) Clear() error {
 	if c == nil {
 		return nil
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		c.bytes.Add(-s.bytes)
-		s.m = make(map[Key]*node)
-		s.head, s.tail = nil, nil
-		s.bytes = 0
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.m = make(map[Key]*node)
+	c.head, c.tail, c.bytes = nil, nil, 0
+	c.mu.Unlock()
 	if c.obs != nil {
-		c.obs.RCacheBytes(c.bytes.Load())
+		c.obs.RCacheBytes(0)
 	}
 	if c.dir == "" {
 		return nil

@@ -13,12 +13,12 @@
 // policies, stateful policies, Capacity with a caller-supplied
 // QueueOf) bypasses the cache rather than risk a wrong hit.
 //
-// Tier one is a sharded, lock-striped, byte-budgeted in-memory LRU
-// holding encoded entries; tier two is an optional on-disk store, one
-// file per entry, written atomically (temp + rename, like
-// tracebin.Writer) and CRC-guarded. Any decode or CRC failure on
-// either tier is treated as a miss and silently falls back to
-// recompute — corruption can cost a replay, never correctness.
+// Tier one is a byte-budgeted in-memory LRU holding encoded entries;
+// tier two is an optional on-disk store, one file per entry, written
+// atomically (temp + rename, like tracebin.Writer) and CRC-guarded. Any
+// decode or CRC failure on either tier is treated as a miss and silently
+// falls back to recompute — corruption can cost a replay, never
+// correctness.
 package rcache
 
 import (

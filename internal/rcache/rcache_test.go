@@ -220,73 +220,89 @@ func TestMemoryTierLRU(t *testing.T) {
 	img, _ := Encode(Key{}, res)
 	perEntry := int64(len(img)) + entryOverhead
 
-	c := New(Options{MemBytes: perEntry * numShards * 2}) // ~2 per shard
+	const resident = 32
+	c := New(Options{MemBytes: perEntry * resident})
 	var keys []Key
-	for i := 0; i < numShards*8; i++ {
+	for i := 0; i < resident*4; i++ {
 		k, _ := KeyFor(h+uint64(i), cfg, sched.FIFO{})
 		c.Put(k, res)
 		keys = append(keys, k)
 	}
 	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("expected evictions, stats %+v", st)
+	if st.Evictions != resident*3 || st.MemEntries != resident {
+		t.Fatalf("%d same-size puts under a budget of %d: stats %+v", len(keys), resident, st)
 	}
-	if st.MemBytes > perEntry*numShards*2 {
-		t.Fatalf("budget exceeded: %d resident > %d", st.MemBytes, perEntry*numShards*2)
+	if st.MemBytes > perEntry*resident {
+		t.Fatalf("budget exceeded: %d resident > %d", st.MemBytes, perEntry*resident)
 	}
-	// Most-recent insertions should still be resident; evicted keys miss.
-	if _, ok := c.Get(keys[len(keys)-1]); !ok {
-		t.Error("most recent entry evicted")
-	}
-	hits := 0
-	for _, k := range keys {
-		if _, ok := c.Get(k); ok {
-			hits++
+	// Exactly the most recent insertions are resident; evicted keys miss.
+	for i, k := range keys {
+		if _, ok := c.Get(k); ok != (i >= len(keys)-resident) {
+			t.Fatalf("entry %d of %d: hit = %v with room for the last %d", i, len(keys), ok, resident)
 		}
 	}
-	if hits == 0 || hits == len(keys) {
-		t.Fatalf("LRU kept %d/%d entries; expected a strict subset", hits, len(keys))
+
+	// The budget is the whole tier's, whatever the keys' bits: a batch's
+	// worth of large entries (16 of ~1.3 MB, a 20 000-job result each)
+	// under the default 64 MiB all stay resident, so rotating through
+	// them never reads the disk tier.
+	big := &engine.Result{Jobs: make([]engine.JobOutcome, 20000)}
+	if bigImg, _ := Encode(Key{}, big); len(bigImg) < 1<<20 || len(bigImg) > 2<<20 {
+		t.Fatalf("entries are %d bytes each; the case is about ~1.3 MB ones", len(bigImg))
+	}
+	tiered := New(Options{Dir: t.TempDir()})
+	for i := 0; i < 16; i++ {
+		tiered.Put(Key{Hi: uint64(i)}, big)
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 16; i++ {
+			if _, ok := tiered.Get(Key{Hi: uint64(i)}); !ok {
+				t.Fatalf("round %d: entry %d missing from both tiers", round, i)
+			}
+		}
+	}
+	if st := tiered.Stats(); st.DiskHits != 0 || st.MemEntries != 16 || st.MemBytes > DefaultMemBytes {
+		t.Fatalf("16 entries in rotation under the default budget: %+v", st)
 	}
 }
 
 // Overwriting a resident entry with a larger payload must run the same
 // eviction loop as a fresh insert: without it a grown entry leaves the
-// shard over its byte budget until some unrelated insert cleans up.
+// tier over its byte budget until some unrelated insert cleans up.
 func TestOverwriteGrowthEvicts(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	small, _ := testResult(t, 5, cfg, sched.FIFO{})
 	large, h := testResult(t, 60, cfg, sched.FIFO{})
 	smallImg, _ := Encode(Key{}, small)
-	perSmall := int64(len(smallImg)) + entryOverhead
-
-	// Budget: four small entries per shard.
-	c := New(Options{MemBytes: perSmall * 4 * numShards})
-	// Fill one shard with four small entries (same low bits → same shard).
 	keys := make([]Key, 4)
 	for i := range keys {
-		keys[i] = Key{Hi: uint64(i), Lo: h << 4} // identical shard selector
-		c.insert(keys[i], append([]byte(nil), smallImg...))
+		keys[i] = Key{Hi: uint64(i), Lo: h}
 	}
-	// Overwrite the last-touched key with a much larger payload.
 	largeImg, err := Encode(keys[3], large)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(largeImg))+entryOverhead > c.perShard {
-		t.Skip("large entry exceeds whole shard budget; sizes drifted")
+	perSmall, perLarge := int64(len(smallImg))+entryOverhead, int64(len(largeImg))+entryOverhead
+
+	// Budget: the large entry beside one small one — room for the four
+	// small entries, not for three of them and the large.
+	c := New(Options{MemBytes: perLarge + perSmall})
+	for _, k := range keys {
+		c.insert(k, append([]byte(nil), smallImg...))
 	}
+	if st := c.Stats(); st.MemEntries != 4 || st.Evictions != 0 {
+		t.Fatalf("four small entries do not fit beside each other: %+v", st)
+	}
+	// Overwrite the last-touched key with the much larger payload.
 	c.insert(keys[3], largeImg)
-	s := &c.shards[keys[3].Lo&(numShards-1)]
-	s.mu.Lock()
-	bytes, entries := s.bytes, len(s.m)
-	s.mu.Unlock()
-	if bytes > c.perShard {
-		t.Fatalf("shard %d bytes over budget %d after overwrite growth", bytes, c.perShard)
+	st := c.Stats()
+	if st.MemBytes > c.budget {
+		t.Fatalf("%d bytes over budget %d after overwrite growth", st.MemBytes, c.budget)
 	}
-	if entries == 4 {
+	if st.MemEntries == 4 {
 		t.Fatal("overwrite growth evicted nothing, yet budget was exceeded before")
 	}
-	if st := c.Stats(); st.Evictions == 0 {
+	if st.Evictions == 0 {
 		t.Fatalf("eviction counter not advanced: %+v", st)
 	}
 	// The overwritten entry itself must survive and serve the new bytes.

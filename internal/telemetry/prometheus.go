@@ -99,7 +99,7 @@ func escapeHelp(s string) string {
 }
 
 // Handler serves the registry as a Prometheus scrape endpoint —
-// register it as /metrics beside the expvar and pprof handlers.
+// register it as /metrics beside the pprof handlers.
 func Handler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

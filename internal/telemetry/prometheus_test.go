@@ -201,47 +201,11 @@ func TestSimMetricsGolden(t *testing.T) {
 	}
 }
 
-// TestSimMetricsExpvar checks the legacy /debug/vars shape and the
-// ExpectRuns done semantics on the registry-backed view.
-func TestSimMetricsExpvar(t *testing.T) {
-	tel := NewSimMetrics(2)
-	tel.ExpectRuns(3)
-	simulateTwoJobs(tel) // finishes 2 of 3 expected runs
-
-	v, ok := tel.ExpvarValue().(map[string]any)
-	if !ok {
-		t.Fatalf("ExpvarValue() = %T", tel.ExpvarValue())
-	}
-	if done := v["done"].(bool); done {
-		t.Error("done = true with 2 of 3 expected runs finished")
-	}
-	if got := v["runs_finished"].(uint64); got != 2 {
-		t.Errorf("runs_finished = %d, want 2", got)
-	}
-	if got := v["jobs"].(uint64); got != 2 {
-		t.Errorf("jobs = %d, want 2", got)
-	}
-	if got := v["engine_events"].(uint64); got != 21 {
-		t.Errorf("engine_events = %d, want 21", got)
-	}
-	if got := v["preemptions"].(uint64); got != 1 {
-		t.Errorf("preemptions = %d, want 1", got)
-	}
-
-	// Third expected run ends: done flips.
-	s := tel.EngineSink()
-	s.RunEnd(obs.Counters{Events: 1})
-	if v := tel.ExpvarValue().(map[string]any); !v["done"].(bool) {
-		t.Error("done = false after all expected runs finished")
-	}
-}
-
 // TestNilSimMetrics pins the disabled path: every method on a nil
 // receiver is inert and EngineSink returns a true nil interface, so the
 // engine's `sink != nil` fast path stays taken.
 func TestNilSimMetrics(t *testing.T) {
 	var tel *SimMetrics
-	tel.ExpectRuns(5)
 	tel.ReplayDone(time.Second, 100)
 	tel.PoolGet(true)
 	tel.ForkDone(10, 20)
@@ -252,9 +216,6 @@ func TestNilSimMetrics(t *testing.T) {
 	}
 	if s := tel.EngineSink(); s != nil {
 		t.Errorf("nil SimMetrics returned a non-nil sink: %#v", s)
-	}
-	if tel.ExpvarValue() != nil {
-		t.Error("nil SimMetrics returned an expvar value")
 	}
 }
 

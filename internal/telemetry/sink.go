@@ -1,9 +1,8 @@
 // SimMetrics is the SimMR metric set over a sharded Registry, and
-// EngineSink is the obs.Sink that feeds it. Together they replace
-// obs.MetricsSink's sweep-aggregation role: instead of N engines
-// funneling every event through one mutex, each engine's sink writes
-// its own registry shard with plain atomics and the shards merge at
-// scrape time.
+// EngineSink is the obs.BatchSink that feeds it: each engine's sink
+// writes its own registry shard with plain atomics, a block of events at
+// a time, and the shards merge at scrape time — so one SimMetrics
+// aggregates any number of concurrent engines with no lock between them.
 
 package telemetry
 
@@ -83,7 +82,6 @@ type SimMetrics struct {
 	simTime  *MaxGauge
 	makespan *MaxGauge
 	queueMax *MaxGauge
-	expected atomic.Int64 // runs expected by the current sweep/batch
 
 	buildOnce sync.Once // StampBuildInfo registers at most once
 }
@@ -183,17 +181,6 @@ func (t *SimMetrics) Registry() *Registry {
 		return nil
 	}
 	return t.reg
-}
-
-// ExpectRuns adds n to the number of replays the current workload will
-// perform; the expvar view reports done only once that many replays
-// finished (the fix for MetricsSink's first-RunEnd-wins bug, applied
-// here natively).
-func (t *SimMetrics) ExpectRuns(n int) {
-	if t == nil {
-		return
-	}
-	t.expected.Add(int64(n))
 }
 
 // ReplayDone records one replay's wall time and throughput. Callers
@@ -425,41 +412,4 @@ func (s *engineSink) RunEnd(c obs.Counters) {
 	t.replaysTotal.Inc(sh)
 	clear(s.arrivals)
 	clear(s.fillerStarts)
-}
-
-// ExpvarValue renders the merged registry in the same shape
-// obs.MetricsSink.ExpvarValue uses, so /debug/vars stays stable while
-// the aggregation underneath moved to the sharded registry. `done`
-// honors ExpectRuns: a live sweep is done only when every expected
-// replay finished.
-func (t *SimMetrics) ExpvarValue() any {
-	if t == nil {
-		return nil
-	}
-	byKind := make(map[string]uint64, obs.KindCount)
-	var observed uint64
-	for k := obs.Kind(0); k < obs.KindCount; k++ {
-		if v := t.eventsByKind[k].Value(); v > 0 {
-			byKind[k.String()] = v
-			observed += v
-		}
-	}
-	finished := t.replaysTotal.Value()
-	expected := t.expected.Load()
-	return map[string]any{
-		"observed_events":    observed,
-		"by_kind":            byKind,
-		"sim_time_s":         t.simTime.Value(),
-		"done":               expected > 0 && finished >= uint64(expected),
-		"runs_expected":      expected,
-		"runs_finished":      finished,
-		"engine_events":      t.eventsTotal.Value(),
-		"heap_high_water":    int(t.queueMax.Value()),
-		"preemptions":        t.preemptions.Value(),
-		"filler_patches":     t.fillerPatch.Value(),
-		"map_slot_allocs":    t.mapAllocs.Value(),
-		"reduce_slot_allocs": t.reduceAllocs.Value(),
-		"jobs":               t.jobsTotal.Value(),
-		"makespan_s":         t.makespan.Value(),
-	}
 }

@@ -1,13 +1,12 @@
 // Package telemetry is SimMR's sweep-wide metrics layer: a registry of
 // counters, max-gauges, and fixed-bucket histograms whose hot path is
-// lock-free. Where obs.MetricsSink pays a mutex per event to be
-// shareable across engines, a telemetry Registry is sharded — one
-// cache-line-padded shard per concurrent writer (sized to the
-// internal/parallel worker ceiling, GOMAXPROCS) — and every update is a
-// plain atomic add to the writer's own shard. Shards are merged only
-// when somebody looks: a Prometheus scrape (WritePrometheus), an expvar
-// read, or a Value() call. A shared sweep-wide registry therefore costs
-// no cross-core synchronization per event, only per scrape.
+// lock-free. A Registry is sharded — one cache-line-padded shard per
+// concurrent writer (sized to the internal/parallel worker ceiling,
+// GOMAXPROCS) — and every update is a plain atomic add to the writer's
+// own shard. Shards are merged only when somebody looks: a Prometheus
+// scrape (WritePrometheus) or a Value() call. A shared sweep-wide
+// registry therefore costs no cross-core synchronization per event, only
+// per scrape.
 //
 // The contract mirrors DESIGN.md §10:
 //

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"simmr/internal/sched/schedtest"
+	"simmr/internal/telemetry/telemetrytest"
 )
 
 // branchFixture builds a production-shaped trace with one guaranteed
@@ -257,7 +258,7 @@ func TestBranchSetErrorNamesBranch(t *testing.T) {
 }
 
 // TestBranchSetTelemetry wires a Telemetry through a fan-out and checks
-// the fork counters, expected-runs accounting, byte conservation, and
+// the fork counters, finished-runs accounting, byte conservation, and
 // that the prefix's events were emitted once, not once per branch.
 func TestBranchSetTelemetry(t *testing.T) {
 	tr, total, horizon := branchFixture(t, 30, NewFIFO())
@@ -270,24 +271,15 @@ func TestBranchSetTelemetry(t *testing.T) {
 	}, branches); err != nil {
 		t.Fatal(err)
 	}
-	v := tel.ExpvarValue().(map[string]any)
-	if done := v["done"].(bool); !done {
-		t.Errorf("telemetry not done after fan-out: %+v", v)
+	v := telemetrytest.Scrape(t, tel.Registry())
+	if got := v["simmr_replays_total"]; got != float64(len(branches)) {
+		t.Errorf("simmr_replays_total = %v, want %d", got, len(branches))
 	}
-	if got := v["runs_finished"].(uint64); got != uint64(len(branches)) {
-		t.Errorf("runs_finished = %d, want %d", got, len(branches))
-	}
-	var sb strings.Builder
-	if err := tel.Registry().WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	wantLine := "simmr_engine_forks_total 5"
-	if !strings.Contains(out, wantLine+"\n") {
-		t.Errorf("exposition missing %q", wantLine)
+	if got := v["simmr_engine_forks_total"]; got != 5 {
+		t.Errorf("simmr_engine_forks_total = %v, want 5", got)
 	}
 	for _, name := range []string{"simmr_engine_fork_bytes_copied", "simmr_engine_fork_bytes_shared"} {
-		if !strings.Contains(out, name+" ") {
+		if _, ok := v[name]; !ok {
 			t.Errorf("exposition missing %s", name)
 		}
 	}
@@ -317,7 +309,7 @@ func TestBranchSetTelemetry(t *testing.T) {
 		}
 		want += ms.Snapshot().Observed - prefix
 	}
-	if got := v["observed_events"].(uint64); got != want {
-		t.Errorf("sinks were delivered %d events, want the prefix once and %d suffixes: %d", got, len(branches), want)
+	if got := v.Sum("simmr_engine_events_by_kind_total"); got != float64(want) {
+		t.Errorf("sinks were delivered %v events, want the prefix once and %d suffixes: %d", got, len(branches), want)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"simmr/internal/runs"
 )
 
-// Cache is the content-addressed replay result cache: a sharded,
-// byte-budgeted in-memory LRU in front of an optional on-disk store.
+// Cache is the content-addressed replay result cache: a byte-budgeted
+// in-memory LRU in front of an optional on-disk store.
 // The engine's determinism makes it sound by construction — a key is a
 // 128-bit fingerprint over (full-content trace digest, config, policy,
 // engine semantics version), so it can only hit an entry computed from

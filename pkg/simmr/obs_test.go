@@ -114,7 +114,7 @@ func TestCapacitySweepSinkFactory(t *testing.T) {
 	if snap.Counters.Jobs != len(pts)*len(tr.Jobs) {
 		t.Fatalf("aggregated jobs = %d, want %d", snap.Counters.Jobs, len(pts)*len(tr.Jobs))
 	}
-	if snap.Observed == 0 || !snap.Done {
+	if snap.Observed == 0 || snap.RunsFinished != len(pts) {
 		t.Fatalf("metrics snapshot %+v", snap)
 	}
 }

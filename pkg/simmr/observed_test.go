@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"simmr/internal/obs"
+	"simmr/internal/telemetry/telemetrytest"
 )
 
 // TestBlockDeliveryScrapedWhileRunning is -race coverage for block
@@ -79,14 +80,13 @@ func TestBlockDeliveryScrapedWhileRunning(t *testing.T) {
 		for _, c := range snap.ByKind {
 			byKind += c
 		}
-		if !snap.Done || snap.Counters.Events != results[i].Events || snap.Observed != byKind || snap.Observed <= results[i].Events {
+		if snap.RunsFinished != 1 || snap.Counters.Events != results[i].Events || snap.Observed != byKind || snap.Observed <= results[i].Events {
 			t.Fatalf("sink %d after the batch: %+v (replay fired %d events)", i, snap, results[i].Events)
 		}
 		observed += snap.Observed
 	}
-	v := tel.ExpvarValue().(map[string]any)
-	if got := v["observed_events"].(uint64); got != observed {
-		t.Fatalf("telemetry observed %d events, the metrics sinks %d", got, observed)
+	if got := telemetrytest.Scrape(t, tel.Registry()).Sum("simmr_engine_events_by_kind_total"); got != float64(observed) {
+		t.Fatalf("telemetry observed %v events, the metrics sinks %d", got, observed)
 	}
 }
 

@@ -123,8 +123,7 @@ type (
 	// ChromeTraceSink exports a replay as Chrome trace-event JSON for
 	// chrome://tracing / Perfetto.
 	ChromeTraceSink = obs.ChromeTraceSink
-	// MetricsSink tallies concurrency-safe counter snapshots (the
-	// cmd/simmr --debug-addr expvar endpoint reads one).
+	// MetricsSink tallies concurrency-safe counter snapshots.
 	MetricsSink = obs.MetricsSink
 	// SlotSpan is one task execution pinned to a concrete slot.
 	SlotSpan = obs.SlotSpan

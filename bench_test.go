@@ -224,11 +224,11 @@ func branchPoint(b *testing.B, tr *simmr.Trace) uint64 {
 	return res.Events * 9 / 10
 }
 
-// BenchmarkFork measures the copy-on-write fork itself: one sealed
+// BenchmarkFork measures the fork itself: one sealed
 // snapshot at the 90% branch point, ForkInto the same recycled
 // destination engine every iteration. Nothing runs after the fork, so
-// ns/op is the pure branch-creation cost — the cloned event queue plus
-// constant-size bookkeeping, with every job chunk still shared.
+// ns/op is the pure branch-creation cost — the cloned events, the live
+// jobs' slots and the outcomes of the first 90 % of the trace.
 func BenchmarkFork(b *testing.B) {
 	tr := fixture(b, replayJobs)
 	e, err := simmr.NewEngine(simmr.DefaultReplayConfig(), tr, simmr.NewFIFO())

@@ -16,7 +16,7 @@
 //	      [-slot-timeline slots.tsv] [-policy ...] [-map-slots ...]
 //
 // The `trace whatif` subcommand replays the workload once up to a
-// branch point, forks the paused engine copy-on-write into one branch
+// branch point, forks the paused engine into one branch
 // per what-if scenario (always a control, plus -policies swaps and
 // -deadline-scale rescales), and prints a comparison table:
 //

@@ -11,7 +11,7 @@ import (
 )
 
 // runTraceWhatif implements `simmr trace whatif`: replay the workload
-// once up to a branch point, then fan out K copy-on-write forks — a
+// once up to a branch point, then fan out K forks — a
 // control branch plus one branch per requested policy swap and per
 // deadline rescale — and print a comparison table. All branches share
 // the simulated prefix, so answering K questions costs roughly one

@@ -166,13 +166,17 @@ func (o *JobOutcome) ExceededDeadline() bool {
 	return o.Deadline > 0 && o.Finish > o.Deadline
 }
 
-// Result is the outcome of one replay. A Result returned by Run (and
-// by everything built on it: Pool.Run, simmr.Replay, ReplayBatchCfg) is
-// owned by the caller and never touched by the engine again. A Result
-// handed to a Pool.Fold callback is the engine's own scratch: it is
-// valid only until the callback returns, and nothing reached through
-// Jobs may be retained except the span slices, which every arm
-// allocates fresh.
+// Result is the outcome of one replay. Jobs is where the engine keeps
+// its per-job outcomes while it runs (DESIGN.md §5, "Lifetime"): the
+// array is bound when the replay starts, each job's entry is written
+// from its arrival to its departure, and the finished Result is that
+// array — nothing is copied out at the end. A Result returned by Run
+// (and by everything built on it: Pool.Run, simmr.Replay,
+// ReplayBatchCfg) is owned by the caller and never written by the
+// engine again. A Result handed to a Pool.Fold callback is the engine's
+// own scratch: it is valid only until the callback returns, and nothing
+// reached through Jobs may be retained except the span slices, which
+// every arrival allocates fresh.
 type Result struct {
 	Jobs     []JobOutcome
 	Events   uint64
@@ -181,21 +185,28 @@ type Result struct {
 
 // fillerReduce tracks a first-wave reduce waiting for its job's map
 // stage to complete so its infinite-duration filler can be patched.
+// Fillers live in one engine-level arena (Engine.fillers), linked per
+// job in start order: every filler holds a reduce slot, so the arena
+// never outgrows Config.ReduceSlots whichever jobs the slots serve.
 type fillerReduce struct {
 	ev           *des.Event
 	firstShuffle float64
 	reducePhase  float64
 	spanIdx      int
+	next         int32 // next filler of the job, or next free entry; -1 ends the list
 }
 
-// simJob is the engine-local mutable replay state of one job. All of it
-// lives here (never on trace.Job), which is what lets a single immutable
-// trace be shared read-only across any number of concurrent engines —
-// see DESIGN.md "Concurrency model".
+// simJob is the engine-local mutable replay state of one live job: it
+// is armed from the trace by the job's arrival event and recycled by the
+// compaction that follows its departure (DESIGN.md §5, "Lifetime"). All
+// mutable state lives here or in the Result (never on trace.Job), which
+// is what lets a single immutable trace be shared read-only across any
+// number of concurrent engines.
 type simJob struct {
 	info sched.JobInfo   // scheduler-visible state, engine-owned
 	tpl  *trace.Template // read-only view into the shared trace
-	out  JobOutcome
+	out  *JobOutcome     // the job's entry in the run's Result.Jobs
+	pos  int             // index of that entry: trace position, injected jobs after
 
 	nextMap      int
 	nextReduce   int
@@ -203,6 +214,7 @@ type simJob struct {
 	typicalWave  int // count of typical-wave reduces started
 	slowstartMin int
 	seq          int // arrival order; tie-break for the preemption index
+	events       int // engine events handled for the job so far
 
 	// retryMaps holds task indices killed by preemption, re-executed
 	// before fresh indices are drawn.
@@ -211,10 +223,9 @@ type simJob struct {
 	// preemption can cancel them. Allocated only under PreemptMapTasks.
 	runningMaps map[int]*des.Event
 
-	fillers       []fillerReduce
-	mapStageEvent bool // map-stage-complete event already scheduled
-	arrived       bool // job-arrival event handled
-	departed      bool
+	fillerHead, fillerTail int32 // the job's fillers in Engine.fillers; -1 when none
+	mapStageEvent          bool  // map-stage-complete event already scheduled
+	departed               bool
 }
 
 // runState tracks where an engine is in its arm → run → seal lifecycle.
@@ -237,9 +248,12 @@ const (
 // re-arms a used engine for another run while retaining its warmed
 // allocations (see Reset).
 //
-// The engine never mutates the trace or its templates: every piece of
-// mutable per-job replay state lives in engine-local simJob slots, so
-// concurrent engines may share one trace without cloning or locking.
+// The engine never mutates the trace or its templates, and what it
+// holds per job is sized by the jobs in flight, not by the trace: a job
+// has engine state from its arrival event to the compaction after its
+// departure, and its outcome lives in the Result (DESIGN.md §5,
+// "Lifetime"). Concurrent engines may share one trace without cloning
+// or locking.
 type Engine struct {
 	cfg    Config
 	policy sched.Policy
@@ -251,37 +265,60 @@ type Engine struct {
 	// engine's through the cloned queue and leave their own untouched.
 	arrivals []des.Arrival
 
-	// jobs is a single contiguous slab; pointers into it (sj.info) stay
-	// valid because it is fully sized in Reset and never reallocated
-	// during a run.
-	jobs    []simJob
-	indexOf map[int]int // job ID -> index in jobs; nil when IDs are dense
+	// tr is the trace being replayed and extra the jobs injected after
+	// it, by value. A job's position — its index in tr.Jobs, or
+	// len(tr.Jobs)+k for extra[k] — names its outcome in out and its
+	// entry in slotOf; indexOf maps job IDs to positions and is nil when
+	// the IDs are dense (ID == position), sharedIndex marks it as
+	// borrowed read-only from the fork source.
+	tr          *trace.Trace
+	extra       []trace.Job
+	indexOf     map[int]int
+	sharedIndex bool
+
+	// The live window. slotOf[p] is the state of the job at position p
+	// while it is live and nil before its arrival and after its
+	// retirement; slots come from slab in chunks (pointer-stable: the
+	// policy and the scheduling index hold &slot.info) and go back to
+	// free, so carved — every slot there is, in address order — counts
+	// the high-water of jobs live at once. out is the outcome array the run's Result will
+	// carry, zero at every position not yet arrived and final from the
+	// job's departure; outHi bounds the positions written. deadlines
+	// holds SetDeadline's overrides for jobs still to arrive, by position.
+	slotOf    []*simJob
+	slab      []simJob
+	free      []*simJob
+	carved    []*simJob
+	out       []JobOutcome
+	outHi     int
+	deadlines map[int]float64
+	// fillers is the arena of filler reduces (see fillerReduce), fillerFree
+	// the head of its free entries.
+	fillers    []fillerReduce
+	fillerFree int32
+
 	// active lists the arrived jobs in arrival order — the queue the
-	// paper's policy interface is handed. A departure only decrements
-	// live; the job's entry stays until compactActive squeezes it out,
-	// which every reader that needs the exact queue does first, so the
-	// cost of a departure does not grow with the queue.
+	// paper's policy interface is handed — and slots their state, entry
+	// for entry. A departure only decrements live; the job stays until
+	// compactActive squeezes it out and recycles its slot, which every
+	// reader that needs the exact queue does first, so the cost of a
+	// departure does not grow with the queue.
 	active []*sched.JobInfo
+	slots  []*simJob
 	live   int // arrived and not yet departed
 
 	freeMap    int
 	freeReduce int
 	remaining  int
 	state      runState
+	makespan   float64 // time of the latest job departure
 
-	// Copy-on-write fork state, nil/empty on ordinary engines. src is
-	// the sealed snapshot this engine was forked from; jobs-slab chunks
-	// copy from it lazily on first write, tracked by the dirty bitset
-	// (see fork.go). extra holds jobs injected after the branch point —
-	// individually boxed so slab pointers never move — and sharedIndex
-	// marks indexOf as borrowed read-only from the snapshot. snap caches
-	// this engine's own Snapshot once sealed.
-	src         *Snapshot
-	dirty       []uint64
-	extra       []*simJob
-	sharedIndex bool
-	snap        *Snapshot
-	stats       ForkStats
+	// src is the sealed snapshot this engine was forked from, whose
+	// arrival schedule (and ID map) it borrows; nil on ordinary engines.
+	// snap caches this engine's own Snapshot once sealed.
+	src   *Snapshot
+	snap  *Snapshot
+	stats ForkStats
 
 	// Policy dispatch, resolved by setPolicy so the hot path never
 	// repeats a type assertion. batch is the engine-owned scheduling
@@ -344,12 +381,14 @@ func New(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, error) {
 // Reset re-initializes the engine in place for a fresh run under a new
 // (or identical) configuration, trace, and policy — the engine-reuse
 // contract behind Pool. Everything observable is cleared: the clock,
-// the event queue's counters and pending events, all per-job replay
-// state, the active set, and the run counters; a reset engine produces
-// byte-identical Results to a newly built one. What is *retained* is
-// warmed capacity: the event queue's slab and free list, the jobs slab,
-// the active slice, the ID-dispatch map, and per-job retry/filler
-// scratch slices, so steady-state reuse allocates only the per-run
+// the event queue's counters and pending events, the live jobs, the
+// active set, and the run counters; a reset engine produces
+// byte-identical Results to a newly built one. Reset checks the trace
+// and records it — job state is armed by the arrival events, so nothing
+// is written per job here. What is *retained* is warmed capacity: the
+// event queue's slab and free list, the job slots with their retry
+// scratch, the filler arena, the by-position table, the active slice and
+// the ID-dispatch map, so steady-state reuse allocates only the per-run
 // outputs (Result, outcomes, spans) instead of rebuilding the engine's
 // working set from scratch. Pool.Put decides which engines are worth
 // keeping that way.
@@ -363,127 +402,104 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 	if err := tr.Validate(); err != nil {
 		return err
 	}
+	// Normalized traces carry dense IDs 0..n-1; dispatch on the position
+	// then, avoiding the map (and its per-run fill).
+	dense := true
+	for i, j := range tr.Jobs {
+		dense = dense && j.ID == i
+		if cfg.ReduceSlots == 0 && j.Template.NumReduces > 0 {
+			return fmt.Errorf("engine: job %d needs reduce slots but cluster has none", j.ID)
+		}
+	}
 	n := len(tr.Jobs)
 	e.cfg = cfg
 	e.setPolicy(policy)
 	e.setSink(cfg.Sink)
 	e.clock.Reset()
 	e.q.Reset()
-	if cap(e.jobs) >= n {
-		// Zero any tail beyond the new job count so a pooled engine does
-		// not pin templates (whole traces) from a previous, larger run.
-		for i := n; i < len(e.jobs); i++ {
-			e.jobs[i] = simJob{}
-		}
-		e.jobs = e.jobs[:n]
-	} else {
-		e.jobs = make([]simJob, n)
-	}
-	if cap(e.active) >= n {
-		e.active = e.active[:0]
-	} else {
-		e.active = make([]*sched.JobInfo, 0, n)
-	}
-	e.live = 0
+	// Reset un-seals and un-forks: whatever the previous arming left live,
+	// bound or borrowed goes first. Outstanding forks of a sealed engine
+	// must finish before it is Reset (they read its state concurrently);
+	// the snapshot-holding side enforces that.
+	e.release()
+	e.tr = tr
+	e.slotOf = resized(e.slotOf, n)
 	e.freeMap = cfg.MapSlots
 	e.freeReduce = cfg.ReduceSlots
 	e.remaining = n
 	e.state = runIdle
-	// Reset un-seals and un-forks: the snapshot link, dirty bitset, and
-	// injected-job slab all belong to the previous arming. Outstanding
-	// forks of a sealed engine must finish before it is Reset (they read
-	// its slabs concurrently); the snapshot-holding side enforces that.
-	e.src = nil
+	e.makespan = 0
 	e.snap = nil
 	e.stats = ForkStats{}
-	for i := range e.extra {
-		e.extra[i] = nil
+	e.arrivalSeq = 0
+	e.resetPreemptIdx()
+	e.preemptions = 0
+	e.fillerPatches = 0
+	e.mapSlotAllocs = 0
+	e.reduceSlotAllocs = 0
+	if dense {
+		e.indexOf = nil
+	} else {
+		if e.indexOf == nil {
+			e.indexOf = make(map[int]int, n)
+		}
+		clear(e.indexOf)
+		for i, j := range tr.Jobs {
+			e.indexOf[j.ID] = i
+		}
 	}
+	return nil
+}
+
+// resized returns s with length n and every entry nil, given that every
+// entry of s already is (release leaves the table that way).
+func resized(s []*simJob, n int) []*simJob {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]*simJob, n)
+}
+
+// release returns the engine to holding no job: live slots go back to
+// the free list, the outcome array goes to whoever holds the Result, and
+// everything that points into the trace or the fork source is dropped.
+// What is left is capacity. Reset, ForkInto and Pool.Put start from here.
+func (e *Engine) release() {
+	for _, sj := range e.slots {
+		e.retire(sj)
+	}
+	// Every slot is free: the next run takes them in address order, so jobs
+	// that arrive together sit together however the last run's departures
+	// shuffled the list (DESIGN.md §5: a burst is 6 % slower otherwise).
+	e.free = append(e.free[:0], e.carved...)
+	slices.Reverse(e.free)
+	clear(e.active)
+	clear(e.slots)
+	e.active, e.slots, e.live = e.active[:0], e.slots[:0], 0
+	e.out, e.outHi = nil, 0
+	clear(e.deadlines)
+	e.fillers, e.fillerFree = e.fillers[:0], -1
+	e.tr = nil
+	clear(e.extra)
 	e.extra = e.extra[:0]
+	e.src = nil
 	if e.sharedIndex {
 		// The map belongs to the fork source; drop it rather than clear it.
-		e.indexOf = nil
-		e.sharedIndex = false
+		e.indexOf, e.sharedIndex = nil, false
 	}
-	e.arrivalSeq = 0
+}
+
+// resetPreemptIdx empties the preemption index, building it the first
+// time PreemptMapTasks is on and dropping it when it is off.
+func (e *Engine) resetPreemptIdx() {
 	switch {
-	case !cfg.PreemptMapTasks:
+	case !e.cfg.PreemptMapTasks:
 		e.preemptIdx = nil
 	case e.preemptIdx == nil:
 		e.preemptIdx = e.newPreemptIdx()
 	default:
 		e.preemptIdx.Reset()
 	}
-	e.preemptions = 0
-	e.fillerPatches = 0
-	e.mapSlotAllocs = 0
-	e.reduceSlotAllocs = 0
-	// Normalized traces carry dense IDs 0..n-1; dispatch on a slice
-	// index then, avoiding the map (and its per-run fill).
-	dense := true
-	for i, j := range tr.Jobs {
-		if j.ID != i {
-			dense = false
-			break
-		}
-	}
-	if dense {
-		e.indexOf = nil
-	} else if e.indexOf == nil {
-		e.indexOf = make(map[int]int, n)
-	} else {
-		clear(e.indexOf)
-	}
-	for i, j := range tr.Jobs {
-		if j.Template.NumReduces > 0 && cfg.ReduceSlots == 0 {
-			return fmt.Errorf("engine: job %d needs reduce slots but cluster has none", j.ID)
-		}
-		slowstart := int(float64(j.Template.NumMaps)*cfg.MinMapPercentCompleted + 0.9999)
-		if slowstart < 1 {
-			slowstart = 1
-		}
-		sj := &e.jobs[i]
-		sj.info = sched.JobInfo{
-			ID: j.ID, Name: j.Name,
-			Arrival: j.Arrival, Deadline: j.Deadline,
-			NumMaps: j.Template.NumMaps, NumReduces: j.Template.NumReduces,
-			Profile: j.Template.ProfileRef(),
-		}
-		sj.tpl = j.Template
-		// The previous run's outcome (and its span slices) escaped into
-		// that run's Result, so the outcome is rebuilt, never recycled.
-		sj.out = JobOutcome{
-			ID: j.ID, Name: j.Name,
-			Arrival: j.Arrival, Deadline: j.Deadline,
-		}
-		sj.nextMap = 0
-		sj.nextReduce = 0
-		sj.firstWave = 0
-		sj.typicalWave = 0
-		sj.slowstartMin = slowstart
-		sj.seq = 0
-		sj.retryMaps = sj.retryMaps[:0]
-		sj.fillers = sj.fillers[:0]
-		sj.mapStageEvent = false
-		sj.arrived = false
-		sj.departed = false
-		switch {
-		case !cfg.PreemptMapTasks:
-			sj.runningMaps = nil
-		case sj.runningMaps == nil:
-			sj.runningMaps = make(map[int]*des.Event)
-		default:
-			clear(sj.runningMaps)
-		}
-		if cfg.RecordSpans {
-			sj.out.MapSpans = make([]Span, j.Template.NumMaps)
-			sj.out.ReduceSpans = make([]Span, j.Template.NumReduces)
-		}
-		if e.indexOf != nil {
-			e.indexOf[j.ID] = i
-		}
-	}
-	return nil
 }
 
 // setPolicy installs p and resolves how it is driven: through an empty
@@ -524,16 +540,14 @@ func (e *Engine) setSink(s obs.Sink) {
 // newPreemptIdx builds the preemption victim tournament: active jobs
 // ordered by latest effective deadline (ties: earliest arrival seq) —
 // both fixed once a job has arrived. A job contends while it has running
-// map tasks (preemptible); the handlers that change that say so. The
-// comparator reads through jobROByID — pure lookups that must not
-// trigger a copy-on-write chunk copy on forked engines.
+// map tasks (preemptible); the handlers that change that say so.
 func (e *Engine) newPreemptIdx() *sched.Tournament {
 	return sched.NewTournament(sched.LaneAux, sched.Order{
 		Better: func(a, b *sched.JobInfo) bool {
 			if da, db := a.EffectiveDeadline(), b.EffectiveDeadline(); da != db {
 				return da > db // latest deadline wins the victim tournament
 			}
-			return e.jobROByID(a.ID).seq < e.jobROByID(b.ID).seq
+			return e.jobByID(a.ID).seq < e.jobByID(b.ID).seq
 		},
 		Static: true,
 	})
@@ -542,31 +556,7 @@ func (e *Engine) newPreemptIdx() *sched.Tournament {
 // preemptible reports whether the job has a running map task to kill.
 func (sj *simJob) preemptible() bool { return len(sj.runningMaps) > 0 }
 
-// jobAt returns the mutable engine-local state of the job at slab index
-// i, first copying its chunk from the fork source if this engine is a
-// live fork and the chunk is still clean. Ordinary engines pay one nil
-// check. Handlers go through here (or jobByID); pure reads that must
-// not force a copy use jobRO.
-func (e *Engine) jobAt(i int) *simJob {
-	if e.src != nil {
-		e.ensureChunk(i / cowChunkJobs)
-	}
-	return &e.jobs[i]
-}
-
-// jobRO returns read-only job state without triggering a chunk copy:
-// on a live fork, reads of clean chunks fall through to the sealed
-// snapshot's slab. Callers must not mutate the result or retain
-// pointers into it across handlers.
-func (e *Engine) jobRO(i int) *simJob {
-	if e.src != nil && !e.chunkDirty(i/cowChunkJobs) {
-		return &e.src.e.jobs[i]
-	}
-	return &e.jobs[i]
-}
-
-// jobIndex maps a job ID to its jobs-slab index; negative values are
-// encoded extra-slab slots (injected jobs): index -k-1 is extra[k].
+// jobIndex maps the ID of a job of this replay to its position.
 func (e *Engine) jobIndex(id int) int {
 	if e.indexOf == nil {
 		return id
@@ -574,63 +564,142 @@ func (e *Engine) jobIndex(id int) int {
 	return e.indexOf[id]
 }
 
-// jobByID resolves an event's job ID to its mutable engine-local state.
-func (e *Engine) jobByID(id int) *simJob {
-	i := e.jobIndex(id)
-	if i < 0 {
-		return e.extra[-i-1]
-	}
-	return e.jobAt(i)
-}
+// jobByID resolves a live job's ID to its state.
+func (e *Engine) jobByID(id int) *simJob { return e.slotOf[e.jobIndex(id)] }
 
-// jobROByID is jobByID without the copy-on-write trigger.
-func (e *Engine) jobROByID(id int) *simJob {
-	i := e.jobIndex(id)
-	if i < 0 {
-		return e.extra[-i-1]
-	}
-	return e.jobRO(i)
-}
-
-// jobLookup is jobByID for IDs that may not exist (mutation APIs).
-func (e *Engine) jobLookup(id int) (*simJob, bool) {
+// jobLookup is jobIndex for IDs that may not exist (mutation APIs).
+func (e *Engine) jobLookup(id int) (pos int, ok bool) {
 	if e.indexOf == nil {
-		if id < 0 || id >= len(e.jobs) {
-			return nil, false
-		}
-		return e.jobAt(id), true
+		return id, id >= 0 && id < len(e.tr.Jobs)
 	}
-	i, ok := e.indexOf[id]
-	if !ok {
-		return nil, false
-	}
-	if i < 0 {
-		return e.extra[-i-1], true
-	}
-	return e.jobAt(i), true
+	pos, ok = e.indexOf[id]
+	return pos, ok
 }
 
-// start preloads the job arrivals as the queue's schedule, moving the
-// engine from armed to in-flight. Arrivals fire in (time, trace
-// position) order; a trace already in arrival order — every Normalized
-// one — is taken as is. Idempotent while the run is in flight; rejected
-// once the run finished (the old "Run called twice" protection) or the
-// engine was sealed by Snapshot.
-func (e *Engine) start() error {
+// jobAt returns the job at position p: the trace's, or an injected one.
+func (e *Engine) jobAt(p int) *trace.Job {
+	if n := len(e.tr.Jobs); p >= n {
+		return &e.extra[p-n]
+	}
+	return e.tr.Jobs[p]
+}
+
+// slotChunk is the least number of job slots carved at once; each
+// further chunk doubles the slots the engine owns.
+const slotChunk = 16
+
+// newSlot hands out a job slot: a recycled one, retry scratch and all,
+// before the slab grows.
+func (e *Engine) newSlot() *simJob {
+	if n := len(e.free); n > 0 {
+		sj := e.free[n-1]
+		e.free = e.free[:n-1]
+		return sj
+	}
+	if len(e.slab) == 0 {
+		e.slab = make([]simJob, max(slotChunk, len(e.carved)))
+	}
+	sj := &e.slab[0]
+	e.slab = e.slab[1:]
+	e.carved = append(e.carved, sj)
+	return sj
+}
+
+// arm builds the state of the job at position p in a slot and starts
+// its outcome — the first half of handling its arrival event.
+func (e *Engine) arm(p int) *simJob {
+	sj := e.newSlot()
+	j := e.jobAt(p)
+	deadline := j.Deadline
+	if len(e.deadlines) > 0 {
+		if d, ok := e.deadlines[p]; ok {
+			deadline = d
+		}
+	}
+	sj.info = sched.JobInfo{
+		ID: j.ID, Name: j.Name,
+		Arrival: j.Arrival, Deadline: deadline,
+		NumMaps: j.Template.NumMaps, NumReduces: j.Template.NumReduces,
+		Profile: j.Template.ProfileRef(),
+	}
+	sj.tpl = j.Template
+	sj.out = &e.out[p]
+	*sj.out = JobOutcome{
+		ID: j.ID, Name: j.Name,
+		Arrival: j.Arrival, Deadline: deadline,
+	}
+	if e.cfg.RecordSpans {
+		sj.out.MapSpans = make([]Span, j.Template.NumMaps)
+		sj.out.ReduceSpans = make([]Span, j.Template.NumReduces)
+	}
+	sj.pos = p
+	sj.nextMap = 0
+	sj.nextReduce = 0
+	sj.firstWave = 0
+	sj.typicalWave = 0
+	sj.slowstartMin = max(1, int(float64(j.Template.NumMaps)*e.cfg.MinMapPercentCompleted+0.9999))
+	sj.seq = e.arrivalSeq
+	sj.events = 0
+	sj.retryMaps = sj.retryMaps[:0]
+	sj.fillerHead, sj.fillerTail = -1, -1
+	sj.mapStageEvent = false
+	sj.departed = false
+	switch {
+	case !e.cfg.PreemptMapTasks:
+		sj.runningMaps = nil
+	case sj.runningMaps == nil:
+		sj.runningMaps = make(map[int]*des.Event)
+	default:
+		clear(sj.runningMaps)
+	}
+	e.arrivalSeq++
+	e.slotOf[p] = sj
+	if p >= e.outHi {
+		e.outHi = p + 1
+	}
+	return sj
+}
+
+// arrived reports whether the arrival event of the job at position p has
+// been handled: the job is live, or departed and its outcome final.
+func (e *Engine) arrived(p int) bool { return e.slotOf[p] != nil || e.out[p].Events > 0 }
+
+// retire recycles the slot of a job no one refers to any more, cleared
+// of what it held of the trace and the Result.
+func (e *Engine) retire(sj *simJob) {
+	e.slotOf[sj.pos] = nil
+	sj.info.Name, sj.info.Profile, sj.tpl, sj.out = "", nil, nil, nil
+	e.free = append(e.free, sj)
+}
+
+// start preloads the job arrivals as the queue's schedule and binds the
+// outcome array — buf's storage when it can hold the trace's jobs —
+// moving the engine from armed to in-flight. Arrivals fire in (time,
+// trace position) order; a trace already in arrival order — every
+// Normalized one — is taken as is. Idempotent while the run is in flight
+// (the array bound first stays); rejected once the run finished (the old
+// "Run called twice" protection) or the engine was sealed by Snapshot.
+func (e *Engine) start(buf []JobOutcome) error {
 	switch e.state {
 	case runIdle:
 		e.state = runStarted
-		s, sorted := e.arrivals[:0], true
-		for i := range e.jobs {
-			info := &e.jobs[i].info
-			sorted = sorted && (i == 0 || s[i-1].Time <= info.Arrival)
-			s = append(s, des.Arrival{Time: info.Arrival, JobID: info.ID})
+		n := len(e.tr.Jobs)
+		s, sorted := slices.Grow(e.arrivals[:0], n), true
+		for i, j := range e.tr.Jobs {
+			sorted = sorted && (i == 0 || s[i-1].Time <= j.Arrival)
+			s = append(s, des.Arrival{Time: j.Arrival, JobID: j.ID})
 		}
 		if !sorted {
 			slices.SortStableFunc(s, func(a, b des.Arrival) int { return cmp.Compare(a.Time, b.Time) })
 		}
 		e.arrivals = s
 		e.q.Preload(evJobArrival, s)
+		if cap(buf) >= n {
+			e.out = buf[:n]
+			clear(e.out)
+		} else {
+			e.out = make([]JobOutcome, n)
+		}
 		return nil
 	case runStarted:
 		return nil
@@ -648,8 +717,8 @@ func (e *Engine) start() error {
 // (otherwise the first of two same-time arrivals would grab every slot
 // unconditionally). Macro-step boundaries are the only pause — and
 // therefore the only snapshot/fork — points: between steps no job
-// holds a half-processed event, which is what keeps lazily copied jobs
-// remappable (see fork.go).
+// holds a half-processed event, which is what keeps a fork's retained
+// event handles remappable (see fork.go).
 func (e *Engine) step() error {
 	if e.q.Len() == 0 {
 		return fmt.Errorf("engine: deadlock: %d jobs unfinished with empty event queue", e.remaining)
@@ -678,7 +747,7 @@ func (e *Engine) step() error {
 				e.depth.SampleDepth(e.clock.Now(), e.q.Len())
 			}
 			if e.prog != nil {
-				e.prog.SampleProgress(e.clock.Now(), e.q.Fired(), len(e.jobs)-e.remaining, len(e.jobs))
+				e.prog.SampleProgress(e.clock.Now(), e.q.Fired(), len(e.tr.Jobs)-e.remaining, len(e.tr.Jobs))
 			}
 		}
 	}
@@ -704,35 +773,24 @@ func (e *Engine) Run() (*Result, error) {
 }
 
 // RunInto is Run writing the outcome into a caller-owned Result: every
-// field is overwritten, and res.Jobs' backing array is reused when it
-// is large enough, so a caller that folds each replay into a few
-// numbers allocates nothing per run. On error res holds no jobs.
+// field is overwritten, and a replay that starts here keeps its outcomes
+// in res.Jobs' backing array when that is large enough, so a caller that
+// folds each replay into a few numbers allocates nothing per run. (A
+// replay already in flight — paused by RunEvents, or a fork — bound its
+// array when it started and returns that one.) On error res holds no
+// jobs.
 func (e *Engine) RunInto(res *Result) error {
 	*res = Result{Jobs: res.Jobs[:0]}
-	if err := e.start(); err != nil {
+	if err := e.start(res.Jobs); err != nil {
 		return err
 	}
 	if err := e.stepUntil(math.MaxUint64); err != nil {
 		return err
 	}
 	e.state = runDone
+	res.Jobs = e.out
 	res.Events = e.q.Fired()
-	if n := len(e.jobs) + len(e.extra); cap(res.Jobs) < n {
-		res.Jobs = make([]JobOutcome, 0, n)
-	}
-	for i := range e.jobs {
-		sj := e.jobRO(i)
-		res.Jobs = append(res.Jobs, sj.out)
-		if sj.out.Finish > res.Makespan {
-			res.Makespan = sj.out.Finish
-		}
-	}
-	for _, sj := range e.extra {
-		res.Jobs = append(res.Jobs, sj.out)
-		if sj.out.Finish > res.Makespan {
-			res.Makespan = sj.out.Finish
-		}
-	}
+	res.Makespan = e.makespan
 	if e.sink != nil {
 		e.sink.RunEnd(e.counters(res))
 	}
@@ -750,7 +808,7 @@ func (e *Engine) RunInto(res *Result) error {
 // Result and emits the sink's RunEnd. The sink has seen every event up
 // to the pause when RunEvents returns.
 func (e *Engine) RunEvents(n uint64) (bool, error) {
-	if err := e.start(); err != nil {
+	if err := e.start(nil); err != nil {
 		return false, err
 	}
 	if err := e.stepUntil(n); err != nil {
@@ -829,11 +887,17 @@ func (e *Engine) flush() {
 	e.block = e.block[:0]
 }
 
-// handle dispatches one event to its handler. Handlers must not retain
-// ev: Run recycles it into the queue's free list immediately after.
+// handle dispatches one event to its handler; a job's arrival event
+// arms its state first. Handlers must not retain ev: Run recycles it
+// into the queue's free list immediately after.
 func (e *Engine) handle(ev *des.Event) error {
-	sj := e.jobByID(ev.JobID)
-	sj.out.Events++
+	var sj *simJob
+	if p := e.jobIndex(ev.JobID); ev.Type == evJobArrival {
+		sj = e.arm(p)
+	} else {
+		sj = e.slotOf[p]
+	}
+	sj.events++
 	switch ev.Type {
 	case evJobArrival:
 		e.onJobArrival(sj)
@@ -933,10 +997,8 @@ func (e *Engine) allocateBatch(now float64) {
 }
 
 func (e *Engine) onJobArrival(sj *simJob) {
-	sj.seq = e.arrivalSeq
-	sj.arrived = true
-	e.arrivalSeq++
 	e.active = append(e.active, &sj.info)
+	e.slots = append(e.slots, sj)
 	e.live++
 	if e.sink != nil {
 		e.emit(obs.KindJobArrival, sj.info.ID, -1, 0, 0)
@@ -1052,7 +1114,6 @@ func (e *Engine) onMapTaskDeparture(sj *simJob, task int) {
 		delete(sj.runningMaps, task)
 	}
 	sj.info.CompletedMaps++
-	sj.out.MapTasksRun++
 	e.freeMap++
 	if e.sink != nil {
 		e.emit(obs.KindMapTaskFinish, sj.info.ID, task, 0, 0)
@@ -1081,7 +1142,8 @@ func (e *Engine) onMapStageComplete(sj *simJob) {
 	}
 	// Patch every filler reduce: its shuffle completes firstShuffle
 	// seconds after the map stage, then its reduce phase runs.
-	for _, f := range sj.fillers {
+	for i := sj.fillerHead; i >= 0; i = e.fillers[i].next {
+		f := &e.fillers[i]
 		end := now + f.firstShuffle + f.reducePhase
 		e.q.Update(f.ev, end)
 		e.fillerPatches++
@@ -1092,11 +1154,14 @@ func (e *Engine) onMapStageComplete(sj *simJob) {
 		if e.sink != nil {
 			e.emit(obs.KindFillerPatch, sj.info.ID, f.spanIdx, end, now+f.firstShuffle)
 		}
+		f.ev = nil
 	}
-	// Keep the backing array: Reset truncates with [:0] so a pooled
-	// engine reuses each job's filler slab across replays instead of
-	// re-growing it (one append chain per job per run otherwise).
-	sj.fillers = sj.fillers[:0]
+	if sj.fillerTail >= 0 {
+		// The whole list goes back to the arena's free entries at once.
+		e.fillers[sj.fillerTail].next = e.fillerFree
+		e.fillerFree = sj.fillerHead
+		sj.fillerHead, sj.fillerTail = -1, -1
+	}
 	// Map-only jobs depart here; so do jobs whose reduces all finished
 	// already (possible under the NoFirstShuffleSpecialCase ablation,
 	// where a replayed cold shuffle can end before the map stage).
@@ -1121,11 +1186,12 @@ func (e *Engine) onReduceTaskArrival(sj *simJob) {
 			firstShuffle = 0 // Mumak ablation: reduce starts right at map end
 		}
 		ev := e.q.PushTask(des.Infinity, evReduceTaskDeparture, sj.info.ID, i)
-		sj.fillers = append(sj.fillers, fillerReduce{
+		e.addFiller(sj, fillerReduce{
 			ev:           ev,
 			firstShuffle: firstShuffle,
 			reducePhase:  reducePhase,
 			spanIdx:      i,
+			next:         -1,
 		})
 		if sj.out.ReduceSpans != nil {
 			sj.out.ReduceSpans[i] = Span{Start: now}
@@ -1155,9 +1221,27 @@ func (e *Engine) onReduceTaskArrival(sj *simJob) {
 	}
 }
 
+// addFiller appends f to the job's filler list, in a free arena entry
+// when there is one.
+func (e *Engine) addFiller(sj *simJob, f fillerReduce) {
+	i := e.fillerFree
+	if i >= 0 {
+		e.fillerFree = e.fillers[i].next
+		e.fillers[i] = f
+	} else {
+		i = int32(len(e.fillers))
+		e.fillers = append(e.fillers, f)
+	}
+	if sj.fillerTail >= 0 {
+		e.fillers[sj.fillerTail].next = i
+	} else {
+		sj.fillerHead = i
+	}
+	sj.fillerTail = i
+}
+
 func (e *Engine) onReduceTaskDeparture(sj *simJob, task int) {
 	sj.info.CompletedReduces++
-	sj.out.ReduceTasksRun++
 	e.freeReduce++
 	if e.batch != nil {
 		e.batch.OnJobUpdate(&sj.info)
@@ -1182,7 +1266,14 @@ func (e *Engine) departJob(sj *simJob) {
 }
 
 func (e *Engine) onJobDeparture(sj *simJob) {
-	sj.out.Finish = e.clock.Now()
+	// The clock never runs backwards, so the latest departure is the makespan.
+	e.makespan = e.clock.Now()
+	// The counts a handler would bump per event stay in the slot, which the
+	// handlers have in cache anyway; the outcome takes them once, here.
+	sj.out.Finish = e.makespan
+	sj.out.MapTasksRun = sj.info.CompletedMaps
+	sj.out.ReduceTasksRun = sj.info.CompletedReduces
+	sj.out.Events = sj.events
 	e.remaining--
 	if e.sink != nil {
 		e.emit(obs.KindJobDeparture, sj.info.ID, -1, 0, 0)
@@ -1197,21 +1288,26 @@ func (e *Engine) onJobDeparture(sj *simJob) {
 }
 
 // compactActive drops departed jobs from the active queue, preserving
-// arrival order. It runs only between macro-steps or at the end of one
-// (allocate, Snapshot, SetPolicy), where every job marked departed has
-// had its departure event handled, so exactly live entries remain.
+// arrival order, and retires their slots: from here on nothing refers to
+// them. It runs only between macro-steps or at the end of one (allocate,
+// Snapshot, SetPolicy), where every job marked departed has had its
+// departure event handled, so exactly live entries remain.
 func (e *Engine) compactActive() {
 	if len(e.active) == e.live {
 		return
 	}
-	kept := e.active[:0]
-	for _, info := range e.active {
-		if !e.jobROByID(info.ID).departed {
-			kept = append(kept, info)
+	k := 0
+	for _, sj := range e.slots {
+		if sj.departed {
+			e.retire(sj)
+			continue
 		}
+		e.active[k], e.slots[k] = &sj.info, sj
+		k++
 	}
-	clear(e.active[len(kept):])
-	e.active = kept
+	clear(e.active[k:])
+	clear(e.slots[k:])
+	e.active, e.slots = e.active[:k], e.slots[:k]
 }
 
 // Run is a convenience wrapper: build and run in one call.
@@ -1227,13 +1323,13 @@ func Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, error) {
 // sweep, replay batch, deadline sweep) that replays hundreds of cells
 // holds roughly one engine per worker goroutine instead of building —
 // and garbage-collecting — one engine per cell: the queue slab, free
-// list, jobs slab, scheduling index and scratch slices all carry over
+// list, job slots, scheduling index and scratch slices all carry over
 // through Reset.
 //
 // The zero value is ready to use, and a Pool is safe for concurrent
 // use (it wraps sync.Pool, so the steady-state population tracks
 // GOMAXPROCS and an engine idle through two GC cycles is dropped,
-// releasing the last trace it ran). Determinism is unaffected: a reset
+// releasing its storage). Determinism is unaffected: a reset
 // engine is observationally identical to a fresh one, so pooled results
 // stay byte-identical to unpooled runs.
 type Pool struct {
@@ -1296,9 +1392,10 @@ func (p *Pool) Get(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, e
 }
 
 // poolSlabSlack and poolSmallSlab state what an idle engine may hold:
-// a jobs slab (and with it every per-job array: scratch Result, arrival
-// schedule, active list) at most poolSlabSlack times the job count of
-// the run it just finished — slabs of up to poolSmallSlab jobs are kept
+// a by-position table (and with it every per-job array: arrival
+// schedule, scratch Result, and the job slots, which never outnumber a
+// trace the table has held) at most poolSlabSlack times the job count of
+// the run it just finished — tables of up to poolSmallSlab jobs are kept
 // regardless, there is nothing to win below that.
 const (
 	poolSlabSlack = 4
@@ -1309,33 +1406,29 @@ const (
 // afterwards; the next Get may hand it to another goroutine.
 //
 // The pool outlives every caller, so Put bounds what an idle engine
-// keeps alive. Dropped instead of pooled: an engine whose jobs slab is
-// more than poolSlabSlack times the jobs it just ran (one 100 000-job
-// replay must not leave 40 MB parked under a session of 1 000-job
-// sweeps — the next big replay pays one cold arm instead), and an
-// engine sealed by Snapshot (its forks may still be reading it).
-// Released before pooling: everything that belongs to the caller — the
-// sink, the policy instance, a fork's link to its snapshot. What stays
-// is warmed capacity plus the jobs' template pointers, which the next
-// arm overwrites (Reset zeroes any tail) and sync.Pool lets go of when
-// the engine sits idle through two GC cycles.
+// keeps alive. Dropped instead of pooled: an engine whose per-job arrays
+// are more than poolSlabSlack times the jobs it just ran (one
+// 100 000-job replay must not leave megabytes parked under a session of
+// 1 000-job sweeps — the next big replay pays one cold arm instead), and
+// an engine sealed by Snapshot (its forks may still be reading it).
+// Released before pooling: everything that belongs to the caller or
+// points into the trace — the sink, the policy instance, the outcome
+// array, the jobs still in slots, a fork's link to its snapshot. What
+// stays is warmed capacity.
 func (p *Pool) Put(e *Engine) {
 	if e == nil || !e.poolable() {
 		return
 	}
 	e.setSink(nil)
 	e.policy, e.arrive = nil, nil
-	e.src = nil
-	if e.sharedIndex {
-		e.indexOf, e.sharedIndex = nil, false
-	}
+	e.release()
 	p.store().Put(e)
 }
 
 // poolable is Put's rule for which engines are worth keeping.
 func (e *Engine) poolable() bool {
-	c := cap(e.jobs)
-	return e.state != runSealed && (c <= poolSmallSlab || c <= poolSlabSlack*len(e.jobs))
+	c := cap(e.slotOf)
+	return e.state != runSealed && (c <= poolSmallSlab || c <= poolSlabSlack*len(e.slotOf))
 }
 
 // Run replays tr on a pooled engine: Get, Run, Put. The engine is

@@ -150,24 +150,26 @@ func TestRunIntoReusesCapacity(t *testing.T) {
 	}
 }
 
-// TestSimJobSize pins the per-job slab entry: the jobs slab is the
-// engine's largest allocation (38 MB at 100 000 jobs) and what a cold
-// arm spends its time writing, so a field added to simJob, JobInfo or
-// JobOutcome must show up here and be weighed, not slip in.
+// TestSimJobSize pins what the engine holds per job: a slot while the
+// job is live, which every arrival writes in full, and an outcome for
+// good — the Result's array is the replay's largest allocation (13.6 MB
+// at 100 000 jobs). A field added to simJob, JobInfo or JobOutcome must
+// show up here and be weighed, not slip in.
 func TestSimJobSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(simJob{}); got != 384 {
-		t.Fatalf("unsafe.Sizeof(simJob{}) = %d, want 384", got)
+	if got := unsafe.Sizeof(simJob{}); got != 256 {
+		t.Fatalf("unsafe.Sizeof(simJob{}) = %d, want 256", got)
 	}
 	if got := unsafe.Sizeof(JobOutcome{}); got != 136 {
 		t.Fatalf("unsafe.Sizeof(JobOutcome{}) = %d, want 136", got)
 	}
 }
 
-// TestSharedPoolPutBound: Put's one rule. An engine whose slab is more
-// than poolSlabSlack times the run it just finished is dropped, as is a
+// TestSharedPoolPutBound: Put's one rule. An engine whose by-position
+// table (the measure of its per-job arrays) is more than poolSlabSlack
+// times the run it just finished is dropped, as is a
 // snapshot-sealed one; everything else is pooled, with the caller's sink
 // and policy released.
 func TestSharedPoolPutBound(t *testing.T) {
@@ -189,13 +191,13 @@ func TestSharedPoolPutBound(t *testing.T) {
 		return e
 	}
 	if !ran(big).poolable() {
-		t.Fatal("engine that just filled its slab is not poolable")
+		t.Fatal("engine that just filled its per-job arrays is not poolable")
 	}
 	if !ran(cut(poolSmallSlab + 1)).poolable() {
 		t.Fatal("engine within poolSlabSlack × its last run is not poolable")
 	}
 	if ran(cut(poolSmallSlab)).poolable() {
-		t.Fatal("engine with a slab over poolSlabSlack × its last run is poolable")
+		t.Fatal("engine with per-job arrays over poolSlabSlack × its last run is poolable")
 	}
 	// Dropped means the next Get builds: exact, whatever sync.Pool does.
 	var pool Pool
@@ -206,10 +208,10 @@ func TestSharedPoolPutBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reused || fresh == e {
-		t.Fatal("Put pooled an engine over the slab bound")
+		t.Fatal("Put pooled an engine over the per-job bound")
 	}
-	if cap(fresh.jobs) != poolSmallSlab || !fresh.poolable() {
-		t.Fatalf("engine built in its place holds %d jobs and poolable = %v, want a right-sized, poolable one", cap(fresh.jobs), fresh.poolable())
+	if cap(fresh.slotOf) != poolSmallSlab || !fresh.poolable() {
+		t.Fatalf("engine built in its place holds %d jobs and poolable = %v, want a right-sized, poolable one", cap(fresh.slotOf), fresh.poolable())
 	}
 
 	sinkCfg := cfg

@@ -1,21 +1,24 @@
-// Copy-on-write engine forking (DESIGN.md §12): pause a replay at any
-// macro-step boundary, seal it into an immutable Snapshot, and fork as
-// many cheap branch engines off it as there are what-if questions.
-// Each fork owns a clone of the materialized pending events (running
-// tasks and same-instant hand-offs: bounded by cluster slots, not by
-// the trace — the arrivals yet to fire are the queue's immutable
-// schedule, which the clone shares) and borrows the sealed jobs slab
-// read-only, copying 16-job chunks lazily on first write. Forks
-// are independent engines: they run, pause, mutate (SetDeadline,
-// InjectJob, SetPolicy), and produce Results byte-identical to a
-// from-scratch replay that took the same decisions at the same events
-// — the fork differential suite pins this across the whole policy
-// family.
+// Engine forking (DESIGN.md §12): pause a replay at any macro-step
+// boundary, seal it into an immutable Snapshot, and fork as many cheap
+// branch engines off it as there are what-if questions. A fork copies
+// what the snapshot engine holds — the materialized pending events
+// (running tasks and same-instant hand-offs), the live jobs' slots, the
+// outcomes of the jobs arrived so far — which the live window (DESIGN.md
+// §5, "Lifetime") keeps sized by the cluster's slots and the prefix
+// replayed, not by the trace: jobs yet to arrive have no state, and
+// their arrivals are the queue's immutable schedule, which the clone
+// shares. Forks are independent engines: they run, pause, mutate
+// (SetDeadline, InjectJob, SetPolicy), and produce Results
+// byte-identical to a from-scratch replay that took the same decisions
+// at the same events — the fork differential suite pins this across the
+// whole policy family.
 package engine
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"unsafe"
 
 	"simmr/internal/des"
@@ -24,42 +27,30 @@ import (
 	"simmr/internal/trace"
 )
 
-// cowChunkJobs is the copy-on-write granularity of the jobs slab: jobs
-// are copied from the snapshot in chunks of this many on first write.
-// Chunks keep the dirty bookkeeping one bitset word per kilo-job while
-// amortizing the deep fix-up (slice/map clones) over neighbors that
-// are likely touched together (arrival order correlates with slab
-// order).
-const cowChunkJobs = 16
-
-// jobBytes and eventBytes size the fork-telemetry byte accounting.
+// jobBytes, outcomeBytes and eventBytes size the fork byte accounting.
 const (
-	jobBytes   = uint64(unsafe.Sizeof(simJob{}))
-	eventBytes = uint64(unsafe.Sizeof(des.Event{})) + 8 // + heap slot pointer
+	jobBytes     = uint64(unsafe.Sizeof(simJob{}))
+	outcomeBytes = uint64(unsafe.Sizeof(JobOutcome{}))
+	eventBytes   = uint64(unsafe.Sizeof(des.Event{})) + 8 // + heap slot pointer
 )
 
-// ForkStats reports how much engine state a fork physically duplicated
-// versus still serves read-only from its snapshot. BytesCopied counts
-// the events the queue clone physically copied plus every jobs-slab
-// chunk copied — eagerly for active jobs at fork time, lazily on first
-// write after; BytesShared counts the jobs-slab bytes still borrowed
-// (the shared arrival schedule is in neither: it never migrates). Bytes
-// move from shared to copied as the branch diverges, so read the stats
-// after the branch's Run for the end-of-life split.
+// ForkStats reports what arming a fork cost: BytesCopied counts the
+// events the queue clone physically copied, the live jobs' slots and the
+// outcome entries up to the last job arrived. Nothing is copied later —
+// a fork borrows only the arrival schedule, which never migrates.
 type ForkStats struct {
 	BytesCopied uint64
-	BytesShared uint64
 }
 
-// ForkStats returns the copy-on-write accounting of a forked engine;
-// zero on ordinary engines.
+// ForkStats returns the copy accounting of a forked engine; zero on
+// ordinary engines.
 func (e *Engine) ForkStats() ForkStats { return e.stats }
 
 // Snapshot is a sealed engine state at a macro-step boundary — the
 // shared source that forks branch from. The underlying engine is
 // frozen: it rejects Run/RunEvents and the mutation APIs until Reset
 // un-seals it (all outstanding forks must have finished by then; forks
-// read the snapshot's slabs concurrently and lock-free). Snapshots are
+// read the snapshot's state concurrently and lock-free). Snapshots are
 // safe for concurrent ForkInto calls from multiple goroutines.
 type Snapshot struct {
 	e *Engine
@@ -79,65 +70,33 @@ func (s *Snapshot) Done() bool { return s.e.remaining == 0 }
 // Snapshot seals the engine at its current macro-step boundary and
 // returns the immutable fork source. An idle engine is started first
 // (arrivals pushed, nothing fired), so a t=0 snapshot is well-defined;
-// a completed engine seals its final state. Sealing a fork first
-// materializes every still-borrowed chunk so the new snapshot is
-// self-contained and its own source is released. Snapshot is
-// idempotent: sealing twice returns the same *Snapshot.
+// a completed engine seals its final state. Sealing a fork first takes
+// private copies of what it borrows (the arrival schedule, the ID map)
+// so the new snapshot is self-contained and its own source is released.
+// Snapshot is idempotent: sealing twice returns the same *Snapshot.
 func (e *Engine) Snapshot() (*Snapshot, error) {
 	switch e.state {
 	case runSealed:
 		return e.snap, nil
 	case runIdle:
-		if err := e.start(); err != nil {
+		if err := e.start(nil); err != nil {
 			return nil, err
 		}
+	case runDone:
+		// Run gave the outcome array away with its Result.
+		e.out = slices.Clone(e.out)
 	}
 	if e.src != nil {
-		e.materialize()
+		e.arrivals = e.q.OwnSchedule(e.arrivals)
+		if e.sharedIndex {
+			e.indexOf, e.sharedIndex = maps.Clone(e.indexOf), false
+		}
+		e.src = nil
 	}
 	e.compactActive() // forks copy the queue as sealed: make it exact
 	e.state = runSealed
 	e.snap = &Snapshot{e: e}
 	return e.snap, nil
-}
-
-// materialize copies every still-clean chunk and the borrowed arrival
-// schedule from the fork source and drops the source link, making the
-// engine self-contained.
-func (e *Engine) materialize() {
-	for c := 0; c*cowChunkJobs < len(e.jobs); c++ {
-		e.ensureChunk(c)
-	}
-	e.arrivals = e.q.OwnSchedule(e.arrivals)
-	e.src = nil
-}
-
-// chunkDirty reports whether jobs-slab chunk c has been copied.
-func (e *Engine) chunkDirty(c int) bool {
-	return e.dirty[c>>6]&(1<<(uint(c)&63)) != 0
-}
-
-// ensureChunk copies chunk c of the jobs slab from the fork source on
-// first touch and deep-fixes the aliased per-job state. Callers hold
-// e.src != nil.
-func (e *Engine) ensureChunk(c int) {
-	w, bit := c>>6, uint64(1)<<(uint(c)&63)
-	if e.dirty[w]&bit != 0 {
-		return
-	}
-	e.dirty[w] |= bit
-	lo := c * cowChunkJobs
-	hi := lo + cowChunkJobs
-	if hi > len(e.jobs) {
-		hi = len(e.jobs)
-	}
-	copy(e.jobs[lo:hi], e.src.e.jobs[lo:hi])
-	for i := lo; i < hi; i++ {
-		e.fixupJob(&e.jobs[i])
-	}
-	nb := uint64(hi-lo) * jobBytes
-	e.stats.BytesCopied += nb
-	e.stats.BytesShared -= nb
 }
 
 // remapEvent translates a retained event handle of the snapshot's
@@ -154,45 +113,41 @@ func (e *Engine) remapEvent(ev *des.Event) *des.Event {
 	return e.q.PendingAt(pos)
 }
 
-// fixupJob rewrites the state a chunk-copied (or extra-copied) job
-// aliases with the snapshot: retry and filler slices get owned copies,
-// running-task and filler event handles remap into this engine's
-// queue, and span slices are cloned unless the job already departed
-// (departed outcomes are immutable, so sharing their spans across
-// Results is safe and free).
-func (e *Engine) fixupJob(sj *simJob) {
-	if n := len(sj.retryMaps); n > 0 {
-		sj.retryMaps = append(make([]int, 0, n), sj.retryMaps...)
+// forkJob arms a slot of this engine as the copy of the snapshot's live
+// job s: the retry queue and the span slices get owned copies (the spans
+// of departed jobs are immutable and stay shared across Results), the
+// running-task and filler event handles remap into this engine's queue,
+// and the outcome pointer moves to this engine's array.
+func (e *Engine) forkJob(s *simJob) *simJob {
+	sj := e.newSlot()
+	retry, running := sj.retryMaps[:0], sj.runningMaps
+	*sj = *s
+	sj.retryMaps = append(retry, s.retryMaps...)
+	if s.runningMaps == nil {
+		running = nil
+	} else if running == nil {
+		running = make(map[int]*des.Event, len(s.runningMaps))
 	} else {
-		sj.retryMaps = nil
+		clear(running)
 	}
-	if sj.runningMaps != nil {
-		m := make(map[int]*des.Event, len(sj.runningMaps))
-		for task, ev := range sj.runningMaps {
-			m[task] = e.remapEvent(ev)
-		}
-		sj.runningMaps = m
+	for task, ev := range s.runningMaps {
+		running[task] = e.remapEvent(ev)
 	}
-	if n := len(sj.fillers); n > 0 {
-		fs := append(make([]fillerReduce, 0, n), sj.fillers...)
-		for i := range fs {
-			fs[i].ev = e.remapEvent(fs[i].ev)
-		}
-		sj.fillers = fs
-	} else {
-		sj.fillers = nil
+	sj.runningMaps = running
+	for i := sj.fillerHead; i >= 0; i = e.fillers[i].next {
+		e.fillers[i].ev = e.remapEvent(e.fillers[i].ev)
 	}
-	if !sj.departed {
-		// make-then-append keeps a non-nil empty slice non-nil, so a
-		// forked outcome compares (and encodes) exactly like a scratch
-		// replay's.
-		if sj.out.MapSpans != nil {
-			sj.out.MapSpans = append(make([]Span, 0, len(sj.out.MapSpans)), sj.out.MapSpans...)
-		}
-		if sj.out.ReduceSpans != nil {
-			sj.out.ReduceSpans = append(make([]Span, 0, len(sj.out.ReduceSpans)), sj.out.ReduceSpans...)
-		}
+	e.slotOf[sj.pos] = sj
+	sj.out = &e.out[sj.pos]
+	// make-then-append keeps a non-nil empty slice non-nil, so a forked
+	// outcome compares (and encodes) exactly like a scratch replay's.
+	if sj.out.MapSpans != nil {
+		sj.out.MapSpans = append(make([]Span, 0, len(sj.out.MapSpans)), sj.out.MapSpans...)
 	}
+	if sj.out.ReduceSpans != nil {
+		sj.out.ReduceSpans = append(make([]Span, 0, len(sj.out.ReduceSpans)), sj.out.ReduceSpans...)
+	}
+	return sj
 }
 
 // ForkOptions parameterizes one fork off a snapshot.
@@ -217,12 +172,12 @@ type ForkOptions struct {
 // ForkInto arms dst as a branch of the snapshot, recycling dst's
 // warmed storage exactly like Reset does — the pooled-fork path. dst
 // resumes from the snapshot's macro-step boundary: same clock, same
-// pending events (cloned), same per-job progress (borrowed
-// copy-on-write), same policy decisions ahead of it. Index state (the
-// scheduling index, the preemption index) is rebuilt from the forked
-// queue in O(active · log) rather than cloned — rebuild benches faster
-// than an O(index-size) deep clone at replay scale and needs no clone
-// hooks; the fork differential suite pins its equivalence.
+// pending events (cloned), same per-job progress (live slots and
+// outcomes so far, copied), same policy decisions ahead of it. Index
+// state (the scheduling index, the preemption index) is rebuilt from the
+// forked queue in O(active · log) rather than cloned — rebuild benches
+// faster than an O(index-size) deep clone at replay scale and needs no
+// clone hooks; the fork differential suite pins its equivalence.
 func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	src := s.e
 	if dst == src {
@@ -238,6 +193,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 
 	// Scalar replay state, counters included, so the fork's RunEnd
 	// totals match a from-scratch replay's.
+	dst.release()
 	dst.cfg = src.cfg
 	dst.setSink(opts.Sink) // and an empty block: the prefix's events are the prefix sink's
 	dst.setPolicy(policy)
@@ -245,6 +201,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.freeMap = src.freeMap
 	dst.freeReduce = src.freeReduce
 	dst.remaining = src.remaining
+	dst.makespan = src.makespan
 	dst.arrivalSeq = src.arrivalSeq
 	dst.preemptions = src.preemptions
 	dst.fillerPatches = src.fillerPatches
@@ -258,58 +215,34 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	// jobs stay in the snapshot's schedule, shared.
 	src.q.CloneInto(&dst.q)
 
-	// Jobs slab: sized but not copied; chunks borrow from the snapshot
-	// through the dirty bitset until first write.
-	n := len(src.jobs)
-	if cap(dst.jobs) >= n {
-		for i := n; i < len(dst.jobs); i++ {
-			dst.jobs[i] = simJob{}
-		}
-		dst.jobs = dst.jobs[:n]
-	} else {
-		dst.jobs = make([]simJob, n)
-	}
-	words := ((n+cowChunkJobs-1)/cowChunkJobs + 63) / 64
-	if cap(dst.dirty) >= words {
-		dst.dirty = dst.dirty[:words]
-		clear(dst.dirty)
-	} else {
-		dst.dirty = make([]uint64, words)
-	}
+	// The replay's jobs: the trace and the ID map are shared read-only
+	// (InjectJob copies the map on write), injected jobs and deadline
+	// overrides are few and copied.
 	dst.src = s
-	dst.indexOf = src.indexOf // borrowed read-only; InjectJob copies on write
+	dst.tr = src.tr
+	dst.extra = append(dst.extra, src.extra...)
+	dst.indexOf = src.indexOf
 	dst.sharedIndex = src.indexOf != nil
-	dst.stats = ForkStats{
-		BytesCopied: uint64(dst.q.Len()-dst.q.Preloaded()) * eventBytes,
-		BytesShared: uint64(n) * jobBytes,
-	}
+	dst.deadlines = maps.Clone(src.deadlines)
 
-	// Jobs injected into the snapshot itself are deep-copied eagerly:
-	// they are few and individually boxed.
-	for i := range dst.extra {
-		dst.extra[i] = nil
-	}
-	dst.extra = dst.extra[:0]
-	for _, sj := range src.extra {
-		c := new(simJob)
-		*c = *sj
-		dst.fixupJob(c)
-		dst.extra = append(dst.extra, c)
-	}
-
-	// Active set: same order as the snapshot's, pointers into dst's own
-	// slabs. Resolving through jobByID eagerly copies every chunk
-	// holding an active job — those are exactly the jobs the policy
-	// index and the next handlers touch anyway.
-	if cap(dst.active) >= len(src.active) {
-		dst.active = dst.active[:0]
-	} else {
-		dst.active = make([]*sched.JobInfo, 0, n+len(src.extra))
-	}
-	for _, info := range src.active {
-		dst.active = append(dst.active, &dst.jobByID(info.ID).info)
+	// Outcomes so far, then the live jobs in queue order — the snapshot
+	// is compacted, so its slots are exactly those — into dst's own slots.
+	n := len(src.out)
+	dst.slotOf = resized(dst.slotOf, n)
+	dst.out = make([]JobOutcome, n)
+	dst.outHi = copy(dst.out, src.out[:src.outHi])
+	dst.fillers = append(dst.fillers, src.fillers...)
+	dst.fillerFree = src.fillerFree
+	for _, sj := range src.slots {
+		c := dst.forkJob(sj)
+		dst.active = append(dst.active, &c.info)
+		dst.slots = append(dst.slots, c)
 	}
 	dst.live = len(dst.active)
+	dst.stats = ForkStats{
+		BytesCopied: uint64(dst.q.Len()-dst.q.Preloaded())*eventBytes +
+			uint64(dst.live)*jobBytes + uint64(dst.outHi)*outcomeBytes,
+	}
 
 	// Scheduling index: setPolicy left dst's own index empty; rebuild it
 	// by re-admitting the active jobs in queue order. Re-admission is
@@ -322,17 +255,10 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 			dst.batch.OnJobAdmit(info, dst.cfg.MapSlots, dst.cfg.ReduceSlots)
 		}
 	}
-	switch {
-	case !dst.cfg.PreemptMapTasks:
-		dst.preemptIdx = nil
-	case dst.preemptIdx == nil:
-		dst.preemptIdx = dst.newPreemptIdx()
-	default:
-		dst.preemptIdx.Reset()
-	}
+	dst.resetPreemptIdx()
 	if dst.preemptIdx != nil {
-		for _, info := range dst.active {
-			dst.preemptIdx.Add(info, dst.jobByID(info.ID).preemptible())
+		for _, sj := range dst.slots {
+			dst.preemptIdx.Add(&sj.info, sj.preemptible())
 		}
 	}
 	return nil
@@ -383,25 +309,29 @@ func (e *Engine) mutable(op string) error {
 
 // SetDeadline moves the completion deadline of a job that has not yet
 // arrived (deadline 0 removes it) — the "what if this job's deadline
-// were tighter" branch mutation. Jobs already admitted keep the
-// deadline their scheduling decisions were made under; replaying a
-// changed deadline for those requires branching before their arrival.
+// were tighter" branch mutation; the job's arrival arms it under the new
+// deadline. Jobs already admitted keep the deadline their scheduling
+// decisions were made under; replaying a changed deadline for those
+// requires branching before their arrival.
 func (e *Engine) SetDeadline(jobID int, deadline float64) error {
 	if err := e.mutable("SetDeadline"); err != nil {
 		return err
 	}
-	sj, ok := e.jobLookup(jobID)
+	p, ok := e.jobLookup(jobID)
 	if !ok {
 		return fmt.Errorf("engine: SetDeadline: no job %d in this replay", jobID)
 	}
-	if sj.arrived {
-		return fmt.Errorf("engine: SetDeadline: job %d already arrived at t=%.3f; branch before its arrival to change its deadline", jobID, sj.info.Arrival)
+	arrival := e.jobAt(p).Arrival
+	if e.arrived(p) {
+		return fmt.Errorf("engine: SetDeadline: job %d already arrived at t=%.3f; branch before its arrival to change its deadline", jobID, arrival)
 	}
-	if math.IsNaN(deadline) || deadline < 0 || (deadline > 0 && deadline < sj.info.Arrival) {
-		return fmt.Errorf("engine: SetDeadline: deadline %v invalid for job %d arriving at %v", deadline, jobID, sj.info.Arrival)
+	if math.IsNaN(deadline) || deadline < 0 || (deadline > 0 && deadline < arrival) {
+		return fmt.Errorf("engine: SetDeadline: deadline %v invalid for job %d arriving at %v", deadline, jobID, arrival)
 	}
-	sj.info.Deadline = deadline
-	sj.out.Deadline = deadline
+	if e.deadlines == nil {
+		e.deadlines = make(map[int]float64)
+	}
+	e.deadlines[p] = deadline
 	return nil
 }
 
@@ -431,67 +361,42 @@ func (e *Engine) InjectJob(j *trace.Job) error {
 	if j.Template.NumReduces > 0 && e.cfg.ReduceSlots == 0 {
 		return fmt.Errorf("engine: InjectJob: job %d needs reduce slots but cluster has none", j.ID)
 	}
-	exists := false
-	if e.indexOf == nil {
-		exists = j.ID >= 0 && j.ID < len(e.jobs)
-	} else {
-		_, exists = e.indexOf[j.ID]
-	}
-	if exists {
+	if _, exists := e.jobLookup(j.ID); exists {
 		return fmt.Errorf("engine: InjectJob: job ID %d already in the replay", j.ID)
 	}
 	e.ownIndex()
 
-	slowstart := int(float64(j.Template.NumMaps)*e.cfg.MinMapPercentCompleted + 0.9999)
-	if slowstart < 1 {
-		slowstart = 1
+	// The job takes the next position; its arrival event arms it like any
+	// other. Growing the outcome array moves it: re-point the live jobs.
+	p := len(e.out)
+	if p == cap(e.out) {
+		e.out = slices.Grow(e.out, 1)
+		for _, sj := range e.slots {
+			sj.out = &e.out[sj.pos]
+		}
 	}
-	sj := &simJob{
-		info: sched.JobInfo{
-			ID: j.ID, Name: j.Name,
-			Arrival: j.Arrival, Deadline: j.Deadline,
-			NumMaps: j.Template.NumMaps, NumReduces: j.Template.NumReduces,
-			Profile: j.Template.ProfileRef(),
-		},
-		tpl: j.Template,
-		out: JobOutcome{
-			ID: j.ID, Name: j.Name,
-			Arrival: j.Arrival, Deadline: j.Deadline,
-		},
-		slowstartMin: slowstart,
-	}
-	if e.cfg.PreemptMapTasks {
-		sj.runningMaps = make(map[int]*des.Event)
-	}
-	if e.cfg.RecordSpans {
-		sj.out.MapSpans = make([]Span, j.Template.NumMaps)
-		sj.out.ReduceSpans = make([]Span, j.Template.NumReduces)
-	}
-	e.extra = append(e.extra, sj)
-	e.indexOf[j.ID] = -len(e.extra)
+	e.out = append(e.out, JobOutcome{})
+	e.slotOf = append(e.slotOf, nil)
+	e.extra = append(e.extra, *j)
+	e.indexOf[j.ID] = p
 	e.remaining++
 	e.q.Push(j.Arrival, evJobArrival, j.ID, nil)
 	return nil
 }
 
-// ownIndex materializes an engine-owned indexOf map covering the base
-// jobs slab, replacing the dense-dispatch nil or a map borrowed from a
-// fork source. Cold path: only InjectJob needs it.
+// ownIndex materializes an engine-owned indexOf map covering the
+// replay's jobs, replacing the dense-dispatch nil or a map borrowed from
+// a fork source. Cold path: only InjectJob needs it.
 func (e *Engine) ownIndex() {
-	if e.indexOf != nil && !e.sharedIndex {
-		return
-	}
-	m := make(map[int]int, len(e.jobs)+len(e.extra)+1)
-	if e.indexOf == nil {
-		for i := range e.jobs {
-			m[i] = i // dense dispatch: ID == slab index by Reset's check
+	switch {
+	case e.indexOf == nil:
+		e.indexOf = make(map[int]int, len(e.out)+1)
+		for i := range e.tr.Jobs {
+			e.indexOf[i] = i // dense dispatch: ID == position by Reset's check
 		}
-	} else {
-		for id, i := range e.indexOf {
-			m[id] = i
-		}
+	case e.sharedIndex:
+		e.indexOf = maps.Clone(e.indexOf)
 	}
-	e.indexOf = m
 	e.sharedIndex = false
 }
 

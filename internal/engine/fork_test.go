@@ -13,13 +13,13 @@ import (
 	"simmr/internal/trace"
 )
 
-// This file is the correctness oracle for copy-on-write forking
+// This file is the correctness oracle for engine forking
 // (DESIGN.md §12): a fork taken at event k and run to completion must
 // be byte-identical — JobOutcomes, event counts, makespan, obs stream,
 // RunEnd counters — to a from-scratch replay paused at the same event
 // with the same mutations applied. The scratch path uses the very same
-// RunEvents + mutation methods, so any divergence is a COW bug (stale
-// shared state, a missed handle remap, index rebuild drift), not a
+// RunEvents + mutation methods, so any divergence is a fork bug (state
+// left uncopied, a missed handle remap, index rebuild drift), not a
 // semantics question.
 
 // forkMutation is one what-if edit applied identically to the fork and
@@ -44,14 +44,13 @@ func injectTemplate() *trace.Template {
 	}
 }
 
-// firstUnarrivedID returns the lowest-slab-index job whose arrival
-// event has not fired yet, or -1. Read-only: must not trigger COW, so
-// fork and scratch agree even before any mutation.
+// firstUnarrivedID returns the lowest-position job whose arrival event
+// has not fired yet, or -1.
 func firstUnarrivedID(e *Engine) (int, float64) {
-	for i := range e.jobs {
-		sj := e.jobRO(i)
-		if !sj.arrived {
-			return sj.info.ID, sj.info.Arrival
+	for p := range e.out {
+		if !e.arrived(p) {
+			j := e.jobAt(p)
+			return j.ID, j.Arrival
 		}
 	}
 	return -1, 0
@@ -324,8 +323,8 @@ func TestForkDifferentialConfigs(t *testing.T) {
 }
 
 // TestForkDifferentialSparseIDs forks a replay whose job IDs force the
-// indexOf map path, then injects — exercising the borrowed-map
-// copy-on-write in ownIndex.
+// indexOf map path, then injects — exercising the copy ownIndex takes
+// of the borrowed map.
 func TestForkDifferentialSparseIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tr := &trace.Trace{Name: "sparse-fork"}
@@ -361,8 +360,8 @@ func TestForkDifferentialSparseIDs(t *testing.T) {
 	}
 }
 
-// TestForkOfFork seals a running fork (the materialize path: borrowed
-// chunks are copied, the source link dropped) and branches again; the
+// TestForkOfFork seals a running fork (the borrowed schedule is copied,
+// the source link dropped) and branches again; the
 // grandchild must still match a scratch replay paused at the second
 // branch point with both mutations applied in order.
 func TestForkOfFork(t *testing.T) {
@@ -416,7 +415,7 @@ func TestForkOfFork(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mid.src != nil {
-		t.Fatal("sealing a fork did not materialize it: src link still set")
+		t.Fatal("sealing a fork did not end its borrowing: src link still set")
 	}
 	// Self-contained means the first source can be re-armed and run —
 	// rewriting the arrival schedule mid borrowed until it was sealed.
@@ -587,10 +586,10 @@ func TestForkIntoRecyclesEngine(t *testing.T) {
 	}
 }
 
-// TestForkStatsAccounting checks the bytes-copied/shared telemetry
-// invariant: the slab total is conserved as chunks migrate from shared
-// to copied, and a branch that runs to completion copies no more than
-// the whole slab.
+// TestForkStatsAccounting: BytesCopied is what ForkInto copied — the
+// materialized events, the live jobs' slots and the outcomes of the jobs
+// arrived so far — and it is final when the fork is armed: a branch
+// borrows nothing it could copy later, so its Run moves no byte count.
 func TestForkStatsAccounting(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(100, rand.New(rand.NewSource(17)))
 	if err != nil {
@@ -601,33 +600,44 @@ func TestForkStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix, _ := pauseAt(t, cfg, tr, sched.FIFO{}, total.Events*9/10)
-	snap, err := prefix.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork, err := snap.Fork(ForkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := fork.ForkStats()
-	slab := at.BytesShared // nothing dirtied yet beyond the active set... which IS dirtied
-	sum := at.BytesCopied + at.BytesShared
-	if at.BytesCopied == 0 {
-		t.Fatal("fork copied zero bytes: queue clone unaccounted")
-	}
-	if _, err := fork.Run(); err != nil {
-		t.Fatal(err)
-	}
-	after := fork.ForkStats()
-	if got := after.BytesCopied + after.BytesShared; got != sum {
-		t.Fatalf("stats sum not conserved: %d at fork, %d after run", sum, got)
-	}
-	if after.BytesCopied < at.BytesCopied || after.BytesShared > slab {
-		t.Fatalf("stats moved backwards: %+v -> %+v", at, after)
-	}
-	if s, err := prefix.Snapshot(); err != nil || s != snap {
-		t.Fatalf("Snapshot not idempotent: %v %v", s, err)
+	var early uint64
+	for _, at := range []uint64{0, total.Events * 9 / 10} {
+		prefix, _ := pauseAt(t, cfg, tr, sched.FIFO{}, at)
+		snap, err := prefix.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork, err := snap.Fork(ForkOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrived := 0
+		for p := range prefix.out {
+			if prefix.arrived(p) {
+				arrived++
+			}
+		}
+		events := uint64(prefix.q.Len() - prefix.q.Preloaded())
+		want := events*eventBytes + uint64(len(prefix.active))*jobBytes + uint64(arrived)*outcomeBytes
+		got := fork.ForkStats().BytesCopied
+		if got != want || (at > 0 && events == 0) {
+			t.Fatalf("fork at event %d copied %d B, want %d B (%d events, %d live jobs, %d outcomes)",
+				at, got, want, events, len(prefix.active), arrived)
+		}
+		if at == 0 {
+			early = got
+		} else if got <= early {
+			t.Fatalf("fork at event %d copied %d B, no more than the %d B of a fork at event 0", at, got, early)
+		}
+		if _, err := fork.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if after := fork.ForkStats().BytesCopied; after != got {
+			t.Fatalf("BytesCopied moved during the branch's Run: %d -> %d", got, after)
+		}
+		if s, err := prefix.Snapshot(); err != nil || s != snap {
+			t.Fatalf("Snapshot not idempotent: %v %v", s, err)
+		}
 	}
 }
 

@@ -153,9 +153,11 @@ func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 }
 
 // TestForkCostBoundedBySlots forks a long sparse trace at event 0 and
-// at its midpoint: what ForkInto copies, and what it allocates into a
-// warmed engine, is bounded by the cluster's slots — the arrivals still
-// to come stay in the snapshot's schedule.
+// at its midpoint: beyond the outcomes of the jobs already arrived (the
+// prefix a Result carries anyway), what ForkInto copies, and what it
+// allocates into a warmed engine, is bounded by the cluster's slots —
+// the jobs still to come have no state, and their arrivals stay in the
+// snapshot's schedule.
 func TestForkCostBoundedBySlots(t *testing.T) {
 	const n = 20_000
 	tpl := uniformTemplate(4, 1, 20, 2, 3, 5)
@@ -169,9 +171,8 @@ func TestForkCostBoundedBySlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	slots := uint64(cfg.MapSlots + cfg.ReduceSlots)
-	// Per slot: one event in flight, and at worst one eagerly copied
-	// jobs-slab chunk for the active job holding it.
-	bound := (slots + 1) * (eventBytes + cowChunkJobs*jobBytes)
+	// Per slot: one event in flight and at worst one live job holding it.
+	bound := (slots + 1) * (eventBytes + jobBytes)
 	if unarrived := n / 2 * eventBytes; bound >= unarrived {
 		t.Fatalf("bound %d B does not separate slots from %d B of un-arrived jobs", bound, unarrived)
 	}
@@ -188,8 +189,11 @@ func TestForkCostBoundedBySlots(t *testing.T) {
 			}
 		}
 		fork()
-		if got := dst.ForkStats().BytesCopied; got > bound {
-			t.Errorf("fork at event %d copied %d B, want ≤ %d B (slots, not jobs)", at, got, bound)
+		if got, prefix := dst.ForkStats().BytesCopied, uint64(dst.outHi)*outcomeBytes; got-prefix > bound {
+			t.Errorf("fork at event %d copied %d B beyond %d outcomes, want ≤ %d B (slots, not jobs)", at, got-prefix, dst.outHi, bound)
+		}
+		if dst.outHi > n/2+1 {
+			t.Errorf("fork at event %d copied %d outcomes of a replay at most half-way", at, dst.outHi)
 		}
 		if raceDetectorEnabled {
 			continue // the detector's own allocations make the count meaningless

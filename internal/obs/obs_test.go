@@ -143,7 +143,7 @@ func TestTimelineTSVRendersViaReport(t *testing.T) {
 
 // A MetricsSink shared by four engines accumulates their totals, and
 // Snapshot may race with delivery: the -race build checks safety.
-func TestMetricsSinkSnapshotAndExpvar(t *testing.T) {
+func TestMetricsSinkSnapshotConcurrent(t *testing.T) {
 	m := NewMetricsSink()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -327,8 +327,7 @@ func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error, done func(
 	if err != nil {
 		return err
 	}
-	st := f.ForkStats()
-	p.Telemetry.ForkDone(st.BytesCopied, st.BytesShared)
+	p.Telemetry.ForkDone(f.ForkStats().BytesCopied)
 	p.pool.Put(f)
 	done(res)
 	return nil

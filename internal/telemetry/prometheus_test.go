@@ -115,9 +115,9 @@ func simulateTwoJobs(tel *SimMetrics) {
 	tel.PoolGet(true)
 	tel.PoolGet(true)
 
-	// Two what-if branches forked off a shared prefix: known COW splits.
-	tel.ForkDone(1000, 4000)
-	tel.ForkDone(1500, 3500)
+	// Two what-if branches forked off a shared prefix: known copy costs.
+	tel.ForkDone(1000)
+	tel.ForkDone(1500)
 
 	// Replay cache traffic: one memory hit, one disk hit, one miss, two
 	// LRU evictions, 4 KiB resident.
@@ -186,7 +186,6 @@ func TestSimMetricsGolden(t *testing.T) {
 		{`simmr_engine_pool_gets_total{reused="true"} 2`},
 		{`simmr_engine_forks_total 2`},
 		{`simmr_engine_fork_bytes_copied 2500`},
-		{`simmr_engine_fork_bytes_shared 7500`},
 		{`simmr_makespan_seconds 250`},
 		{`simmr_queue_high_water_events_max 4`},
 		{`simmr_rcache_hits_total{tier="mem"} 1`},
@@ -208,7 +207,7 @@ func TestNilSimMetrics(t *testing.T) {
 	var tel *SimMetrics
 	tel.ReplayDone(time.Second, 100)
 	tel.PoolGet(true)
-	tel.ForkDone(10, 20)
+	tel.ForkDone(10)
 	tel.Span("run")()
 	tel.Span("bogus")()
 	if tel.Registry() != nil {

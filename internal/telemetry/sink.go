@@ -72,7 +72,6 @@ type SimMetrics struct {
 
 	forksTotal      *Counter
 	forkBytesCopied *Counter
-	forkBytesShared *Counter
 
 	rcacheHits      [2]*Counter // by serving tier: [mem, disk]
 	rcacheMisses    *Counter
@@ -130,9 +129,7 @@ func NewSimMetrics(shards int) *SimMetrics {
 		forksTotal: r.NewCounter("simmr_engine_forks_total",
 			"What-if branch engines forked off sealed snapshots."),
 		forkBytesCopied: r.NewCounter("simmr_engine_fork_bytes_copied",
-			"Engine state bytes physically copied by forks (event-queue clones plus copy-on-write jobs-slab chunks)."),
-		forkBytesShared: r.NewCounter("simmr_engine_fork_bytes_shared",
-			"Engine state bytes forks still served read-only from their snapshot at branch end."),
+			"Engine state bytes copied to arm forks (pending events, live job slots, outcomes so far)."),
 		simTime: r.NewMaxGauge("simmr_sim_time_seconds",
 			"Latest simulated timestamp observed across replays (max-merged)."),
 		makespan: r.NewMaxGauge("simmr_makespan_seconds",
@@ -197,17 +194,15 @@ func (t *SimMetrics) ReplayDone(wall time.Duration, events uint64) {
 	}
 }
 
-// ForkDone records one finished what-if branch: its copy-on-write byte
-// split, read from engine.ForkStats after the branch's Run so lazily
-// copied chunks are fully accounted. Cold path, once per branch.
-func (t *SimMetrics) ForkDone(bytesCopied, bytesShared uint64) {
+// ForkDone records one finished what-if branch and the bytes arming it
+// copied (engine.ForkStats). Cold path, once per branch.
+func (t *SimMetrics) ForkDone(bytesCopied uint64) {
 	if t == nil {
 		return
 	}
 	sh := t.reg.NextShard()
 	t.forksTotal.Inc(sh)
 	t.forkBytesCopied.Add(sh, bytesCopied)
-	t.forkBytesShared.Add(sh, bytesShared)
 }
 
 // PoolGet records one engine acquisition; hand it to engine.Pool.Observed.

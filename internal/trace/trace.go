@@ -256,12 +256,11 @@ type Trace struct {
 	backing io.Closer
 
 	// validated memoizes a successful Validate. Pooled engines
-	// re-validate the shared trace on every Run, and on a large trace
-	// the duplicate-ID map dominates the pooled replay's allocations —
-	// with the memo, re-validating an unchanged trace is one atomic
-	// load. Same staleness caveat as the profile cache below: mutating
-	// jobs in place after a successful Validate is not re-checked;
-	// Normalize (the documented mutation point) clears the memo.
+	// re-validate the shared trace on every Run; with the memo,
+	// re-validating an unchanged trace is one atomic load. Same
+	// staleness caveat as the profile cache below: mutating jobs in
+	// place after a successful Validate is not re-checked; Normalize
+	// (the documented mutation point) clears the memo.
 	validated atomic.Bool
 }
 
@@ -293,9 +292,9 @@ var ErrEmptyTrace = errors.New("trace: no jobs")
 // unique duration volume, never re-walking shared arrays.
 //
 // A successful Validate is memoized: pooled engines validate the shared
-// trace on every Run, and the duplicate-ID map would otherwise dominate
-// a warm replay's allocations. Mutating jobs in place afterwards is not
-// re-checked; Normalize clears the memo.
+// trace on every Run, and the per-job walk would otherwise dominate a
+// warm replay. Mutating jobs in place afterwards is not re-checked;
+// Normalize clears the memo.
 func (tr *Trace) Validate() error {
 	if tr.validated.Load() {
 		return nil
@@ -303,7 +302,10 @@ func (tr *Trace) Validate() error {
 	if len(tr.Jobs) == 0 {
 		return ErrEmptyTrace
 	}
-	seen := make(map[int]bool, len(tr.Jobs))
+	// IDs equal to their positions — every normalized and every packed
+	// trace — are unique by construction; the duplicate check takes its
+	// map from the first job that breaks the pattern on.
+	var seen map[int]bool
 	validated := make(map[*Template]bool)
 	for i, j := range tr.Jobs {
 		if j == nil || j.Template == nil {
@@ -315,10 +317,18 @@ func (tr *Trace) Validate() error {
 		if j.Deadline < 0 || (j.Deadline > 0 && j.Deadline < j.Arrival) {
 			return fmt.Errorf("trace %q: job %d: deadline %v before arrival %v", tr.Name, i, j.Deadline, j.Arrival)
 		}
-		if seen[j.ID] {
-			return fmt.Errorf("trace %q: duplicate job ID %d", tr.Name, j.ID)
+		if seen == nil && j.ID != i {
+			seen = make(map[int]bool, len(tr.Jobs))
+			for k := 0; k < i; k++ {
+				seen[k] = true
+			}
 		}
-		seen[j.ID] = true
+		if seen != nil {
+			if seen[j.ID] {
+				return fmt.Errorf("trace %q: duplicate job ID %d", tr.Name, j.ID)
+			}
+			seen[j.ID] = true
+		}
 		if !validated[j.Template] {
 			if err := j.Template.Validate(); err != nil {
 				return fmt.Errorf("trace %q: job %d: %w", tr.Name, i, err)

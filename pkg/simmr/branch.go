@@ -75,7 +75,7 @@ type BranchSetConfig struct {
 	// Progress, when set, receives bounded-rate (done, total) callbacks.
 	Progress ProgressFunc
 	// Telemetry, when set, records the fan-out into the sharded metrics
-	// registry: fork counts and copied-vs-shared bytes (ForkDone), each
+	// registry: fork counts and bytes copied (ForkDone), each
 	// branch's wall time and suffix events/sec (ReplayDone), engine
 	// pool reuse, and every branch's event stream.
 	Telemetry *Telemetry
@@ -94,8 +94,8 @@ type BranchSetConfig struct {
 // BranchSet answers K what-if questions for the price of one shared
 // prefix: it replays Config/Trace/Policy up to BranchEvents once, seals
 // the engine, and fans the branches out across a worker pool — each
-// branch a pooled copy-on-write fork (cloned event queue, lazily copied
-// job state) that applies its edits and runs to completion. Results
+// branch a pooled fork (cloned pending events, live job state and
+// outcomes so far) that applies its edits and runs to completion. Results
 // come back in branch order; every branch result is byte-identical to
 // a from-scratch replay paused at the same event with the same edits
 // (the engine's fork differential suite enforces this). The first

@@ -179,9 +179,10 @@ func TestSharedPoolSerialThenParallel(t *testing.T) {
 
 // TestSharedPoolBoundsPinnedMemory: the process-wide pool must not park
 // a big replay's working set under a session of small ones. One
-// 100 000-job replay (a 38 MB jobs slab) followed by ten 1 000-job
+// 100 000-job replay (13.6 MB of outcomes, 2.4 MB of schedule and
+// by-position table) followed by ten 1 000-job
 // sweeps leaves the heap within 8 MiB of where ten such sweeps alone
-// leave it — by Put's slab rule, not by the collector: the heap is read
+// leave it — by Put's size rule, not by the collector: the heap is read
 // after a single GC, which frees garbage but not yet an idle engine
 // (sync.Pool keeps those through one cycle), and after the two GCs that
 // empty the pool altogether.

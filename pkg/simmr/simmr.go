@@ -75,7 +75,7 @@ type (
 )
 
 // What-if branching types (DESIGN.md §12): pause a replay at any event,
-// seal it into an immutable snapshot, and fork copy-on-write branch
+// seal it into an immutable snapshot, and fork branch
 // engines off the shared prefix — each branch mutates (inject a job,
 // move a deadline, swap the policy) and runs to its own end, byte-
 // identical to a from-scratch replay with the same edits. BranchSet is
@@ -89,7 +89,7 @@ type (
 	EngineSnapshot = engine.Snapshot
 	// ForkOptions parameterizes one fork off a snapshot.
 	ForkOptions = engine.ForkOptions
-	// ForkStats reports a fork's copied-vs-shared byte split.
+	// ForkStats reports the bytes arming a fork copied.
 	ForkStats = engine.ForkStats
 )
 
@@ -255,7 +255,7 @@ func Replay(cfg ReplayConfig, tr *Trace, p Policy) (*ReplayResult, error) {
 // caller replaying many traces back to back (what-if loops, Monte
 // Carlo repetitions, services replaying per-request) calls
 // pool.Run(cfg, tr, policy) instead of Replay and skips rebuilding the
-// engine's working set — event-queue slab, free list, per-job state —
+// engine's working set — event-queue slab, free list, job slots —
 // on every run. The zero value is ready; safe for concurrent use;
 // results are byte-identical to Replay. CapacitySweep, ReplayBatchCfg and
 // BranchSet need none: they share one process-wide pool, so their

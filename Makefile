@@ -38,7 +38,7 @@ verify:
 # never held in memory), inspect it, and replay it mmapped under a
 # 128 MiB memory ceiling — proving load and replay memory stay bounded
 # by job count and unique-template volume, not task-duration volume.
-# What replay holds per job of the trace is its outcome (136 B), its
+# What replay holds per job of the trace is its outcome (64 B), its
 # arrival-schedule entry and a table pointer; engine state proper is
 # sized by the jobs in flight (DESIGN.md §5, "Lifetime").
 # CI runs this as the bigtrace-smoke job.

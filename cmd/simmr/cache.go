@@ -49,6 +49,14 @@ func printCacheLine(c *simmr.Cache) {
 	fmt.Printf("cache: %d hits, %d misses\n", st.Hits, st.Misses)
 }
 
+// printSkippedExports is what a replaying command says in place of its
+// event exports (Chrome trace, slot timeline, -timeline) when the result
+// came from the cache: a cached result carries no sink output, because no
+// events were replayed. Say so instead of writing empty files.
+func printSkippedExports(path string) {
+	fmt.Printf("cache hit: skipped event exports (%s); rerun without the cache flags to regenerate them\n", path)
+}
+
 // runCacheCmd implements `simmr cache info|clear`: operator maintenance
 // of an on-disk replay result cache directory.
 func runCacheCmd(args []string) error {

@@ -41,6 +41,8 @@
 // enable the content-addressed replay result cache: identical
 // (trace, config, policy) inputs are served from the cache instead of
 // re-simulated, and summary lines report "cache: N hits, M misses".
+// A hit replays no events, so the event exports (-timeline, and `trace
+// run`'s -out and -slot-timeline) are skipped with a line saying so.
 // The `cache` subcommand maintains an on-disk cache directory:
 //
 //	simmr cache info  -cache-dir DIR    # entry count and bytes
@@ -96,7 +98,7 @@ func run() error {
 	var (
 		engineKind = flag.String("engine", "simmr", "simulator: simmr or mumak")
 		verbose    = flag.Bool("v", false, "print per-job lines")
-		timeline   = flag.String("timeline", "", "write a task-progress timeline TSV (simmr engine only)")
+		timeline   = flag.String("timeline", "", "write a task-progress timeline TSV (simmr engine only; an event export, skipped on a cache hit)")
 		step       = flag.Float64("step", 0, "timeline sample step in seconds (default: makespan/200)")
 		info       = flag.Bool("info", false, "print trace statistics and exit without simulating")
 		sweep      = flag.String("sweep", "", "comma-separated map-slot counts: replay across cluster sizes and exit")
@@ -107,6 +109,9 @@ func run() error {
 	rf := addReplayFlags(flag.CommandLine)
 	cf := addCacheFlags(flag.CommandLine)
 	flag.Parse()
+	if *engineKind == "mumak" && (*timeline != "" || *jsonOut) {
+		return fmt.Errorf("-timeline and -json need -engine simmr")
+	}
 
 	tel, tr, err := rf.open()
 	if tel != nil {
@@ -134,9 +139,13 @@ func run() error {
 	switch *engineKind {
 	case "simmr":
 		cfg := rf.config()
-		cfg.RecordSpans = *timeline != ""
+		var tl *simmr.TimelineSink
+		if *timeline != "" {
+			tl = simmr.NewTimelineSink()
+			cfg.Sink = tl
+		}
 		stopRun := tel.Span("run")
-		res, _, err := plan.One(opsOptions(tel, cache), runs.KindReplay, cfg, tr, policy)
+		res, hit, err := plan.One(opsOptions(tel, cache), runs.KindReplay, cfg, tr, policy)
 		stopRun()
 		if err != nil {
 			return err
@@ -165,14 +174,17 @@ func run() error {
 					j.ID, j.Name, j.Arrival, j.CompletionTime(), missed)
 			}
 		}
-		if *timeline != "" {
-			if err := writeTimeline(*timeline, res, *step); err != nil {
+		if tl != nil && !hit {
+			if err := writeTimeline(*timeline, tl.Spans(), res.Makespan, *step); err != nil {
 				return err
 			}
 		}
 		fmt.Printf("%d jobs, makespan %.1f s, %d events, policy %s\n",
 			len(res.Jobs), res.Makespan, res.Events, policy.Name())
 		printCacheLine(cache)
+		if tl != nil && hit {
+			printSkippedExports(*timeline)
+		}
 	case "mumak":
 		res, err := simmr.ReplayMumak(simmr.DefaultMumakConfig(), tr, policy)
 		if err != nil {
@@ -193,20 +205,20 @@ func run() error {
 }
 
 // writeTimeline renders a Figure 1/2-style task-progress series for the
-// whole replayed workload, with per-phase slot utilization appended.
-func writeTimeline(path string, res *simmr.ReplayResult, step float64) error {
+// whole replayed workload: how many tasks were in their map, shuffle and
+// reduce phase at each sample time.
+func writeTimeline(path string, spans []simmr.SlotSpan, makespan, step float64) error {
 	var maps, shuffles, reduces []metrics.Interval
-	for _, j := range res.Jobs {
-		for _, s := range j.MapSpans {
-			maps = append(maps, metrics.Interval{Start: s.Start, End: s.End})
-		}
-		for _, s := range j.ReduceSpans {
+	for _, s := range spans {
+		if s.Reduce {
 			shuffles = append(shuffles, metrics.Interval{Start: s.Start, End: s.ShuffleEnd})
 			reduces = append(reduces, metrics.Interval{Start: s.ShuffleEnd, End: s.End})
+		} else {
+			maps = append(maps, metrics.Interval{Start: s.Start, End: s.End})
 		}
 	}
 	if step <= 0 {
-		step = res.Makespan / 200
+		step = makespan / 200
 		if step <= 0 {
 			step = 1
 		}
@@ -217,7 +229,7 @@ func writeTimeline(path string, res *simmr.ReplayResult, step float64) error {
 	}
 	defer f.Close()
 	fmt.Fprintln(f, "time\tmap\tshuffle\treduce")
-	for _, p := range metrics.Timeline(maps, shuffles, reduces, res.Makespan, step) {
+	for _, p := range metrics.Timeline(maps, shuffles, reduces, makespan, step) {
 		fmt.Fprintf(f, "%.1f\t%d\t%d\t%d\n", p.T, p.Map, p.Shuffle, p.Reduce)
 	}
 	return nil

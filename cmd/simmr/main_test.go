@@ -142,6 +142,12 @@ func TestCLIGolden(t *testing.T) {
 		{"cached-sweep#5", "cache info -cache-dir cache", 0},
 		{"cached-run#1", "trace run -trace trace.strc -out events.json -cache-dir cache", 0},
 		{"cached-run#2", "trace run -trace trace.strc -out again.json -cache-dir cache", 0},
+		{"timeline", "-trace trace.strc -policy fair -timeline tl.tsv -step 50", 0},
+		{"timeline-cached#1", "-trace trace.strc -policy fair -timeline tl.tsv -step 50 -cache-dir cache", 0},
+		{"timeline-cached#2", "-trace trace.strc -policy fair -timeline again.tsv -step 50 -cache-dir cache", 0},
+		{"mumak", "-trace trace.strc -engine mumak -policy maxedf -v", 0},
+		{"mumak-timeline", "-trace trace.strc -engine mumak -timeline tl.tsv", 1},
+		{"mumak-json", "-trace trace.strc -engine mumak -json", 1},
 	}
 	dirs := map[string]string{}
 	for _, c := range cases {
@@ -176,6 +182,37 @@ func TestCLIGolden(t *testing.T) {
 	// The second cached `trace run` served a hit: it exported nothing.
 	if _, err := os.Stat(filepath.Join(dirs["cached-run"], "again.json")); err == nil {
 		t.Error("a cache hit wrote its Chrome trace; no events were replayed to export")
+	}
+	// -timeline is an event export too: its file is pinned byte for byte,
+	// the same with a cold cache, and not written on a hit.
+	tsvGolden := filepath.Join("testdata", "timeline.tsv.golden")
+	if *update {
+		got, err := os.ReadFile(filepath.Join(dirs["timeline"], "tl.tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(tsvGolden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(tsvGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, group := range []string{"timeline", "timeline-cached"} {
+		got, err := os.ReadFile(filepath.Join(dirs[group], "tl.tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: -timeline wrote\n%s\nwant (%s)\n%s", group, got, tsvGolden, want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dirs["timeline-cached"], "again.tsv")); err == nil {
+		t.Error("a cache hit wrote its timeline; no events were replayed to export")
+	}
+	if _, err := os.Stat(filepath.Join(dirs["mumak-timeline"], "tl.tsv")); err == nil {
+		t.Error("-engine mumak -timeline wrote a file; the combination is a usage error")
 	}
 }
 

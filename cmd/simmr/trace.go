@@ -85,13 +85,10 @@ func runTraceRun(args []string) error {
 	}
 	defer tel.Span("report")()
 	if hit {
-		// A cached result carries no sink output: the Chrome trace and
-		// slot timeline are event exports, and no events were replayed.
-		// Say so instead of writing empty files.
 		fmt.Printf("%d jobs, makespan %.1f s, %d events, policy %s\n",
 			len(res.Jobs), res.Makespan, res.Events, policy.Name())
 		printCacheLine(cache)
-		fmt.Printf("cache hit: skipped event exports (%s); rerun without the cache flags to regenerate them\n", *out)
+		printSkippedExports(*out)
 		return nil
 	}
 

@@ -90,15 +90,6 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// IsWait reports whether the phase is waiting (vs doing work).
-func (p Phase) IsWait() bool {
-	switch p {
-	case PhaseMapRun, PhaseReduceRun, PhaseShuffleBarrier:
-		return false
-	}
-	return p < PhaseCount
-}
-
 // BlamePolicy is the WaitInterval.BlameJob value for waits that ended
 // on a slot that sat free: no resident job held the slot — the policy
 // chose not to (or was configured not to) schedule the waiter earlier.

@@ -91,22 +91,6 @@ func (r *Report) TopMisses(k int) []Explanation {
 	return missed
 }
 
-// TopWaits returns up to k individual wait intervals across all jobs,
-// longest first (ties: job then start order).
-func (r *Report) TopWaits(k int) []WaitInterval {
-	var waits []WaitInterval
-	for i := range r.Jobs {
-		waits = append(waits, r.Jobs[i].Waits...)
-	}
-	sort.SliceStable(waits, func(i, j int) bool {
-		return waits[i].Duration() > waits[j].Duration()
-	})
-	if k > 0 && len(waits) > k {
-		waits = waits[:k]
-	}
-	return waits
-}
-
 // WriteTSV renders the operator report: the per-job breakdown table
 // (phases in fixed order, summing to completion), the makespan critical
 // path, the top-K deadline-miss root causes, and the longest blamed

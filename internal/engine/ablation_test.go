@@ -42,18 +42,18 @@ func TestNoShuffleModelSecondWave(t *testing.T) {
 func TestNoFirstShuffleSpecialCase(t *testing.T) {
 	cfg := Config{
 		MapSlots: 4, ReduceSlots: 2, MinMapPercentCompleted: 0.05,
-		NoFirstShuffleSpecialCase: true, RecordSpans: true,
+		NoFirstShuffleSpecialCase: true,
 	}
 	tpl := uniformTemplate(8, 2, 10, 5, 7, 3)
-	res, err := Run(cfg, oneJobTrace(tpl), sched.FIFO{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _, reduces := taskSpans(t, cfg, oneJobTrace(tpl), sched.FIFO{})
 	out := res.Jobs[0]
-	for i, rs := range out.ReduceSpans {
+	if len(reduces[0]) != 2 {
+		t.Fatalf("%d reduce spans, want 2", len(reduces[0]))
+	}
+	for _, rs := range reduces[0] {
 		if rs.End != rs.Start+7+3 {
 			t.Fatalf("reduce %d: end %v, want start+typShuffle+reduce = %v",
-				i, rs.End, rs.Start+10)
+				rs.Task, rs.End, rs.Start+10)
 		}
 	}
 	if out.Finish < out.MapStageEnd {

@@ -28,7 +28,7 @@ func TestReplayTwiceOnSharedTraceIdentical(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		DefaultConfig(),
-		{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.3, RecordSpans: true},
+		{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.3},
 		{MapSlots: 64, ReduceSlots: 64, MinMapPercentCompleted: 0.05, NoShuffleModel: true},
 	} {
 		for _, policy := range []sched.Policy{sched.FIFO{}, sched.MinEDF{}, sched.Fair{}} {

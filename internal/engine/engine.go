@@ -61,10 +61,6 @@ type Config struct {
 	// complete first. Default 0.05 mirrors Hadoop's slowstart.
 	MinMapPercentCompleted float64
 
-	// RecordSpans enables per-task span capture (needed for the
-	// Figure 1/2 progress plots; off by default to keep replay fast).
-	RecordSpans bool
-
 	// NoShuffleModel is an ablation switch: model reduce tasks the way
 	// Mumak does — reduce runtime = wait-for-all-maps + reduce phase,
 	// with no shuffle at all. Used to quantify how much of SimMR's
@@ -90,7 +86,8 @@ type Config struct {
 	// Sink, when non-nil, receives every engine event (obs.Kind
 	// taxonomy) in handled order — a block at a time, complete whenever
 	// the engine is not inside Run or RunEvents (the delivery contract,
-	// DESIGN.md §8) — plus the run-level counters at the end of Run.
+	// DESIGN.md §8) — plus the run-level counters at the end of Run. The
+	// stream is the one record of per-task history: a Result holds none.
 	// Every emission sits behind a single nil check, so a nil Sink costs
 	// nothing on the hot path (TestReplayAllocBudget's bare case). Sinks
 	// need not be safe for concurrent use — each engine must own its own
@@ -128,14 +125,9 @@ const (
 	evMapStageComplete
 )
 
-// Span is a recorded task interval; for reduce tasks ShuffleEnd splits
-// the shuffle/sort phase from the reduce phase.
-type Span struct {
-	Start, End float64
-	ShuffleEnd float64 // reduce tasks only
-}
-
-// JobOutcome reports one replayed job.
+// JobOutcome reports one replayed job. Per-task history — when each
+// task started, finished, was killed — is not here: it is the event
+// stream (Config.Sink; obs.TimelineSink rebuilds the task spans).
 type JobOutcome struct {
 	ID          int
 	Name        string
@@ -143,19 +135,7 @@ type JobOutcome struct {
 	Finish      float64
 	Deadline    float64
 	MapStageEnd float64
-
-	// Per-job event counts, always maintained (plain integer
-	// increments): task executions completed and engine events handled
-	// for this job, so callers can report task counts without
-	// re-reading the trace.
-	MapTasksRun    int // map-task departures (preempted attempts excluded)
-	ReduceTasksRun int // reduce-task departures
-	PreemptedMaps  int // map attempts killed by preemption (re-run later)
-	Events         int // engine events handled for this job
-
-	// Spans are present only when Config.RecordSpans is set.
-	MapSpans    []Span
-	ReduceSpans []Span
+	Events      int // engine events handled for this job
 }
 
 // CompletionTime returns finish − arrival.
@@ -175,8 +155,7 @@ func (o *JobOutcome) ExceededDeadline() bool {
 // ReplayBatchCfg) is owned by the caller and never written by the
 // engine again. A Result handed to a Pool.Fold callback is the engine's
 // own scratch: it is valid only until the callback returns, and nothing
-// reached through Jobs may be retained except the span slices, which
-// every arrival allocates fresh.
+// reached through Jobs may be retained.
 type Result struct {
 	Jobs     []JobOutcome
 	Events   uint64
@@ -192,7 +171,7 @@ type fillerReduce struct {
 	ev           *des.Event
 	firstShuffle float64
 	reducePhase  float64
-	spanIdx      int
+	task         int   // the reduce's task index, as its start event named it
 	next         int32 // next filler of the job, or next free entry; -1 ends the list
 }
 
@@ -389,7 +368,7 @@ func New(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, error) {
 // event queue's slab and free list, the job slots with their retry
 // scratch, the filler arena, the by-position table, the active slice and
 // the ID-dispatch map, so steady-state reuse allocates only the per-run
-// outputs (Result, outcomes, spans) instead of rebuilding the engine's
+// outputs (Result, outcomes) instead of rebuilding the engine's
 // working set from scratch. Pool.Put decides which engines are worth
 // keeping that way.
 func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
@@ -627,10 +606,6 @@ func (e *Engine) arm(p int) *simJob {
 	*sj.out = JobOutcome{
 		ID: j.ID, Name: j.Name,
 		Arrival: j.Arrival, Deadline: deadline,
-	}
-	if e.cfg.RecordSpans {
-		sj.out.MapSpans = make([]Span, j.Template.NumMaps)
-		sj.out.ReduceSpans = make([]Span, j.Template.NumReduces)
 	}
 	sj.pos = p
 	sj.nextMap = 0
@@ -1056,7 +1031,6 @@ func (e *Engine) preemptVictim(victim *simJob) bool {
 	delete(victim.runningMaps, killTask)
 	victim.retryMaps = append(victim.retryMaps, killTask)
 	victim.info.ScheduledMaps--
-	victim.out.PreemptedMaps++
 	e.preemptions++
 	e.freeMap++
 	e.preemptIdx.Fix(&victim.info, victim.preemptible())
@@ -1096,9 +1070,6 @@ func (e *Engine) onMapTaskArrival(sj *simJob) {
 		sj.nextMap++
 	}
 	dur := sj.tpl.MapDuration(i)
-	if sj.out.MapSpans != nil {
-		sj.out.MapSpans[i] = Span{Start: now, End: now + dur}
-	}
 	ev := e.q.PushTask(now+dur, evMapTaskDeparture, sj.info.ID, i)
 	if e.cfg.PreemptMapTasks {
 		sj.runningMaps[i] = ev
@@ -1147,12 +1118,8 @@ func (e *Engine) onMapStageComplete(sj *simJob) {
 		end := now + f.firstShuffle + f.reducePhase
 		e.q.Update(f.ev, end)
 		e.fillerPatches++
-		if sj.out.ReduceSpans != nil {
-			sj.out.ReduceSpans[f.spanIdx].ShuffleEnd = now + f.firstShuffle
-			sj.out.ReduceSpans[f.spanIdx].End = end
-		}
 		if e.sink != nil {
-			e.emit(obs.KindFillerPatch, sj.info.ID, f.spanIdx, end, now+f.firstShuffle)
+			e.emit(obs.KindFillerPatch, sj.info.ID, f.task, end, now+f.firstShuffle)
 		}
 		f.ev = nil
 	}
@@ -1190,12 +1157,9 @@ func (e *Engine) onReduceTaskArrival(sj *simJob) {
 			ev:           ev,
 			firstShuffle: firstShuffle,
 			reducePhase:  reducePhase,
-			spanIdx:      i,
+			task:         i,
 			next:         -1,
 		})
-		if sj.out.ReduceSpans != nil {
-			sj.out.ReduceSpans[i] = Span{Start: now}
-		}
 		if e.sink != nil {
 			inf := math.Inf(1)
 			e.emit(obs.KindReduceTaskStart, sj.info.ID, i, inf, inf)
@@ -1212,9 +1176,6 @@ func (e *Engine) onReduceTaskArrival(sj *simJob) {
 		shuffle = 0
 	}
 	end := now + shuffle + reducePhase
-	if sj.out.ReduceSpans != nil {
-		sj.out.ReduceSpans[i] = Span{Start: now, ShuffleEnd: now + shuffle, End: end}
-	}
 	e.q.PushTask(end, evReduceTaskDeparture, sj.info.ID, i)
 	if e.sink != nil {
 		e.emit(obs.KindReduceTaskStart, sj.info.ID, i, end, now+shuffle)
@@ -1268,11 +1229,9 @@ func (e *Engine) departJob(sj *simJob) {
 func (e *Engine) onJobDeparture(sj *simJob) {
 	// The clock never runs backwards, so the latest departure is the makespan.
 	e.makespan = e.clock.Now()
-	// The counts a handler would bump per event stay in the slot, which the
-	// handlers have in cache anyway; the outcome takes them once, here.
+	// The event count a handler bumps stays in the slot, which the handlers
+	// have in cache anyway; the outcome takes it once, here.
 	sj.out.Finish = e.makespan
-	sj.out.MapTasksRun = sj.info.CompletedMaps
-	sj.out.ReduceTasksRun = sj.info.CompletedReduces
 	sj.out.Events = sj.events
 	e.remaining--
 	if e.sink != nil {
@@ -1449,8 +1408,8 @@ func (p *Pool) Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, e
 // and the engine goes back to the pool — no Result, no per-job outcome
 // array is allocated, which is what makes a warmed sweep cell
 // allocation-free. The Result is lent, not given: it is emptied when fn
-// returns (see Result for what may be kept). fn is not called when the
-// replay fails.
+// returns, and nothing reached through it may be kept. fn is not called
+// when the replay fails.
 func (p *Pool) Fold(cfg Config, tr *trace.Trace, policy sched.Policy, fn func(*Result)) error {
 	e, err := p.Get(cfg, tr, policy)
 	if err != nil {

@@ -123,76 +123,61 @@ func TestSlowstartGate(t *testing.T) {
 	// minMapPercent=0.5 with 8 maps: reduces launch only after 4 maps
 	// done. With 4 map slots and 10s maps, that is t=10 (first wave of 4
 	// completes). All-maps-end at 20, reduces are first-wave.
-	cfg := Config{MapSlots: 4, ReduceSlots: 2, MinMapPercentCompleted: 0.5, RecordSpans: true}
+	cfg := Config{MapSlots: 4, ReduceSlots: 2, MinMapPercentCompleted: 0.5}
 	tpl := uniformTemplate(8, 2, 10, 5, 7, 3)
-	res, err := Run(cfg, oneJobTrace(tpl), sched.FIFO{})
-	if err != nil {
-		t.Fatal(err)
+	_, _, reduces := taskSpans(t, cfg, oneJobTrace(tpl), sched.FIFO{})
+	if len(reduces[0]) != 2 {
+		t.Fatalf("%d reduce spans, want 2", len(reduces[0]))
 	}
-	for i, rs := range res.Jobs[0].ReduceSpans {
+	for _, rs := range reduces[0] {
 		if rs.Start < 10 {
-			t.Fatalf("reduce %d started at %v, before 50%% of maps completed", i, rs.Start)
+			t.Fatalf("reduce %d started at %v, before 50%% of maps completed", rs.Task, rs.Start)
 		}
 	}
 }
 
+// The task spans the event stream yields are the engine's own task
+// intervals: one per task, the recorded durations, shuffle before reduce
+// and never before the map stage ends, each pinned to a slot of its class.
 func TestRecordedSpansConsistent(t *testing.T) {
-	cfg := Config{MapSlots: 4, ReduceSlots: 2, MinMapPercentCompleted: 0.05, RecordSpans: true}
+	cfg := Config{MapSlots: 4, ReduceSlots: 2, MinMapPercentCompleted: 0.05}
 	tpl := uniformTemplate(8, 4, 10, 5, 7, 3)
-	res, err := Run(cfg, oneJobTrace(tpl), sched.FIFO{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, maps, reduces := taskSpans(t, cfg, oneJobTrace(tpl), sched.FIFO{})
 	out := res.Jobs[0]
-	if len(out.MapSpans) != 8 || len(out.ReduceSpans) != 4 {
-		t.Fatalf("span counts %d/%d", len(out.MapSpans), len(out.ReduceSpans))
+	if len(maps[0]) != 8 || len(reduces[0]) != 4 {
+		t.Fatalf("span counts %d/%d", len(maps[0]), len(reduces[0]))
 	}
-	for i, s := range out.MapSpans {
+	for _, s := range maps[0] {
 		if s.End-s.Start != 10 {
-			t.Fatalf("map span %d duration %v", i, s.End-s.Start)
+			t.Fatalf("map span %d duration %v", s.Task, s.End-s.Start)
+		}
+		if s.Slot < 0 || s.Slot >= cfg.MapSlots {
+			t.Fatalf("map span %d on slot %d of %d", s.Task, s.Slot, cfg.MapSlots)
 		}
 	}
-	for i, s := range out.ReduceSpans {
+	for _, s := range reduces[0] {
 		if !(s.Start < s.ShuffleEnd && s.ShuffleEnd < s.End) {
-			t.Fatalf("reduce span %d disordered: %+v", i, s)
+			t.Fatalf("reduce span %d disordered: %+v", s.Task, s)
 		}
 		if s.ShuffleEnd < out.MapStageEnd {
-			t.Fatalf("reduce span %d shuffle ended before map stage", i)
+			t.Fatalf("reduce span %d shuffle ended before map stage", s.Task)
+		}
+		if s.Slot < 0 || s.Slot >= cfg.ReduceSlots {
+			t.Fatalf("reduce span %d on slot %d of %d", s.Task, s.Slot, cfg.ReduceSlots)
 		}
 	}
 }
 
 func TestSlotCapacityRespected(t *testing.T) {
-	cfg := Config{MapSlots: 3, ReduceSlots: 2, MinMapPercentCompleted: 0.05, RecordSpans: true}
+	cfg := Config{MapSlots: 3, ReduceSlots: 2, MinMapPercentCompleted: 0.05}
 	tpl := uniformTemplate(10, 6, 7, 2, 4, 1)
-	res, err := Run(cfg, oneJobTrace(tpl), sched.FIFO{})
-	if err != nil {
-		t.Fatal(err)
+	_, maps, reduces := taskSpans(t, cfg, oneJobTrace(tpl), sched.FIFO{})
+	if peak := peakConcurrency(maps[0]); peak != 3 {
+		t.Fatalf("map concurrency %d, want all 3 slots busy and no more", peak)
 	}
-	out := res.Jobs[0]
-	if peak := peakConcurrency(out.MapSpans); peak > 3 {
-		t.Fatalf("map concurrency %d > 3 slots", peak)
+	if peak := peakConcurrency(reduces[0]); peak != 2 {
+		t.Fatalf("reduce concurrency %d, want both slots busy and no more", peak)
 	}
-	if peak := peakConcurrency(out.ReduceSpans); peak > 2 {
-		t.Fatalf("reduce concurrency %d > 2 slots", peak)
-	}
-}
-
-func peakConcurrency(spans []Span) int {
-	peak := 0
-	for _, a := range spans {
-		mid := (a.Start + a.End) / 2
-		n := 0
-		for _, b := range spans {
-			if b.Start <= mid && mid < b.End {
-				n++
-			}
-		}
-		if n > peak {
-			peak = n
-		}
-	}
-	return peak
 }
 
 func TestMultipleJobsFIFO(t *testing.T) {

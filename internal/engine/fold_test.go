@@ -35,9 +35,8 @@ func foldShapes(t *testing.T) []struct {
 		sparse.Jobs = append(sparse.Jobs, &cp)
 	}
 	small := Config{MapSlots: 12, ReduceSlots: 6, MinMapPercentCompleted: 0.05}
-	preempt, spans := small, small
+	preempt := small
 	preempt.PreemptMapTasks = true
-	spans.RecordSpans = true
 	return []struct {
 		name string
 		cfg  Config
@@ -46,24 +45,15 @@ func foldShapes(t *testing.T) []struct {
 		{"dense", small, dense},
 		{"sparse-ids", small, sparse},
 		{"preempt", preempt, dense},
-		{"spans", spans, dense},
 	}
 }
 
 // TestFoldDifferential: for every indexed policy under every shape, the
 // Result a Fold callback sees — on one pool whose engine and scratch are
 // dirty from the previous (different) cell — equals what Run returns on
-// a fresh engine, field for field. Span slices are the one thing a
-// callback may keep: the ones handed out by a fold must still read the
-// same after the engine has been re-armed and run again.
+// a fresh engine, field for field.
 func TestFoldDifferential(t *testing.T) {
 	var pool Pool
-	type kept struct {
-		name string
-		res  *Result // shallow: shares the fold's span slices
-		want *Result
-	}
-	var keep []kept
 	for round := 0; round < 2; round++ {
 		for _, sh := range foldShapes(t) {
 			for _, p := range diffPolicies() {
@@ -78,9 +68,6 @@ func TestFoldDifferential(t *testing.T) {
 					if !reflect.DeepEqual(res, want) {
 						t.Errorf("%s (round %d): folded Result differs from a fresh engine's Run", name, round)
 					}
-					if sh.cfg.RecordSpans {
-						keep = append(keep, kept{name, &Result{Jobs: append([]JobOutcome{}, res.Jobs...)}, want})
-					}
 				})
 				if err != nil {
 					t.Fatalf("%s: fold: %v", name, err)
@@ -91,18 +78,13 @@ func TestFoldDifferential(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range keep {
-		if !reflect.DeepEqual(k.res.Jobs, k.want.Jobs) {
-			t.Errorf("%s: span slices kept from a fold were written by a later arm", k.name)
-		}
-	}
 }
 
 // TestFoldLendsNothingPastCallback: once the callback returns, the
-// scratch is emptied — no outcome, name or span slice rides on an idle
-// engine — and a failed replay never calls back.
+// scratch is emptied — no outcome or name rides on an idle engine — and
+// a failed replay never calls back.
 func TestFoldLendsNothingPastCallback(t *testing.T) {
-	sh := foldShapes(t)[3] // spans
+	sh := foldShapes(t)[0]
 	var pool Pool
 	var lent *Result
 	if err := pool.Fold(sh.cfg, sh.tr, sched.FIFO{}, func(res *Result) { lent = res }); err != nil {
@@ -150,10 +132,8 @@ func TestRunIntoReusesCapacity(t *testing.T) {
 	}
 }
 
-// TestSimJobSize pins what the engine holds per job: a slot while the
-// job is live, which every arrival writes in full, and an outcome for
-// good — the Result's array is the replay's largest allocation (13.6 MB
-// at 100 000 jobs). A field added to simJob, JobInfo or JobOutcome must
+// TestSimJobSize pins what the engine holds per live job: a slot, which
+// every arrival writes in full. A field added to simJob or JobInfo must
 // show up here and be weighed, not slip in.
 func TestSimJobSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -162,8 +142,18 @@ func TestSimJobSize(t *testing.T) {
 	if got := unsafe.Sizeof(simJob{}); got != 256 {
 		t.Fatalf("unsafe.Sizeof(simJob{}) = %d, want 256", got)
 	}
-	if got := unsafe.Sizeof(JobOutcome{}); got != 136 {
-		t.Fatalf("unsafe.Sizeof(JobOutcome{}) = %d, want 136", got)
+}
+
+// TestJobOutcomeSize pins what the engine holds per job of the trace, for
+// good: one cache line of the Result's array, the replay's largest
+// allocation (6.4 MB at 100 000 jobs). Anything per task belongs in the
+// event stream, not here.
+func TestJobOutcomeSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(JobOutcome{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(JobOutcome{}) = %d, want 64", got)
 	}
 }
 
@@ -292,9 +282,7 @@ func TestSharedPoolReleasesTrace(t *testing.T) {
 	collected := make(chan struct{})
 	runtime.SetFinalizer(tr.Jobs[len(tr.Jobs)-1].Template, func(*trace.Template) { close(collected) })
 	var pool Pool
-	cfg := DefaultConfig()
-	cfg.RecordSpans = true
-	if err := pool.Fold(cfg, tr, sched.MinEDF{}, func(*Result) {}); err != nil {
+	if err := pool.Fold(DefaultConfig(), tr, sched.MinEDF{}, func(*Result) {}); err != nil {
 		t.Fatal(err)
 	}
 	tr = nil

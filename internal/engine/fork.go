@@ -114,10 +114,9 @@ func (e *Engine) remapEvent(ev *des.Event) *des.Event {
 }
 
 // forkJob arms a slot of this engine as the copy of the snapshot's live
-// job s: the retry queue and the span slices get owned copies (the spans
-// of departed jobs are immutable and stay shared across Results), the
-// running-task and filler event handles remap into this engine's queue,
-// and the outcome pointer moves to this engine's array.
+// job s: the retry queue gets an owned copy, the running-task and filler
+// event handles remap into this engine's queue, and the outcome pointer
+// moves to this engine's array.
 func (e *Engine) forkJob(s *simJob) *simJob {
 	sj := e.newSlot()
 	retry, running := sj.retryMaps[:0], sj.runningMaps
@@ -139,14 +138,6 @@ func (e *Engine) forkJob(s *simJob) *simJob {
 	}
 	e.slotOf[sj.pos] = sj
 	sj.out = &e.out[sj.pos]
-	// make-then-append keeps a non-nil empty slice non-nil, so a forked
-	// outcome compares (and encodes) exactly like a scratch replay's.
-	if sj.out.MapSpans != nil {
-		sj.out.MapSpans = append(make([]Span, 0, len(sj.out.MapSpans)), sj.out.MapSpans...)
-	}
-	if sj.out.ReduceSpans != nil {
-		sj.out.ReduceSpans = append(make([]Span, 0, len(sj.out.ReduceSpans)), sj.out.ReduceSpans...)
-	}
 	return sj
 }
 

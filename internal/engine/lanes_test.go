@@ -131,13 +131,15 @@ func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 	}
 
 	started := map[int]bool{} // lazy's map tasks started at t=0, ending at t=0
-	killedInFlight := 0
+	killedInFlight, finished := 0, 0
 	for _, ev := range sink.Events {
 		switch {
 		case ev.Kind == obs.KindMapTaskStart && ev.JobID == 0 && ev.Time == 0 && ev.End == 0:
 			started[ev.Task] = true
 		case ev.Kind == obs.KindPreempt && ev.JobID == 0 && ev.Time == 0 && started[ev.Task]:
 			killedInFlight++
+		case ev.Kind == obs.KindMapTaskFinish && ev.JobID == 0:
+			finished++
 		}
 	}
 	if killedInFlight == 0 {
@@ -146,9 +148,9 @@ func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 	lazy, urgent := res.Jobs[0], res.Jobs[1]
 	// The urgent job holds both slots for 7 s; lazy's four instant maps
 	// (two of them second attempts) run when it lets go.
-	if lazy.PreemptedMaps != killedInFlight || lazy.MapTasksRun != 4 || lazy.Finish != 7 || urgent.Finish != 7 {
+	if sink.Counters.Preemptions != uint64(killedInFlight) || finished != 4 || lazy.Finish != 7 || urgent.Finish != 7 {
 		t.Fatalf("lazy: preempted %d (saw %d), %d maps run, finish %v; urgent finish %v; want 4 maps run, both finishing at 7",
-			lazy.PreemptedMaps, killedInFlight, lazy.MapTasksRun, lazy.Finish, urgent.Finish)
+			sink.Counters.Preemptions, killedInFlight, finished, lazy.Finish, urgent.Finish)
 	}
 }
 

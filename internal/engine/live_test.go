@@ -262,7 +262,7 @@ func setDeadlineAcrossJobLifetime(t *testing.T, dense bool) {
 // half-way with jobs live and one injected.
 func TestPutReleasesTrace(t *testing.T) {
 	tr := sparseStream(t, 200, 9)
-	cfg := Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05, RecordSpans: true, PreemptMapTasks: true}
+	cfg := Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05, PreemptMapTasks: true}
 	var pool Pool
 	for _, finish := range []bool{true, false} {
 		e, err := New(cfg, tr, sched.MaxEDF{})

@@ -44,21 +44,29 @@ func TestPreemptedJobStillCompletesAllTasks(t *testing.T) {
 		{Name: "urgent", Arrival: 5, Deadline: 300, Template: uniformTemplate(4, 0, 10, 0, 0, 0)},
 	}}
 	tr.Normalize()
-	cfg := Config{MapSlots: 4, ReduceSlots: 2, MinMapPercentCompleted: 0.05, PreemptMapTasks: true, RecordSpans: true}
-	res, err := Run(cfg, tr, sched.MaxEDF{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{MapSlots: 4, ReduceSlots: 2, MinMapPercentCompleted: 0.05, PreemptMapTasks: true}
+	res, maps, _ := taskSpans(t, cfg, tr, sched.MaxEDF{})
 	victim := res.Jobs[0]
 	if victim.Finish <= 0 {
 		t.Fatal("victim never finished")
 	}
-	// All 12 map spans must exist with positive extents (re-executed
-	// tasks overwrite their killed spans).
-	for i, s := range victim.MapSpans {
-		if s.End <= s.Start {
-			t.Fatalf("victim map %d has empty span: %+v", i, s)
+	// Each of the 12 maps ran to completion exactly once, for its whole
+	// recorded duration, after every killed attempt at it.
+	completed, killed := map[int]float64{}, 0
+	for _, s := range maps[0] {
+		switch start, done := completed[s.Task]; {
+		case done:
+			t.Fatalf("victim map %d attempted at %v after completing the attempt of %v", s.Task, s.Start, start)
+		case s.Preempted:
+			killed++
+		case s.End-s.Start != 50:
+			t.Fatalf("victim map %d completed in %v, recorded 50: %+v", s.Task, s.End-s.Start, s)
+		default:
+			completed[s.Task] = s.Start
 		}
+	}
+	if len(completed) != 12 || killed == 0 {
+		t.Fatalf("victim completed %d of 12 maps with %d killed attempts, want all 12 and a kill", len(completed), killed)
 	}
 	// Preemption must cost the victim time: 12 maps x 50 s on 4 slots is
 	// 150 s unpreempted; the kill adds at least part of a wave.
@@ -97,22 +105,19 @@ func TestPreemptionHonorsMinEDFCaps(t *testing.T) {
 		{Name: "small", Arrival: 5, Deadline: 5 + 400, Template: uniformTemplate(8, 0, 40, 0, 0, 0)},
 	}}
 	tr.Normalize()
-	cfg := Config{MapSlots: 8, ReduceSlots: 1, MinMapPercentCompleted: 0.05, PreemptMapTasks: true, RecordSpans: true}
-	res, err := Run(cfg, tr, sched.MinEDF{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{MapSlots: 8, ReduceSlots: 1, MinMapPercentCompleted: 0.05, PreemptMapTasks: true}
+	res, maps, _ := taskSpans(t, cfg, tr, sched.MinEDF{})
 	if res.Jobs[1].ExceededDeadline() {
 		t.Fatalf("small job missed its deadline: %v > %v", res.Jobs[1].Finish, res.Jobs[1].Deadline)
 	}
 	// The big job should have kept most of its slots: count its peak map
 	// concurrency after t=5.
 	peak := 0
-	for _, s := range res.Jobs[0].MapSpans {
+	for _, s := range maps[0] {
 		if s.Start >= 5 {
 			n := 0
 			mid := (s.Start + s.End) / 2
-			for _, o := range res.Jobs[0].MapSpans {
+			for _, o := range maps[0] {
 				if o.Start <= mid && mid < o.End {
 					n++
 				}
@@ -140,20 +145,15 @@ func TestPreemptionInvariantsProperty(t *testing.T) {
 			ReduceSlots:            rng.Intn(20) + 1,
 			MinMapPercentCompleted: 0.05,
 			PreemptMapTasks:        true,
-			RecordSpans:            true,
 		}
-		res, err := Run(cfg, tr, sched.MaxEDF{})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		var mapSpans []Span
+		res, maps, _ := taskSpans(t, cfg, tr, sched.MaxEDF{})
 		for i, out := range res.Jobs {
 			if out.Finish < out.Arrival {
 				t.Fatalf("trial %d job %d: finish before arrival", trial, i)
 			}
-			mapSpans = append(mapSpans, out.MapSpans...)
 		}
-		if peak := peakConcurrency(mapSpans); peak > cfg.MapSlots {
+		// Killed attempts count: they held their slot up to the kill.
+		if peak := peakConcurrency(allSpans(maps)); peak > cfg.MapSlots {
 			t.Fatalf("trial %d: map peak %d > %d slots", trial, peak, cfg.MapSlots)
 		}
 	}

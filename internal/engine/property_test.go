@@ -66,12 +66,8 @@ func TestEngineInvariantsAcrossPoliciesProperty(t *testing.T) {
 			MapSlots:               rng.Intn(30) + 1,
 			ReduceSlots:            rng.Intn(30) + 1,
 			MinMapPercentCompleted: rng.Float64(),
-			RecordSpans:            true,
 		}
-		res, err := Run(cfg, tr, policy)
-		if err != nil {
-			t.Fatalf("trial %d (%s): %v", trial, policy.Name(), err)
-		}
+		res, maps, reduces := taskSpans(t, cfg, tr, policy)
 		if len(res.Jobs) != len(tr.Jobs) {
 			t.Fatalf("trial %d: %d outcomes for %d jobs", trial, len(res.Jobs), len(tr.Jobs))
 		}
@@ -100,15 +96,16 @@ func TestEngineInvariantsAcrossPoliciesProperty(t *testing.T) {
 			t.Fatalf("trial %d: events = %d, accounting says %d", trial, res.Events, wantEvents)
 		}
 
-		var mapSpans, reduceSpans []Span
-		for _, out := range res.Jobs {
-			mapSpans = append(mapSpans, out.MapSpans...)
-			reduceSpans = append(reduceSpans, out.ReduceSpans...)
+		for i, j := range tr.Jobs {
+			if len(maps[j.ID]) != j.Template.NumMaps || len(reduces[j.ID]) != j.Template.NumReduces {
+				t.Fatalf("trial %d job %d: %d map and %d reduce spans for %d and %d tasks",
+					trial, i, len(maps[j.ID]), len(reduces[j.ID]), j.Template.NumMaps, j.Template.NumReduces)
+			}
 		}
-		if peak := peakConcurrency(mapSpans); peak > cfg.MapSlots {
+		if peak := peakConcurrency(allSpans(maps)); peak > cfg.MapSlots {
 			t.Fatalf("trial %d: map peak %d > %d slots", trial, peak, cfg.MapSlots)
 		}
-		if peak := peakConcurrency(reduceSpans); peak > cfg.ReduceSlots {
+		if peak := peakConcurrency(allSpans(reduces)); peak > cfg.ReduceSlots {
 			t.Fatalf("trial %d: reduce peak %d > %d slots", trial, peak, cfg.ReduceSlots)
 		}
 	}

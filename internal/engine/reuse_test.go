@@ -51,7 +51,7 @@ func reuseScenarios(t *testing.T) []reuseScenario {
 	return []reuseScenario{
 		{"default-fifo", DefaultConfig(), trA, sched.FIFO{}},
 		{"small-cluster-minedf", Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.3}, trB, sched.MinEDF{}},
-		{"spans-fair", Config{MapSlots: 16, ReduceSlots: 16, MinMapPercentCompleted: 0.05, RecordSpans: true}, trB, sched.Fair{}},
+		{"mid-cluster-fair", Config{MapSlots: 16, ReduceSlots: 16, MinMapPercentCompleted: 0.05}, trB, sched.Fair{}},
 		{"preempt-maxedf", Config{MapSlots: 2, ReduceSlots: 2, MinMapPercentCompleted: 0.05, PreemptMapTasks: true}, trDeadline, sched.MaxEDF{}},
 		{"sparse-ids", DefaultConfig(), trSparse, sched.FIFO{}},
 		{"ablation-noshuffle", Config{MapSlots: 32, ReduceSlots: 32, MinMapPercentCompleted: 0.05, NoShuffleModel: true}, trA, sched.FIFO{}},
@@ -117,16 +117,16 @@ func TestRunTwiceWithoutResetRejected(t *testing.T) {
 	}
 }
 
-// TestReusedEngineDoesNotCorruptPriorResults: outcomes (including span
-// slices) returned by one run must stay intact after the engine is
-// reset and rerun — the Result-escape half of the reuse contract.
+// TestReusedEngineDoesNotCorruptPriorResults: outcomes returned by one
+// run must stay intact after the engine is reset and rerun — the
+// Result-escape half of the reuse contract.
 func TestReusedEngineDoesNotCorruptPriorResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tr, err := synth.ProductionTrace(10, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{MapSlots: 16, ReduceSlots: 16, MinMapPercentCompleted: 0.05, RecordSpans: true}
+	cfg := Config{MapSlots: 16, ReduceSlots: 16, MinMapPercentCompleted: 0.05}
 	e, err := New(cfg, tr, sched.FIFO{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestReusedEngineDoesNotCorruptPriorResults(t *testing.T) {
 	}
 	// Rerun the same engine on a different cluster size; the first
 	// result must not change underneath its holder.
-	cfg2 := Config{MapSlots: 4, ReduceSlots: 4, MinMapPercentCompleted: 0.05, RecordSpans: true}
+	cfg2 := Config{MapSlots: 4, ReduceSlots: 4, MinMapPercentCompleted: 0.05}
 	if err := e.Reset(cfg2, tr, sched.FIFO{}); err != nil {
 		t.Fatal(err)
 	}

@@ -73,10 +73,8 @@ func TestSharedPoolConcurrentFanOuts(t *testing.T) {
 		return pts
 	}
 	batch := func(workers int) any {
-		spans := simmr.DefaultReplayConfig()
-		spans.RecordSpans = true
 		res, err := simmr.ReplayBatchCfg(context.Background(), simmr.BatchConfig{Workers: workers}, []simmr.ReplaySpec{
-			{Trace: mid, Config: spans},
+			{Trace: mid},
 			{Trace: big, Policy: sched.Fair{}},
 			{Trace: mid, Policy: sched.Capacity{Shares: []float64{2, 1}}},
 			{Trace: big, Config: simmr.ReplayConfig{MapSlots: 6, ReduceSlots: 6, MinMapPercentCompleted: 0.05, PreemptMapTasks: true}, Policy: sched.MaxEDF{}},

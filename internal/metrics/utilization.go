@@ -1,7 +1,5 @@
 package metrics
 
-import "sort"
-
 // Utilization summarizes how busy a set of slots was over a horizon —
 // the capacity-planning view a cluster administrator asks SimMR for
 // ("assess various what-if questions", §VII).
@@ -34,49 +32,4 @@ func ComputeUtilization(tasks []Interval, slots int, horizon float64) Utilizatio
 	u.Fraction = u.BusySlotSeconds / (float64(slots) * horizon)
 	u.Peak = PeakConcurrency(tasks)
 	return u
-}
-
-// UtilizationPoint is one sample of a utilization time series.
-type UtilizationPoint struct {
-	T    float64
-	Busy int
-}
-
-// UtilizationSeries samples the number of busy slots at fixed steps —
-// suitable for plotting alongside the Figure 1/2 task timelines.
-func UtilizationSeries(tasks []Interval, horizon, step float64) []UtilizationPoint {
-	if step <= 0 || horizon <= 0 {
-		return nil
-	}
-	// Sweep events once instead of scanning all intervals per sample.
-	type edge struct {
-		t     float64
-		delta int
-	}
-	edges := make([]edge, 0, 2*len(tasks))
-	for _, iv := range tasks {
-		if iv.End <= iv.Start {
-			continue
-		}
-		edges = append(edges, edge{iv.Start, 1}, edge{iv.End, -1})
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].t != edges[b].t {
-			return edges[a].t < edges[b].t
-		}
-		return edges[a].delta < edges[b].delta
-	})
-
-	n := int(horizon/step) + 1
-	pts := make([]UtilizationPoint, 0, n)
-	busy, ei := 0, 0
-	for i := 0; i < n; i++ {
-		t := float64(i) * step
-		for ei < len(edges) && edges[ei].t <= t {
-			busy += edges[ei].delta
-			ei++
-		}
-		pts = append(pts, UtilizationPoint{T: t, Busy: busy})
-	}
-	return pts
 }

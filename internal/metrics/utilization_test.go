@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestComputeUtilization(t *testing.T) {
 	tasks := []Interval{{0, 10}, {0, 10}, {10, 20}}
@@ -29,47 +26,5 @@ func TestComputeUtilizationDegenerate(t *testing.T) {
 	// Inverted intervals are ignored.
 	if u := ComputeUtilization([]Interval{{5, 3}}, 1, 10); u.BusySlotSeconds != 0 {
 		t.Fatal("inverted interval counted")
-	}
-}
-
-func TestUtilizationSeries(t *testing.T) {
-	tasks := []Interval{{0, 10}, {5, 15}}
-	pts := UtilizationSeries(tasks, 20, 5)
-	if len(pts) != 5 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// t=0: 1 busy (edge at 0 inclusive); t=5: 2; t=10: 1; t=15: 0; t=20: 0.
-	want := []int{1, 2, 1, 0, 0}
-	for i, w := range want {
-		if pts[i].Busy != w {
-			t.Fatalf("t=%v: busy=%d, want %d", pts[i].T, pts[i].Busy, w)
-		}
-	}
-}
-
-func TestUtilizationSeriesMatchesCountActive(t *testing.T) {
-	// The swept series must agree with the naive per-sample count except
-	// at exact edges (the sweep treats edge times as already applied).
-	rng := rand.New(rand.NewSource(4))
-	var tasks []Interval
-	for i := 0; i < 200; i++ {
-		s := rng.Float64() * 100
-		tasks = append(tasks, Interval{s, s + rng.Float64()*20})
-	}
-	pts := UtilizationSeries(tasks, 120, 0.7) // off-grid step avoids edge ties
-	for _, p := range pts {
-		naive := countActive(tasks, p.T)
-		if naive != p.Busy {
-			t.Fatalf("t=%v: swept=%d naive=%d", p.T, p.Busy, naive)
-		}
-	}
-}
-
-func TestUtilizationSeriesDegenerate(t *testing.T) {
-	if UtilizationSeries(nil, 0, 1) != nil {
-		t.Fatal("zero horizon should be nil")
-	}
-	if UtilizationSeries(nil, 10, 0) != nil {
-		t.Fatal("zero step should be nil")
 	}
 }

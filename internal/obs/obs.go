@@ -36,8 +36,6 @@
 // processing; FlightRecorder keeps its tail.
 package obs
 
-import "math"
-
 // Kind identifies one engine event type. The first seven kinds map
 // one-to-one onto the paper's seven §III-B event types; the remainder
 // expose the engine's slot-allocation and shuffle-patching internals.
@@ -105,12 +103,6 @@ type Event struct {
 	// starts (math.Inf(1) for fillers) and for KindFillerPatch, where it
 	// is mapStageEnd + firstShuffle (§III-B). Zero otherwise.
 	ShuffleEnd float64
-}
-
-// Filler reports whether the event is a first-wave reduce start whose
-// departure is a filler of unknown duration.
-func (e Event) Filler() bool {
-	return e.Kind == KindReduceTaskStart && math.IsInf(e.End, 1)
 }
 
 // Counters are the run-level totals delivered to Sink.RunEnd once a

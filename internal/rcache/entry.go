@@ -19,25 +19,23 @@ import (
 //
 //	off   0  magic "SRRC"
 //	off   4  version  u16
-//	off   6  flags    u16   (bit0: span sections present)
+//	off   6  reserved u16   (zero)
 //	off   8  jobCount u64
 //	off  16  events   u64   (Result.Events)
 //	off  24  makespan f64   (Result.Makespan)
 //	off  32  key      2×u64 (Hi, Lo — self-identifying; Decode verifies)
-//	off  48  section table: 3 × {off u64, size u64, crc u32, pad u32}
+//	off  48  section table: 2 × {off u64, size u64, crc u32, pad u32}
+//	off  96  zero
 //	off 120  header CRC-32C over bytes [0,120)
 //	off 124  pad
 //
-// Sections: cols (fixed-width numeric columns, 56 B/job), names
-// (u32 cumulative offsets[n+1] + string blob), spans (u32 per-job map
-// and reduce span counts, then f64 (start,end) pairs for map spans and
-// (start,end,shuffleEnd) triplets for reduce spans; present whenever
-// the engine materialized span slices — i.e. Config.RecordSpans was
-// set — even if every count is zero, so Decode reconstructs non-nil
-// empty slices exactly as the fresh result holds them).
+// Sections: cols (fixed-width numeric columns, 44 B/job, the section
+// padded to 8), names (u32 cumulative offsets[n+1] + string blob). An
+// image of another version is corrupt like any other undecodable image:
+// a miss, which the next Put overwrites.
 const (
 	entryMagic      = "SRRC"
-	entryVersion    = 1
+	entryVersion    = 2
 	entryHeaderSize = 128
 	sectionTableOff = 48
 	sectionEntrySz  = 24
@@ -45,12 +43,9 @@ const (
 
 	secCols  = 0
 	secNames = 1
-	secSpans = 2
-	numSecs  = 3
+	numSecs  = 2
 
-	flagSpans = 1 << 0
-
-	colsRecSize = 56 // 5×f64/i64 + 4×u32 per job
+	colsRecSize = 44 // 5×f64/i64 + 1×u32 per job
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -65,46 +60,28 @@ func corrupt(format string, args ...any) error {
 
 // Encode serializes res under key k. It fails (and the caller skips
 // caching) only when a count overflows the fixed-width columns — jobs
-// beyond 2^32 tasks or a 4 GiB name table are not realistic replays.
+// of 2^32 events or a 4 GiB name table are not realistic replays.
 func Encode(k Key, res *engine.Result) ([]byte, error) {
 	n := len(res.Jobs)
-	var flags uint16
-	var nameLen, mapSpans, redSpans int
+	var nameLen int
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
 		nameLen += len(j.Name)
-		mapSpans += len(j.MapSpans)
-		redSpans += len(j.ReduceSpans)
-		// Nil-ness, not count: a RecordSpans engine materializes a
-		// (possibly empty) slice for every job, and Decode must restore
-		// exactly that shape for the cached==fresh DeepEqual invariant —
-		// even when every job recorded zero spans.
-		if j.MapSpans != nil || j.ReduceSpans != nil {
-			flags |= flagSpans
-		}
-		if j.MapTasksRun < 0 || j.MapTasksRun > math.MaxUint32 ||
-			j.ReduceTasksRun < 0 || j.ReduceTasksRun > math.MaxUint32 ||
-			j.PreemptedMaps < 0 || j.PreemptedMaps > math.MaxUint32 ||
-			j.Events < 0 || j.Events > math.MaxUint32 {
-			return nil, fmt.Errorf("rcache: job %d counts overflow u32", j.ID)
+		if j.Events < 0 || j.Events > math.MaxUint32 {
+			return nil, fmt.Errorf("rcache: job %d event count overflows u32", j.ID)
 		}
 	}
 	if uint64(nameLen)+uint64(n) > math.MaxUint32 {
 		return nil, fmt.Errorf("rcache: name table too large (%d bytes)", nameLen)
 	}
 
-	colsSize := n * colsRecSize
+	colsSize := pad8(n * colsRecSize)
 	namesSize := pad8(4*(n+1) + nameLen)
-	spansSize := 0
-	if flags&flagSpans != 0 {
-		spansSize = 8*n + 16*mapSpans + 24*redSpans
-	}
-	buf := make([]byte, entryHeaderSize+colsSize+namesSize+spansSize)
+	buf := make([]byte, entryHeaderSize+colsSize+namesSize)
 
 	// Header.
 	copy(buf[0:4], entryMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], entryVersion)
-	binary.LittleEndian.PutUint16(buf[6:8], flags)
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(n))
 	binary.LittleEndian.PutUint64(buf[16:24], res.Events)
 	binary.LittleEndian.PutUint64(buf[24:32], math.Float64bits(res.Makespan))
@@ -129,16 +106,8 @@ func Encode(k Key, res *engine.Result) ([]byte, error) {
 		}
 		off += 8 * n
 	}
-	for _, get := range []func(*engine.JobOutcome) int{
-		func(j *engine.JobOutcome) int { return j.MapTasksRun },
-		func(j *engine.JobOutcome) int { return j.ReduceTasksRun },
-		func(j *engine.JobOutcome) int { return j.PreemptedMaps },
-		func(j *engine.JobOutcome) int { return j.Events },
-	} {
-		for i := range res.Jobs {
-			binary.LittleEndian.PutUint32(cols[off+4*i:], uint32(get(&res.Jobs[i])))
-		}
-		off += 4 * n
+	for i := range res.Jobs {
+		binary.LittleEndian.PutUint32(cols[off+4*i:], uint32(res.Jobs[i].Events))
 	}
 
 	// Names section: cumulative offsets, then the blob.
@@ -151,36 +120,10 @@ func Encode(k Key, res *engine.Result) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint32(names[4*n:], uint32(cum))
 
-	// Spans section.
-	if flags&flagSpans != 0 {
-		spans := buf[entryHeaderSize+colsSize+namesSize:]
-		for i := range res.Jobs {
-			binary.LittleEndian.PutUint32(spans[4*i:], uint32(len(res.Jobs[i].MapSpans)))
-			binary.LittleEndian.PutUint32(spans[4*n+4*i:], uint32(len(res.Jobs[i].ReduceSpans)))
-		}
-		so := 8 * n
-		for i := range res.Jobs {
-			for _, s := range res.Jobs[i].MapSpans {
-				binary.LittleEndian.PutUint64(spans[so:], math.Float64bits(s.Start))
-				binary.LittleEndian.PutUint64(spans[so+8:], math.Float64bits(s.End))
-				so += 16
-			}
-		}
-		for i := range res.Jobs {
-			for _, s := range res.Jobs[i].ReduceSpans {
-				binary.LittleEndian.PutUint64(spans[so:], math.Float64bits(s.Start))
-				binary.LittleEndian.PutUint64(spans[so+8:], math.Float64bits(s.End))
-				binary.LittleEndian.PutUint64(spans[so+16:], math.Float64bits(s.ShuffleEnd))
-				so += 24
-			}
-		}
-	}
-
 	// Section table + CRCs.
 	secs := [numSecs]struct{ off, size int }{
 		{entryHeaderSize, colsSize},
 		{entryHeaderSize + colsSize, namesSize},
-		{entryHeaderSize + colsSize + namesSize, spansSize},
 	}
 	for i, s := range secs {
 		base := sectionTableOff + i*sectionEntrySz
@@ -214,7 +157,6 @@ func Decode(img []byte, want Key) (*engine.Result, error) {
 	if hi, lo := binary.LittleEndian.Uint64(img[32:40]), binary.LittleEndian.Uint64(img[40:48]); hi != want.Hi || lo != want.Lo {
 		return nil, corrupt("key mismatch (entry %016x%016x)", hi, lo)
 	}
-	flags := binary.LittleEndian.Uint16(img[6:8])
 	n64 := binary.LittleEndian.Uint64(img[8:16])
 	if n64 > (size-entryHeaderSize)/colsRecSize {
 		return nil, corrupt("job count %d exceeds image", n64)
@@ -239,8 +181,8 @@ func Decode(img []byte, want Key) (*engine.Result, error) {
 			return nil, corrupt("section %d CRC mismatch", i)
 		}
 	}
-	if secs[secCols].size != uint64(n)*colsRecSize {
-		return nil, corrupt("cols section %d bytes, want %d", secs[secCols].size, uint64(n)*colsRecSize)
+	if need := uint64(pad8(n * colsRecSize)); secs[secCols].size != need {
+		return nil, corrupt("cols section %d bytes, want %d", secs[secCols].size, need)
 	}
 	if secs[secNames].size < uint64(4*(n+1)) {
 		return nil, corrupt("names section %d bytes, need %d offsets", secs[secNames].size, n+1)
@@ -269,16 +211,8 @@ func Decode(img []byte, want Key) (*engine.Result, error) {
 		}
 		off += 8 * n
 	}
-	for _, set := range []func(*engine.JobOutcome, int){
-		func(j *engine.JobOutcome, v int) { j.MapTasksRun = v },
-		func(j *engine.JobOutcome, v int) { j.ReduceTasksRun = v },
-		func(j *engine.JobOutcome, v int) { j.PreemptedMaps = v },
-		func(j *engine.JobOutcome, v int) { j.Events = v },
-	} {
-		for i := range res.Jobs {
-			set(&res.Jobs[i], int(binary.LittleEndian.Uint32(cols[off+4*i:])))
-		}
-		off += 4 * n
+	for i := range res.Jobs {
+		res.Jobs[i].Events = int(binary.LittleEndian.Uint32(cols[off+4*i:]))
 	}
 
 	// One string for every name, sliced per job: one allocation, not one
@@ -297,43 +231,6 @@ func Decode(img []byte, want Key) (*engine.Result, error) {
 		prev = cum
 	}
 
-	if flags&flagSpans != 0 {
-		spans := img[secs[secSpans].off : secs[secSpans].off+secs[secSpans].size]
-		if uint64(len(spans)) < uint64(8*n) {
-			return nil, corrupt("spans section %d bytes, need %d counts", len(spans), 8*n)
-		}
-		var mapTotal, redTotal uint64
-		for i := 0; i < n; i++ {
-			mapTotal += uint64(binary.LittleEndian.Uint32(spans[4*i:]))
-			redTotal += uint64(binary.LittleEndian.Uint32(spans[4*n+4*i:]))
-		}
-		if need := uint64(8*n) + 16*mapTotal + 24*redTotal; need != uint64(len(spans)) {
-			return nil, corrupt("spans section %d bytes, need %d", len(spans), need)
-		}
-		so := 8 * n
-		for i := range res.Jobs {
-			// A span-recording engine gives every job non-nil (possibly
-			// empty) slices; materialize even at count 0 so the decoded
-			// result is DeepEqual to the fresh one.
-			cnt := int(binary.LittleEndian.Uint32(spans[4*i:]))
-			res.Jobs[i].MapSpans = make([]engine.Span, cnt)
-			for s := 0; s < cnt; s++ {
-				res.Jobs[i].MapSpans[s].Start = math.Float64frombits(binary.LittleEndian.Uint64(spans[so:]))
-				res.Jobs[i].MapSpans[s].End = math.Float64frombits(binary.LittleEndian.Uint64(spans[so+8:]))
-				so += 16
-			}
-		}
-		for i := range res.Jobs {
-			cnt := int(binary.LittleEndian.Uint32(spans[4*n+4*i:]))
-			res.Jobs[i].ReduceSpans = make([]engine.Span, cnt)
-			for s := 0; s < cnt; s++ {
-				res.Jobs[i].ReduceSpans[s].Start = math.Float64frombits(binary.LittleEndian.Uint64(spans[so:]))
-				res.Jobs[i].ReduceSpans[s].End = math.Float64frombits(binary.LittleEndian.Uint64(spans[so+8:]))
-				res.Jobs[i].ReduceSpans[s].ShuffleEnd = math.Float64frombits(binary.LittleEndian.Uint64(spans[so+16:]))
-				so += 24
-			}
-		}
-	}
 	return res, nil
 }
 

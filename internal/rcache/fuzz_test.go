@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"simmr/internal/engine"
@@ -16,25 +18,55 @@ import (
 // contract: Decode either returns a coherent Result or an error — it
 // must never panic or over-read, because in production every decode
 // failure is a silent fall-back to recompute and a panic would take
-// the whole sweep down. The seeds cover a valid image (with spans, so
-// all three sections are populated), truncations at every section
-// boundary, and targeted corruption of the job count and the section
-// table with the CRC gates patched so corruption reaches the deeper
-// validators.
+// the whole sweep down. The seeds cover two valid images — 12 jobs fill
+// the cols section to an 8-byte boundary, 13 leave it to the pad — each
+// with truncations at every section boundary and targeted corruption of
+// the job count, the section table and the name offsets, the CRC gates
+// patched so corruption reaches the deeper validators; and a version 1
+// image, as an older binary left it in a cache directory.
 func FuzzDecodeRCache(f *testing.F) {
-	tr, err := synth.ProductionTrace(12, rand.New(rand.NewSource(3)))
+	key := Key{Hi: 3, Lo: 9} // entry_v1.srrc's
+	f.Add([]byte{})
+	f.Add([]byte(entryMagic))
+	v1, err := os.ReadFile(filepath.Join("testdata", "entry_v1.srrc"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	cfg := engine.DefaultConfig()
-	cfg.RecordSpans = true
-	res, err := engine.Run(cfg, tr, sched.MaxEDF{})
+	f.Add(v1)
+	for _, jobs := range []int{12, 13} {
+		seedImage(f, key, jobs)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Decode(data, key)
+		if err != nil {
+			return
+		}
+		// A successful decode must be coherent: touch everything it
+		// returned.
+		if got == nil {
+			t.Fatal("nil result without error")
+		}
+		var sum float64
+		for i := range got.Jobs {
+			j := &got.Jobs[i]
+			sum += j.Arrival + j.Finish + j.Deadline + j.MapStageEnd
+			sum += float64(len(j.Name) + j.Events)
+		}
+		_ = sum
+	})
+}
+
+// seedImage adds the valid entry image of a jobs-job replay and its
+// truncations and corruptions to the corpus.
+func seedImage(f *testing.F, key Key, jobs int) {
+	tr, err := synth.ProductionTrace(jobs, rand.New(rand.NewSource(3)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	key, ok := KeyFor(tr.ContentHash(), cfg, sched.MaxEDF{})
-	if !ok {
-		f.Fatal("no key")
+	res, err := engine.Run(engine.DefaultConfig(), tr, sched.MaxEDF{})
+	if err != nil {
+		f.Fatal(err)
 	}
 	img, err := Encode(key, res)
 	if err != nil {
@@ -42,8 +74,6 @@ func FuzzDecodeRCache(f *testing.F) {
 	}
 
 	f.Add(img)
-	f.Add([]byte{})
-	f.Add([]byte(entryMagic))
 	f.Add(img[:entryHeaderSize])
 	f.Add(img[:entryHeaderSize/2])
 
@@ -81,51 +111,16 @@ func FuzzDecodeRCache(f *testing.F) {
 			f.Add(mut2)
 		}
 	}
-	// Corrupt the name-offset table and the span counts with section +
-	// header CRCs patched, so the monotonicity and span-sum validators
-	// are reached.
-	colsOff := int(binary.LittleEndian.Uint64(img[sectionTableOff+secNames*sectionEntrySz:]))
-	if colsOff+8 <= len(img) {
+	// Corrupt the name-offset table with section + header CRCs patched,
+	// so the monotonicity validator is reached.
+	namesOff := int(binary.LittleEndian.Uint64(img[sectionTableOff+secNames*sectionEntrySz:]))
+	if namesOff+8 <= len(img) {
 		mut := append([]byte(nil), img...)
-		binary.LittleEndian.PutUint32(mut[colsOff:], ^uint32(0))
+		binary.LittleEndian.PutUint32(mut[namesOff:], ^uint32(0))
 		patchEntrySectionCRC(mut, secNames)
 		patchEntryHeaderCRC(mut)
 		f.Add(mut)
 	}
-	spansOff := int(binary.LittleEndian.Uint64(img[sectionTableOff+secSpans*sectionEntrySz:]))
-	if spansOff+4 <= len(img) {
-		mut := append([]byte(nil), img...)
-		binary.LittleEndian.PutUint32(mut[spansOff:], ^uint32(0)>>1)
-		patchEntrySectionCRC(mut, secSpans)
-		patchEntryHeaderCRC(mut)
-		f.Add(mut)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Decode(data, key)
-		if err != nil {
-			return
-		}
-		// A successful decode must be coherent: the job slice matches
-		// the header count and every span slice is fully materialized
-		// (no references into the input image — touch everything).
-		if got == nil {
-			t.Fatal("nil result without error")
-		}
-		var sum float64
-		for i := range got.Jobs {
-			j := &got.Jobs[i]
-			sum += j.Arrival + j.Finish + j.Deadline + j.MapStageEnd
-			_ = len(j.Name)
-			for _, s := range j.MapSpans {
-				sum += s.Start + s.End
-			}
-			for _, s := range j.ReduceSpans {
-				sum += s.Start + s.End + s.ShuffleEnd
-			}
-		}
-		_ = sum
-	})
 }
 
 // patchEntryHeaderCRC recomputes the header CRC after a mutation so

@@ -92,10 +92,9 @@ func keyLane(seed, traceDigest uint64, cfg engine.Config, policyFP uint64) uint6
 	h.u64(uint64(int64(cfg.MapSlots)))
 	h.u64(uint64(int64(cfg.ReduceSlots)))
 	h.u64(math.Float64bits(cfg.MinMapPercentCompleted))
+	// Bit 0 is spent: it keyed a knob that no longer exists, and the other
+	// bits keep their values so that the keys in use did not move.
 	var flags uint64
-	if cfg.RecordSpans {
-		flags |= 1
-	}
 	if cfg.NoShuffleModel {
 		flags |= 2
 	}

@@ -1,6 +1,7 @@
 package rcache
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,10 +29,10 @@ func testResult(t testing.TB, jobs int, cfg engine.Config, p sched.Policy) (*eng
 }
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
-	for _, spans := range []bool{false, true} {
+	// 30 jobs end the cols section on an 8-byte boundary, 31 need the pad.
+	for _, jobs := range []int{30, 31} {
 		cfg := engine.DefaultConfig()
-		cfg.RecordSpans = spans
-		res, h := testResult(t, 30, cfg, sched.MaxEDF{})
+		res, h := testResult(t, jobs, cfg, sched.MaxEDF{})
 		k, ok := KeyFor(h, cfg, sched.MaxEDF{})
 		if !ok {
 			t.Fatal("MaxEDF must fingerprint")
@@ -42,10 +43,10 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		}
 		got, err := Decode(img, k)
 		if err != nil {
-			t.Fatalf("spans=%v: %v", spans, err)
+			t.Fatalf("%d jobs: %v", jobs, err)
 		}
 		if !reflect.DeepEqual(got, res) {
-			t.Fatalf("spans=%v: decode != original", spans)
+			t.Fatalf("%d jobs: decode != original", jobs)
 		}
 	}
 }
@@ -66,7 +67,7 @@ func TestDecodeAllocsIndependentOfJobCount(t *testing.T) {
 		}
 	})
 	if allocs > 4 {
-		t.Fatalf("Decode of a span-less 1000-job entry: %v allocations, want <= 4", allocs)
+		t.Fatalf("Decode of a 1000-job entry: %v allocations, want <= 4", allocs)
 	}
 }
 
@@ -98,7 +99,6 @@ func TestKeyDiscriminates(t *testing.T) {
 		{"mapslots", 1, func(c engine.Config) engine.Config { c.MapSlots = 32; return c }, sched.FIFO{}},
 		{"redslots", 1, func(c engine.Config) engine.Config { c.ReduceSlots = 32; return c }, sched.FIFO{}},
 		{"slowstart", 1, func(c engine.Config) engine.Config { c.MinMapPercentCompleted = 0.5; return c }, sched.FIFO{}},
-		{"spans", 1, func(c engine.Config) engine.Config { c.RecordSpans = true; return c }, sched.FIFO{}},
 		{"noshuffle", 1, func(c engine.Config) engine.Config { c.NoShuffleModel = true; return c }, sched.FIFO{}},
 		{"nofirst", 1, func(c engine.Config) engine.Config { c.NoFirstShuffleSpecialCase = true; return c }, sched.FIFO{}},
 		{"preempt", 1, func(c engine.Config) engine.Config { c.PreemptMapTasks = true; return c }, sched.FIFO{}},
@@ -157,7 +157,6 @@ func TestGoldenKey(t *testing.T) {
 	base := engine.DefaultConfig()
 	preempt := base
 	preempt.PreemptMapTasks = true
-	preempt.RecordSpans = true
 	golden := []struct {
 		name   string
 		digest uint64
@@ -167,8 +166,8 @@ func TestGoldenKey(t *testing.T) {
 	}{
 		{"fifo-base", 0xfeedbeefcafe0001, base, sched.FIFO{},
 			Key{Hi: 0x63ee9b9186cae4f3, Lo: 0x92886beb41a2c896}},
-		{"maxedf-preempt-spans", 0xfeedbeefcafe0002, preempt, sched.MaxEDF{},
-			Key{Hi: 0xeae2703f1cb73bbe, Lo: 0xec968886c11e4193}},
+		{"maxedf-preempt", 0xfeedbeefcafe0002, preempt, sched.MaxEDF{},
+			Key{Hi: 0x5bc71bd8c586d0ab, Lo: 0x877bc4db63385006}},
 	}
 	for _, g := range golden {
 		k, ok := KeyFor(g.digest, g.cfg, g.p)
@@ -182,34 +181,55 @@ func TestGoldenKey(t *testing.T) {
 	}
 }
 
-// A span-recording replay in which every job records zero spans still
-// materializes non-nil empty slices; the entry format must round-trip
-// that shape (flagSpans follows slice materialization, not counts) so
-// the cached==fresh DeepEqual invariant holds at the edge.
-func TestEncodeDecodeZeroSpanSlices(t *testing.T) {
-	res := &engine.Result{
-		Jobs: []engine.JobOutcome{
-			{ID: 0, Name: "a", Finish: 1, MapSpans: []engine.Span{}, ReduceSpans: []engine.Span{}},
-			{ID: 1, Name: "b", Finish: 2, MapSpans: []engine.Span{}, ReduceSpans: []engine.Span{}},
-		},
-		Makespan: 2,
+// TestStaleEntryVersionIsSoftMiss: an entry written by a binary with
+// another entryVersion — testdata/entry_v1.srrc is a well-formed version 1
+// image of a two-job result, under the key it was addressed by — is an
+// ordinary miss on both tiers: counted, no error, and replaced by the
+// next Put, after which the directory still holds one entry.
+func TestStaleEntryVersionIsSoftMiss(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "entry_v1.srrc"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	k := Key{Hi: 3, Lo: 9}
-	img, err := Encode(k, res)
+	res := &engine.Result{
+		Jobs: []engine.JobOutcome{
+			{ID: 0, Name: "a", Arrival: 0, Finish: 10, Deadline: 12, MapStageEnd: 6, Events: 15},
+			{ID: 1, Name: "bb", Arrival: 1, Finish: 20, MapStageEnd: 9, Events: 11},
+		},
+		Events:   26,
+		Makespan: 20,
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, k.String()+diskExt)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Options{Dir: dir})
+	c.insert(k, v1)
+	if n, _, err := c.DiskInfo(); err != nil || n != 1 {
+		t.Fatalf("DiskInfo counts %d entries (err %v) with the v1 image in place, want 1", n, err)
+	}
+	if _, ok := c.Get(k); ok {
+		t.Fatal("a version 1 image was served as a hit")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("a stale image must count as one miss: %+v", st)
+	}
+	c.Put(k, res)
+	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(img, k)
-	if err != nil {
-		t.Fatal(err)
+	if v := binary.LittleEndian.Uint16(img[4:6]); v != entryVersion {
+		t.Fatalf("Put left a version %d image on disk, want %d", v, entryVersion)
 	}
-	if !reflect.DeepEqual(got, res) {
-		t.Fatalf("zero-span slices not round-tripped: got %+v", got.Jobs)
+	got, ok := New(Options{Dir: dir}).Get(k)
+	if !ok || !reflect.DeepEqual(got, res) {
+		t.Fatalf("rewritten entry: hit %v, result %+v", ok, got)
 	}
-	for i := range got.Jobs {
-		if got.Jobs[i].MapSpans == nil || got.Jobs[i].ReduceSpans == nil {
-			t.Fatalf("job %d decoded nil span slices; fresh result holds non-nil empty ones", i)
-		}
+	if n, _, err := c.DiskInfo(); err != nil || n != 1 {
+		t.Fatalf("DiskInfo counts %d entries (err %v) after the rewrite, want 1", n, err)
 	}
 }
 
@@ -243,10 +263,10 @@ func TestMemoryTierLRU(t *testing.T) {
 	}
 
 	// The budget is the whole tier's, whatever the keys' bits: a batch's
-	// worth of large entries (16 of ~1.3 MB, a 20 000-job result each)
+	// worth of large entries (16 of ~1.3 MB, a 27 000-job result each)
 	// under the default 64 MiB all stay resident, so rotating through
 	// them never reads the disk tier.
-	big := &engine.Result{Jobs: make([]engine.JobOutcome, 20000)}
+	big := &engine.Result{Jobs: make([]engine.JobOutcome, 27000)}
 	if bigImg, _ := Encode(Key{}, big); len(bigImg) < 1<<20 || len(bigImg) > 2<<20 {
 		t.Fatalf("entries are %d bytes each; the case is about ~1.3 MB ones", len(bigImg))
 	}
@@ -362,7 +382,6 @@ func TestDiskTierRoundtripAndPromotion(t *testing.T) {
 func TestCorruptEntryFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	cfg := engine.DefaultConfig()
-	cfg.RecordSpans = true
 	res, h := testResult(t, 25, cfg, sched.MinEDF{})
 	k, _ := KeyFor(h, cfg, sched.MinEDF{})
 

@@ -268,9 +268,6 @@ type Trace struct {
 // tracebin.Store). Any previous backing is replaced, not closed.
 func (tr *Trace) SetBacking(c io.Closer) { tr.backing = c }
 
-// Backing returns the attached storage, or nil.
-func (tr *Trace) Backing() io.Closer { return tr.backing }
-
 // Close releases the trace's backing storage, if any. The trace (and
 // every template loaded from it) must not be used afterwards.
 func (tr *Trace) Close() error {

@@ -43,23 +43,30 @@ func cachePolicies() []struct {
 }
 
 // The tentpole differential suite: for every fingerprintable built-in
-// policy (including indexed variants) and for span-recording and
-// map-preemption configurations, a cache hit must reproduce the fresh
+// policy (including indexed variants), bare, under map preemption and
+// observed by a task-span sink, a cache hit must reproduce the fresh
 // replay byte-for-byte — DeepEqual on the decoded Result AND identical
 // canonical encodings. The engine's determinism is what makes the cache
-// sound; this test is the pin.
+// sound; this test is the pin. Task spans are the sink's, not the
+// result's: the observed replay stores and hits like the bare one, its
+// miss feeds the sink one span per task, its hit replays no event.
 func TestCacheDifferentialAllPolicies(t *testing.T) {
 	tr, err := MultiTenantTrace(80, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tasks := 0
+	for _, j := range tr.Jobs {
+		tasks += j.Template.NumMaps + j.Template.NumReduces
+	}
 	configs := []struct {
-		name string
-		cfg  ReplayConfig
+		name  string
+		cfg   ReplayConfig
+		spans bool
 	}{
-		{"base", ReplayConfig{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}},
-		{"spans", ReplayConfig{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05, RecordSpans: true}},
-		{"preempt", ReplayConfig{MapSlots: 6, ReduceSlots: 6, MinMapPercentCompleted: 0.05, PreemptMapTasks: true}},
+		{"base", ReplayConfig{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}, false},
+		{"spans", ReplayConfig{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}, true},
+		{"preempt", ReplayConfig{MapSlots: 6, ReduceSlots: 6, MinMapPercentCompleted: 0.05, PreemptMapTasks: true}, false},
 	}
 	for _, pc := range cachePolicies() {
 		for _, cc := range configs {
@@ -69,16 +76,33 @@ func TestCacheDifferentialAllPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 				c := NewCache(CacheOptions{MemBytes: 32 << 20})
-				got, hit, err := ReplayCached(c, cc.cfg, tr, pc.mk())
-				if err != nil || hit {
-					t.Fatalf("first pass: hit=%v err=%v, want miss", hit, err)
+				// pass is one cached replay, under a sink of its own on the
+				// spans row, and the task spans that sink was fed.
+				pass := func() (res *ReplayResult, hit bool, spans int) {
+					cfg, tl := cc.cfg, NewTimelineSink()
+					if cc.spans {
+						cfg.Sink = tl
+					}
+					res, hit, err := ReplayCached(c, cfg, tr, pc.mk())
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, hit, len(tl.Spans())
+				}
+				wantSpans := 0
+				if cc.spans {
+					wantSpans = tasks
+				}
+				got, hit, spans := pass()
+				if hit || spans != wantSpans {
+					t.Fatalf("first pass: hit=%v with %d task spans, want a miss and %d", hit, spans, wantSpans)
 				}
 				if !reflect.DeepEqual(got, fresh) {
 					t.Fatal("first (stored) result differs from plain Replay")
 				}
-				got2, hit, err := ReplayCached(c, cc.cfg, tr, pc.mk())
-				if err != nil || !hit {
-					t.Fatalf("second pass: hit=%v err=%v, want hit", hit, err)
+				got2, hit, spans := pass()
+				if !hit || spans != 0 {
+					t.Fatalf("second pass: hit=%v with %d task spans, want a hit that replays no event", hit, spans)
 				}
 				if !reflect.DeepEqual(got2, fresh) {
 					t.Fatal("cached result differs from fresh replay")

@@ -23,11 +23,16 @@ test:
 # appear in non-test code only in internal/plan and in the packages
 # that define them.
 ONE_PATH = ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHook\(
+# one-queue keeps the engine on the value queue (des.Lanes, des.Record):
+# the pointer queue is for the simulators that need payloads and handles.
+POINTER_QUEUE = des\.(EventQueue|Event)\b
 verify:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	@second="$$(grep -rnE '$(ONE_PATH)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal \
 		| grep -vE '^internal/(plan|telemetry|engine|rcache|runs|obs)/')"; \
 		test -z "$$second" || { echo "run-plan calls outside internal/plan:"; echo "$$second"; exit 1; }
+	@pointer="$$(grep -rnE '$(POINTER_QUEUE)' --include='*.go' --exclude='*_test.go' internal/engine)"; \
+		test -z "$$pointer" || { echo "internal/engine names the pointer queue:"; echo "$$pointer"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

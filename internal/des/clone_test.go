@@ -5,43 +5,47 @@ import (
 	"testing"
 )
 
-// populate pushes a deterministic pseudo-random schedule, pops (and
-// frees) some prefix of it, and returns the queue mid-flight — pending
-// events, nonzero fired counter, warmed free list.
-func populate(t *testing.T, rng *rand.Rand, pushes, pops int) *EventQueue {
+// populate pushes a deterministic pseudo-random schedule — some of it
+// at the current instant, some reserved and left open — pops a prefix of
+// it, and returns the queue mid-flight: records in the heap and the
+// same-instant lane, reservations outstanding, nonzero fired counter.
+func populate(t *testing.T, rng *rand.Rand, pushes, pops int) *Lanes {
 	t.Helper()
-	q := &EventQueue{}
+	q := &Lanes{}
+	var ev Record
 	for i := 0; i < pushes; i++ {
-		if i%3 == 0 {
-			q.PushTask(rng.Float64()*1000, i%7, i, i%5)
-		} else {
-			q.Push(rng.Float64()*1000, i%7, i, nil)
+		switch {
+		case i%11 == 10:
+			q.Reserve()
+		case i%5 == 4 && i < pops && q.Pop(&ev):
+			q.Push(ev.Time, uint8(i%7), i, i%5) // same-instant lane
+		default:
+			q.Push(rng.Float64()*1000, uint8(i%7), i, i%5)
 		}
 	}
 	for i := 0; i < pops; i++ {
-		q.Free(q.Pop())
+		q.Pop(&ev)
 	}
 	return q
 }
 
-// drain pops the queue to empty, returning each event's value.
-func drain(q *EventQueue) []Event {
-	var out []Event
-	for q.Len() > 0 {
-		e := q.Pop()
-		out = append(out, *e)
-		q.Free(e)
+// drain pops the queue to empty (of records; reservations stay).
+func drain(q *Lanes) []Record {
+	var out []Record
+	var ev Record
+	for q.Pop(&ev) {
+		out = append(out, ev)
 	}
 	return out
 }
 
 // TestCloneIntoPopOrder pins the core clone property: the clone pops
-// the exact same (value) sequence as the source, and counters carry
-// over so a simulator resuming on the clone is indistinguishable from
-// one that kept running on the source.
+// the exact same sequence as the source, and counters carry over so a
+// simulator resuming on the clone is indistinguishable from one that
+// kept running on the source.
 func TestCloneIntoPopOrder(t *testing.T) {
 	src := populate(t, rand.New(rand.NewSource(7)), 500, 180)
-	var dst EventQueue
+	var dst Lanes
 	src.CloneInto(&dst)
 
 	if got, want := dst.Len(), src.Len(); got != want {
@@ -53,6 +57,9 @@ func TestCloneIntoPopOrder(t *testing.T) {
 	if got, want := dst.HighWater(), src.HighWater(); got != want {
 		t.Fatalf("clone HighWater = %d, want %d", got, want)
 	}
+	if src.Push(2000, 0, 0, 0) != dst.Push(2000, 0, 0, 0) {
+		t.Fatal("clone mints a different next seq")
+	}
 
 	srcSeq := drain(src)
 	dstSeq := drain(&dst)
@@ -60,32 +67,12 @@ func TestCloneIntoPopOrder(t *testing.T) {
 		t.Fatalf("drained %d events from clone, want %d", len(dstSeq), len(srcSeq))
 	}
 	for i := range srcSeq {
-		a, b := srcSeq[i], dstSeq[i]
-		// index differs by pop bookkeeping only; compare the logical fields.
-		if a.Time != b.Time || a.Type != b.Type || a.JobID != b.JobID ||
-			a.Task != b.Task || a.seq != b.seq {
-			t.Fatalf("pop %d diverged: src %+v clone %+v", i, a, b)
+		if srcSeq[i] != dstSeq[i] {
+			t.Fatalf("pop %d diverged: src %+v clone %+v", i, srcSeq[i], dstSeq[i])
 		}
 	}
-}
-
-// TestCloneIntoPositions pins the position-preservation contract that
-// the engine's fork relies on: PendingAt(i) of source and clone carry
-// the same event value at every heap slot, so an *Event handle into
-// the source remaps to the clone via its heap index alone.
-func TestCloneIntoPositions(t *testing.T) {
-	src := populate(t, rand.New(rand.NewSource(11)), 300, 40)
-	var dst EventQueue
-	src.CloneInto(&dst)
-	for i := 0; i < src.Len(); i++ {
-		a, b := src.PendingAt(i), dst.PendingAt(i)
-		if a == b {
-			t.Fatalf("position %d: clone aliases the source event", i)
-		}
-		if a.Time != b.Time || a.seq != b.seq || a.Type != b.Type ||
-			a.JobID != b.JobID || a.Task != b.Task || b.index != i {
-			t.Fatalf("position %d: src %+v clone %+v (index %d)", i, a, b, b.index)
-		}
+	if src.Len() == 0 || src.Len() != dst.Len() {
+		t.Fatalf("open reservations after the drain: src %d clone %d, want equal and nonzero", src.Len(), dst.Len())
 	}
 }
 
@@ -96,7 +83,7 @@ func TestCloneIntoSourceUnchanged(t *testing.T) {
 	src := populate(t, rand.New(rand.NewSource(3)), 200, 50)
 	wantLen, wantFired := src.Len(), src.Fired()
 
-	var c1 EventQueue
+	var c1 Lanes
 	src.CloneInto(&c1)
 	drain(&c1)
 
@@ -104,22 +91,22 @@ func TestCloneIntoSourceUnchanged(t *testing.T) {
 		t.Fatalf("source mutated by clone drain: len %d fired %d, want %d/%d",
 			src.Len(), src.Fired(), wantLen, wantFired)
 	}
-	var c2 EventQueue
+	var c2 Lanes
 	src.CloneInto(&c2)
 	srcSeq := drain(src)
 	c2Seq := drain(&c2)
 	for i := range srcSeq {
-		if srcSeq[i].Time != c2Seq[i].Time || srcSeq[i].seq != c2Seq[i].seq {
+		if srcSeq[i] != c2Seq[i] {
 			t.Fatalf("second clone diverged at pop %d", i)
 		}
 	}
 }
 
 // TestCloneIntoRecyclesDst pins the pooled-destination contract: a dirty
-// destination queue (pending events, popped history, warmed slab) is
-// fully recycled — its old events invalidated, its storage reused — and
-// a steady-state re-clone into the same destination allocates nothing
-// beyond the first clone's warmup.
+// destination queue (pending records, popped history, warmed lanes) is
+// fully overwritten, its storage reused — and a steady-state re-clone
+// into the same destination allocates nothing beyond the first clone's
+// warmup.
 func TestCloneIntoRecyclesDst(t *testing.T) {
 	src := populate(t, rand.New(rand.NewSource(5)), 400, 100)
 	dst := populate(t, rand.New(rand.NewSource(6)), 350, 300)
@@ -132,19 +119,17 @@ func TestCloneIntoRecyclesDst(t *testing.T) {
 		t.Fatalf("recycled clone drained %d events, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Time != want[i].Time || got[i].seq != want[i].seq {
+		if got[i] != want[i] {
 			t.Fatalf("recycled clone diverged at pop %d", i)
 		}
 	}
 
 	// Steady state: clone → drain → clone into the same dst must not
-	// allocate (slab and free list sized by the first pass).
-	src.CloneInto(dst)
-	drain(dst)
+	// allocate (lanes sized by the first pass).
+	var ev Record
 	allocs := testing.AllocsPerRun(20, func() {
 		src.CloneInto(dst)
-		for dst.Len() > 0 {
-			dst.Free(dst.Pop())
+		for dst.Pop(&ev) {
 		}
 	})
 	if allocs > 0 {

@@ -1,6 +1,26 @@
 package des
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
+
+// TestEventRecordSize pins what the engine's queue moves per event: half
+// a cache line, and nothing the collector has to look at.
+func TestEventRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want 32", got)
+	}
+	rt := reflect.TypeOf(Record{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Float64, reflect.Uint64, reflect.Int, reflect.Int32, reflect.Uint8:
+		default:
+			t.Errorf("Record.%s is a %s: the record must stay pointer-free", f.Name, f.Type)
+		}
+	}
+}
 
 // sparseSchedule returns n arrivals one second apart.
 func sparseSchedule(n int) []Arrival {
@@ -22,18 +42,25 @@ func TestPreloadMisusePanics(t *testing.T) {
 		f()
 	}
 	mustPanic("unsorted schedule", func() {
-		var q EventQueue
+		var q Lanes
 		q.Preload(0, []Arrival{{Time: 2}, {Time: 1}})
 	})
 	mustPanic("Preload after Push", func() {
-		var q EventQueue
-		q.Push(1, 0, 0, nil)
+		var q Lanes
+		q.Push(1, 0, 0, 0)
 		q.Preload(0, sparseSchedule(3))
 	})
 	mustPanic("second Preload", func() {
-		var q EventQueue
+		var q Lanes
 		q.Preload(0, sparseSchedule(3))
 		q.Preload(0, sparseSchedule(3))
+	})
+	mustPanic("Place without a reservation", func() {
+		var q Lanes
+		q.Preload(0, sparseSchedule(3))
+		q.Push(1, 0, 0, 0)
+		q.Place(q.Reserve(), 2, 0, 0, 0)
+		q.Place(5, 2, 0, 0, 0)
 	})
 }
 
@@ -44,12 +71,13 @@ func TestPreloadMisusePanics(t *testing.T) {
 // pops.
 func TestCloneSharesSchedule(t *testing.T) {
 	const n = 100_000
-	var src, dst EventQueue
+	var src, dst Lanes
+	var ev Record
 	src.Preload(7, sparseSchedule(n))
 	for i := 0; i < 10; i++ {
-		src.Free(src.Pop())
-		src.PushTask(Time(i)+0.5, 1, i, i)
-		src.Push(Time(i), 2, i, nil) // same-instant lane
+		src.Pop(&ev)
+		src.Push(Time(i)+0.5, 1, i, i)
+		src.Push(Time(i), 2, i, 0) // same-instant lane
 	}
 	src.CloneInto(&dst)
 	if dst.Len() != src.Len() || dst.Preloaded() != src.Preloaded() || dst.HighWater() != src.HighWater() {
@@ -68,9 +96,9 @@ func TestCloneSharesSchedule(t *testing.T) {
 		t.Fatal("OwnSchedule left the clone on the shared schedule")
 	}
 	for i := 0; i < 200; i++ {
-		a, b := src.Pop(), dst.Pop()
-		if a.Time != b.Time || a.Type != b.Type || a.JobID != b.JobID || a.seq != b.seq {
-			t.Fatalf("pop %d: source %v seq=%d, clone %v seq=%d", i, a, a.seq, b, b.seq)
+		var a, b Record
+		if !src.Pop(&a) || !dst.Pop(&b) || a != b {
+			t.Fatalf("pop %d: source %+v, clone %+v", i, a, b)
 		}
 	}
 }
@@ -80,16 +108,17 @@ func TestCloneSharesSchedule(t *testing.T) {
 // steady population, checks its storage tracked the population rather
 // than the traffic.
 func TestSameInstantLaneStaysBounded(t *testing.T) {
-	var q EventQueue
-	q.Push(1, 0, 0, nil)
+	var q Lanes
+	var ev Record
+	q.Push(1, 0, 0, 0)
 	for i := 0; i < 64; i++ {
-		q.Free(q.Pop())
-		q.Push(1, 0, i, nil)
-		q.Push(1, 0, i, nil)
+		q.Pop(&ev)
+		q.Push(1, 0, i, 0)
+		q.Push(1, 0, i, 0)
 	}
 	for i := 0; i < 100_000; i++ {
-		q.Free(q.Pop())
-		q.Push(1, 0, i, nil)
+		q.Pop(&ev)
+		q.Push(1, 0, i, 0)
 	}
 	if q.Len() != 65 || len(q.h) != 0 {
 		t.Fatalf("len %d (heap %d), want 65 events all in the same-instant lane", q.Len(), len(q.h))

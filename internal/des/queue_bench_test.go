@@ -6,22 +6,11 @@ import (
 	"testing"
 )
 
-// BenchmarkEventQueue measures the queue's hot mix — push, pop, and
-// update (the filler-shuffle patch).
-//
-// The live= cases hold a steady population of timed events in the heap
-// lane alone: a replay's running tasks are bounded by cluster slots
-// (live=128), and the larger populations are what a simulator pushing
-// its whole arrival list up front (mumak, the cluster emulator) sees.
-// Each iteration performs one pop+free, one push, and (every 8th) one
-// update, so ns/op reads as "cost per event through the heap".
-//
-// The replay= cases are shaped like the engine's use of all three
-// lanes: N job arrivals preloaded as the schedule, at most 128 timed
-// departures in flight, and every second push at the current instant
-// (task arrivals, stage completions, job departures). ns/op reads as
-// "cost per event through the queue in a replay of N jobs" and must not
-// grow with N.
+// BenchmarkEventQueue measures the pointer queue's hot mix — push, pop,
+// and update — at a steady population of timed events: what a simulator
+// pushing its whole arrival list up front (mumak, the cluster emulator)
+// sees. Each iteration performs one pop+free, one push, and (every 8th)
+// one update, so ns/op reads as "cost per event through the heap".
 func BenchmarkEventQueue(b *testing.B) {
 	for _, population := range []int{128, 1024, 8192} {
 		b.Run(fmt.Sprintf("live=%d", population), func(b *testing.B) {
@@ -41,8 +30,6 @@ func BenchmarkEventQueue(b *testing.B) {
 				q.Free(e)
 				live[slot] = q.PushTask(now+rng.Float64()*1000, 0, i, slot)
 				if i%8 == 0 {
-					// Patch a pending event the way map-stage completion
-					// patches filler reduces.
 					u := live[(slot+population/2)%population]
 					if u.Scheduled() {
 						q.Update(u, now+rng.Float64()*500)
@@ -51,6 +38,15 @@ func BenchmarkEventQueue(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLanes is shaped like the engine's use of all three lanes: N
+// job arrivals preloaded as the schedule, at most 128 timed departures
+// in flight, and every second push at the current instant (task
+// arrivals, stage completions, job departures). ns/op reads as "cost
+// per event through the queue in a replay of N jobs" and must not grow
+// with N.
+func BenchmarkLanes(b *testing.B) {
 	for _, jobs := range []int{4_000, 100_000} {
 		b.Run(fmt.Sprintf("replay=%d", jobs), func(b *testing.B) { benchReplayShaped(b, jobs) })
 	}
@@ -74,32 +70,32 @@ func benchReplayShaped(b *testing.B, n int) {
 		sched[i] = Arrival{Time: Time(i) * 60, JobID: i}
 	}
 	rng := rand.New(rand.NewSource(9))
-	var q EventQueue
+	var q Lanes
+	var e Record
 	inFlight := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if q.Len() == 0 {
+		if !q.Pop(&e) {
 			q.Reset()
 			q.Preload(evArrival, sched)
+			q.Pop(&e)
 		}
-		e := q.Pop()
-		now, typ, left := e.Time, e.Type, e.Task
-		q.Free(e)
-		switch typ {
+		now, left := e.Time, int(e.Task)
+		switch e.Type {
 		case evArrival:
 			for k := 0; k < 4; k++ {
-				q.PushTask(now, evHandOff, i, 3)
+				q.Push(now, evHandOff, i, 3)
 			}
 		case evDeparture:
 			inFlight--
 			if left > 1 {
-				q.PushTask(now, evHandOff, i, left-1)
+				q.Push(now, evHandOff, i, left-1)
 			}
 		case evHandOff:
 			if inFlight < slots {
 				inFlight++
-				q.PushTask(now+1+rng.Float64()*600, evDeparture, i, left)
+				q.Push(now+1+rng.Float64()*600, evDeparture, i, left)
 			}
 		}
 	}

@@ -16,7 +16,7 @@
 //   - Reduce tasks start once minMapPercentCompleted of the job's maps
 //     have finished. A first-wave reduce occupies its slot through a
 //     "filler" shuffle of unbounded duration; when the map stage
-//     completes, the filler's departure is patched to
+//     completes, the filler's departure is scheduled at
 //     mapStageEnd + firstShuffle + reducePhase, which models the
 //     overlapped shuffle exactly (§III-B).
 //   - Tasks are never preempted once a slot is allocated (the cause of
@@ -163,12 +163,13 @@ type Result struct {
 }
 
 // fillerReduce tracks a first-wave reduce waiting for its job's map
-// stage to complete so its infinite-duration filler can be patched.
-// Fillers live in one engine-level arena (Engine.fillers), linked per
-// job in start order: every filler holds a reduce slot, so the arena
+// stage to complete: its departure holds a reserved place in the event
+// order (seq) and enters the queue once the map stage's end gives it a
+// time. Fillers live in one engine-level arena (Engine.fillers), linked
+// per job in start order: every filler holds a reduce slot, so the arena
 // never outgrows Config.ReduceSlots whichever jobs the slots serve.
 type fillerReduce struct {
-	ev           *des.Event
+	seq          uint64 // the departure's reserved seq
 	firstShuffle float64
 	reducePhase  float64
 	task         int   // the reduce's task index, as its start event named it
@@ -200,11 +201,18 @@ type simJob struct {
 	retryMaps []int
 	// runningMaps tracks in-flight map departures by task index, so
 	// preemption can cancel them. Allocated only under PreemptMapTasks.
-	runningMaps map[int]*des.Event
+	runningMaps map[int]runningMap
 
 	fillerHead, fillerTail int32 // the job's fillers in Engine.fillers; -1 when none
 	mapStageEvent          bool  // map-stage-complete event already scheduled
 	departed               bool
+}
+
+// runningMap names the pending departure of a running map task: the seq
+// the queue cancels it by, and when it is due.
+type runningMap struct {
+	seq uint64
+	end float64
 }
 
 // runState tracks where an engine is in its arm → run → seal lifecycle.
@@ -238,7 +246,7 @@ type Engine struct {
 	policy sched.Policy
 
 	clock des.Clock
-	q     des.EventQueue
+	q     des.Lanes
 	// arrivals is the job-arrival schedule start() preloads into q — one
 	// entry per job, recycled across re-arms. Forks borrow the snapshot
 	// engine's through the cloned queue and leave their own untouched.
@@ -365,7 +373,7 @@ func New(cfg Config, tr *trace.Trace, policy sched.Policy) (*Engine, error) {
 // byte-identical Results to a newly built one. Reset checks the trace
 // and records it — job state is armed by the arrival events, so nothing
 // is written per job here. What is *retained* is warmed capacity: the
-// event queue's slab and free list, the job slots with their retry
+// event queue's lanes, the job slots with their retry
 // scratch, the filler arena, the by-position table, the active slice and
 // the ID-dispatch map, so steady-state reuse allocates only the per-run
 // outputs (Result, outcomes) instead of rebuilding the engine's
@@ -623,7 +631,7 @@ func (e *Engine) arm(p int) *simJob {
 	case !e.cfg.PreemptMapTasks:
 		sj.runningMaps = nil
 	case sj.runningMaps == nil:
-		sj.runningMaps = make(map[int]*des.Event)
+		sj.runningMaps = make(map[int]runningMap)
 	default:
 		clear(sj.runningMaps)
 	}
@@ -692,24 +700,27 @@ func (e *Engine) start(buf []JobOutcome) error {
 // (otherwise the first of two same-time arrivals would grab every slot
 // unconditionally). Macro-step boundaries are the only pause — and
 // therefore the only snapshot/fork — points: between steps no job
-// holds a half-processed event, which is what keeps a fork's retained
-// event handles remappable (see fork.go).
+// holds a half-processed event.
 func (e *Engine) step() error {
-	if e.q.Len() == 0 {
-		return fmt.Errorf("engine: deadlock: %d jobs unfinished with empty event queue", e.remaining)
+	var ev des.Record
+	if !e.q.Pop(&ev) {
+		// Nothing is queued. Filler reduces may still hold reservations:
+		// the map stages they wait for will never complete (the policy
+		// stopped granting map slots), so they run out their unbounded
+		// duration and depart at Infinity, in the order they started.
+		e.placeStalledFillers()
+		if !e.q.Pop(&ev) {
+			return fmt.Errorf("engine: deadlock: %d jobs unfinished with empty event queue", e.remaining)
+		}
 	}
-	ev := e.q.Pop()
 	e.clock.AdvanceTo(ev.Time)
-	if err := e.handle(ev); err != nil {
-		return err
-	}
-	e.q.Free(ev)
-	for e.q.Len() > 0 && e.q.Peek().Time == e.clock.Now() {
-		ev := e.q.Pop()
-		if err := e.handle(ev); err != nil {
+	for {
+		if err := e.handle(&ev); err != nil {
 			return err
 		}
-		e.q.Free(ev)
+		if !e.q.PopAt(e.clock.Now(), &ev) {
+			break
+		}
 	}
 	e.allocate()
 	if e.depth != nil || e.prog != nil {
@@ -863,9 +874,8 @@ func (e *Engine) flush() {
 }
 
 // handle dispatches one event to its handler; a job's arrival event
-// arms its state first. Handlers must not retain ev: Run recycles it
-// into the queue's free list immediately after.
-func (e *Engine) handle(ev *des.Event) error {
+// arms its state first.
+func (e *Engine) handle(ev *des.Record) error {
 	var sj *simJob
 	if p := e.jobIndex(ev.JobID); ev.Type == evJobArrival {
 		sj = e.arm(p)
@@ -879,13 +889,13 @@ func (e *Engine) handle(ev *des.Event) error {
 	case evMapTaskArrival:
 		e.onMapTaskArrival(sj)
 	case evMapTaskDeparture:
-		e.onMapTaskDeparture(sj, ev.Task)
+		e.onMapTaskDeparture(sj, int(ev.Task))
 	case evMapStageComplete:
 		e.onMapStageComplete(sj)
 	case evReduceTaskArrival:
 		e.onReduceTaskArrival(sj)
 	case evReduceTaskDeparture:
-		e.onReduceTaskDeparture(sj, ev.Task)
+		e.onReduceTaskDeparture(sj, int(ev.Task))
 	case evJobDeparture:
 		e.onJobDeparture(sj)
 	default:
@@ -921,7 +931,7 @@ func (e *Engine) allocate() {
 		info.ScheduledMaps++
 		e.freeMap--
 		e.mapSlotAllocs++
-		e.q.Push(now, evMapTaskArrival, info.ID, nil)
+		e.q.Push(now, evMapTaskArrival, info.ID, 0)
 		if e.sink != nil {
 			e.emit(obs.KindMapSlotAlloc, info.ID, -1, 0, 0)
 		}
@@ -935,7 +945,7 @@ func (e *Engine) allocate() {
 		info.ScheduledReduces++
 		e.freeReduce--
 		e.reduceSlotAllocs++
-		e.q.Push(now, evReduceTaskArrival, info.ID, nil)
+		e.q.Push(now, evReduceTaskArrival, info.ID, 0)
 		if e.sink != nil {
 			e.emit(obs.KindReduceSlotAlloc, info.ID, -1, 0, 0)
 		}
@@ -953,7 +963,7 @@ func (e *Engine) allocateBatch(now float64) {
 		for _, id := range e.batch.AssignMapSlots(e.active, e.freeMap) {
 			e.freeMap--
 			e.mapSlotAllocs++
-			e.q.Push(now, evMapTaskArrival, id, nil)
+			e.q.Push(now, evMapTaskArrival, id, 0)
 			if e.sink != nil {
 				e.emit(obs.KindMapSlotAlloc, id, -1, 0, 0)
 			}
@@ -963,7 +973,7 @@ func (e *Engine) allocateBatch(now float64) {
 		for _, id := range e.batch.AssignReduceSlots(e.active, e.freeReduce) {
 			e.freeReduce--
 			e.reduceSlotAllocs++
-			e.q.Push(now, evReduceTaskArrival, id, nil)
+			e.q.Push(now, evReduceTaskArrival, id, 0)
 			if e.sink != nil {
 				e.emit(obs.KindReduceSlotAlloc, id, -1, 0, 0)
 			}
@@ -1011,23 +1021,25 @@ func (e *Engine) preemptFor(sj *simJob) {
 	}
 }
 
-// preemptVictim kills the victim's most recently scheduled running map
-// (the one with the most remaining work under FIFO duration replay),
-// returning its task index to the victim's retry queue. Reports whether
-// a task was actually killed.
+// preemptVictim kills the victim's running map with the latest departure
+// (the one with the most remaining work under FIFO duration replay) —
+// among maps due at the same time the most recently scheduled, so the
+// choice never follows map iteration order — returning its task index to
+// the victim's retry queue. Reports whether a task was actually killed.
 func (e *Engine) preemptVictim(victim *simJob) bool {
 	killTask := -1
-	var killEv *des.Event
-	for task, ev := range victim.runningMaps {
-		if killEv == nil || ev.Time > killEv.Time {
-			killTask, killEv = task, ev
+	var kill runningMap
+	for task, m := range victim.runningMaps {
+		if killTask < 0 || m.end > kill.end || (m.end == kill.end && m.seq > kill.seq) {
+			killTask, kill = task, m
 		}
 	}
-	if killEv == nil {
+	if killTask < 0 {
 		return false
 	}
-	e.q.Remove(killEv)
-	e.q.Free(killEv)
+	if !e.q.Remove(kill.seq) {
+		panic("engine: running map has no pending departure")
+	}
 	delete(victim.runningMaps, killTask)
 	victim.retryMaps = append(victim.retryMaps, killTask)
 	victim.info.ScheduledMaps--
@@ -1070,9 +1082,9 @@ func (e *Engine) onMapTaskArrival(sj *simJob) {
 		sj.nextMap++
 	}
 	dur := sj.tpl.MapDuration(i)
-	ev := e.q.PushTask(now+dur, evMapTaskDeparture, sj.info.ID, i)
+	seq := e.q.Push(now+dur, evMapTaskDeparture, sj.info.ID, i)
 	if e.cfg.PreemptMapTasks {
-		sj.runningMaps[i] = ev
+		sj.runningMaps[i] = runningMap{seq: seq, end: now + dur}
 		e.preemptIdx.Fix(&sj.info, true) // now a preemption candidate
 	}
 	if e.sink != nil {
@@ -1101,7 +1113,7 @@ func (e *Engine) onMapTaskDeparture(sj *simJob, task int) {
 	}
 	if sj.info.MapsDone() && !sj.mapStageEvent {
 		sj.mapStageEvent = true
-		e.q.Push(e.clock.Now(), evMapStageComplete, sj.info.ID, nil)
+		e.q.Push(e.clock.Now(), evMapStageComplete, sj.info.ID, 0)
 	}
 }
 
@@ -1111,24 +1123,18 @@ func (e *Engine) onMapStageComplete(sj *simJob) {
 	if e.sink != nil {
 		e.emit(obs.KindMapStageComplete, sj.info.ID, -1, 0, 0)
 	}
-	// Patch every filler reduce: its shuffle completes firstShuffle
-	// seconds after the map stage, then its reduce phase runs.
+	// Every filler reduce now has its time: its shuffle completes
+	// firstShuffle seconds after the map stage, then its reduce phase runs.
 	for i := sj.fillerHead; i >= 0; i = e.fillers[i].next {
 		f := &e.fillers[i]
 		end := now + f.firstShuffle + f.reducePhase
-		e.q.Update(f.ev, end)
+		e.q.Place(f.seq, end, evReduceTaskDeparture, sj.info.ID, f.task)
 		e.fillerPatches++
 		if e.sink != nil {
 			e.emit(obs.KindFillerPatch, sj.info.ID, f.task, end, now+f.firstShuffle)
 		}
-		f.ev = nil
 	}
-	if sj.fillerTail >= 0 {
-		// The whole list goes back to the arena's free entries at once.
-		e.fillers[sj.fillerTail].next = e.fillerFree
-		e.fillerFree = sj.fillerHead
-		sj.fillerHead, sj.fillerTail = -1, -1
-	}
+	e.freeFillers(sj)
 	// Map-only jobs depart here; so do jobs whose reduces all finished
 	// already (possible under the NoFirstShuffleSpecialCase ablation,
 	// where a replayed cold shuffle can end before the map stage).
@@ -1144,17 +1150,17 @@ func (e *Engine) onReduceTaskArrival(sj *simJob) {
 	reducePhase := sj.tpl.ReduceDuration(i)
 
 	if !sj.info.MapsDone() && !e.cfg.NoFirstShuffleSpecialCase {
-		// First-wave reduce: schedule a filler task of infinite duration
-		// and remember how to patch it when the map stage completes.
+		// First-wave reduce: a filler task of unbounded duration. Its
+		// departure takes its place in the event order now and its time
+		// when the map stage completes.
 		w := sj.firstWave
 		sj.firstWave++
 		firstShuffle := sj.tpl.FirstShuffleDuration(w)
 		if e.cfg.NoShuffleModel {
 			firstShuffle = 0 // Mumak ablation: reduce starts right at map end
 		}
-		ev := e.q.PushTask(des.Infinity, evReduceTaskDeparture, sj.info.ID, i)
 		e.addFiller(sj, fillerReduce{
-			ev:           ev,
+			seq:          e.q.Reserve(),
 			firstShuffle: firstShuffle,
 			reducePhase:  reducePhase,
 			task:         i,
@@ -1176,7 +1182,7 @@ func (e *Engine) onReduceTaskArrival(sj *simJob) {
 		shuffle = 0
 	}
 	end := now + shuffle + reducePhase
-	e.q.PushTask(end, evReduceTaskDeparture, sj.info.ID, i)
+	e.q.Push(end, evReduceTaskDeparture, sj.info.ID, i)
 	if e.sink != nil {
 		e.emit(obs.KindReduceTaskStart, sj.info.ID, i, end, now+shuffle)
 	}
@@ -1201,6 +1207,30 @@ func (e *Engine) addFiller(sj *simJob, f fillerReduce) {
 	sj.fillerTail = i
 }
 
+// freeFillers returns the job's whole filler list to the arena's free
+// entries at once.
+func (e *Engine) freeFillers(sj *simJob) {
+	if sj.fillerTail >= 0 {
+		e.fillers[sj.fillerTail].next = e.fillerFree
+		e.fillerFree = sj.fillerHead
+		sj.fillerHead, sj.fillerTail = -1, -1
+	}
+}
+
+// placeStalledFillers gives every filler reduce still waiting the one
+// time left to it, Infinity: step calls it when nothing is queued, so no
+// map stage the fillers wait for can complete any more. The queue orders
+// them by their reserved seqs, the order they started in.
+func (e *Engine) placeStalledFillers() {
+	for _, sj := range e.slots {
+		for i := sj.fillerHead; i >= 0; i = e.fillers[i].next {
+			f := &e.fillers[i]
+			e.q.Place(f.seq, des.Infinity, evReduceTaskDeparture, sj.info.ID, f.task)
+		}
+		e.freeFillers(sj)
+	}
+}
+
 func (e *Engine) onReduceTaskDeparture(sj *simJob, task int) {
 	sj.info.CompletedReduces++
 	e.freeReduce++
@@ -1223,7 +1253,7 @@ func (e *Engine) departJob(sj *simJob) {
 		return
 	}
 	sj.departed = true
-	e.q.Push(e.clock.Now(), evJobDeparture, sj.info.ID, nil)
+	e.q.Push(e.clock.Now(), evJobDeparture, sj.info.ID, 0)
 }
 
 func (e *Engine) onJobDeparture(sj *simJob) {
@@ -1281,9 +1311,9 @@ func Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, error) {
 // Pool caches engines for reuse across runs. A grid workload (capacity
 // sweep, replay batch, deadline sweep) that replays hundreds of cells
 // holds roughly one engine per worker goroutine instead of building —
-// and garbage-collecting — one engine per cell: the queue slab, free
-// list, job slots, scheduling index and scratch slices all carry over
-// through Reset.
+// and garbage-collecting — one engine per cell: the queue's lanes, the
+// job slots, scheduling index and scratch slices all carry over through
+// Reset.
 //
 // The zero value is ready to use, and a Pool is safe for concurrent
 // use (it wraps sync.Pool, so the steady-state population tracks

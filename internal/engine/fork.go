@@ -1,8 +1,8 @@
 // Engine forking (DESIGN.md §12): pause a replay at any macro-step
 // boundary, seal it into an immutable Snapshot, and fork as many cheap
 // branch engines off it as there are what-if questions. A fork copies
-// what the snapshot engine holds — the materialized pending events
-// (running tasks and same-instant hand-offs), the live jobs' slots, the
+// what the snapshot engine holds — the queued events (running tasks and
+// same-instant hand-offs), the live jobs' slots, the
 // outcomes of the jobs arrived so far — which the live window (DESIGN.md
 // §5, "Lifetime") keeps sized by the cluster's slots and the prefix
 // replayed, not by the trace: jobs yet to arrive have no state, and
@@ -31,13 +31,15 @@ import (
 const (
 	jobBytes     = uint64(unsafe.Sizeof(simJob{}))
 	outcomeBytes = uint64(unsafe.Sizeof(JobOutcome{}))
-	eventBytes   = uint64(unsafe.Sizeof(des.Event{})) + 8 // + heap slot pointer
+	eventBytes   = uint64(unsafe.Sizeof(des.Record{}))
 )
 
 // ForkStats reports what arming a fork cost: BytesCopied counts the
-// events the queue clone physically copied, the live jobs' slots and the
-// outcome entries up to the last job arrived. Nothing is copied later —
-// a fork borrows only the arrival schedule, which never migrates.
+// pending events outside the shared schedule (a queued record each; a
+// filler's reservation counts as one, for its arena entry), the live
+// jobs' slots and the outcome entries up to the last job arrived.
+// Nothing is copied later — a fork borrows only the arrival schedule,
+// which never migrates.
 type ForkStats struct {
 	BytesCopied uint64
 }
@@ -99,24 +101,11 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	return e.snap, nil
 }
 
-// remapEvent translates a retained event handle of the snapshot's
-// queue to this engine's clone via the CloneInto position contract.
-// Every handle a job retains at a macro-step boundary (running-map
-// departures, filler reduces) points at a still-scheduled event —
-// same-instant departures are drained within the step — so an
-// unscheduled handle here means the boundary invariant broke.
-func (e *Engine) remapEvent(ev *des.Event) *des.Event {
-	pos := ev.HeapPos()
-	if pos < 0 {
-		panic("engine: fork invariant violated: retained handle to an unscheduled event")
-	}
-	return e.q.PendingAt(pos)
-}
-
 // forkJob arms a slot of this engine as the copy of the snapshot's live
-// job s: the retry queue gets an owned copy, the running-task and filler
-// event handles remap into this engine's queue, and the outcome pointer
-// moves to this engine's array.
+// job s: the retry queue and the running-map table get owned copies —
+// plain values; the seqs in them (and in the job's fillers) name the same
+// events in this engine's cloned queue — and the outcome pointer moves to
+// this engine's array.
 func (e *Engine) forkJob(s *simJob) *simJob {
 	sj := e.newSlot()
 	retry, running := sj.retryMaps[:0], sj.runningMaps
@@ -125,17 +114,12 @@ func (e *Engine) forkJob(s *simJob) *simJob {
 	if s.runningMaps == nil {
 		running = nil
 	} else if running == nil {
-		running = make(map[int]*des.Event, len(s.runningMaps))
+		running = maps.Clone(s.runningMaps)
 	} else {
 		clear(running)
-	}
-	for task, ev := range s.runningMaps {
-		running[task] = e.remapEvent(ev)
+		maps.Copy(running, s.runningMaps)
 	}
 	sj.runningMaps = running
-	for i := sj.fillerHead; i >= 0; i = e.fillers[i].next {
-		e.fillers[i].ev = e.remapEvent(e.fillers[i].ev)
-	}
 	e.slotOf[sj.pos] = sj
 	sj.out = &e.out[sj.pos]
 	return sj
@@ -201,9 +185,8 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.state = runStarted
 	dst.snap = nil
 
-	// Pending events: materialized ones cloned with positions preserved
-	// — the remapEvent contract — into dst's recycled slab; un-arrived
-	// jobs stay in the snapshot's schedule, shared.
+	// Pending events: the queued ones copied into dst's own lanes, seq
+	// for seq; un-arrived jobs stay in the snapshot's schedule, shared.
 	src.q.CloneInto(&dst.q)
 
 	// The replay's jobs: the trace and the ID map are shared read-only
@@ -371,7 +354,7 @@ func (e *Engine) InjectJob(j *trace.Job) error {
 	e.extra = append(e.extra, *j)
 	e.indexOf[j.ID] = p
 	e.remaining++
-	e.q.Push(j.Arrival, evJobArrival, j.ID, nil)
+	e.q.Push(j.Arrival, evJobArrival, j.ID, 0)
 	return nil
 }
 

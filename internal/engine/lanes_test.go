@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"simmr/internal/des"
 	"simmr/internal/obs"
 	"simmr/internal/sched"
 	"simmr/internal/trace"
@@ -13,8 +15,9 @@ import (
 
 // This file pins what the engine relies on from the event queue's lanes
 // (DESIGN.md §9): start() may hand over arrivals in any trace order, a
-// same-instant event can still be cancelled, and a fork pays for the
-// events in flight, not for the arrivals still to come.
+// same-instant event can still be cancelled, a filler reduce whose map
+// stage never completes still departs, and a fork pays for the events in
+// flight, not for the arrivals still to come.
 
 // shuffledTrace builds a trace that is not in arrival order, with sparse
 // IDs and runs of exactly tied arrivals: the input start() has to sort,
@@ -151,6 +154,102 @@ func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 	if sink.Counters.Preemptions != uint64(killedInFlight) || finished != 4 || lazy.Finish != 7 || urgent.Finish != 7 {
 		t.Fatalf("lazy: preempted %d (saw %d), %d maps run, finish %v; urgent finish %v; want 4 maps run, both finishing at 7",
 			sink.Counters.Preemptions, killedInFlight, finished, lazy.Finish, urgent.Finish)
+	}
+}
+
+// stallAfter is FIFO until its grants run out (a negative budget never
+// does); then the replay deadlocks. Not a built-in value, so the engine
+// drives it through the paper's two calls.
+type stallAfter struct {
+	sched.Policy
+	maps, reduces int
+}
+
+func (p *stallAfter) ChooseNextMapTask(q []*sched.JobInfo) int {
+	return grant(&p.maps, p.Policy.ChooseNextMapTask(q))
+}
+
+func (p *stallAfter) ChooseNextReduceTask(q []*sched.JobInfo) int {
+	return grant(&p.reduces, p.Policy.ChooseNextReduceTask(q))
+}
+
+// grant passes the nomination i while the budget lasts.
+func grant(budget *int, i int) int {
+	if *budget == 0 {
+		return -1
+	}
+	if i >= 0 {
+		*budget--
+	}
+	return i
+}
+
+// TestStalledFillersDepartAtInfinity stops the policy granting map slots
+// while first-wave reduces hold reduce slots: their map stages never
+// complete, so nothing ever gives those fillers a time. They depart at
+// Infinity in the order they started — and when the policy keeps
+// granting the reduce slots that frees, so do the fillers started at
+// Infinity — and only then is the replay the deadlock it is, with every
+// reduce the engine started also finished. The stream lengths are the
+// ones the pointer queue, which parked fillers in its heap at Infinity,
+// produced for the same replays.
+func TestStalledFillersDepartAtInfinity(t *testing.T) {
+	tr := &trace.Trace{}
+	for i := 0; i < 4; i++ {
+		tr.Jobs = append(tr.Jobs, &trace.Job{Arrival: float64(3 * i), Template: uniformTemplate(6, 5, 10, 2, 3, 4)})
+	}
+	tr.Normalize()
+	for _, c := range []struct {
+		name    string
+		reduces int // reduce-slot grants; job 0 takes five
+		stalled int // fillers left without a time
+		events  int
+	}{
+		{"maps", -1, 4, 86},
+		{"maps-and-reduces", 5 + 3, 3, 78},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sink := &obs.RecordSink{}
+			cfg := Config{MapSlots: 3, ReduceSlots: 4, MinMapPercentCompleted: 0.05, Sink: sink}
+			// Nine map grants: job 0's six maps, and three of job 1's.
+			_, err := Run(cfg, tr, &stallAfter{Policy: sched.FIFO{}, maps: 9, reduces: c.reduces})
+			if err == nil || !strings.Contains(err.Error(), "deadlock") {
+				t.Fatalf("Run error = %v, want the deadlock", err)
+			}
+			type task struct{ job, task int }
+			kinds := map[obs.Kind]int{}
+			timed := map[task]bool{}
+			for _, ev := range sink.Events {
+				kinds[ev.Kind]++
+				if ev.Kind == obs.KindFillerPatch {
+					timed[task{ev.JobID, ev.Task}] = true
+				}
+			}
+			// Fillers started before the stall and never given a time, and
+			// the first as many departures at Infinity.
+			var started, finished []task
+			for _, ev := range sink.Events {
+				k := task{ev.JobID, ev.Task}
+				switch {
+				case ev.Kind == obs.KindReduceTaskStart && ev.Time < des.Infinity && ev.End > des.Infinity && !timed[k]:
+					started = append(started, k)
+				case ev.Kind == obs.KindReduceTaskFinish && ev.Time == des.Infinity && len(finished) < len(started):
+					finished = append(finished, k)
+				}
+			}
+			if kinds[obs.KindMapTaskStart] != 9 || kinds[obs.KindMapTaskFinish] != 9 {
+				t.Fatalf("%d/%d maps started/finished, want the 9 granted", kinds[obs.KindMapTaskStart], kinds[obs.KindMapTaskFinish])
+			}
+			if kinds[obs.KindReduceTaskStart] != kinds[obs.KindReduceTaskFinish] {
+				t.Fatalf("%d reduces started, %d finished", kinds[obs.KindReduceTaskStart], kinds[obs.KindReduceTaskFinish])
+			}
+			if len(started) != c.stalled || !reflect.DeepEqual(started, finished) {
+				t.Fatalf("fillers left without a time %v (want %d), first departures at Infinity %v", started, c.stalled, finished)
+			}
+			if len(sink.Events) != c.events {
+				t.Fatalf("stream has %d events, the parked-filler queue produced %d", len(sink.Events), c.events)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"simmr/internal/obs"
 	"simmr/internal/sched"
 	"simmr/internal/trace"
 )
@@ -72,6 +74,40 @@ func TestPreemptedJobStillCompletesAllTasks(t *testing.T) {
 	// 150 s unpreempted; the kill adds at least part of a wave.
 	if victim.Finish < 150 {
 		t.Fatalf("victim finished impossibly fast: %v", victim.Finish)
+	}
+}
+
+// Among running maps due at the same time the kill takes the most
+// recently scheduled — not whichever one Go's map iteration offers first.
+// Four of lazy's maps, all due at t=100, hold the four slots when urgent
+// arrives wanting two; the four that follow have different durations, so
+// which tasks were killed (and re-run last) also moves lazy's finish.
+func TestPreemptVictimTieIsDeterministic(t *testing.T) {
+	lazy := uniformTemplate(8, 0, 100, 0, 0, 0)
+	copy(lazy.MapDurations[4:], []float64{10, 20, 30, 40})
+	tr := &trace.Trace{Jobs: []*trace.Job{
+		{Name: "lazy", Arrival: 0, Deadline: 10000, Template: lazy},
+		{Name: "urgent", Arrival: 5, Deadline: 200, Template: uniformTemplate(2, 0, 10, 0, 0, 0)},
+	}}
+	tr.Normalize()
+	cfg := Config{MapSlots: 4, ReduceSlots: 1, MinMapPercentCompleted: 0.05, PreemptMapTasks: true}
+	var first []int
+	for run := 0; run < 50; run++ {
+		_, sink := replayRecorded(t, cfg, tr, sched.MaxEDF{})
+		var kills []int
+		for _, ev := range sink.Events {
+			if ev.Kind == obs.KindPreempt {
+				kills = append(kills, ev.Task)
+			}
+		}
+		if run == 0 {
+			first = kills
+			if len(kills) < 2 || kills[0] != 3 || kills[1] != 2 {
+				t.Fatalf("kills = %v, want lazy's latest-scheduled maps 3 then 2 first", kills)
+			}
+		} else if !slices.Equal(kills, first) {
+			t.Fatalf("run %d killed tasks %v, run 0 killed %v", run, kills, first)
+		}
 	}
 }
 

@@ -112,9 +112,9 @@ type Counters struct {
 	// Events is the number of engine events processed (queue pops).
 	Events uint64
 	// HeapHighWater is the peak pending-event population of the event
-	// queue across all its lanes (DESIGN.md §9), not of its heap alone:
-	// un-arrived jobs count from the start, so it is at least the job
-	// count.
+	// queue across all its lanes and reservations (DESIGN.md §9), not of
+	// its heap alone: un-arrived jobs count from the start, so it is at
+	// least the job count.
 	HeapHighWater int
 	// Preemptions counts map tasks killed under PreemptMapTasks.
 	Preemptions uint64

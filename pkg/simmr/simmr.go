@@ -255,8 +255,8 @@ func Replay(cfg ReplayConfig, tr *Trace, p Policy) (*ReplayResult, error) {
 // caller replaying many traces back to back (what-if loops, Monte
 // Carlo repetitions, services replaying per-request) calls
 // pool.Run(cfg, tr, policy) instead of Replay and skips rebuilding the
-// engine's working set — event-queue slab, free list, job slots —
-// on every run. The zero value is ready; safe for concurrent use;
+// engine's working set — event-queue lanes, job slots, scheduling
+// index — on every run. The zero value is ready; safe for concurrent use;
 // results are byte-identical to Replay. CapacitySweep, ReplayBatchCfg and
 // BranchSet need none: they share one process-wide pool, so their
 // engines stay warm from one call to the next.

@@ -26,6 +26,10 @@ ONE_PATH = ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHoo
 # one-queue keeps the engine on the value queue (des.Lanes, des.Record):
 # the pointer queue is for the simulators that need payloads and handles.
 POINTER_QUEUE = des\.(EventQueue|Event)\b
+# a grant starts its task: the engine has no task-arrival event type to
+# queue, so nothing can pause, snapshot or fork between a slot grant and
+# the start of its task.
+QUEUED_ARRIVAL = ev(Map|Reduce)TaskArrival
 verify:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	@second="$$(grep -rnE '$(ONE_PATH)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal \
@@ -33,6 +37,8 @@ verify:
 		test -z "$$second" || { echo "run-plan calls outside internal/plan:"; echo "$$second"; exit 1; }
 	@pointer="$$(grep -rnE '$(POINTER_QUEUE)' --include='*.go' --exclude='*_test.go' internal/engine)"; \
 		test -z "$$pointer" || { echo "internal/engine names the pointer queue:"; echo "$$pointer"; exit 1; }
+	@queued="$$(grep -rnE '$(QUEUED_ARRIVAL)' --include='*.go' --exclude='*_test.go' internal/engine)"; \
+		test -z "$$queued" || { echo "internal/engine names a task-arrival event type:"; echo "$$queued"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -25,10 +25,13 @@ func addCacheFlags(fs *flag.FlagSet) cacheFlags {
 	}
 }
 
+// set reports whether either cache flag was given.
+func (cf cacheFlags) set() bool { return *cf.dir != "" || *cf.memMB != 0 }
+
 // open builds the cache the flags describe, or nil when neither flag
 // was given (caching off, zero overhead).
 func (cf cacheFlags) open(tel *simmr.Telemetry) *simmr.Cache {
-	if *cf.dir == "" && *cf.memMB == 0 {
+	if !cf.set() {
 		return nil
 	}
 	return simmr.NewCache(simmr.CacheOptions{

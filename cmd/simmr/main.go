@@ -96,7 +96,7 @@ func main() {
 
 func run() error {
 	var (
-		engineKind = flag.String("engine", "simmr", "simulator: simmr or mumak")
+		engineKind = flag.String("engine", "simmr", "simulator: simmr or mumak (mumak: one replay, no -sweep, cache or exports)")
 		verbose    = flag.Bool("v", false, "print per-job lines")
 		timeline   = flag.String("timeline", "", "write a task-progress timeline TSV (simmr engine only; an event export, skipped on a cache hit)")
 		step       = flag.Float64("step", 0, "timeline sample step in seconds (default: makespan/200)")
@@ -109,8 +109,16 @@ func run() error {
 	rf := addReplayFlags(flag.CommandLine)
 	cf := addCacheFlags(flag.CommandLine)
 	flag.Parse()
-	if *engineKind == "mumak" && (*timeline != "" || *jsonOut) {
-		return fmt.Errorf("-timeline and -json need -engine simmr")
+	// The engine is settled before the trace is loaded: a mistyped name
+	// must not cost a load, print a SimMR sweep or exit 0 behind -info.
+	switch *engineKind {
+	case "simmr":
+	case "mumak":
+		if *timeline != "" || *jsonOut || *sweep != "" || *shard != "" || cf.set() {
+			return fmt.Errorf("-timeline, -json, -sweep, -shard, -cache-dir and -cache-mem need -engine simmr")
+		}
+	default:
+		return fmt.Errorf("unknown engine %q (simmr or mumak)", *engineKind)
 	}
 
 	tel, tr, err := rf.open()
@@ -136,8 +144,7 @@ func run() error {
 		return err
 	}
 
-	switch *engineKind {
-	case "simmr":
+	if *engineKind == "simmr" {
 		cfg := rf.config()
 		var tl *simmr.TimelineSink
 		if *timeline != "" {
@@ -185,7 +192,7 @@ func run() error {
 		if tl != nil && hit {
 			printSkippedExports(*timeline)
 		}
-	case "mumak":
+	} else {
 		res, err := simmr.ReplayMumak(simmr.DefaultMumakConfig(), tr, policy)
 		if err != nil {
 			return err
@@ -198,8 +205,6 @@ func run() error {
 		}
 		fmt.Printf("%d jobs, makespan %.1f s, %d events, policy %s (mumak baseline)\n",
 			len(res.Jobs), res.Makespan, res.Events, policy.Name())
-	default:
-		return fmt.Errorf("unknown engine %q", *engineKind)
 	}
 	return nil
 }

@@ -148,6 +148,10 @@ func TestCLIGolden(t *testing.T) {
 		{"mumak", "-trace trace.strc -engine mumak -policy maxedf -v", 0},
 		{"mumak-timeline", "-trace trace.strc -engine mumak -timeline tl.tsv", 1},
 		{"mumak-json", "-trace trace.strc -engine mumak -json", 1},
+		{"mumak-sweep", "-trace trace.strc -engine mumak -sweep 8,16", 1},
+		{"mumak-cache", "-trace trace.strc -engine mumak -cache-dir cache", 1},
+		{"engine-bad", "-trace trace.strc -engine bogus -sweep 8,16", 1},
+		{"engine-bad-info", "-trace trace.strc -engine bogus -info", 1},
 	}
 	dirs := map[string]string{}
 	for _, c := range cases {
@@ -213,6 +217,9 @@ func TestCLIGolden(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dirs["mumak-timeline"], "tl.tsv")); err == nil {
 		t.Error("-engine mumak -timeline wrote a file; the combination is a usage error")
+	}
+	if _, err := os.Stat(filepath.Join(dirs["mumak-cache"], "cache")); err == nil {
+		t.Error("-engine mumak -cache-dir made the directory; the combination is a usage error")
 	}
 }
 

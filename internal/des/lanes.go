@@ -133,10 +133,16 @@ func (q *Lanes) CloneInto(dst *Lanes) {
 // lanes plus the reservations not yet placed.
 func (q *Lanes) Len() int { return q.n }
 
-// Fired returns the total number of records popped so far. It is the
-// denominator of the "events per second" throughput metric reported in
-// the paper (§I: "SimMR can process over one million events per second").
+// Fired returns the total number of records popped so far, plus the
+// events Count added. It is the denominator of the "events per second"
+// throughput metric reported in the paper (§I: "SimMR can process over
+// one million events per second").
 func (q *Lanes) Fired() uint64 { return q.fired }
+
+// Count adds n events to Fired that the queue's owner handled without
+// queueing them: due the instant they were scheduled, after everything
+// else due then, they are what the next n pops would have returned.
+func (q *Lanes) Count(n int) { q.fired += uint64(n) }
 
 // HighWater returns the peak pending-event population seen so far,
 // reservations included — the engine's "heap high-water" observability

@@ -127,3 +127,56 @@ func TestSameInstantLaneStaysBounded(t *testing.T) {
 		t.Fatalf("same-instant lane holds %d slots for %d events", cap(q.f), q.Len())
 	}
 }
+
+// TestRemoveFromSameInstantLane cancels records that sit in the
+// same-instant lane — its head, its middle, its tail — and checks what is
+// left pops in seq order, the counters follow, and a drained lane rewinds.
+// Remove promises to find any record Push queued, but the engine's
+// preemption kill no longer lands in this lane (DESIGN.md §9: a job
+// arrival is never handled between a task's start and a departure due the
+// same instant), so the scan is covered here — by hand, and at random by
+// the differential fuzz.
+func TestRemoveFromSameInstantLane(t *testing.T) {
+	var q Lanes
+	var ev Record
+	q.Push(5, 0, -1, 0)
+	q.Pop(&ev) // the instant is 5: pushes at 5 take the lane
+	seqs := make([]uint64, 6)
+	for i := range seqs {
+		seqs[i] = q.Push(5, 0, i, i)
+	}
+	later := q.Push(9, 0, 99, 0)
+	if len(q.f)-q.fh != 6 || len(q.h) != 1 {
+		t.Fatalf("lane holds %d, heap %d; want 6 and 1", len(q.f)-q.fh, len(q.h))
+	}
+	for _, i := range []int{0, 3, 5} { // head, middle, tail
+		if !q.Remove(seqs[i]) {
+			t.Fatalf("Remove(seq of record %d) found nothing", i)
+		}
+		if q.Remove(seqs[i]) {
+			t.Fatalf("Remove(seq of record %d) found it twice", i)
+		}
+	}
+	if q.Len() != 4 || q.HighWater() != 7 {
+		t.Fatalf("len %d, high water %d; want 4 and 7", q.Len(), q.HighWater())
+	}
+	for _, want := range []int{1, 2, 4} {
+		if !q.PopAt(5, &ev) || ev.JobID != want || int(ev.Task) != want || ev.Time != 5 {
+			t.Fatalf("popped %+v, want record %d at t=5", ev, want)
+		}
+	}
+	if q.PopAt(5, &ev) {
+		t.Fatalf("popped %+v at t=5 after the lane drained", ev)
+	}
+	if len(q.f) != 0 || q.fh != 0 {
+		t.Fatalf("drained lane not rewound: len %d, head %d", len(q.f), q.fh)
+	}
+	// Removing the only record of the lane drains it too.
+	only := q.Push(5, 0, 7, 0)
+	if !q.Remove(only) || len(q.f) != 0 || q.fh != 0 {
+		t.Fatalf("lane after removing its only record: len %d, head %d", len(q.f), q.fh)
+	}
+	if !q.Remove(later) || q.Len() != 0 || q.Fired() != 4 {
+		t.Fatalf("after removing the heap record: len %d, fired %d; want 0 and 4", q.Len(), q.Fired())
+	}
+}

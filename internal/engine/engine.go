@@ -8,9 +8,10 @@
 //   - The engine simulates at task level only — no TaskTrackers, disks,
 //     or network packets. Task latencies come from the trace's job
 //     templates.
-//   - It maintains a priority queue over the paper's seven event types:
-//     job arrival/departure, map/reduce task arrival/departure, and
-//     map-stage completion.
+//   - It handles the paper's seven event types: job arrival/departure,
+//     map/reduce task arrival/departure, and map-stage completion. Five
+//     wait in a priority queue; a task's arrival is due the instant its
+//     slot is granted, so the granting round handles it on the spot.
 //   - It talks to the scheduling policy through the narrow two-function
 //     interface ChooseNextMapTask / ChooseNextReduceTask.
 //   - Reduce tasks start once minMapPercentCompleted of the job's maps
@@ -114,13 +115,13 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// The seven event types of §III-B.
+// The event types the queue holds: five of §III-B's seven. The other
+// two, map- and reduce-task arrival, are due the instant a slot is
+// granted and are handled by the round that grants it (allocate).
 const (
 	evJobArrival = iota
 	evJobDeparture
-	evMapTaskArrival
 	evMapTaskDeparture
-	evReduceTaskArrival
 	evReduceTaskDeparture
 	evMapStageComplete
 )
@@ -296,9 +297,13 @@ type Engine struct {
 
 	freeMap    int
 	freeReduce int
-	remaining  int
-	state      runState
-	makespan   float64 // time of the latest job departure
+	// grants is allocate's scratch: the job IDs granted a slot in the
+	// round, maps first. Empty between macro-steps — no grant is ever
+	// pending at a pause — so a fork copies nothing of it.
+	grants    []int
+	remaining int
+	state     runState
+	makespan  float64 // time of the latest job departure
 
 	// src is the sealed snapshot this engine was forked from, whose
 	// arrival schedule (and ID map) it borrows; nil on ordinary engines.
@@ -694,13 +699,14 @@ func (e *Engine) start(buf []JobOutcome) error {
 }
 
 // step executes one macro-step: pop the earliest event, drain every
-// event scheduled for that same instant, then run one allocation
-// round. Same-instant draining keeps simultaneous arrivals and
-// departures all visible to the policy before any slot is handed out
-// (otherwise the first of two same-time arrivals would grab every slot
+// event scheduled for that same instant, then run one allocation round,
+// which starts the tasks it grants slots to (events → round → starts).
+// Same-instant draining keeps simultaneous arrivals and departures all
+// visible to the policy before any slot is handed out (otherwise the
+// first of two same-time arrivals would grab every slot
 // unconditionally). Macro-step boundaries are the only pause — and
 // therefore the only snapshot/fork — points: between steps no job
-// holds a half-processed event.
+// holds a half-processed event and no granted slot waits for its task.
 func (e *Engine) step() error {
 	var ev des.Record
 	if !e.q.Pop(&ev) {
@@ -886,14 +892,10 @@ func (e *Engine) handle(ev *des.Record) error {
 	switch ev.Type {
 	case evJobArrival:
 		e.onJobArrival(sj)
-	case evMapTaskArrival:
-		e.onMapTaskArrival(sj)
 	case evMapTaskDeparture:
 		e.onMapTaskDeparture(sj, int(ev.Task))
 	case evMapStageComplete:
 		e.onMapStageComplete(sj)
-	case evReduceTaskArrival:
-		e.onReduceTaskArrival(sj)
 	case evReduceTaskDeparture:
 		e.onReduceTaskDeparture(sj, int(ev.Task))
 	case evJobDeparture:
@@ -904,80 +906,84 @@ func (e *Engine) handle(ev *des.Record) error {
 	return nil
 }
 
-// allocate is the slot-allocation step run after every event: while free
-// slots remain and the policy nominates jobs, reserve slots and emit
-// task-arrival events. The scheduling index hands out all free slots in
-// one call per task kind; the two paths produce identical event
-// sequences (the differential suite replays every policy on both and
-// compares outcomes and observability streams byte for byte).
+// allocate is the slot-allocation round that ends every macro-step:
+// while free slots remain and the policy nominates jobs, grant them —
+// maps first, then reduces — and then start each granted task, in grant
+// order. A task's arrival (the paper's map- and reduce-task arrival
+// events) is due the instant its slot is granted, after everything else
+// due then — the step's drain has emptied the instant — so it is handled
+// here, not queued: it counts as one event fired and one event of its
+// job, and the observation stream shows the round's slot allocations,
+// then its task starts. The scheduling index hands out all free slots in
+// one call per task kind and the paper's interface takes one call per
+// slot; the two produce identical grants (the differential suite replays
+// every policy on both and compares outcomes and observability streams
+// byte for byte), and from the grants on there is one path.
 func (e *Engine) allocate() {
-	now := e.clock.Now()
+	g := e.grants[:0]
+	var maps int
 	if e.batch != nil {
 		// The index never reads the queue; just keep departed entries
-		// from outnumbering live ones.
+		// from outnumbering live ones. It increments ScheduledMaps /
+		// ScheduledReduces per grant itself (the BatchPolicy contract) and
+		// lends the granted IDs until its next call.
 		if len(e.active) > 2*e.live+16 {
 			e.compactActive()
 		}
-		e.allocateBatch(now)
+		if e.freeMap > 0 {
+			g = append(g, e.batch.AssignMapSlots(e.active, e.freeMap)...)
+		}
+		maps = len(g)
+		if e.freeReduce > 0 {
+			g = append(g, e.batch.AssignReduceSlots(e.active, e.freeReduce)...)
+		}
+	} else {
+		e.compactActive()
+		for n := e.freeMap; n > 0; n-- {
+			idx := e.policy.ChooseNextMapTask(e.active)
+			if idx < 0 {
+				break
+			}
+			e.active[idx].ScheduledMaps++
+			g = append(g, e.active[idx].ID)
+		}
+		maps = len(g)
+		for n := e.freeReduce; n > 0; n-- {
+			idx := e.policy.ChooseNextReduceTask(e.active)
+			if idx < 0 {
+				break
+			}
+			e.active[idx].ScheduledReduces++
+			g = append(g, e.active[idx].ID)
+		}
+	}
+	e.grants = g
+	if len(g) == 0 {
 		return
 	}
-	e.compactActive()
-	for e.freeMap > 0 {
-		idx := e.policy.ChooseNextMapTask(e.active)
-		if idx < 0 {
-			break
+	reduces := len(g) - maps
+	e.freeMap -= maps
+	e.freeReduce -= reduces
+	e.mapSlotAllocs += uint64(maps)
+	e.reduceSlotAllocs += uint64(reduces)
+	if e.sink != nil {
+		for _, id := range g[:maps] {
+			e.emit(obs.KindMapSlotAlloc, id, -1, 0, 0)
 		}
-		info := e.active[idx]
-		info.ScheduledMaps++
-		e.freeMap--
-		e.mapSlotAllocs++
-		e.q.Push(now, evMapTaskArrival, info.ID, 0)
-		if e.sink != nil {
-			e.emit(obs.KindMapSlotAlloc, info.ID, -1, 0, 0)
+		for _, id := range g[maps:] {
+			e.emit(obs.KindReduceSlotAlloc, id, -1, 0, 0)
 		}
 	}
-	for e.freeReduce > 0 {
-		idx := e.policy.ChooseNextReduceTask(e.active)
-		if idx < 0 {
-			break
-		}
-		info := e.active[idx]
-		info.ScheduledReduces++
-		e.freeReduce--
-		e.reduceSlotAllocs++
-		e.q.Push(now, evReduceTaskArrival, info.ID, 0)
-		if e.sink != nil {
-			e.emit(obs.KindReduceSlotAlloc, info.ID, -1, 0, 0)
-		}
+	e.q.Count(len(g))
+	for _, id := range g[:maps] {
+		sj := e.jobByID(id)
+		sj.events++
+		e.onMapTaskArrival(sj)
 	}
-}
-
-// allocateBatch is the indexed path: one AssignMapSlots and one
-// AssignReduceSlots call cover the whole allocation round. The index
-// increments ScheduledMaps/ScheduledReduces per grant and returns the
-// granted job IDs (the BatchPolicy contract), so only the engine-side
-// bookkeeping happens here — in the same order the scan path would
-// apply it.
-func (e *Engine) allocateBatch(now float64) {
-	if e.freeMap > 0 {
-		for _, id := range e.batch.AssignMapSlots(e.active, e.freeMap) {
-			e.freeMap--
-			e.mapSlotAllocs++
-			e.q.Push(now, evMapTaskArrival, id, 0)
-			if e.sink != nil {
-				e.emit(obs.KindMapSlotAlloc, id, -1, 0, 0)
-			}
-		}
-	}
-	if e.freeReduce > 0 {
-		for _, id := range e.batch.AssignReduceSlots(e.active, e.freeReduce) {
-			e.freeReduce--
-			e.reduceSlotAllocs++
-			e.q.Push(now, evReduceTaskArrival, id, 0)
-			if e.sink != nil {
-				e.emit(obs.KindReduceSlotAlloc, id, -1, 0, 0)
-			}
-		}
+	for _, id := range g[maps:] {
+		sj := e.jobByID(id)
+		sj.events++
+		e.onReduceTaskArrival(sj)
 	}
 }
 

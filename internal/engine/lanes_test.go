@@ -102,11 +102,15 @@ func TestUnsortedTraceReplaysLikeSortedCopy(t *testing.T) {
 	}
 }
 
-// TestZeroDurationMapPreemptedAtItsOwnInstant cancels a departure that
-// sits in the queue's same-instant lane: a zero-length map task starts
-// and — before its departure, due at the same instant, is popped — an
-// urgent job injected at that instant preempts it. The killed task must
-// re-run and nothing may be lost or double-counted.
+// TestZeroDurationMapPreemptedAtItsOwnInstant pins the order at a pause
+// instant, given that a grant starts its task: after the first macro-step
+// both of lazy's zero-length maps have started, their departures head the
+// same-instant lane, and an urgent job injected at that instant queues
+// behind them. The maps finish before the injected arrival is handled, so
+// it finds both slots free and kills nothing. No arrival can be handled
+// between a zero-length map's start and its departure, so no kill reaches
+// the same-instant lane (DESIGN.md §9); that cancel is covered where it
+// lives, TestRemoveFromSameInstantLane and the fuzz target in internal/des.
 func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 	tr := &trace.Trace{Jobs: []*trace.Job{
 		{Name: "lazy", Arrival: 0, Deadline: 10000, Template: uniformTemplate(4, 0, 0, 0, 0, 0)},
@@ -118,10 +122,19 @@ func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One macro-step: the arrival fires and both slots are handed out;
-	// the two map-task arrivals are pending at t=0.
+	// One macro-step: the arrival fires, both slots are handed out and
+	// both maps start, due at t=0.
 	if _, err := e.RunEvents(1); err != nil {
 		t.Fatal(err)
+	}
+	started := 0
+	for _, ev := range sink.Events {
+		if ev.Kind == obs.KindMapTaskStart && ev.JobID == 0 && ev.Time == 0 && ev.End == 0 {
+			started++
+		}
+	}
+	if started != 2 || e.EventsFired() != 3 {
+		t.Fatalf("at the pause: %d maps started, %d events fired; want 2 started and 3 fired", started, e.EventsFired())
 	}
 	if err := e.InjectJob(&trace.Job{
 		ID: 9, Name: "urgent", Arrival: 0, Deadline: 50, Template: uniformTemplate(2, 0, 7, 0, 0, 0),
@@ -133,27 +146,25 @@ func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	started := map[int]bool{} // lazy's map tasks started at t=0, ending at t=0
-	killedInFlight, finished := 0, 0
+	finished, finishedBeforeUrgent, urgentArrived := 0, 0, false
 	for _, ev := range sink.Events {
 		switch {
-		case ev.Kind == obs.KindMapTaskStart && ev.JobID == 0 && ev.Time == 0 && ev.End == 0:
-			started[ev.Task] = true
-		case ev.Kind == obs.KindPreempt && ev.JobID == 0 && ev.Time == 0 && started[ev.Task]:
-			killedInFlight++
+		case ev.Kind == obs.KindJobArrival && ev.JobID == 9:
+			urgentArrived = true
 		case ev.Kind == obs.KindMapTaskFinish && ev.JobID == 0:
 			finished++
+			if !urgentArrived {
+				finishedBeforeUrgent++
+			}
 		}
 	}
-	if killedInFlight == 0 {
-		t.Fatalf("no zero-duration map task was preempted at its own instant; preemptions = %d", sink.Counters.Preemptions)
-	}
 	lazy, urgent := res.Jobs[0], res.Jobs[1]
-	// The urgent job holds both slots for 7 s; lazy's four instant maps
-	// (two of them second attempts) run when it lets go.
-	if sink.Counters.Preemptions != uint64(killedInFlight) || finished != 4 || lazy.Finish != 7 || urgent.Finish != 7 {
-		t.Fatalf("lazy: preempted %d (saw %d), %d maps run, finish %v; urgent finish %v; want 4 maps run, both finishing at 7",
-			sink.Counters.Preemptions, killedInFlight, finished, lazy.Finish, urgent.Finish)
+	// The urgent job takes both free slots for 7 s; lazy's other two
+	// instant maps run when it lets go.
+	if finishedBeforeUrgent != 2 || sink.Counters.Preemptions != 0 || finished != 4 || lazy.Finish != 7 || urgent.Finish != 7 {
+		t.Fatalf("lazy: %d maps finished before the injected arrival, %d preempted, %d maps run, finish %v; urgent finish %v; "+
+			"want 2 before, none preempted, 4 run, both finishing at 7",
+			finishedBeforeUrgent, sink.Counters.Preemptions, finished, lazy.Finish, urgent.Finish)
 	}
 }
 

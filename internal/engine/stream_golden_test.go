@@ -116,11 +116,15 @@ func (r *blockRecorder) add(evs []obs.Event) {
 
 func (r *blockRecorder) RunEnd(c obs.Counters) { r.counters, r.ended = c, true }
 
-const streamGolden = "obs_streams.golden"
+const (
+	streamGolden   = "obs_streams.golden"
+	countersGolden = "counters.golden"
+)
 
-func readStreamGolden(t *testing.T) map[string]string {
+// readGolden reads a testdata file of "name rest-of-line" rows.
+func readGolden(t *testing.T, file string) map[string]string {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", streamGolden))
+	f, err := os.Open(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
@@ -137,7 +141,7 @@ func readStreamGolden(t *testing.T) map[string]string {
 func TestDeliveredStreamsMatchPinned(t *testing.T) {
 	var pinned map[string]string
 	if !*updateGolden {
-		pinned = readStreamGolden(t)
+		pinned = readGolden(t, streamGolden)
 	}
 	var lines []string
 	kinds := map[obs.Kind]int{}
@@ -176,11 +180,55 @@ func TestDeliveredStreamsMatchPinned(t *testing.T) {
 			t.Errorf("no %v event in any case", k)
 		}
 	}
+	settleGolden(t, streamGolden, lines, pinned)
+}
+
+// settleGolden ends a golden comparison: under -update it writes the rows
+// run, otherwise it checks that every pinned row was run.
+func settleGolden(t *testing.T, file string, lines []string, pinned map[string]string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(filepath.Join("testdata", streamGolden), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", file), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	} else if len(pinned) != len(lines) {
-		t.Errorf("%d cases pinned, %d run", len(pinned), len(lines))
+		t.Errorf("%s: %d cases pinned, %d run", file, len(pinned), len(lines))
 	}
+}
+
+// The event counts and run counters of the same 28 replays, pinned in
+// testdata/counters.golden: what the engine counts as an event (in
+// total and per job), how deep the queue got, and how many slots,
+// patches and kills the run took. The file was written by the engine
+// that still queued a task-arrival event per grant; an engine that
+// starts the task in the granting round must count exactly the same.
+// Regenerate — only for an intended change of what an event is — with
+// `go test ./internal/engine -run CountersMatchPinned -update`.
+func TestCountersMatchPinned(t *testing.T) {
+	var pinned map[string]string
+	if !*updateGolden {
+		pinned = readGolden(t, countersGolden)
+	}
+	var lines []string
+	for _, sc := range streamCases(t) {
+		for _, pc := range diffPolicies() {
+			name := sc.name + "/" + pc.name
+			res, sink := replayRecorded(t, sc.cfg, sc.tr, pc.mk())
+			perJob := 0
+			for _, o := range res.Jobs {
+				perJob += o.Events
+			}
+			c := sink.Counters
+			line := fmt.Sprintf("events=%d perjob=%d highwater=%d mapallocs=%d reduceallocs=%d patches=%d preemptions=%d",
+				res.Events, perJob, c.HeapHighWater, c.MapSlotAllocs, c.ReduceSlotAllocs, c.FillerPatches, c.Preemptions)
+			lines = append(lines, name+" "+line)
+			if c.Events != res.Events {
+				t.Errorf("%s: RunEnd counted %d events, the Result %d", name, c.Events, res.Events)
+			}
+			if pinned != nil && pinned[name] != line {
+				t.Errorf("%s: counters are (%s), pinned (%s)", name, line, pinned[name])
+			}
+		}
+	}
+	settleGolden(t, countersGolden, lines, pinned)
 }

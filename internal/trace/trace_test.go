@@ -86,6 +86,36 @@ func TestDurationAccessorsCycle(t *testing.T) {
 	}
 }
 
+// TestCycleDirectAndWrappedAgree holds cycle's two paths together: an
+// index inside the list is read directly, one past it wraps — both are
+// ds[i mod len], the one definition the accessors had before the direct
+// path — and an empty list reads as zeros at any index.
+func TestCycleDirectAndWrappedAgree(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7} {
+		ds := make([]float64, n)
+		for i := range ds {
+			ds[i] = float64(10*n + i)
+		}
+		for i := 0; i < 4*n; i++ {
+			if got, want := cycle(ds, i), ds[i%n]; got != want {
+				t.Fatalf("cycle(len %d, %d) = %v, want %v", n, i, got, want)
+			}
+		}
+		// The boundary: the last direct read, the first wrapped one.
+		if cycle(ds, n-1) != ds[n-1] || cycle(ds, n) != ds[0] {
+			t.Fatalf("len %d: boundary reads %v, %v", n, cycle(ds, n-1), cycle(ds, n))
+		}
+	}
+	for _, i := range []int{0, 1, 1 << 40} {
+		if got := cycle(nil, i); got != 0 {
+			t.Fatalf("cycle(empty, %d) = %v, want 0", i, got)
+		}
+		if got := cycle([]float64{}, i); got != 0 {
+			t.Fatalf("cycle(zero-length, %d) = %v, want 0", i, got)
+		}
+	}
+}
+
 func TestTemplateCloneIsDeep(t *testing.T) {
 	a := validTemplate()
 	b := a.Clone()

@@ -19,10 +19,11 @@ test:
 # something with -race on). The subscribe/End race in internal/runs
 # showed up once in ~30 runs, so its test is repeated until it would.
 # one-path keeps the run plan the only executor: the calls that make up
-# its sequence (key, observe the pool, attach a recorder, account)
-# appear in non-test code only in internal/plan and in the packages
-# that define them.
-ONE_PATH = ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHook\(
+# its sequence (key, observe the pool, attach a recorder, account) and
+# the split replay, which must start from a single replay and never from
+# a fan-out that already fills the cores, appear in non-test code only in
+# internal/plan and in the packages that define them.
+ONE_PATH = ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHook\(|\.RunSplit\(
 # one-queue keeps the engine on the value queue (des.Lanes, des.Record):
 # the pointer queue is for the simulators that need payloads and handles.
 POINTER_QUEUE = des\.(EventQueue|Event)\b
@@ -51,13 +52,22 @@ verify:
 # by job count and unique-template volume, not task-duration volume.
 # What replay holds per job of the trace is its outcome (64 B), its
 # arrival-schedule entry and a table pointer; engine state proper is
-# sized by the jobs in flight (DESIGN.md §5, "Lifetime").
+# sized by the jobs in flight (DESIGN.md §5, "Lifetime"). Then the
+# per-job output of the replay split over every core (DESIGN.md §7) must
+# be byte for byte the one-core replay's: GOMAXPROCS=1 never splits.
 # CI runs this as the bigtrace-smoke job.
+SMOKE = /tmp/smoke-big
 smoke-bigtrace:
-	$(GO) run ./cmd/tracegen -kind multitenant -n 100000 -format bin -stream -pool 256 -out /tmp/smoke-big.strc
-	$(GO) run ./cmd/simmr trace info -trace /tmp/smoke-big.strc
-	GOMEMLIMIT=128MiB $(GO) run ./cmd/simmr -trace /tmp/smoke-big.strc -policy minedf
-	rm -f /tmp/smoke-big.strc
+	$(GO) build -o $(SMOKE)-simmr ./cmd/simmr
+	$(GO) run ./cmd/tracegen -kind multitenant -n 100000 -format bin -stream -pool 256 -out $(SMOKE).strc
+	$(SMOKE)-simmr trace info -trace $(SMOKE).strc
+	GOMEMLIMIT=128MiB $(SMOKE)-simmr -trace $(SMOKE).strc -policy minedf
+	for p in fifo minedf; do \
+		GOMAXPROCS=1 $(SMOKE)-simmr -trace $(SMOKE).strc -policy $$p -v > $(SMOKE)-one.txt && \
+		$(SMOKE)-simmr -trace $(SMOKE).strc -policy $$p -v > $(SMOKE)-all.txt && \
+		cmp $(SMOKE)-one.txt $(SMOKE)-all.txt || exit 1; \
+	done
+	rm -f $(SMOKE).strc $(SMOKE)-simmr $(SMOKE)-one.txt $(SMOKE)-all.txt
 
 # smoke-ops is the live ops-plane end-to-end check: run a real sweep
 # with the debug server up, then prove the run registry, SSE progress

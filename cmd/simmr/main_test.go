@@ -10,10 +10,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"simmr/internal/engine"
+	"simmr/internal/plan"
+	"simmr/internal/runs"
 	"simmr/internal/sched/schedtest"
 	"simmr/pkg/simmr"
 )
@@ -39,46 +43,135 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// TestReplaySummaryMatchesScanOracle pins what `simmr -trace T -policy P`
-// prints for every policy name the CLI accepts: the summary line must
-// be, byte for byte, the one an in-process replay forced through the
-// paper's per-slot scan implies. The CLI passes the bare policy value,
-// so it runs on the engine's scheduling index; this is the end-to-end
-// proof that the index changed no output.
+// TestReplaySummaryMatchesScanOracle pins what `simmr -trace T -policy P
+// -v` prints for every policy name the CLI accepts: every per-job line
+// and the summary must be, byte for byte, what an in-process replay forced
+// through the paper's per-slot scan implies. The CLI passes the bare
+// policy value, so it runs on the engine's scheduling index; this is the
+// end-to-end proof that the index changed no output. On the second
+// fixture, long enough to split, it is the same proof for the split
+// replay: the CLI runs with GOMAXPROCS=4, so it splits into up to four
+// segments on any machine, and the same replay in-process through
+// plan.One — the CLI's path — shows that boundaries were both accepted
+// and cancelled on the way.
 func TestReplaySummaryMatchesScanOracle(t *testing.T) {
-	// The fixture is a contended burst with deadlines on every other job,
-	// so the EDF orderings, MinEDF's sizing and the Capacity queues all
-	// matter. The oracle replays what the CLI loads, not what was packed.
-	path := filepath.Join(cliFixture(t), "trace.strc")
-	loaded, err := simmr.OpenPackedTrace(path)
+	// The burst is contended, with deadlines on every other job, so the EDF
+	// orderings, MinEDF's sizing and the Capacity queues all matter. The
+	// oracle replays what the CLI loads, not what was packed.
+	fixtures := []struct{ prefix, path string }{
+		{"", filepath.Join(cliFixture(t), "trace.strc")},
+		{"sparse/", filepath.Join(splitFixture(t), "sparse.strc")},
+	}
+	cfg := simmr.DefaultReplayConfig()
+	accepted0, cancelled0 := engine.Shared.SplitCounts()
+	for _, f := range fixtures {
+		loaded, err := simmr.OpenPackedTrace(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer loaded.Close()
+		for _, name := range []string{"fifo", "maxedf", "minedf", "fair", "capacity"} {
+			t.Run(f.prefix+name, func(t *testing.T) {
+				p, err := policyByName(name, "0.5,0.5")
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := simmr.Replay(cfg, loaded, schedtest.ScanOnly(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cmd := exec.Command(simmrBin, "-trace", f.path, "-policy", name, "-v")
+				cmd.Env = append(os.Environ(), "GOMAXPROCS=4")
+				out, err := cmd.Output()
+				if err != nil {
+					t.Fatalf("simmr -policy %s -v: %v", name, err)
+				}
+				got, wantOut := strings.Split(string(out), "\n"), strings.Split(verboseOutput(want, p), "\n")
+				for i := range wantOut {
+					if i >= len(got) || got[i] != wantOut[i] {
+						t.Fatalf("simmr -policy %s -v printed, at line %d,\n  %q\nscan oracle implies\n  %q", name, i+1, strings.Join(got[i:min(i+1, len(got))], ""), wantOut[i])
+					}
+				}
+				if len(got) != len(wantOut) {
+					t.Fatalf("simmr -policy %s -v printed %d lines, scan oracle implies %d", name, len(got), len(wantOut))
+				}
+				res, _, err := plan.One(plan.Options{Workers: 4}, runs.KindReplay, cfg, loaded, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res, want) {
+					t.Fatalf("plan.One's replay under %s differs from the scan oracle's", name)
+				}
+			})
+		}
+	}
+	accepted, cancelled := engine.Shared.SplitCounts()
+	t.Logf("split replays of the sparse fixture: %d boundaries accepted, %d cancelled", accepted-accepted0, cancelled-cancelled0)
+	if accepted == accepted0 || cancelled == cancelled0 {
+		t.Errorf("the sparse fixture's replays accepted %d boundaries and cancelled %d; want both paths taken", accepted-accepted0, cancelled-cancelled0)
+	}
+}
+
+// verboseOutput is what `simmr -v` prints for a replay.
+func verboseOutput(res *simmr.ReplayResult, p simmr.Policy) string {
+	var b strings.Builder
+	for _, j := range res.Jobs {
+		missed := ""
+		if j.ExceededDeadline() {
+			missed = "\tMISSED-DEADLINE"
+		}
+		fmt.Fprintf(&b, "job %d\t%s\tarrival %.1f\tcompletion %.1f%s\n", j.ID, j.Name, j.Arrival, j.CompletionTime(), missed)
+	}
+	fmt.Fprintf(&b, "%d jobs, makespan %.1f s, %d events, policy %s\n", len(res.Jobs), res.Makespan, res.Events, p.Name())
+	return b.String()
+}
+
+// splitFixture writes sparse.strc, in a fresh directory: 4 096 jobs
+// arriving a minute apart on average, every other one with a deadline —
+// enough for four segments of a split replay — except around the middle,
+// where 1 280 jobs with five-minute reduces arrive 10 s apart. The cluster
+// is never empty there, yet no map task outlasts the next arrival, so a
+// boundary looked for in the middle is tried, and cancelled.
+func splitFixture(t *testing.T) string {
+	t.Helper()
+	s, err := simmr.NewTraceStream(simmr.StreamConfig{
+		Name: "sparse", Jobs: 4096, MeanInterArrival: 60, TemplatePool: 64,
+		DeadlineFraction: 0.5, DeadlineSlack: 900,
+		Shapes: []simmr.WeightedShape{{Shape: simmr.MultiTenantShape(), Weight: 1}},
+	}, rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
-	cfg := simmr.DefaultReplayConfig()
-
-	for _, name := range []string{"fifo", "maxedf", "minedf", "fair", "capacity"} {
-		t.Run(name, func(t *testing.T) {
-			p, err := policyByName(name, "0.5,0.5")
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := simmr.Replay(cfg, loaded, schedtest.ScanOnly(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantLine := fmt.Sprintf("%d jobs, makespan %.1f s, %d events, policy %s",
-				len(want.Jobs), want.Makespan, want.Events, p.Name())
-
-			out, err := exec.Command(simmrBin, "-trace", path, "-policy", name).Output()
-			if err != nil {
-				t.Fatalf("simmr -policy %s: %v", name, err)
-			}
-			if got := strings.TrimRight(string(out), "\n"); got != wantLine {
-				t.Fatalf("simmr -policy %s printed\n  %q\nscan oracle implies\n  %q", name, got, wantLine)
-			}
-		})
+	tr, err := s.Collect()
+	if err != nil {
+		t.Fatal(err)
 	}
+	busy := &simmr.Template{
+		AppName: "busy", NumMaps: 2, NumReduces: 2,
+		MapDurations: []float64{2, 3}, FirstShuffle: []float64{5, 5}, TypicalShuffle: []float64{5, 5}, ReduceDurations: []float64{300, 300},
+	}
+	mid, prevOrig, prev := len(tr.Jobs)/2, 0.0, 0.0
+	for i, j := range tr.Jobs {
+		gap := j.Arrival - prevOrig
+		prevOrig = j.Arrival
+		if i >= mid-640 && i < mid+640 {
+			gap = 10
+			j.Name, j.Template = busy.AppName, busy
+		}
+		at := prev + gap
+		if i == 0 {
+			at = j.Arrival
+		}
+		if j.Deadline > 0 {
+			j.Deadline += at - j.Arrival
+		}
+		j.Arrival, prev = at, at
+	}
+	dir := t.TempDir()
+	if err := simmr.WritePackedTrace(filepath.Join(dir, "sparse.strc"), tr); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 var update = flag.Bool("update", false, "rewrite cmd/simmr/testdata/*.golden from what the built CLI prints")
@@ -125,6 +218,7 @@ func TestCLIGolden(t *testing.T) {
 		{"replay", "-trace trace.strc -policy minedf", 0},
 		{"replay-v", "-trace trace.strc -policy maxedf -v", 0},
 		{"replay-json", "-trace trace.strc -json", 0},
+		{"replay-capacity", "-trace trace.strc -policy capacity -v", 0},
 		{"sweep", "-trace trace.strc -sweep 8,16,32", 0},
 		{"sweep-shard0", "-trace trace.strc -sweep 8,16,32 -shard 0/2", 0},
 		{"sweep-shard1", "-trace trace.strc -sweep 8,16,32 -shard 1/2", 0},

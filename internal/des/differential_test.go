@@ -177,7 +177,8 @@ func (d *diffRun) remove() {
 // pop takes the next record — through Pop, or through PopAt(now), which
 // must decline exactly when the head is due later — and compares it with
 // the reference's. When only reservations are left Pop must say so; they
-// are then placed, as the engine places stalled fillers.
+// are then placed, as the engine places stalled fillers. Before it,
+// ScheduleNext must say whether the head is a schedule entry.
 func (d *diffRun) pop(where string) {
 	var e Record
 	head := d.ref.h[0]
@@ -189,6 +190,9 @@ func (d *diffRun) pop(where string) {
 			d.place(0, d.now+Time(d.rng.Intn(4)))
 		}
 		head = d.ref.h[0]
+	}
+	if got, want := d.q.ScheduleNext(), head.seq < d.sched; got != want {
+		d.t.Fatalf("%s: ScheduleNext() = %v with the head at seq %d (schedule below %d)", where, got, head.seq, d.sched)
 	}
 	if d.rng.Intn(2) == 0 {
 		if got, want := d.q.PopAt(d.now, &e), head.time == d.now; got != want {

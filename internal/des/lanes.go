@@ -106,6 +106,13 @@ func (q *Lanes) Preload(typ uint8, s []Arrival) {
 // count toward Len, and CloneInto shares rather than copies them.
 func (q *Lanes) Preloaded() int { return len(q.sched) - q.cur }
 
+// ScheduleNext reports whether the next Pop would take the schedule's
+// next entry.
+func (q *Lanes) ScheduleNext() bool {
+	lane, _ := q.head()
+	return lane == laneSched
+}
+
 // OwnSchedule moves the queue onto a private copy of its schedule,
 // built in buf's storage (which must not overlap the current schedule)
 // and returned for the caller to keep: the way a clone outlives the

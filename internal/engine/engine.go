@@ -30,6 +30,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"simmr/internal/des"
 	"simmr/internal/obs"
@@ -250,18 +251,23 @@ type Engine struct {
 	q     des.Lanes
 	// arrivals is the job-arrival schedule start() preloads into q — one
 	// entry per job, recycled across re-arms. Forks borrow the snapshot
-	// engine's through the cloned queue and leave their own untouched.
+	// engine's through the cloned queue and leave their own untouched, and
+	// so do the segment engines of a split replay (split.go). inOrder
+	// records that start found the trace in arrival order, so entry i is
+	// the job at position i.
 	arrivals []des.Arrival
+	inOrder  bool
 
 	// tr is the trace being replayed and extra the jobs injected after
 	// it, by value. A job's position — its index in tr.Jobs, or
 	// len(tr.Jobs)+k for extra[k] — names its outcome in out and its
 	// entry in slotOf; indexOf maps job IDs to positions and is nil when
-	// the IDs are dense (ID == position), sharedIndex marks it as
-	// borrowed read-only from the fork source.
+	// the IDs are dense (ID == position + idBase), sharedIndex marks it
+	// as borrowed read-only from the fork source.
 	tr          *trace.Trace
 	extra       []trace.Job
 	indexOf     map[int]int
+	idBase      int
 	sharedIndex bool
 
 	// The live window. slotOf[p] is the state of the job at position p
@@ -394,15 +400,24 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 	if err := tr.Validate(); err != nil {
 		return err
 	}
-	// Normalized traces carry dense IDs 0..n-1; dispatch on the position
-	// then, avoiding the map (and its per-run fill).
-	dense := true
+	// Normalized traces carry dense IDs 0..n-1, and the suffix a segment
+	// engine replays (split.go) k..n-1: consecutive from the first job's.
+	// Dispatch on the position then, avoiding the map (and its per-run
+	// fill).
+	base, dense := tr.Jobs[0].ID, true
 	for i, j := range tr.Jobs {
-		dense = dense && j.ID == i
+		dense = dense && j.ID == base+i
 		if cfg.ReduceSlots == 0 && j.Template.NumReduces > 0 {
 			return fmt.Errorf("engine: job %d needs reduce slots but cluster has none", j.ID)
 		}
 	}
+	e.rearm(cfg, tr, policy, dense, base)
+	return nil
+}
+
+// rearm is Reset past its checks, for a trace whose IDs are dense from
+// base when dense is set.
+func (e *Engine) rearm(cfg Config, tr *trace.Trace, policy sched.Policy, dense bool, base int) {
 	n := len(tr.Jobs)
 	e.cfg = cfg
 	e.setPolicy(policy)
@@ -429,6 +444,7 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 	e.fillerPatches = 0
 	e.mapSlotAllocs = 0
 	e.reduceSlotAllocs = 0
+	e.idBase = base
 	if dense {
 		e.indexOf = nil
 	} else {
@@ -440,7 +456,6 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 			e.indexOf[j.ID] = i
 		}
 	}
-	return nil
 }
 
 // resized returns s with length n and every entry nil, given that every
@@ -551,7 +566,7 @@ func (sj *simJob) preemptible() bool { return len(sj.runningMaps) > 0 }
 // jobIndex maps the ID of a job of this replay to its position.
 func (e *Engine) jobIndex(id int) int {
 	if e.indexOf == nil {
-		return id
+		return id - e.idBase
 	}
 	return e.indexOf[id]
 }
@@ -562,7 +577,8 @@ func (e *Engine) jobByID(id int) *simJob { return e.slotOf[e.jobIndex(id)] }
 // jobLookup is jobIndex for IDs that may not exist (mutation APIs).
 func (e *Engine) jobLookup(id int) (pos int, ok bool) {
 	if e.indexOf == nil {
-		return id, id >= 0 && id < len(e.tr.Jobs)
+		pos = id - e.idBase
+		return pos, pos >= 0 && pos < len(e.tr.Jobs)
 	}
 	pos, ok = e.indexOf[id]
 	return pos, ok
@@ -680,7 +696,7 @@ func (e *Engine) start(buf []JobOutcome) error {
 		if !sorted {
 			slices.SortStableFunc(s, func(a, b des.Arrival) int { return cmp.Compare(a.Time, b.Time) })
 		}
-		e.arrivals = s
+		e.arrivals, e.inOrder = s, sorted
 		e.q.Preload(evJobArrival, s)
 		if cap(buf) >= n {
 			e.out = buf[:n]
@@ -1334,6 +1350,10 @@ type Pool struct {
 	// pool whose engines the handle draws on, and who hears about it.
 	parent *Pool
 	onGet  func(reused bool)
+
+	// accepted and cancelled count the boundaries of the split replays
+	// run on the pool (RunSplit, SplitCounts).
+	accepted, cancelled atomic.Uint64
 }
 
 // Shared is the process-wide pool behind every fan-out entry point
@@ -1356,14 +1376,17 @@ func (p *Pool) Observed(onGet func(reused bool)) *Pool {
 	return &Pool{parent: p, onGet: onGet}
 }
 
-// store is where p's engines live: its own sync.Pool, or for an
-// Observed handle the observed pool's.
-func (p *Pool) store() *sync.Pool {
+// root is the pool p's engines live in: p, or for an Observed handle the
+// observed pool.
+func (p *Pool) root() *Pool {
 	if p.parent != nil {
-		return &p.parent.p
+		return p.parent
 	}
-	return &p.p
+	return p
 }
+
+// store is where p's engines live.
+func (p *Pool) store() *sync.Pool { return &p.root().p }
 
 // take returns an idle engine, or nil when a fresh one must be built.
 func (p *Pool) take() *Engine {

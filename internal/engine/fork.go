@@ -195,7 +195,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.src = s
 	dst.tr = src.tr
 	dst.extra = append(dst.extra, src.extra...)
-	dst.indexOf = src.indexOf
+	dst.indexOf, dst.idBase = src.indexOf, src.idBase
 	dst.sharedIndex = src.indexOf != nil
 	dst.deadlines = maps.Clone(src.deadlines)
 
@@ -366,7 +366,7 @@ func (e *Engine) ownIndex() {
 	case e.indexOf == nil:
 		e.indexOf = make(map[int]int, len(e.out)+1)
 		for i := range e.tr.Jobs {
-			e.indexOf[i] = i // dense dispatch: ID == position by Reset's check
+			e.indexOf[e.idBase+i] = i // dense dispatch: ID == position + idBase by Reset's check
 		}
 	case e.sharedIndex:
 		e.indexOf = maps.Clone(e.indexOf)

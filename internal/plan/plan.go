@@ -173,6 +173,10 @@ type Cell struct {
 	Keep bool
 	// Edit, on a Branch cell, mutates the paused fork before it runs.
 	Edit func(*engine.Engine) error
+	// split lets a kept replay run as segments on up to Workers cores
+	// when nothing observes it (engine.Pool.RunSplit): One's cell only, as
+	// a fan-out keeps the cores busy with its cells.
+	split bool
 }
 
 // Replay is the per-replay step: it replays tr under cfg (whose Sink is
@@ -250,7 +254,12 @@ func (p *Plan) Replay(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Ce
 	case c.Keep:
 		cfg.Sink = sink
 		var res *engine.Result
-		if res, err = p.pool.Run(cfg, tr, pol); err == nil {
+		if c.split {
+			res, err = p.pool.RunSplit(cfg, tr, pol, p.Workers)
+		} else {
+			res, err = p.pool.Run(cfg, tr, pol)
+		}
+		if err == nil {
 			done(res)
 		}
 	default:
@@ -337,7 +346,9 @@ func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error, done func(
 // and the CLI's replay, `trace run` and `trace explain`: cfg.Sink is the
 // cell's sink (it does not fire on a hit), the Result is the caller's,
 // and live progress comes from the run handle's engine hook rather than
-// from cell completions.
+// from cell completions. A replay with no sink of any kind — no cfg.Sink,
+// Runs or Telemetry — splits at quiescent instants over Workers cores
+// (0: all of them; DESIGN.md §7).
 func One(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sched.Policy) (res *engine.Result, hit bool, err error) {
 	r := Run{Kind: kind, Policy: pol, Traces: []*trace.Trace{tr}, Replays: 1}
 	if o.Runs != nil {
@@ -346,7 +357,7 @@ func One(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sche
 	p := Begin(o, r)
 	p.single = p.run != nil
 	sink := cfg.Sink
-	hit, err = p.Replay(cfg, tr, pol, Cell{Label: string(kind), Keep: true, Sink: func() obs.Sink { return sink }},
+	hit, err = p.Replay(cfg, tr, pol, Cell{Label: string(kind), Keep: true, split: true, Sink: func() obs.Sink { return sink }},
 		func(r *engine.Result) { res = r })
 	return res, hit, p.End(err)
 }

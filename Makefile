@@ -18,6 +18,9 @@ test:
 # detector (the concurrency model's determinism tests only mean
 # something with -race on). The subscribe/End race in internal/runs
 # showed up once in ~30 runs, so its test is repeated until it would.
+# Which cells a parallel capacity sweep answers from a finished replay
+# depends on which replays finish first, so the reuse differentials run
+# a few more times.
 # one-path keeps the run plan the only executor: the calls that make up
 # its sequence (key, observe the pool, attach a recorder, account) and
 # the split replay, which must start from a single replay and never from
@@ -44,6 +47,7 @@ verify:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
+	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestSweepReuseMatchesReplay' -count=3 ./internal/engine ./pkg/simmr
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate
 # 100k jobs straight to the columnar .strc store (the full trace is

@@ -207,8 +207,10 @@ func cliFixture(t *testing.T) string {
 // share a name prefix up to "#" run in order in one directory — the
 // second replay against one -cache-dir prints the hit line and skips
 // its exports, and `cache info` counts the entries the sweeps before it
-// stored, then none once `cache clear` has run. Regenerate with `go test ./cmd/simmr -run CLIGolden
-// -update` only when an output change is intended.
+// stored, then none once `cache clear` has run. Invocations named
+// sparse-… run beside splitFixture's sparse.strc instead of trace.strc.
+// Regenerate with `go test ./cmd/simmr -run CLIGolden -update` only when
+// an output change is intended.
 func TestCLIGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -223,6 +225,7 @@ func TestCLIGolden(t *testing.T) {
 		{"sweep-shard0", "-trace trace.strc -sweep 8,16,32 -shard 0/2", 0},
 		{"sweep-shard1", "-trace trace.strc -sweep 8,16,32 -shard 1/2", 0},
 		{"sweep-bad", "-trace trace.strc -sweep 8,x", 1},
+		{"sparse-sweep", "-trace sparse.strc -sweep 4,8,16,32,48,64,96,128", 0},
 		{"shard-without-sweep", "-trace trace.strc -shard 0/2", 1},
 		{"trace-run", "trace run -trace trace.strc -policy fair -out events.json -slot-timeline slots.tsv", 0},
 		{"whatif", "trace whatif -trace trace.strc -policies minedf -deadline-scale 2 -explain", 0},
@@ -251,7 +254,11 @@ func TestCLIGolden(t *testing.T) {
 	for _, c := range cases {
 		group, _, _ := strings.Cut(c.name, "#")
 		if dirs[group] == "" {
-			dirs[group] = cliFixture(t)
+			fixture := cliFixture
+			if strings.HasPrefix(group, "sparse-") {
+				fixture = splitFixture
+			}
+			dirs[group] = fixture(t)
 		}
 		cmd := exec.Command(simmrBin, strings.Fields(c.args)...)
 		cmd.Dir = dirs[group]

@@ -158,10 +158,39 @@ func (o *JobOutcome) ExceededDeadline() bool {
 // engine again. A Result handed to a Pool.Fold callback is the engine's
 // own scratch: it is valid only until the callback returns, and nothing
 // reached through Jobs may be retained.
+//
+// PeakMapSlots and PeakReduceSlots are the most slots of each kind the
+// replay ever held at once. A peak below the cluster's slot count proves
+// that the replay's answer does not depend on that count past the peak
+// (Answers).
 type Result struct {
-	Jobs     []JobOutcome
-	Events   uint64
-	Makespan float64
+	Jobs            []JobOutcome
+	Events          uint64
+	Makespan        float64
+	PeakMapSlots    int
+	PeakReduceSlots int
+}
+
+// Answers reports whether res, the Result of a replay under ran and
+// policy, is also the Result of the same trace replayed under want —
+// every field of it, peaks included (DESIGN.md §5, "Capacity above the
+// peak"). want may differ from ran in its slot counts only, and each
+// count must be ran's or, when ran's replay left a slot of that kind
+// free throughout, any count above the peak. A policy implementing
+// sched.ArrivalAware is refused: the slot totals are handed to it, and
+// MinEDF sizes jobs by them. So is PreemptMapTasks, which counts free
+// slots when a job arrives.
+func Answers(res *Result, ran, want Config, policy sched.Policy) bool {
+	if _, aware := policy.(sched.ArrivalAware); aware || ran.PreemptMapTasks {
+		return false
+	}
+	above := func(peak, ran, want int) bool { return want == ran || (peak < ran && want > peak) }
+	// The rest of the two configs must match; a sink only observes.
+	a, b := ran, want
+	a.MapSlots, a.ReduceSlots, a.Sink, b.Sink = b.MapSlots, b.ReduceSlots, nil, nil
+	return a == b &&
+		above(res.PeakMapSlots, ran.MapSlots, want.MapSlots) &&
+		above(res.PeakReduceSlots, ran.ReduceSlots, want.ReduceSlots)
 }
 
 // fillerReduce tracks a first-wave reduce waiting for its job's map
@@ -303,6 +332,10 @@ type Engine struct {
 
 	freeMap    int
 	freeReduce int
+	// peakMap and peakReduce are the most slots of each kind held at once
+	// so far: the Result's peaks.
+	peakMap    int
+	peakReduce int
 	// grants is allocate's scratch: the job IDs granted a slot in the
 	// round, maps first. Empty between macro-steps — no grant is ever
 	// pending at a pause — so a fork copies nothing of it.
@@ -433,6 +466,7 @@ func (e *Engine) rearm(cfg Config, tr *trace.Trace, policy sched.Policy, dense b
 	e.slotOf = resized(e.slotOf, n)
 	e.freeMap = cfg.MapSlots
 	e.freeReduce = cfg.ReduceSlots
+	e.peakMap, e.peakReduce = 0, 0
 	e.remaining = n
 	e.state = runIdle
 	e.makespan = 0
@@ -799,6 +833,7 @@ func (e *Engine) RunInto(res *Result) error {
 	res.Jobs = e.out
 	res.Events = e.q.Fired()
 	res.Makespan = e.makespan
+	res.PeakMapSlots, res.PeakReduceSlots = e.peakMap, e.peakReduce
 	if e.sink != nil {
 		e.sink.RunEnd(e.counters(res))
 	}
@@ -980,6 +1015,10 @@ func (e *Engine) allocate() {
 	reduces := len(g) - maps
 	e.freeMap -= maps
 	e.freeReduce -= reduces
+	// Slots are taken only here, so a round that grants is where a peak
+	// can rise.
+	e.peakMap = max(e.peakMap, e.cfg.MapSlots-e.freeMap)
+	e.peakReduce = max(e.peakReduce, e.cfg.ReduceSlots-e.freeReduce)
 	e.mapSlotAllocs += uint64(maps)
 	e.reduceSlotAllocs += uint64(reduces)
 	if e.sink != nil {

@@ -175,6 +175,7 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.clock = src.clock
 	dst.freeMap = src.freeMap
 	dst.freeReduce = src.freeReduce
+	dst.peakMap, dst.peakReduce = src.peakMap, src.peakReduce
 	dst.remaining = src.remaining
 	dst.makespan = src.makespan
 	dst.arrivalSeq = src.arrivalSeq

@@ -168,7 +168,7 @@ func (e *Engine) runSplit(p *Pool, bounds []int) (res *Result, accepted int, err
 	res = &Result{Jobs: e.out}
 	s := &segs[0]
 	for s.err == nil && s.end < n {
-		res.Events += s.e.q.Fired()
+		res.stitch(s.e)
 		s = &segs[s.next]
 		<-s.done
 		accepted++
@@ -178,7 +178,7 @@ func (e *Engine) runSplit(p *Pool, bounds []int) (res *Result, accepted int, err
 			segs[i].cancel.Store(true)
 		}
 	}
-	res.Events += s.e.q.Fired()
+	res.stitch(s.e)
 	res.Makespan = s.e.makespan
 	for i := 1; i < len(segs); i++ {
 		<-segs[i].done
@@ -189,6 +189,16 @@ func (e *Engine) runSplit(p *Pool, bounds []int) (res *Result, accepted int, err
 	}
 	e.state = runDone
 	return res, accepted, nil
+}
+
+// stitch adds the engine of an accepted segment to a split replay's
+// Result: its fired events to the total, its peaks to the maximum. Each
+// segment starts on an empty cluster, so the segments' rounds are the
+// sequential replay's, slot for slot.
+func (res *Result) stitch(e *Engine) {
+	res.Events += e.q.Fired()
+	res.PeakMapSlots = max(res.PeakMapSlots, e.peakMap)
+	res.PeakReduceSlots = max(res.PeakReduceSlots, e.peakReduce)
 }
 
 // armSuffix arms e to replay positions k… of first's replay — started,

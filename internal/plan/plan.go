@@ -64,8 +64,8 @@ type Run struct {
 	// before the fan-out (repeats allowed). When they are all one trace
 	// the identity carries its name and digest.
 	Traces []*trace.Trace
-	// Replays is the number of Replay/Branch calls of a plan that runs
-	// to completion.
+	// Replays is the number of Replay/Branch and Reused calls of a plan
+	// that runs to completion.
 	Replays int
 }
 
@@ -80,6 +80,7 @@ type Plan struct {
 	// from the run handle's engine hook, not from cell completions.
 	single bool
 	hits   atomic.Int64
+	reused atomic.Int64
 
 	// The sealed prefix of a branch set (Prefix): every Branch cell
 	// forks from snap, continues a Fork of prefixRec, and inherited
@@ -144,7 +145,7 @@ func (p *Plan) Each(ctx context.Context, cells int, body func(i int) error) erro
 // End settles the plan with the fan-out's outcome and returns it: the
 // "cached" phase, the run's End.
 func (p *Plan) End(err error) error {
-	if err == nil && p.replays > 0 && p.hits.Load() == int64(p.replays) {
+	if err == nil && p.replays > 0 && p.hits.Load()+p.reused.Load() == int64(p.replays) {
 		p.run.SetPhase("cached")
 	}
 	p.run.End(err)
@@ -153,6 +154,18 @@ func (p *Plan) End(err error) error {
 
 // Hits returns how many replays the cache has served so far.
 func (p *Plan) Hits() uint64 { return uint64(p.hits.Load()) }
+
+// Reused accounts for a replay of jobs jobs that the caller answered
+// from another cell's finished replay instead of making it (a capacity
+// sweep's cells above a replay's peak, DESIGN.md §5): like a hit it
+// counts as cached, and its jobs, in the run, and it gets no sink,
+// recorder or telemetry; unlike a hit it looked nothing up, so Hits does
+// not count it.
+func (p *Plan) Reused(jobs int) {
+	p.reused.Add(1)
+	p.run.AddCached(1)
+	p.run.AddJobs(uint64(jobs))
+}
 
 // Recording reports whether simulated cells carry a flight recorder —
 // the only time a cell's label is read, so a caller that formats labels

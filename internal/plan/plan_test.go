@@ -46,7 +46,13 @@ func planTrace(mapDur float64) *trace.Trace {
 type cellSpec struct {
 	slots  int // < 1 fails the engine's config validation
 	policy sched.Policy
+	// reused cells are answered by the caller from another cell's replay
+	// (Plan.Reused), as a capacity sweep answers cells above a peak.
+	reused bool
 }
+
+// reused is a FIFO cell the caller answers from another cell's replay.
+func reused(n int) cellSpec { return cellSpec{slots: n, policy: sched.FIFO{}, reused: true} }
 
 func slots(ns ...int) []cellSpec {
 	cells := make([]cellSpec, len(ns))
@@ -78,6 +84,11 @@ func execute(ctx context.Context, o Options, tr *trace.Trace, cells []cellSpec) 
 	out := outcome{results: make([]folded, len(cells)), sinkCalls: make([]int32, len(cells))}
 	p := Begin(o, Run{Kind: runs.KindSweep, Traces: []*trace.Trace{tr}, Replays: len(cells), Config: "contract"})
 	out.err = p.End(p.Each(ctx, len(cells), func(i int) error {
+		if cells[i].reused {
+			p.Reused(len(tr.Jobs))
+			out.results[i] = folded{Jobs: len(tr.Jobs)}
+			return nil
+		}
 		cfg := engine.Config{MapSlots: cells[i].slots, ReduceSlots: cells[i].slots, MinMapPercentCompleted: 0.05}
 		c := Cell{Label: "cell-" + strconv.Itoa(i), Sink: func() obs.Sink {
 			atomic.AddInt32(&out.sinkCalls[i], 1)
@@ -100,7 +111,9 @@ func execute(ctx context.Context, o Options, tr *trace.Trace, cells []cellSpec) 
 // TestPlanContract is the executor's contract, checked once for every entry
 // point: each scenario runs with and without telemetry and on 1 and 8
 // workers, and states which cells simulate, what reaches the cache and
-// the run registry, which post-mortems exist and how the plan ends.
+// the run registry, which post-mortems exist and how the plan ends. A
+// reused cell (Plan.Reused) is accounted as a hit is — done, cached, no
+// sink, recorder or telemetry — without a cache lookup.
 func TestPlanContract(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -130,7 +143,7 @@ func TestPlanContract(t *testing.T) {
 			simulated: []bool{true, false, true}, stored: 2, cached: 1, phase: "replay", outcome: runs.OutcomeOK},
 		{name: "all hits end in phase cached", warm: slots(2, 4), cells: slots(2, 4), cache: true, runs: true, flight: 64,
 			cached: 2, phase: "cached", outcome: runs.OutcomeOK},
-		{name: "an unfingerprintable policy bypasses the cache", cells: []cellSpec{{2, dynamic()}, {4, dynamic()}}, cache: true, runs: true,
+		{name: "an unfingerprintable policy bypasses the cache", cells: []cellSpec{{slots: 2, policy: dynamic()}, {slots: 4, policy: dynamic()}}, cache: true, runs: true,
 			simulated: []bool{true, true}, phase: "replay", outcome: runs.OutcomeOK},
 		{name: "no cache, no registry", cells: slots(2, 4), flight: 64,
 			simulated: []bool{true, true}},
@@ -140,6 +153,12 @@ func TestPlanContract(t *testing.T) {
 			simulated: []bool{true}, phase: "replay", outcome: runs.OutcomeOK},
 		{name: "failing cells: lowest index wins, error dumps", cells: slots(4, -1, -2), cache: true, runs: true, flight: 64,
 			partial: true, phase: "replay", outcome: runs.OutcomeError, errHas: "cell 1:"},
+		{name: "a reused cell is cached, builds nothing, records nothing", cells: append(append(slots(2), reused(1)), slots(8)...),
+			cache: true, runs: true, flight: 64,
+			simulated: []bool{true, false, true}, stored: 2, cached: 1, phase: "replay", outcome: runs.OutcomeOK},
+		{name: "hits and reused cells end in phase cached", warm: slots(2), cells: append(slots(2), reused(4)),
+			cache: true, runs: true, flight: 64,
+			cached: 2, phase: "cached", outcome: runs.OutcomeOK},
 		{name: "cancelled before it starts", ctx: canceled, cells: slots(2, 4), cache: true, runs: true, flight: 64,
 			phase: "replay", outcome: runs.OutcomeCanceled, errHas: context.Canceled.Error()},
 	}
@@ -202,6 +221,9 @@ func TestPlanContract(t *testing.T) {
 						if out.snap.Phase != sc.phase || out.snap.Outcome != sc.outcome || out.snap.Cached != sc.cached {
 							t.Errorf("run ended phase %q outcome %q cached %d, want %q %q %d",
 								out.snap.Phase, out.snap.Outcome, out.snap.Cached, sc.phase, sc.outcome, sc.cached)
+						}
+						if sc.errHas == "" && (out.snap.Done != len(sc.cells) || out.snap.Total != len(sc.cells)) {
+							t.Errorf("progress %d/%d, want every cell done", out.snap.Done, out.snap.Total)
 						}
 						if out.snap.TraceHash != fmt.Sprintf("%016x", tr.ContentHash()) {
 							t.Errorf("trace_hash %q is not the content digest", out.snap.TraceHash)

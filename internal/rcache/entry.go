@@ -25,19 +25,24 @@ import (
 //	off  24  makespan f64   (Result.Makespan)
 //	off  32  key      2×u64 (Hi, Lo — self-identifying; Decode verifies)
 //	off  48  section table: 2 × {off u64, size u64, crc u32, pad u32}
-//	off  96  zero
+//	off  96  peakMap    u64 (Result.PeakMapSlots)
+//	off 104  peakReduce u64 (Result.PeakReduceSlots)
+//	off 112  zero
 //	off 120  header CRC-32C over bytes [0,120)
 //	off 124  pad
 //
 // Sections: cols (fixed-width numeric columns, 44 B/job, the section
 // padded to 8), names (u32 cumulative offsets[n+1] + string blob). An
 // image of another version is corrupt like any other undecodable image:
-// a miss, which the next Put overwrites.
+// a miss, which the next Put overwrites. Version 3 added the peaks, so a
+// hit can answer for other cluster sizes as the replay it memoizes can
+// (engine.Answers).
 const (
 	entryMagic      = "SRRC"
-	entryVersion    = 2
+	entryVersion    = 3
 	entryHeaderSize = 128
 	sectionTableOff = 48
+	peaksOff        = 96
 	sectionEntrySz  = 24
 	headerCRCOff    = 120
 
@@ -87,6 +92,8 @@ func Encode(k Key, res *engine.Result) ([]byte, error) {
 	binary.LittleEndian.PutUint64(buf[24:32], math.Float64bits(res.Makespan))
 	binary.LittleEndian.PutUint64(buf[32:40], k.Hi)
 	binary.LittleEndian.PutUint64(buf[40:48], k.Lo)
+	binary.LittleEndian.PutUint64(buf[peaksOff:], uint64(res.PeakMapSlots))
+	binary.LittleEndian.PutUint64(buf[peaksOff+8:], uint64(res.PeakReduceSlots))
 
 	// Cols section: one column at a time.
 	cols := buf[entryHeaderSize : entryHeaderSize+colsSize]
@@ -188,10 +195,17 @@ func Decode(img []byte, want Key) (*engine.Result, error) {
 		return nil, corrupt("names section %d bytes, need %d offsets", secs[secNames].size, n+1)
 	}
 
+	peakMap, peakReduce := binary.LittleEndian.Uint64(img[peaksOff:]), binary.LittleEndian.Uint64(img[peaksOff+8:])
+	if peakMap > math.MaxInt32 || peakReduce > math.MaxInt32 {
+		return nil, corrupt("peak slots %d+%d out of range", peakMap, peakReduce)
+	}
+
 	res := &engine.Result{
-		Jobs:     make([]engine.JobOutcome, n),
-		Events:   binary.LittleEndian.Uint64(img[16:24]),
-		Makespan: math.Float64frombits(binary.LittleEndian.Uint64(img[24:32])),
+		Jobs:            make([]engine.JobOutcome, n),
+		Events:          binary.LittleEndian.Uint64(img[16:24]),
+		Makespan:        math.Float64frombits(binary.LittleEndian.Uint64(img[24:32])),
+		PeakMapSlots:    int(peakMap),
+		PeakReduceSlots: int(peakReduce),
 	}
 
 	cols := img[secs[secCols].off : secs[secCols].off+secs[secCols].size]

@@ -22,17 +22,19 @@ import (
 // the cols section to an 8-byte boundary, 13 leave it to the pad — each
 // with truncations at every section boundary and targeted corruption of
 // the job count, the section table and the name offsets, the CRC gates
-// patched so corruption reaches the deeper validators; and a version 1
-// image, as an older binary left it in a cache directory.
+// patched so corruption reaches the deeper validators; and version 1 and
+// 2 images, as older binaries left them in a cache directory.
 func FuzzDecodeRCache(f *testing.F) {
-	key := Key{Hi: 3, Lo: 9} // entry_v1.srrc's
+	key := Key{Hi: 3, Lo: 9} // the stale fixtures'
 	f.Add([]byte{})
 	f.Add([]byte(entryMagic))
-	v1, err := os.ReadFile(filepath.Join("testdata", "entry_v1.srrc"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"entry_v1.srrc", "entry_v2.srrc"} {
+		stale, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(stale)
 	}
-	f.Add(v1)
 	for _, jobs := range []int{12, 13} {
 		seedImage(f, key, jobs)
 	}

@@ -33,6 +33,9 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	for _, jobs := range []int{30, 31} {
 		cfg := engine.DefaultConfig()
 		res, h := testResult(t, jobs, cfg, sched.MaxEDF{})
+		if res.PeakMapSlots == 0 || res.PeakReduceSlots == 0 {
+			t.Fatalf("%d jobs: peaks %d+%d; the round trip must carry nonzero ones", jobs, res.PeakMapSlots, res.PeakReduceSlots)
+		}
 		k, ok := KeyFor(h, cfg, sched.MaxEDF{})
 		if !ok {
 			t.Fatal("MaxEDF must fingerprint")
@@ -182,14 +185,24 @@ func TestGoldenKey(t *testing.T) {
 }
 
 // TestStaleEntryVersionIsSoftMiss: an entry written by a binary with
-// another entryVersion — testdata/entry_v1.srrc is a well-formed version 1
-// image of a two-job result, under the key it was addressed by — is an
-// ordinary miss on both tiers: counted, no error, and replaced by the
-// next Put, after which the directory still holds one entry.
+// another entryVersion — testdata/entry_v1.srrc and entry_v2.srrc are
+// well-formed version 1 and 2 images of a two-job result, under the key
+// they were addressed by — is an ordinary miss on both tiers: counted,
+// no error, and replaced by the next Put, after which the directory
+// still holds one entry.
 func TestStaleEntryVersionIsSoftMiss(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "entry_v1.srrc"))
+	for _, name := range []string{"entry_v1.srrc", "entry_v2.srrc"} {
+		t.Run(name, func(t *testing.T) { staleEntryIsSoftMiss(t, name) })
+	}
+}
+
+func staleEntryIsSoftMiss(t *testing.T, fixture string) {
+	stale, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(stale[4:6]); v == entryVersion {
+		t.Fatalf("%s is a current (version %d) image", fixture, v)
 	}
 	k := Key{Hi: 3, Lo: 9}
 	res := &engine.Result{
@@ -197,21 +210,23 @@ func TestStaleEntryVersionIsSoftMiss(t *testing.T) {
 			{ID: 0, Name: "a", Arrival: 0, Finish: 10, Deadline: 12, MapStageEnd: 6, Events: 15},
 			{ID: 1, Name: "bb", Arrival: 1, Finish: 20, MapStageEnd: 9, Events: 11},
 		},
-		Events:   26,
-		Makespan: 20,
+		Events:          26,
+		Makespan:        20,
+		PeakMapSlots:    3,
+		PeakReduceSlots: 1,
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, k.String()+diskExt)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c := New(Options{Dir: dir})
-	c.insert(k, v1)
+	c.insert(k, stale)
 	if n, _, err := c.DiskInfo(); err != nil || n != 1 {
-		t.Fatalf("DiskInfo counts %d entries (err %v) with the v1 image in place, want 1", n, err)
+		t.Fatalf("DiskInfo counts %d entries (err %v) with the stale image in place, want 1", n, err)
 	}
 	if _, ok := c.Get(k); ok {
-		t.Fatal("a version 1 image was served as a hit")
+		t.Fatal("a stale image was served as a hit")
 	}
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("a stale image must count as one miss: %+v", st)

@@ -1,9 +1,12 @@
 package simmr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"simmr/internal/engine"
 	"simmr/internal/obs"
@@ -40,6 +43,21 @@ type SweepPoint struct {
 }
 
 // SweepConfig parameterizes CapacitySweep.
+//
+// A sweep replays each cell only when no replay it has already finished
+// answers for it. A replay that left slots of a kind unused throughout
+// its run gives the same result on any cluster with more slots of that
+// kind than it ever held at once (engine.Answers, DESIGN.md §5), so past
+// a workload's knee one replay serves a whole block of the grid: the
+// sweep visits its cell with the most slots first, then the rest by
+// ascending slot counts, and a cell answered that way takes that
+// replay's point under its own Cell and slot counts. A worker never
+// waits for a running cell. Answered cells count as done for Progress
+// and as cached in the run registry (Snapshot.Cached), and fire no sink,
+// recorder, telemetry or cache lookup. Nothing is answered when
+// SinkFactory is set, since each sink must see its own cell's replay, or
+// when the policy implements ArrivalAware (MinEDF), which is handed the
+// slot totals.
 type SweepConfig struct {
 	// MapSlotCounts and ReduceSlotCounts are the grid axes. If
 	// ReduceSlotCounts is empty (nil or zero-length), reduce slots track
@@ -58,7 +76,8 @@ type SweepConfig struct {
 	MinMapPercentCompleted float64
 	// Workers bounds the number of cells replayed concurrently: 0 means
 	// one worker per CPU, 1 forces the serial path. Results are in grid
-	// order and identical regardless of the worker count.
+	// order and identical regardless of the worker count; how many cells
+	// an earlier replay answers may vary with it.
 	Workers int
 	// Progress, when set, receives bounded-rate completion callbacks
 	// (done cells, total cells) while the sweep runs.
@@ -109,15 +128,17 @@ type sweepCell struct{ m, r int }
 // §I provisioning question ("one has to evaluate whether additional
 // resources are required") answered in simulation. Cells are replayed
 // concurrently on a bounded worker pool against the shared, read-only
-// trace (the engine never mutates it, so no per-cell clone is taken);
-// results come back in grid order (map-slot major) and are
-// byte-identical to a serial sweep.
+// trace (the engine never mutates it, so no per-cell clone is taken), or
+// answered by a replay already finished (see SweepConfig); results come
+// back in grid order (map-slot major) and are byte-identical to a serial
+// sweep, and to an independent Replay of each cell.
 func CapacitySweep(tr *Trace, cfg SweepConfig) ([]SweepPoint, error) {
 	return CapacitySweepCtx(context.Background(), tr, cfg)
 }
 
 // CapacitySweepCtx is CapacitySweep with cancellation: canceling ctx
-// stops the remaining cells and returns the context's error.
+// stops the remaining cells and returns the context's error. When cells
+// fail, the error is that of the first failing cell in visit order.
 func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepPoint, error) {
 	if len(cfg.MapSlotCounts) == 0 {
 		return nil, fmt.Errorf("simmr: sweep needs at least one map-slot count")
@@ -186,9 +207,23 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		plan.Run{Kind: runs.KindSweep, Policy: cfg.Policy, Traces: []*Trace{tr}, Replays: len(sel),
 			Config: fmt.Sprintf("grid=%dx%d shards=%d", len(cfg.MapSlotCounts), rows, max(cfg.Shards, 1))})
 	points := make([]SweepPoint, len(sel))
-	err := p.End(p.Each(ctx, len(sel), func(i int) error {
+	// A sink must see its own cell's replay, so with one no cell is reused.
+	var done *answers
+	if cfg.SinkFactory == nil {
+		done = new(answers)
+	}
+	order := visitOrder(cells, sel)
+	err := p.End(p.Each(ctx, len(order), func(k int) error {
+		i := order[k]
 		cell := sel[i]
 		c := cells[cell]
+		ecfg := engine.Config{MapSlots: c.m, ReduceSlots: c.r, MinMapPercentCompleted: slowstart}
+		if pt, ok := done.find(ecfg); ok {
+			pt.Cell, pt.MapSlots, pt.ReduceSlots = cell, c.m, c.r
+			points[i] = pt
+			p.Reused(len(tr.Jobs))
+			return nil
+		}
 		pc := plan.Cell{}
 		if cfg.SinkFactory != nil {
 			pc.Sink = func() obs.Sink { return cfg.SinkFactory(c.m, c.r) }
@@ -196,9 +231,10 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		if p.Recording() {
 			pc.Label = fmt.Sprintf("cell-%dx%d", c.m, c.r)
 		}
-		ecfg := engine.Config{MapSlots: c.m, ReduceSlots: c.r, MinMapPercentCompleted: slowstart}
-		if _, err := p.Replay(ecfg, tr, newPolicy(), pc, func(res *engine.Result) {
+		pol := newPolicy()
+		if _, err := p.Replay(ecfg, tr, pol, pc, func(res *engine.Result) {
 			points[i] = sweepPoint(cell, c, res)
+			done.keep(ecfg, pol, res, points[i])
 		}); err != nil {
 			return fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
 		}
@@ -208,6 +244,69 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		return nil, err
 	}
 	return points, nil
+}
+
+// visitOrder is the order a sweep visits its selected cells in, as
+// indices into sel: the cell with the most slots first — it is the one
+// likeliest to leave slots unused, and so to answer others — then the
+// rest by ascending slot counts, map slots first, so that a row's
+// smallest cell replays before the larger ones it may answer.
+func visitOrder(cells []sweepCell, sel []int) []int {
+	order := make([]int, len(sel))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		ca, cb := cells[sel[a]], cells[sel[b]]
+		return cmp.Or(cmp.Compare(ca.m, cb.m), cmp.Compare(ca.r, cb.r))
+	})
+	last := order[len(order)-1]
+	copy(order[1:], order)
+	order[0] = last
+	return order
+}
+
+// answers holds a sweep's finished replays that left slots of some kind
+// unused: each may answer other cells (engine.Answers). A nil *answers
+// holds nothing and keeps nothing.
+type answers struct {
+	mu   sync.Mutex
+	kept []answer
+}
+
+// answer is one finished replay as a later cell may take it: the config
+// and policy it ran under, its peaks, and its point.
+type answer struct {
+	cfg   engine.Config
+	pol   Policy
+	peaks engine.Result
+	point SweepPoint
+}
+
+// find returns the point of a finished replay that answers for cfg.
+func (a *answers) find(cfg engine.Config) (SweepPoint, bool) {
+	if a == nil {
+		return SweepPoint{}, false
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range a.kept {
+		if k := &a.kept[i]; engine.Answers(&k.peaks, k.cfg, cfg, k.pol) {
+			return k.point, true
+		}
+	}
+	return SweepPoint{}, false
+}
+
+// keep records a finished replay of cfg under pol if it left a slot of
+// some kind unused throughout; res is only read.
+func (a *answers) keep(cfg engine.Config, pol Policy, res *engine.Result, pt SweepPoint) {
+	if a == nil || (res.PeakMapSlots >= cfg.MapSlots && res.PeakReduceSlots >= cfg.ReduceSlots) {
+		return
+	}
+	a.mu.Lock()
+	a.kept = append(a.kept, answer{cfg, pol, engine.Result{PeakMapSlots: res.PeakMapSlots, PeakReduceSlots: res.PeakReduceSlots}, pt})
+	a.mu.Unlock()
 }
 
 // sweepPoint condenses one replay into its sweep cell.

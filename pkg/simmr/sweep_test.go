@@ -1,6 +1,12 @@
 package simmr
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"simmr/internal/sched/schedtest"
+)
 
 func sweepTrace() *Trace {
 	tpl := &Template{
@@ -88,5 +94,111 @@ func TestSmallestClusterMeeting(t *testing.T) {
 func TestCapacitySweepValidation(t *testing.T) {
 	if _, err := CapacitySweep(sweepTrace(), SweepConfig{}); err == nil {
 		t.Fatal("empty grid should fail")
+	}
+}
+
+// sparseSweepTrace is 300 multi-tenant jobs a minute apart on average,
+// half of them with deadlines: few are active at once, so from a few
+// slots up a replay leaves slots unused.
+func sparseSweepTrace(t *testing.T) *Trace {
+	t.Helper()
+	s, err := NewTraceStream(StreamConfig{
+		Name: "sparse", Jobs: 300, MeanInterArrival: 60, TemplatePool: 32,
+		DeadlineFraction: 0.5, DeadlineSlack: 900,
+		Shapes: []WeightedShape{{Shape: MultiTenantShape(), Weight: 1}},
+	}, rand.New(rand.NewSource(28)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := s.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// denseSweepTrace is a burst: 100 jobs arriving at once, each with 8
+// ten-second maps and 8 reduces of 1 000 s, so every cell of the test
+// grid fills all its map slots at once and, as the reduces pile up, all
+// its reduce slots.
+func denseSweepTrace() *Trace {
+	tpl := &Template{
+		AppName: "dense", NumMaps: 8, NumReduces: 8,
+		MapDurations:    constSlice(8, 10),
+		FirstShuffle:    constSlice(8, 5),
+		TypicalShuffle:  constSlice(8, 5),
+		ReduceDurations: constSlice(8, 1000),
+	}
+	tr := &Trace{Name: "dense"}
+	for i := 0; i < 100; i++ {
+		tr.Jobs = append(tr.Jobs, &Job{Template: tpl})
+	}
+	tr.Normalize()
+	return tr
+}
+
+// TestSweepReuseMatchesReplay: every point of a sweep — replayed, or
+// answered by a replay the sweep had finished — is the point an
+// independent Replay of its cell gives, at Workers 1 and 4, under every
+// policy family: four built-ins on their scheduling index, FIFO forced
+// through the per-slot scan, DynamicPriority through a factory, and
+// MinEDF, which sizes jobs by the slot totals and so is never answered
+// for. The run registry's cached count shows the reuse fired on the
+// sparse trace and not on the dense one.
+func TestSweepReuseMatchesReplay(t *testing.T) {
+	mapGrid, reduceGrid := []int{2, 4, 8, 16, 32, 64}, []int{1, 4, 16, 64}
+	dynamic := func() Policy {
+		return NewDynamicPriority(map[int]float64{1: 40, 3: 90, 5: 20}, map[int]float64{1: 2, 3: 3, 5: 1})
+	}
+	policies := []struct {
+		name   string
+		mk     func() Policy
+		reuses bool
+	}{
+		{"fifo", NewFIFO, true},
+		{"maxedf", NewMaxEDF, true},
+		{"fair", NewFair, true},
+		{"capacity", func() Policy { return NewCapacity([]float64{0.6, 0.4}) }, true},
+		{"scan-fifo", func() Policy { return schedtest.ScanOnly(NewFIFO()) }, true},
+		{"dynamic", dynamic, true},
+		{"minedf", NewMinEDF, false},
+	}
+	for _, tr := range []*Trace{sparseSweepTrace(t), denseSweepTrace()} {
+		for _, pc := range policies {
+			want := map[[2]int]SweepPoint{}
+			for _, m := range mapGrid {
+				for _, r := range reduceGrid {
+					res, err := Replay(ReplayConfig{MapSlots: m, ReduceSlots: r, MinMapPercentCompleted: 0.05}, tr, pc.mk())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[[2]int{m, r}] = sweepPoint(0, sweepCell{m, r}, res)
+				}
+			}
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", tr.Name, pc.name, workers), func(t *testing.T) {
+					reg := NewRunRegistry(4)
+					cfg := SweepConfig{MapSlotCounts: mapGrid, ReduceSlotCounts: reduceGrid, PolicyFactory: pc.mk, Workers: workers, Runs: reg}
+					pts, err := CapacitySweep(tr, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, pt := range pts {
+						w := want[[2]int{pt.MapSlots, pt.ReduceSlots}]
+						w.Cell = i
+						if pt != w || pt.MapSlots != mapGrid[i/len(reduceGrid)] || pt.ReduceSlots != reduceGrid[i%len(reduceGrid)] {
+							t.Fatalf("cell %d: sweep point %+v, independent replay %+v", i, pt, w)
+						}
+					}
+					snap := reg.Latest().Snapshot()
+					if snap.Done != len(pts) || snap.Total != len(pts) || snap.Phase != "replay" || snap.Jobs != uint64(len(pts)*len(tr.Jobs)) {
+						t.Fatalf("run ended %d/%d cells in phase %q with %d jobs", snap.Done, snap.Total, snap.Phase, snap.Jobs)
+					}
+					if reuse := snap.Cached > 0; reuse != (pc.reuses && tr.Name == "sparse") {
+						t.Fatalf("%d of %d cells answered by an earlier replay", snap.Cached, len(pts))
+					}
+				})
+			}
+		}
 	}
 }

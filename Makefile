@@ -20,15 +20,17 @@ test:
 # showed up once in ~30 runs, so its test is repeated until it would.
 # Which cells a parallel capacity sweep answers from a finished replay
 # depends on which replays finish first, so the reuse differentials run
-# a few more times.
+# a few more times, as does the emulator's speculation determinism test
+# (it once depended on map iteration order).
 # one-path keeps the run plan the only executor: the calls that make up
 # its sequence (key, observe the pool, attach a recorder, account) and
 # the split replay, which must start from a single replay and never from
 # a fan-out that already fills the cores, appear in non-test code only in
 # internal/plan and in the packages that define them.
 ONE_PATH = ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHook\(|\.RunSplit\(
-# one-queue keeps the engine on the value queue (des.Lanes, des.Record):
-# the pointer queue is for the simulators that need payloads and handles.
+# one-queue keeps every simulator on the one event queue (des.Lanes,
+# des.Record): des.EventQueue is a deprecated wrapper of it that only the
+# benchmark's probe still uses, and there is no des.Event.
 POINTER_QUEUE = des\.(EventQueue|Event)\b
 # a grant starts its task: the engine has no task-arrival event type to
 # queue, so nothing can pause, snapshot or fork between a slot grant and
@@ -39,15 +41,15 @@ verify:
 	@second="$$(grep -rnE '$(ONE_PATH)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal \
 		| grep -vE '^internal/(plan|telemetry|engine|rcache|runs|obs)/')"; \
 		test -z "$$second" || { echo "run-plan calls outside internal/plan:"; echo "$$second"; exit 1; }
-	@pointer="$$(grep -rnE '$(POINTER_QUEUE)' --include='*.go' --exclude='*_test.go' internal/engine)"; \
-		test -z "$$pointer" || { echo "internal/engine names the pointer queue:"; echo "$$pointer"; exit 1; }
+	@pointer="$$(grep -rnE '$(POINTER_QUEUE)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal)"; \
+		test -z "$$pointer" || { echo "non-test code names the pointer queue:"; echo "$$pointer"; exit 1; }
 	@queued="$$(grep -rnE '$(QUEUED_ARRIVAL)' --include='*.go' --exclude='*_test.go' internal/engine)"; \
 		test -z "$$queued" || { echo "internal/engine names a task-arrival event type:"; echo "$$queued"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
-	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestSweepReuseMatchesReplay' -count=3 ./internal/engine ./pkg/simmr
+	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestSweepReuseMatchesReplay|TestSpeculationDeterministic' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate
 # 100k jobs straight to the columnar .strc store (the full trace is

@@ -141,10 +141,11 @@ type simJob struct {
 	pendingOrder  []int // FIFO of unassigned task indices
 	assigned      []bool
 
-	// mapDone marks completed map tasks; attempts tracks the in-flight
-	// attempts per task (more than one only with speculative execution).
+	// mapDone marks completed map tasks; attempts holds each task's
+	// in-flight attempts, by task index (more than one only with
+	// speculative execution).
 	mapDone     []bool
-	attempts    map[int][]*mapAttempt
+	attempts    [][]mapAttempt
 	sumMapDur   float64 // total duration of completed maps (for straggler detection)
 	replicaSets []map[int]bool
 
@@ -159,12 +160,13 @@ type simJob struct {
 	finished bool
 }
 
-// mapAttempt is one execution attempt of a map task.
+// mapAttempt is one execution attempt of a map task; its try number is
+// its index among the task's attempts.
 type mapAttempt struct {
-	task, node, try int
-	start           float64
-	locality        Locality
-	ev              *des.Event
+	node     int
+	start    float64
+	locality Locality
+	seq      uint64 // its evMapDone record
 }
 
 type reduceState struct {
@@ -186,7 +188,7 @@ type Simulator struct {
 	logw   *hadooplog.Writer
 
 	clock des.Clock
-	q     des.EventQueue
+	q     des.Lanes
 
 	nodeSpeed       []float64
 	freeMapSlots    []int
@@ -202,6 +204,9 @@ type Simulator struct {
 func New(cfg Config, jobs []Job, policy sched.Policy, logw *hadooplog.Writer) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if policy == nil {
+		return nil, fmt.Errorf("cluster: nil policy")
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("cluster: no jobs to run")
@@ -262,7 +267,7 @@ func (s *Simulator) prepareJob(id int, j Job) *simJob {
 		pendingByRack: make(map[int][]int),
 		assigned:      make([]bool, j.Spec.NumMaps),
 		mapDone:       make([]bool, j.Spec.NumMaps),
-		attempts:      make(map[int][]*mapAttempt),
+		attempts:      make([][]mapAttempt, j.Spec.NumMaps),
 		replicaSets:   make([]map[int]bool, j.Spec.NumMaps),
 		skipSince:     -1,
 	}
@@ -343,32 +348,35 @@ func (s *Simulator) Run() (*Result, error) {
 	// staggered across the interval so trackers do not beat in
 	// lockstep.
 	for _, sj := range s.jobs {
-		s.q.Push(sj.job.Arrival, evJobArrival, sj.id, nil)
+		s.q.Push(sj.job.Arrival, evJobArrival, sj.id, 0)
 	}
 	for n := 0; n < s.cfg.Workers; n++ {
 		offset := s.cfg.HeartbeatInterval * float64(n) / float64(s.cfg.Workers)
-		s.q.Push(offset, evHeartbeat, n, nil)
+		s.q.Push(offset, evHeartbeat, 0, n)
 	}
 
+	// Task carries a heartbeat's node, a map's task index and a reduce's
+	// index.
+	var e des.Record
 	for s.remaining > 0 {
-		if s.q.Len() == 0 {
+		if !s.q.Pop(&e) {
 			return nil, fmt.Errorf("cluster: deadlock: %d jobs unfinished with empty event queue", s.remaining)
 		}
-		e := s.q.Pop()
 		s.clock.AdvanceTo(e.Time)
+		sj, task := s.jobs[e.JobID], int(e.Task)
 		switch e.Type {
 		case evHeartbeat:
-			s.onHeartbeat(e.JobID) // JobID field reused as node index
+			s.onHeartbeat(task)
 		case evJobArrival:
-			s.onJobArrival(s.jobs[e.JobID])
+			s.onJobArrival(sj)
 		case evMapDone:
-			s.onMapDone(s.jobs[e.JobID], e.Payload.(*mapAttempt))
+			s.onMapDone(sj, task)
 		case evFetchPoll:
-			s.onFetchPoll(s.jobs[e.JobID], s.jobs[e.JobID].reduces[e.Payload.(int)])
+			s.onFetchPoll(sj, sj.reduces[task])
 		case evSortDone:
-			s.onSortDone(s.jobs[e.JobID], s.jobs[e.JobID].reduces[e.Payload.(int)])
+			s.onSortDone(sj, sj.reduces[task])
 		case evReduceDone:
-			s.onReduceDone(s.jobs[e.JobID], s.jobs[e.JobID].reduces[e.Payload.(int)])
+			s.onReduceDone(sj, sj.reduces[task])
 		default:
 			return nil, fmt.Errorf("cluster: unknown event type %d", e.Type)
 		}
@@ -393,12 +401,14 @@ func (s *Simulator) Run() (*Result, error) {
 // onto an idle slot of `node`, following Hadoop's straggler rule: a task
 // is a straggler once its elapsed time exceeds SpeculativeSlowFactor
 // times the mean duration of the job's completed maps (with a minimum
-// number completed so the mean is meaningful). Returns false when no
-// candidate exists.
+// number completed so the mean is meaningful). Of several equally
+// overdue tasks — attempts launched in one heartbeat tie — the first in
+// active-job and task-index order wins. Returns false when no candidate
+// exists.
 func (s *Simulator) trySpeculate(node int) bool {
 	now := s.clock.Now()
 	var bestJob *simJob
-	var bestAtt *mapAttempt
+	var bestTask int
 	var bestOverdue float64
 	for _, info := range s.active {
 		sj := s.jobByInfo(info)
@@ -416,7 +426,7 @@ func (s *Simulator) trySpeculate(node int) bool {
 			}
 			overdue := (now - atts[0].start) - threshold
 			if overdue > 0 && overdue > bestOverdue {
-				bestJob, bestAtt, bestOverdue = sj, atts[0], overdue
+				bestJob, bestTask, bestOverdue = sj, task, overdue
 			}
 		}
 	}
@@ -424,17 +434,17 @@ func (s *Simulator) trySpeculate(node int) bool {
 		return false
 	}
 	loc := OffRack
-	if bestJob.replicaSets[bestAtt.task][node] {
+	if bestJob.replicaSets[bestTask][node] {
 		loc = NodeLocal
 	} else {
-		for rep := range bestJob.replicaSets[bestAtt.task] {
+		for rep := range bestJob.replicaSets[bestTask] {
 			if s.rackOf(rep) == s.rackOf(node) {
 				loc = RackLocal
 				break
 			}
 		}
 	}
-	s.launchMapAttempt(bestJob, bestAtt.task, node, loc)
+	s.launchMapAttempt(bestJob, bestTask, node, loc)
 	return true
 }
 
@@ -481,7 +491,7 @@ func (s *Simulator) onHeartbeat(node int) {
 	}
 	// Keep beating while any work remains anywhere.
 	if s.remaining > 0 {
-		s.q.Push(now+s.cfg.HeartbeatInterval, evHeartbeat, node, nil)
+		s.q.Push(now+s.cfg.HeartbeatInterval, evHeartbeat, 0, node)
 	}
 }
 
@@ -619,16 +629,15 @@ func (s *Simulator) launchMapAttempt(sj *simJob, task, node int, loc Locality) {
 	compute := sj.job.Spec.MapCompute.Sample(s.rng) * s.taskJitter() / speed
 	dur := read + math.Max(0, compute)
 
-	att := &mapAttempt{
-		task: task, node: node, try: len(sj.attempts[task]),
-		start: now, locality: loc,
-	}
-	att.ev = s.q.Push(now+dur, evMapDone, sj.id, att)
-	sj.attempts[task] = append(sj.attempts[task], att)
+	try := len(sj.attempts[task])
+	sj.attempts[task] = append(sj.attempts[task], mapAttempt{
+		node: node, start: now, locality: loc,
+		seq: s.q.Push(now+dur, evMapDone, sj.id, task),
+	})
 
 	if s.logw != nil {
 		s.logw.Write(hadooplog.EntityMapAttempt, map[string]string{
-			hadooplog.KeyTaskAttemptID: hadooplog.MapAttemptTryID(sj.id, task, att.try),
+			hadooplog.KeyTaskAttemptID: hadooplog.MapAttemptTryID(sj.id, task, try),
 			hadooplog.KeyStartTime:     hadooplog.FormatTime(now),
 			hadooplog.KeyTrackerName:   fmt.Sprintf("tracker_node%03d", node),
 			hadooplog.KeyDataLocal:     fmt.Sprint(loc == NodeLocal),
@@ -645,15 +654,29 @@ func (s *Simulator) taskJitter() float64 {
 	return j
 }
 
-func (s *Simulator) onMapDone(sj *simJob, winner *mapAttempt) {
+func (s *Simulator) onMapDone(sj *simJob, task int) {
 	now := s.clock.Now()
-	if sj.mapDone[winner.task] {
+	if sj.mapDone[task] {
 		// A speculative sibling already finished; losers are canceled
 		// eagerly, so this indicates a bookkeeping bug.
-		panic(fmt.Sprintf("cluster: duplicate completion of job %d map %d", sj.id, winner.task))
+		panic(fmt.Sprintf("cluster: duplicate completion of job %d map %d", sj.id, task))
 	}
-	sj.mapDone[winner.task] = true
-	sj.res.Maps[winner.task] = MapSpan{
+	// The attempt that finished is the one whose record was just popped,
+	// the only one Remove does not find. Any other is a speculative
+	// sibling, killed here: its slot frees immediately.
+	var winner mapAttempt
+	var try int
+	for i, att := range sj.attempts[task] {
+		if s.q.Remove(att.seq) {
+			s.freeMapSlots[att.node]++
+		} else {
+			winner, try = att, i
+		}
+	}
+	sj.attempts[task] = nil
+
+	sj.mapDone[task] = true
+	sj.res.Maps[task] = MapSpan{
 		Start: winner.start, End: now, Node: winner.node,
 		Local: winner.locality == NodeLocal, Locality: winner.locality,
 	}
@@ -661,18 +684,9 @@ func (s *Simulator) onMapDone(sj *simJob, winner *mapAttempt) {
 	sj.info.CompletedMaps++
 	s.freeMapSlots[winner.node]++
 
-	// Kill speculative siblings: their slots free immediately.
-	for _, att := range sj.attempts[winner.task] {
-		if att != winner && att.ev.Scheduled() {
-			s.q.Remove(att.ev)
-			s.freeMapSlots[att.node]++
-		}
-	}
-	delete(sj.attempts, winner.task)
-
 	if s.logw != nil {
 		s.logw.Write(hadooplog.EntityMapAttempt, map[string]string{
-			hadooplog.KeyTaskAttemptID: hadooplog.MapAttemptTryID(sj.id, winner.task, winner.try),
+			hadooplog.KeyTaskAttemptID: hadooplog.MapAttemptTryID(sj.id, task, try),
 			hadooplog.KeyFinishTime:    hadooplog.FormatTime(now),
 			hadooplog.KeyTaskStatus:    hadooplog.StatusSuccess,
 			// Rumen-style counters (bytes): input block read from HDFS,

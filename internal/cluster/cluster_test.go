@@ -69,6 +69,9 @@ func TestNewRejectsBadInput(t *testing.T) {
 	if _, err := New(cfg, []Job{{Spec: smallSpec(1, 0), Arrival: -1}}, sched.FIFO{}, nil); err == nil {
 		t.Fatal("negative arrival should fail")
 	}
+	if _, err := New(cfg, []Job{{Spec: smallSpec(1, 0)}}, nil, nil); err == nil {
+		t.Fatal("nil policy should fail")
+	}
 }
 
 func TestSingleJobCompletes(t *testing.T) {

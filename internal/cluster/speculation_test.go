@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"simmr/internal/cluster"
@@ -135,6 +136,29 @@ func TestSpeculativeAttemptsAppearInLogsOnce(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpeculationDeterministic repeats one seeded run with several map
+// slots per node: the attempts a tracker launches in one heartbeat start
+// together, so they become equally overdue at once, and which of them
+// is duplicated must not depend on iteration order.
+func TestSpeculationDeterministic(t *testing.T) {
+	cfg := specConfig()
+	cfg.MapSlotsPerNode = 4
+	jobs := []cluster.Job{{Spec: stragglerSpec(64)}, {Spec: stragglerSpec(48)}}
+	first, err := cluster.Run(cfg, jobs, sched.FIFO{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		res, err := cluster.Run(cfg, jobs, sched.FIFO{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, first) {
+			t.Fatalf("run %d differs from run 0 under the same seed", i+1)
+		}
 	}
 }
 

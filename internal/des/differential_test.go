@@ -7,11 +7,11 @@ import (
 )
 
 // refEvent / refHeap are a reference priority queue built on
-// container/heap with the exact ordering contract both queues must
-// preserve: ascending (Time, seq). The differential tests drive an
-// implementation and the reference with identical operation schedules
-// and require identical pop sequences — the property that keeps replays
-// byte-identical across queue implementations.
+// container/heap with the exact ordering contract Lanes must preserve:
+// ascending (Time, seq). The differential tests drive Lanes and the
+// reference with identical operation schedules and require identical pop
+// sequences — the property that keeps replays byte-identical across
+// queue implementations.
 type refEvent struct {
 	time  Time
 	seq   uint64
@@ -49,7 +49,7 @@ func (h *refHeap) Pop() any {
 }
 
 // refQueue pairs the reference heap with the same seq discipline and
-// counters as the queues under test. bySeq finds the reference partner
+// counters as the queue under test. bySeq finds the reference partner
 // of any pending event by the seq both sides gave it.
 type refQueue struct {
 	h       refHeap
@@ -334,11 +334,34 @@ func TestQueueDifferentialDeepHeap(t *testing.T) {
 	}
 }
 
-// FuzzEventQueueDifferential hands the schedule to the fuzzer: `go test
-// -fuzz=FuzzEventQueueDifferential ./internal/des` explores op
-// sequences against the queue the engine runs; the seed corpus runs on
-// every plain `go test`.
-func FuzzEventQueueDifferential(f *testing.F) {
+// TestEventQueueDifferential is the same check for the deprecated
+// EventQueue shim, through the only methods it has: random pushes and
+// pops (each popped record freed), against the reference.
+func TestEventQueueDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 100; trial++ {
+		var q EventQueue
+		var ref refQueue
+		for op, n := 0, 1+rng.Intn(2000); op < n || len(ref.h) > 0; op++ {
+			if op >= n || (rng.Intn(8) < 3 && len(ref.h) > 0) { // pop; past n, drain
+				e, want := q.Pop(), ref.pop()
+				if e.Time != want.time || e.JobID != want.id || e.seq != want.seq || int(e.Task) != want.id%7 {
+					t.Fatalf("trial %d op %d: popped %+v, reference (t=%v id=%d seq=%d)", trial, op, *e, want.time, want.id, want.seq)
+				}
+				q.Free(e)
+				continue
+			}
+			tm := Time(rng.Intn(64))
+			q.PushTask(tm, 0, op, op%7)
+			ref.push(tm, op)
+		}
+	}
+}
+
+// FuzzLanesDifferential hands the schedule to the fuzzer: `go test
+// -fuzz=FuzzLanesDifferential ./internal/des` explores op sequences
+// against the queue; the seed corpus runs on every plain `go test`.
+func FuzzLanesDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 1})
 	f.Add([]byte{0, 0, 2, 1, 0, 3, 1})
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 0, 0, 0, 1, 1, 1, 1})
@@ -353,57 +376,4 @@ func FuzzEventQueueDifferential(f *testing.F) {
 		}
 		runDifferentialSchedule(t, ops)
 	})
-}
-
-// TestEventQueueDifferential is the same check for the pointer queue and
-// the operations only it has: random pushes, pops, updates and removes
-// through *Event handles, against the reference.
-func TestEventQueueDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for trial := 0; trial < 100; trial++ {
-		var q EventQueue
-		var ref refQueue
-		var live []*Event // handles Push returned, possibly popped since
-		pick := func() *Event {
-			if len(live) == 0 {
-				return nil
-			}
-			i := rng.Intn(len(live))
-			e := live[i]
-			if !e.Scheduled() {
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-				return nil
-			}
-			return e
-		}
-		for op, n := 0, 1+rng.Intn(2000); op < n || q.Len() > 0; op++ {
-			switch r := rng.Intn(8); {
-			case op >= n || (r < 2 && q.Len() > 0): // pop; past n, drain
-				e, want := q.Pop(), ref.pop()
-				if e.Time != want.time || e.JobID != want.id || e.seq != want.seq {
-					t.Fatalf("trial %d op %d: popped %v seq=%d, reference (t=%v id=%d seq=%d)", trial, op, e, e.seq, want.time, want.id, want.seq)
-				}
-			case r < 5:
-				tm := Time(rng.Intn(64))
-				live = append(live, q.Push(tm, 0, op, nil))
-				ref.push(tm, op)
-			case r < 7:
-				if e := pick(); e != nil {
-					tm := Time(rng.Intn(64))
-					ref.update(ref.bySeq[e.seq], tm)
-					q.Update(e, tm)
-				}
-			default:
-				if e := pick(); e != nil {
-					ref.remove(ref.bySeq[e.seq])
-					q.Remove(e)
-				}
-			}
-			if q.Len() != len(ref.h) || q.Fired() != ref.fired || q.HighWater() != ref.hiWater {
-				t.Fatalf("trial %d op %d: len/fired/high-water %d/%d/%d vs reference %d/%d/%d", trial, op,
-					q.Len(), q.Fired(), q.HighWater(), len(ref.h), ref.fired, ref.hiWater)
-			}
-		}
-	}
 }

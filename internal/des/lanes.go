@@ -15,9 +15,9 @@ type Record struct {
 	Type  uint8
 }
 
-// Lanes is the SimMR engine's event queue: a priority queue of Records
-// ordered by time, with FIFO ordering among records at equal times. The
-// zero value is ready to use.
+// Lanes is the event queue of the SimMR engine, the cluster emulator and
+// Mumak: a priority queue of Records ordered by time, with FIFO ordering
+// among records at equal times. The zero value is ready to use.
 //
 // Pending records sit by value in one of three lanes, each sorted by
 // (Time, seq); a pop takes the least of the three heads in one
@@ -36,9 +36,10 @@ type Record struct {
 //     move records through a hole; four children are two cache lines.
 //
 // There are no handles. Push returns the record's seq, and Remove(seq)
-// cancels it with a scan — the heap and the FIFO together hold at most
-// one record per busy slot plus one instant's hand-offs, and cancelling
-// is the rare preemption kill. An event whose time is not known when it
+// cancels it with a scan — in a replay the heap and the FIFO together
+// hold at most one record per busy slot plus one instant's hand-offs,
+// and cancelling is rare: the engine's preemption kill, the emulator's
+// losing speculative attempt. An event whose time is not known when it
 // is scheduled (the engine's filler reduce) is not queued at all: Reserve
 // takes its place in the seq order and counts it as pending, and Place
 // files it in the heap under that seq once its time is known — exactly
@@ -322,6 +323,11 @@ func (r *Record) before(o *Record) bool {
 	}
 	return r.seq < o.seq
 }
+
+// heapArity is the heap lane's fan-out. Four children per node halves
+// the depth of the sift paths relative to a binary heap; the extra
+// sibling comparisons per level stay within two cache lines of h.
+const heapArity = 4
 
 // heapPush files a record in the heap lane: the hole opened at the end
 // rises past every later parent, and the record is written once, where

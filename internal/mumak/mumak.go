@@ -127,7 +127,7 @@ type Simulator struct {
 	policy sched.Policy
 
 	clock des.Clock
-	q     des.EventQueue
+	q     des.Lanes
 
 	freeMap    []int
 	freeReduce []int
@@ -142,6 +142,9 @@ type Simulator struct {
 func New(cfg Config, tr *trace.Trace, policy sched.Policy) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if policy == nil {
+		return nil, fmt.Errorf("mumak: nil policy")
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -182,29 +185,31 @@ func New(cfg Config, tr *trace.Trace, policy sched.Policy) (*Simulator, error) {
 // Run replays the trace to completion.
 func (s *Simulator) Run() (*Result, error) {
 	for _, sj := range s.jobs {
-		s.q.Push(sj.info.Arrival, evJobArrival, sj.info.ID, nil)
+		s.q.Push(sj.info.Arrival, evJobArrival, sj.info.ID, 0)
 	}
 	for n := 0; n < s.cfg.Nodes; n++ {
 		offset := s.cfg.HeartbeatInterval * float64(n) / float64(s.cfg.Nodes)
-		s.q.Push(offset, evHeartbeat, n, nil)
+		s.q.Push(offset, evHeartbeat, 0, n)
 	}
+	var ev des.Record
 	for s.remaining > 0 {
-		if s.q.Len() == 0 {
+		if !s.q.Pop(&ev) {
 			return nil, fmt.Errorf("mumak: deadlock with %d jobs unfinished", s.remaining)
 		}
-		ev := s.q.Pop()
 		s.clock.AdvanceTo(ev.Time)
+		// Task carries the node of heartbeats and task completions.
+		node := int(ev.Task)
 		switch ev.Type {
 		case evHeartbeat:
-			s.onHeartbeat(ev.JobID)
+			s.onHeartbeat(node)
 		case evJobArrival:
 			s.onJobArrival(s.jobs[s.indexOf[ev.JobID]])
 		case evMapDone:
-			s.onMapDone(s.jobs[s.indexOf[ev.JobID]], ev.Payload.(int))
+			s.onMapDone(s.jobs[s.indexOf[ev.JobID]], node)
 		case evAllMapsFinished:
 			s.onAllMapsFinished(s.jobs[s.indexOf[ev.JobID]])
 		case evReduceDone:
-			s.onReduceDone(s.jobs[s.indexOf[ev.JobID]], ev.Payload.(int))
+			s.onReduceDone(s.jobs[s.indexOf[ev.JobID]], node)
 		default:
 			return nil, fmt.Errorf("mumak: unknown event type %d", ev.Type)
 		}
@@ -245,7 +250,7 @@ func (s *Simulator) onHeartbeat(node int) {
 		s.startReduce(s.jobs[s.indexOf[s.active[idx].ID]], node)
 	}
 	if s.remaining > 0 {
-		s.q.Push(now+s.cfg.HeartbeatInterval, evHeartbeat, node, nil)
+		s.q.Push(now+s.cfg.HeartbeatInterval, evHeartbeat, 0, node)
 	}
 }
 
@@ -266,7 +271,7 @@ func (s *Simulator) onMapDone(sj *simJob, node int) {
 	}
 	if sj.info.MapsDone() && !sj.allMapsFired {
 		sj.allMapsFired = true
-		s.q.Push(s.clock.Now(), evAllMapsFinished, sj.info.ID, nil)
+		s.q.Push(s.clock.Now(), evAllMapsFinished, sj.info.ID, 0)
 	}
 }
 

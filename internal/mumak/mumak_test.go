@@ -209,4 +209,7 @@ func TestMumakRejectsBadTrace(t *testing.T) {
 	if _, err := Run(bad, oneJobTrace(uniformTemplate(2, 0, 1, 0, 0, 0)), sched.FIFO{}); err == nil {
 		t.Fatal("bad config should fail")
 	}
+	if _, err := Run(smallConfig(), oneJobTrace(uniformTemplate(2, 0, 1, 0, 0, 0)), nil); err == nil {
+		t.Fatal("nil policy should fail")
+	}
 }

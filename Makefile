@@ -21,7 +21,8 @@ test:
 # Which cells a parallel capacity sweep answers from a finished replay
 # depends on which replays finish first, so the reuse differentials run
 # a few more times, as does the emulator's speculation determinism test
-# (it once depended on map iteration order).
+# (it once depended on map iteration order) and the test of four
+# processes sharing one cache directory (their interleaving differs per run).
 # one-path keeps the run plan the only executor: the calls that make up
 # its sequence (key, observe the pool, attach a recorder, account) and
 # the split replay, which must start from a single replay and never from
@@ -49,7 +50,7 @@ verify:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
-	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestSweepReuseMatchesReplay|TestSpeculationDeterministic' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster
+	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestSweepReuseMatchesReplay|TestSpeculationDeterministic|TestSharedDirAcrossProcesses' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster ./internal/rcache
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate
 # 100k jobs straight to the columnar .strc store (the full trace is

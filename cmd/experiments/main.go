@@ -52,7 +52,7 @@ func run() error {
 		fig6Jobs  = flag.Int("fig6-jobs", 1148, "production-trace size for Figure 6 (paper: 1148)")
 		debugAddr = flag.String("debug-addr", "", "serve Prometheus /metrics and pprof on this address (e.g. localhost:6060)")
 		cacheDir  = flag.String("cache-dir", "", "replay result cache directory for the Figure 7/8 sweeps; reruns with identical parameters replay nothing")
-		cacheMem  = flag.Int("cache-mem", 0, "replay result cache memory budget in MiB (0 with -cache-dir: 64 MiB default; 0 alone: caching off)")
+		cacheMem  = flag.Int("cache-mem", 0, "replay result cache memory budget in MiB: with -cache-dir it holds the results read back from disk, alone it holds every result (0 with -cache-dir: 64 MiB default; 0 alone: caching off)")
 	)
 	flag.Parse()
 

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"simmr/pkg/simmr"
 )
@@ -21,7 +22,7 @@ type cacheFlags struct {
 func addCacheFlags(fs *flag.FlagSet) cacheFlags {
 	return cacheFlags{
 		dir:   fs.String("cache-dir", "", "replay result cache directory; enables content-addressed memoization across runs"),
-		memMB: fs.Int("cache-mem", 0, "replay result cache memory budget in MiB (0 with -cache-dir: 64 MiB default; 0 alone: caching off)"),
+		memMB: fs.Int("cache-mem", 0, "replay result cache memory budget in MiB: with -cache-dir it holds the results read back from disk, alone it holds every result (0 with -cache-dir: 64 MiB default; 0 alone: caching off)"),
 	}
 }
 
@@ -74,6 +75,15 @@ func runCacheCmd(args []string) error {
 	}
 	if *dir == "" {
 		return fmt.Errorf("cache %s: need -cache-dir DIR", sub)
+	}
+	// NewCache creates a missing directory; a mistyped one must not be
+	// made and then reported empty or cleared.
+	fi, err := os.Stat(*dir)
+	if err == nil && !fi.IsDir() {
+		err = fmt.Errorf("%s is not a directory", *dir)
+	}
+	if err != nil {
+		return fmt.Errorf("cache %s: %w", sub, err)
 	}
 	c := simmr.NewCache(simmr.CacheOptions{Dir: *dir})
 	switch sub {

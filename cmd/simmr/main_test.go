@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -237,6 +238,8 @@ func TestCLIGolden(t *testing.T) {
 		{"cached-sweep#3", "cache info -cache-dir cache", 0},
 		{"cached-sweep#4", "cache clear -cache-dir cache", 0},
 		{"cached-sweep#5", "cache info -cache-dir cache", 0},
+		{"cache-info-missing", "cache info -cache-dir typo", 1},
+		{"cache-clear-missing", "cache clear -cache-dir typo", 1},
 		{"cached-run#1", "trace run -trace trace.strc -out events.json -cache-dir cache", 0},
 		{"cached-run#2", "trace run -trace trace.strc -out again.json -cache-dir cache", 0},
 		{"timeline", "-trace trace.strc -policy fair -timeline tl.tsv -step 50", 0},
@@ -250,7 +253,7 @@ func TestCLIGolden(t *testing.T) {
 		{"engine-bad", "-trace trace.strc -engine bogus -sweep 8,16", 1},
 		{"engine-bad-info", "-trace trace.strc -engine bogus -info", 1},
 	}
-	dirs := map[string]string{}
+	dirs, stderr := map[string]string{}, map[string]string{}
 	for _, c := range cases {
 		group, _, _ := strings.Cut(c.name, "#")
 		if dirs[group] == "" {
@@ -265,6 +268,10 @@ func TestCLIGolden(t *testing.T) {
 		out, err := cmd.Output()
 		if code := cmd.ProcessState.ExitCode(); code != c.exit {
 			t.Fatalf("%s: simmr %s: exit %d (%v), want %d", c.name, c.args, code, err, c.exit)
+		}
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			stderr[c.name] = string(ee.Stderr)
 		}
 		golden := filepath.Join("testdata", strings.ReplaceAll(c.name, "#", "-")+".golden")
 		if *update {
@@ -321,6 +328,15 @@ func TestCLIGolden(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dirs["mumak-cache"], "cache")); err == nil {
 		t.Error("-engine mumak -cache-dir made the directory; the combination is a usage error")
+	}
+	// `cache info|clear` on a mistyped directory names it and creates nothing.
+	for _, name := range []string{"cache-info-missing", "cache-clear-missing"} {
+		if !strings.Contains(stderr[name], "typo") {
+			t.Errorf("%s: the error %q does not name the missing directory", name, stderr[name])
+		}
+		if _, err := os.Stat(filepath.Join(dirs[name], "typo")); err == nil {
+			t.Errorf("%s: made the mistyped directory", name)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package rcache
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +13,8 @@ import (
 )
 
 // DefaultMemBytes is the in-memory tier budget when Options.MemBytes
-// is unset: enough for thousands of sweep cells at typical trace sizes
-// without mattering next to the traces themselves.
+// is unset. An entry costs ~54 B per job (~1.08 MB at 20 000 jobs), so
+// it holds about 60 results of that size, or thousands of small ones.
 const DefaultMemBytes = 64 << 20
 
 // entryOverhead approximates the per-entry bookkeeping cost (map slot,
@@ -21,9 +23,20 @@ const DefaultMemBytes = 64 << 20
 const entryOverhead = 128
 
 // diskExt is the on-disk entry suffix; Clear only ever removes files
-// carrying it, so pointing -cache-dir at a populated directory cannot
-// destroy foreign data.
+// carrying it, and writeFileAtomic's temp files, so pointing -cache-dir
+// at a populated directory cannot destroy foreign data.
 const diskExt = ".srrc"
+
+// isTempName reports whether name is exactly one of writeFileAtomic's
+// temp files, <32 hex digits>.srrc.<decimal digits>.tmp (os.CreateTemp
+// replaces the "*" with decimal digits): a writer killed between write
+// and rename leaves one behind, and only Clear removes it.
+func isTempName(name string) bool {
+	key, rest, ok := strings.Cut(name, diskExt+".")
+	digits, isTmp := strings.CutSuffix(rest, ".tmp")
+	return ok && isTmp && len(key) == 32 && digits != "" &&
+		strings.Trim(key, "0123456789abcdef") == "" && strings.Trim(digits, "0123456789") == ""
+}
 
 // Observer receives cache events for telemetry. All methods must be
 // safe for concurrent use; telemetry.SimMetrics implements it with
@@ -41,6 +54,8 @@ type Options struct {
 	// atomically. "" keeps the cache memory-only.
 	Dir string
 	// MemBytes budgets the in-memory tier; <= 0 means DefaultMemBytes.
+	// With Dir set the tier holds the entries read back from disk (and
+	// any whose disk write failed); without Dir it holds every Put.
 	MemBytes int64
 	// Obs, when non-nil, receives hit/miss/eviction/bytes events.
 	Obs Observer
@@ -106,7 +121,9 @@ func New(opts Options) *Cache {
 }
 
 // Get returns the cached Result for k, consulting memory then disk.
-// Disk hits are promoted into the memory tier. Every returned Result
+// Disk hits are promoted into the memory tier; with a disk tier that
+// promotion is what fills it, so the first re-read of an entry inside
+// one process costs one disk read. Every returned Result
 // is freshly decoded, so callers may mutate it freely. Any decode or
 // CRC failure — either tier — counts as a miss and evicts the bad
 // bytes; corruption costs a recompute, never a wrong answer.
@@ -155,9 +172,14 @@ func (c *Cache) Get(k Key) (*engine.Result, bool) {
 	return nil, false
 }
 
-// Put stores res under k in both tiers. Failures are silent by design
-// (encode overflow, disk errors): the caller already holds the fresh
-// result and loses nothing but future hits.
+// Put stores res under k. With a disk tier it writes the disk alone: a
+// result written once and never read again does not occupy the memory
+// budget, and Get promotes the ones that are read back. A memory-only
+// cache, or a disk write that fails (disk full, directory gone), stores
+// into the memory tier instead, so a broken disk never loses in-process
+// memoization. Failures are otherwise silent by design (encode
+// overflow): the caller already holds the fresh result and loses
+// nothing but future hits.
 func (c *Cache) Put(k Key, res *engine.Result) {
 	if c == nil || res == nil {
 		return
@@ -166,9 +188,8 @@ func (c *Cache) Put(k Key, res *engine.Result) {
 	if err != nil {
 		return
 	}
-	c.insert(k, data)
-	if c.dir != "" {
-		writeFileAtomic(c.entryPath(k), data)
+	if c.dir == "" || writeFileAtomic(c.entryPath(k), data) != nil {
+		c.insert(k, data)
 	}
 }
 
@@ -311,9 +332,11 @@ func (c *Cache) DiskInfo() (entries int, bytes int64, err error) {
 	return entries, bytes, nil
 }
 
-// Clear empties the memory tier and deletes every disk entry (only
-// files carrying the cache's own extension). The first error is
-// reported but removal continues past it.
+// Clear empties the memory tier and deletes every disk entry and every
+// temp file an interrupted writer left (only files named as the cache
+// names them). A concurrent writer whose temp file it deletes fails its
+// rename and keeps the entry in memory. The first error is reported but
+// removal continues past it.
 func (c *Cache) Clear() error {
 	if c == nil {
 		return nil
@@ -334,10 +357,12 @@ func (c *Cache) Clear() error {
 	}
 	var first error
 	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), diskExt) {
+		if de.IsDir() || !strings.HasSuffix(de.Name(), diskExt) && !isTempName(de.Name()) {
 			continue
 		}
-		if err := os.Remove(filepath.Join(c.dir, de.Name())); err != nil && first == nil {
+		// A file already gone was removed by a concurrent Clear, or was a
+		// temp file its writer renamed or cleaned up meanwhile.
+		if err := os.Remove(filepath.Join(c.dir, de.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) && first == nil {
 			first = err
 		}
 	}
@@ -352,21 +377,23 @@ func (c *Cache) entryPath(k Key) string {
 // temp file, then rename into place, so a reader never observes a
 // half-written entry. The temp name is unique per writer so two
 // goroutines storing the same key never interleave into one file.
-// Best-effort: errors leave no temp litter and no entry, which the
-// CRC layer would have caught anyway.
-func writeFileAtomic(path string, data []byte) {
+// A failure leaves no temp litter and no entry, and is reported so Put
+// can keep the entry in memory instead.
+func writeFileAtomic(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
-		return
+		return err
 	}
 	tmp := f.Name()
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp)
-		return
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 	}
+	return err
 }

@@ -279,8 +279,9 @@ func TestMemoryTierLRU(t *testing.T) {
 
 	// The budget is the whole tier's, whatever the keys' bits: a batch's
 	// worth of large entries (16 of ~1.3 MB, a 27 000-job result each)
-	// under the default 64 MiB all stay resident, so rotating through
-	// them never reads the disk tier.
+	// under the default 64 MiB all stay resident. With a disk tier Put
+	// writes the disk alone, so round 1 reads each entry from disk once
+	// and promotes it; rounds 2 and 3 never read the disk.
 	big := &engine.Result{Jobs: make([]engine.JobOutcome, 27000)}
 	if bigImg, _ := Encode(Key{}, big); len(bigImg) < 1<<20 || len(bigImg) > 2<<20 {
 		t.Fatalf("entries are %d bytes each; the case is about ~1.3 MB ones", len(bigImg))
@@ -295,9 +296,70 @@ func TestMemoryTierLRU(t *testing.T) {
 				t.Fatalf("round %d: entry %d missing from both tiers", round, i)
 			}
 		}
+		if st := tiered.Stats(); st.DiskHits != 16 || st.MemEntries != 16 || st.Evictions != 0 || st.MemBytes > DefaultMemBytes {
+			t.Fatalf("round %d of 16 entries in rotation under the default budget: %+v, want 16 disk hits, all resident", round, st)
+		}
 	}
-	if st := tiered.Stats(); st.DiskHits != 0 || st.MemEntries != 16 || st.MemBytes > DefaultMemBytes {
-		t.Fatalf("16 entries in rotation under the default budget: %+v", st)
+}
+
+// TestOneShotPutsStayOnDisk: with a disk tier, results written once and
+// never read back do not reach the memory tier, so they cannot evict
+// the entries a session does read back.
+func TestOneShotPutsStayOnDisk(t *testing.T) {
+	big := &engine.Result{Jobs: make([]engine.JobOutcome, 20000)}
+	if img, _ := Encode(Key{}, big); len(img) < 1<<20*9/10 || len(img) > 2<<20 {
+		t.Fatalf("entries are %d bytes each; the case is about ~1 MB ones", len(img))
+	}
+	c := New(Options{Dir: t.TempDir()})
+	readBack := func() {
+		t.Helper()
+		for i := 0; i < 12; i++ {
+			if _, ok := c.Get(Key{Hi: uint64(i)}); !ok {
+				t.Fatalf("entry %d missing", i)
+			}
+		}
+	}
+	for i := 0; i < 12; i++ {
+		c.Put(Key{Hi: uint64(i)}, big)
+	}
+	readBack()
+	// Twice the default budget in one-shot results.
+	for i := 0; i < 128; i++ {
+		c.Put(Key{Hi: uint64(i), Lo: 1}, big)
+	}
+	st := c.Stats()
+	if st.MemEntries != 12 || st.Evictions != 0 || st.DiskHits != 12 {
+		t.Fatalf("12 entries read back, then 128 one-shot puts: %+v, want the 12 resident and no eviction", st)
+	}
+	readBack()
+	if got := c.Stats(); got.DiskHits != st.DiskHits {
+		t.Fatalf("a round over the read-back entries read the disk: %+v", got)
+	}
+}
+
+// TestPutFallsBackToMemoryWhenDiskFails: a disk write that fails —
+// here the directory replaced by a regular file, which fails even as
+// root — keeps the entry in memory, so a broken disk never loses the
+// in-process memoization.
+func TestPutFallsBackToMemoryWhenDiskFails(t *testing.T) {
+	cfg := engine.DefaultConfig()
+	res, h := testResult(t, 25, cfg, sched.FIFO{})
+	k, _ := KeyFor(h, cfg, sched.FIFO{})
+	dir := filepath.Join(t.TempDir(), "cache")
+	c := New(Options{Dir: dir})
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c.Put(k, res)
+	got, ok := c.Get(k)
+	if !ok || !reflect.DeepEqual(got, res) {
+		t.Fatalf("Put on a failed disk: hit %v, want the result back from memory", ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.DiskHits != 0 || st.MemEntries != 1 {
+		t.Fatalf("want one memory hit: %+v", st)
 	}
 }
 
@@ -388,6 +450,38 @@ func TestDiskTierRoundtripAndPromotion(t *testing.T) {
 	}
 	if _, ok := c2.Get(k); ok {
 		t.Fatal("entry survived Clear")
+	}
+}
+
+// A writer killed between write and rename leaves its temp file behind;
+// Clear removes it, and nothing in the directory that the cache did not
+// name.
+func TestClearRemovesTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	c := New(Options{Dir: dir})
+	k := Key{Hi: 0xfeed, Lo: 0xbeef}
+	// Named the way writeFileAtomic names it, then abandoned.
+	f, err := os.CreateTemp(dir, filepath.Base(c.entryPath(k))+".*.tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	foreign := []string{"notes.tmp", "results.srrc.1.tmp", k.String() + diskExt + ".bak"}
+	for _, name := range foreign {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(f.Name()); err == nil {
+		t.Errorf("Clear left the interrupted writer's %s", filepath.Base(f.Name()))
+	}
+	for _, name := range foreign {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("Clear removed the foreign %s", name)
+		}
 	}
 }
 

@@ -33,7 +33,9 @@ type CacheOptions struct {
 	// written atomically); "" keeps the cache memory-only.
 	Dir string
 	// MemBytes budgets the in-memory tier; <= 0 selects the default
-	// (rcache.DefaultMemBytes, 64 MiB).
+	// (rcache.DefaultMemBytes, 64 MiB). With Dir set the tier holds the
+	// results read back from disk (a result is written to disk alone
+	// unless that write fails); without Dir it holds every result.
 	MemBytes int64
 	// Telemetry, when set, receives simmr_rcache_* counter updates.
 	Telemetry *Telemetry

@@ -256,6 +256,39 @@ func TestBatchCacheSecondPassAllHits(t *testing.T) {
 	}
 }
 
+// A session against one disk-backed cache: three batches repeat the same
+// specs and each adds one-shot specs no other batch has. The memory tier
+// ends up holding the repeating specs alone — the one-shot results stay
+// on disk.
+func TestBatchMemoryTierHoldsRepeatingSpecs(t *testing.T) {
+	tr, err := MultiTenantTrace(40, rand.New(rand.NewSource(16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(CacheOptions{Dir: t.TempDir()})
+	repeating := []Policy{NewFIFO(), NewMaxEDF(), NewMinEDF()}
+	for call := 0; call < 3; call++ {
+		var specs []ReplaySpec
+		for _, p := range repeating {
+			specs = append(specs, ReplaySpec{Config: ReplayConfig{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}, Trace: tr, Policy: p})
+		}
+		for i := 0; i < 4; i++ {
+			slots := 10 + 4*call + i
+			specs = append(specs, ReplaySpec{Config: ReplayConfig{MapSlots: slots, ReduceSlots: slots, MinMapPercentCompleted: 0.05}, Trace: tr, Policy: NewFIFO()})
+		}
+		if _, err := ReplayBatchCfg(t.Context(), BatchConfig{Cache: c}, specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.MemEntries != len(repeating) {
+		t.Fatalf("after three batches: %+v, want the %d repeating specs resident and nothing else", st, len(repeating))
+	}
+	if want := uint64(2 * len(repeating)); st.Hits != want || st.DiskHits != uint64(len(repeating)) {
+		t.Fatalf("after three batches: %+v, want %d hits, the first %d from disk", st, want, len(repeating))
+	}
+}
+
 // A batch keys every spec off a digest taken once per distinct trace;
 // the keys must be the ones a lone ReplayCached of the same inputs
 // computes, whichever trace a spec replays.

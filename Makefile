@@ -23,6 +23,9 @@ test:
 # a few more times, as does the emulator's speculation determinism test
 # (it once depended on map iteration order) and the test of four
 # processes sharing one cache directory (their interleaving differs per run).
+# The tests of how a sweep's workers claim, wait for and cancel cells
+# (SWEEP_CLAIMS) run twenty times: a scheduling bug shows in some
+# interleavings only.
 # one-path keeps the run plan the only executor: the calls that make up
 # its sequence (key, observe the pool, attach a recorder, account) and
 # the split replay, which must start from a single replay and never from
@@ -37,6 +40,7 @@ POINTER_QUEUE = des\.(EventQueue|Event)\b
 # queue, so nothing can pause, snapshot or fork between a slot grant and
 # the start of its task.
 QUEUED_ARRIVAL = ev(Map|Reduce)TaskArrival
+SWEEP_CLAIMS = TestParallelSweepReplaysWhatSerialDoes|TestParallelSweepKeepsDenseParallelism|TestSweepCancelWhileWaiting|TestSweepErrorIsWorkerIndependent
 verify:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	@second="$$(grep -rnE '$(ONE_PATH)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal \
@@ -51,6 +55,7 @@ verify:
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
 	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestSweepReuseMatchesReplay|TestSpeculationDeterministic|TestSharedDirAcrossProcesses' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster ./internal/rcache
+	$(GO) test -race -run '$(SWEEP_CLAIMS)' -count=20 ./pkg/simmr
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate
 # 100k jobs straight to the columnar .strc store (the full trace is

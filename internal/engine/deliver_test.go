@@ -49,8 +49,9 @@ func heldAfter(ref []obs.Event, fired uint64) int {
 	return len(ref)
 }
 
-// assertHolds checks got is exactly the first want events of ref, none
-// of them later than now.
+// assertHolds checks got is exactly the first want events of ref, in
+// nondecreasing time order (the engine stamps each with its clock, which
+// sinks such as obs.MetricsSink rely on), none of them later than now.
 func assertHolds(t *testing.T, when string, got, ref []obs.Event, want int, now float64) {
 	t.Helper()
 	if len(got) != want {
@@ -59,6 +60,9 @@ func assertHolds(t *testing.T, when string, got, ref []obs.Event, want int, now 
 	for i, ev := range got {
 		if ev != ref[i] {
 			t.Fatalf("%s: event %d is %+v, want %+v", when, i, ev, ref[i])
+		}
+		if i > 0 && ev.Time < got[i-1].Time {
+			t.Fatalf("%s: event %d at t=%v follows one at t=%v", when, i, ev.Time, got[i-1].Time)
 		}
 	}
 	if want > 0 && got[want-1].Time > now {

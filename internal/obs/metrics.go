@@ -39,17 +39,24 @@ func NewMetricsSink() *MetricsSink { return &MetricsSink{} }
 // Event tallies one engine event: the one-element case of Events.
 func (m *MetricsSink) Event(ev Event) { m.Events((&[1]Event{ev})[:]) }
 
-// Events tallies a block of engine events under one lock (BatchSink).
+// Events tallies a block of engine events (BatchSink): kinds are counted
+// before the lock is taken, and the block's last event carries its
+// latest time, since an engine delivers events in time order.
 func (m *MetricsSink) Events(evs []Event) {
+	if len(evs) == 0 {
+		return
+	}
+	var byKind [KindCount]uint64
+	for i := range evs {
+		byKind[evs[i].Kind]++
+	}
+	last := evs[len(evs)-1].Time
 	m.mu.Lock()
 	s := &m.s
-	for i := range evs {
-		ev := &evs[i]
-		s.ByKind[ev.Kind]++
-		if ev.Time > s.SimTime {
-			s.SimTime = ev.Time
-		}
+	for k, n := range byKind {
+		s.ByKind[k] += n
 	}
+	s.SimTime = max(s.SimTime, last)
 	s.Observed += uint64(len(evs))
 	m.mu.Unlock()
 }

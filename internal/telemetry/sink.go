@@ -326,20 +326,21 @@ func fillerKey(jobID, task int) int64 {
 // Event tallies one engine event: the one-element case of Events.
 func (s *engineSink) Event(ev obs.Event) { s.Events((&[1]obs.Event{ev})[:]) }
 
-// Events tallies a block of engine events (obs.BatchSink): counts and
-// the simulated-time high-water are kept in locals and the histogram
-// observations in the sink's tallies, and the registry shard is written
-// once per block — a handful of atomics, not two to five per event. A
-// scrape therefore sees a block's events all at once, when it ends.
+// Events tallies a block of engine events (obs.BatchSink): counts are
+// kept in locals and the histogram observations in the sink's tallies,
+// and the registry shard is written once per block — a handful of
+// atomics, not two to five per event. A scrape therefore sees a block's
+// events all at once, when it ends. An engine delivers events in time
+// order, so the block's last event carries its simulated time.
 func (s *engineSink) Events(evs []obs.Event) {
 	var byKind [obs.KindCount]uint64
 	var simTime float64
+	if len(evs) > 0 {
+		simTime = evs[len(evs)-1].Time
+	}
 	for i := range evs {
 		ev := &evs[i]
 		byKind[ev.Kind]++
-		if ev.Time > simTime {
-			simTime = ev.Time
-		}
 		switch ev.Kind {
 		case obs.KindJobArrival:
 			s.arrivals[ev.JobID] = ev.Time

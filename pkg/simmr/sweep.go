@@ -51,10 +51,16 @@ type SweepPoint struct {
 // a workload's knee one replay serves a whole block of the grid: the
 // sweep visits its cell with the most slots first, then the rest by
 // ascending slot counts, and a cell answered that way takes that
-// replay's point under its own Cell and slot counts. A worker never
-// waits for a running cell. Answered cells count as done for Progress
-// and as cached in the run registry (Snapshot.Cached), and fire no sink,
-// recorder, telemetry or cache lookup. Nothing is answered when
+// replay's point under its own Cell and slot counts. Workers claim cells
+// in that order, skipping any that a running replay S is expected to
+// answer: the cell has S's slot count of one kind and more of the other,
+// and a finished replay with at least S's slots of both kinds held fewer
+// of that other kind than S has. A worker with only such cells left
+// waits for a replay to finish. An expectation only steers the work;
+// every point still comes from its own replay or a finished one.
+// Answered cells count as done for Progress and as cached in the run
+// registry (Snapshot.Cached), and fire no sink, recorder, telemetry or
+// cache lookup. Nothing is answered, and so nothing waits, when
 // SinkFactory is set, since each sink must see its own cell's replay, or
 // when the policy implements ArrivalAware (MinEDF), which is handed the
 // slot totals.
@@ -76,8 +82,10 @@ type SweepConfig struct {
 	MinMapPercentCompleted float64
 	// Workers bounds the number of cells replayed concurrently: 0 means
 	// one worker per CPU, 1 forces the serial path. Results are in grid
-	// order and identical regardless of the worker count; how many cells
-	// an earlier replay answers may vary with it.
+	// order and identical regardless of the worker count. Which cells
+	// replay depends on which replays finish first, so it may vary with
+	// the worker count, though the claim rule above keeps it close to a
+	// serial sweep's.
 	Workers int
 	// Progress, when set, receives bounded-rate completion callbacks
 	// (done cells, total cells) while the sweep runs.
@@ -207,18 +215,23 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		plan.Run{Kind: runs.KindSweep, Policy: cfg.Policy, Traces: []*Trace{tr}, Replays: len(sel),
 			Config: fmt.Sprintf("grid=%dx%d shards=%d", len(cfg.MapSlotCounts), rows, max(cfg.Shards, 1))})
 	points := make([]SweepPoint, len(sel))
-	// A sink must see its own cell's replay, so with one no cell is reused.
-	var done *answers
-	if cfg.SinkFactory == nil {
-		done = new(answers)
-	}
 	order := visitOrder(cells, sel)
-	err := p.End(p.Each(ctx, len(order), func(k int) error {
+	cfgs := make([]engine.Config, len(order))
+	for k, i := range order {
+		c := cells[sel[i]]
+		cfgs[k] = engine.Config{MapSlots: c.m, ReduceSlots: c.r, MinMapPercentCompleted: slowstart}
+	}
+	// A sink must see its own cell's replay, so with one no cell is reused.
+	cl := &claims{cfgs: cfgs, reuse: cfg.SinkFactory == nil, claimed: make([]bool, len(cfgs))}
+	err := p.Each(ctx, len(order), func(int) error {
+		k, pt, answered, err := cl.claim(ctx)
+		if err != nil {
+			return err
+		}
 		i := order[k]
 		cell := sel[i]
 		c := cells[cell]
-		ecfg := engine.Config{MapSlots: c.m, ReduceSlots: c.r, MinMapPercentCompleted: slowstart}
-		if pt, ok := done.find(ecfg); ok {
+		if answered {
 			pt.Cell, pt.MapSlots, pt.ReduceSlots = cell, c.m, c.r
 			points[i] = pt
 			p.Reused(len(tr.Jobs))
@@ -232,15 +245,20 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 			pc.Label = fmt.Sprintf("cell-%dx%d", c.m, c.r)
 		}
 		pol := newPolicy()
-		if _, err := p.Replay(ecfg, tr, pol, pc, func(res *engine.Result) {
+		var peaks engine.Result
+		if _, err = p.Replay(cfgs[k], tr, pol, pc, func(res *engine.Result) {
 			points[i] = sweepPoint(cell, c, res)
-			done.keep(ecfg, pol, res, points[i])
+			peaks.PeakMapSlots, peaks.PeakReduceSlots = res.PeakMapSlots, res.PeakReduceSlots
 		}); err != nil {
-			return fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
+			err = fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
 		}
-		return nil
-	}))
-	if err != nil {
+		cl.finish(k, pol, &peaks, points[i], err)
+		return err
+	})
+	if cl.err != nil {
+		err = cl.err // the first failing cell's in visit order
+	}
+	if err = p.End(err); err != nil {
 		return nil, err
 	}
 	return points, nil
@@ -266,12 +284,21 @@ func visitOrder(cells []sweepCell, sel []int) []int {
 	return order
 }
 
-// answers holds a sweep's finished replays that left slots of some kind
-// unused: each may answer other cells (engine.Answers). A nil *answers
-// holds nothing and keeps nothing.
-type answers struct {
-	mu   sync.Mutex
-	kept []answer
+// claims hands a sweep's cells to its workers, one per claim, by the
+// rule in SweepConfig's doc, and holds the finished replays that may
+// answer other cells (engine.Answers). Cells are named by their
+// position in visit order.
+type claims struct {
+	mu      sync.Mutex
+	cfgs    []engine.Config // each position's config
+	reuse   bool            // whether a finished replay may answer a cell
+	claimed []bool
+	running []int // positions whose replay is in flight
+	kept    []answer
+	// changed, when a worker waits, is closed as the next replay finishes.
+	changed chan struct{}
+	err     error // the failure at the lowest position so far
+	errAt   int
 }
 
 // answer is one finished replay as a later cell may take it: the config
@@ -283,30 +310,119 @@ type answer struct {
 	point SweepPoint
 }
 
-// find returns the point of a finished replay that answers for cfg.
-func (a *answers) find(cfg engine.Config) (SweepPoint, bool) {
-	if a == nil {
-		return SweepPoint{}, false
+// claim takes the first unclaimed position, in visit order, that a
+// running replay is not expected to answer. If a finished replay
+// answers it, answered is set and pt is that replay's point; otherwise
+// the caller replays it and reports to finish. When every unclaimed
+// position is expected, claim waits for a replay to finish. It fails
+// once a claimed cell has failed, or ctx is done.
+func (c *claims) claim(ctx context.Context) (pos int, pt SweepPoint, answered bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		if c.err != nil {
+			return 0, SweepPoint{}, false, c.err
+		}
+		for k, claimed := range c.claimed {
+			if claimed {
+				continue
+			}
+			if pt, ok := c.find(c.cfgs[k]); ok {
+				c.claimed[k] = true
+				return k, pt, true, nil
+			}
+			if !c.expected(c.cfgs[k]) {
+				c.claimed[k] = true
+				c.running = append(c.running, k)
+				return k, SweepPoint{}, false, nil
+			}
+		}
+		// Every unclaimed position names a running replay, whose finish
+		// ends the wait.
+		if c.changed == nil {
+			c.changed = make(chan struct{})
+		}
+		changed := c.changed
+		c.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
+		if err := ctx.Err(); err != nil {
+			return 0, SweepPoint{}, false, err
+		}
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i := range a.kept {
-		if k := &a.kept[i]; engine.Answers(&k.peaks, k.cfg, cfg, k.pol) {
+}
+
+// find returns the point of a finished replay that answers for cfg.
+func (c *claims) find(cfg engine.Config) (SweepPoint, bool) {
+	for i := range c.kept {
+		if k := &c.kept[i]; engine.Answers(&k.peaks, k.cfg, cfg, k.pol) {
 			return k.point, true
 		}
 	}
 	return SweepPoint{}, false
 }
 
-// keep records a finished replay of cfg under pol if it left a slot of
-// some kind unused throughout; res is only read.
-func (a *answers) keep(cfg engine.Config, pol Policy, res *engine.Result, pt SweepPoint) {
-	if a == nil || (res.PeakMapSlots >= cfg.MapSlots && res.PeakReduceSlots >= cfg.ReduceSlots) {
-		return
+// expected reports whether a running replay S is expected to answer
+// cfg, by the rule in SweepConfig's doc: S shares one slot count with
+// cfg, and a finished replay f with at least S's slots left one of the
+// other kind free at S's count.
+func (c *claims) expected(cfg engine.Config) bool {
+	for _, k := range c.running {
+		s := c.cfgs[k]
+		for i := range c.kept {
+			f := &c.kept[i]
+			if f.cfg.MapSlots < s.MapSlots || f.cfg.ReduceSlots < s.ReduceSlots {
+				continue
+			}
+			if cfg.MapSlots == s.MapSlots && cfg.ReduceSlots > s.ReduceSlots && f.peaks.PeakReduceSlots < s.ReduceSlots ||
+				cfg.ReduceSlots == s.ReduceSlots && cfg.MapSlots > s.MapSlots && f.peaks.PeakMapSlots < s.MapSlots {
+				return true
+			}
+		}
 	}
-	a.mu.Lock()
-	a.kept = append(a.kept, answer{cfg, pol, engine.Result{PeakMapSlots: res.PeakMapSlots, PeakReduceSlots: res.PeakReduceSlots}, pt})
-	a.mu.Unlock()
+	return false
+}
+
+// finish settles the replay of position k under pol: a failure is
+// recorded, and a success that answers for a larger cluster is kept.
+// Either way a waiting worker looks again.
+func (c *claims) finish(k int, pol Policy, peaks *engine.Result, pt SweepPoint, err error) {
+	c.mu.Lock()
+	c.running = slices.DeleteFunc(c.running, func(r int) bool { return r == k })
+	switch cfg := c.cfgs[k]; {
+	case err != nil:
+		if c.err == nil || k < c.errAt {
+			c.err, c.errAt = err, k
+		}
+	case c.reuse && answersLarger(peaks, cfg, pol):
+		c.kept = append(c.kept, answer{cfg, pol, *peaks, pt})
+	}
+	if c.changed != nil {
+		close(c.changed)
+		c.changed = nil
+	}
+	c.mu.Unlock()
+	if testHookSettled != nil {
+		testHookSettled()
+	}
+}
+
+// testHookSettled, when set, runs each time finish has settled a
+// replay, before any worker can claim on the strength of it.
+var testHookSettled func()
+
+// answersLarger reports whether a replay of cfg under pol with the given
+// peaks answers for a cluster with one more slot of some kind: whether
+// it left a slot unused throughout, under a policy that may be answered
+// for.
+func answersLarger(peaks *engine.Result, cfg engine.Config, pol Policy) bool {
+	wider, taller := cfg, cfg
+	wider.MapSlots++
+	taller.ReduceSlots++
+	return engine.Answers(peaks, cfg, wider, pol) || engine.Answers(peaks, cfg, taller, pol)
 }
 
 // sweepPoint condenses one replay into its sweep cell.

@@ -1,9 +1,15 @@
 package simmr
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"simmr/internal/sched/schedtest"
 )
@@ -198,6 +204,209 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 						t.Fatalf("%d of %d cells answered by an earlier replay", snap.Cached, len(pts))
 					}
 				})
+			}
+		}
+	}
+}
+
+// A rectangular grid across the sparse trace's knee, shaped like the
+// benchmark's sweep-grid: the largest cell answers every column past the
+// trace's map peak, and each row below it is answered by its head.
+var kneeGrid = []int{12, 16, 20, 24, 32, 40, 48, 64}
+
+// countingFactory builds mk's policy, counting the call: a sweep calls
+// its factory once per cell it replays. hold, when set, runs first with
+// the call's 1-based number.
+func countingFactory(calls *atomic.Int64, mk func() Policy, hold func(call int64)) func() Policy {
+	return func() Policy {
+		n := calls.Add(1)
+		if hold != nil {
+			hold(n)
+		}
+		return mk()
+	}
+}
+
+// waitFor polls cond for up to ten seconds.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+		if cond() {
+			return true
+		}
+	}
+	return false
+}
+
+// kneeSweep sweeps kneeGrid at the given worker count and returns how
+// many cells it replayed. Which cells a parallel sweep replays depends
+// on which of its replays finish first, and the claim rule takes its
+// evidence from the grid's largest cell: none covers that cell finishing
+// after the other worker has replayed every row head below the map
+// peak. So the replays are made to finish in the order they start: the
+// first two, the grid's largest and smallest cells, start together, and
+// each later one once every earlier one is settled. What the sweep
+// replays is then decided by its claims alone.
+func kneeSweep(t *testing.T, ctx context.Context, tr *Trace, workers int, hold func(call int64)) (int64, error) {
+	t.Helper()
+	var calls, settled atomic.Int64
+	testHookSettled = func() { settled.Add(1) }
+	defer func() { testHookSettled = nil }()
+	_, err := CapacitySweepCtx(ctx, tr, SweepConfig{
+		MapSlotCounts: kneeGrid, ReduceSlotCounts: kneeGrid, Workers: workers,
+		PolicyFactory: countingFactory(&calls, NewFIFO, func(n int64) {
+			var started bool
+			switch {
+			case n == 1 && workers > 1:
+				started = waitFor(func() bool { return calls.Load() >= 2 })
+			case n == 2:
+				started = true
+			default:
+				started = waitFor(func() bool { return settled.Load() >= n-1 })
+			}
+			if !started {
+				t.Errorf("replay %d never started", n)
+			}
+			if hold != nil {
+				hold(n)
+			}
+		}),
+	})
+	return calls.Load(), err
+}
+
+// TestParallelSweepReplaysWhatSerialDoes: a worker never replays a cell
+// that a running replay is expected to answer, so a two-worker sweep
+// replays the cells a one-worker sweep does, whichever of its replays
+// finishes first.
+func TestParallelSweepReplaysWhatSerialDoes(t *testing.T) {
+	tr := sparseSweepTrace(t)
+	want, err := kneeSweep(t, context.Background(), tr, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells := int64(len(kneeGrid) * len(kneeGrid)); want > cells/8 {
+		t.Fatalf("a serial sweep replays %d of %d cells: the grid does not span the knee", want, cells)
+	}
+	for run := 0; run < 50; run++ {
+		got, err := kneeSweep(t, context.Background(), tr, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("run %d: two workers replayed %d cells, one worker %d", run, got, want)
+		}
+	}
+}
+
+// TestParallelSweepKeepsDenseParallelism: where no replay leaves a slot
+// free, or the policy is never answered for (MinEDF), nothing waits:
+// every cell replays, and once the first replays are done four are in
+// flight at once.
+func TestParallelSweepKeepsDenseParallelism(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+		mk   func() Policy
+	}{
+		{"dense/fifo", denseSweepTrace(), NewFIFO},
+		{"sparse/minedf", sparseSweepTrace(t), NewMinEDF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mapGrid, reduceGrid := []int{2, 4, 8, 16}, []int{1, 4, 16}
+			var calls, in atomic.Int64
+			all := make(chan struct{})
+			_, err := CapacitySweep(tc.tr, SweepConfig{
+				MapSlotCounts: mapGrid, ReduceSlotCounts: reduceGrid, Workers: 4,
+				PolicyFactory: countingFactory(&calls, tc.mk, func(n int64) {
+					if n < 5 || n > 8 {
+						return
+					}
+					if in.Add(1) == 4 {
+						close(all)
+					}
+					select {
+					case <-all:
+					case <-time.After(10 * time.Second):
+					}
+				}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, cells := calls.Load(), int64(len(mapGrid)*len(reduceGrid)); got != cells {
+				t.Fatalf("%d of %d cells replayed", got, cells)
+			}
+			select {
+			case <-all:
+			default:
+				t.Fatalf("only %d of the 5th to 8th replays were ever in flight together", in.Load())
+			}
+		})
+	}
+}
+
+// waitingIn reports whether a goroutine is blocked in a sweep's claim,
+// waiting for a running replay to finish.
+func waitingIn() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[select") && strings.Contains(g, "(*claims).claim") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSweepCancelWhileWaiting: a worker waiting for a running replay
+// returns when ctx is canceled, the sweep returns context.Canceled, and
+// no worker is left behind. The last replay is held until the other
+// worker has answered what it can and waits on it.
+func TestSweepCancelWhileWaiting(t *testing.T) {
+	tr := sparseSweepTrace(t)
+	want, err := kneeSweep(t, context.Background(), tr, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = kneeSweep(t, ctx, tr, 2, func(n int64) {
+		if n != want {
+			return
+		}
+		if !waitFor(waitingIn) {
+			t.Error("no worker waited for the last replay")
+		}
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("sweep returned %v, want context.Canceled", err)
+	}
+	if waitingIn() {
+		t.Fatal("a worker is still waiting after the sweep returned")
+	}
+}
+
+// TestSweepErrorIsWorkerIndependent: a sweep whose cells fail returns
+// the error of the first failing cell in visit order at every worker
+// count. The engine refuses a cluster without reduce slots for a trace
+// with reduces.
+func TestSweepErrorIsWorkerIndependent(t *testing.T) {
+	tr := sparseSweepTrace(t)
+	sweep := func(workers int) string {
+		_, err := CapacitySweep(tr, SweepConfig{MapSlotCounts: []int{4, 8}, ReduceSlotCounts: []int{0, 2, 4}, Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: a sweep with no reduce slots succeeded", workers)
+		}
+		return err.Error()
+	}
+	want := sweep(1)
+	if !strings.Contains(want, "sweep at 4+0 slots") {
+		t.Fatalf("serial sweep failed with %q, want the 4+0 cell's error", want)
+	}
+	for _, workers := range []int{2, 4} {
+		for run := 0; run < 10; run++ {
+			if got := sweep(workers); got != want {
+				t.Fatalf("workers=%d: %q, want %q", workers, got, want)
 			}
 		}
 	}

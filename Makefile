@@ -18,8 +18,9 @@ test:
 # detector (the concurrency model's determinism tests only mean
 # something with -race on). The subscribe/End race in internal/runs
 # showed up once in ~30 runs, so its test is repeated until it would.
-# Which cells a parallel capacity sweep answers from a finished replay
-# depends on which replays finish first, so the reuse differentials run
+# Which cells a parallel capacity sweep answers from a finished replay,
+# or copies from its largest cell's trail, depends on which replays
+# finish first, so the reuse differentials run
 # a few more times, as does the emulator's speculation determinism test
 # (it once depended on map iteration order) and the test of four
 # processes sharing one cache directory (their interleaving differs per run).
@@ -27,11 +28,12 @@ test:
 # (SWEEP_CLAIMS) run twenty times: a scheduling bug shows in some
 # interleavings only.
 # one-path keeps the run plan the only executor: the calls that make up
-# its sequence (key, observe the pool, attach a recorder, account) and
-# the split replay, which must start from a single replay and never from
-# a fan-out that already fills the cores, appear in non-test code only in
+# its sequence (key, observe the pool, attach a recorder, account), the
+# split replay, which must start from a single replay and never from a
+# fan-out that already fills the cores, and the replays that leave and
+# follow a trail, which must be bare, appear in non-test code only in
 # internal/plan and in the packages that define them.
-ONE_PATH = ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHook\(|\.RunSplit\(
+ONE_PATH = ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHook\(|\.RunSplit\(|\.RunTrail\(|\.FoldTrail\(
 # one-queue keeps every simulator on the one event queue (des.Lanes,
 # des.Record): des.EventQueue is a deprecated wrapper of it that only the
 # benchmark's probe still uses, and there is no des.Event.
@@ -54,7 +56,7 @@ verify:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
-	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestSweepReuseMatchesReplay|TestSpeculationDeterministic|TestSharedDirAcrossProcesses' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster ./internal/rcache
+	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestSpeculationDeterministic|TestSharedDirAcrossProcesses' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster ./internal/rcache
 	$(GO) test -race -run '$(SWEEP_CLAIMS)' -count=20 ./pkg/simmr
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate

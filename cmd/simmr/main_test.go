@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -202,6 +203,9 @@ func cliFixture(t *testing.T) string {
 	return dir
 }
 
+// sparseSweep is the grid of TestCLIGolden's sparse-sweep row.
+const sparseSweep = "4,8,16,32,48,64,96,128"
+
 // TestCLIGolden pins what a user sees: stdout and exit code of every
 // replaying invocation, byte for byte, against goldens generated at
 // the commit before the CLI moved onto the run plan. Invocations that
@@ -226,7 +230,7 @@ func TestCLIGolden(t *testing.T) {
 		{"sweep-shard0", "-trace trace.strc -sweep 8,16,32 -shard 0/2", 0},
 		{"sweep-shard1", "-trace trace.strc -sweep 8,16,32 -shard 1/2", 0},
 		{"sweep-bad", "-trace trace.strc -sweep 8,x", 1},
-		{"sparse-sweep", "-trace sparse.strc -sweep 4,8,16,32,48,64,96,128", 0},
+		{"sparse-sweep", "-trace sparse.strc -sweep " + sparseSweep, 0},
 		{"shard-without-sweep", "-trace trace.strc -shard 0/2", 1},
 		{"trace-run", "trace run -trace trace.strc -policy fair -out events.json -slot-timeline slots.tsv", 0},
 		{"whatif", "trace whatif -trace trace.strc -policies minedf -deadline-scale 2 -explain", 0},
@@ -290,6 +294,28 @@ func TestCLIGolden(t *testing.T) {
 		if string(out) != string(want) {
 			t.Errorf("%s: simmr %s printed\n%s\nwant (%s)\n%s", c.name, c.args, out, golden, want)
 		}
+	}
+	// The sparse-sweep row's cells below the largest cell's peaks follow its
+	// trail. The same sweep in-process, on one worker so that each of them
+	// is claimed once the largest cell has finished, copies jobs.
+	sparse, err := simmr.OpenPackedTrace(filepath.Join(dirs["sparse-sweep"], "sparse.strc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sparse.Close()
+	var counts []int
+	for _, c := range strings.Split(sparseSweep, ",") {
+		n, _ := strconv.Atoi(c)
+		counts = append(counts, n)
+	}
+	copied0 := engine.Shared.CopiedJobs()
+	if _, err := simmr.CapacitySweep(sparse, simmr.SweepConfig{MapSlotCounts: counts, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	copied := engine.Shared.CopiedJobs() - copied0
+	t.Logf("the sparse sweep copied %d jobs from its largest cell's trail", copied)
+	if copied == 0 {
+		t.Error("the sparse sweep copied no job from its largest cell's trail")
 	}
 	// The second cached `trace run` served a hit: it exported nothing.
 	if _, err := os.Stat(filepath.Join(dirs["cached-run"], "again.json")); err == nil {

@@ -184,14 +184,18 @@ func Answers(res *Result, ran, want Config, policy sched.Policy) bool {
 	if _, aware := policy.(sched.ArrivalAware); aware || ran.PreemptMapTasks {
 		return false
 	}
-	above := func(peak, ran, want int) bool { return want == ran || (peak < ran && want > peak) }
 	// The rest of the two configs must match; a sink only observes.
 	a, b := ran, want
 	a.MapSlots, a.ReduceSlots, a.Sink, b.Sink = b.MapSlots, b.ReduceSlots, nil, nil
 	return a == b &&
-		above(res.PeakMapSlots, ran.MapSlots, want.MapSlots) &&
-		above(res.PeakReduceSlots, ran.ReduceSlots, want.ReduceSlots)
+		holds(res.PeakMapSlots, ran.MapSlots, want.MapSlots) &&
+		holds(res.PeakReduceSlots, ran.ReduceSlots, want.ReduceSlots)
 }
+
+// holds reports whether a cluster of want slots of a kind takes the
+// rounds one of ran slots took while holding at most peak at once: want
+// is ran, or ran left a slot free throughout and want is above the peak.
+func holds(peak, ran, want int) bool { return want == ran || (peak < ran && want > peak) }
 
 // fillerReduce tracks a first-wave reduce waiting for its job's map
 // stage to complete: its departure holds a reserved place in the event
@@ -1391,8 +1395,9 @@ type Pool struct {
 	onGet  func(reused bool)
 
 	// accepted and cancelled count the boundaries of the split replays
-	// run on the pool (RunSplit, SplitCounts).
-	accepted, cancelled atomic.Uint64
+	// run on the pool (RunSplit, SplitCounts), copied the outcomes copied
+	// from trails (FoldTrail, CopiedJobs).
+	accepted, cancelled, copied atomic.Uint64
 }
 
 // Shared is the process-wide pool behind every fan-out entry point
@@ -1509,16 +1514,5 @@ func (p *Pool) Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, e
 // returns, and nothing reached through it may be kept. fn is not called
 // when the replay fails.
 func (p *Pool) Fold(cfg Config, tr *trace.Trace, policy sched.Policy, fn func(*Result)) error {
-	e, err := p.Get(cfg, tr, policy)
-	if err != nil {
-		return err
-	}
-	res := &e.scratch
-	if err = e.RunInto(res); err == nil {
-		fn(res)
-	}
-	clear(res.Jobs)
-	res.Jobs = res.Jobs[:0]
-	p.Put(e)
-	return err
+	return p.FoldTrail(cfg, tr, policy, nil, fn)
 }

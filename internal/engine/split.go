@@ -151,7 +151,7 @@ func (e *Engine) runSplit(p *Pool, bounds []int) (res *Result, accepted int, err
 			if s.e = p.take(); s.e == nil {
 				s.e = new(Engine)
 			}
-			s.e.armSuffix(e, bounds[i-1])
+			s.e.armSuffix(e, bounds[i-1], new(trace.Trace))
 		}
 		if i < len(bounds) {
 			s.end = bounds[i]
@@ -202,19 +202,23 @@ func (res *Result) stitch(e *Engine) {
 }
 
 // armSuffix arms e to replay positions k… of first's replay — started,
-// on a trace in arrival order — as a replay of its own: its trace is a
-// view of the suffix, checked by first's Reset and not again; its
+// on a trace in arrival order — as a replay of its own: its trace is the
+// suffix, written to view and checked by first's Reset and not again; its
 // schedule is first's from entry k on, which Preload only reads; its
 // outcomes go to first's array from position k on, bound and cleared
 // when first started, so that no engine clears what another may be
 // writing.
-func (e *Engine) armSuffix(first *Engine, k int) {
-	view := &trace.Trace{Name: first.tr.Name, Jobs: first.tr.Jobs[k:]}
+func (e *Engine) armSuffix(first *Engine, k int, view *trace.Trace) {
+	*view = trace.Trace{Name: first.tr.Name, Jobs: first.tr.Jobs[k:]}
 	e.rearm(first.cfg, view, first.policy, first.indexOf == nil, first.idBase+k)
 	e.state = runStarted
 	e.q.Preload(evJobArrival, first.arrivals[k:])
 	e.out = first.out[k:]
 }
+
+// quiescent reports whether e is at a quiescent instant: no job live
+// and nothing pending but the arrivals still to come.
+func (e *Engine) quiescent() bool { return e.live == 0 && e.q.Len() == e.q.Preloaded() }
 
 // run steps the segment's engine until the replay ends, a step fails,
 // the segment is cancelled, or the arrival at s.end is next and the
@@ -227,7 +231,7 @@ func (s *segment) run(segs []segment, n int) {
 	e := s.e
 	for e.remaining > 0 && !s.cancel.Load() {
 		if s.end < n && e.q.Preloaded() == n-s.end {
-			if e.live == 0 && e.q.Len() == e.q.Preloaded() {
+			if e.quiescent() {
 				return
 			}
 			if e.q.ScheduleNext() {

@@ -93,16 +93,26 @@ func TestMapErrorStopsRemainingWork(t *testing.T) {
 	}
 }
 
+// TestMapContextCancellation bounds the tasks that start once cancel has
+// returned: a worker checks the context before it claims a task, so each
+// one can have claimed at most one task before seeing it done. Tasks that
+// start before cancel runs are not bounded — another worker can finish
+// any number of them before task 1 gets to run.
 func TestMapContextCancellation(t *testing.T) {
+	const workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
+	var cancelled atomic.Bool
+	var late atomic.Int64
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Map(ctx, 2, 1000, func(ctx context.Context, i int) (int, error) {
-			ran.Add(1)
+		_, err := Map(ctx, workers, 1000, func(ctx context.Context, i int) (int, error) {
+			if cancelled.Load() {
+				late.Add(1)
+			}
 			if i == 1 {
 				cancel()
+				cancelled.Store(true)
 			}
 			return i, ctx.Err()
 		})
@@ -115,8 +125,8 @@ func TestMapContextCancellation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pool did not stop after cancellation")
 	}
-	if n := ran.Load(); n > 100 {
-		t.Fatalf("%d tasks ran after cancellation", n)
+	if n := late.Load(); n > workers {
+		t.Fatalf("%d tasks started after cancellation, want at most %d", n, workers)
 	}
 }
 

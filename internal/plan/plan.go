@@ -186,6 +186,15 @@ type Cell struct {
 	Keep bool
 	// Edit, on a Branch cell, mutates the paused fork before it runs.
 	Edit func(*engine.Engine) error
+	// Lead, when set, makes a replay with no sink of any kind leave a
+	// trail for later cells to follow (engine.Pool.RunTrail) and hands it
+	// over before the fold — nil when the replay cannot leave one. The
+	// fold then gets a Result of its own, which the trail holds. A hit, a
+	// failure or an observed replay does not call it.
+	Lead func(*engine.Trail)
+	// Follow is a trail of the same trace for the replay to copy what it
+	// may of (engine.Pool.FoldTrail); an observed replay ignores it.
+	Follow *engine.Trail
 	// split lets a kept replay run as segments on up to Workers cores
 	// when nothing observes it (engine.Pool.RunSplit): One's cell only, as
 	// a fan-out keeps the cores busy with its cells.
@@ -264,6 +273,13 @@ func (p *Plan) Replay(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Ce
 	switch {
 	case p.snap != nil:
 		err = p.branch(sink, c.Edit, done)
+	case c.Lead != nil && sink == nil:
+		var res *engine.Result
+		var trail *engine.Trail
+		if res, trail, err = p.pool.RunTrail(cfg, tr, pol); err == nil {
+			c.Lead(trail)
+			done(res)
+		}
 	case c.Keep:
 		cfg.Sink = sink
 		var res *engine.Result
@@ -277,7 +293,7 @@ func (p *Plan) Replay(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Ce
 		}
 	default:
 		cfg.Sink = sink
-		err = p.pool.Fold(cfg, tr, pol, done)
+		err = p.pool.FoldTrail(cfg, tr, pol, c.Follow, done)
 	}
 	if err != nil && rec != nil {
 		p.run.AddFlightDump(rec.Dump("error"))

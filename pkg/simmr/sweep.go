@@ -64,6 +64,16 @@ type SweepPoint struct {
 // SinkFactory is set, since each sink must see its own cell's replay, or
 // when the policy implements ArrivalAware (MinEDF), which is handed the
 // slot totals.
+//
+// A cell that replays may still copy part of its replay. The cell
+// visited first leaves a trail: the instants its cluster was empty with
+// only arrivals ahead, and what it held between two of them. A cell
+// claimed once that replay has finished copies every stretch between two
+// such instants that it reaches with its own cluster empty and that the
+// first replay took holding fewer slots of each kind than the cell has
+// (DESIGN.md §5, "Stretches below the peak"). Only a bare sweep follows a
+// trail — no SinkFactory, Telemetry or Flight — under a built-in policy
+// other than MinEDF, so not under DynamicPriority or a policy of your own.
 type SweepConfig struct {
 	// MapSlotCounts and ReduceSlotCounts are the grid axes. If
 	// ReduceSlotCounts is empty (nil or zero-length), reduce slots track
@@ -224,7 +234,7 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 	// A sink must see its own cell's replay, so with one no cell is reused.
 	cl := &claims{cfgs: cfgs, reuse: cfg.SinkFactory == nil, claimed: make([]bool, len(cfgs))}
 	err := p.Each(ctx, len(order), func(int) error {
-		k, pt, answered, err := cl.claim(ctx)
+		k, pt, answered, trail, err := cl.claim(ctx)
 		if err != nil {
 			return err
 		}
@@ -237,7 +247,13 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 			p.Reused(len(tr.Jobs))
 			return nil
 		}
-		pc := plan.Cell{}
+		// The first cell visited leaves a trail; a cell claimed once its
+		// replay has finished follows it.
+		var lead *engine.Trail
+		pc := plan.Cell{Follow: trail}
+		if k == 0 {
+			pc.Lead = func(t *engine.Trail) { lead = t }
+		}
 		if cfg.SinkFactory != nil {
 			pc.Sink = func() obs.Sink { return cfg.SinkFactory(c.m, c.r) }
 		}
@@ -252,7 +268,7 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		}); err != nil {
 			err = fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
 		}
-		cl.finish(k, pol, &peaks, points[i], err)
+		cl.finish(k, pol, &peaks, points[i], lead, err)
 		return err
 	})
 	if cl.err != nil {
@@ -295,6 +311,7 @@ type claims struct {
 	claimed []bool
 	running []int // positions whose replay is in flight
 	kept    []answer
+	trail   *engine.Trail // the first position's, once its replay has finished
 	// changed, when a worker waits, is closed as the next replay finishes.
 	changed chan struct{}
 	err     error // the failure at the lowest position so far
@@ -313,15 +330,16 @@ type answer struct {
 // claim takes the first unclaimed position, in visit order, that a
 // running replay is not expected to answer. If a finished replay
 // answers it, answered is set and pt is that replay's point; otherwise
-// the caller replays it and reports to finish. When every unclaimed
+// the caller replays it, following trail when the first position's
+// replay has left one, and reports to finish. When every unclaimed
 // position is expected, claim waits for a replay to finish. It fails
 // once a claimed cell has failed, or ctx is done.
-func (c *claims) claim(ctx context.Context) (pos int, pt SweepPoint, answered bool, err error) {
+func (c *claims) claim(ctx context.Context) (pos int, pt SweepPoint, answered bool, trail *engine.Trail, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		if c.err != nil {
-			return 0, SweepPoint{}, false, c.err
+			return 0, SweepPoint{}, false, nil, c.err
 		}
 		for k, claimed := range c.claimed {
 			if claimed {
@@ -329,12 +347,12 @@ func (c *claims) claim(ctx context.Context) (pos int, pt SweepPoint, answered bo
 			}
 			if pt, ok := c.find(c.cfgs[k]); ok {
 				c.claimed[k] = true
-				return k, pt, true, nil
+				return k, pt, true, nil, nil
 			}
 			if !c.expected(c.cfgs[k]) {
 				c.claimed[k] = true
 				c.running = append(c.running, k)
-				return k, SweepPoint{}, false, nil
+				return k, SweepPoint{}, false, c.trail, nil
 			}
 		}
 		// Every unclaimed position names a running replay, whose finish
@@ -350,7 +368,7 @@ func (c *claims) claim(ctx context.Context) (pos int, pt SweepPoint, answered bo
 		}
 		c.mu.Lock()
 		if err := ctx.Err(); err != nil {
-			return 0, SweepPoint{}, false, err
+			return 0, SweepPoint{}, false, nil, err
 		}
 	}
 }
@@ -387,11 +405,15 @@ func (c *claims) expected(cfg engine.Config) bool {
 }
 
 // finish settles the replay of position k under pol: a failure is
-// recorded, and a success that answers for a larger cluster is kept.
-// Either way a waiting worker looks again.
-func (c *claims) finish(k int, pol Policy, peaks *engine.Result, pt SweepPoint, err error) {
+// recorded, a success that answers for a larger cluster is kept, and a
+// trail it left is handed to later claims. Either way a waiting worker
+// looks again.
+func (c *claims) finish(k int, pol Policy, peaks *engine.Result, pt SweepPoint, trail *engine.Trail, err error) {
 	c.mu.Lock()
 	c.running = slices.DeleteFunc(c.running, func(r int) bool { return r == k })
+	if trail != nil {
+		c.trail = trail
+	}
 	switch cfg := c.cfgs[k]; {
 	case err != nil:
 		if c.err == nil || k < c.errAt {

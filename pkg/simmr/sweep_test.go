@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"simmr/internal/engine"
 	"simmr/internal/sched/schedtest"
 )
 
@@ -150,25 +151,31 @@ func denseSweepTrace() *Trace {
 // through the per-slot scan, DynamicPriority through a factory, and
 // MinEDF, which sizes jobs by the slot totals and so is never answered
 // for. The run registry's cached count shows the reuse fired on the
-// sparse trace and not on the dense one.
+// sparse trace and not on the dense one. The pool's copied-jobs count
+// shows that the cells replayed after the largest cell followed its
+// trail on the sparse trace under the indexed policies other than MinEDF
+// — at Workers 4 on some sweep, since a cell claimed while the largest
+// cell runs replays whole — and that nothing else copied a job.
 func TestSweepReuseMatchesReplay(t *testing.T) {
 	mapGrid, reduceGrid := []int{2, 4, 8, 16, 32, 64}, []int{1, 4, 16, 64}
 	dynamic := func() Policy {
 		return NewDynamicPriority(map[int]float64{1: 40, 3: 90, 5: 20}, map[int]float64{1: 2, 3: 3, 5: 1})
 	}
 	policies := []struct {
-		name   string
-		mk     func() Policy
-		reuses bool
+		name    string
+		mk      func() Policy
+		reuses  bool
+		follows bool
 	}{
-		{"fifo", NewFIFO, true},
-		{"maxedf", NewMaxEDF, true},
-		{"fair", NewFair, true},
-		{"capacity", func() Policy { return NewCapacity([]float64{0.6, 0.4}) }, true},
-		{"scan-fifo", func() Policy { return schedtest.ScanOnly(NewFIFO()) }, true},
-		{"dynamic", dynamic, true},
-		{"minedf", NewMinEDF, false},
+		{"fifo", NewFIFO, true, true},
+		{"maxedf", NewMaxEDF, true, true},
+		{"fair", NewFair, true, true},
+		{"capacity", func() Policy { return NewCapacity([]float64{0.6, 0.4}) }, true, true},
+		{"scan-fifo", func() Policy { return schedtest.ScanOnly(NewFIFO()) }, true, false},
+		{"dynamic", dynamic, true, false},
+		{"minedf", NewMinEDF, false, false},
 	}
+	copied := map[int]uint64{} // by worker count, over the sweeps that may follow
 	for _, tr := range []*Trace{sparseSweepTrace(t), denseSweepTrace()} {
 		for _, pc := range policies {
 			want := map[[2]int]SweepPoint{}
@@ -185,9 +192,20 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", tr.Name, pc.name, workers), func(t *testing.T) {
 					reg := NewRunRegistry(4)
 					cfg := SweepConfig{MapSlotCounts: mapGrid, ReduceSlotCounts: reduceGrid, PolicyFactory: pc.mk, Workers: workers, Runs: reg}
+					before := engine.Shared.CopiedJobs()
 					pts, err := CapacitySweep(tr, cfg)
 					if err != nil {
 						t.Fatal(err)
+					}
+					n := engine.Shared.CopiedJobs() - before
+					switch follows := pc.follows && tr.Name == "sparse"; {
+					case follows:
+						copied[workers] += n
+						if workers == 1 && n == 0 {
+							t.Fatal("no cell copied a job from the largest cell's trail")
+						}
+					case n > 0:
+						t.Fatalf("%d jobs copied from a trail", n)
 					}
 					for i, pt := range pts {
 						w := want[[2]int{pt.MapSlots, pt.ReduceSlots}]
@@ -205,6 +223,12 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+	for workers, n := range copied {
+		t.Logf("Workers %d: %d jobs copied from trails", workers, n)
+		if n == 0 {
+			t.Errorf("Workers %d: no sweep copied a job from a trail", workers)
 		}
 	}
 }

@@ -20,7 +20,8 @@ test:
 # showed up once in ~30 runs, so its test is repeated until it would.
 # Which cells a parallel capacity sweep answers from a finished replay,
 # or copies from its largest cell's trail, depends on which replays
-# finish first, so the reuse differentials run
+# finish first, and which worker replays a batch follower its group cut
+# depends on timing, so the reuse differentials run
 # a few more times, as does the emulator's speculation determinism test
 # (it once depended on map iteration order) and the test of four
 # processes sharing one cache directory (their interleaving differs per run).
@@ -56,7 +57,7 @@ verify:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
-	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestSpeculationDeterministic|TestSharedDirAcrossProcesses' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster ./internal/rcache
+	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestSpeculationDeterministic|TestSharedDirAcrossProcesses' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster ./internal/rcache
 	$(GO) test -race -run '$(SWEEP_CLAIMS)' -count=20 ./pkg/simmr
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate

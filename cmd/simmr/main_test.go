@@ -211,8 +211,9 @@ const sparseSweep = "4,8,16,32,48,64,96,128"
 // the commit before the CLI moved onto the run plan. Invocations that
 // share a name prefix up to "#" run in order in one directory — the
 // second replay against one -cache-dir prints the hit line and skips
-// its exports, and `cache info` counts the entries the sweeps before it
-// stored, then none once `cache clear` has run. Invocations named
+// its exports, `cache info` counts the entries the sweeps before it
+// stored, then none once `cache clear` has run, and a trace unpacked to
+// JSON and packed again is the store it came from. Invocations named
 // sparse-… run beside splitFixture's sparse.strc instead of trace.strc.
 // Regenerate with `go test ./cmd/simmr -run CLIGolden -update` only when
 // an output change is intended.
@@ -256,6 +257,16 @@ func TestCLIGolden(t *testing.T) {
 		{"mumak-cache", "-trace trace.strc -engine mumak -cache-dir cache", 1},
 		{"engine-bad", "-trace trace.strc -engine bogus -sweep 8,16", 1},
 		{"engine-bad-info", "-trace trace.strc -engine bogus -info", 1},
+		{"pack#1", "trace unpack -trace trace.strc -out trace.json", 0},
+		{"pack#2", "trace pack -trace trace.json -out again.strc", 0},
+		{"pack#3", "trace info -trace again.strc", 0},
+		{"pack#4", "trace info -trace trace.strc", 0},
+		{"pack#5", "-trace again.strc -policy minedf", 0},
+		{"pack-no-out", "trace pack -trace trace.strc", 1},
+		{"unpack-no-trace", "trace unpack", 1},
+		{"info-no-trace", "trace info", 1},
+		{"info-not-packed#1", "trace unpack -trace trace.strc -out trace.json", 0},
+		{"info-not-packed#2", "trace info -trace trace.json", 1},
 	}
 	dirs, stderr := map[string]string{}, map[string]string{}
 	for _, c := range cases {
@@ -316,6 +327,20 @@ func TestCLIGolden(t *testing.T) {
 	t.Logf("the sparse sweep copied %d jobs from its largest cell's trail", copied)
 	if copied == 0 {
 		t.Error("the sparse sweep copied no job from its largest cell's trail")
+	}
+	// `trace unpack` then `trace pack` gives back the packed store byte for
+	// byte (pack#3 and pack#4 print the same layout; pack#5 replays as
+	// the replay row does).
+	repacked, err := os.ReadFile(filepath.Join(dirs["pack"], "again.strc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := os.ReadFile(filepath.Join(dirs["pack"], "trace.strc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(repacked) != string(packed) {
+		t.Error("trace unpack then trace pack changed the .strc store")
 	}
 	// The second cached `trace run` served a hit: it exported nothing.
 	if _, err := os.Stat(filepath.Join(dirs["cached-run"], "again.json")); err == nil {

@@ -1,0 +1,258 @@
+package plan
+
+import (
+	"math"
+
+	"simmr/internal/engine"
+	"simmr/internal/obs"
+)
+
+// Group replays the pending cells of one group once, as lead's replay,
+// and settles every follower from it as far as DESIGN.md §5 lets it
+// ("Capacity above the peak", prefix form). The caller forms the group:
+// one trace, policies of one fingerprint that engine.Answers accepts,
+// and configs that differ in slot counts only; lead is the largest
+// cluster. Every member keeps its Result, as with Cell.Keep. A group is
+// worth forming only when its members are observed (Observing, or a
+// sink of their own): lead's replay carries the gates' sink.
+//
+// Lead's stream goes to each follower's observers through a gate. A
+// follower whose gate is still open when lead finishes has seen its own
+// stream end to end: it takes a copy of lead's Result, stored under its
+// own key and accounted as a replay of its own. A follower whose gate
+// closes — and every open one if lead fails — is handed to cut at once,
+// on lead's goroutine, for any worker to Run: its observers are muted
+// for what the gate passed on.
+//
+// Each follower's Result is allocated before lead starts: an answered
+// follower's takes the copy, a cut follower's own replay runs into it.
+// Allocated in one burst at lead's end instead, the copies raised the
+// peak heap of a process running batch after batch, though not its live
+// heap.
+//
+// The error is lead's; a cut follower reports its own from Run.
+func (p *Plan) Group(lead *Pending, followers []*Pending, cut func(follower int)) error {
+	lead.observe()
+	for _, f := range followers {
+		f.into = &engine.Result{Jobs: make([]engine.JobOutcome, 0, len(f.tr.Jobs))}
+		f.observe()
+	}
+
+	sinks := []obs.Sink{lead.sink}
+	gates := make([]*gate, len(followers))
+	for i, f := range followers {
+		gates[i] = newGate(lead.cfg, f, func() { cut(i) })
+		if !gates[i].closed {
+			sinks = append(sinks, gates[i])
+		}
+	}
+	cfg := lead.cfg
+	cfg.Sink = obs.Tee(sinks...)
+	res, err := p.pool.Run(cfg, lead.tr, lead.pol)
+	if err != nil {
+		if lead.rec != nil {
+			p.run.AddFlightDump(lead.rec.Dump("error"))
+		}
+		for _, g := range gates {
+			if !g.closed {
+				g.close()
+			}
+		}
+		return err
+	}
+	lead.settle(res, lead.fold)
+	for i, g := range gates {
+		if !g.closed {
+			followers[i].settle(copyInto(followers[i].into, res), followers[i].fold)
+		}
+	}
+	return nil
+}
+
+// copyInto copies res into dst, reusing dst's Jobs array.
+func copyInto(dst, res *engine.Result) *engine.Result {
+	jobs := append(dst.Jobs[:0], res.Jobs...)
+	*dst = *res
+	dst.Jobs = jobs
+	return dst
+}
+
+// passed counts what a gate has passed on of a stream: events, and
+// calls of each sampler.
+type passed struct{ events, depth, progress uint64 }
+
+// gate passes a group's lead stream on to one follower's observers for
+// as long as it is the follower's own stream. It counts the slots of
+// each kind the lead holds, from the stream's slot allocations and
+// releases. While every round of a replay ends holding fewer slots of a
+// kind than both clusters have, the round stopped because no job wanted
+// another slot, not for want of one, so the follower makes the same
+// policy calls and grants (the induction of "Capacity above the peak",
+// up to a round rather than over the whole replay). So for each kind
+// whose counts differ the gate closes just before the first allocation
+// that takes the lead's holding to the smaller count: everything before
+// it is the follower's stream, events, sampler calls and all. A gate
+// still open at the end forwards RunEnd, and stays open exactly when
+// engine.Answers holds for the lead's Result. Closing records what was
+// passed on with the follower and hands it off (cut); the gate forwards
+// nothing after that.
+type gate struct {
+	f        *Pending
+	sink     obs.Sink // the follower's observers; nil when it has none
+	feed     obs.Feed
+	depth    obs.DepthSampler
+	progress obs.ProgressSampler
+	cut      func()
+
+	// The lead's holding of each kind, and the holding at which the gate
+	// closes (math.MaxInt when both clusters have the same count).
+	maps, reduces         int
+	mapLimit, reduceLimit int
+	passed                passed
+	closed                bool
+}
+
+// newGate builds the gate from a lead replaying under ran to the
+// follower f, whose observers are built. A follower with no slot of a
+// kind the lead has is cut before the lead starts.
+func newGate(ran engine.Config, f *Pending, cut func()) *gate {
+	g := &gate{
+		f: f, sink: f.sink, feed: obs.FeedOf(f.sink), cut: cut,
+		mapLimit:    limit(ran.MapSlots, f.cfg.MapSlots),
+		reduceLimit: limit(ran.ReduceSlots, f.cfg.ReduceSlots),
+	}
+	g.depth, _ = f.sink.(obs.DepthSampler)
+	g.progress, _ = f.sink.(obs.ProgressSampler)
+	if g.mapLimit <= 0 || g.reduceLimit <= 0 {
+		g.close()
+	}
+	return g
+}
+
+// limit is the holding at which a lead of ran slots of a kind and a
+// follower of want may part.
+func limit(ran, want int) int {
+	if ran == want {
+		return math.MaxInt
+	}
+	return min(ran, want)
+}
+
+// Events passes a block on up to the allocation that closes the gate.
+func (g *gate) Events(evs []obs.Event) {
+	if g.closed {
+		return
+	}
+	for i := range evs {
+		switch evs[i].Kind {
+		case obs.KindMapSlotAlloc:
+			if g.maps++; g.maps == g.mapLimit {
+				g.pass(evs[:i])
+				g.close()
+				return
+			}
+		case obs.KindReduceSlotAlloc:
+			if g.reduces++; g.reduces == g.reduceLimit {
+				g.pass(evs[:i])
+				g.close()
+				return
+			}
+		case obs.KindMapSlotRelease:
+			g.maps--
+		case obs.KindReduceSlotRelease:
+			g.reduces--
+		}
+	}
+	g.pass(evs)
+}
+
+func (g *gate) Event(ev obs.Event) { g.Events((&[1]obs.Event{ev})[:]) }
+
+func (g *gate) pass(evs []obs.Event) {
+	g.passed.events += uint64(len(evs))
+	if g.sink != nil && len(evs) > 0 {
+		g.feed.Events(evs)
+	}
+}
+
+func (g *gate) SampleDepth(now float64, depth int) {
+	if g.closed {
+		return
+	}
+	g.passed.depth++
+	if g.depth != nil {
+		g.depth.SampleDepth(now, depth)
+	}
+}
+
+func (g *gate) SampleProgress(now float64, events uint64, jobsDone, jobsTotal int) {
+	if g.closed {
+		return
+	}
+	g.passed.progress++
+	if g.progress != nil {
+		g.progress.SampleProgress(now, events, jobsDone, jobsTotal)
+	}
+}
+
+func (g *gate) RunEnd(c obs.Counters) {
+	if !g.closed && g.sink != nil {
+		g.sink.RunEnd(c)
+	}
+}
+
+// close shuts the gate and hands the follower off; the gate never
+// touches it again.
+func (g *gate) close() {
+	g.closed = true
+	g.f.seen = g.passed
+	g.cut()
+}
+
+// mute is a cut follower's observers for its own replay: it drops the
+// events and sampler calls the gate already passed on, then forwards
+// the rest, so that the observers see the follower's stream once.
+type mute struct {
+	sink     obs.Sink
+	feed     obs.Feed
+	depth    obs.DepthSampler
+	progress obs.ProgressSampler
+	skip     passed
+}
+
+func newMute(s obs.Sink, seen passed) *mute {
+	m := &mute{sink: s, feed: obs.FeedOf(s), skip: seen}
+	m.depth, _ = s.(obs.DepthSampler)
+	m.progress, _ = s.(obs.ProgressSampler)
+	return m
+}
+
+func (m *mute) Events(evs []obs.Event) {
+	if n := uint64(len(evs)); m.skip.events >= n {
+		m.skip.events -= n
+		return
+	}
+	evs = evs[m.skip.events:]
+	m.skip.events = 0
+	m.feed.Events(evs)
+}
+
+func (m *mute) Event(ev obs.Event) { m.Events((&[1]obs.Event{ev})[:]) }
+
+func (m *mute) SampleDepth(now float64, depth int) {
+	if m.skip.depth > 0 {
+		m.skip.depth--
+	} else if m.depth != nil {
+		m.depth.SampleDepth(now, depth)
+	}
+}
+
+func (m *mute) SampleProgress(now float64, events uint64, jobsDone, jobsTotal int) {
+	if m.skip.progress > 0 {
+		m.skip.progress--
+	} else if m.progress != nil {
+		m.progress.SampleProgress(now, events, jobsDone, jobsTotal)
+	}
+}
+
+func (m *mute) RunEnd(c obs.Counters) { m.sink.RunEnd(c) }

@@ -8,7 +8,9 @@
 //
 // in two layers. Begin / Each / End is the fan-out: run registration,
 // the worker pool, and on every exit the run's End. Replay (Branch for a
-// what-if cell) is the per-replay step inside a cell. The entry points
+// what-if cell) is the per-replay step inside a cell; Lookup and
+// Pending.Run are the same step in two halves, so that a batch can
+// group its misses and replay a group once (Group). The entry points
 // in pkg/simmr, internal/experiments and cmd/simmr generate cells and
 // reduce results; none of them touches the cache, the run registry, a
 // flight recorder, the telemetry registry or the engine pool (`make
@@ -172,6 +174,13 @@ func (p *Plan) Reused(jobs int) {
 // can skip it otherwise.
 func (p *Plan) Recording() bool { return p.run != nil && p.Flight != 0 }
 
+// Observing reports whether the plan itself observes every replay, with
+// a flight recorder, a single replay's engine hook or telemetry (observe);
+// a cell's own sink observes it besides.
+func (p *Plan) Observing() bool {
+	return p.prefixRec != nil || p.Recording() || p.single || p.Telemetry != nil
+}
+
 // Cell is what one replay brings besides its (config, trace, policy):
 // nothing in it outlives the Replay call.
 type Cell struct {
@@ -205,100 +214,193 @@ type Cell struct {
 // ignored — see Cell.Sink) and pol, or serves the cached result, and
 // hands the outcome to fold. fold is not called when the replay fails.
 func (p *Plan) Replay(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Cell, fold func(*engine.Result)) (hit bool, err error) {
-	var key rcache.Key
-	var keyed bool
-	if p.Cache != nil && tr != nil {
-		digest, known := p.digests[tr]
-		if !known {
-			digest = tr.ContentHash()
-		}
-		if key, keyed = rcache.KeyFor(digest, cfg, pol); keyed {
-			if res, ok := p.Cache.Get(key); ok {
-				p.hits.Add(1)
-				p.run.AddCached(1)
-				p.run.AddJobs(uint64(len(res.Jobs)))
-				fold(res)
-				return true, nil
-			}
-		}
+	r := Pending{p: p, cfg: cfg, tr: tr, pol: pol, c: c}
+	if r.lookup(fold) {
+		return true, nil
 	}
+	return false, r.run(fold)
+}
 
-	// Observe: the cell's sink, a recorder, the engine hook of a single
-	// replay and the telemetry sink, behind one flat Tee — and no Tee at
-	// all on a bare plan.
-	var sink obs.Sink
-	if c.Sink != nil {
-		sink = c.Sink()
+// Lookup is Replay's key → lookup step on its own: a hit is folded and
+// Lookup returns nil; anything else is handed back as the replay still
+// to make, so that a caller can group the misses of a fan-out (Group)
+// before any of them runs.
+func (p *Plan) Lookup(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Cell, fold func(*engine.Result)) *Pending {
+	r := &Pending{p: p, cfg: cfg, tr: tr, pol: pol, c: c, fold: fold}
+	if r.lookup(fold) {
+		return nil
 	}
-	var rec *obs.FlightRecorder
+	return r
+}
+
+// Pending is a cell whose lookup missed, or that has no key: what is
+// left of its path is observe → run-or-fold → store → account (Run).
+type Pending struct {
+	p     *Plan
+	cfg   engine.Config
+	tr    *trace.Trace
+	pol   sched.Policy
+	c     Cell
+	fold  func(*engine.Result)
+	key   rcache.Key
+	keyed bool
+
+	// The observers, once built (observe).
+	observed bool
+	sink     obs.Sink
+	rec      *obs.FlightRecorder
+	start    time.Time
+	// seen is what a gate passed on to the observers before it cut the
+	// replay: its own run mutes that much (Group).
+	seen passed
+	// into, when set, is where a kept replay puts its Result (Group).
+	into *engine.Result
+}
+
+// lookup is key → lookup; it reports a hit, which it has folded. fold
+// is an argument, here and to run and settle, rather than read from r,
+// so that Replay's closure stays on its caller's stack.
+func (r *Pending) lookup(fold func(*engine.Result)) bool {
+	p := r.p
+	if p.Cache == nil || r.tr == nil {
+		return false
+	}
+	digest, known := p.digests[r.tr]
+	if !known {
+		digest = r.tr.ContentHash()
+	}
+	if r.key, r.keyed = rcache.KeyFor(digest, r.cfg, r.pol); !r.keyed {
+		return false
+	}
+	res, ok := p.Cache.Get(r.key)
+	if ok {
+		p.hits.Add(1)
+		p.run.AddCached(1)
+		p.run.AddJobs(uint64(len(res.Jobs)))
+		fold(res)
+	}
+	return ok
+}
+
+// observe builds the replay's observers, once: the cell's sink, a
+// recorder, the engine hook of a single replay and the telemetry sink,
+// behind one flat Tee — and no Tee at all on a bare plan.
+func (r *Pending) observe() obs.Sink {
+	if r.observed {
+		return r.sink
+	}
+	r.observed = true
+	p := r.p
+	var sink obs.Sink
+	if r.c.Sink != nil {
+		sink = r.c.Sink()
+	}
 	switch {
 	case p.prefixRec != nil:
-		rec = p.prefixRec.Fork()
+		r.rec = p.prefixRec.Fork()
 	case p.Recording():
-		rec = obs.NewFlightRecorder(p.Flight)
+		r.rec = obs.NewFlightRecorder(p.Flight)
 	}
-	if rec != nil {
-		rec.SetLabel(c.Label)
-		p.run.AttachFlight(rec)
-		sink = obs.Tee(sink, rec)
+	if r.rec != nil {
+		r.rec.SetLabel(r.c.Label)
+		p.run.AttachFlight(r.rec)
+		sink = obs.Tee(sink, r.rec)
 	}
 	if p.single {
 		sink = obs.Tee(sink, p.run.EngineHook())
 	}
-	var start time.Time
 	if tel := p.Telemetry; tel != nil {
 		sink = obs.Tee(sink, tel.EngineSink())
-		start = time.Now()
+		r.start = time.Now()
 	}
+	r.sink = sink
+	return sink
+}
 
-	// Store and account, while a lent Result is still the engine's.
-	done := func(res *engine.Result) {
-		if rec != nil && missedDeadline(res) {
-			p.run.AddFlightDump(rec.Dump("deadline-miss"))
-		}
-		if keyed {
-			p.Cache.Put(key, res)
-		}
-		if tel := p.Telemetry; tel != nil {
-			tel.ReplayDone(time.Since(start), res.Events-p.baseline)
-		}
-		if !p.single {
-			p.run.AddEvents(res.Events - p.baseline)
-			p.run.AddJobs(uint64(len(res.Jobs)))
-		}
-		fold(res)
+// settle stores and accounts a finished replay, while a lent Result is
+// still the engine's, and folds it.
+func (r *Pending) settle(res *engine.Result, fold func(*engine.Result)) {
+	p := r.p
+	if r.rec != nil && missedDeadline(res) {
+		p.run.AddFlightDump(r.rec.Dump("deadline-miss"))
 	}
+	if r.keyed {
+		p.Cache.Put(r.key, res)
+	}
+	if tel := p.Telemetry; tel != nil {
+		tel.ReplayDone(time.Since(r.start), res.Events-p.baseline)
+	}
+	if !p.single {
+		p.run.AddEvents(res.Events - p.baseline)
+		p.run.AddJobs(uint64(len(res.Jobs)))
+	}
+	fold(res)
+}
 
-	// Run or fold.
+// Run replays the cell — observe, run or fold, store, account — and
+// hands the outcome to its fold, which is not called when the replay
+// fails. A replay a gate cut (Group) keeps the observers it had and
+// hides from them what the gate already passed on.
+func (r *Pending) Run() error { return r.run(r.fold) }
+
+func (r *Pending) run(fold func(*engine.Result)) (err error) {
+	p, c := r.p, &r.c
+	done := func(res *engine.Result) { r.settle(res, fold) }
+	var sink obs.Sink
+	if r.observed {
+		// A follower a gate cut (Group): its observers have seen r.seen.
+		sink, r.start = r.sink, time.Now()
+		if sink != nil && r.seen != (passed{}) {
+			sink = newMute(sink, r.seen)
+		}
+	} else {
+		sink = r.observe()
+	}
 	switch {
 	case p.snap != nil:
 		err = p.branch(sink, c.Edit, done)
 	case c.Lead != nil && sink == nil:
 		var res *engine.Result
 		var trail *engine.Trail
-		if res, trail, err = p.pool.RunTrail(cfg, tr, pol); err == nil {
+		if res, trail, err = p.pool.RunTrail(r.cfg, r.tr, r.pol); err == nil {
 			c.Lead(trail)
 			done(res)
 		}
 	case c.Keep:
+		cfg := r.cfg
 		cfg.Sink = sink
 		var res *engine.Result
-		if c.split {
-			res, err = p.pool.RunSplit(cfg, tr, pol, p.Workers)
-		} else {
-			res, err = p.pool.Run(cfg, tr, pol)
+		switch {
+		case c.split:
+			res, err = p.pool.RunSplit(cfg, r.tr, r.pol, p.Workers)
+		case r.into != nil:
+			res, err = r.into, p.runInto(cfg, r.tr, r.pol, r.into)
+		default:
+			res, err = p.pool.Run(cfg, r.tr, r.pol)
 		}
 		if err == nil {
 			done(res)
 		}
 	default:
+		cfg := r.cfg
 		cfg.Sink = sink
-		err = p.pool.FoldTrail(cfg, tr, pol, c.Follow, done)
+		err = p.pool.FoldTrail(cfg, r.tr, r.pol, c.Follow, done)
 	}
-	if err != nil && rec != nil {
-		p.run.AddFlightDump(rec.Dump("error"))
+	if err != nil && r.rec != nil {
+		p.run.AddFlightDump(r.rec.Dump("error"))
 	}
-	return false, err
+	return err
+}
+
+// runInto is Pool.Run into a Result the caller has allocated.
+func (p *Plan) runInto(cfg engine.Config, tr *trace.Trace, pol sched.Policy, res *engine.Result) error {
+	e, err := p.pool.Get(cfg, tr, pol)
+	if err != nil {
+		return err
+	}
+	err = e.RunInto(res)
+	p.pool.Put(e)
+	return err
 }
 
 func missedDeadline(res *engine.Result) bool {
@@ -349,7 +451,8 @@ func (p *Plan) Branch(c Cell, fold func(*engine.Result)) error {
 	return err
 }
 
-// branch is the arm-edit-run variation of run-or-fold.
+// branch is the arm-edit-run variation of run-or-fold. The fork goes
+// back to the pool whether or not its edit and run succeed.
 func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error, done func(*engine.Result)) error {
 	f, err := p.pool.Fork(p.snap, engine.ForkOptions{Sink: sink})
 	if err != nil {
@@ -362,11 +465,13 @@ func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error, done func(
 	if err == nil {
 		res, err = f.Run()
 	}
+	if err == nil {
+		p.Telemetry.ForkDone(f.ForkStats().BytesCopied)
+	}
+	p.pool.Put(f)
 	if err != nil {
 		return err
 	}
-	p.Telemetry.ForkDone(f.ForkStats().BytesCopied)
-	p.pool.Put(f)
 	done(res)
 	return nil
 }

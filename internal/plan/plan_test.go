@@ -418,3 +418,36 @@ func TestPlanBranchCells(t *testing.T) {
 		t.Fatalf("one clean set, one failed prefix, one failed edit: simmr_replays_total = %v, want 3", got)
 	}
 }
+
+// TestBranchPutsBackFailedFork: a branch whose edit fails still returns
+// its fork to the pool, so the next branch reuses it instead of building
+// an engine. The plan draws from a pool of its own, observed, so that
+// only its own forks can be reused; with a fork lost on every failure no
+// branch would be.
+func TestBranchPutsBackFailedFork(t *testing.T) {
+	tr := planTrace(10)
+	cfg := engine.Config{MapSlots: 4, ReduceSlots: 4, MinMapPercentCompleted: 0.05}
+	var reused atomic.Int32
+	p := Begin(Options{Workers: 1}, Run{Kind: runs.KindBranch, Traces: []*trace.Trace{tr}, Replays: 8})
+	p.pool = (&engine.Pool{}).Observed(func(r bool) {
+		if r {
+			reused.Add(1)
+		}
+	})
+	if err := p.Prefix(cfg, tr, sched.FIFO{}, 20); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	for i := 0; i < 8; i++ {
+		err := p.Branch(Cell{Edit: func(*engine.Engine) error { return boom }}, func(*engine.Result) {
+			t.Fatal("a failed branch folded a result")
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("branch %d: err = %v, want the edit's", i, err)
+		}
+	}
+	p.End(boom)
+	if reused.Load() == 0 {
+		t.Fatal("no branch after a failed edit reused its fork")
+	}
+}

@@ -26,7 +26,12 @@ func (h *Handle) EngineHook() obs.Sink {
 	return &engineHook{h: h}
 }
 
-func (e *engineHook) Event(ev obs.Event) {}
+// Event and Events ignore the stream: the hook reads only the samples
+// and the counters. Events makes it an obs.BatchSink, so a block costs
+// it one call instead of one per event.
+func (e *engineHook) Event(obs.Event) {}
+
+func (e *engineHook) Events([]obs.Event) {}
 
 func (e *engineHook) SampleProgress(now float64, events uint64, jobsDone, jobsTotal int) {
 	if events > e.lastEvents {

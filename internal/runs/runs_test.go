@@ -290,6 +290,10 @@ func TestEngineHook(t *testing.T) {
 	r := New(4)
 	h := r.Begin(Meta{Kind: KindReplay})
 	sink := h.EngineHook()
+	// A block costs the hook one call: it takes blocks whole.
+	if _, ok := sink.(obs.BatchSink); !ok {
+		t.Fatal("the engine hook is not an obs.BatchSink")
+	}
 	ps := sink.(obs.ProgressSampler)
 	ps.SampleProgress(10, 1000, 20, 100)
 	s := h.Snapshot()

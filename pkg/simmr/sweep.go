@@ -312,8 +312,8 @@ type claims struct {
 	running []int // positions whose replay is in flight
 	kept    []answer
 	trail   *engine.Trail // the first position's, once its replay has finished
-	// changed, when a worker waits, is closed as the next replay finishes.
-	changed chan struct{}
+	// changed wakes the waiting workers as the next replay finishes.
+	changed broadcast
 	err     error // the failure at the lowest position so far
 	errAt   int
 }
@@ -357,16 +357,7 @@ func (c *claims) claim(ctx context.Context) (pos int, pt SweepPoint, answered bo
 		}
 		// Every unclaimed position names a running replay, whose finish
 		// ends the wait.
-		if c.changed == nil {
-			c.changed = make(chan struct{})
-		}
-		changed := c.changed
-		c.mu.Unlock()
-		select {
-		case <-changed:
-		case <-ctx.Done():
-		}
-		c.mu.Lock()
+		c.changed.wait(ctx, &c.mu)
 		if err := ctx.Err(); err != nil {
 			return 0, SweepPoint{}, false, nil, err
 		}
@@ -422,10 +413,7 @@ func (c *claims) finish(k int, pol Policy, peaks *engine.Result, pt SweepPoint, 
 	case c.reuse && answersLarger(peaks, cfg, pol):
 		c.kept = append(c.kept, answer{cfg, pol, *peaks, pt})
 	}
-	if c.changed != nil {
-		close(c.changed)
-		c.changed = nil
-	}
+	c.changed.signal()
 	c.mu.Unlock()
 	if testHookSettled != nil {
 		testHookSettled()
@@ -435,6 +423,34 @@ func (c *claims) finish(k int, pol Policy, peaks *engine.Result, pt SweepPoint, 
 // testHookSettled, when set, runs each time finish has settled a
 // replay, before any worker can claim on the strength of it.
 var testHookSettled func()
+
+// broadcast wakes every worker waiting on it at once: a sweep's claims
+// and a batch's units (batch.go). Its zero value is ready to use; the
+// mutex the caller holds guards it.
+type broadcast struct{ ch chan struct{} }
+
+// wait releases mu until the next signal, or until ctx is done, and
+// then takes it again.
+func (b *broadcast) wait(ctx context.Context, mu *sync.Mutex) {
+	if b.ch == nil {
+		b.ch = make(chan struct{})
+	}
+	ch := b.ch
+	mu.Unlock()
+	select {
+	case <-ch:
+	case <-ctx.Done():
+	}
+	mu.Lock()
+}
+
+// signal wakes every waiting worker.
+func (b *broadcast) signal() {
+	if b.ch != nil {
+		close(b.ch)
+		b.ch = nil
+	}
+}
 
 // answersLarger reports whether a replay of cfg under pol with the given
 // peaks answers for a cluster with one more slot of some kind: whether

@@ -24,7 +24,9 @@ test:
 # depends on timing, so the reuse differentials run
 # a few more times, as does the emulator's speculation determinism test
 # (it once depended on map iteration order) and the test of four
-# processes sharing one cache directory (their interleaving differs per run).
+# processes sharing one cache directory (their interleaving differs per run),
+# and the telemetry tests whose writers share one registry's cells (which
+# CAS retries, and which tally flush adds on top, differs per run).
 # The tests of how a sweep's workers claim, wait for and cancel cells
 # (SWEEP_CLAIMS) run twenty times: a scheduling bug shows in some
 # interleavings only.
@@ -57,7 +59,7 @@ verify:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
-	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestSpeculationDeterministic|TestSharedDirAcrossProcesses' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster ./internal/rcache
+	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestSpeculationDeterministic|TestSharedDirAcrossProcesses|TestConcurrentWritersAndScraper|TestTallyConcurrentWriters|TestTelemetryConcurrentReplays' -count=3 ./internal/engine ./pkg/simmr ./internal/cluster ./internal/rcache ./internal/telemetry
 	$(GO) test -race -run '$(SWEEP_CLAIMS)' -count=20 ./pkg/simmr
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate

@@ -133,7 +133,7 @@ func BenchmarkFlightReplay(b *testing.B) {
 // events/sec for the cost of turning observability on.
 func BenchmarkReplayObserved(b *testing.B) {
 	observedReplay(b, obs.Tee(obs.NewMetricsSink(), obs.NewFlightRecorder(0),
-		telemetry.NewSimMetrics(0).EngineSink()))
+		telemetry.NewSimMetrics().EngineSink()))
 }
 
 // BenchmarkAttr is BenchmarkReplayAllocs with the causal attribution

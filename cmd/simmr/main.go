@@ -24,9 +24,8 @@
 //	      [-policies minedf,maxedf] [-deadline-scale 0.5,2]
 //	      [-policy fifo] [-map-slots ...] [-workers N]
 //
-// -debug-addr serves live run telemetry — Prometheus /metrics from the
-// sharded registry — and the net/http/pprof profiling endpoints while a
-// replay runs. It also mounts the ops
+// -debug-addr serves live run telemetry — Prometheus /metrics — and the
+// net/http/pprof profiling endpoints while a replay runs. It also mounts the ops
 // plane: every replay, sweep, and what-if fan-out registers itself at
 // /runs with live progress, an SSE stream, and flight-recorder
 // post-mortems. The `ops` subcommand is the matching client:
@@ -242,8 +241,8 @@ func writeTimeline(path string, spans []simmr.SlotSpan, makespan, step float64) 
 
 // runSweep replays the trace across a grid of square cluster sizes.
 // When telemetry is live (-debug-addr), every concurrent cell reports
-// into the shared sharded registry — each cell's sink writes its own
-// shard, so aggregation costs no mutex per event. With -shard I/N only
+// into the shared registry — each cell's sink writes it once per block
+// of events, so aggregation costs no mutex. With -shard I/N only
 // this process's residue class of the grid runs (each process can
 // mmap one shared packed trace read-only); the output gains a cell
 // column so shard outputs merge back into grid order.

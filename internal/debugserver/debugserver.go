@@ -1,10 +1,10 @@
 // Package debugserver is the shared -debug-addr implementation behind
-// the SimMR binaries: one call exposes the process's sharded telemetry
-// registry and the standard Go profiling endpoints for the lifetime of
-// the process:
+// the SimMR binaries: one call exposes the process's telemetry registry
+// and the standard Go profiling endpoints for the lifetime of the
+// process:
 //
-//	/metrics            Prometheus text exposition from the sharded
-//	                    telemetry registry (task-duration / completion
+//	/metrics            Prometheus text exposition from the telemetry
+//	                    registry (task-duration / completion
 //	                    histograms, wait-attribution breakdowns, event
 //	                    and slot counters, lifecycle spans, build info)
 //	/debug/pprof/...    net/http/pprof profiles
@@ -15,8 +15,8 @@
 //
 // The returned registry must be wired into the run (Config.Sink via
 // EngineSink, SweepConfig.Telemetry, or explicit Span calls); it is
-// sharded and lock-free on the hot path, so one instance aggregates any
-// number of concurrent engines without a mutex per event.
+// lock-free, so one instance aggregates any number of concurrent
+// engines without a mutex.
 package debugserver
 
 import (
@@ -49,7 +49,7 @@ func start(component, addr string) (*telemetry.SimMetrics, string, error) {
 	if !registered.CompareAndSwap(false, true) {
 		return nil, "", fmt.Errorf("debug server: already started in this process")
 	}
-	tel := telemetry.NewSimMetrics(0)
+	tel := telemetry.NewSimMetrics()
 	tel.StampBuildInfo(buildinfo.Version)
 	http.Handle("/metrics", telemetry.Handler(tel.Registry()))
 	registerOps(http.DefaultServeMux)

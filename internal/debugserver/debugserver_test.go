@@ -12,17 +12,35 @@ import (
 
 	"simmr/internal/obs"
 	"simmr/internal/runs"
+	"simmr/internal/telemetry"
+	"simmr/internal/telemetry/telemetrytest"
 )
+
+// The debug server, started once per test process (the endpoint
+// registrations are process-global), so the test can run -count times.
+var (
+	serveOnce sync.Once
+	served    struct {
+		tel  *telemetry.SimMetrics
+		addr string
+		err  error
+	}
+)
+
+func serve(t *testing.T) (*telemetry.SimMetrics, string) {
+	t.Helper()
+	serveOnce.Do(func() { served.tel, served.addr, served.err = start("test", "127.0.0.1:0") })
+	if served.err != nil {
+		t.Fatal(served.err)
+	}
+	return served.tel, served.addr
+}
 
 // One start covers the full surface: /metrics speaks Prometheus text
 // format with the build-info gauge stamped, pprof answers, /debug/vars
-// is gone (Prometheus is the one export), and a second start is refused
-// (the endpoint registrations are process-global).
+// is gone (Prometheus is the one export), and a second start is refused.
 func TestStartServesDebugSurface(t *testing.T) {
-	tel, addr, err := start("test", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tel, addr := serve(t)
 	if tel == nil {
 		t.Fatal("nil telemetry")
 	}
@@ -72,13 +90,13 @@ func TestStartServesDebugSurface(t *testing.T) {
 		t.Fatal("second start in one process succeeded")
 	}
 
-	testOpsSurface(t, addr, get)
+	testOpsSurface(t, tel, addr, get)
 	testStreamAndScrapeConcurrently(t, addr)
 }
 
 // testOpsSurface exercises the ops plane against the already-started
 // server (Start is one-shot per process, so this rides the main test).
-func testOpsSurface(t *testing.T, addr string, get func(string) string) {
+func testOpsSurface(t *testing.T, tel *telemetry.SimMetrics, addr string, get func(string) string) {
 	if out := get("/healthz"); !strings.Contains(out, "ok") {
 		t.Errorf("/healthz = %q", out)
 	}
@@ -94,6 +112,8 @@ func testOpsSurface(t *testing.T, addr string, get func(string) string) {
 		t.Errorf("/buildinfo = %+v", bi)
 	}
 
+	const sweeps = `simmr_runs_started{kind="sweep"}`
+	before := telemetrytest.Scrape(t, tel.Registry())[sweeps]
 	h := runs.Default().Begin(runs.Meta{Kind: runs.KindSweep, Trace: "unit", Policy: "fifo"})
 	h.SetPhase("replay")
 	h.Progress(2, 8)
@@ -124,8 +144,8 @@ func testOpsSurface(t *testing.T, addr string, get func(string) string) {
 	if !strings.Contains(metrics, "simmr_runs_active 1") {
 		t.Errorf("metrics missing live simmr_runs_active:\n%s", metrics)
 	}
-	if !strings.Contains(metrics, `simmr_runs_started{kind="sweep"} 1`) {
-		t.Errorf("metrics missing simmr_runs_started by kind")
+	if got := telemetrytest.Scrape(t, tel.Registry())[sweeps]; got != before+1 {
+		t.Errorf("%s = %v after one more sweep began, was %v", sweeps, got, before)
 	}
 
 	// Flight: attach a recorder, trigger over HTTP, feed events past the

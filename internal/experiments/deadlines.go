@@ -40,9 +40,9 @@ type DeadlineSweepConfig struct {
 	// cmd/experiments wires this to a stderr ticker.
 	Progress parallel.ProgressFunc
 	// Telemetry, when set, records every replay of the sweep into the
-	// sharded metrics registry (one lock-free sink shard per cell, the
-	// pool's reuse hit rate, per-replay wall times) — what cmd/
-	// experiments -debug-addr scrapes during the longest sweeps.
+	// metrics registry (each cell's events, the pool's reuse hit rate,
+	// per-replay wall times) — what cmd/experiments -debug-addr scrapes
+	// during the longest sweeps.
 	Telemetry *telemetry.SimMetrics
 	// Cache, when set, memoizes each repetition's two replays through
 	// the content-addressed replay result cache. Every repetition

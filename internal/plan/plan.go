@@ -43,7 +43,7 @@ type Options struct {
 	Workers int
 	// Progress receives bounded-rate (done cells, total cells) callbacks.
 	Progress parallel.ProgressFunc
-	// Telemetry records every simulated replay into the sharded registry.
+	// Telemetry records every simulated replay.
 	Telemetry *telemetry.SimMetrics
 	// Runs registers the plan in the ops-plane run registry.
 	Runs *runs.Registry
@@ -85,11 +85,19 @@ type Plan struct {
 	reused atomic.Int64
 
 	// The sealed prefix of a branch set (Prefix): every Branch cell
-	// forks from snap, continues a Fork of prefixRec, and inherited
-	// baseline events.
+	// forks from snap, continues a Fork of prefixRec and of prefixTel,
+	// and inherited baseline events.
 	snap      *engine.Snapshot
 	prefixRec *obs.FlightRecorder
+	prefixTel forkSink
 	baseline  uint64
+}
+
+// forkSink is a telemetry engine sink: a branch's continues a Fork of
+// the prefix's, so it knows the jobs that arrived before the branch.
+type forkSink interface {
+	obs.Sink
+	Fork() obs.Sink
 }
 
 // Begin starts a plan: digests, run registration, the observed engine
@@ -310,7 +318,11 @@ func (r *Pending) observe() obs.Sink {
 		sink = obs.Tee(sink, p.run.EngineHook())
 	}
 	if tel := p.Telemetry; tel != nil {
-		sink = obs.Tee(sink, tel.EngineSink())
+		if p.prefixTel != nil {
+			sink = obs.Tee(sink, p.prefixTel.Fork())
+		} else {
+			sink = obs.Tee(sink, tel.EngineSink())
+		}
 		r.start = time.Now()
 	}
 	r.sink = sink
@@ -424,7 +436,8 @@ func (p *Plan) Prefix(cfg engine.Config, tr *trace.Trace, pol sched.Policy, even
 		cfg.Sink = obs.Tee(cfg.Sink, p.prefixRec)
 	}
 	if tel := p.Telemetry; tel != nil {
-		cfg.Sink = obs.Tee(cfg.Sink, tel.EngineSink())
+		p.prefixTel = tel.EngineSink().(forkSink)
+		cfg.Sink = obs.Tee(cfg.Sink, p.prefixTel)
 	}
 	e, err := engine.New(cfg, tr, pol)
 	if err == nil {
@@ -444,8 +457,9 @@ func (p *Plan) Prefix(cfg engine.Config, tr *trace.Trace, pol sched.Policy, even
 
 // Branch is Replay for a cell of a branch set: armed by Pool.Fork from
 // the sealed prefix instead of Pool.Get, edited by c.Edit while paused,
-// recorded by a Fork of the prefix recorder, accounted for the events
-// beyond the prefix's. Branches are never keyed, and keep their Result.
+// recorded by Forks of the prefix recorder and telemetry sink,
+// accounted for the events beyond the prefix's. Branches are never
+// keyed, and keep their Result.
 func (p *Plan) Branch(c Cell, fold func(*engine.Result)) error {
 	_, err := p.Replay(engine.Config{}, nil, nil, c, fold)
 	return err

@@ -179,7 +179,7 @@ func TestPlanContract(t *testing.T) {
 						o.Runs = runs.New(4)
 					}
 					if withTel {
-						o.Telemetry = telemetry.NewSimMetrics(0)
+						o.Telemetry = telemetry.NewSimMetrics()
 					}
 					before := o.Cache.Stats().MemEntries
 					ctx := sc.ctx
@@ -316,7 +316,7 @@ func TestPlanSingleReplay(t *testing.T) {
 	tr := planTrace(10)
 	reg, cache := runs.New(4), rcache.New(rcache.Options{})
 	cfg := engine.Config{MapSlots: 1, ReduceSlots: 1, MinMapPercentCompleted: 0.05}
-	o := Options{Runs: reg, Flight: -1, Cache: cache, Telemetry: telemetry.NewSimMetrics(0)}
+	o := Options{Runs: reg, Flight: -1, Cache: cache, Telemetry: telemetry.NewSimMetrics()}
 
 	sink := &obs.RecordSink{}
 	cfg.Sink = sink
@@ -372,7 +372,7 @@ func TestPlanBranchCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := telemetry.NewSimMetrics(0)
+	tel := telemetry.NewSimMetrics()
 	reg := runs.New(4)
 	o := Options{Workers: 2, Telemetry: tel, Runs: reg, Flight: 32}
 	var prefix uint64

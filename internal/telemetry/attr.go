@@ -1,6 +1,6 @@
 // Attribution aggregation and build-info stamping: the bridge from
-// internal/attr's per-job explanations into the sharded registry, and
-// the `simmr_build_info` gauge every binary exports.
+// internal/attr's per-job explanations into the registry, and the
+// `simmr_build_info` gauge every binary exports.
 
 package telemetry
 
@@ -15,19 +15,18 @@ import (
 // wait-breakdown histograms (simmr_job_wait_seconds{phase=...}) and the
 // deadline-miss root-cause counters. Call it once per finished run (or
 // once with a Collector's merged explanations); it is a cold path and
-// safe for concurrent use — each call writes one round-robin shard.
+// safe for concurrent use.
 func (t *SimMetrics) ObserveExplanations(exps []attr.Explanation) {
 	if t == nil || len(exps) == 0 {
 		return
 	}
-	sh := t.reg.NextShard()
 	for i := range exps {
 		e := &exps[i]
 		for wi, p := range attr.WaitPhases {
-			t.jobWait[wi].Observe(sh, e.Phases[p])
+			t.jobWait[wi].Observe(e.Phases[p])
 		}
 		if e.Missed {
-			t.missCause[e.RootCause].Inc(sh)
+			t.missCause[e.RootCause].Inc()
 		}
 	}
 }
@@ -54,6 +53,6 @@ func (t *SimMetrics) StampBuildInfo(version string) {
 				{"go_version", runtime.Version()},
 				{"gomaxprocs", strconv.Itoa(runtime.GOMAXPROCS(0))},
 			})
-		g.Observe(t.reg.NextShard(), 1)
+		g.Observe(1)
 	})
 }

@@ -34,7 +34,7 @@ func observedStream(t *testing.T) *obs.RecordSink {
 // (n = 0: one Event call per event) and renders the registry.
 func exposition(t *testing.T, rec *obs.RecordSink, n int) string {
 	t.Helper()
-	tel := NewSimMetrics(2)
+	tel := NewSimMetrics()
 	sink := tel.EngineSink()
 	if n == 0 {
 		for _, ev := range rec.Events {
@@ -90,7 +90,7 @@ func firstDiff(got, want string) string {
 	return "lines missing at the end"
 }
 
-// A flushed tally leaves the shard exactly what Observe calls would
+// A flushed tally leaves the histogram exactly what Observe calls would
 // have, whatever the burst lengths; nothing shows before Flush.
 func TestTallyMatchesObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -99,13 +99,13 @@ func TestTallyMatchesObserve(t *testing.T) {
 		vals[i] = rng.ExpFloat64() * 37.3
 	}
 	bounds := []float64{1, 10, 50, 100, 500}
-	want := newHistogram(2, bounds)
+	want := newHistogram(bounds)
 	for _, v := range vals {
-		want.Observe(1, v)
+		want.Observe(v)
 	}
 	for _, burst := range []int{1, 3, 64, 5000} {
-		got := newHistogram(2, bounds)
-		tally := got.NewTally(1)
+		got := newHistogram(bounds)
+		tally := got.NewTally()
 		for i, v := range vals {
 			tally.Observe(v)
 			if (i+1)%burst == 0 {
@@ -130,20 +130,20 @@ func TestTallyMatchesObserve(t *testing.T) {
 	}
 }
 
-// Tallies sharing a shard with each other and with Observe callers lose
-// nothing: another writer's additions between a burst's first value and
-// its Flush are kept, the burst added on top.
-func TestTallySharedShard(t *testing.T) {
-	h := newHistogram(1, []float64{10})
+// Tallies sharing a histogram with each other and with Observe callers
+// lose nothing: another writer's additions between a burst's first value
+// and its Flush are kept, the burst added on top.
+func TestTallyConcurrentWriters(t *testing.T) {
+	h := newHistogram([]float64{10})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tally := h.NewTally(0)
+			tally := h.NewTally()
 			for i := 0; i < 3000; i++ {
 				if w == 0 {
-					h.Observe(0, 1)
+					h.Observe(1)
 					continue
 				}
 				tally.Observe(1)

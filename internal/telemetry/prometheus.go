@@ -1,7 +1,7 @@
 // Prometheus text exposition (format version 0.0.4) for a telemetry
-// Registry. The scrape is the only place shards are merged: each
-// family's children snapshot their shards with atomic loads and render
-// HELP/TYPE once per family, samples per child, in registration order —
+// Registry: each family's children read their cells with atomic loads
+// and render HELP/TYPE once per family, samples per child, in
+// registration order —
 // the output is deterministic for deterministic inputs, which is what
 // lets a golden test pin the format.
 

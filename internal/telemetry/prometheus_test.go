@@ -18,22 +18,22 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // hand-built registry: HELP/TYPE lines, label rendering, cumulative
 // buckets, +Inf, _sum/_count, and float formatting.
 func TestWritePrometheusFormat(t *testing.T) {
-	r := NewRegistry(2)
+	r := NewRegistry()
 	c := r.NewCounter("fmt_ops_total", "Operations.")
 	vec := r.NewCounterVec("fmt_by_kind_total", "By kind.", "kind", []string{"a", "b"})
 	g := r.NewMaxGauge("fmt_high_water", "Peak.")
 	// Binary-exact bounds and observations keep the rendered _sum stable.
 	h := r.NewHistogram("fmt_latency_seconds", "Latency.", []float64{0.25, 2.5, 10})
 
-	c.Add(0, 3)
-	c.Add(1, 4)
-	vec[0].Inc(0)
-	vec[1].Add(1, 5)
-	g.Observe(0, 1.5)
-	g.Observe(1, 0.5)
-	h.Observe(0, 0.25) // le="0.25": bounds are inclusive
-	h.Observe(1, 1)    // le="2.5"
-	h.Observe(0, 99)   // +Inf
+	c.Add(3)
+	c.Add(4)
+	vec[0].Inc()
+	vec[1].Add(5)
+	g.Observe(1.5)
+	g.Observe(0.5)
+	h.Observe(0.25) // le="0.25": bounds are inclusive
+	h.Observe(1)    // le="2.5"
+	h.Observe(99)   // +Inf
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -64,7 +64,7 @@ fmt_latency_seconds_count 3
 }
 
 func TestHandlerContentType(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	r.NewCounter("x_total", "x")
 	rec := httptest.NewRecorder()
 	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -76,10 +76,10 @@ func TestHandlerContentType(t *testing.T) {
 	}
 }
 
-// simulateTwoJobs drives two engine sinks (two registry shards) with a
-// hand-built event stream: job 1 with one map and a first-wave filler
-// reduce patched at map-stage completion, job 2 with two maps and a
-// regular reduce. The derived durations land in known buckets.
+// simulateTwoJobs drives two engine sinks with a hand-built event
+// stream: job 1 with one map and a first-wave filler reduce patched at
+// map-stage completion, job 2 with two maps and a regular reduce. The
+// derived durations land in known buckets.
 func simulateTwoJobs(tel *SimMetrics) {
 	a := tel.EngineSink()
 	b := tel.EngineSink()
@@ -135,7 +135,7 @@ func simulateTwoJobs(tel *SimMetrics) {
 // zero-valued families are part of the golden output. Regenerate with
 // `go test ./internal/telemetry -run Golden -update`.
 func TestSimMetricsGolden(t *testing.T) {
-	tel := NewSimMetrics(2)
+	tel := NewSimMetrics()
 	simulateTwoJobs(tel)
 
 	var sb strings.Builder
@@ -220,7 +220,7 @@ func TestNilSimMetrics(t *testing.T) {
 
 // Span observations land in the right labeled histogram.
 func TestSpan(t *testing.T) {
-	tel := NewSimMetrics(1)
+	tel := NewSimMetrics()
 	stop := tel.Span("load")
 	stop()
 	var sb strings.Builder

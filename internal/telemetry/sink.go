@@ -1,12 +1,13 @@
-// SimMetrics is the SimMR metric set over a sharded Registry, and
-// EngineSink is the obs.BatchSink that feeds it: each engine's sink
-// writes its own registry shard with plain atomics, a block of events at
-// a time, and the shards merge at scrape time — so one SimMetrics
-// aggregates any number of concurrent engines with no lock between them.
+// SimMetrics is the SimMR metric set over a Registry, and EngineSink is
+// the obs.BatchSink that feeds it: each engine's sink writes the
+// registry with plain atomics once per block of events, so one
+// SimMetrics aggregates any number of concurrent engines with no lock
+// between them.
 
 package telemetry
 
 import (
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -85,11 +86,11 @@ type SimMetrics struct {
 	buildOnce sync.Once // StampBuildInfo registers at most once
 }
 
-// NewSimMetrics builds the SimMR metric set on a fresh registry;
-// shards <= 0 sizes the shard count to GOMAXPROCS (the parallel
-// worker-pool ceiling).
-func NewSimMetrics(shards int) *SimMetrics {
-	r := NewRegistry(shards)
+// NewSimMetrics builds the SimMR metric set on a fresh registry. Its
+// argument is ignored: it is kept only for the benchmark probe's
+// NewSimMetrics(0) call, and goes with ROADMAP item 1e.
+func NewSimMetrics(...int) *SimMetrics {
+	r := NewRegistry()
 	kinds := make([]string, obs.KindCount)
 	for k := obs.Kind(0); k < obs.KindCount; k++ {
 		kinds[k] = k.String()
@@ -181,16 +182,15 @@ func (t *SimMetrics) Registry() *Registry {
 }
 
 // ReplayDone records one replay's wall time and throughput. Callers
-// invoke it once per replay (cold path), so it picks a shard per call.
+// invoke it once per replay (cold path).
 func (t *SimMetrics) ReplayDone(wall time.Duration, events uint64) {
 	if t == nil {
 		return
 	}
-	sh := t.reg.NextShard()
 	sec := wall.Seconds()
-	t.replayWall.Observe(sh, sec)
+	t.replayWall.Observe(sec)
 	if sec > 0 {
-		t.replayRate.Observe(sh, float64(events)/sec)
+		t.replayRate.Observe(float64(events) / sec)
 	}
 }
 
@@ -200,9 +200,8 @@ func (t *SimMetrics) ForkDone(bytesCopied uint64) {
 	if t == nil {
 		return
 	}
-	sh := t.reg.NextShard()
-	t.forksTotal.Inc(sh)
-	t.forkBytesCopied.Add(sh, bytesCopied)
+	t.forksTotal.Inc()
+	t.forkBytesCopied.Add(bytesCopied)
 }
 
 // PoolGet records one engine acquisition; hand it to engine.Pool.Observed.
@@ -214,7 +213,7 @@ func (t *SimMetrics) PoolGet(reused bool) {
 	if reused {
 		i = 1
 	}
-	t.poolGets[i].Inc(t.reg.NextShard())
+	t.poolGets[i].Inc()
 }
 
 // RCacheHit records one replay-result-cache hit; disk says which tier
@@ -229,7 +228,7 @@ func (t *SimMetrics) RCacheHit(disk bool) {
 	if disk {
 		i = 1
 	}
-	t.rcacheHits[i].Inc(t.reg.NextShard())
+	t.rcacheHits[i].Inc()
 }
 
 // RCacheMiss records one replay-result-cache miss.
@@ -237,7 +236,7 @@ func (t *SimMetrics) RCacheMiss() {
 	if t == nil {
 		return
 	}
-	t.rcacheMisses.Inc(t.reg.NextShard())
+	t.rcacheMisses.Inc()
 }
 
 // RCacheEvictions records n entries evicted from the memory tier.
@@ -245,7 +244,7 @@ func (t *SimMetrics) RCacheEvictions(n uint64) {
 	if t == nil {
 		return
 	}
-	t.rcacheEvictions.Add(t.reg.NextShard(), n)
+	t.rcacheEvictions.Add(n)
 }
 
 // RCacheBytes reports the cache's current resident memory bytes.
@@ -275,38 +274,39 @@ func (t *SimMetrics) Span(stage string) func() {
 	}
 	start := time.Now()
 	return func() {
-		h.Observe(t.reg.NextShard(), time.Since(start).Seconds())
+		h.Observe(time.Since(start).Seconds())
 	}
 }
 
 func noopStop() {}
 
 // EngineSink returns a new single-engine observability sink feeding
-// this metric set, pinned to one registry shard for its lifetime.
-// Returns a nil interface when t is nil, so the engine's `sink != nil`
-// fast path stays taken. One sink per engine (obs.Sink contract); a
-// sink may be reused across sequential runs of the same engine.
+// this metric set. Returns a nil interface when t is nil, so the
+// engine's `sink != nil` fast path stays taken. One sink per engine
+// (obs.Sink contract); a sink may be reused across sequential runs of
+// the same engine.
 func (t *SimMetrics) EngineSink() obs.Sink {
 	if t == nil {
 		return nil
 	}
-	sh := t.reg.NextShard()
+	return t.engineSink(make(map[int]float64), nil)
+}
+
+func (t *SimMetrics) engineSink(arrivals map[int]float64, fillerStarts map[int64]float64) *engineSink {
 	return &engineSink{
 		t:             t,
-		shard:         sh,
-		arrivals:      make(map[int]float64),
-		mapTaskDur:    t.mapTaskDur.NewTally(sh),
-		reduceTaskDur: t.reduceTaskDur.NewTally(sh),
-		jobCompletion: t.jobCompletion.NewTally(sh),
+		arrivals:      arrivals,
+		fillerStarts:  fillerStarts,
+		mapTaskDur:    t.mapTaskDur.NewTally(),
+		reduceTaskDur: t.reduceTaskDur.NewTally(),
+		jobCompletion: t.jobCompletion.NewTally(),
 	}
 }
 
-// engineSink tallies one engine's event stream into the shared sharded
-// registry. It is single-goroutine like every obs.Sink; all its writes
-// go to its own shard, so concurrent sinks never contend.
+// engineSink tallies one engine's event stream into the shared
+// registry. It is single-goroutine like every obs.Sink.
 type engineSink struct {
-	t     *SimMetrics
-	shard int
+	t *SimMetrics
 	// arrivals maps live job IDs to arrival times so departures can
 	// observe completion durations; cleared at RunEnd for reuse.
 	arrivals map[int]float64
@@ -319,6 +319,15 @@ type engineSink struct {
 	mapTaskDur, reduceTaskDur, jobCompletion Tally
 }
 
+// Fork returns a sink for a what-if branch of the engine this sink has
+// observed so far: it knows the prefix's live arrivals and filler starts,
+// so the branch's departures and patches are observed in full. Like
+// obs.FlightRecorder.Fork it is called between events, and forks of one
+// sink may be taken concurrently.
+func (s *engineSink) Fork() obs.Sink {
+	return s.t.engineSink(maps.Clone(s.arrivals), maps.Clone(s.fillerStarts))
+}
+
 func fillerKey(jobID, task int) int64 {
 	return int64(jobID)<<20 | int64(task)
 }
@@ -328,7 +337,7 @@ func (s *engineSink) Event(ev obs.Event) { s.Events((&[1]obs.Event{ev})[:]) }
 
 // Events tallies a block of engine events (obs.BatchSink): counts are
 // kept in locals and the histogram observations in the sink's tallies,
-// and the registry shard is written once per block — a handful of
+// and the registry is written once per block — a handful of
 // atomics, not two to five per event. A scrape therefore sees a block's
 // events all at once, when it ends. An engine delivers events in time
 // order, so the block's last event carries its simulated time.
@@ -371,16 +380,16 @@ func (s *engineSink) Events(evs []obs.Event) {
 			}
 		}
 	}
-	t, sh := s.t, s.shard
+	t := s.t
 	for k, n := range byKind {
 		if n != 0 {
-			t.eventsByKind[k].Add(sh, n)
+			t.eventsByKind[k].Add(n)
 		}
 	}
 	if n := byKind[obs.KindJobDeparture]; n != 0 {
-		t.jobsTotal.Add(sh, n)
+		t.jobsTotal.Add(n)
 	}
-	t.simTime.Observe(sh, simTime)
+	t.simTime.Observe(simTime)
 	s.mapTaskDur.Flush()
 	s.reduceTaskDur.Flush()
 	s.jobCompletion.Flush()
@@ -390,22 +399,22 @@ func (s *engineSink) Events(evs []obs.Event) {
 // event queue's pending population periodically during the run, so
 // queue pressure lands in simmr_queue_depth_events as a distribution.
 func (s *engineSink) SampleDepth(_ float64, depth int) {
-	s.t.queueDepth.Observe(s.shard, float64(depth))
+	s.t.queueDepth.Observe(float64(depth))
 }
 
 // RunEnd folds the run-level counters into the registry and resets the
 // sink's per-run scratch so it can serve the engine's next run.
 func (s *engineSink) RunEnd(c obs.Counters) {
-	t, sh := s.t, s.shard
-	t.eventsTotal.Add(sh, c.Events)
-	t.queueHigh.Observe(sh, float64(c.HeapHighWater))
-	t.queueMax.Observe(sh, float64(c.HeapHighWater))
-	t.preemptions.Add(sh, c.Preemptions)
-	t.fillerPatch.Add(sh, c.FillerPatches)
-	t.mapAllocs.Add(sh, c.MapSlotAllocs)
-	t.reduceAllocs.Add(sh, c.ReduceSlotAllocs)
-	t.makespan.Observe(sh, c.Makespan)
-	t.replaysTotal.Inc(sh)
+	t := s.t
+	t.eventsTotal.Add(c.Events)
+	t.queueHigh.Observe(float64(c.HeapHighWater))
+	t.queueMax.Observe(float64(c.HeapHighWater))
+	t.preemptions.Add(c.Preemptions)
+	t.fillerPatch.Add(c.FillerPatches)
+	t.mapAllocs.Add(c.MapSlotAllocs)
+	t.reduceAllocs.Add(c.ReduceSlotAllocs)
+	t.makespan.Observe(c.Makespan)
+	t.replaysTotal.Inc()
 	clear(s.arrivals)
 	clear(s.fillerStarts)
 }

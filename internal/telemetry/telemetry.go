@@ -1,22 +1,17 @@
 // Package telemetry is SimMR's sweep-wide metrics layer: a registry of
 // counters, max-gauges, and fixed-bucket histograms whose hot path is
-// lock-free. A Registry is sharded — one cache-line-padded shard per
-// concurrent writer (sized to the internal/parallel worker ceiling,
-// GOMAXPROCS) — and every update is a plain atomic add to the writer's
-// own shard. Shards are merged only when somebody looks: a Prometheus
-// scrape (WritePrometheus) or a Value() call. A shared sweep-wide
-// registry therefore costs no cross-core synchronization per event, only
-// per scrape.
+// lock-free. Every update is an atomic add (or CAS) on the metric's one
+// set of cells, and a scrape (WritePrometheus) or a Value() call reads
+// them directly. Writers are few and write rarely: an engine sink
+// writes once per block of events (Tally), the cold paths once per
+// replay, lookup or stage.
 //
 // The contract mirrors DESIGN.md §10:
 //
 //   - Registration happens up front (NewSimMetrics builds the full SimMR
 //     metric set); updates are wait-free atomic adds; scrapes see a
-//     weakly consistent but monotonic view (each slot is read
-//     atomically, slots may be skewed by in-flight updates).
-//   - Writers pick a shard once (Registry.NextShard, round-robin) and
-//     keep it: a per-engine sink holds its shard for its lifetime, so
-//     steady-state updates never touch a shared cache line.
+//     weakly consistent but monotonic view (each cell is read
+//     atomically, cells may be skewed by in-flight updates).
 //   - Disabled means nil. Code paths guard instrumentation with a
 //     single `if tel != nil`; no registry, no cost — the bare case of
 //     TestReplayAllocBudget is the no-telemetry replay path.
@@ -25,47 +20,21 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// cacheLine is the assumed cache-line size; shard cells are padded to it
-// so two writers on different shards never false-share.
-const cacheLine = 64
-
-// Registry owns a fixed shard count and the registered metric families,
-// in registration order (which is exposition order).
+// Registry owns the registered metric families, in registration order
+// (which is exposition order).
 type Registry struct {
-	shards int
-	next   atomic.Uint32
-
 	mu       sync.Mutex
 	families []*family
 }
 
-// NewRegistry builds a registry with the given shard count; shards <= 0
-// means one per available CPU (runtime.GOMAXPROCS), the ceiling of the
-// internal/parallel worker pool.
-func NewRegistry(shards int) *Registry {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	return &Registry{shards: shards}
-}
-
-// Shards returns the shard count.
-func (r *Registry) Shards() int { return r.shards }
-
-// NextShard assigns a shard round-robin. Writers call it once (per
-// engine sink, per worker) and reuse the result; two writers that land
-// on the same shard stay correct — updates are atomic — they merely
-// share a cache line.
-func (r *Registry) NextShard() int {
-	return int(r.next.Add(1)-1) % r.shards
-}
+// NewRegistry builds an empty registry.
+func NewRegistry() *Registry { return &Registry{} }
 
 // metricKind tags a family for TYPE lines and sample layout.
 type metricKind uint8
@@ -119,20 +88,12 @@ func (r *Registry) register(f *family) {
 	r.families = append(r.families, f)
 }
 
-// padCell is one shard's counter cell, padded to a cache line.
-type padCell struct {
-	v uint64
-	_ [cacheLine - 8]byte
-}
-
-// Counter is a sharded monotonically increasing counter.
-type Counter struct {
-	cells []padCell
-}
+// Counter is a monotonically increasing counter.
+type Counter struct{ v atomic.Uint64 }
 
 // NewCounter registers an unlabeled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{cells: make([]padCell, r.shards)}
+	c := &Counter{}
 	r.register(&family{name: name, help: help, kind: counterKind,
 		children: []child{{ctr: c}}})
 	return c
@@ -144,7 +105,7 @@ func (r *Registry) NewCounterVec(name, help, label string, values []string) []*C
 	f := &family{name: name, help: help, kind: counterKind}
 	out := make([]*Counter, len(values))
 	for i, v := range values {
-		out[i] = &Counter{cells: make([]padCell, r.shards)}
+		out[i] = &Counter{}
 		f.children = append(f.children, child{
 			labels: fmt.Sprintf("%s=%q", label, v),
 			ctr:    out[i],
@@ -154,32 +115,22 @@ func (r *Registry) NewCounterVec(name, help, label string, values []string) []*C
 	return out
 }
 
-// Inc adds one to the counter on the given shard.
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
+// Inc adds one to the counter.
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n on the given shard.
-func (c *Counter) Add(shard int, n uint64) {
-	atomic.AddUint64(&c.cells[shard].v, n)
-}
+// Add adds n to the counter.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value merges all shards.
-func (c *Counter) Value() uint64 {
-	var sum uint64
-	for i := range c.cells {
-		sum += atomic.LoadUint64(&c.cells[i].v)
-	}
-	return sum
-}
+// Value returns the counter's total.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// MaxGauge is a sharded gauge merged by maximum — high-water marks
-// (peak simulated time, peak queue population) rather than sums.
-type MaxGauge struct {
-	cells []padCell // float64 bits
-}
+// MaxGauge is a gauge that only rises — high-water marks (peak
+// simulated time, peak queue population) rather than sums.
+type MaxGauge struct{ bits atomic.Uint64 } // float64 bits
 
 // NewMaxGauge registers a max-merged gauge.
 func (r *Registry) NewMaxGauge(name, help string) *MaxGauge {
-	g := &MaxGauge{cells: make([]padCell, r.shards)}
+	g := &MaxGauge{}
 	r.register(&family{name: name, help: help, kind: gaugeKind,
 		children: []child{{mg: g}}})
 	return g
@@ -189,7 +140,7 @@ func (r *Registry) NewMaxGauge(name, help string) *MaxGauge {
 // pre-rendered labels — the Prometheus `*_info` idiom (a gauge fixed at
 // 1 whose labels carry the payload). Labels render in argument order.
 func (r *Registry) NewMaxGaugeLabeled(name, help string, labels [][2]string) *MaxGauge {
-	g := &MaxGauge{cells: make([]padCell, r.shards)}
+	g := &MaxGauge{}
 	parts := make([]string, len(labels))
 	for i, kv := range labels {
 		parts[i] = fmt.Sprintf("%s=%q", kv[0], kv[1])
@@ -224,50 +175,38 @@ func (r *Registry) NewFuncGaugeVec(name, help, label string, values []string, fn
 	r.register(f)
 }
 
-// Observe raises the shard's cell to v if v is larger. The CAS loop is
-// lock-free and, because each writer owns its shard, effectively
-// uncontended — retries only happen when two writers share a shard.
-func (g *MaxGauge) Observe(shard int, v float64) {
-	cell := &g.cells[shard].v
+// Observe raises the gauge to v if v is larger, with a lock-free CAS
+// loop.
+func (g *MaxGauge) Observe(v float64) {
 	for {
-		old := atomic.LoadUint64(cell)
+		old := g.bits.Load()
 		if math.Float64frombits(old) >= v {
 			return
 		}
-		if atomic.CompareAndSwapUint64(cell, old, math.Float64bits(v)) {
+		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
 }
 
-// Value merges all shards by maximum.
-func (g *MaxGauge) Value() float64 {
-	var max float64
-	for i := range g.cells {
-		if v := math.Float64frombits(atomic.LoadUint64(&g.cells[i].v)); v > max {
-			max = v
-		}
-	}
-	return max
-}
+// Value returns the largest value observed (0 before any).
+func (g *MaxGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a sharded fixed-bucket histogram. Bounds are inclusive
-// upper bounds in ascending order (Prometheus `le` semantics); the
-// overflow (+Inf) bucket is implicit. Each shard's region holds the
-// bucket counts, the observation count, and the sum (float64 bits),
-// padded to a cache-line multiple so shards never false-share.
+// Histogram is a fixed-bucket histogram. Bounds are inclusive upper
+// bounds in ascending order (Prometheus `le` semantics); the overflow
+// (+Inf) bucket is implicit. Its slots hold the bucket counts, then the
+// sum (float64 bits), then the observation count.
 type Histogram struct {
 	bounds []float64
 	slots  []uint64
-	stride int // uint64 slots per shard region
-	sumOff int // offset of the sum cell within a region
-	cntOff int // offset of the count cell within a region
+	sumOff int // offset of the sum cell
+	cntOff int // offset of the count cell
 }
 
 // NewHistogram registers an unlabeled histogram over the given bounds.
 // Bounds must be ascending and non-empty.
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
-	h := newHistogram(r.shards, bounds)
+	h := newHistogram(bounds)
 	r.register(&family{name: name, help: help, kind: histogramKind,
 		children: []child{{h: h}}})
 	return h
@@ -279,7 +218,7 @@ func (r *Registry) NewHistogramVec(name, help, label string, values []string, bo
 	f := &family{name: name, help: help, kind: histogramKind}
 	out := make([]*Histogram, len(values))
 	for i, v := range values {
-		out[i] = newHistogram(r.shards, bounds)
+		out[i] = newHistogram(bounds)
 		f.children = append(f.children, child{
 			labels: fmt.Sprintf("%s=%q", label, v),
 			h:      out[i],
@@ -289,7 +228,7 @@ func (r *Registry) NewHistogramVec(name, help, label string, values []string, bo
 	return out
 }
 
-func newHistogram(shards int, bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("telemetry: histogram needs at least one bucket bound")
 	}
@@ -297,14 +236,9 @@ func newHistogram(shards int, bounds []float64) *Histogram {
 		panic("telemetry: histogram bounds must be ascending")
 	}
 	nb := len(bounds) + 1 // + overflow bucket
-	stride := nb + 2      // + sum + count
-	// Round the region up to a whole number of cache lines.
-	const perLine = cacheLine / 8
-	stride = (stride + perLine - 1) / perLine * perLine
 	return &Histogram{
 		bounds: append([]float64(nil), bounds...),
-		slots:  make([]uint64, shards*stride),
-		stride: stride,
+		slots:  make([]uint64, nb+2), // + sum + count
 		sumOff: nb,
 		cntOff: nb + 1,
 	}
@@ -322,14 +256,17 @@ func (h *Histogram) bucket(v float64) int {
 	return i
 }
 
-// Observe records v on the given shard: one bucket increment, one count
-// increment, and a CAS float add to the sum — all lock-free, all inside
-// the shard's own cache lines.
-func (h *Histogram) Observe(shard int, v float64) {
-	base := shard * h.stride
-	atomic.AddUint64(&h.slots[base+h.bucket(v)], 1)
-	atomic.AddUint64(&h.slots[base+h.cntOff], 1)
-	sum := &h.slots[base+h.sumOff]
+// Observe records v: one bucket increment, one count increment, and a
+// CAS float add to the sum — all lock-free.
+func (h *Histogram) Observe(v float64) {
+	atomic.AddUint64(&h.slots[h.bucket(v)], 1)
+	atomic.AddUint64(&h.slots[h.cntOff], 1)
+	h.addSum(v)
+}
+
+// addSum adds v to the sum cell with a CAS loop.
+func (h *Histogram) addSum(v float64) {
+	sum := &h.slots[h.sumOff]
 	for {
 		old := atomic.LoadUint64(sum)
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -339,41 +276,39 @@ func (h *Histogram) Observe(shard int, v float64) {
 	}
 }
 
-// Tally is a single-writer accumulator in front of one shard of a
-// Histogram, for a writer that observes in bursts (an engine sink
-// handed a block of events): Observe touches plain memory only, and
-// Flush publishes the burst with one atomic add per bucket touched, one
-// for the count and one CAS for the sum, where Histogram.Observe pays
-// three atomics per value.
+// Tally is a single-writer accumulator in front of a Histogram, for a
+// writer that observes in bursts (an engine sink handed a block of
+// events): Observe touches plain memory only, and Flush publishes the
+// burst with one atomic add per bucket touched, one for the count and
+// one CAS for the sum, where Histogram.Observe pays three atomics per
+// value.
 //
-// The sum is carried forward from the shard's value at the burst's
+// The sum is carried forward from the histogram's value at the burst's
 // first observation, one addition per value in observation order, so a
-// flushed burst leaves the shard bit-for-bit what per-value Observe
+// flushed burst leaves the histogram bit-for-bit what per-value Observe
 // calls would have — the exposition does not depend on how a stream
 // was cut into blocks. That holds while no other writer adds to the
-// shard's sum during the burst; when one does (two sinks sharing a
-// shard, running at once) Flush adds the burst's total on top of
-// theirs, and the result depends on the interleaving exactly as
-// interleaved Observe calls do.
+// sum during the burst; when one does (two sinks running at once)
+// Flush adds the burst's total on top of theirs, and the result depends
+// on the interleaving exactly as interleaved Observe calls do.
 type Tally struct {
 	h      *Histogram
-	base   int      // the shard's first slot
 	counts []uint32 // pending observations per bucket
 	n      uint64   // pending observations
-	from   uint64   // bits of the shard's sum the burst started from
+	from   uint64   // bits of the histogram's sum the burst started from
 	sum    float64  // from + every pending value, in order
 }
 
-// NewTally returns an empty tally writing to the given shard of h.
-func (h *Histogram) NewTally(shard int) Tally {
-	return Tally{h: h, base: shard * h.stride, counts: make([]uint32, len(h.bounds)+1)}
+// NewTally returns an empty tally writing to h.
+func (h *Histogram) NewTally() Tally {
+	return Tally{h: h, counts: make([]uint32, len(h.bounds)+1)}
 }
 
 // Observe records v in the tally; nothing is visible to a scrape
 // until Flush.
 func (t *Tally) Observe(v float64) {
 	if t.n == 0 {
-		t.from = atomic.LoadUint64(&t.h.slots[t.base+t.h.sumOff])
+		t.from = atomic.LoadUint64(&t.h.slots[t.h.sumOff])
 		t.sum = math.Float64frombits(t.from)
 	}
 	t.counts[t.h.bucket(v)]++
@@ -386,30 +321,21 @@ func (t *Tally) Flush() {
 	if t.n == 0 {
 		return
 	}
-	slots := t.h.slots[t.base : t.base+t.h.stride]
+	h := t.h
 	for i, c := range t.counts {
 		if c != 0 {
-			atomic.AddUint64(&slots[i], uint64(c))
+			atomic.AddUint64(&h.slots[i], uint64(c))
 			t.counts[i] = 0
 		}
 	}
-	atomic.AddUint64(&slots[t.h.cntOff], t.n)
+	atomic.AddUint64(&h.slots[h.cntOff], t.n)
 	t.n = 0
-	sum := &slots[t.h.sumOff]
-	if atomic.CompareAndSwapUint64(sum, t.from, math.Float64bits(t.sum)) {
-		return
-	}
-	burst := t.sum - math.Float64frombits(t.from)
-	for {
-		old := atomic.LoadUint64(sum)
-		next := math.Float64bits(math.Float64frombits(old) + burst)
-		if atomic.CompareAndSwapUint64(sum, old, next) {
-			return
-		}
+	if !atomic.CompareAndSwapUint64(&h.slots[h.sumOff], t.from, math.Float64bits(t.sum)) {
+		h.addSum(t.sum - math.Float64frombits(t.from))
 	}
 }
 
-// HistogramSnapshot is a merged point-in-time view of a histogram.
+// HistogramSnapshot is a point-in-time view of a histogram.
 type HistogramSnapshot struct {
 	// Buckets holds non-cumulative per-bucket counts; the last entry is
 	// the overflow (+Inf) bucket.
@@ -418,18 +344,14 @@ type HistogramSnapshot struct {
 	Count   uint64
 }
 
-// Snapshot merges all shards.
+// Snapshot reads the histogram's cells.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	nb := len(h.bounds) + 1
-	s := HistogramSnapshot{Buckets: make([]uint64, nb)}
-	for shard := 0; shard*h.stride < len(h.slots); shard++ {
-		base := shard * h.stride
-		for i := 0; i < nb; i++ {
-			s.Buckets[i] += atomic.LoadUint64(&h.slots[base+i])
-		}
-		s.Sum += math.Float64frombits(atomic.LoadUint64(&h.slots[base+h.sumOff]))
-		s.Count += atomic.LoadUint64(&h.slots[base+h.cntOff])
+	s := HistogramSnapshot{Buckets: make([]uint64, len(h.bounds)+1)}
+	for i := range s.Buckets {
+		s.Buckets[i] = atomic.LoadUint64(&h.slots[i])
 	}
+	s.Sum = math.Float64frombits(atomic.LoadUint64(&h.slots[h.sumOff]))
+	s.Count = atomic.LoadUint64(&h.slots[h.cntOff])
 	return s
 }
 

@@ -40,10 +40,10 @@ type BatchConfig struct {
 	Workers int
 	// Progress, when set, receives bounded-rate (done, total) callbacks.
 	Progress ProgressFunc
-	// Telemetry, when set, records the batch into the sharded metrics
-	// registry: per-spec engine events and duration histograms (one
-	// lock-free sink shard per spec), per-replay wall time and
-	// events/sec, and the engine pool's reuse hit rate.
+	// Telemetry, when set, records the batch into the metrics
+	// registry: per-spec engine events and duration histograms,
+	// per-replay wall time and events/sec, and the engine pool's reuse
+	// hit rate.
 	Telemetry *Telemetry
 	// Runs, when set, registers the batch in the ops-plane run registry
 	// (kind "batch") — see SweepConfig.Runs.

@@ -74,7 +74,7 @@ type BranchSetConfig struct {
 	Workers int
 	// Progress, when set, receives bounded-rate (done, total) callbacks.
 	Progress ProgressFunc
-	// Telemetry, when set, records the fan-out into the sharded metrics
+	// Telemetry, when set, records the fan-out into the metrics
 	// registry: fork counts and bytes copied (ForkDone), each
 	// branch's wall time and suffix events/sec (ReplayDone), engine
 	// pool reuse, and every branch's event stream.

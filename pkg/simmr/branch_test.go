@@ -258,8 +258,10 @@ func TestBranchSetErrorNamesBranch(t *testing.T) {
 }
 
 // TestBranchSetTelemetry wires a Telemetry through a fan-out and checks
-// the fork counters, finished-runs accounting, byte conservation, and
-// that the prefix's events were emitted once, not once per branch.
+// the fork counters, finished-runs accounting, byte conservation, that
+// the prefix's events were emitted once, not once per branch, and that
+// every branch's departures are observed as completions, the jobs that
+// arrived in the prefix included.
 func TestBranchSetTelemetry(t *testing.T) {
 	tr, total, horizon := branchFixture(t, 30, NewFIFO())
 	tel := NewTelemetry()
@@ -280,6 +282,9 @@ func TestBranchSetTelemetry(t *testing.T) {
 	}
 	if got := v["simmr_engine_fork_bytes_copied"]; got <= 0 {
 		t.Errorf("simmr_engine_fork_bytes_copied = %v, want the forks' copy cost", got)
+	}
+	if got, want := v["simmr_job_completion_seconds_count"], v["simmr_jobs_completed_total"]; got != want || want == 0 {
+		t.Errorf("simmr_job_completion_seconds_count = %v, want simmr_jobs_completed_total = %v", got, want)
 	}
 	// The fan-out simulates its prefix once. Its sinks were delivered what
 	// one engine emits up to the branch point plus what each branch's

@@ -132,11 +132,10 @@ type (
 	OverlaySpan = obs.OverlaySpan
 )
 
-// Telemetry is the sharded sweep-wide metrics registry (DESIGN.md §10):
+// Telemetry is the sweep-wide metrics registry (DESIGN.md §10):
 // counters, max-gauges, and fixed-bucket histograms updated with plain
-// atomics on per-worker shards and merged only at scrape time, so a
-// single Telemetry shared by every concurrent replay costs no mutex per
-// event. Set SweepConfig.Telemetry / BatchConfig.Telemetry (or attach
+// atomics, each engine's sink writing once per block of events, so a
+// single Telemetry shared by every concurrent replay costs no mutex. Set SweepConfig.Telemetry / BatchConfig.Telemetry (or attach
 // EngineSink() to a ReplayConfig) to feed it, and serve it in
 // Prometheus text format via MetricsHandler. A nil *Telemetry is valid
 // everywhere and costs nothing.
@@ -144,9 +143,8 @@ type Telemetry = telemetry.SimMetrics
 
 // NewTelemetry builds the SimMR metric set (task-duration, completion,
 // and queue histograms; event, slot, and pool-reuse counters; replay
-// wall-time and lifecycle-span histograms) with one registry shard per
-// CPU — the parallel worker-pool ceiling.
-func NewTelemetry() *Telemetry { return telemetry.NewSimMetrics(0) }
+// wall-time and lifecycle-span histograms).
+func NewTelemetry() *Telemetry { return telemetry.NewSimMetrics() }
 
 // MetricsHandler serves a Telemetry registry as a Prometheus /metrics
 // scrape endpoint (text exposition format 0.0.4).

@@ -105,10 +105,9 @@ type SweepConfig struct {
 	// concurrent calls); each cell's engine gets its own sink, keeping
 	// sinks single-goroutine as obs.Sink requires.
 	SinkFactory func(mapSlots, reduceSlots int) obs.Sink
-	// Telemetry, when set, records the sweep into the sharded metrics
-	// registry: per-cell engine events and task-duration histograms
-	// (one lock-free sink shard per cell), per-replay wall time and
-	// events/sec, and the engine pool's reuse hit rate. Nil costs
+	// Telemetry, when set, records the sweep into the metrics
+	// registry: per-cell engine events and task-duration histograms,
+	// per-replay wall time and events/sec, and the engine pool's reuse hit rate. Nil costs
 	// nothing — the hot path is never touched.
 	Telemetry *Telemetry
 	// Runs, when set, registers the sweep in the ops-plane run registry

@@ -10,10 +10,10 @@ import (
 	"simmr/internal/telemetry/telemetrytest"
 )
 
-// TestTelemetryConcurrentReplays is the acceptance test for the sharded
-// registry: 24 replays on 8 workers share one Telemetry while a scraper
-// goroutine loops the Prometheus merge path. Run under -race this
-// exercises every shard/merge pair; afterwards the merged totals must
+// TestTelemetryConcurrentReplays is the acceptance test for the shared
+// registry: 24 replays on 8 workers write one Telemetry while a scraper
+// goroutine loops the Prometheus exposition. Run under -race this
+// exercises every writer against the scrape; afterwards the totals must
 // exactly match the summed per-replay results.
 func TestTelemetryConcurrentReplays(t *testing.T) {
 	tr := sweepTrace()

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -157,5 +158,102 @@ func TestTallyConcurrentWriters(t *testing.T) {
 	wg.Wait()
 	if s := h.Snapshot(); s.Count != 12000 || s.Sum != 12000 || s.Buckets[0] != 12000 {
 		t.Fatalf("count %d sum %v bucket %d, want 12000 each", s.Count, s.Sum, s.Buckets[0])
+	}
+}
+
+// forkSplit is the first event index in the stream's middle half at
+// which a first-wave filler has started and not yet been patched, so
+// a fork taken there must carry both live arrivals and filler starts.
+func forkSplit(t *testing.T, evs []obs.Event) int {
+	t.Helper()
+	pending := map[int64]bool{}
+	for i, ev := range evs {
+		switch {
+		case ev.Kind == obs.KindReduceTaskStart && math.IsInf(ev.End, 1):
+			pending[fillerKey(ev.JobID, ev.Task)] = true
+		case ev.Kind == obs.KindFillerPatch:
+			delete(pending, fillerKey(ev.JobID, ev.Task))
+		}
+		if i >= len(evs)/4 && len(pending) > 0 {
+			return i + 1
+		}
+	}
+	t.Fatal("stream has no first-wave filler pending past its first quarter")
+	return 0
+}
+
+// A branch's sink forked after the prefix observes the suffix as the
+// unbroken sink would: the registry reads the same, byte for byte, as
+// one sink fed the whole stream. A second fork of the same prefix still
+// sees every prefix arrival and filler start, so the first fork's
+// departures and patches did not consume the prefix's state.
+func TestEngineSinkForkContinuesPrefix(t *testing.T) {
+	rec := observedStream(t)
+	want := exposition(t, rec, 0)
+	split := forkSplit(t, rec.Events)
+	prefix, suffix := rec.Events[:split], rec.Events[split:]
+
+	tel := NewSimMetrics()
+	parent := tel.EngineSink().(*engineSink)
+	for _, ev := range prefix {
+		parent.Event(ev)
+	}
+	child := parent.Fork()
+	for _, ev := range suffix {
+		child.Event(ev)
+	}
+	child.RunEnd(rec.Counters)
+	var sb strings.Builder
+	if err := tel.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != want {
+		t.Fatalf("prefix + forked suffix differs from one sink:\n%s", firstDiff(got, want))
+	}
+
+	var departures, reduces uint64
+	for _, ev := range suffix {
+		switch {
+		case ev.Kind == obs.KindJobDeparture:
+			departures++
+		case ev.Kind == obs.KindFillerPatch,
+			ev.Kind == obs.KindReduceTaskStart && !math.IsInf(ev.End, 1):
+			reduces++
+		}
+	}
+	jobs, red := tel.jobCompletion.Snapshot().Count, tel.reduceTaskDur.Snapshot().Count
+	second := parent.Fork()
+	for _, ev := range suffix {
+		second.Event(ev)
+	}
+	if got := tel.jobCompletion.Snapshot().Count - jobs; got != departures {
+		t.Errorf("second fork observed %d completions, want %d", got, departures)
+	}
+	if got := tel.reduceTaskDur.Snapshot().Count - red; got != reduces {
+		t.Errorf("second fork observed %d reduce durations, want %d", got, reduces)
+	}
+}
+
+// NewSimMetrics ignores its argument: whatever it is passed, the same
+// stream renders the same exposition.
+func TestNewSimMetricsIgnoresArgument(t *testing.T) {
+	rec := observedStream(t)
+	render := func(tel *SimMetrics) string {
+		sink := tel.EngineSink()
+		for _, ev := range rec.Events {
+			sink.Event(ev)
+		}
+		sink.RunEnd(rec.Counters)
+		var sb strings.Builder
+		if err := tel.Registry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	want := render(NewSimMetrics())
+	for _, arg := range []int{0, 1, 64} {
+		if got := render(NewSimMetrics(arg)); got != want {
+			t.Errorf("NewSimMetrics(%d) differs from NewSimMetrics():\n%s", arg, firstDiff(got, want))
+		}
 	}
 }

@@ -8,9 +8,9 @@
 //
 // in two layers. Begin / Each / End is the fan-out: run registration,
 // the worker pool, and on every exit the run's End. Replay (Branch for a
-// what-if cell) is the per-replay step inside a cell; Lookup and
-// Pending.Run are the same step in two halves, so that a batch can
-// group its misses and replay a group once (Group). The entry points
+// what-if cell) is the per-replay step inside a cell. Fan is the one
+// scheduler of a fan-out whose replays may share: a capacity sweep's
+// cells and a batch's specs. The entry points
 // in pkg/simmr, internal/experiments and cmd/simmr generate cells and
 // reduce results; none of them touches the cache, the run registry, a
 // flight recorder, the telemetry registry or the engine pool (`make
@@ -66,8 +66,8 @@ type Run struct {
 	// before the fan-out (repeats allowed). When they are all one trace
 	// the identity carries its name and digest.
 	Traces []*trace.Trace
-	// Replays is the number of Replay/Branch and Reused calls of a plan
-	// that runs to completion.
+	// Replays is the number of Replay/Branch calls or Fan requests of a
+	// plan that runs to completion.
 	Replays int
 }
 
@@ -165,13 +165,12 @@ func (p *Plan) End(err error) error {
 // Hits returns how many replays the cache has served so far.
 func (p *Plan) Hits() uint64 { return uint64(p.hits.Load()) }
 
-// Reused accounts for a replay of jobs jobs that the caller answered
-// from another cell's finished replay instead of making it (a capacity
+// reuse accounts for a replay of jobs jobs that Fan answered from
+// another member's finished replay instead of making it (a capacity
 // sweep's cells above a replay's peak, DESIGN.md §5): like a hit it
 // counts as cached, and its jobs, in the run, and it gets no sink,
-// recorder or telemetry; unlike a hit it looked nothing up, so Hits does
-// not count it.
-func (p *Plan) Reused(jobs int) {
+// recorder or telemetry; unlike a hit, Hits does not count it.
+func (p *Plan) reuse(jobs int) {
 	p.reused.Add(1)
 	p.run.AddCached(1)
 	p.run.AddJobs(uint64(jobs))
@@ -203,15 +202,6 @@ type Cell struct {
 	Keep bool
 	// Edit, on a Branch cell, mutates the paused fork before it runs.
 	Edit func(*engine.Engine) error
-	// Lead, when set, makes a replay with no sink of any kind leave a
-	// trail for later cells to follow (engine.Pool.RunTrail) and hands it
-	// over before the fold — nil when the replay cannot leave one. The
-	// fold then gets a Result of its own, which the trail holds. A hit, a
-	// failure or an observed replay does not call it.
-	Lead func(*engine.Trail)
-	// Follow is a trail of the same trace for the replay to copy what it
-	// may of (engine.Pool.FoldTrail); an observed replay ignores it.
-	Follow *engine.Trail
 	// split lets a kept replay run as segments on up to Workers cores
 	// when nothing observes it (engine.Pool.RunSplit): One's cell only, as
 	// a fan-out keeps the cores busy with its cells.
@@ -222,36 +212,32 @@ type Cell struct {
 // ignored — see Cell.Sink) and pol, or serves the cached result, and
 // hands the outcome to fold. fold is not called when the replay fails.
 func (p *Plan) Replay(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Cell, fold func(*engine.Result)) (hit bool, err error) {
-	r := Pending{p: p, cfg: cfg, tr: tr, pol: pol, c: c}
+	r := pending{p: p, cfg: cfg, tr: tr, pol: pol, c: c}
 	if r.lookup(fold) {
 		return true, nil
 	}
 	return false, r.run(fold)
 }
 
-// Lookup is Replay's key → lookup step on its own: a hit is folded and
-// Lookup returns nil; anything else is handed back as the replay still
-// to make, so that a caller can group the misses of a fan-out (Group)
-// before any of them runs.
-func (p *Plan) Lookup(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Cell, fold func(*engine.Result)) *Pending {
-	r := &Pending{p: p, cfg: cfg, tr: tr, pol: pol, c: c, fold: fold}
-	if r.lookup(fold) {
-		return nil
-	}
-	return r
-}
-
-// Pending is a cell whose lookup missed, or that has no key: what is
-// left of its path is observe → run-or-fold → store → account (Run).
-type Pending struct {
+// pending is one replay's path past its key: lookup, then observe →
+// run-or-fold → store → account (run).
+type pending struct {
 	p     *Plan
 	cfg   engine.Config
 	tr    *trace.Trace
 	pol   sched.Policy
 	c     Cell
-	fold  func(*engine.Result)
 	key   rcache.Key
 	keyed bool
+	// follow is a trail of the same trace for a bare replay to copy what
+	// it may of (engine.Pool.FoldTrail); leads makes a bare replay leave
+	// one (engine.Pool.RunTrail), in trail, for others to follow.
+	follow *engine.Trail
+	leads  bool
+	trail  *engine.Trail
+	// gates passes the replay's stream on to the followers riding it
+	// (Fan).
+	gates obs.Sink
 
 	// The observers, once built (observe).
 	observed bool
@@ -259,16 +245,16 @@ type Pending struct {
 	rec      *obs.FlightRecorder
 	start    time.Time
 	// seen is what a gate passed on to the observers before it cut the
-	// replay: its own run mutes that much (Group).
+	// replay: its own run mutes that much (Fan).
 	seen passed
-	// into, when set, is where a kept replay puts its Result (Group).
+	// into, when set, is where a kept replay puts its Result (Fan).
 	into *engine.Result
 }
 
 // lookup is key → lookup; it reports a hit, which it has folded. fold
 // is an argument, here and to run and settle, rather than read from r,
 // so that Replay's closure stays on its caller's stack.
-func (r *Pending) lookup(fold func(*engine.Result)) bool {
+func (r *pending) lookup(fold func(*engine.Result)) bool {
 	p := r.p
 	if p.Cache == nil || r.tr == nil {
 		return false
@@ -293,7 +279,7 @@ func (r *Pending) lookup(fold func(*engine.Result)) bool {
 // observe builds the replay's observers, once: the cell's sink, a
 // recorder, the engine hook of a single replay and the telemetry sink,
 // behind one flat Tee — and no Tee at all on a bare plan.
-func (r *Pending) observe() obs.Sink {
+func (r *pending) observe() obs.Sink {
 	if r.observed {
 		return r.sink
 	}
@@ -329,9 +315,18 @@ func (r *Pending) observe() obs.Sink {
 	return sink
 }
 
+// unseen is the observers of a replay a gate cut (Fan), hiding from them
+// what gates already passed on.
+func (r *pending) unseen() obs.Sink {
+	if r.sink == nil || r.seen == (passed{}) {
+		return r.sink
+	}
+	return newMute(r.sink, r.seen)
+}
+
 // settle stores and accounts a finished replay, while a lent Result is
 // still the engine's, and folds it.
-func (r *Pending) settle(res *engine.Result, fold func(*engine.Result)) {
+func (r *pending) settle(res *engine.Result, fold func(*engine.Result)) {
 	p := r.p
 	if r.rec != nil && missedDeadline(res) {
 		p.run.AddFlightDump(r.rec.Dump("deadline-miss"))
@@ -349,38 +344,36 @@ func (r *Pending) settle(res *engine.Result, fold func(*engine.Result)) {
 	fold(res)
 }
 
-// Run replays the cell — observe, run or fold, store, account — and
-// hands the outcome to its fold, which is not called when the replay
-// fails. A replay a gate cut (Group) keeps the observers it had and
-// hides from them what the gate already passed on.
-func (r *Pending) Run() error { return r.run(r.fold) }
-
-func (r *Pending) run(fold func(*engine.Result)) (err error) {
+// run replays the cell — observe, run or fold, store, account — and
+// hands the outcome to fold, which is not called when the replay fails.
+// A replay a gate cut (Fan) keeps the observers it had and hides from
+// them what the gate already passed on.
+func (r *pending) run(fold func(*engine.Result)) (err error) {
 	p, c := r.p, &r.c
 	done := func(res *engine.Result) { r.settle(res, fold) }
 	var sink obs.Sink
 	if r.observed {
-		// A follower a gate cut (Group): its observers have seen r.seen.
-		sink, r.start = r.sink, time.Now()
-		if sink != nil && r.seen != (passed{}) {
-			sink = newMute(sink, r.seen)
-		}
+		// A follower a gate cut (Fan).
+		sink, r.start = r.unseen(), time.Now()
 	} else {
 		sink = r.observe()
+	}
+	cfg := r.cfg
+	if cfg.Sink = sink; r.gates != nil {
+		cfg.Sink = obs.Tee(sink, r.gates)
 	}
 	switch {
 	case p.snap != nil:
 		err = p.branch(sink, c.Edit, done)
-	case c.Lead != nil && sink == nil:
+	case r.leads && cfg.Sink == nil:
 		var res *engine.Result
-		var trail *engine.Trail
-		if res, trail, err = p.pool.RunTrail(r.cfg, r.tr, r.pol); err == nil {
-			c.Lead(trail)
+		if res, r.trail, err = p.pool.RunTrail(cfg, r.tr, r.pol); err == nil {
 			done(res)
 		}
+	case c.Keep && r.follow != nil:
+		// A follower's Result is lent; a kept one is a copy of it.
+		err = p.pool.FoldTrail(cfg, r.tr, r.pol, r.follow, func(res *engine.Result) { done(copyInto(&engine.Result{}, res)) })
 	case c.Keep:
-		cfg := r.cfg
-		cfg.Sink = sink
 		var res *engine.Result
 		switch {
 		case c.split:
@@ -394,9 +387,7 @@ func (r *Pending) run(fold func(*engine.Result)) (err error) {
 			done(res)
 		}
 	default:
-		cfg := r.cfg
-		cfg.Sink = sink
-		err = p.pool.FoldTrail(cfg, r.tr, r.pol, c.Follow, done)
+		err = p.pool.FoldTrail(cfg, r.tr, r.pol, r.follow, done)
 	}
 	if err != nil && r.rec != nil {
 		p.run.AddFlightDump(r.rec.Dump("error"))

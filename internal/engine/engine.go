@@ -30,7 +30,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"simmr/internal/des"
 	"simmr/internal/obs"
@@ -1393,11 +1392,6 @@ type Pool struct {
 	// pool whose engines the handle draws on, and who hears about it.
 	parent *Pool
 	onGet  func(reused bool)
-
-	// accepted and cancelled count the boundaries of the split replays
-	// run on the pool (RunSplit, SplitCounts), copied the outcomes copied
-	// from trails (FoldTrail, CopiedJobs).
-	accepted, cancelled, copied atomic.Uint64
 }
 
 // Shared is the process-wide pool behind every fan-out entry point
@@ -1420,17 +1414,14 @@ func (p *Pool) Observed(onGet func(reused bool)) *Pool {
 	return &Pool{parent: p, onGet: onGet}
 }
 
-// root is the pool p's engines live in: p, or for an Observed handle the
-// observed pool.
-func (p *Pool) root() *Pool {
+// store is where p's engines live: in p, or for an Observed handle in
+// the observed pool.
+func (p *Pool) store() *sync.Pool {
 	if p.parent != nil {
-		return p.parent
+		return &p.parent.p
 	}
-	return p
+	return &p.p
 }
-
-// store is where p's engines live.
-func (p *Pool) store() *sync.Pool { return &p.root().p }
 
 // take returns an idle engine, or nil when a fresh one must be built.
 func (p *Pool) take() *Engine {
@@ -1514,5 +1505,5 @@ func (p *Pool) Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, e
 // returns, and nothing reached through it may be kept. fn is not called
 // when the replay fails.
 func (p *Pool) Fold(cfg Config, tr *trace.Trace, policy sched.Policy, fn func(*Result)) error {
-	return p.FoldTrail(cfg, tr, policy, nil, fn)
+	return p.FoldTrail(cfg, tr, policy, nil, func(res *Result, _ int) { fn(res) })
 }

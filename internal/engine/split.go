@@ -38,11 +38,12 @@ const splitWindow = 1024
 // state from job to job), a trace not in arrival order, or one shorter
 // than two segments of minSegmentJobs, runs as Run runs it. The run plan's
 // single replay (plan.One) is the only caller: fan-outs keep every core
-// busy with cells already. SplitCounts adds up how the boundaries ended.
-func (p *Pool) RunSplit(cfg Config, tr *trace.Trace, policy sched.Policy, workers int) (*Result, error) {
+// busy with cells already. It also returns the segments it ran as (1
+// unsplit) and how many of them were cancelled at a busy boundary.
+func (p *Pool) RunSplit(cfg Config, tr *trace.Trace, policy sched.Policy, workers int) (res *Result, segments, cancelled int, err error) {
 	e, err := p.Get(cfg, tr, policy)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	defer p.Put(e)
 	if workers <= 0 {
@@ -51,29 +52,18 @@ func (p *Pool) RunSplit(cfg Config, tr *trace.Trace, policy sched.Policy, worker
 	var bounds []int
 	if parts := min(workers, len(tr.Jobs)/minSegmentJobs); parts >= 2 && e.sink == nil && e.batch != nil {
 		if err := e.start(nil); err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		if e.inOrder {
 			bounds = splitPoints(tr.Jobs, parts)
 		}
 	}
 	if len(bounds) == 0 {
-		return e.Run()
+		res, err = e.Run()
+		return res, 1, 0, err
 	}
 	res, accepted, err := e.runSplit(p, bounds)
-	p.root().accepted.Add(uint64(accepted))
-	if err == nil {
-		p.root().cancelled.Add(uint64(len(bounds) - accepted))
-	}
-	return res, err
-}
-
-// SplitCounts returns how many segment boundaries the split replays run
-// on p (RunSplit) have accepted and cancelled so far. A boundary is
-// accepted when the engine that reaches it finds the cluster quiescent
-// there, and cancelled, with the segment that began there, when not.
-func (p *Pool) SplitCounts() (accepted, cancelled uint64) {
-	return p.root().accepted.Load(), p.root().cancelled.Load()
+	return res, len(bounds) + 1, len(bounds) - accepted, err
 }
 
 // splitPoints picks the first positions of up to parts−1 segments after

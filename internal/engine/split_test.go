@@ -276,16 +276,15 @@ func TestRunSplitEligibility(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Through an Observed handle: the counts are the pool's.
 			var pool Pool
-			got, err := pool.Observed(func(bool) {}).RunSplit(c.cfg, c.tr, c.p(), c.workers)
+			got, segments, cancelled, err := pool.RunSplit(c.cfg, c.tr, c.p(), c.workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatal("RunSplit's Result differs from Run's")
 			}
-			accepted, cancelled := pool.SplitCounts()
+			accepted := segments - 1 - cancelled
 			if split := accepted+cancelled > 0; split != c.split {
 				t.Fatalf("split %v (%d accepted, %d cancelled), want %v", split, accepted, cancelled, c.split)
 			}

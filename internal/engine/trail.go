@@ -64,34 +64,29 @@ func (p *Pool) RunTrail(cfg Config, tr *trace.Trace, policy sched.Policy) (*Resu
 // trace under a config that differs in slot counts only, and a policy
 // that decides as t's did: it copies every stretch of t it may. Any other
 // replay — nil t, a sink, or one that is not trailable — folds as Fold
-// does. The jobs copied count in CopiedJobs.
-func (p *Pool) FoldTrail(cfg Config, tr *trace.Trace, policy sched.Policy, t *Trail, fn func(*Result)) error {
+// does. fn is also handed how many job outcomes were copied from t.
+func (p *Pool) FoldTrail(cfg Config, tr *trace.Trace, policy sched.Policy, t *Trail, fn func(res *Result, copied int)) error {
 	e, err := p.Get(cfg, tr, policy)
 	if err != nil {
 		return err
 	}
 	res := &e.scratch
+	var copied int
 	if err = e.start(res.Jobs[:0]); err == nil {
 		if t.admits(e) {
-			var copied int
 			copied, err = e.follow(p, t, res)
-			p.root().copied.Add(uint64(copied))
 		} else {
 			err = e.RunInto(res)
 		}
 	}
 	if err == nil {
-		fn(res)
+		fn(res, copied)
 	}
 	clear(res.Jobs)
 	res.Jobs = res.Jobs[:0]
 	p.Put(e)
 	return err
 }
-
-// CopiedJobs returns how many job outcomes the replays run on p have
-// copied from trails (FoldTrail) so far.
-func (p *Pool) CopiedJobs() uint64 { return p.root().copied.Load() }
 
 // trailable reports whether e, started, may leave or follow a trail: it
 // replays a trace in arrival order with no sink, under a policy on a

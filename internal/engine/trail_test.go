@@ -54,8 +54,9 @@ func around(peak, ran int) []int {
 // the Result against want, and returns how many outcomes it copied.
 func followed(t *testing.T, pool *Pool, cfg Config, tr *trace.Trace, policy sched.Policy, trail *Trail, want *Result) uint64 {
 	t.Helper()
-	before := pool.CopiedJobs()
-	if err := pool.FoldTrail(cfg, tr, policy, trail, func(got *Result) {
+	var n int
+	if err := pool.FoldTrail(cfg, tr, policy, trail, func(got *Result, copied int) {
+		n = copied
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%d+%d replay following the trail: totals %d/%v/%d+%d, its own replay %d/%v/%d+%d",
 				cfg.MapSlots, cfg.ReduceSlots, got.Events, got.Makespan, got.PeakMapSlots, got.PeakReduceSlots,
@@ -64,7 +65,7 @@ func followed(t *testing.T, pool *Pool, cfg Config, tr *trace.Trace, policy sche
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return pool.CopiedJobs() - before
+	return uint64(n)
 }
 
 // TestTrailFollowerMatchesReplay records a trail on a roomy cluster under

@@ -62,7 +62,7 @@ type Fanout struct {
 //     its riders go back to waiting and the group boards none again.
 //   - Members are claimed in visit order. A bare one that a finished
 //     member's peaks answer (engine.Answers) takes that answer, accounted
-//     as reused: cached, no sink, recorder or telemetry. One that a
+//     as Answered: cached, no sink, recorder or telemetry. One that a
 //     running replay S is expected to answer is skipped for now: it has
 //     S's count of one kind and more of the other, and a finished replay
 //     with at least S's slots of both kinds held fewer of that other kind
@@ -90,10 +90,11 @@ func (p *Plan) Fan(ctx context.Context, f Fanout) error {
 		})()
 	}
 	err := p.Each(ctx, len(f.Requests), func(int) error { return s.next(ctx) })
-	if s.err != nil {
-		err = s.err
-	}
-	return err
+	// Drop Results, sinks and callbacks: a worker not yet exited keeps only the scheduler.
+	clear(s.ms)
+	clear(s.groups)
+	s.Fanout = Fanout{}
+	return cmp.Or(s.err, err)
 }
 
 // fan is one Fan's scheduler. Its units of work are a lookup, and one
@@ -171,7 +172,7 @@ func newFan(p *Plan, f Fanout) *fan {
 	groups := map[groupKey]*group{}
 	for i, rq := range f.Requests {
 		m := &s.ms[i]
-		m.pending = pending{p: p, cfg: rq.Cfg, tr: rq.Trace, pol: rq.Policy, c: f.Cell(i)}
+		m.pending = pending{p: p, cfg: rq.Cfg, tr: rq.Trace, pol: rq.Policy, c: f.Cell(i), i: i}
 		m.c.Keep = f.Keep
 		m.observed = m.c.Sink != nil || p.Observing()
 		m.late = -1
@@ -275,7 +276,10 @@ again:
 					if s.expected(g, m.cfg) {
 						continue
 					}
-					m.follow = g.trail
+					// Only the lead leaves a trail, once it has finished.
+					if m.follow = g.trail; m.follow != nil {
+						m.from = &s.ms[g.ms[0]].pending
+					}
 				}
 				m.claimable = false
 				g.running = append(g.running, i)
@@ -379,15 +383,12 @@ func (s *fan) work(u unit) int {
 	case replayUnit:
 		return s.replay(i)
 	case tookUnit:
-		s.p.reuse(len(m.tr.Jobs))
-		if !s.Keep {
-			s.Took(i, u.from)
+		m.from = &s.ms[u.from].pending
+		if s.Keep {
+			m.settle(Provenance{How: Answered, From: u.from}, copyInto(&engine.Result{}, s.ms[u.from].res), fold)
 		} else {
-			res := copyInto(&engine.Result{}, s.ms[u.from].res)
-			if m.keyed {
-				s.p.Cache.Put(m.key, res)
-			}
-			s.keep(i, res)
+			m.settle(Provenance{How: Answered, From: u.from}, nil, nil)
+			s.Took(i, u.from)
 		}
 		return s.finish(i, nil, false)
 	}
@@ -451,7 +452,8 @@ func (s *fan) replay(i int) int {
 				if s.Keep {
 					r = copyInto(m.into, res)
 				}
-				m.settle(r, func(res *engine.Result) { s.keep(j, res) })
+				m.from = &l.pending
+				m.settle(Provenance{How: Followed, From: i}, r, func(res *engine.Result) { s.keep(j, res) })
 			}
 		}
 	})

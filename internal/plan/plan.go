@@ -22,6 +22,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -81,8 +82,8 @@ type Plan struct {
 	// single marks One's registered plan: progress and run totals come
 	// from the run handle's engine hook, not from cell completions.
 	single bool
-	hits   atomic.Int64
-	reused atomic.Int64
+	// settled counts the Results handed out, by how each was produced.
+	settled [hows]atomic.Int64
 
 	// The sealed prefix of a branch set (Prefix): every Branch cell
 	// forks from snap, continues a Fork of prefixRec and of prefixTel,
@@ -155,7 +156,7 @@ func (p *Plan) Each(ctx context.Context, cells int, body func(i int) error) erro
 // End settles the plan with the fan-out's outcome and returns it: the
 // "cached" phase, the run's End.
 func (p *Plan) End(err error) error {
-	if err == nil && p.replays > 0 && p.hits.Load()+p.reused.Load() == int64(p.replays) {
+	if err == nil && p.replays > 0 && p.settled[Cached].Load()+p.settled[Answered].Load() == int64(p.replays) {
 		p.run.SetPhase("cached")
 	}
 	p.run.End(err)
@@ -163,18 +164,7 @@ func (p *Plan) End(err error) error {
 }
 
 // Hits returns how many replays the cache has served so far.
-func (p *Plan) Hits() uint64 { return uint64(p.hits.Load()) }
-
-// reuse accounts for a replay of jobs jobs that Fan answered from
-// another member's finished replay instead of making it (a capacity
-// sweep's cells above a replay's peak, DESIGN.md §5): like a hit it
-// counts as cached, and its jobs, in the run, and it gets no sink,
-// recorder or telemetry; unlike a hit, Hits does not count it.
-func (p *Plan) reuse(jobs int) {
-	p.reused.Add(1)
-	p.run.AddCached(1)
-	p.run.AddJobs(uint64(jobs))
-}
+func (p *Plan) Hits() uint64 { return uint64(p.settled[Cached].Load()) }
 
 // Recording reports whether simulated cells carry a flight recorder —
 // the only time a cell's label is read, so a caller that formats labels
@@ -229,6 +219,8 @@ type pending struct {
 	c     Cell
 	key   rcache.Key
 	keyed bool
+	i     int      // the request's index in a Fan: its Provenance.From
+	from  *pending // the request whose replay or answer this one took (Fan)
 	// follow is a trail of the same trace for a bare replay to copy what
 	// it may of (engine.Pool.FoldTrail); leads makes a bare replay leave
 	// one (engine.Pool.RunTrail), in trail, for others to follow.
@@ -268,10 +260,7 @@ func (r *pending) lookup(fold func(*engine.Result)) bool {
 	}
 	res, ok := p.Cache.Get(r.key)
 	if ok {
-		p.hits.Add(1)
-		p.run.AddCached(1)
-		p.run.AddJobs(uint64(len(res.Jobs)))
-		fold(res)
+		r.settle(Provenance{How: Cached}, res, fold)
 	}
 	return ok
 }
@@ -324,24 +313,72 @@ func (r *pending) unseen() obs.Sink {
 	return newMute(r.sink, r.seen)
 }
 
-// settle stores and accounts a finished replay, while a lent Result is
-// still the engine's, and folds it.
-func (r *pending) settle(res *engine.Result, fold func(*engine.Result)) {
+// How is the way a Result the plan hands out was produced.
+type How uint8
+
+const (
+	Simulated How = iota // replayed straight through
+	Split                // replayed as segments split at quiescent instants (One)
+	Answered             // taken from request From's finished replay, whose peaks answer for it (Fan)
+	Copied               // replayed following request From's trail, copying Jobs outcomes (Fan)
+	Followed             // seen through a gate riding request From's replay to its end (Fan)
+	Cached               // served by the result cache
+	Forked               // a branch replayed from a fork of the sealed prefix
+	hows
+)
+
+// Provenance is how a Result was produced, and what its shortcut took:
+// a split replay's Segments, those Cancelled at a busy boundary; the
+// prefix's events a branch forked after (Event).
+type Provenance struct {
+	How                             How
+	From, Segments, Cancelled, Jobs int
+	Event                           uint64
+}
+
+// Settled, when set, sees every Result the plan hands out before it is
+// folded: how it was produced, for which request, and src, the request
+// From, whose policy stands in for one Fan built none for; a nil res is
+// an answer the request does not keep. Only tests set it (plantest).
+var Settled func(pv Provenance, rq Request, res *engine.Result, src Request)
+
+// settle is the one way a Result leaves the plan, while a lent Result is
+// still the engine's: it accounts for res by how it was produced (a hit
+// or an answer counts as cached; a replay adds a deadline-miss dump,
+// telemetry, events and jobs), stores it unless the cache served it,
+// and folds it. A nil res is an answer the caller takes (Fanout.Took).
+func (r *pending) settle(pv Provenance, res *engine.Result, fold func(*engine.Result)) {
 	p := r.p
-	if r.rec != nil && missedDeadline(res) {
-		p.run.AddFlightDump(r.rec.Dump("deadline-miss"))
+	p.settled[pv.How].Add(1)
+	switch pv.How {
+	case Cached, Answered:
+		p.run.AddCached(1)
+		p.run.AddJobs(uint64(len(r.tr.Jobs)))
+	default:
+		if r.rec != nil && slices.ContainsFunc(res.Jobs, func(j engine.JobOutcome) bool { return j.ExceededDeadline() }) {
+			p.run.AddFlightDump(r.rec.Dump("deadline-miss"))
+		}
+		if tel := p.Telemetry; tel != nil {
+			tel.ReplayDone(time.Since(r.start), res.Events-p.baseline)
+		}
+		if !p.single {
+			p.run.AddEvents(res.Events - p.baseline)
+			p.run.AddJobs(uint64(len(res.Jobs)))
+		}
 	}
-	if r.keyed {
+	if r.keyed && res != nil && pv.How != Cached {
 		p.Cache.Put(r.key, res)
 	}
-	if tel := p.Telemetry; tel != nil {
-		tel.ReplayDone(time.Since(r.start), res.Events-p.baseline)
+	if Settled != nil {
+		var src Request
+		if f := r.from; f != nil {
+			src = Request{f.cfg, f.tr, f.pol}
+		}
+		Settled(pv, Request{r.cfg, r.tr, r.pol}, res, src)
 	}
-	if !p.single {
-		p.run.AddEvents(res.Events - p.baseline)
-		p.run.AddJobs(uint64(len(res.Jobs)))
+	if res != nil {
+		fold(res)
 	}
-	fold(res)
 }
 
 // run replays the cell — observe, run or fold, store, account — and
@@ -350,7 +387,6 @@ func (r *pending) settle(res *engine.Result, fold func(*engine.Result)) {
 // them what the gate already passed on.
 func (r *pending) run(fold func(*engine.Result)) (err error) {
 	p, c := r.p, &r.c
-	done := func(res *engine.Result) { r.settle(res, fold) }
 	var sink obs.Sink
 	if r.observed {
 		// A follower a gate cut (Fan).
@@ -362,57 +398,47 @@ func (r *pending) run(fold func(*engine.Result)) (err error) {
 	if cfg.Sink = sink; r.gates != nil {
 		cfg.Sink = obs.Tee(sink, r.gates)
 	}
+	var res *engine.Result
+	pv := Provenance{How: Simulated}
 	switch {
 	case p.snap != nil:
-		err = p.branch(sink, c.Edit, done)
+		res, err = p.branch(sink, c.Edit)
+		pv = Provenance{How: Forked, Event: p.baseline}
 	case r.leads && cfg.Sink == nil:
-		var res *engine.Result
-		if res, r.trail, err = p.pool.RunTrail(cfg, r.tr, r.pol); err == nil {
-			done(res)
+		res, r.trail, err = p.pool.RunTrail(cfg, r.tr, r.pol)
+	case c.split:
+		var segments, cancelled int
+		if res, segments, cancelled, err = p.pool.RunSplit(cfg, r.tr, r.pol, p.Workers); segments > 1 {
+			pv = Provenance{How: Split, Segments: segments, Cancelled: cancelled}
 		}
-	case c.Keep && r.follow != nil:
-		// A follower's Result is lent; a kept one is a copy of it.
-		err = p.pool.FoldTrail(cfg, r.tr, r.pol, r.follow, func(res *engine.Result) { done(copyInto(&engine.Result{}, res)) })
-	case c.Keep:
-		var res *engine.Result
-		switch {
-		case c.split:
-			res, err = p.pool.RunSplit(cfg, r.tr, r.pol, p.Workers)
-		case r.into != nil:
-			res, err = r.into, p.runInto(cfg, r.tr, r.pol, r.into)
-		default:
-			res, err = p.pool.Run(cfg, r.tr, r.pol)
+	case c.Keep && r.follow == nil:
+		if res = r.into; res == nil {
+			res = new(engine.Result)
 		}
-		if err == nil {
-			done(res)
+		var e *engine.Engine
+		if e, err = p.pool.Get(cfg, r.tr, r.pol); err == nil {
+			err = e.RunInto(res)
+			p.pool.Put(e)
 		}
 	default:
-		err = p.pool.FoldTrail(cfg, r.tr, r.pol, r.follow, done)
+		// A follower's Result is lent; a kept one is a copy of it.
+		err = p.pool.FoldTrail(cfg, r.tr, r.pol, r.follow, func(res *engine.Result, copied int) {
+			if c.Keep {
+				res = copyInto(&engine.Result{}, res)
+			}
+			if copied > 0 {
+				pv = Provenance{How: Copied, From: r.from.i, Jobs: copied}
+			}
+			r.settle(pv, res, fold)
+		})
+	}
+	if err == nil && res != nil {
+		r.settle(pv, res, fold)
 	}
 	if err != nil && r.rec != nil {
 		p.run.AddFlightDump(r.rec.Dump("error"))
 	}
 	return err
-}
-
-// runInto is Pool.Run into a Result the caller has allocated.
-func (p *Plan) runInto(cfg engine.Config, tr *trace.Trace, pol sched.Policy, res *engine.Result) error {
-	e, err := p.pool.Get(cfg, tr, pol)
-	if err != nil {
-		return err
-	}
-	err = e.RunInto(res)
-	p.pool.Put(e)
-	return err
-}
-
-func missedDeadline(res *engine.Result) bool {
-	for i := range res.Jobs {
-		if res.Jobs[i].ExceededDeadline() {
-			return true
-		}
-	}
-	return false
 }
 
 // Prefix turns the plan into a branch set: it replays tr under cfg and
@@ -458,15 +484,14 @@ func (p *Plan) Branch(c Cell, fold func(*engine.Result)) error {
 
 // branch is the arm-edit-run variation of run-or-fold. The fork goes
 // back to the pool whether or not its edit and run succeed.
-func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error, done func(*engine.Result)) error {
+func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error) (res *engine.Result, err error) {
 	f, err := p.pool.Fork(p.snap, engine.ForkOptions{Sink: sink})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if edit != nil {
 		err = edit(f)
 	}
-	var res *engine.Result
 	if err == nil {
 		res, err = f.Run()
 	}
@@ -474,11 +499,7 @@ func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error, done func(
 		p.Telemetry.ForkDone(f.ForkStats().BytesCopied)
 	}
 	p.pool.Put(f)
-	if err != nil {
-		return err
-	}
-	done(res)
-	return nil
+	return res, err
 }
 
 // One is the one-cell plan behind every single replay — ReplayCached

@@ -46,8 +46,8 @@ func planTrace(mapDur float64) *trace.Trace {
 type cellSpec struct {
 	slots  int // < 1 fails the engine's config validation
 	policy sched.Policy
-	// reused cells are answered by the caller from another cell's replay
-	// (Plan.reuse), as a capacity sweep answers cells above a peak.
+	// reused cells are answered from another replay (settled as
+	// Answered), as a capacity sweep answers cells above a peak.
 	reused bool
 }
 
@@ -84,12 +84,16 @@ func execute(ctx context.Context, o Options, tr *trace.Trace, cells []cellSpec) 
 	out := outcome{results: make([]folded, len(cells)), sinkCalls: make([]int32, len(cells))}
 	p := Begin(o, Run{Kind: runs.KindSweep, Traces: []*trace.Trace{tr}, Replays: len(cells), Config: "contract"})
 	out.err = p.End(p.Each(ctx, len(cells), func(i int) error {
+		cfg := engine.Config{MapSlots: cells[i].slots, ReduceSlots: cells[i].slots, MinMapPercentCompleted: 0.05}
 		if cells[i].reused {
-			p.reuse(len(tr.Jobs))
+			// Answered by a replay of its own config, which a straight
+			// replay of the cell matches.
+			r := pending{p: p, cfg: cfg, tr: tr, pol: cells[i].policy}
+			r.from = &r
+			r.settle(Provenance{How: Answered}, nil, nil)
 			out.results[i] = folded{Jobs: len(tr.Jobs)}
 			return nil
 		}
-		cfg := engine.Config{MapSlots: cells[i].slots, ReduceSlots: cells[i].slots, MinMapPercentCompleted: 0.05}
 		c := Cell{Label: "cell-" + strconv.Itoa(i), Sink: func() obs.Sink {
 			atomic.AddInt32(&out.sinkCalls[i], 1)
 			return &obs.RecordSink{}
@@ -112,8 +116,8 @@ func execute(ctx context.Context, o Options, tr *trace.Trace, cells []cellSpec) 
 // point: each scenario runs with and without telemetry and on 1 and 8
 // workers, and states which cells simulate, what reaches the cache and
 // the run registry, which post-mortems exist and how the plan ends. A
-// reused cell (Plan.reuse) is accounted as a hit is — done, cached, no
-// sink, recorder or telemetry — without a cache lookup.
+// reused cell (settled as Answered) is accounted as a hit is — done,
+// cached, no sink, recorder or telemetry — without a cache lookup.
 func TestPlanContract(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -53,15 +53,17 @@ func (t *Trace) ContentHash() uint64 {
 			h = h.u64(0)
 			continue
 		}
-		h = h.u64(tpl.contentDigest())
+		h = h.u64(tpl.Digest())
 	}
 	return uint64(h)
 }
 
-// contentDigest folds the template's full content — identity fields
-// plus every entry of every duration vector — memoizing the result.
-// Racing writers store identical values, so the atomic needs no CAS.
-func (tpl *Template) contentDigest() uint64 {
+// Digest folds the template's full content — identity fields plus
+// every entry of every duration vector — memoizing the result: the
+// template's part of ContentHash, and what the .strc writer buckets
+// duplicate templates by. Racing writers store identical values, so the
+// atomic needs no CAS.
+func (tpl *Template) Digest() uint64 {
 	if p := tpl.digest.Load(); p != nil {
 		return *p
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -237,7 +236,7 @@ func (w *Writer) intern(t *trace.Template) (uint32, error) {
 	if idx, ok := w.byPtr[t]; ok {
 		return idx, nil
 	}
-	hash := templateHash(t)
+	hash := t.Digest()
 	for _, e := range w.byHash[hash] {
 		if templatesEqual(e.tpl, t) {
 			w.byPtr[t] = e.idx
@@ -309,31 +308,6 @@ func (w *Writer) writeArena(ds []float64) error {
 		w.arenaLen++
 	}
 	return nil
-}
-
-// templateHash hashes a template's full content (names, counts,
-// bitwise durations, counters) for dedup bucketing.
-func templateHash(t *trace.Template) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	h.Write([]byte(t.AppName))
-	h.Write([]byte{0})
-	h.Write([]byte(t.Dataset))
-	h.Write([]byte{0})
-	writeInt(uint64(t.NumMaps))
-	writeInt(uint64(t.NumReduces))
-	for _, ds := range [4][]float64{t.MapDurations, t.FirstShuffle, t.TypicalShuffle, t.ReduceDurations} {
-		writeInt(uint64(len(ds)))
-		for _, d := range ds {
-			writeInt(math.Float64bits(d))
-		}
-	}
-	writeInt(uint64(len(t.Counters)))
-	return h.Sum64()
 }
 
 // templatesEqual compares templates bitwise (durations by Float64bits,

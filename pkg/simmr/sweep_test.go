@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"simmr/internal/engine"
+	"simmr/internal/plan/plantest"
 	"simmr/internal/sched/schedtest"
 	"simmr/internal/telemetry/telemetrytest"
 )
@@ -230,12 +230,12 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 							if cached {
 								cfg.Cache = NewCache(CacheOptions{})
 							}
-							before := engine.Shared.CopiedJobs()
+							tally := plantest.Shortcuts.Watch(tr)
 							pts, err := CapacitySweep(tr, cfg)
 							if err != nil {
 								t.Fatal(err)
 							}
-							n := engine.Shared.CopiedJobs() - before
+							n := uint64(tally().Copied)
 							switch follows := pc.follows && tr.Name == "sparse" && observed == "bare"; {
 							case follows:
 								copied[workers] += n

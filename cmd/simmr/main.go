@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"simmr/internal/debugserver"
@@ -249,18 +250,24 @@ func writeTimeline(path string, spans []simmr.SlotSpan, makespan, step float64) 
 func runSweep(tr *simmr.Trace, spec, shard string, tel *simmr.Telemetry, cache *simmr.Cache) error {
 	var counts []int
 	for _, part := range strings.Split(spec, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 1 {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
 			return fmt.Errorf("bad sweep count %q", part)
 		}
 		counts = append(counts, n)
 	}
 	// The ops plane rides the debug server: /runs and `simmr ops watch`
-	// follow the sweep, with per-cell flight recorders for post-mortems.
+	// follow the sweep, with a flight recorder per simulated replay for
+	// post-mortems.
 	o := opsOptions(tel, cache)
 	scfg := simmr.SweepConfig{MapSlotCounts: counts, Telemetry: tel, Cache: cache, Runs: o.Runs, Flight: o.Flight}
 	if shard != "" {
-		if _, err := fmt.Sscanf(shard, "%d/%d", &scfg.ShardIndex, &scfg.Shards); err != nil {
+		i, n, _ := strings.Cut(shard, "/")
+		var err error
+		if scfg.ShardIndex, err = strconv.Atoi(i); err == nil {
+			scfg.Shards, err = strconv.Atoi(n)
+		}
+		if err != nil {
 			return fmt.Errorf("bad -shard %q (want I/N)", shard)
 		}
 	}
@@ -394,8 +401,8 @@ func policyByName(name, shares string) (simmr.Policy, error) {
 	case "capacity":
 		var vals []float64
 		for _, part := range strings.Split(shares, ",") {
-			var v float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%g", &v); err != nil {
+			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+			if err != nil {
 				return nil, fmt.Errorf("bad capacity share %q", part)
 			}
 			vals = append(vals, v)

@@ -233,6 +233,10 @@ func TestCLIGolden(t *testing.T) {
 		{"sweep-shard0", "-trace trace.strc -sweep 8,16,32 -shard 0/2", 0},
 		{"sweep-shard1", "-trace trace.strc -sweep 8,16,32 -shard 1/2", 0},
 		{"sweep-bad", "-trace trace.strc -sweep 8,x", 1},
+		{"sweep-junk", "-trace trace.strc -sweep 16,24x", 1},
+		{"shard-junk", "-trace trace.strc -sweep 8,16 -shard 0/2x", 1},
+		{"shares-junk", "-trace trace.strc -policy capacity -capacity-shares 0.5x,0.5", 1},
+		{"whatif-scale-junk", "trace whatif -trace trace.strc -policies minedf -deadline-scale 2x", 1},
 		{"sparse-sweep", "-trace sparse.strc -sweep " + sparseSweep, 0},
 		{"shard-without-sweep", "-trace trace.strc -shard 0/2", 1},
 		{"trace-run", "trace run -trace trace.strc -policy fair -out events.json -slot-timeline slots.tsv", 0},

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"simmr/pkg/simmr"
@@ -55,8 +56,8 @@ func runTraceWhatif(args []string) error {
 	}
 	if *ddlScales != "" {
 		for _, part := range strings.Split(*ddlScales, ",") {
-			var scale float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%g", &scale); err != nil || scale <= 0 {
+			scale, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+			if err != nil || !(scale > 0) {
 				return fmt.Errorf("bad deadline scale %q", part)
 			}
 			branches = append(branches, simmr.WhatIf{

@@ -1505,5 +1505,5 @@ func (p *Pool) Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, e
 // returns, and nothing reached through it may be kept. fn is not called
 // when the replay fails.
 func (p *Pool) Fold(cfg Config, tr *trace.Trace, policy sched.Policy, fn func(*Result)) error {
-	return p.FoldTrail(cfg, tr, policy, nil, func(res *Result, _ int) { fn(res) })
+	return p.FoldTrail(cfg, tr, policy, nil, func(res *Result, _ int, _ uint64) { fn(res) })
 }

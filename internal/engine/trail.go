@@ -64,23 +64,25 @@ func (p *Pool) RunTrail(cfg Config, tr *trace.Trace, policy sched.Policy) (*Resu
 // trace under a config that differs in slot counts only, and a policy
 // that decides as t's did: it copies every stretch of t it may. Any other
 // replay — nil t, a sink, or one that is not trailable — folds as Fold
-// does. fn is also handed how many job outcomes were copied from t.
-func (p *Pool) FoldTrail(cfg Config, tr *trace.Trace, policy sched.Policy, t *Trail, fn func(res *Result, copied int)) error {
+// does. fn is also handed how many job outcomes, and how many of the
+// Result's events, were copied from t.
+func (p *Pool) FoldTrail(cfg Config, tr *trace.Trace, policy sched.Policy, t *Trail, fn func(res *Result, jobs int, events uint64)) error {
 	e, err := p.Get(cfg, tr, policy)
 	if err != nil {
 		return err
 	}
 	res := &e.scratch
-	var copied int
+	var jobs int
+	var events uint64
 	if err = e.start(res.Jobs[:0]); err == nil {
 		if t.admits(e) {
-			copied, err = e.follow(p, t, res)
+			jobs, events, err = e.follow(p, t, res)
 		} else {
 			err = e.RunInto(res)
 		}
 	}
 	if err == nil {
-		fn(res, copied)
+		fn(res, jobs, events)
 	}
 	clear(res.Jobs)
 	res.Jobs = res.Jobs[:0]
@@ -146,8 +148,8 @@ func (e *Engine) record(t *Trail) error {
 // ones its own replay would give: it copies their outcomes, adds their
 // events and peaks (stitch), and resumes after them on a second engine of
 // p, armed on the rest of the trace as a split's segment is (armSuffix).
-// It returns how many outcomes it copied.
-func (e *Engine) follow(p *Pool, t *Trail, res *Result) (copied int, err error) {
+// It returns how many outcomes, and how many events, it copied.
+func (e *Engine) follow(p *Pool, t *Trail, res *Result) (jobs int, events uint64, err error) {
 	n := len(e.tr.Jobs)
 	*res = Result{Jobs: e.out}
 	run, marks := e, t.marks
@@ -167,18 +169,19 @@ func (e *Engine) follow(p *Pool, t *Trail, res *Result) (copied int, err error) 
 		}
 		if j == i {
 			if err := run.step(); err != nil {
-				return copied, err
+				return jobs, events, err
 			}
 			continue
 		}
 		res.stitch(run)
-		end, events := n, t.res.Events
+		end, upTo := n, t.res.Events
 		if j < len(marks) {
-			end, events = marks[j].pos, marks[j].events
+			end, upTo = marks[j].pos, marks[j].events
 		}
 		copy(e.out[pos:end], t.res.Jobs[pos:end])
-		copied += end - pos
-		res.Events += events - marks[i].events
+		jobs += end - pos
+		events += upTo - marks[i].events
+		res.Events += upTo - marks[i].events
 		for _, m := range marks[i:j] {
 			res.PeakMapSlots = max(res.PeakMapSlots, m.peakMap)
 			res.PeakReduceSlots = max(res.PeakReduceSlots, m.peakReduce)
@@ -186,7 +189,7 @@ func (e *Engine) follow(p *Pool, t *Trail, res *Result) (copied int, err error) 
 		res.Makespan = marks[j-1].makespan
 		if end == n {
 			e.state = runDone
-			return copied, nil
+			return jobs, events, nil
 		}
 		if s == nil {
 			if s = p.take(); s == nil {
@@ -201,5 +204,5 @@ func (e *Engine) follow(p *Pool, t *Trail, res *Result) (copied int, err error) 
 	res.stitch(run)
 	res.Makespan = run.makespan
 	e.state = runDone
-	return copied, nil
+	return jobs, events, nil
 }

@@ -51,12 +51,17 @@ func around(peak, ran int) []int {
 }
 
 // followed folds tr under cfg and policy following trail on pool, checks
-// the Result against want, and returns how many outcomes it copied.
+// the Result against want, and returns how many outcomes it copied. A
+// copy copies some of the Result's events exactly when it copies an
+// outcome, as every stretch begins with an arrival.
 func followed(t *testing.T, pool *Pool, cfg Config, tr *trace.Trace, policy sched.Policy, trail *Trail, want *Result) uint64 {
 	t.Helper()
 	var n int
-	if err := pool.FoldTrail(cfg, tr, policy, trail, func(got *Result, copied int) {
+	if err := pool.FoldTrail(cfg, tr, policy, trail, func(got *Result, copied int, events uint64) {
 		n = copied
+		if (events > 0) != (copied > 0) || events > got.Events {
+			t.Errorf("%d+%d replay following the trail: %d outcomes and %d of its %d events copied", cfg.MapSlots, cfg.ReduceSlots, copied, events, got.Events)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%d+%d replay following the trail: totals %d/%v/%d+%d, its own replay %d/%v/%d+%d",
 				cfg.MapSlots, cfg.ReduceSlots, got.Events, got.Makespan, got.PeakMapSlots, got.PeakReduceSlots,

@@ -51,18 +51,20 @@ type Fanout struct {
 //   - Order. Once every member is looked up, the misses are visited
 //     largest cluster first (most slots, then most map slots), then by
 //     ascending map and reduce slots. The first leads.
-//   - Observed members, with a sink of their own or on an Observing
-//     plan, ride each replay of the group that starts while they wait
-//     to be claimed, the lead's first, through a gate (gate). A member
-//     whose gate is still open at that replay's end has seen its own
-//     stream: it settles from the replay's Result as a replay of its
-//     own. One whose gate closes goes back to waiting, and is claimed in
-//     visit order by any worker, its observers muted for what gates
-//     passed on. Once a replay finds that its policy admits no answer,
-//     its riders go back to waiting and the group boards none again.
-//   - Members are claimed in visit order. A bare one that a finished
-//     member's peaks answer (engine.Answers) takes that answer, accounted
-//     as Answered: cached, no sink, recorder or telemetry. One that a
+//   - Members with a sink of their own (Cell.Sink) ride each replay of
+//     the group that starts while they wait to be claimed, the lead's
+//     first, through a gate (gate) that feeds that sink alone: the
+//     plan's recorders and telemetry see what the engine simulates. A
+//     rider whose gate is still open at that replay's end has seen its
+//     own stream: it settles from the replay's Result as Followed. One
+//     whose gate closes goes back to waiting, and is claimed in visit
+//     order by any worker; its replay is observed as any other, its own
+//     sink muted for what gates passed on. Once a replay finds that its
+//     policy admits no answer, its riders go back to waiting and the
+//     group boards none again.
+//   - Members are claimed in visit order. A bare one, however the plan
+//     observes, that a finished member's peaks answer (engine.Answers)
+//     takes that answer, accounted as Answered. One that a
 //     running replay S is expected to answer is skipped for now: it has
 //     S's count of one kind and more of the other, and a finished replay
 //     with at least S's slots of both kinds held fewer of that other kind
@@ -121,10 +123,9 @@ type fan struct {
 type member struct {
 	pending
 	g         *group // nil: the request shares with no other
-	observed  bool
-	claimable bool  // a member of a ready group, waiting to be claimed
-	late      int   // the earlier member whose config it repeats, or -1
-	riders    []int // the observed members riding its replay (claim)
+	claimable bool   // a member of a ready group, waiting to be claimed
+	late      int    // the earlier member whose config it repeats, or -1
+	riders    []int  // the members riding its replay (claim)
 	// What the member's Result holds: a kept Result, and the peaks.
 	res   *engine.Result
 	peaks engine.Result
@@ -174,7 +175,6 @@ func newFan(p *Plan, f Fanout) *fan {
 		m := &s.ms[i]
 		m.pending = pending{p: p, cfg: rq.Cfg, tr: rq.Trace, pol: rq.Policy, c: f.Cell(i), i: i}
 		m.c.Keep = f.Keep
-		m.observed = m.c.Sink != nil || p.Observing()
 		m.late = -1
 		k := groupKey{tr: rq.Trace, cfg: rq.Cfg}
 		k.cfg.MapSlots, k.cfg.ReduceSlots, k.cfg.Sink = 0, 0, nil
@@ -268,7 +268,7 @@ again:
 				if !m.claimable || !before(i) {
 					continue
 				}
-				if !m.observed {
+				if m.c.Sink == nil {
 					if from, ok := s.find(g, m.cfg); ok {
 						m.claimable = false
 						return unit{kind: tookUnit, i: i, from: from}, true
@@ -286,7 +286,7 @@ again:
 				// Riders board before the replay starts, so that no worker
 				// claims them in between.
 				for _, j := range g.ms {
-					if r := &s.ms[j]; r.observed && r.claimable && !g.refuses {
+					if r := &s.ms[j]; r.c.Sink != nil && r.claimable && !g.refuses {
 						r.claimable = false
 						m.riders = append(m.riders, j)
 					}
@@ -408,12 +408,12 @@ func (s *fan) work(u unit) int {
 	return s.finish(i, nil, true)
 }
 
-// replay replays member i of a group, with the observed members that
-// waited to be claimed when it was (claim) riding it through gates, and
-// settles it and each rider whose gate stayed open. A rider whose gate
-// closes waits again; all do when the policy admits no answer, and the
-// group boards no rider after that. A bare lead that carries no rider
-// leaves a trail for the group's bare members.
+// replay replays member i of a group, with the members with sinks of
+// their own that waited to be claimed when it was (claim) riding it
+// through gates, and settles it and each rider whose gate stayed open.
+// A rider whose gate closes waits again; all do when the policy admits
+// no answer, and the group boards no rider after that. A bare lead that
+// carries no rider leaves a trail for the group's bare members.
 func (s *fan) replay(i int) int {
 	l := &s.ms[i]
 	g := l.g
@@ -433,7 +433,6 @@ func (s *fan) replay(i int) int {
 	var sinks []obs.Sink
 	for k, j := range riders {
 		m := &s.ms[j]
-		m.observe()
 		if s.Keep && m.into == nil {
 			m.into = &engine.Result{Jobs: make([]engine.JobOutcome, 0, len(m.tr.Jobs))}
 		}
@@ -443,7 +442,7 @@ func (s *fan) replay(i int) int {
 		}
 	}
 	l.gates = obs.Tee(sinks...)
-	l.leads = i == g.ms[0] && slices.ContainsFunc(g.ms, func(j int) bool { return !s.ms[j].observed && j != i })
+	l.leads = i == g.ms[0] && slices.ContainsFunc(g.ms, func(j int) bool { return s.ms[j].c.Sink == nil && j != i })
 	err := l.run(func(res *engine.Result) {
 		s.keep(i, res)
 		for k, gt := range gates {

@@ -18,7 +18,6 @@ import (
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 	"simmr/internal/synth"
-	"simmr/internal/telemetry"
 	"simmr/internal/trace"
 )
 
@@ -174,28 +173,51 @@ func TestSweepCancelWhileWaiting(t *testing.T) {
 
 // TestBatchGroupErrorIsLowestSpec: a group whose lead fails hands its
 // riders back, and the fan-out reports the lowest failing request, as a
-// serial batch does, whichever replay failed first. Telemetry observes
-// every request, so the three form one group. The lead is request 1,
-// the largest cluster, which has no reduce slot for the trace's reduces;
-// request 0 has no map slot, and request 2 replays fine.
+// serial batch does, whichever replay failed first. Each request has a
+// sink of its own, so the four form one group and the others board the
+// lead's replay. The lead is request 1, the largest cluster, which has
+// no reduce slot for the trace's reduces. Request 0 has no map slot and
+// request 2 reduce slots the lead lacks, so their gates close before the
+// lead starts; request 3 has the lead's reduce count, so its gate is
+// open until the lead fails, and only the failure hands it back.
 func TestBatchGroupErrorIsLowestSpec(t *testing.T) {
 	tr := planTrace(10)
-	slots := [][2]int{{0, 4}, {100, 0}, {8, 8}}
+	slots := [][2]int{{0, 4}, {100, 0}, {8, 8}, {50, 0}}
+	reqs := make([]Request, len(slots))
+	for i, s := range slots {
+		reqs[i] = Request{Cfg: engine.Config{MapSlots: s[0], ReduceSlots: s[1], MinMapPercentCompleted: 0.05}, Trace: tr, Policy: sched.FIFO{}}
+	}
+	f := Fanout{
+		Requests: reqs, Keep: true,
+		Cell: func(int) Cell { return Cell{Sink: func() obs.Sink { return &obs.RecordSink{} }} },
+		Fold: func(int, *engine.Result) {},
+		Wrap: func(i int, err error) error { return fmt.Errorf("spec %d: %w", i, err) },
+	}
 	for _, workers := range []int{1, 4} {
-		reqs := make([]Request, len(slots))
-		for i, s := range slots {
-			reqs[i] = Request{Cfg: engine.Config{MapSlots: s[0], ReduceSlots: s[1], MinMapPercentCompleted: 0.05}, Trace: tr, Policy: sched.FIFO{}}
+		p := Begin(Options{Workers: workers}, Run{Kind: runs.KindBatch, Replays: len(reqs)})
+		s := newFan(p, f)
+		for i := range s.ms {
+			if s.ms[i].g == nil || s.ms[i].g != s.ms[0].g {
+				t.Fatalf("Workers %d: request %d is not in the one group", workers, i)
+			}
 		}
-		p := Begin(Options{Workers: workers, Telemetry: telemetry.NewSimMetrics()}, Run{Kind: runs.KindBatch, Replays: len(reqs)})
-		f := Fanout{
-			Requests: reqs, Keep: true,
-			Cell: func(int) Cell { return Cell{} },
-			Fold: func(int, *engine.Result) {},
-			Wrap: func(i int, err error) error { return fmt.Errorf("spec %d: %w", i, err) },
+		s.mu.Lock()
+		u, ok := s.claim()
+		s.mu.Unlock()
+		if !ok || u.kind != replayUnit || u.i != 1 || !slices.Equal(s.ms[1].riders, []int{0, 2, 3}) {
+			t.Fatalf("Workers %d: first claim %+v (ok %v) with riders %v, want request 1's replay carrying 0, 2 and 3", workers, u, ok, s.ms[1].riders)
 		}
-		if s := newFan(p, f); s.ms[0].g == nil || s.ms[1].g != s.ms[0].g || s.ms[2].g != s.ms[0].g {
-			t.Fatalf("Workers %d: the three requests do not form one group", workers)
+		if n := s.replay(1); n != 0 || s.errAt != 1 {
+			t.Fatalf("Workers %d: the failing lead settled %d requests, error at %d (%v)", workers, n, s.errAt, s.err)
 		}
+		for _, j := range []int{0, 2, 3} {
+			if !s.ms[j].claimable {
+				t.Fatalf("Workers %d: rider %d was not handed back when the lead failed", workers, j)
+			}
+		}
+		p.End(s.err)
+
+		p = Begin(Options{Workers: workers}, Run{Kind: runs.KindBatch, Replays: len(reqs)})
 		err := p.End(p.Fan(context.Background(), f))
 		if err == nil || !strings.HasPrefix(err.Error(), "spec 0:") {
 			t.Fatalf("Workers %d: err = %v, want spec 0's", workers, err)

@@ -19,7 +19,7 @@ func copyInto(dst, res *engine.Result) *engine.Result {
 // calls of each sampler.
 type passed struct{ events, depth, progress uint64 }
 
-// gate passes a replay's stream on to one follower's observers for as
+// gate passes a replay's stream on to one follower's own sink for as
 // long as it is the follower's own stream, less what an earlier gate
 // already passed on. It counts the slots of each kind the lead holds,
 // from the stream's slot allocations and releases. While every round of a replay ends holding fewer slots of a
@@ -36,7 +36,7 @@ type passed struct{ events, depth, progress uint64 }
 // nothing after that.
 type gate struct {
 	f        *pending
-	sink     obs.Sink // the follower's observers; nil when it has none
+	sink     obs.Sink // the follower's own sink; nil when it builds none
 	feed     obs.Feed
 	depth    obs.DepthSampler
 	progress obs.ProgressSampler
@@ -51,10 +51,10 @@ type gate struct {
 }
 
 // newGate builds the gate from a lead replaying under ran to the
-// follower f, whose observers are built. A follower with no slot of a
-// kind the lead has is cut before the lead starts.
+// follower f's own sink. A follower with no slot of a kind the lead has
+// is cut before the lead starts.
 func newGate(ran engine.Config, f *pending, cut func()) *gate {
-	sink := f.unseen()
+	sink := f.own()
 	g := &gate{
 		f: f, sink: sink, feed: obs.FeedOf(sink), cut: cut,
 		mapLimit:    limit(ran.MapSlots, f.cfg.MapSlots),
@@ -150,9 +150,9 @@ func (g *gate) close() {
 	g.cut()
 }
 
-// mute is a cut follower's observers for a later stream of its own: it
+// mute is a cut follower's own sink for a later stream of its own: it
 // drops the events and sampler calls gates already passed on, then
-// forwards the rest, so that the observers see the follower's stream
+// forwards the rest, so that the sink sees the follower's stream
 // once.
 type mute struct {
 	sink     obs.Sink

@@ -156,7 +156,13 @@ func (p *Plan) Each(ctx context.Context, cells int, body func(i int) error) erro
 // End settles the plan with the fan-out's outcome and returns it: the
 // "cached" phase, the run's End.
 func (p *Plan) End(err error) error {
-	if err == nil && p.replays > 0 && p.settled[Cached].Load()+p.settled[Answered].Load() == int64(p.replays) {
+	var taken int64
+	for h := range hows {
+		if !h.simulated() {
+			taken += p.settled[h].Load()
+		}
+	}
+	if err == nil && p.replays > 0 && taken == int64(p.replays) {
 		p.run.SetPhase("cached")
 	}
 	p.run.End(err)
@@ -170,13 +176,6 @@ func (p *Plan) Hits() uint64 { return uint64(p.settled[Cached].Load()) }
 // the only time a cell's label is read, so a caller that formats labels
 // can skip it otherwise.
 func (p *Plan) Recording() bool { return p.run != nil && p.Flight != 0 }
-
-// Observing reports whether the plan itself observes every replay, with
-// a flight recorder, a single replay's engine hook or telemetry (observe);
-// a cell's own sink observes it besides.
-func (p *Plan) Observing() bool {
-	return p.prefixRec != nil || p.Recording() || p.single || p.Telemetry != nil
-}
 
 // Cell is what one replay brings besides its (config, trace, policy):
 // nothing in it outlives the Replay call.
@@ -231,13 +230,14 @@ type pending struct {
 	// (Fan).
 	gates obs.Sink
 
-	// The observers, once built (observe).
-	observed bool
-	sink     obs.Sink
-	rec      *obs.FlightRecorder
-	start    time.Time
-	// seen is what a gate passed on to the observers before it cut the
-	// replay: its own run mutes that much (Fan).
+	// The cell's own sink, once built (own), and the replay's recorder
+	// (observe).
+	built bool
+	sink  obs.Sink
+	rec   *obs.FlightRecorder
+	start time.Time
+	// seen is what gates passed on to the cell's own sink before they cut
+	// the replays it rode: its own run mutes that much (Fan).
 	seen passed
 	// into, when set, is where a kept replay puts its Result (Fan).
 	into *engine.Result
@@ -265,19 +265,27 @@ func (r *pending) lookup(fold func(*engine.Result)) bool {
 	return ok
 }
 
-// observe builds the replay's observers, once: the cell's sink, a
-// recorder, the engine hook of a single replay and the telemetry sink,
-// behind one flat Tee — and no Tee at all on a bare plan.
-func (r *pending) observe() obs.Sink {
-	if r.observed {
+// own is the cell's own sink, built once, hiding what gates already
+// passed on to it (Fan).
+func (r *pending) own() obs.Sink {
+	if !r.built && r.c.Sink != nil {
+		r.sink = r.c.Sink()
+	}
+	r.built = true
+	if r.sink == nil || r.seen == (passed{}) {
 		return r.sink
 	}
-	r.observed = true
+	return newMute(r.sink, r.seen)
+}
+
+// observe builds the observers of a replay that simulates: the cell's
+// own sink, a recorder, the engine hook of a single replay and the
+// telemetry sink, behind one flat Tee — and no Tee at all on a bare
+// plan. A rider's gate feeds its own sink alone (Fan), so the plan's
+// observers see each simulated event once.
+func (r *pending) observe() obs.Sink {
 	p := r.p
-	var sink obs.Sink
-	if r.c.Sink != nil {
-		sink = r.c.Sink()
-	}
+	sink := r.own()
 	switch {
 	case p.prefixRec != nil:
 		r.rec = p.prefixRec.Fork()
@@ -300,17 +308,7 @@ func (r *pending) observe() obs.Sink {
 		}
 		r.start = time.Now()
 	}
-	r.sink = sink
 	return sink
-}
-
-// unseen is the observers of a replay a gate cut (Fan), hiding from them
-// what gates already passed on.
-func (r *pending) unseen() obs.Sink {
-	if r.sink == nil || r.seen == (passed{}) {
-		return r.sink
-	}
-	return newMute(r.sink, r.seen)
 }
 
 // How is the way a Result the plan hands out was produced.
@@ -327,9 +325,15 @@ const (
 	hows
 )
 
+// simulated reports whether a Result produced so was simulated, if only
+// in part: a cached, answered or followed one was not.
+func (h How) simulated() bool { return h != Cached && h != Answered && h != Followed }
+
 // Provenance is how a Result was produced, and what its shortcut took:
 // a split replay's Segments, those Cancelled at a busy boundary; the
-// prefix's events a branch forked after (Event).
+// job outcomes a copy copied (Jobs); the events taken rather than
+// simulated (Event): the prefix's a branch forked after, the stretches
+// a copy copied.
 type Provenance struct {
 	How                             How
 	From, Segments, Cancelled, Jobs int
@@ -337,32 +341,35 @@ type Provenance struct {
 }
 
 // Settled, when set, sees every Result the plan hands out before it is
-// folded: how it was produced, for which request, and src, the request
-// From, whose policy stands in for one Fan built none for; a nil res is
-// an answer the request does not keep. Only tests set it (plantest).
-var Settled func(pv Provenance, rq Request, res *engine.Result, src Request)
+// folded: how it was produced, whether the plan accounted it as
+// simulated, for which request, and src, the request From, whose policy
+// stands in for one Fan built none for; a nil res is an answer the
+// request does not keep. Only tests set it (plantest).
+var Settled func(pv Provenance, simulated bool, rq Request, res *engine.Result, src Request)
 
 // settle is the one way a Result leaves the plan, while a lent Result is
-// still the engine's: it accounts for res by how it was produced (a hit
-// or an answer counts as cached; a replay adds a deadline-miss dump,
-// telemetry, events and jobs), stores it unless the cache served it,
-// and folds it. A nil res is an answer the caller takes (Fanout.Took).
+// still the engine's: it accounts for res by how it was produced (one
+// that was not simulated counts as cached; one that was adds a
+// deadline-miss dump, telemetry, the events it simulated and its jobs),
+// stores it unless the cache served it, and folds it. A nil res is an
+// answer the caller takes (Fanout.Took).
 func (r *pending) settle(pv Provenance, res *engine.Result, fold func(*engine.Result)) {
 	p := r.p
 	p.settled[pv.How].Add(1)
-	switch pv.How {
-	case Cached, Answered:
+	simulated := pv.How.simulated()
+	if !simulated {
 		p.run.AddCached(1)
 		p.run.AddJobs(uint64(len(r.tr.Jobs)))
-	default:
+	} else {
+		events := res.Events - pv.Event
 		if r.rec != nil && slices.ContainsFunc(res.Jobs, func(j engine.JobOutcome) bool { return j.ExceededDeadline() }) {
 			p.run.AddFlightDump(r.rec.Dump("deadline-miss"))
 		}
 		if tel := p.Telemetry; tel != nil {
-			tel.ReplayDone(time.Since(r.start), res.Events-p.baseline)
+			tel.ReplayDone(time.Since(r.start), events)
 		}
 		if !p.single {
-			p.run.AddEvents(res.Events - p.baseline)
+			p.run.AddEvents(events)
 			p.run.AddJobs(uint64(len(res.Jobs)))
 		}
 	}
@@ -374,7 +381,7 @@ func (r *pending) settle(pv Provenance, res *engine.Result, fold func(*engine.Re
 		if f := r.from; f != nil {
 			src = Request{f.cfg, f.tr, f.pol}
 		}
-		Settled(pv, Request{r.cfg, r.tr, r.pol}, res, src)
+		Settled(pv, simulated, Request{r.cfg, r.tr, r.pol}, res, src)
 	}
 	if res != nil {
 		fold(res)
@@ -383,17 +390,9 @@ func (r *pending) settle(pv Provenance, res *engine.Result, fold func(*engine.Re
 
 // run replays the cell — observe, run or fold, store, account — and
 // hands the outcome to fold, which is not called when the replay fails.
-// A replay a gate cut (Fan) keeps the observers it had and hides from
-// them what the gate already passed on.
 func (r *pending) run(fold func(*engine.Result)) (err error) {
 	p, c := r.p, &r.c
-	var sink obs.Sink
-	if r.observed {
-		// A follower a gate cut (Fan).
-		sink, r.start = r.unseen(), time.Now()
-	} else {
-		sink = r.observe()
-	}
+	sink := r.observe()
 	cfg := r.cfg
 	if cfg.Sink = sink; r.gates != nil {
 		cfg.Sink = obs.Tee(sink, r.gates)
@@ -422,12 +421,12 @@ func (r *pending) run(fold func(*engine.Result)) (err error) {
 		}
 	default:
 		// A follower's Result is lent; a kept one is a copy of it.
-		err = p.pool.FoldTrail(cfg, r.tr, r.pol, r.follow, func(res *engine.Result, copied int) {
+		err = p.pool.FoldTrail(cfg, r.tr, r.pol, r.follow, func(res *engine.Result, jobs int, events uint64) {
 			if c.Keep {
 				res = copyInto(&engine.Result{}, res)
 			}
-			if copied > 0 {
-				pv = Provenance{How: Copied, From: r.from.i, Jobs: copied}
+			if jobs > 0 {
+				pv = Provenance{How: Copied, From: r.from.i, Jobs: jobs, Event: events}
 			}
 			r.settle(pv, res, fold)
 		})

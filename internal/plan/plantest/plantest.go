@@ -54,6 +54,11 @@ type Tally struct {
 	// Accepted and Cancelled count split boundaries, Copied the job
 	// outcomes copied from trails.
 	Accepted, Cancelled, Copied int
+	// Simulated lists the configs of the settlements the plan accounted
+	// as simulated, if only in part. Events is the events they simulated:
+	// each Result's less those it took (Provenance.Event).
+	Simulated []engine.Config
+	Events    uint64
 }
 
 // names are plan.How's, in order.
@@ -64,8 +69,8 @@ var names = [...]string{"simulated", "split", "answered", "copied", "followed", 
 // Result produced under a policy with no fingerprint is not checked:
 // such a policy may carry state from one replay to the next, and a fresh
 // one would take another call of the caller's factory.
-func (c *Checker) Settle(pv plan.Provenance, rq plan.Request, res *engine.Result, src plan.Request) {
-	c.tally(pv, rq.Trace)
+func (c *Checker) Settle(pv plan.Provenance, simulated bool, rq plan.Request, res *engine.Result, src plan.Request) {
+	c.tally(pv, simulated, rq, res)
 	if pv.How == plan.Simulated || pv.How == plan.Forked {
 		return
 	}
@@ -198,15 +203,19 @@ func diff(got, want *engine.Result) string {
 	return ""
 }
 
-func (c *Checker) tally(pv plan.Provenance, tr *trace.Trace) {
+func (c *Checker) tally(pv plan.Provenance, simulated bool, rq plan.Request, res *engine.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.watched[tr]
+	t := c.watched[rq.Trace]
 	if t == nil {
 		return
 	}
 	t.By[pv.How]++
 	t.Copied += pv.Jobs
+	if simulated {
+		t.Simulated = append(t.Simulated, rq.Cfg)
+		t.Events += res.Events - pv.Event
+	}
 	if pv.How == plan.Split {
 		t.Accepted += pv.Segments - 1 - pv.Cancelled
 		t.Cancelled += pv.Cancelled

@@ -49,8 +49,8 @@ func TestCheckerCatchesBadShortcuts(t *testing.T) {
 	stop := c.Watch(tr)
 	rq := plan.Request{Cfg: large, Trace: tr, Policy: pol}
 	followed, answered := plan.Provenance{How: plan.Followed}, plan.Provenance{How: plan.Answered, From: 1}
-	c.Settle(followed, rq, lead, rq)
-	c.Settle(answered, rq, nil, rq)
+	c.Settle(followed, false, rq, lead, rq)
+	c.Settle(answered, false, rq, nil, rq)
 	if m := c.Mismatches(); len(m) != 0 {
 		t.Fatalf("good shortcuts reported: %q", m)
 	}
@@ -58,14 +58,16 @@ func TestCheckerCatchesBadShortcuts(t *testing.T) {
 	off := *lead
 	off.Jobs = append([]engine.JobOutcome(nil), lead.Jobs...)
 	off.Jobs[len(off.Jobs)/2].Finish = math.Nextafter(off.Jobs[len(off.Jobs)/2].Finish, math.Inf(1))
-	c.Settle(followed, rq, &off, rq)
-	c.Settle(answered, plan.Request{Cfg: large, Trace: tr}, nil, plan.Request{Cfg: small, Trace: tr, Policy: pol})
+	c.Settle(followed, false, rq, &off, rq)
+	c.Settle(answered, false, plan.Request{Cfg: large, Trace: tr}, nil, plan.Request{Cfg: small, Trace: tr, Policy: pol})
 	m := c.Mismatches()
 	if len(m) != 2 || !strings.HasPrefix(m[0], "followed ") || !strings.Contains(m[0], "job ") || !strings.HasPrefix(m[1], "answered ") {
 		t.Fatalf("bad shortcuts reported: %q; want the follower's job and the refused answer", m)
 	}
-	if got := stop(); got.By[plan.Followed] != 2 || got.By[plan.Answered] != 2 {
-		t.Errorf("tally %+v, want 2 followed and 2 answered", got)
+	// A settlement accounted as simulated adds its events but those it took.
+	c.Settle(plan.Provenance{How: plan.Copied, From: 1, Jobs: 1, Event: 5}, true, rq, lead, rq)
+	if got := stop(); got.By[plan.Followed] != 2 || got.By[plan.Answered] != 2 || len(got.Simulated) != 1 || got.Events != lead.Events-5 {
+		t.Errorf("tally %+v, want 2 followed, 2 answered and one copy of %d simulated events", got, lead.Events-5)
 	}
 	for _, line := range m {
 		t.Log(line)

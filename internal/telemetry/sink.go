@@ -30,7 +30,7 @@ var (
 	WallBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 	// RateBuckets covers per-replay events/sec throughput.
 	RateBuckets = []float64{1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7, 2.5e7}
-	// QueueBuckets covers the event queue's peak pending population.
+	// QueueBuckets covers the event queue's pending population.
 	QueueBuckets = []float64{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 	// WaitBuckets covers per-job attributed wait times by phase; the
 	// low end resolves near-zero waits (most jobs on an idle cluster).
@@ -53,7 +53,6 @@ type SimMetrics struct {
 	mapTaskDur    *Histogram
 	reduceTaskDur *Histogram
 	jobCompletion *Histogram
-	queueHigh     *Histogram
 	queueDepth    *Histogram
 	replayWall    *Histogram
 	replayRate    *Histogram
@@ -68,8 +67,6 @@ type SimMetrics struct {
 	poolGets     [2]*Counter // [miss, hit]
 	preemptions  *Counter
 	fillerPatch  *Counter
-	mapAllocs    *Counter
-	reduceAllocs *Counter
 
 	forksTotal      *Counter
 	forkBytesCopied *Counter
@@ -79,7 +76,6 @@ type SimMetrics struct {
 	rcacheEvictions *Counter
 	rcacheBytes     atomic.Int64 // resident bytes, exposed as a func gauge
 
-	simTime  *MaxGauge
 	makespan *MaxGauge
 	queueMax *MaxGauge
 
@@ -103,8 +99,6 @@ func NewSimMetrics(...int) *SimMetrics {
 			"Simulated durations of replayed reduce tasks (shuffle + reduce phase).", TaskDurationBuckets),
 		jobCompletion: r.NewHistogram("simmr_job_completion_seconds",
 			"Simulated job completion times (departure - arrival).", CompletionBuckets),
-		queueHigh: r.NewHistogram("simmr_queue_high_water_events",
-			"Peak pending-event population of the DES queue, one observation per replay.", QueueBuckets),
 		queueDepth: r.NewHistogram("simmr_queue_depth_events",
 			"Pending-event population of the DES queue, sampled periodically during replays (queue pressure over time, not just the high-water mark).", QueueBuckets),
 		replayWall: r.NewHistogram("simmr_replay_wall_seconds",
@@ -123,16 +117,10 @@ func NewSimMetrics(...int) *SimMetrics {
 			"Map tasks killed under PreemptMapTasks."),
 		fillerPatch: r.NewCounter("simmr_filler_patches_total",
 			"First-wave filler reduces patched at map-stage completion."),
-		mapAllocs: r.NewCounter("simmr_map_slot_allocs_total",
-			"Map slot grants."),
-		reduceAllocs: r.NewCounter("simmr_reduce_slot_allocs_total",
-			"Reduce slot grants."),
 		forksTotal: r.NewCounter("simmr_engine_forks_total",
 			"What-if branch engines forked off sealed snapshots."),
 		forkBytesCopied: r.NewCounter("simmr_engine_fork_bytes_copied",
 			"Engine state bytes copied to arm forks (pending events, live job slots, outcomes so far)."),
-		simTime: r.NewMaxGauge("simmr_sim_time_seconds",
-			"Latest simulated timestamp observed across replays (max-merged)."),
 		makespan: r.NewMaxGauge("simmr_makespan_seconds",
 			"Largest replay makespan observed (max-merged)."),
 		queueMax: r.NewMaxGauge("simmr_queue_high_water_events_max",
@@ -339,14 +327,9 @@ func (s *engineSink) Event(ev obs.Event) { s.Events((&[1]obs.Event{ev})[:]) }
 // kept in locals and the histogram observations in the sink's tallies,
 // and the registry is written once per block — a handful of
 // atomics, not two to five per event. A scrape therefore sees a block's
-// events all at once, when it ends. An engine delivers events in time
-// order, so the block's last event carries its simulated time.
+// events all at once, when it ends.
 func (s *engineSink) Events(evs []obs.Event) {
 	var byKind [obs.KindCount]uint64
-	var simTime float64
-	if len(evs) > 0 {
-		simTime = evs[len(evs)-1].Time
-	}
 	for i := range evs {
 		ev := &evs[i]
 		byKind[ev.Kind]++
@@ -389,7 +372,6 @@ func (s *engineSink) Events(evs []obs.Event) {
 	if n := byKind[obs.KindJobDeparture]; n != 0 {
 		t.jobsTotal.Add(n)
 	}
-	t.simTime.Observe(simTime)
 	s.mapTaskDur.Flush()
 	s.reduceTaskDur.Flush()
 	s.jobCompletion.Flush()
@@ -407,12 +389,9 @@ func (s *engineSink) SampleDepth(_ float64, depth int) {
 func (s *engineSink) RunEnd(c obs.Counters) {
 	t := s.t
 	t.eventsTotal.Add(c.Events)
-	t.queueHigh.Observe(float64(c.HeapHighWater))
 	t.queueMax.Observe(float64(c.HeapHighWater))
 	t.preemptions.Add(c.Preemptions)
 	t.fillerPatch.Add(c.FillerPatches)
-	t.mapAllocs.Add(c.MapSlotAllocs)
-	t.reduceAllocs.Add(c.ReduceSlotAllocs)
 	t.makespan.Observe(c.Makespan)
 	t.replaysTotal.Inc()
 	clear(s.arrivals)

@@ -38,17 +38,17 @@ type BatchConfig struct {
 	Workers int
 	// Progress, when set, receives bounded-rate (done, total) callbacks.
 	Progress ProgressFunc
-	// Telemetry, when set, records the batch into the metrics
-	// registry: per-spec engine events and duration histograms,
+	// Telemetry, when set, records the replays the batch simulates into
+	// the metrics registry: engine events and duration histograms,
 	// per-replay wall time and events/sec, and the engine pool's reuse
-	// hit rate.
+	// hit rate. A spec another spec's replay answers adds nothing.
 	Telemetry *Telemetry
 	// Runs, when set, registers the batch in the ops-plane run registry
 	// (kind "batch") — see SweepConfig.Runs.
 	Runs *RunRegistry
 	// Flight, when Runs is set, attaches a flight recorder of this ring
-	// size to every spec's engine (-1 selects the default; 0 disables) —
-	// see SweepConfig.Flight.
+	// size to every replay the batch simulates (-1 selects the default;
+	// 0 disables) — see SweepConfig.Flight.
 	Flight int
 	// Cache, when set, memoizes specs through the content-addressed
 	// replay result cache — see SweepConfig.Cache for the semantics

@@ -12,6 +12,7 @@ import (
 
 	"simmr/internal/engine"
 	"simmr/internal/obs"
+	"simmr/internal/plan/plantest"
 	"simmr/internal/telemetry/telemetrytest"
 )
 
@@ -131,8 +132,9 @@ func ridden(cfgs []ReplayConfig, want []*ReplayResult, p Policy) int {
 // Capacity; follower counts below, at and above the lead's peaks plus
 // duplicate specs; every spec observed (sinks, telemetry), the even
 // specs by their own sinks, or none; 1 and 4 workers; with and without a
-// cache. Telemetry and the run registry count every replayed spec as a
-// replay. Last, a bare batch of a capacity sweep's cells replays no more
+// cache. Telemetry and the run registry count the replays the
+// provenance says were simulated, once each, and every other spec as
+// cached. Last, a bare batch of a capacity sweep's cells replays no more
 // of them than the sweep does.
 func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 	policies := []struct {
@@ -222,19 +224,18 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 							if cached {
 								bcfg.Cache = NewCache(CacheOptions{})
 							}
+							tally := plantest.Shortcuts.Watch(tr)
 							got, err := ReplayBatchCfg(context.Background(), bcfg, specs)
+							tl := tally()
 							if err != nil {
 								t.Fatal(err)
 							}
 							hits := 0
-							var wantEvents uint64
 							for i := range specs {
 								// With a cache, the duplicates hit.
 								hit := cached && i >= distinct
 								if hit {
 									hits++
-								} else {
-									wantEvents += want[i].Events
 								}
 								if !reflect.DeepEqual(got[i], want[i]) {
 									t.Fatalf("spec %d (%d+%d slots): Result differs from its own replay", i, cfgs[i].MapSlots, cfgs[i].ReduceSlots)
@@ -258,8 +259,8 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 							switch observed {
 							case "all":
 								m := telemetrytest.Scrape(t, bcfg.Telemetry.Registry())
-								if m["simmr_replays_total"] != float64(len(specs)-hits) {
-									t.Fatalf("simmr_replays_total = %v, want every spec that missed: %d", m["simmr_replays_total"], len(specs)-hits)
+								if m["simmr_replays_total"] != float64(len(tl.Simulated)) {
+									t.Fatalf("simmr_replays_total = %v, want every spec the provenance has simulated: %d", m["simmr_replays_total"], len(tl.Simulated))
 								}
 								// With a cache, the duplicates hit instead. A spec the lead's
 								// gate cuts may ride a later replay before its own; on one
@@ -280,8 +281,10 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 								} else if gets < 1 || gets > float64(1+wantCuts) || wantCuts > 0 && gets < 2 {
 									t.Fatalf("%v pool gets, want the lead's and at most one per spec it cuts: %d", gets, 1+wantCuts)
 								}
-								if snap.Cached != uint64(hits) || snap.Events != wantEvents {
-									t.Fatalf("run ended with %d cached, %d events; want %d, %d", snap.Cached, snap.Events, hits, wantEvents)
+								// The run counts the hits and followers as cached, and the
+								// events of the replays the engine made.
+								if snap.Cached != uint64(len(specs)-len(tl.Simulated)) || snap.Events != tl.Events || m["simmr_engine_events_total"] != float64(tl.Events) {
+									t.Fatalf("run ended with %d cached, %d events, telemetry %v events; want %d, %d", snap.Cached, snap.Events, m["simmr_engine_events_total"], len(specs)-len(tl.Simulated), tl.Events)
 								}
 								if workers == 1 && !cached {
 									answered, cut = answered+answers[0]+answers[1], cut+cuts[0]+cuts[1]

@@ -72,10 +72,11 @@ type SweepConfig struct {
 	// concurrent calls); each cell's engine gets its own sink, keeping
 	// sinks single-goroutine as obs.Sink requires.
 	SinkFactory func(mapSlots, reduceSlots int) obs.Sink
-	// Telemetry, when set, records the sweep into the metrics
-	// registry: per-cell engine events and task-duration histograms,
-	// per-replay wall time and events/sec, and the engine pool's reuse hit rate. Nil costs
-	// nothing — the hot path is never touched.
+	// Telemetry, when set, records the replays the sweep simulates into
+	// the metrics registry: engine events and task-duration histograms,
+	// per-replay wall time and events/sec, and the engine pool's reuse
+	// hit rate. A cell another cell's replay answers adds nothing. Nil
+	// costs nothing — the hot path is never touched.
 	Telemetry *Telemetry
 	// Runs, when set, registers the sweep in the ops-plane run registry
 	// (kind "sweep", live cell progress, accumulated engine totals,
@@ -83,7 +84,8 @@ type SweepConfig struct {
 	// /runs endpoints. Nil costs nothing.
 	Runs *RunRegistry
 	// Flight, when Runs is set, attaches a flight recorder of this ring
-	// size to every cell's engine (-1 selects the 4096-event default):
+	// size to every replay the sweep simulates (-1 selects the
+	// 4096-event default):
 	// deadline misses and errors capture post-mortems automatically,
 	// and POST /runs/{id}/flight triggers live ones. 0 disables.
 	Flight int

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"simmr/internal/plan"
 	"simmr/internal/plan/plantest"
 	"simmr/internal/sched/schedtest"
 	"simmr/internal/telemetry/telemetrytest"
@@ -166,10 +167,15 @@ func denseSweepTrace() *Trace {
 // under the indexed policies other than MinEDF — at Workers 4 on some
 // sweep, since a cell claimed while the largest cell runs replays whole
 // — and that nothing else copied a job. A sweep observed by a sink per
-// cell or by telemetry rides the largest cell's replay through gates:
-// every sink sees its own cell's stream, telemetry counts every cell as
-// a replay, and on the sparse trace fewer cells replay than the grid
-// has.
+// cell rides the largest cell's replay through gates, and every sink
+// sees its own cell's stream. One observed by its plan alone (Telemetry,
+// Runs and flight recorders, as `simmr -sweep -debug-addr` sets up)
+// shares as a bare sweep does: no cell rides, and at one worker as many
+// cells take a finished replay's answer as in the bare sweep. Either way
+// the run registry counts as cached every cell the provenance says was
+// not simulated, telemetry counts each simulated replay once, the flight
+// dumps are the deadline-miss dumps of simulated cells, and on the
+// sparse trace fewer cells replay than the grid has.
 func TestSweepReuseMatchesReplay(t *testing.T) {
 	mapGrid, reduceGrid := []int{2, 4, 8, 16, 32, 64}, []int{1, 4, 16, 64}
 	cells := len(mapGrid) * len(reduceGrid)
@@ -191,6 +197,7 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 		{"minedf", NewMinEDF, false, false},
 	}
 	copied := map[int]uint64{} // by worker count, over the sweeps that may follow
+	dumped := 0                // flight dumps checked
 	for _, tr := range []*Trace{sparseSweepTrace(t), denseSweepTrace()} {
 		for _, pc := range policies {
 			want := map[[2]int]SweepPoint{}
@@ -207,6 +214,7 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 				}
 			}
 			shares := pc.reuses && tr.Name == "sparse"
+			bareAnswered := -1 // the bare sweep's at Workers 1 with no cache
 			for _, observed := range []string{"bare", "sinks", "telemetry"} {
 				for _, workers := range []int{1, 4} {
 					for _, cached := range []bool{false, true} {
@@ -225,7 +233,7 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 									return streams[[2]int{m, r}]
 								}
 							case "telemetry":
-								cfg.Telemetry = NewTelemetry()
+								cfg.Telemetry, cfg.Flight = NewTelemetry(), -1
 							}
 							if cached {
 								cfg.Cache = NewCache(CacheOptions{})
@@ -235,7 +243,8 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							n := uint64(tally().Copied)
+							tl := tally()
+							n := uint64(tl.Copied)
 							switch follows := pc.follows && tr.Name == "sparse" && observed == "bare"; {
 							case follows:
 								copied[workers] += n
@@ -261,23 +270,48 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 								t.Fatalf("run ended %d/%d cells in phase %q with %d jobs", snap.Done, snap.Total, snap.Phase, snap.Jobs)
 							}
 							if observed == "bare" {
+								if workers == 1 && !cached {
+									bareAnswered = tl.By[plan.Answered]
+								}
 								if reuse := snap.Cached > 0; reuse != shares {
 									t.Fatalf("%d of %d cells answered by an earlier replay", snap.Cached, len(pts))
 								}
 								return
 							}
-							// An observed cell a gate answered counts as a replay of its
-							// own; only the policies built tell the replays apart.
-							if snap.Cached != 0 {
-								t.Fatalf("%d observed cells counted as cached", snap.Cached)
+							// A cell a gate or a finished replay answered counts as
+							// cached; without a cache, a policy is built per replay.
+							if snap.Cached != uint64(cells-len(tl.Simulated)) || !cached && calls.Load() != int64(len(tl.Simulated)) {
+								t.Fatalf("%d cells counted as cached and %d policies built; the provenance has %d of %d simulated", snap.Cached, calls.Load(), len(tl.Simulated), cells)
 							}
-							if replays := calls.Load(); !cached && (replays < int64(cells)) != shares {
-								t.Fatalf("%d of %d observed cells replayed", replays, cells)
+							if (len(tl.Simulated) < cells) != shares {
+								t.Fatalf("%d of %d observed cells replayed", len(tl.Simulated), cells)
 							}
 							if observed == "telemetry" {
+								if tl.By[plan.Followed] != 0 || workers == 1 && !cached && tl.By[plan.Answered] != bareAnswered {
+									t.Fatalf("provenance %v; the bare sweep answered %d", tl.By, bareAnswered)
+								}
+								missed := map[string]bool{}
+								for _, c := range tl.Simulated {
+									if want[[2]int{c.MapSlots, c.ReduceSlots}].DeadlinesMissed > 0 {
+										missed[fmt.Sprintf("cell-%dx%d", c.MapSlots, c.ReduceSlots)] = true
+									}
+								}
+								dumps, n := reg.Latest().FlightDumps(), len(missed)
+								for _, d := range dumps {
+									if !missed[d.Label] || d.Trigger != "deadline-miss" {
+										t.Fatalf("a %s dump of %s, which is no simulated cell that missed a deadline, or a second one", d.Trigger, d.Label)
+									}
+									delete(missed, d.Label)
+								}
+								if len(dumps) != n {
+									t.Fatalf("%d flight dumps, want one per simulated cell that missed a deadline: %d", len(dumps), n)
+								}
+								dumped += len(dumps)
 								m := telemetrytest.Scrape(t, cfg.Telemetry.Registry())
-								if m["simmr_replays_total"] != float64(cells) || m["simmr_jobs_completed_total"] != float64(cells*len(tr.Jobs)) {
-									t.Fatalf("telemetry counted %v replays and %v jobs, want every cell's", m["simmr_replays_total"], m["simmr_jobs_completed_total"])
+								if m["simmr_replays_total"] != float64(len(tl.Simulated)) || m["simmr_jobs_completed_total"] != float64(len(tl.Simulated)*len(tr.Jobs)) ||
+									m["simmr_engine_events_total"] != float64(tl.Events) || snap.Events != tl.Events {
+									t.Fatalf("telemetry counted %v replays, %v jobs and %v events, the run %d events; want the %d simulated replays' jobs and %d events",
+										m["simmr_replays_total"], m["simmr_jobs_completed_total"], m["simmr_engine_events_total"], snap.Events, len(tl.Simulated), tl.Events)
 								}
 							}
 						})
@@ -285,6 +319,9 @@ func TestSweepReuseMatchesReplay(t *testing.T) {
 				}
 			}
 		}
+	}
+	if dumped == 0 {
+		t.Error("no observed sweep dumped a flight recorder")
 	}
 	for workers, n := range copied {
 		t.Logf("Workers %d: %d jobs copied from trails", workers, n)

@@ -7,21 +7,26 @@ import (
 	"sync"
 	"testing"
 
+	"simmr/internal/plan/plantest"
 	"simmr/internal/telemetry/telemetrytest"
 )
 
 // TestTelemetryConcurrentReplays is the acceptance test for the shared
 // registry: 24 replays on 8 workers write one Telemetry while a scraper
-// goroutine loops the Prometheus exposition. Run under -race this
-// exercises every writer against the scrape; afterwards the totals must
-// exactly match the summed per-replay results.
+// goroutine loops the Prometheus exposition. Each spec has a slow-start
+// fraction of its own, so no replay answers for another and all 24
+// simulate. Run under -race this exercises every writer against the
+// scrape; afterwards the totals must exactly match the summed
+// per-replay results.
 func TestTelemetryConcurrentReplays(t *testing.T) {
 	tr := sweepTrace()
 	tel := NewTelemetry()
 	const n = 24
 	specs := make([]ReplaySpec, n)
 	for i := range specs {
-		specs[i] = ReplaySpec{Trace: tr}
+		cfg := DefaultReplayConfig()
+		cfg.MinMapPercentCompleted = float64(i+1) / 100
+		specs[i] = ReplaySpec{Trace: tr, Config: cfg}
 		if i%3 == 1 {
 			specs[i].Policy = NewMinEDF()
 		}
@@ -45,12 +50,17 @@ func TestTelemetryConcurrentReplays(t *testing.T) {
 		}
 	}()
 
+	tally := plantest.Shortcuts.Watch(tr)
 	results, err := ReplayBatchCfg(context.Background(),
 		BatchConfig{Workers: 8, Telemetry: tel}, specs)
+	tl := tally()
 	close(stop)
 	scraper.Wait()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tl.Simulated) != n {
+		t.Fatalf("%d of %d specs simulated, want every one", len(tl.Simulated), n)
 	}
 
 	var wantEvents uint64

@@ -151,8 +151,14 @@ func run() error {
 			tl = simmr.NewTimelineSink()
 			cfg.Sink = tl
 		}
+		// The summary line reads the Result's totals only; -v and -json
+		// read its jobs.
+		replay := plan.Totals
+		if *verbose || *jsonOut {
+			replay = plan.One
+		}
 		stopRun := tel.Span("run")
-		res, hit, err := plan.One(opsOptions(tel, cache), runs.KindReplay, cfg, tr, policy)
+		res, hit, err := replay(opsOptions(tel, cache), runs.KindReplay, cfg, tr, policy)
 		stopRun()
 		if err != nil {
 			return err
@@ -187,7 +193,7 @@ func run() error {
 			}
 		}
 		fmt.Printf("%d jobs, makespan %.1f s, %d events, policy %s\n",
-			len(res.Jobs), res.Makespan, res.Events, policy.Name())
+			len(tr.Jobs), res.Makespan, res.Events, policy.Name())
 		printCacheLine(cache)
 		if tl != nil && hit {
 			printSkippedExports(*timeline)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -76,7 +77,13 @@ func assertIdenticalReplays(t *testing.T, cfg Config, tr *trace.Trace, mk func()
 
 	scanRes, scanSink := replayRecorded(t, cfg, tr, scanPolicy)
 	idxRes, idxSink := replayRecorded(t, cfg, tr, indexedPolicy)
+	assertSameReplay(t, scanPolicy, scanRes, scanSink, idxRes, idxSink)
+}
 
+// assertSameReplay compares a replay on the scan path with its replay on
+// the scheduling index: outcomes, totals, stream and run counters.
+func assertSameReplay(t *testing.T, scanPolicy sched.Policy, scanRes *Result, scanSink *obs.RecordSink, idxRes *Result, idxSink *obs.RecordSink) {
+	t.Helper()
 	if scanRes.Events != idxRes.Events || scanRes.Makespan != idxRes.Makespan {
 		t.Fatalf("%s: events %d vs %d, makespan %v vs %v",
 			scanPolicy.Name(), scanRes.Events, idxRes.Events, scanRes.Makespan, idxRes.Makespan)
@@ -166,6 +173,88 @@ func TestDifferentialIndexedPreemption(t *testing.T) {
 			assertIdenticalReplays(t, cfg, tr, pc.mk)
 		})
 	}
+}
+
+// TestDifferentialCompletionRule pins which task completions reach the
+// scheduling index (Engine.completionCounts, DESIGN.md §11) against the
+// scan, where every decision reads the counters afresh. Under both ends of
+// the slowstart range, with and without preemption, every policy replays
+// byte-identically, and so does a MinEDF replay switched to FIFO midway:
+// by SetPolicy, which re-admits the live jobs unsized, and by a fork under
+// FIFO, which keeps their MinEDF caps — capped jobs under a static order,
+// whose completions must still reach the index.
+func TestDifferentialCompletionRule(t *testing.T) {
+	tr, err := synth.MultiTenantTrace(300, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slowstart := range []float64{0.05, 1} {
+		for _, preempt := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.MinMapPercentCompleted, cfg.PreemptMapTasks = slowstart, preempt
+			name := fmt.Sprintf("slowstart=%v/preempt=%v", slowstart, preempt)
+			for _, pc := range diffPolicies() {
+				t.Run(name+"/"+pc.name, func(t *testing.T) {
+					assertIdenticalReplays(t, cfg, tr, pc.mk)
+				})
+			}
+			t.Run(name+"/MinEDF-to-FIFO", func(t *testing.T) {
+				assertIdenticalSwitch(t, cfg, tr)
+			})
+		}
+	}
+}
+
+// assertIdenticalSwitch replays tr under MinEDF to half its events, then
+// under FIFO — switched by SetPolicy, and on a fork under FIFO — on the
+// scan path and on the scheduling index, and compares the two.
+func assertIdenticalSwitch(t *testing.T, cfg Config, tr *trace.Trace) {
+	t.Helper()
+	full, err := Run(cfg, tr, sched.MinEDF{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := full.Events / 2
+	type replay struct {
+		res  *Result
+		sink *obs.RecordSink
+	}
+	// run replays both switches with the policies wrap makes, and counts
+	// the unfinished capped jobs the fork took over.
+	run := func(wrap func(sched.Policy) sched.Policy) (set, fork replay, capped int) {
+		e, sink := pauseAt(t, cfg, tr, wrap(sched.MinEDF{}), at)
+		if err := e.SetPolicy(wrap(sched.FIFO{})); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		set = replay{res, sink}
+		src, _ := pauseAt(t, cfg, tr, wrap(sched.MinEDF{}), at)
+		fork.sink = &obs.RecordSink{}
+		f, err := src.Fork(ForkOptions{Policy: wrap(sched.FIFO{}), Sink: fork.sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range f.active {
+			if (info.WantedMaps != 0 || info.WantedReduces != 0) && !info.Done() {
+				capped++
+			}
+		}
+		if fork.res, err = f.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return set, fork, capped
+	}
+	scanSet, scanFork, _ := run(schedtest.ScanOnly)
+	idxSet, idxFork, capped := run(func(p sched.Policy) sched.Policy { return p })
+	if capped == 0 {
+		t.Fatalf("no capped job unfinished at event %d: the fork under FIFO tests nothing", at)
+	}
+	scan := schedtest.ScanOnly(sched.FIFO{})
+	assertSameReplay(t, scan, scanSet.res, scanSet.sink, idxSet.res, idxSet.sink)
+	assertSameReplay(t, scan, scanFork.res, scanFork.sink, idxFork.res, idxFork.sink)
 }
 
 // TestDifferentialIndexedAblations runs the shuffle-model ablations and

@@ -151,7 +151,9 @@ func (o *JobOutcome) ExceededDeadline() bool {
 // its per-job outcomes while it runs (DESIGN.md §5, "Lifetime"): the
 // array is bound when the replay starts, each job's entry is written
 // from its arrival to its departure, and the finished Result is that
-// array — nothing is copied out at the end. A Result returned by Run
+// array — nothing is copied out at the end. A totals-only replay
+// (Pool.RunSplit) binds none, and its Jobs is nil: the other fields are
+// a full replay's. A Result returned by Run
 // (and by everything built on it: Pool.Run, simmr.Replay,
 // ReplayBatchCfg) is owned by the caller and never written by the
 // engine again. A Result handed to a Pool.Fold callback is the engine's
@@ -219,7 +221,7 @@ type fillerReduce struct {
 type simJob struct {
 	info sched.JobInfo   // scheduler-visible state, engine-owned
 	tpl  *trace.Template // read-only view into the shared trace
-	out  *JobOutcome     // the job's entry in the run's Result.Jobs
+	out  *JobOutcome     // the job's entry in the run's Result.Jobs, or Engine.unkept
 	pos  int             // index of that entry: trace position, injected jobs after
 
 	nextMap      int
@@ -309,14 +311,17 @@ type Engine struct {
 	// free, so carved — every slot there is, in address order — counts
 	// the high-water of jobs live at once. out is the outcome array the run's Result will
 	// carry, zero at every position not yet arrived and final from the
-	// job's departure; outHi bounds the positions written. deadlines
-	// holds SetDeadline's overrides for jobs still to arrive, by position.
+	// job's departure; outHi bounds the positions written. A totals-only
+	// replay binds no array: every live job's outcome is written to
+	// unkept, which nothing reads back. deadlines holds SetDeadline's
+	// overrides for jobs still to arrive, by position.
 	slotOf    []*simJob
 	slab      []simJob
 	free      []*simJob
 	carved    []*simJob
 	out       []JobOutcome
 	outHi     int
+	unkept    JobOutcome
 	deadlines map[int]float64
 	// fillers is the arena of filler reduces (see fillerReduce), fillerFree
 	// the head of its free entries.
@@ -360,9 +365,12 @@ type Engine struct {
 	// nil for any other policy, which is driven through the paper's
 	// two-call interface with arrive as its arrival hook. index retains
 	// the last index built so pooled re-arms recycle its trees.
-	batch  sched.BatchPolicy
-	index  sched.BatchPolicy
-	arrive sched.ArrivalAware
+	// eachCompletion is batch's ReadsRunning: every task completion
+	// reaches the index, not only those completionCounts names.
+	batch          sched.BatchPolicy
+	index          sched.BatchPolicy
+	arrive         sched.ArrivalAware
+	eachCompletion bool
 
 	// preemptIdx, allocated only under PreemptMapTasks, indexes active
 	// jobs by latest effective deadline (ties: earliest arrival seq)
@@ -520,7 +528,7 @@ func (e *Engine) release() {
 	clear(e.active)
 	clear(e.slots)
 	e.active, e.slots, e.live = e.active[:0], e.slots[:0], 0
-	e.out, e.outHi = nil, 0
+	e.out, e.outHi, e.unkept = nil, 0, JobOutcome{}
 	clear(e.deadlines)
 	e.fillers, e.fillerFree = e.fillers[:0], -1
 	e.tr = nil
@@ -552,8 +560,10 @@ func (e *Engine) resetPreemptIdx() {
 func (e *Engine) setPolicy(p sched.Policy) {
 	e.policy = p
 	e.arrive = nil
+	e.eachCompletion = false
 	if e.batch = sched.IndexFor(p, e.index); e.batch != nil {
 		e.index = e.batch
+		e.eachCompletion = e.batch.ReadsRunning()
 	} else {
 		e.arrive, _ = p.(sched.ArrivalAware)
 	}
@@ -668,7 +678,10 @@ func (e *Engine) arm(p int) *simJob {
 		Profile: j.Template.ProfileRef(),
 	}
 	sj.tpl = j.Template
-	sj.out = &e.out[p]
+	sj.out = &e.unkept
+	if e.out != nil {
+		sj.out = &e.out[p]
+	}
 	*sj.out = JobOutcome{
 		ID: j.ID, Name: j.Name,
 		Arrival: j.Arrival, Deadline: deadline,
@@ -714,13 +727,14 @@ func (e *Engine) retire(sj *simJob) {
 }
 
 // start preloads the job arrivals as the queue's schedule and binds the
-// outcome array — buf's storage when it can hold the trace's jobs —
-// moving the engine from armed to in-flight. Arrivals fire in (time,
-// trace position) order; a trace already in arrival order — every
-// Normalized one — is taken as is. Idempotent while the run is in flight
-// (the array bound first stays); rejected once the run finished (the old
-// "Run called twice" protection) or the engine was sealed by Snapshot.
-func (e *Engine) start(buf []JobOutcome) error {
+// outcome array — buf's storage when it can hold the trace's jobs, none
+// for a totals-only replay — moving the engine from armed to in-flight.
+// Arrivals fire in (time, trace position) order; a trace already in
+// arrival order — every Normalized one — is taken as is. Idempotent
+// while the run is in flight (the array bound first stays); rejected once
+// the run finished (the old "Run called twice" protection) or the engine
+// was sealed by Snapshot.
+func (e *Engine) start(buf []JobOutcome, totals bool) error {
 	switch e.state {
 	case runIdle:
 		e.state = runStarted
@@ -735,10 +749,12 @@ func (e *Engine) start(buf []JobOutcome) error {
 		}
 		e.arrivals, e.inOrder = s, sorted
 		e.q.Preload(evJobArrival, s)
-		if cap(buf) >= n {
+		switch {
+		case totals:
+		case cap(buf) >= n:
 			e.out = buf[:n]
 			clear(e.out)
-		} else {
+		default:
 			e.out = make([]JobOutcome, n)
 		}
 		return nil
@@ -826,7 +842,7 @@ func (e *Engine) Run() (*Result, error) {
 // jobs.
 func (e *Engine) RunInto(res *Result) error {
 	*res = Result{Jobs: res.Jobs[:0]}
-	if err := e.start(res.Jobs); err != nil {
+	if err := e.start(res.Jobs, false); err != nil {
 		return err
 	}
 	if err := e.stepUntil(math.MaxUint64); err != nil {
@@ -854,7 +870,7 @@ func (e *Engine) RunInto(res *Result) error {
 // Result and emits the sink's RunEnd. The sink has seen every event up
 // to the pause when RunEvents returns.
 func (e *Engine) RunEvents(n uint64) (bool, error) {
-	if err := e.start(nil); err != nil {
+	if err := e.start(nil, false); err != nil {
 		return false, err
 	}
 	if err := e.stepUntil(n); err != nil {
@@ -894,7 +910,7 @@ func (e *Engine) counters(res *Result) obs.Counters {
 		FillerPatches:    e.fillerPatches,
 		MapSlotAllocs:    e.mapSlotAllocs,
 		ReduceSlotAllocs: e.reduceSlotAllocs,
-		Jobs:             len(res.Jobs),
+		Jobs:             len(e.slotOf), // every job of the replay: a totals-only Result has no Jobs to count
 		Makespan:         res.Makespan,
 	}
 }
@@ -1166,10 +1182,11 @@ func (e *Engine) onMapTaskDeparture(sj *simJob, task int) {
 		e.emit(obs.KindMapTaskFinish, sj.info.ID, task, 0, 0)
 		e.emit(obs.KindMapSlotRelease, sj.info.ID, task, 0, 0)
 	}
+	opened := false
 	if !sj.info.ReduceReady && sj.info.CompletedMaps >= sj.slowstartMin {
-		sj.info.ReduceReady = true
+		sj.info.ReduceReady, opened = true, true
 	}
-	if e.batch != nil {
+	if e.batch != nil && (opened || e.completionCounts(sj)) {
 		e.batch.OnJobUpdate(&sj.info)
 	}
 	if e.preemptIdx != nil {
@@ -1298,7 +1315,7 @@ func (e *Engine) placeStalledFillers() {
 func (e *Engine) onReduceTaskDeparture(sj *simJob, task int) {
 	sj.info.CompletedReduces++
 	e.freeReduce++
-	if e.batch != nil {
+	if e.batch != nil && e.completionCounts(sj) {
 		e.batch.OnJobUpdate(&sj.info)
 	}
 	if e.sink != nil {
@@ -1308,6 +1325,17 @@ func (e *Engine) onReduceTaskDeparture(sj *simJob, task int) {
 	if sj.info.Done() {
 		e.departJob(sj)
 	}
+}
+
+// completionCounts reports whether a task completion of sj can change
+// the scheduling index's answer through the running counts it lowers:
+// the index ranks by them (eachCompletion), or a cap of the job compares
+// them — MinEDF's sizing, which a fork under another policy keeps. A
+// completion that does neither, and opens no slow-start gate, leaves
+// every ranking and eligibility bit of a static index as it was, so it
+// does not reach the index (DESIGN.md §11).
+func (e *Engine) completionCounts(sj *simJob) bool {
+	return e.eachCompletion || sj.info.WantedMaps != 0 || sj.info.WantedReduces != 0
 }
 
 // departJob schedules the job-departure event (same timestamp; it flows

@@ -81,7 +81,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	case runSealed:
 		return e.snap, nil
 	case runIdle:
-		if err := e.start(nil); err != nil {
+		if err := e.start(nil, false); err != nil {
 			return nil, err
 		}
 	case runDone:

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -308,5 +309,55 @@ func TestPutReleasesTrace(t *testing.T) {
 				t.Errorf("finish=%v: free slot keeps %+v", finish, sj.info)
 			}
 		}
+	}
+}
+
+// TestTotalsReplayKeepsNoOutcomes: a totals-only replay allocates no
+// outcome array. Replayed cold, a trace of 2n jobs costs it at most the
+// 24 B a job more than the first n of them do (its arrival-schedule entry
+// and its by-position table entry) — give or take the few bytes by which
+// the longer trace's busiest instant may grow the queue — where a full
+// replay pays its 64-B outcome on top.
+func TestTotalsReplayKeepsNoOutcomes(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n = 8192
+	long := sparseStream(t, 2*n, 13)
+	short := &trace.Trace{Name: "short", Jobs: long.Jobs[:n]}
+	for _, tr := range []*trace.Trace{short, long} {
+		if _, err := Run(DefaultConfig(), tr, sched.FIFO{}); err != nil { // validates and profiles the templates
+			t.Fatal(err)
+		}
+	}
+	// bytes is the least a cold replay of tr allocates over a few runs.
+	bytes := func(tr *trace.Trace, totals bool) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var pool Pool // empty: the replay builds its engine
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, _, _, err := pool.RunSplit(DefaultConfig(), tr, sched.FIFO{}, 1, totals)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (res.Jobs == nil) != totals {
+				t.Fatalf("totals %v: Result holds %d jobs", totals, len(res.Jobs))
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	perJob := func(totals bool) float64 {
+		return (float64(bytes(long, totals)) - float64(bytes(short, totals))) / n
+	}
+	totals, full := perJob(true), perJob(false)
+	t.Logf("cold replay, %d → %d jobs: totals-only %.3f B/job, full %.3f B/job", n, 2*n, totals, full)
+	if totals > 24+1024.0/n {
+		t.Errorf("a totals-only replay allocates %.3f B per job, want ≤ 24", totals)
+	}
+	if outcome := float64(unsafe.Sizeof(JobOutcome{})); full-totals < outcome {
+		t.Errorf("a full replay allocates %.1f B per job more than a totals-only one, want its %.0f-B outcome", full-totals, outcome)
 	}
 }

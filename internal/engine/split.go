@@ -36,27 +36,27 @@ const splitWindow = 1024
 // instants: the Result is the one Run returns, bit for bit. A replay with
 // a sink, a policy with no scheduling index (sched.IndexFor: it may carry
 // state from job to job), a trace not in arrival order, or one shorter
-// than two segments of minSegmentJobs, runs as Run runs it. The run plan's
-// single replay (plan.One) is the only caller: fan-outs keep every core
+// than two segments of minSegmentJobs, runs as Run runs it. A totals-only
+// replay (totals) binds no outcome array, split or not: its Result's Jobs
+// is nil, every other field the same. The run plan's single replay
+// (plan.One, plan.Totals) is the only caller: fan-outs keep every core
 // busy with cells already. It also returns the segments it ran as (1
 // unsplit) and how many of them were cancelled at a busy boundary.
-func (p *Pool) RunSplit(cfg Config, tr *trace.Trace, policy sched.Policy, workers int) (res *Result, segments, cancelled int, err error) {
+func (p *Pool) RunSplit(cfg Config, tr *trace.Trace, policy sched.Policy, workers int, totals bool) (res *Result, segments, cancelled int, err error) {
 	e, err := p.Get(cfg, tr, policy)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	defer p.Put(e)
+	if err := e.start(nil, totals); err != nil {
+		return nil, 0, 0, err
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var bounds []int
-	if parts := min(workers, len(tr.Jobs)/minSegmentJobs); parts >= 2 && e.sink == nil && e.batch != nil {
-		if err := e.start(nil); err != nil {
-			return nil, 0, 0, err
-		}
-		if e.inOrder {
-			bounds = splitPoints(tr.Jobs, parts)
-		}
+	if parts := min(workers, len(tr.Jobs)/minSegmentJobs); parts >= 2 && e.sink == nil && e.batch != nil && e.inOrder {
+		bounds = splitPoints(tr.Jobs, parts)
 	}
 	if len(bounds) == 0 {
 		res, err = e.Run()
@@ -120,7 +120,7 @@ type segment struct {
 	next   int
 	cancel atomic.Bool
 	done   chan struct{} // closed once the segment's engine has stopped
-	err    error
+	err    error         // set once, when a step fails
 }
 
 // runSplit replays e — started, on a trace in arrival order — as
@@ -197,13 +197,15 @@ func (res *Result) stitch(e *Engine) {
 // schedule is first's from entry k on, which Preload only reads; its
 // outcomes go to first's array from position k on, bound and cleared
 // when first started, so that no engine clears what another may be
-// writing.
+// writing — or nowhere, when first is a totals-only replay and bound none.
 func (e *Engine) armSuffix(first *Engine, k int, view *trace.Trace) {
 	*view = trace.Trace{Name: first.tr.Name, Jobs: first.tr.Jobs[k:]}
 	e.rearm(first.cfg, view, first.policy, first.indexOf == nil, first.idBase+k)
 	e.state = runStarted
 	e.q.Preload(evJobArrival, first.arrivals[k:])
-	e.out = first.out[k:]
+	if first.out != nil {
+		e.out = first.out[k:]
+	}
 }
 
 // quiescent reports whether e is at a quiescent instant: no job live
@@ -217,6 +219,10 @@ func (e *Engine) quiescent() bool { return e.live == 0 && e.q.Len() == e.q.Prelo
 // the next segment's. If that arrival is due while the cluster is busy,
 // the boundary fails: the segment replaying from it is cancelled and
 // waited for, and this engine takes over its share.
+//
+// The step's error stays in a local until a step fails, so the loop
+// stores nothing into the segment array, whose flags other cores load on
+// every step.
 func (s *segment) run(segs []segment, n int) {
 	e := s.e
 	for e.remaining > 0 && !s.cancel.Load() {
@@ -232,7 +238,8 @@ func (s *segment) run(segs []segment, n int) {
 				continue
 			}
 		}
-		if s.err = e.step(); s.err != nil {
+		if err := e.step(); err != nil {
+			s.err = err
 			return
 		}
 	}

@@ -20,11 +20,14 @@ import (
 // must return the Result the sequential replay returns, bit for bit,
 // whether its boundaries are accepted or cancelled — under every built-in
 // indexed policy, both shuffle ablations, preemption and both ends of the
-// slowstart range, at every segment count.
+// slowstart range, at every segment count. So must a totals-only replay
+// (RunSplit's totals), split or not, in every field but the Jobs it does
+// not keep.
 
 // splitPolicies are the built-in policies with a scheduling index.
 func splitPolicies() []sched.Policy {
-	return []sched.Policy{sched.FIFO{}, sched.MaxEDF{}, sched.MinEDF{}, sched.Fair{}, sched.Capacity{Shares: []float64{3, 1, 2}}}
+	return []sched.Policy{sched.FIFO{}, sched.MaxEDF{}, sched.MinEDF{}, sched.MinEDF{Estimate: sched.EstimatorLow},
+		sched.MinEDF{Estimate: sched.EstimatorUp}, sched.Fair{}, sched.Capacity{Shares: []float64{3, 1, 2}}}
 }
 
 func splitConfigs() map[string]Config {
@@ -103,22 +106,38 @@ func zeroDurationTrace() *trace.Trace {
 	return tr
 }
 
-// splitAgainstSequential runs tr as segments beginning at bounds and
-// fails unless the Result is the sequential replay's.
+// totalsOf is res without its jobs: what a totals-only replay returns.
+func totalsOf(res *Result) *Result {
+	r := *res
+	r.Jobs = nil
+	return &r
+}
+
+// splitAgainstSequential runs tr as segments beginning at bounds, as a
+// full replay and as a totals-only one, and fails unless the Results are
+// the sequential replay's (the totals-only one but for its Jobs).
 func splitAgainstSequential(t *testing.T, pool *Pool, cfg Config, tr *trace.Trace, p sched.Policy, want *Result, bounds []int) (accepted int) {
 	t.Helper()
-	e, err := pool.Get(cfg, tr, p)
-	if err != nil {
-		t.Fatal(err)
+	split := func(totals bool) (*Result, int) {
+		t.Helper()
+		e, err := pool.Get(cfg, tr, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Put(e)
+		if err := e.start(nil, totals); err != nil {
+			t.Fatal(err)
+		}
+		got, accepted, err := e.runSplit(pool, bounds)
+		if err != nil {
+			t.Fatalf("split at %v (totals-only %v): %v", bounds, totals, err)
+		}
+		return got, accepted
 	}
-	defer pool.Put(e)
-	if err := e.start(nil); err != nil {
-		t.Fatal(err)
+	if got, _ := split(true); !reflect.DeepEqual(got, totalsOf(want)) {
+		t.Fatalf("totals-only split at %v: %d jobs, totals %+v; sequential %+v", bounds, len(got.Jobs), *totalsOf(got), *totalsOf(want))
 	}
-	got, accepted, err := e.runSplit(pool, bounds)
-	if err != nil {
-		t.Fatalf("split at %v: %v", bounds, err)
-	}
+	got, accepted := split(false)
 	if got.Events != want.Events || got.Makespan != want.Makespan {
 		t.Fatalf("split at %v: %d events, makespan %v; sequential %d, %v", bounds, got.Events, got.Makespan, want.Events, want.Makespan)
 	}
@@ -176,6 +195,14 @@ func TestSplitMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				totals, _, _, err := pool.RunSplit(cfg, c.tr, p, 1, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(totals, totalsOf(want)) {
+					t.Errorf("%s/%s/%s: unsplit totals-only Result has %d jobs, totals %+v; sequential %+v",
+						c.name, cfgName, p.Name(), len(totals.Jobs), *totalsOf(totals), *totalsOf(want))
+				}
 				for _, bounds := range sets {
 					t.Run(fmt.Sprintf("%s/%s/%s/%d-segments", c.name, cfgName, p.Name(), len(bounds)+1), func(t *testing.T) {
 						if len(bounds) == 0 {
@@ -230,7 +257,7 @@ func TestSplitFailureMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.start(nil); err != nil {
+		if err := e.start(nil, false); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := e.runSplit(&pool, bounds); err == nil || err.Error() != want.Error() {
@@ -277,7 +304,7 @@ func TestRunSplitEligibility(t *testing.T) {
 				t.Fatal(err)
 			}
 			var pool Pool
-			got, segments, cancelled, err := pool.RunSplit(c.cfg, c.tr, c.p(), c.workers)
+			got, segments, cancelled, err := pool.RunSplit(c.cfg, c.tr, c.p(), c.workers, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func (p *Pool) RunTrail(cfg Config, tr *trace.Trace, policy sched.Policy) (*Resu
 		return nil, nil, err
 	}
 	defer p.Put(e)
-	if err := e.start(nil); err != nil {
+	if err := e.start(nil, false); err != nil {
 		return nil, nil, err
 	}
 	if !e.trailable() {
@@ -74,7 +74,7 @@ func (p *Pool) FoldTrail(cfg Config, tr *trace.Trace, policy sched.Policy, t *Tr
 	res := &e.scratch
 	var jobs int
 	var events uint64
-	if err = e.start(res.Jobs[:0]); err == nil {
+	if err = e.start(res.Jobs[:0], false); err == nil {
 		if t.admits(e) {
 			jobs, events, err = e.follow(p, t, res)
 		} else {

@@ -195,6 +195,9 @@ type Cell struct {
 	// when nothing observes it (engine.Pool.RunSplit): One's cell only, as
 	// a fan-out keeps the cores busy with its cells.
 	split bool
+	// totals marks a fold that reads the Result's totals only (Totals):
+	// unless the plan reads the jobs itself, the split replay keeps none.
+	totals bool
 }
 
 // Replay is the per-replay step: it replays tr under cfg (whose Sink is
@@ -406,8 +409,11 @@ func (r *pending) run(fold func(*engine.Result)) (err error) {
 	case r.leads && cfg.Sink == nil:
 		res, r.trail, err = p.pool.RunTrail(cfg, r.tr, r.pol)
 	case c.split:
+		// The plan reads the jobs of a Result it stores or whose recorder
+		// may dump a deadline miss (settle).
+		totals := c.totals && !r.keyed && r.rec == nil
 		var segments, cancelled int
-		if res, segments, cancelled, err = p.pool.RunSplit(cfg, r.tr, r.pol, p.Workers); segments > 1 {
+		if res, segments, cancelled, err = p.pool.RunSplit(cfg, r.tr, r.pol, p.Workers, totals); segments > 1 {
 			pv = Provenance{How: Split, Segments: segments, Cancelled: cancelled}
 		}
 	case c.Keep && r.follow == nil:
@@ -509,6 +515,21 @@ func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error) (res *engi
 // Runs or Telemetry — splits at quiescent instants over Workers cores
 // (0: all of them; DESIGN.md §7).
 func One(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sched.Policy) (res *engine.Result, hit bool, err error) {
+	return one(o, kind, cfg, tr, pol, false)
+}
+
+// Totals is One for a caller that reads the Result's totals only — its
+// Events, Makespan and peaks — as `simmr -trace` does for its summary
+// line. Unless the plan itself reads the per-job outcomes (a
+// cache stores them, a flight recorder dumps a deadline miss), the replay
+// keeps none and the Result's Jobs is nil: a trace's outcome array costs
+// its allocation and a store per job that nobody would read (DESIGN.md
+// §5, "Lifetime"). A cache hit's Result carries its jobs as ever.
+func Totals(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sched.Policy) (res *engine.Result, hit bool, err error) {
+	return one(o, kind, cfg, tr, pol, true)
+}
+
+func one(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sched.Policy, totals bool) (res *engine.Result, hit bool, err error) {
 	r := Run{Kind: kind, Policy: pol, Traces: []*trace.Trace{tr}, Replays: 1}
 	if o.Runs != nil {
 		r.Config = fmt.Sprintf("map_slots=%d reduce_slots=%d", cfg.MapSlots, cfg.ReduceSlots)
@@ -516,7 +537,7 @@ func One(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sche
 	p := Begin(o, r)
 	p.single = p.run != nil
 	sink := cfg.Sink
-	hit, err = p.Replay(cfg, tr, pol, Cell{Label: string(kind), Keep: true, split: true, Sink: func() obs.Sink { return sink }},
+	hit, err = p.Replay(cfg, tr, pol, Cell{Label: string(kind), Keep: true, split: true, totals: totals, Sink: func() obs.Sink { return sink }},
 		func(r *engine.Result) { res = r })
 	return res, hit, p.End(err)
 }

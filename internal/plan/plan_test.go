@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"simmr/internal/rcache"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
+	"simmr/internal/synth"
 	"simmr/internal/telemetry"
 	"simmr/internal/telemetry/telemetrytest"
 	"simmr/internal/trace"
@@ -363,6 +365,66 @@ func TestPlanSingleReplay(t *testing.T) {
 	}
 	if d := reg.Latest().FlightDumps(); len(d) != 1 || d[0].Trigger != "error" {
 		t.Fatalf("failed single replay dumps = %+v", d)
+	}
+}
+
+// TestPlanTotals: Totals keeps no per-job outcome when nothing of the
+// plan reads one — split over two workers or not, observed by telemetry
+// or not — and its totals are One's; a cache, which stores the Result,
+// and a flight recorder, which may dump a deadline miss from it, keep
+// the outcomes.
+func TestPlanTotals(t *testing.T) {
+	s, err := synth.NewStream(synth.StreamConfig{
+		Name: "totals", Jobs: 4096, MeanInterArrival: 60, TemplatePool: 32,
+		DeadlineFraction: 0.5, DeadlineSlack: 900,
+		Shapes: []synth.WeightedShape{{Shape: synth.MultiTenantShape(), Weight: 1}},
+	}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := s.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.DefaultConfig()
+	full, _, err := One(Options{Workers: 1}, runs.KindReplay, cfg, tr, sched.FIFO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hows []How
+	checker := Settled
+	Settled = func(pv Provenance, simulated bool, rq Request, res *engine.Result, src Request) {
+		hows = append(hows, pv.How)
+		checker(pv, simulated, rq, res, src)
+	}
+	defer func() { Settled = checker }()
+	for _, c := range []struct {
+		name string
+		o    Options
+		how  How
+		jobs bool
+	}{
+		{"unsplit", Options{Workers: 1}, Simulated, false},
+		{"split", Options{Workers: 2}, Split, false},
+		{"telemetry", Options{Workers: 2, Telemetry: telemetry.NewSimMetrics()}, Simulated, false},
+		{"cached", Options{Workers: 2, Cache: rcache.New(rcache.Options{})}, Split, true},
+		{"recorded", Options{Workers: 2, Runs: runs.New(4), Flight: -1}, Simulated, true},
+	} {
+		hows = hows[:0]
+		res, hit, err := Totals(c.o, runs.KindReplay, cfg, tr, sched.FIFO{})
+		if err != nil || hit {
+			t.Fatalf("%s: hit=%v err=%v", c.name, hit, err)
+		}
+		if len(hows) != 1 || hows[0] != c.how {
+			t.Errorf("%s: settled as %v, want %v", c.name, hows, c.how)
+		}
+		if got := res.Jobs != nil; got != c.jobs {
+			t.Errorf("%s: Result keeps %d outcomes, want them kept: %v", c.name, len(res.Jobs), c.jobs)
+		}
+		if res.Events != full.Events || res.Makespan != full.Makespan ||
+			res.PeakMapSlots != full.PeakMapSlots || res.PeakReduceSlots != full.PeakReduceSlots {
+			t.Errorf("%s: totals %+v differ from One's", c.name, *res)
+		}
 	}
 }
 

@@ -3,8 +3,9 @@
 // Result the plan hands out without replaying it straight through — a
 // split replay, an answer from another request's peaks, a copy from a
 // trail, a gate follower's, a cache hit — is re-derived by a fresh,
-// unpooled engine.Run and compared with it. Forks are left to
-// internal/engine's fork differentials.
+// unpooled engine.Run and compared with it. A totals-only split Result
+// (no Jobs: plan.Totals) is compared by its totals — events, makespan and
+// peaks. Forks are left to internal/engine's fork differentials.
 //
 //	func TestMain(m *testing.M) {
 //		plan.Settled = plantest.Shortcuts.Settle
@@ -35,11 +36,15 @@ type Checker struct {
 	checked, skipped int
 	mismatches       []string
 	watched          map[*trace.Trace]*Tally
-	// straight holds the digest of each straight replay made so far, so
+	// straight holds the digests of each straight replay made so far, so
 	// that a shortcut taken again is checked without replaying, and with
 	// no allocation.
-	straight map[replay]uint64
+	straight map[replay]sums
 }
+
+// sums are a Result's digests: of its totals — events, makespan and
+// peaks — and of every field.
+type sums struct{ totals, full uint64 }
 
 // replay names a straight replay by what decides its Result: the
 // trace's content, the config and the policy's fingerprint.
@@ -84,7 +89,7 @@ func (c *Checker) Settle(pv plan.Provenance, simulated bool, rq plan.Request, re
 		c.mu.Unlock()
 		return
 	}
-	d := c.check(rq, res, src.Cfg, fp)
+	d := c.check(pv, rq, res, src.Cfg, fp)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.checked++
@@ -96,19 +101,23 @@ func (c *Checker) Settle(pv plan.Provenance, simulated bool, rq plan.Request, re
 
 // check compares res with a straight replay of rq and says how the two
 // differ, or returns "". An answer with no Result of its own is checked
-// as the straight replays of rq and of src, the config that answered.
-func (c *Checker) check(rq plan.Request, res *engine.Result, src engine.Config, fp uint64) string {
+// as the straight replays of rq and of src, the config that answered. A
+// split Result with no Jobs is a totals-only one (plan.Totals), checked
+// by its totals; every other kind of Result keeps its jobs, and is
+// checked in full.
+func (c *Checker) check(pv plan.Provenance, rq plan.Request, res *engine.Result, src engine.Config, fp uint64) string {
 	want, err := c.replay(rq.Cfg, rq.Trace, rq.Policy, fp)
 	if err != nil {
 		return "the straight replay failed: " + err.Error()
 	}
-	var got uint64
+	var got sums
 	if res != nil {
 		got = digest(res)
 	} else if got, err = c.replay(src, rq.Trace, rq.Policy, fp); err != nil {
 		return "the source's straight replay failed: " + err.Error()
 	}
-	if got == want {
+	totals := pv.How == plan.Split && res != nil && res.Jobs == nil
+	if got.totals == want.totals && (totals || got.full == want.full) {
 		return ""
 	}
 	// Replay both again to say how they differ.
@@ -116,15 +125,15 @@ func (c *Checker) check(rq plan.Request, res *engine.Result, src engine.Config, 
 	if res == nil {
 		res, _ = run(src, rq.Trace, rq.Policy)
 	}
-	if d := diff(res, w); d != "" {
+	if d := diff(res, w, totals); d != "" {
 		return d
 	}
 	return "the digests differ"
 }
 
-// replay returns the digest of a straight replay of cfg, tr and p, whose
+// replay returns the digests of a straight replay of cfg, tr and p, whose
 // fingerprint is fp.
-func (c *Checker) replay(cfg engine.Config, tr *trace.Trace, p sched.Policy, fp uint64) (uint64, error) {
+func (c *Checker) replay(cfg engine.Config, tr *trace.Trace, p sched.Policy, fp uint64) (sums, error) {
 	cfg.Sink = nil
 	k := replay{trace: tr.ContentHash(), policy: fp, cfg: cfg}
 	c.mu.Lock()
@@ -135,12 +144,12 @@ func (c *Checker) replay(cfg engine.Config, tr *trace.Trace, p sched.Policy, fp 
 	}
 	res, err := run(cfg, tr, p)
 	if err != nil {
-		return 0, err
+		return sums{}, err
 	}
 	d = digest(res)
 	c.mu.Lock()
 	if c.straight == nil {
-		c.straight = map[replay]uint64{}
+		c.straight = map[replay]sums{}
 	}
 	c.straight[k] = d
 	c.mu.Unlock()
@@ -153,8 +162,9 @@ func run(cfg engine.Config, tr *trace.Trace, p sched.Policy) (*engine.Result, er
 	return engine.Run(cfg, tr, p)
 }
 
-// digest hashes every field of res (FNV-1a, floats by their bits).
-func digest(res *engine.Result) uint64 {
+// digest hashes res (FNV-1a, floats by their bits): its totals, and then
+// its jobs too.
+func digest(res *engine.Result) sums {
 	h := uint64(14695981039346656037)
 	word := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -166,6 +176,7 @@ func digest(res *engine.Result) uint64 {
 	word(math.Float64bits(res.Makespan))
 	word(uint64(res.PeakMapSlots))
 	word(uint64(res.PeakReduceSlots))
+	totals := h
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
 		word(uint64(j.ID))
@@ -177,12 +188,12 @@ func digest(res *engine.Result) uint64 {
 		}
 		word(uint64(j.Events))
 	}
-	return h
+	return sums{totals, h}
 }
 
-// diff says how got differs from want in its events, makespan, peaks or
-// jobs, or returns "".
-func diff(got, want *engine.Result) string {
+// diff says how got differs from want in its events, makespan, peaks or,
+// unless got is a totals-only Result, jobs, or returns "".
+func diff(got, want *engine.Result, totals bool) string {
 	switch {
 	case got == nil || want == nil:
 		return "a replay failed"
@@ -192,6 +203,8 @@ func diff(got, want *engine.Result) string {
 		return fmt.Sprintf("makespan %v, the straight replay %v", got.Makespan, want.Makespan)
 	case got.PeakMapSlots != want.PeakMapSlots || got.PeakReduceSlots != want.PeakReduceSlots:
 		return fmt.Sprintf("peaks %d+%d, the straight replay %d+%d", got.PeakMapSlots, got.PeakReduceSlots, want.PeakMapSlots, want.PeakReduceSlots)
+	case totals:
+		return ""
 	case len(got.Jobs) != len(want.Jobs):
 		return fmt.Sprintf("%d jobs, the straight replay %d", len(got.Jobs), len(want.Jobs))
 	}

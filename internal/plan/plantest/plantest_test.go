@@ -1,6 +1,7 @@
 package plantest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -71,5 +72,51 @@ func TestCheckerCatchesBadShortcuts(t *testing.T) {
 	}
 	for _, line := range m {
 		t.Log(line)
+	}
+}
+
+// TestCheckerComparesTotals: a totals-only Result, a split one that keeps
+// no Jobs (plan.Totals), is checked by its events, makespan and peaks:
+// one equal to a straight replay's totals passes, one with its makespan
+// moved by one ULP is reported. Every other kind of Result keeps its
+// jobs: a copy, a follower's or a cache hit with none is reported even
+// when its totals are right.
+func TestCheckerComparesTotals(t *testing.T) {
+	tr, err := synth.MultiTenantTrace(60, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.DefaultConfig()
+	full, err := engine.Run(cfg, tr, sched.MaxEDF{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Checker
+	rq := plan.Request{Cfg: cfg, Trace: tr, Policy: sched.MaxEDF{}}
+	split := plan.Provenance{How: plan.Split, Segments: 2}
+	totals := *full
+	totals.Jobs = nil
+	c.Settle(split, true, rq, &totals, plan.Request{})
+	if m := c.Mismatches(); len(m) != 0 {
+		t.Fatalf("a totals-only Result equal to the straight replay's totals reported: %q", m)
+	}
+	totals.Makespan = math.Nextafter(totals.Makespan, math.Inf(1))
+	c.Settle(split, true, rq, &totals, plan.Request{})
+	if m := c.Mismatches(); len(m) != 1 || !strings.Contains(m[0], "makespan") {
+		t.Fatalf("a totals-only Result with its makespan moved: reported %q, want the makespan", m)
+	}
+	totals.Makespan = full.Makespan
+	for _, how := range []plan.How{plan.Copied, plan.Followed, plan.Cached} {
+		c.Settle(plan.Provenance{How: how}, false, rq, &totals, rq)
+	}
+	m := c.Mismatches()
+	if len(m) != 4 {
+		t.Fatalf("a copy, a follower's and a cache hit with no jobs: reported %q, want all three", m)
+	}
+	want := fmt.Sprintf("0 jobs, the straight replay %d", len(full.Jobs))
+	for i, how := range []string{"copied ", "followed ", "cached "} {
+		if !strings.HasPrefix(m[1+i], how) || !strings.HasSuffix(m[1+i], want) {
+			t.Errorf("mismatch %q, want a %sResult with %q", m[1+i], how, want)
+		}
 	}
 }

@@ -21,8 +21,13 @@ import "unsafe"
 //     the ArrivalAware hook (OnJobAdmit subsumes it — the MinEDF index
 //     sizes its allocation there exactly like MinEDF.OnJobArrival);
 //   - calls OnJobUpdate after every engine-side mutation of a job's
-//     scheduler-visible counters (task completions, preemption kills),
-//     so the index never goes stale;
+//     scheduler-visible counters that can change the index's answer, so
+//     the index never goes stale: every preemption kill, and every task
+//     completion of an index that ReadsRunning, of a job with a
+//     WantedMaps or WantedReduces cap, or that sets ReduceReady. Under an
+//     index whose rankings are static and with no cap, a completion
+//     changes only running counts, which neither the rankings nor the
+//     eligibility read, so the update it skips would change nothing;
 //   - replaces the per-slot ChooseNext* loop with one AssignMapSlots /
 //     AssignReduceSlots call per allocation round.
 //
@@ -54,6 +59,10 @@ type BatchPolicy interface {
 	OnJobDepart(j *JobInfo)
 	OnJobUpdate(j *JobInfo)
 	ResetQueue()
+	// ReadsRunning reports whether the index's rankings read a job's
+	// running task counts (Fair's, Capacity's queue loads), so that every
+	// task completion must reach it.
+	ReadsRunning() bool
 
 	AssignMapSlots(q []*JobInfo, n int) []int
 	AssignReduceSlots(q []*JobInfo, n int) []int
@@ -126,6 +135,7 @@ func grant(j *JobInfo, kind int) {
 type jobIndex struct {
 	t        *Tournament
 	sized    bool
+	running  bool // the rankings read running counts (Fair): not static
 	estimate Estimator
 	grants   []int
 }
@@ -154,7 +164,7 @@ func jobIndexFor(prev BatchPolicy, mapBetter, redBetter func(a, b *JobInfo) bool
 		ix.t = newSlotTournament(mapBetter, redBetter, static)
 		ix.grants = lineSlice[int](0)
 	}
-	ix.sized = false
+	ix.sized, ix.running = false, !static
 	return ix
 }
 
@@ -174,6 +184,9 @@ func (ix *jobIndex) OnJobUpdate(j *JobInfo) { ix.t.Fix(j, j.wantsMapSlot(), j.wa
 
 // ResetQueue implements BatchPolicy.
 func (ix *jobIndex) ResetQueue() { ix.t.Reset() }
+
+// ReadsRunning implements BatchPolicy.
+func (ix *jobIndex) ReadsRunning() bool { return ix.running }
 
 // assign grants up to n slots of one kind: take the winner, count the
 // grant, re-rank it. A grant of one kind never changes the other
@@ -303,6 +316,9 @@ func (ix *capacityIndex) ResetQueue() {
 		clear(q.run)
 	}
 }
+
+// ReadsRunning implements BatchPolicy: the queue loads are running counts.
+func (ix *capacityIndex) ReadsRunning() bool { return true }
 
 // best returns the winning queue for one kind of slot under the scan's
 // ordering — smallest running/share ratio among queues with an eligible

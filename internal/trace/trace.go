@@ -65,6 +65,13 @@ type Template struct {
 	// (what-if scaling builds new Templates; transforms touch only
 	// Job-level fields), and racing writers store identical values.
 	digest atomic.Pointer[uint64]
+
+	// valid memoizes a successful Validate for Trace.Validate, which then
+	// checks a template shared by any number of jobs (or traces) once with
+	// one load per job, where a per-call set of checked templates cost a
+	// map probe per job. Same contract as the caches above: a template is
+	// not mutated once validated.
+	valid atomic.Bool
 }
 
 // Validate checks the template's internal consistency.
@@ -293,7 +300,8 @@ var ErrEmptyTrace = errors.New("trace: no jobs")
 // validation runs once per *unique* template, not once per job: a
 // deduplicated million-job trace whose jobs share a few hundred
 // templates validates in time proportional to the jobs plus the
-// unique duration volume, never re-walking shared arrays.
+// unique duration volume, never re-walking shared arrays (a template
+// remembers that it passed, Template.valid).
 //
 // A successful Validate is memoized: pooled engines validate the shared
 // trace on every Run, and the per-job walk would otherwise dominate a
@@ -310,7 +318,6 @@ func (tr *Trace) Validate() error {
 	// trace — are unique by construction; the duplicate check takes its
 	// map from the first job that breaks the pattern on.
 	var seen map[int]bool
-	validated := make(map[*Template]bool)
 	for i, j := range tr.Jobs {
 		if j == nil || j.Template == nil {
 			return fmt.Errorf("trace %q: job %d is nil or has no template", tr.Name, i)
@@ -333,11 +340,11 @@ func (tr *Trace) Validate() error {
 			}
 			seen[j.ID] = true
 		}
-		if !validated[j.Template] {
-			if err := j.Template.Validate(); err != nil {
+		if t := j.Template; !t.valid.Load() {
+			if err := t.Validate(); err != nil {
 				return fmt.Errorf("trace %q: job %d: %w", tr.Name, i, err)
 			}
-			validated[j.Template] = true
+			t.valid.Store(true)
 		}
 	}
 	tr.validated.Store(true)

@@ -71,7 +71,7 @@ verify:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
-	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestBatchGroupErrorIsLowestSpec|TestLeadSettlesWhatAnswersAccepts|TestSpeculationDeterministic|TestSharedDirAcrossProcesses|TestConcurrentWritersAndScraper|TestTallyConcurrentWriters|TestTelemetryConcurrentReplays|TestCheckerCatchesBadShortcuts|TestPlanObservedBatchSharesAsBare' -count=3 ./internal/engine ./pkg/simmr ./internal/plan ./internal/plan/plantest ./internal/cluster ./internal/rcache ./internal/telemetry
+	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestBatchGroupErrorIsLowestSpec|TestLeadSettlesWhatAnswersAccepts|TestSpeculationDeterministic|TestSharedDirAcrossProcesses|TestHitIsTheCallersCopy|TestConcurrentWritersAndScraper|TestTallyConcurrentWriters|TestTelemetryConcurrentReplays|TestCheckerCatchesBadShortcuts|TestPlanObservedBatchSharesAsBare' -count=3 ./internal/engine ./pkg/simmr ./internal/plan ./internal/plan/plantest ./internal/cluster ./internal/rcache ./internal/telemetry
 	$(GO) test -race -run '$(SWEEP_CLAIMS)' -count=20 ./pkg/simmr ./internal/plan
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate

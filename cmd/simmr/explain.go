@@ -48,7 +48,7 @@ func runTraceExplain(args []string) error {
 	}
 	cfg.Sink = sink
 	stopRun := tel.Span("run")
-	_, _, err = plan.One(opsOptions(tel, nil), runs.KindAttr, cfg, tr, policy)
+	_, _, err = plan.Totals(opsOptions(tel, nil), runs.KindAttr, cfg, tr, policy)
 	stopRun()
 	if err != nil {
 		return err

@@ -456,11 +456,13 @@ func (e *Engine) Reset(cfg Config, tr *trace.Trace, policy sched.Policy) error {
 		}
 	}
 	e.rearm(cfg, tr, policy, dense, base)
+	e.slotOf = resized(e.slotOf, len(tr.Jobs))
 	return nil
 }
 
 // rearm is Reset past its checks, for a trace whose IDs are dense from
-// base when dense is set.
+// base when dense is set. The caller sizes slotOf to the positions the
+// engine is to replay.
 func (e *Engine) rearm(cfg Config, tr *trace.Trace, policy sched.Policy, dense bool, base int) {
 	n := len(tr.Jobs)
 	e.cfg = cfg
@@ -474,7 +476,6 @@ func (e *Engine) rearm(cfg Config, tr *trace.Trace, policy sched.Policy, dense b
 	// the snapshot-holding side enforces that.
 	e.release()
 	e.tr = tr
-	e.slotOf = resized(e.slotOf, n)
 	e.freeMap = cfg.MapSlots
 	e.freeReduce = cfg.ReduceSlots
 	e.peakMap, e.peakReduce = 0, 0
@@ -510,6 +511,11 @@ func resized(s []*simJob, n int) []*simJob {
 		return s[:n]
 	}
 	return make([]*simJob, n)
+}
+
+// grown returns s, its entries kept, extended with nil ones to length n.
+func grown(s []*simJob, n int) []*simJob {
+	return append(s, make([]*simJob, max(0, n-len(s)))...)
 }
 
 // release returns the engine to holding no job: live slots go back to

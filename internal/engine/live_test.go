@@ -323,34 +323,9 @@ func TestTotalsReplayKeepsNoOutcomes(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const n = 8192
-	long := sparseStream(t, 2*n, 13)
-	short := &trace.Trace{Name: "short", Jobs: long.Jobs[:n]}
-	for _, tr := range []*trace.Trace{short, long} {
-		if _, err := Run(DefaultConfig(), tr, sched.FIFO{}); err != nil { // validates and profiles the templates
-			t.Fatal(err)
-		}
-	}
-	// bytes is the least a cold replay of tr allocates over a few runs.
-	bytes := func(tr *trace.Trace, totals bool) uint64 {
-		least := uint64(math.MaxUint64)
-		for range 3 {
-			var pool Pool // empty: the replay builds its engine
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			res, _, _, err := pool.RunSplit(DefaultConfig(), tr, sched.FIFO{}, 1, totals)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (res.Jobs == nil) != totals {
-				t.Fatalf("totals %v: Result holds %d jobs", totals, len(res.Jobs))
-			}
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
-		return least
-	}
+	short, long := coldReplayTraces(t, n)
 	perJob := func(totals bool) float64 {
-		return (float64(bytes(long, totals)) - float64(bytes(short, totals))) / n
+		return (float64(coldReplayBytes(t, long, totals, 1)) - float64(coldReplayBytes(t, short, totals, 1))) / n
 	}
 	totals, full := perJob(true), perJob(false)
 	t.Logf("cold replay, %d → %d jobs: totals-only %.3f B/job, full %.3f B/job", n, 2*n, totals, full)
@@ -360,4 +335,62 @@ func TestTotalsReplayKeepsNoOutcomes(t *testing.T) {
 	if outcome := float64(unsafe.Sizeof(JobOutcome{})); full-totals < outcome {
 		t.Errorf("a full replay allocates %.1f B per job more than a totals-only one, want its %.0f-B outcome", full-totals, outcome)
 	}
+}
+
+// TestSplitTotalsReplayKeepsNoOutcomes: split into 2, 4 or 8 segments, a
+// totals-only replay allocates at most 8 B per job more than unsplit.
+// Each later segment's engine holds a by-position table for its own
+// share, not for the rest of the trace: the tables of every segment but
+// the first cover the trace once between them.
+func TestSplitTotalsReplayKeepsNoOutcomes(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n = 8192
+	short, long := coldReplayTraces(t, n)
+	for _, workers := range []int{2, 4, 8} {
+		perJob := (float64(coldReplayBytes(t, long, true, workers)) - float64(coldReplayBytes(t, short, true, workers))) / n
+		t.Logf("cold totals-only replay, %d → %d jobs, %d segments: %.3f B/job", n, 2*n, workers, perJob)
+		if perJob > 24+8+1024.0/n {
+			t.Errorf("a totals-only replay split %d ways allocates %.3f B per job, want ≤ 32", workers, perJob)
+		}
+	}
+}
+
+// coldReplayTraces returns sparse traces of n and 2n jobs, validated and
+// profiled, so a replay of either allocates for the replay alone.
+func coldReplayTraces(t *testing.T, n int) (short, long *trace.Trace) {
+	long = sparseStream(t, 2*n, 13)
+	short = &trace.Trace{Name: "short", Jobs: long.Jobs[:n]}
+	for _, tr := range []*trace.Trace{short, long} {
+		if _, err := Run(DefaultConfig(), tr, sched.FIFO{}); err != nil { // validates and profiles the templates
+			t.Fatal(err)
+		}
+	}
+	return short, long
+}
+
+// coldReplayBytes is the least a cold FIFO replay of tr, split over
+// workers segments, allocates over a few runs. Every boundary must hold.
+func coldReplayBytes(t *testing.T, tr *trace.Trace, totals bool, workers int) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var pool Pool // empty: the replay builds its engines
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, segments, cancelled, err := pool.RunSplit(DefaultConfig(), tr, sched.FIFO{}, workers, totals)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Jobs == nil) != totals {
+			t.Fatalf("totals %v: Result holds %d jobs", totals, len(res.Jobs))
+		}
+		if segments != workers || cancelled != 0 {
+			t.Fatalf("%d workers: the replay ran as %d segments, %d cancelled", workers, segments, cancelled)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

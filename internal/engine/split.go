@@ -137,14 +137,14 @@ func (e *Engine) runSplit(p *Pool, bounds []int) (res *Result, accepted int, err
 	for i := range segs {
 		s := &segs[i]
 		s.e, s.end, s.next, s.done = e, n, i+1, make(chan struct{})
+		if i < len(bounds) {
+			s.end = bounds[i]
+		}
 		if i > 0 {
 			if s.e = p.take(); s.e == nil {
 				s.e = new(Engine)
 			}
-			s.e.armSuffix(e, bounds[i-1], new(trace.Trace))
-		}
-		if i < len(bounds) {
-			s.end = bounds[i]
+			s.e.armSuffix(e, bounds[i-1], s.end, new(trace.Trace))
 		}
 	}
 	for i := 1; i < len(segs); i++ {
@@ -198,9 +198,12 @@ func (res *Result) stitch(e *Engine) {
 // outcomes go to first's array from position k on, bound and cleared
 // when first started, so that no engine clears what another may be
 // writing — or nowhere, when first is a totals-only replay and bound none.
-func (e *Engine) armSuffix(first *Engine, k int, view *trace.Trace) {
+// Its by-position table covers positions k up to end, the share it is
+// given; segment.run grows it when the share does.
+func (e *Engine) armSuffix(first *Engine, k, end int, view *trace.Trace) {
 	*view = trace.Trace{Name: first.tr.Name, Jobs: first.tr.Jobs[k:]}
 	e.rearm(first.cfg, view, first.policy, first.indexOf == nil, first.idBase+k)
+	e.slotOf = resized(e.slotOf, end-k)
 	e.state = runStarted
 	e.q.Preload(evJobArrival, first.arrivals[k:])
 	if first.out != nil {
@@ -218,7 +221,8 @@ func (e *Engine) quiescent() bool { return e.live == 0 && e.q.Len() == e.q.Prelo
 // so the engine's state is a fresh one's on the trace from s.end on —
 // the next segment's. If that arrival is due while the cluster is busy,
 // the boundary fails: the segment replaying from it is cancelled and
-// waited for, and this engine takes over its share.
+// waited for, and this engine takes over its share, its by-position
+// table grown to cover it.
 //
 // The step's error stays in a local until a step fails, so the loop
 // stores nothing into the segment array, whose flags other cores load on
@@ -235,6 +239,7 @@ func (s *segment) run(segs []segment, n int) {
 				o.cancel.Store(true)
 				<-o.done
 				s.end, s.next = o.end, o.next
+				e.slotOf = grown(e.slotOf, len(e.tr.Jobs)-(n-s.end))
 				continue
 			}
 		}

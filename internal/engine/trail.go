@@ -197,7 +197,7 @@ func (e *Engine) follow(p *Pool, t *Trail, res *Result) (jobs int, events uint64
 			}
 			view = new(trace.Trace)
 		}
-		s.armSuffix(e, end, view)
+		s.armSuffix(e, end, n, view)
 		// The stretch at mark j is not repeated: no copy can begin there.
 		run, i = s, j+1
 	}

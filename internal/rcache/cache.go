@@ -1,6 +1,7 @@
 package rcache
 
 import (
+	"container/list"
 	"errors"
 	"io/fs"
 	"os"
@@ -8,18 +9,20 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"simmr/internal/engine"
 )
 
 // DefaultMemBytes is the in-memory tier budget when Options.MemBytes
-// is unset. An entry costs ~54 B per job (~1.08 MB at 20 000 jobs), so
-// it holds about 60 results of that size, or thousands of small ones.
+// is unset. A resident Result costs its size in memory, 48 B per job
+// plus its name bytes (~1.08 MB at 20 000 jobs), so the tier holds
+// about 60 results of that size, or thousands of small ones.
 const DefaultMemBytes = 64 << 20
 
 // entryOverhead approximates the per-entry bookkeeping cost (map slot,
-// list node, key) charged against the byte budget on top of the
-// encoded payload.
+// list node, key, totals) charged against the byte budget on top of
+// the jobs and names.
 const entryOverhead = 128
 
 // diskExt is the on-disk entry suffix; Clear only ever removes files
@@ -53,9 +56,10 @@ type Options struct {
 	// Dir enables the on-disk tier: one file per entry, written
 	// atomically. "" keeps the cache memory-only.
 	Dir string
-	// MemBytes budgets the in-memory tier; <= 0 means DefaultMemBytes.
-	// With Dir set the tier holds the entries read back from disk (and
-	// any whose disk write failed); without Dir it holds every Put.
+	// MemBytes budgets the in-memory tier of decoded Results, each
+	// charged its size there; <= 0 means DefaultMemBytes. With Dir set
+	// the tier holds the entries read back from disk (and any whose disk
+	// write failed); without Dir it holds every Put.
 	MemBytes int64
 	// Obs, when non-nil, receives hit/miss/eviction/bytes events.
 	Obs Observer
@@ -80,12 +84,11 @@ type Cache struct {
 	obs    Observer
 
 	// The memory tier: one LRU under one lock, holding at most budget
-	// bytes. The lock covers map and list surgery only — Decode and the
-	// disk tier run outside it.
+	// bytes. The lock covers map and list surgery only — a hit's copy,
+	// Decode and the disk tier run outside it.
 	mu    sync.Mutex
-	m     map[Key]*node
-	head  *node // most recently used
-	tail  *node // least recently used
+	m     map[Key]*list.Element
+	lru   list.List // of *resident, most recently used first
 	bytes int64
 
 	hits      atomic.Uint64
@@ -94,21 +97,73 @@ type Cache struct {
 	evictions atomic.Uint64
 }
 
-// node is one resident entry in the intrusive LRU list.
-type node struct {
-	key        Key
-	data       []byte
-	prev, next *node
+// resident is an entry of the memory tier: a Result with its jobs kept
+// with no pointer among them and every name in one string, so that a
+// collection marks one string per entry rather than following a name
+// pointer per job, every cycle. A hit copies it out into the caller's
+// own Result.
+type resident struct {
+	key    Key
+	totals engine.Result // Jobs nil
+	jobs   []outcome
+	names  string
 }
 
-func (n *node) cost() int64 { return int64(len(n.data)) + entryOverhead }
+// outcome is an engine.JobOutcome in a resident: its name is the names
+// from the previous job's nameEnd to its own.
+type outcome struct {
+	id                                     int
+	arrival, finish, deadline, mapStageEnd float64
+	events, nameEnd                        uint32
+}
+
+// newResident copies res into the memory tier's form, under k. It fails
+// on the counts an entry image cannot hold either.
+func newResident(k Key, res *engine.Result) (*resident, error) {
+	nameLen, err := checkCounts(res)
+	if err != nil {
+		return nil, err
+	}
+	r := &resident{key: k, totals: *res, jobs: make([]outcome, len(res.Jobs))}
+	r.totals.Jobs = nil
+	var names strings.Builder
+	names.Grow(nameLen)
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		names.WriteString(j.Name)
+		r.jobs[i] = outcome{j.ID, j.Arrival, j.Finish, j.Deadline, j.MapStageEnd, uint32(j.Events), uint32(names.Len())}
+	}
+	r.names = names.String()
+	return r, nil
+}
+
+// result is the caller's own copy of r, names sliced from r's string.
+// Field by field: a whole JobOutcome stored while a collection runs goes
+// through the runtime's bulk write barrier, job by job.
+func (r *resident) result() *engine.Result {
+	res := r.totals
+	res.Jobs = make([]engine.JobOutcome, len(r.jobs))
+	start := uint32(0)
+	for i := range r.jobs {
+		o, j := &r.jobs[i], &res.Jobs[i]
+		j.ID, j.Name, j.Events = o.id, r.names[start:o.nameEnd], int(o.events)
+		j.Arrival, j.Finish, j.Deadline, j.MapStageEnd = o.arrival, o.finish, o.deadline, o.mapStageEnd
+		start = o.nameEnd
+	}
+	return &res
+}
+
+// cost is what r is charged against the budget.
+func (r *resident) cost() int64 {
+	return int64(len(r.jobs))*int64(unsafe.Sizeof(outcome{})) + int64(len(r.names)) + entryOverhead
+}
 
 // New builds a cache. If Dir is set it is created eagerly so the first
 // Put never races a missing directory; creation failure degrades to
 // memory-only rather than erroring — the cache is an accelerator, not
 // a dependency.
 func New(opts Options) *Cache {
-	c := &Cache{dir: opts.Dir, obs: opts.Obs, budget: opts.MemBytes, m: make(map[Key]*node)}
+	c := &Cache{dir: opts.Dir, obs: opts.Obs, budget: opts.MemBytes, m: make(map[Key]*list.Element)}
 	if c.budget <= 0 {
 		c.budget = DefaultMemBytes
 	}
@@ -120,106 +175,98 @@ func New(opts Options) *Cache {
 	return c
 }
 
-// Get returns the cached Result for k, consulting memory then disk.
-// Disk hits are promoted into the memory tier; with a disk tier that
-// promotion is what fills it, so the first re-read of an entry inside
-// one process costs one disk read. Every returned Result
-// is freshly decoded, so callers may mutate it freely. Any decode or
-// CRC failure — either tier — counts as a miss and evicts the bad
-// bytes; corruption costs a recompute, never a wrong answer.
+// Get returns the cached Result for k, consulting memory then disk. A
+// memory hit is one copy. A disk hit is decoded once — Decode, which
+// checks CRCs, key and bounds, is the only way bytes from outside the
+// process reach memory — and promoted; with a disk tier that promotion
+// is what fills the memory tier. Every returned Result is the caller's
+// own to mutate. An image that fails to decode is a miss and is
+// deleted: corruption costs a recompute, never a wrong answer.
 func (c *Cache) Get(k Key) (*engine.Result, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
-	n, ok := c.m[k]
-	var data []byte
-	if ok {
-		c.moveToFront(n)
-		data = n.data
+	e, mem := c.m[k]
+	var r *resident
+	if mem {
+		c.lru.MoveToFront(e)
+		r = e.Value.(*resident)
 	}
 	c.mu.Unlock()
-	if ok {
-		res, err := Decode(data, k)
-		if err == nil {
-			c.hits.Add(1)
-			if c.obs != nil {
-				c.obs.RCacheHit(false)
-			}
-			return res, true
-		}
-		c.remove(k) // poisoned in-memory entry: drop it, try disk
-	}
-	if c.dir != "" {
+	var res *engine.Result
+	if mem {
+		res = r.result()
+	} else if c.dir != "" {
 		if img, err := os.ReadFile(c.entryPath(k)); err == nil {
-			if res, err := Decode(img, k); err == nil {
-				c.insert(k, img)
-				c.hits.Add(1)
+			if res, err = Decode(img, k); err == nil {
+				c.insert(k, res)
 				c.diskHits.Add(1)
-				if c.obs != nil {
-					c.obs.RCacheHit(true)
-				}
-				return res, true
+			} else {
+				// Corrupt on disk: delete so the slot heals on next Put.
+				os.Remove(c.entryPath(k))
 			}
-			// Corrupt on disk: delete so the slot heals on next Put.
-			os.Remove(c.entryPath(k))
 		}
 	}
-	c.misses.Add(1)
-	if c.obs != nil {
-		c.obs.RCacheMiss()
+	if res == nil {
+		c.misses.Add(1)
+		if c.obs != nil {
+			c.obs.RCacheMiss()
+		}
+		return nil, false
 	}
-	return nil, false
+	c.hits.Add(1)
+	if c.obs != nil {
+		c.obs.RCacheHit(!mem)
+	}
+	return res, true
 }
 
 // Put stores res under k. With a disk tier it writes the disk alone: a
-// result written once and never read again does not occupy the memory
-// budget, and Get promotes the ones that are read back. A memory-only
-// cache, or a disk write that fails (disk full, directory gone), stores
-// into the memory tier instead, so a broken disk never loses in-process
-// memoization. Failures are otherwise silent by design (encode
-// overflow): the caller already holds the fresh result and loses
-// nothing but future hits.
+// result never read back does not occupy the memory budget. A
+// memory-only cache, or a failed disk write, stores a copy of res in
+// memory instead, unencoded, so a broken disk never loses in-process
+// memoization. Counts no entry holds (2^32 events in a job) are not
+// cached. The caller keeps res and may mutate it.
 func (c *Cache) Put(k Key, res *engine.Result) {
 	if c == nil || res == nil {
 		return
 	}
-	data, err := Encode(k, res)
-	if err != nil {
-		return
+	if c.dir != "" {
+		if data, err := Encode(k, res); err == nil && writeFileAtomic(c.entryPath(k), data) == nil {
+			return
+		}
 	}
-	if c.dir == "" || writeFileAtomic(c.entryPath(k), data) != nil {
-		c.insert(k, data)
-	}
+	c.insert(k, res)
 }
 
-// insert places encoded bytes into the memory tier, evicting LRU
-// entries until it fits the budget. Entries larger than the whole
-// budget skip the memory tier (they would only thrash it); the disk
-// tier still serves them.
-func (c *Cache) insert(k Key, data []byte) {
-	if int64(len(data))+entryOverhead > c.budget {
+// insert copies res into the memory tier, evicting LRU entries until
+// it fits the budget. Entries larger than the whole budget skip the
+// memory tier (they would only thrash it); the disk tier still serves
+// them.
+func (c *Cache) insert(k Key, res *engine.Result) {
+	r, err := newResident(k, res)
+	if err != nil || r.cost() > c.budget {
 		return
 	}
 	var evicted uint64
 	c.mu.Lock()
-	n, ok := c.m[k]
+	e, ok := c.m[k]
 	if ok {
-		c.bytes -= n.cost()
-		n.data = data
-		c.moveToFront(n)
+		c.bytes -= e.Value.(*resident).cost()
+		e.Value = r
+		c.lru.MoveToFront(e)
 	} else {
-		n = &node{key: k, data: data}
-		c.m[k] = n
-		c.pushFront(n)
+		e = c.lru.PushFront(r)
+		c.m[k] = e
 	}
-	c.bytes += n.cost()
+	c.bytes += r.cost()
 	// Evict on both paths: an overwrite that grows the payload can push
 	// the tier over budget just as a fresh insert can. The just-touched
-	// node is at the front and excluded, so the loop always terminates.
-	for c.bytes > c.budget && c.tail != n {
+	// entry is at the front and excluded, so the loop always terminates.
+	for c.bytes > c.budget && c.lru.Back() != e {
 		evicted++
-		c.drop(c.tail)
+		c.drop(c.lru.Back())
 	}
 	resident := c.bytes
 	c.mu.Unlock()
@@ -234,53 +281,11 @@ func (c *Cache) insert(k Key, data []byte) {
 	}
 }
 
-// remove drops k from the memory tier (poisoned entry path).
-func (c *Cache) remove(k Key) {
-	c.mu.Lock()
-	if n, ok := c.m[k]; ok {
-		c.drop(n)
-	}
-	c.mu.Unlock()
-}
-
-// drop takes n out of the memory tier. The caller holds c.mu.
-func (c *Cache) drop(n *node) {
-	c.unlink(n)
-	delete(c.m, n.key)
-	c.bytes -= n.cost()
-}
-
-func (c *Cache) pushFront(n *node) {
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *Cache) unlink(n *node) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *Cache) moveToFront(n *node) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
+// drop takes e out of the memory tier. The caller holds c.mu.
+func (c *Cache) drop(e *list.Element) {
+	r := c.lru.Remove(e).(*resident)
+	delete(c.m, r.key)
+	c.bytes -= r.cost()
 }
 
 // Stats snapshots the counters.
@@ -342,8 +347,9 @@ func (c *Cache) Clear() error {
 		return nil
 	}
 	c.mu.Lock()
-	c.m = make(map[Key]*node)
-	c.head, c.tail, c.bytes = nil, nil, 0
+	c.m = make(map[Key]*list.Element)
+	c.lru.Init()
+	c.bytes = 0
 	c.mu.Unlock()
 	if c.obs != nil {
 		c.obs.RCacheBytes(0)

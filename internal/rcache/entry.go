@@ -68,16 +68,9 @@ func corrupt(format string, args ...any) error {
 // of 2^32 events or a 4 GiB name table are not realistic replays.
 func Encode(k Key, res *engine.Result) ([]byte, error) {
 	n := len(res.Jobs)
-	var nameLen int
-	for i := range res.Jobs {
-		j := &res.Jobs[i]
-		nameLen += len(j.Name)
-		if j.Events < 0 || j.Events > math.MaxUint32 {
-			return nil, fmt.Errorf("rcache: job %d event count overflows u32", j.ID)
-		}
-	}
-	if uint64(nameLen)+uint64(n) > math.MaxUint32 {
-		return nil, fmt.Errorf("rcache: name table too large (%d bytes)", nameLen)
+	nameLen, err := checkCounts(res)
+	if err != nil {
+		return nil, err
 	}
 
 	colsSize := pad8(n * colsRecSize)
@@ -95,35 +88,22 @@ func Encode(k Key, res *engine.Result) ([]byte, error) {
 	binary.LittleEndian.PutUint64(buf[peaksOff:], uint64(res.PeakMapSlots))
 	binary.LittleEndian.PutUint64(buf[peaksOff+8:], uint64(res.PeakReduceSlots))
 
-	// Cols section: one column at a time.
-	cols := buf[entryHeaderSize : entryHeaderSize+colsSize]
-	off := 0
-	for i := range res.Jobs {
-		binary.LittleEndian.PutUint64(cols[off+8*i:], uint64(int64(res.Jobs[i].ID)))
-	}
-	off += 8 * n
-	for _, get := range []func(*engine.JobOutcome) float64{
-		func(j *engine.JobOutcome) float64 { return j.Arrival },
-		func(j *engine.JobOutcome) float64 { return j.Finish },
-		func(j *engine.JobOutcome) float64 { return j.Deadline },
-		func(j *engine.JobOutcome) float64 { return j.MapStageEnd },
-	} {
-		for i := range res.Jobs {
-			binary.LittleEndian.PutUint64(cols[off+8*i:], math.Float64bits(get(&res.Jobs[i])))
-		}
-		off += 8 * n
-	}
-	for i := range res.Jobs {
-		binary.LittleEndian.PutUint32(cols[off+4*i:], uint32(res.Jobs[i].Events))
-	}
-
-	// Names section: cumulative offsets, then the blob.
+	// One pass over the jobs writes each job's six columns, its name
+	// offset and its name.
+	cols := newColumns(buf[entryHeaderSize:entryHeaderSize+colsSize], n)
 	names := buf[entryHeaderSize+colsSize : entryHeaderSize+colsSize+namesSize]
-	blobOff := 4 * (n + 1)
+	blob := names[4*(n+1):]
 	cum := 0
 	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		binary.LittleEndian.PutUint64(cols.id[8*i:], uint64(int64(j.ID)))
+		binary.LittleEndian.PutUint64(cols.arrival[8*i:], math.Float64bits(j.Arrival))
+		binary.LittleEndian.PutUint64(cols.finish[8*i:], math.Float64bits(j.Finish))
+		binary.LittleEndian.PutUint64(cols.deadline[8*i:], math.Float64bits(j.Deadline))
+		binary.LittleEndian.PutUint64(cols.mapEnd[8*i:], math.Float64bits(j.MapStageEnd))
+		binary.LittleEndian.PutUint32(cols.events[4*i:], uint32(j.Events))
 		binary.LittleEndian.PutUint32(names[4*i:], uint32(cum))
-		cum += copy(names[blobOff+cum:], res.Jobs[i].Name)
+		cum += copy(blob[cum:], j.Name)
 	}
 	binary.LittleEndian.PutUint32(names[4*n:], uint32(cum))
 
@@ -140,6 +120,22 @@ func Encode(k Key, res *engine.Result) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint32(buf[headerCRCOff:], crc32.Checksum(buf[:headerCRCOff], castagnoli))
 	return buf, nil
+}
+
+// checkCounts returns the bytes of res's names, or an error when a count
+// overflows an entry's fixed-width fields.
+func checkCounts(res *engine.Result) (nameLen int, err error) {
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		nameLen += len(j.Name)
+		if j.Events < 0 || j.Events > math.MaxUint32 {
+			return 0, fmt.Errorf("rcache: job %d event count overflows u32", j.ID)
+		}
+	}
+	if uint64(nameLen)+uint64(len(res.Jobs)) > math.MaxUint32 {
+		return 0, fmt.Errorf("rcache: name table too large (%d bytes)", nameLen)
+	}
+	return nameLen, nil
 }
 
 // Decode reconstructs the Result encoded in img. want is the key the
@@ -208,44 +204,39 @@ func Decode(img []byte, want Key) (*engine.Result, error) {
 		PeakReduceSlots: int(peakReduce),
 	}
 
-	cols := img[secs[secCols].off : secs[secCols].off+secs[secCols].size]
-	off := 0
-	for i := range res.Jobs {
-		res.Jobs[i].ID = int(int64(binary.LittleEndian.Uint64(cols[off+8*i:])))
-	}
-	off += 8 * n
-	for _, set := range []func(*engine.JobOutcome, float64){
-		func(j *engine.JobOutcome, v float64) { j.Arrival = v },
-		func(j *engine.JobOutcome, v float64) { j.Finish = v },
-		func(j *engine.JobOutcome, v float64) { j.Deadline = v },
-		func(j *engine.JobOutcome, v float64) { j.MapStageEnd = v },
-	} {
-		for i := range res.Jobs {
-			set(&res.Jobs[i], math.Float64frombits(binary.LittleEndian.Uint64(cols[off+8*i:])))
-		}
-		off += 8 * n
-	}
-	for i := range res.Jobs {
-		res.Jobs[i].Events = int(binary.LittleEndian.Uint32(cols[off+4*i:]))
-	}
-
-	// One string for every name, sliced per job: one allocation, not one
-	// per job (a cached result's names share their backing bytes).
+	// One pass over the jobs reads each job's six columns and its name.
+	// One string holds every name, sliced per job: one allocation, not
+	// one per job (a cached result's names share their backing bytes).
+	cols := newColumns(img[secs[secCols].off:secs[secCols].off+secs[secCols].size], n)
 	names := img[secs[secNames].off : secs[secNames].off+secs[secNames].size]
 	blob := string(names[4*(n+1):])
-	prev := uint32(0)
-	for i := 0; i <= n; i++ {
-		cum := binary.LittleEndian.Uint32(names[4*i:])
+	prev := binary.LittleEndian.Uint32(names)
+	if uint64(prev) > uint64(len(blob)) {
+		return nil, corrupt("name offset 0 out of blob")
+	}
+	for i := range res.Jobs {
+		cum := binary.LittleEndian.Uint32(names[4*(i+1):])
 		if cum < prev || uint64(cum) > uint64(len(blob)) {
-			return nil, corrupt("name offset %d non-monotonic or out of blob", i)
+			return nil, corrupt("name offset %d non-monotonic or out of blob", i+1)
 		}
-		if i > 0 {
-			res.Jobs[i-1].Name = blob[prev:cum]
-		}
+		j := &res.Jobs[i] // field by field, as resident.result stores
+		j.ID = int(int64(binary.LittleEndian.Uint64(cols.id[8*i:])))
+		j.Name = blob[prev:cum]
+		j.Arrival = math.Float64frombits(binary.LittleEndian.Uint64(cols.arrival[8*i:]))
+		j.Finish = math.Float64frombits(binary.LittleEndian.Uint64(cols.finish[8*i:]))
+		j.Deadline = math.Float64frombits(binary.LittleEndian.Uint64(cols.deadline[8*i:]))
+		j.MapStageEnd = math.Float64frombits(binary.LittleEndian.Uint64(cols.mapEnd[8*i:]))
+		j.Events = int(binary.LittleEndian.Uint32(cols.events[4*i:]))
 		prev = cum
 	}
-
 	return res, nil
+}
+
+// columns splits a cols section of n jobs into its six columns.
+type columns struct{ id, arrival, finish, deadline, mapEnd, events []byte }
+
+func newColumns(sec []byte, n int) columns {
+	return columns{sec[:8*n], sec[8*n : 16*n], sec[16*n : 24*n], sec[24*n : 32*n], sec[32*n : 40*n], sec[40*n : 44*n]}
 }
 
 func pad8(n int) int { return (n + 7) &^ 7 }

@@ -1,12 +1,14 @@
 package rcache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"simmr/internal/engine"
@@ -71,6 +73,136 @@ func TestDecodeAllocsIndependentOfJobCount(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Fatalf("Decode of a 1000-job entry: %v allocations, want <= 4", allocs)
+	}
+}
+
+// TestEntryV3Fixture pins the SRRC image: testdata/entry_v3.srrc is
+// the version 3 image of the 31-job MaxEDF replay below (its cols
+// section needs the pad), written by the column-at-a-time encoder that
+// preceded the one-pass one. Encode must still write it byte for byte
+// and Decode read it back.
+func TestEntryV3Fixture(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "entry_v3.srrc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.DefaultConfig()
+	res, h := testResult(t, 31, cfg, sched.MaxEDF{})
+	k, _ := KeyFor(h, cfg, sched.MaxEDF{})
+	if 31*colsRecSize%8 == 0 {
+		t.Fatal("31 jobs must leave the cols section to its pad")
+	}
+	img, err := Encode(k, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, fixture) {
+		t.Fatalf("Encode wrote %d bytes that differ from the %d-byte fixture", len(img), len(fixture))
+	}
+	got, err := Decode(fixture, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, res) {
+		t.Fatal("the fixture decodes to another Result")
+	}
+}
+
+// TestHitIsTheCallersCopy: whatever a caller does to a hit — a job
+// rewritten, a job appended, the makespan changed — or to the Result it
+// Put, no later hit sees it, on either tier, from one goroutine or
+// eight.
+func TestHitIsTheCallersCopy(t *testing.T) {
+	cfg := engine.DefaultConfig()
+	res, h := testResult(t, 25, cfg, sched.FIFO{})
+	k, _ := KeyFor(h, cfg, sched.FIFO{})
+	want := copyResult(res)
+	mutate := func(t *testing.T, c *Cache) {
+		got, ok := c.Get(k)
+		if !ok {
+			t.Error("miss")
+			return
+		}
+		got.Jobs[0].Finish, got.Jobs[0].Name = -1, "mutated"
+		got.Jobs = append(got.Jobs, engine.JobOutcome{ID: 99})
+		got.Makespan = -1
+	}
+	for _, tier := range []struct {
+		name string
+		opts func() Options
+	}{
+		{"memory", func() Options { return Options{} }},
+		{"disk", func() Options { return Options{Dir: t.TempDir()} }},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			c := New(tier.opts())
+			put := copyResult(res)
+			c.Put(k, put)
+			put.Jobs[1].Finish, put.Makespan = -2, -2
+			for i := 0; i < 3; i++ {
+				mutate(t, c)
+			}
+			if got, ok := c.Get(k); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("a hit after three mutated ones: hit %v, equal %v", ok, ok && reflect.DeepEqual(got, want))
+			}
+		})
+		t.Run(tier.name+"-concurrent", func(t *testing.T) {
+			c := New(tier.opts())
+			c.Put(k, res)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 20; i++ {
+						mutate(t, c)
+					}
+				}()
+			}
+			wg.Wait()
+			if got, ok := c.Get(k); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("a hit after 160 concurrently mutated ones: hit %v", ok)
+			}
+		})
+	}
+}
+
+// copyResult is a deep copy of res, the names shared.
+func copyResult(res *engine.Result) *engine.Result {
+	cp := *res
+	cp.Jobs = append([]engine.JobOutcome(nil), res.Jobs...)
+	return &cp
+}
+
+// residentCost is what the memory tier charges for res.
+func residentCost(t *testing.T, res *engine.Result) int64 {
+	t.Helper()
+	r, err := newResident(Key{}, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.cost()
+}
+
+// A memory hit is one copy: the Result and its Jobs array, whatever the
+// job count.
+func TestHitAllocsIndependentOfJobCount(t *testing.T) {
+	for _, jobs := range []int{1000, 10000} {
+		res := &engine.Result{Jobs: make([]engine.JobOutcome, jobs), Events: 7}
+		for i := range res.Jobs {
+			res.Jobs[i] = engine.JobOutcome{ID: i, Name: "job", Finish: float64(i)}
+		}
+		c := New(Options{})
+		k := Key{Hi: uint64(jobs)}
+		c.Put(k, res)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, ok := c.Get(k); !ok {
+				t.Fatal("miss")
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("a memory hit on a %d-job entry: %v allocations, want <= 2", jobs, allocs)
+		}
 	}
 }
 
@@ -187,9 +319,9 @@ func TestGoldenKey(t *testing.T) {
 // TestStaleEntryVersionIsSoftMiss: an entry written by a binary with
 // another entryVersion — testdata/entry_v1.srrc and entry_v2.srrc are
 // well-formed version 1 and 2 images of a two-job result, under the key
-// they were addressed by — is an ordinary miss on both tiers: counted,
-// no error, and replaced by the next Put, after which the directory
-// still holds one entry.
+// they were addressed by — is an ordinary miss: counted, no error, never
+// promoted into the memory tier, and replaced by the next Put, after
+// which the directory still holds one entry.
 func TestStaleEntryVersionIsSoftMiss(t *testing.T) {
 	for _, name := range []string{"entry_v1.srrc", "entry_v2.srrc"} {
 		t.Run(name, func(t *testing.T) { staleEntryIsSoftMiss(t, name) })
@@ -221,15 +353,14 @@ func staleEntryIsSoftMiss(t *testing.T, fixture string) {
 		t.Fatal(err)
 	}
 	c := New(Options{Dir: dir})
-	c.insert(k, stale)
 	if n, _, err := c.DiskInfo(); err != nil || n != 1 {
 		t.Fatalf("DiskInfo counts %d entries (err %v) with the stale image in place, want 1", n, err)
 	}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("a stale image was served as a hit")
 	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("a stale image must count as one miss: %+v", st)
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.MemEntries != 0 {
+		t.Fatalf("a stale image must count as one miss and stay out of memory: %+v", st)
 	}
 	c.Put(k, res)
 	img, err := os.ReadFile(path)
@@ -252,8 +383,7 @@ func TestMemoryTierLRU(t *testing.T) {
 	// Budget small enough that only a handful of entries fit.
 	cfg := engine.DefaultConfig()
 	res, h := testResult(t, 20, cfg, sched.FIFO{})
-	img, _ := Encode(Key{}, res)
-	perEntry := int64(len(img)) + entryOverhead
+	perEntry := residentCost(t, res)
 
 	const resident = 32
 	c := New(Options{MemBytes: perEntry * resident})
@@ -370,28 +500,23 @@ func TestOverwriteGrowthEvicts(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	small, _ := testResult(t, 5, cfg, sched.FIFO{})
 	large, h := testResult(t, 60, cfg, sched.FIFO{})
-	smallImg, _ := Encode(Key{}, small)
 	keys := make([]Key, 4)
 	for i := range keys {
 		keys[i] = Key{Hi: uint64(i), Lo: h}
 	}
-	largeImg, err := Encode(keys[3], large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perSmall, perLarge := int64(len(smallImg))+entryOverhead, int64(len(largeImg))+entryOverhead
+	perSmall, perLarge := residentCost(t, small), residentCost(t, large)
 
 	// Budget: the large entry beside one small one — room for the four
 	// small entries, not for three of them and the large.
 	c := New(Options{MemBytes: perLarge + perSmall})
 	for _, k := range keys {
-		c.insert(k, append([]byte(nil), smallImg...))
+		c.insert(k, small)
 	}
 	if st := c.Stats(); st.MemEntries != 4 || st.Evictions != 0 {
 		t.Fatalf("four small entries do not fit beside each other: %+v", st)
 	}
 	// Overwrite the last-touched key with the much larger payload.
-	c.insert(keys[3], largeImg)
+	c.insert(keys[3], large)
 	st := c.Stats()
 	if st.MemBytes > c.budget {
 		t.Fatalf("%d bytes over budget %d after overwrite growth", st.MemBytes, c.budget)
@@ -519,17 +644,17 @@ func TestCorruptEntryFallsBack(t *testing.T) {
 		"bad-version": func() []byte { m := append([]byte(nil), img...); m[4] = 0x7f; return m },
 	}
 	for name, mk := range corruptions {
-		c := fresh() // memory holds a good copy; poison both tiers
+		c := fresh()
 		if err := os.WriteFile(path, mk(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Poison the memory tier too by inserting the corrupt bytes.
-		c.insert(k, mk())
 		if _, ok := c.Get(k); ok {
 			t.Errorf("%s: corrupt entry served as a hit", name)
 		}
-		if st := c.Stats(); st.Misses != 1 {
-			t.Errorf("%s: corruption must count as a miss, stats %+v", name, st)
+		// The memory tier holds only what Decode accepted: a corrupt
+		// image is never promoted.
+		if st := c.Stats(); st.Misses != 1 || st.MemEntries != 0 {
+			t.Errorf("%s: corruption must count as a miss and stay out of memory, stats %+v", name, st)
 		}
 		// The poisoned file must have been removed so Put can heal it.
 		if _, err := os.Stat(path); err == nil && name != "empty" {

@@ -7,14 +7,16 @@ import (
 )
 
 // Cache is the content-addressed replay result cache: a byte-budgeted
-// in-memory LRU in front of an optional on-disk store.
-// The engine's determinism makes it sound by construction — a key is a
-// 128-bit fingerprint over (full-content trace digest, config, policy,
-// engine semantics version), so it can only hit an entry computed from
-// the very same inputs, and corrupted entries silently fall back to
-// recompute. Share one Cache across
-// Replays, sweeps, and batches; all methods are safe for concurrent
-// use, and a nil *Cache disables caching everywhere it is accepted.
+// in-memory LRU of decoded results in front of an optional on-disk
+// store. The engine's determinism makes it sound by construction — a
+// key is a 128-bit fingerprint over (full-content trace digest, config,
+// policy, engine semantics version), so it can only hit an entry
+// computed from the very same inputs, and corrupted disk entries
+// silently fall back to recompute. A memory hit costs one copy of the
+// result's per-job outcomes, and every hit is the caller's own to
+// mutate. Share one Cache across Replays, sweeps, and batches; all
+// methods are safe for concurrent use, and a nil *Cache disables
+// caching everywhere it is accepted.
 //
 // Policies without a stable fingerprint (DynamicPriority, custom
 // policies, Capacity with a caller-supplied QueueOf) bypass the cache.
@@ -32,10 +34,12 @@ type CacheOptions struct {
 	// Dir enables the on-disk tier (one CRC-guarded file per entry,
 	// written atomically); "" keeps the cache memory-only.
 	Dir string
-	// MemBytes budgets the in-memory tier; <= 0 selects the default
-	// (rcache.DefaultMemBytes, 64 MiB). With Dir set the tier holds the
-	// results read back from disk (a result is written to disk alone
-	// unless that write fails); without Dir it holds every result.
+	// MemBytes budgets the in-memory tier of decoded results, each
+	// charged its size there (48 B per job plus its names); <= 0 selects
+	// the default (rcache.DefaultMemBytes, 64 MiB). With Dir set the
+	// tier holds the results read back from disk (a result is written
+	// to disk alone unless that write fails); without Dir it holds every
+	// result.
 	MemBytes int64
 	// Telemetry, when set, receives simmr_rcache_* counter updates.
 	Telemetry *Telemetry

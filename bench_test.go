@@ -24,11 +24,14 @@ import (
 	"simmr/internal/experiments"
 	"simmr/internal/obs"
 	"simmr/internal/parallel"
+	"simmr/internal/plan"
 	"simmr/internal/rcache"
+	"simmr/internal/runs"
 	"simmr/internal/sched"
 	"simmr/internal/sched/schedtest"
 	"simmr/internal/synth"
 	"simmr/internal/telemetry"
+	"simmr/internal/tracebin"
 	"simmr/pkg/simmr"
 )
 
@@ -231,7 +234,7 @@ func branchPoint(b *testing.B, tr *simmr.Trace) uint64 {
 // jobs' slots and the outcomes of the first 90 % of the trace.
 func BenchmarkFork(b *testing.B) {
 	tr := fixture(b, replayJobs)
-	e, err := simmr.NewEngine(simmr.DefaultReplayConfig(), tr, simmr.NewFIFO())
+	e, err := engine.New(simmr.DefaultReplayConfig(), tr, simmr.NewFIFO())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,7 +487,15 @@ func traceLoad(b *testing.B, encode func(*simmr.Trace) ([]byte, error), decode f
 // job table walk, Validate. This is the in-memory decode path; the mmap
 // path (Open) does strictly less work per byte since the image is never
 // copied.
-func BenchmarkTraceLoadBin(b *testing.B) { traceLoad(b, simmr.PackTrace, simmr.DecodePackedTrace) }
+func BenchmarkTraceLoadBin(b *testing.B) {
+	traceLoad(b, tracebin.Pack, func(img []byte) (*simmr.Trace, error) {
+		s, err := tracebin.Decode(img)
+		if err != nil {
+			return nil, err
+		}
+		return s.Trace(), nil
+	})
+}
 
 // BenchmarkTraceLoadJSON is the reference JSON loader on the identical
 // trace — the encoding/json unmarshal of every inlined template plus
@@ -492,23 +503,24 @@ func BenchmarkTraceLoadBin(b *testing.B) { traceLoad(b, simmr.PackTrace, simmr.D
 func BenchmarkTraceLoadJSON(b *testing.B) { traceLoad(b, simmr.EncodeTrace, simmr.DecodeTrace) }
 
 // BenchmarkCacheWarm measures a fully warm replay-result-cache hit on
-// the shared replay fixture: key the trace/config/policy, look the entry
-// up in the memory tier, decode the stored columnar image into a fresh
-// Result. Reported as jobs/sec (the cache serves whole-result units;
+// the shared replay fixture, through the run plan as the CLI replays:
+// key the trace/config/policy, look the entry up in the memory tier, copy
+// the resident entry out into a fresh Result. Reported as jobs/sec (the cache serves whole-result units;
 // events never replay on a hit — TestPlanContract). Compare ns/op
 // against BenchmarkReplayAllocs for what a hit saves.
 func BenchmarkCacheWarm(b *testing.B) {
 	tr := fixture(b, replayJobs)
 	c := simmr.NewCache(simmr.CacheOptions{})
 	cfg := simmr.DefaultReplayConfig()
-	if _, hit, err := simmr.ReplayCached(c, cfg, tr, simmr.NewFIFO()); err != nil || hit {
+	cached := plan.Options{Cache: c}
+	if _, hit, err := plan.One(cached, runs.KindReplay, cfg, tr, simmr.NewFIFO()); err != nil || hit {
 		b.Fatalf("priming replay: hit=%v err=%v", hit, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var jobs uint64
 	for i := 0; i < b.N; i++ {
-		res, hit, err := simmr.ReplayCached(c, cfg, tr, simmr.NewFIFO())
+		res, hit, err := plan.One(cached, runs.KindReplay, cfg, tr, simmr.NewFIFO())
 		if err != nil || !hit {
 			b.Fatalf("warm lookup: hit=%v err=%v", hit, err)
 		}

@@ -28,15 +28,13 @@
 //     waits (and the task whose finish opened them), filler patches
 //     (the map-stage barrier), down to a job arrival.
 //
-// One Sink per engine (the obs.Sink contract); use Collector to share
-// one aggregation point across a ReplayBatchCfg or sweep.
+// One Sink per engine (the obs.Sink contract).
 package attr
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"simmr/internal/obs"
 	"simmr/internal/trace"
@@ -396,9 +394,8 @@ type jobState struct {
 
 // Sink consumes one engine's event stream and reconstructs per-job
 // explanations and the makespan critical path. Single-goroutine like
-// every obs.Sink; one Sink per engine (Collector hands them out for
-// parallel runtimes). Read Explanations / CriticalPath / Report after
-// RunEnd.
+// every obs.Sink; one Sink per engine. Read Explanations / CriticalPath
+// / Report after RunEnd.
 type Sink struct {
 	opts Options
 
@@ -423,9 +420,6 @@ type Sink struct {
 	done     bool
 	exps     []Explanation
 	cp       []CPStep
-
-	// onDone, set by Collector, publishes the finished sink.
-	onDone func(*Sink)
 }
 
 // denseLimit bounds the dense job-state table: IDs below it index a
@@ -843,9 +837,6 @@ func (s *Sink) RunEnd(c obs.Counters) {
 	}
 	s.cp = s.walkCriticalPath()
 	s.done = true
-	if s.onDone != nil {
-		s.onDone(s)
-	}
 }
 
 // jobRO returns the state for id without creating it.
@@ -1046,52 +1037,4 @@ func copyJobState(dst, src *jobState) {
 	for c := range src.grants {
 		dst.grants[c] = append([]grant(nil), src.grants[c]...)
 	}
-}
-
-// Collector hands out one attribution sink per engine and merges the
-// finished explanations — the shared aggregation point for ReplayBatchCfg
-// and sweeps. Sink() is safe for concurrent calls (obs.SinkFactory
-// contract), as is the merge each sink performs at its RunEnd.
-type Collector struct {
-	opts Options
-
-	mu    sync.Mutex
-	sinks []*Sink
-}
-
-// NewCollector builds a collector; opts parameterize every sink it
-// hands out.
-func NewCollector(opts Options) *Collector {
-	return &Collector{opts: opts}
-}
-
-// Sink returns a fresh per-engine attribution sink that publishes its
-// explanations back to the collector at RunEnd.
-func (c *Collector) Sink() obs.Sink {
-	s := NewSink(c.opts)
-	s.onDone = func(done *Sink) {
-		c.mu.Lock()
-		c.sinks = append(c.sinks, done)
-		c.mu.Unlock()
-	}
-	return s
-}
-
-// Runs returns the finished per-run sinks, in completion order.
-func (c *Collector) Runs() []*Sink {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*Sink(nil), c.sinks...)
-}
-
-// Explanations returns every finished run's explanations, concatenated
-// in run-completion order.
-func (c *Collector) Explanations() []Explanation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Explanation
-	for _, s := range c.sinks {
-		out = append(out, s.exps...)
-	}
-	return out
 }

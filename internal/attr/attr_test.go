@@ -318,25 +318,30 @@ func TestDeadlineAndRootCause(t *testing.T) {
 	}
 }
 
-// TestCollectorSharedAcrossRuns exercises the factory/merge path
-// serially (the -race ReplayBatchCfg test lives in pkg/simmr).
-func TestCollectorSharedAcrossRuns(t *testing.T) {
+// TestSinkPerRunAcrossRuns: a fresh sink for each of several serial
+// replays of one trace explains every job of its own run, and the
+// replays, being deterministic, explain them identically.
+func TestSinkPerRunAcrossRuns(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(40, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := attr.NewCollector(attr.Options{MapSlots: 8, ReduceSlots: 8, Trace: tr})
+	cfg := engine.Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}
+	var first string
 	for i := 0; i < 3; i++ {
-		cfg := engine.Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05, Sink: col.Sink()}
-		if _, err := engine.Run(cfg, tr, sched.FIFO{}); err != nil {
+		_, sink := runWithAttr(t, cfg, tr, sched.FIFO{})
+		if got := len(sink.Explanations()); got != len(tr.Jobs) {
+			t.Fatalf("run %d: %d explanations, want %d", i, got, len(tr.Jobs))
+		}
+		var js bytes.Buffer
+		if err := sink.Report().WriteJSON(&js); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := len(col.Runs()); got != 3 {
-		t.Fatalf("collector captured %d runs, want 3", got)
-	}
-	if got := len(col.Explanations()); got != 3*len(tr.Jobs) {
-		t.Fatalf("collector has %d explanations, want %d", got, 3*len(tr.Jobs))
+		if i == 0 {
+			first = js.String()
+		} else if js.String() != first {
+			t.Fatalf("run %d explains the same replay differently from run 0", i)
+		}
 	}
 }
 

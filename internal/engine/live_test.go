@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"unsafe"
@@ -372,15 +373,27 @@ func coldReplayTraces(t *testing.T, n int) (short, long *trace.Trace) {
 
 // coldReplayBytes is the least a cold FIFO replay of tr, split over
 // workers segments, allocates over a few runs. Every boundary must hold.
+//
+// Each run is measured from just after a collection, with the collector
+// off until it ends, so every run pays the same runtime costs. The fresh
+// Pool's first Put registers its sync.Pool in the runtime's list of
+// pools, which a collection empties: measured from wherever the last
+// collection left that list, the append grows it in some runs and not in
+// others (by tens of bytes), and a collection inside the run adds its own
+// few bytes. In a process whose earlier tests had not warmed the heap, that
+// put a totals-only replay of 2n jobs 16 B over its 24 B a job.
 func coldReplayBytes(t *testing.T, tr *trace.Trace, totals bool, workers int) uint64 {
 	t.Helper()
 	least := uint64(math.MaxUint64)
 	for range 3 {
 		var pool Pool // empty: the replay builds its engines
 		var before, after runtime.MemStats
+		runtime.GC()
+		gc := debug.SetGCPercent(-1)
 		runtime.ReadMemStats(&before)
 		res, segments, cancelled, err := pool.RunSplit(DefaultConfig(), tr, sched.FIFO{}, workers, totals)
 		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"simmr/internal/trace"
 )
 
 // quickSweep shrinks the paper's 400-repetition sweep for test runtime.
@@ -119,4 +122,24 @@ func relDiff(a, b float64) float64 {
 		d = -d
 	}
 	return d / m
+}
+
+// TestAssignDeadlines: deadlines fall in [T_J, df·T_J] past arrival, and
+// df = 1 pins each to T_J exactly.
+func TestAssignDeadlines(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tr := &trace.Trace{Jobs: []*trace.Job{{Arrival: 0}, {Arrival: 10}, {Arrival: 25}}}
+	baselines := []float64{100, 40, 7}
+	assignDeadlines(tr, baselines, 3, rng)
+	for i, j := range tr.Jobs {
+		if rel := j.Deadline - j.Arrival; rel < baselines[i] || rel > 3*baselines[i] {
+			t.Fatalf("job %d: relative deadline %v outside [T_J, df·T_J] = [%v, %v]", i, rel, baselines[i], 3*baselines[i])
+		}
+	}
+	assignDeadlines(tr, baselines, 1, rng)
+	for i, j := range tr.Jobs {
+		if rel := j.Deadline - j.Arrival; rel != baselines[i] {
+			t.Fatalf("job %d: df=1 relative deadline %v, want T_J = %v", i, rel, baselines[i])
+		}
+	}
 }

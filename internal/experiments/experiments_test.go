@@ -76,12 +76,6 @@ func TestFigure1ShuffleOverlapsMapStage(t *testing.T) {
 	}
 }
 
-func TestWavesWithRejectsBadSlots(t *testing.T) {
-	if _, err := WavesWith(0, 4, 1); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestFigure3DistributionsInvariant(t *testing.T) {
 	r, err := Figure3(7)
 	if err != nil {

@@ -33,29 +33,15 @@ func Figure2(seed int64) (*WavesResult, error) {
 	return wavesExperiment(64, 64, seed)
 }
 
-// WavesWith runs the same experiment with an arbitrary allocation (used
-// for what-if exploration beyond the two paper figures).
-func WavesWith(mapSlots, reduceSlots int, seed int64) (*WavesResult, error) {
-	return wavesExperiment(mapSlots, reduceSlots, seed)
-}
-
 func wavesExperiment(mapSlots, reduceSlots int, seed int64) (*WavesResult, error) {
-	if mapSlots <= 0 || reduceSlots <= 0 {
-		return nil, fmt.Errorf("experiments: waves needs positive slot counts")
-	}
 	// The paper's testbed for this experiment: 64 workers with 2+2
-	// slots; the job is granted mapSlots/reduceSlots of them. Granting a
-	// single job N slots is equivalent to a cluster exposing exactly N.
+	// slots; the job is granted mapSlots/reduceSlots of them, a multiple
+	// of 64 each. Granting a single job N slots is equivalent to a
+	// cluster exposing exactly N.
 	cfg := TestbedConfig(seed)
 	cfg.Workers = 64
-	cfg.MapSlotsPerNode = (mapSlots + cfg.Workers - 1) / cfg.Workers
-	cfg.ReduceSlotsPerNode = (reduceSlots + cfg.Workers - 1) / cfg.Workers
-	if cfg.Workers*cfg.MapSlotsPerNode != mapSlots || cfg.Workers*cfg.ReduceSlotsPerNode != reduceSlots {
-		// Allocation not divisible by 64 workers: shrink the worker set.
-		cfg.Workers = gcdInt(mapSlots, reduceSlots)
-		cfg.MapSlotsPerNode = mapSlots / cfg.Workers
-		cfg.ReduceSlotsPerNode = reduceSlots / cfg.Workers
-	}
+	cfg.MapSlotsPerNode = mapSlots / cfg.Workers
+	cfg.ReduceSlotsPerNode = reduceSlots / cfg.Workers
 
 	res, err := runTestbedJob(cfg, cluster.Job{Spec: workload.WordCountExample()}, sched.FIFO{})
 	if err != nil {
@@ -103,11 +89,4 @@ func (r *WavesResult) Render(w io.Writer) error {
 		})
 	}
 	return writeRows(w, "time\tmap\tshuffle\treduce", rows)
-}
-
-func gcdInt(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

@@ -227,14 +227,9 @@ func scanQuoted(s string) (val, rest string, err error) {
 // resolution the profiler needs to reconstruct task durations.
 func FormatTime(t float64) string { return strconv.FormatFloat(t, 'f', 3, 64) }
 
-// MapAttemptID builds a Hadoop-style attempt identifier for map task i
-// of a job (first attempt).
-func MapAttemptID(jobID, i int) string {
-	return MapAttemptTryID(jobID, i, 0)
-}
-
-// MapAttemptTryID builds an attempt identifier including the attempt
-// number (speculative duplicates get try >= 1).
+// MapAttemptTryID builds a Hadoop-style attempt identifier for map task
+// i of a job, including the attempt number (the first attempt is try 0;
+// speculative duplicates get try >= 1).
 func MapAttemptTryID(jobID, i, try int) string {
 	return fmt.Sprintf("attempt_%06d_m_%06d_%d", jobID, i, try)
 }

@@ -146,8 +146,8 @@ func TestIDHelpers(t *testing.T) {
 	if JobID(7) != "job_000007" {
 		t.Fatal(JobID(7))
 	}
-	if MapAttemptID(1, 2) != "attempt_000001_m_000002_0" {
-		t.Fatal(MapAttemptID(1, 2))
+	if MapAttemptTryID(1, 2, 0) != "attempt_000001_m_000002_0" {
+		t.Fatal(MapAttemptTryID(1, 2, 0))
 	}
 	if ReduceAttemptID(1, 2) != "attempt_000001_r_000002_0" {
 		t.Fatal(ReduceAttemptID(1, 2))
@@ -169,7 +169,7 @@ func TestLargeLogRoundTrip(t *testing.T) {
 	const n = 5000
 	for i := 0; i < n; i++ {
 		w.Write(EntityMapAttempt, map[string]string{
-			KeyTaskAttemptID: MapAttemptID(1, i),
+			KeyTaskAttemptID: MapAttemptTryID(1, i, 0),
 			KeyStartTime:     FormatTime(float64(i)),
 			KeyFinishTime:    FormatTime(float64(i) + 10),
 		})

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sync/atomic"
@@ -238,8 +237,8 @@ func finiteOrNil(v float64) *float64 {
 }
 
 // WriteJSON writes the dump as the attr-compatible post-mortem record:
-// `simmr trace explain -flight` decodes it back into the exact event
-// stream via DecodeFlightDump.
+// every retained event with its kind by name, an unknown (+Inf) end
+// left out.
 func (d *FlightDump) WriteJSON(w io.Writer) error {
 	out := flightFile{
 		Label: d.Label, Trigger: d.Trigger, Time: d.Time,
@@ -269,41 +268,4 @@ func (d *FlightDump) WriteChromeTrace(w io.Writer) error {
 	}
 	sink.RunEnd(d.Counters)
 	return sink.WriteJSON(w)
-}
-
-// DecodeFlightDump parses a WriteJSON document back into a FlightDump.
-func DecodeFlightDump(data []byte) (*FlightDump, error) {
-	var in flightFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("flight dump: %w", err)
-	}
-	kinds := make(map[string]Kind, KindCount)
-	for k := Kind(0); k < KindCount; k++ {
-		kinds[k.String()] = k
-	}
-	d := &FlightDump{
-		Label: in.Label, Trigger: in.Trigger, Time: in.Time,
-		Dropped: in.Dropped, Ended: in.Ended, Counters: in.Counters,
-		PerJob: in.PerJob,
-		Events: make([]Event, len(in.Events)),
-	}
-	inf := math.Inf(1)
-	for i, fe := range in.Events {
-		k, ok := kinds[fe.Kind]
-		if !ok {
-			return nil, fmt.Errorf("flight dump: unknown event kind %q", fe.Kind)
-		}
-		end, shuffleEnd := inf, inf
-		if fe.End != nil {
-			end = *fe.End
-		}
-		if fe.ShuffleEnd != nil {
-			shuffleEnd = *fe.ShuffleEnd
-		}
-		d.Events[i] = Event{
-			Time: fe.Time, Kind: k, JobID: fe.JobID, Task: fe.Task,
-			End: end, ShuffleEnd: shuffleEnd,
-		}
-	}
-	return d, nil
 }

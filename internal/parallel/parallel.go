@@ -11,7 +11,7 @@
 //   - First-error aggregation: the error of the lowest-indexed failing
 //     task is returned (the same error a serial in-order loop would have
 //     surfaced first); remaining tasks are canceled promptly.
-//   - Cancellation: the context passed to Map/ForEach flows to every
+//   - Cancellation: the context passed to Map/ForEachProgress flows to every
 //     task; canceling it stops the pool early.
 //   - Bounded progress reporting: a ProgressFunc passed to
 //     MapProgress/ForEachProgress is invoked at most once per
@@ -257,13 +257,9 @@ func MapProgress[T any](ctx context.Context, workers, n int, progressFn Progress
 	return out, nil
 }
 
-// ForEach runs fn(ctx, i) for every i in [0, n) on a bounded pool, with
-// the same ordering, error, and cancellation guarantees as Map.
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	return ForEachProgress(ctx, workers, n, nil, fn)
-}
-
-// ForEachProgress is ForEach with MapProgress's completion reporting.
+// ForEachProgress runs fn(ctx, i) for every i in [0, n) on a bounded
+// pool, with the same ordering, error, cancellation and completion
+// reporting guarantees as MapProgress.
 func ForEachProgress(ctx context.Context, workers, n int, progressFn ProgressFunc, fn func(ctx context.Context, i int) error) error {
 	_, err := MapProgress(ctx, workers, n, progressFn, func(ctx context.Context, i int) (struct{}, error) {
 		return struct{}{}, fn(ctx, i)

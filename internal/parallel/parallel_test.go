@@ -142,9 +142,9 @@ func TestMapPreCanceledContext(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
+func TestForEachProgress(t *testing.T) {
 	out := make([]int, 64)
-	err := ForEach(context.Background(), 0, len(out), func(_ context.Context, i int) error {
+	err := ForEachProgress(context.Background(), 0, len(out), nil, func(_ context.Context, i int) error {
 		out[i] = i + 1
 		return nil
 	})
@@ -262,5 +262,26 @@ func TestTickerElectsOnePerWindow(t *testing.T) {
 	var nilTicker *Ticker
 	if nilTicker.Try() {
 		t.Fatal("nil ticker elected")
+	}
+}
+
+// TestForEachProgressFinalOnSuccess: ForEachProgress reports completion
+// as MapProgress does — exactly one final (total, total) call.
+func TestForEachProgressFinalOnSuccess(t *testing.T) {
+	var finals, last atomic.Int64
+	err := ForEachProgress(context.Background(), 4, 50, func(done, total int) {
+		if done >= total {
+			finals.Add(1)
+		}
+		last.Store(int64(done))
+	}, func(context.Context, int) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if finals.Load() != 1 {
+		t.Fatalf("final (total,total) calls = %d, want exactly 1", finals.Load())
+	}
+	if last.Load() != 50 {
+		t.Fatalf("last reported done = %d, want 50", last.Load())
 	}
 }

@@ -507,11 +507,11 @@ func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error) (res *engi
 	return res, err
 }
 
-// One is the one-cell plan behind every single replay — ReplayCached
-// and the CLI's replay, `trace run` and `trace explain`: cfg.Sink is the
-// cell's sink (it does not fire on a hit), the Result is the caller's,
-// and live progress comes from the run handle's engine hook rather than
-// from cell completions. A replay with no sink of any kind — no cfg.Sink,
+// One is the one-cell plan behind a single replay whose caller reads the
+// per-job outcomes — `simmr -trace` with -v or -json, and `trace run`;
+// Totals serves the rest. cfg.Sink is the cell's sink (it does not fire
+// on a hit), the Result is the caller's, and live progress comes from
+// the run handle's engine hook rather than from cell completions. A replay with no sink of any kind — no cfg.Sink,
 // Runs or Telemetry — splits at quiescent instants over Workers cores
 // (0: all of them; DESIGN.md §7).
 func One(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sched.Policy) (res *engine.Result, hit bool, err error) {
@@ -520,7 +520,8 @@ func One(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sche
 
 // Totals is One for a caller that reads the Result's totals only — its
 // Events, Makespan and peaks — as `simmr -trace` does for its summary
-// line. Unless the plan itself reads the per-job outcomes (a
+// line, or none of it, as `trace explain` does (its report comes from its
+// sink). Unless the plan itself reads the per-job outcomes (a
 // cache stores them, a flight recorder dumps a deadline miss), the replay
 // keeps none and the Result's Jobs is nil: a trace's outcome array costs
 // its allocation and a store per job that nobody would read (DESIGN.md

@@ -47,7 +47,7 @@ func BenchmarkLogParse(b *testing.B) {
 	w := hadooplog.NewWriter(&buf)
 	for i := 0; i < 5000; i++ {
 		w.Write(hadooplog.EntityMapAttempt, map[string]string{
-			hadooplog.KeyTaskAttemptID: hadooplog.MapAttemptID(1, i),
+			hadooplog.KeyTaskAttemptID: hadooplog.MapAttemptTryID(1, i, 0),
 			hadooplog.KeyStartTime:     hadooplog.FormatTime(float64(i)),
 			hadooplog.KeyFinishTime:    hadooplog.FormatTime(float64(i) + 9.5),
 		})

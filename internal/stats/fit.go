@@ -161,13 +161,3 @@ func FitAll(xs []float64) []FitResult {
 	sort.Slice(out, func(i, j int) bool { return out[i].KS < out[j].KS })
 	return out
 }
-
-// FitBest returns the family with the smallest KS statistic, or nil for
-// degenerate samples.
-func FitBest(xs []float64) *FitResult {
-	all := FitAll(xs)
-	if len(all) == 0 {
-		return nil
-	}
-	return &all[0]
-}

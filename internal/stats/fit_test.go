@@ -95,10 +95,11 @@ func TestFitRejectsDegenerateSamples(t *testing.T) {
 func TestLogNormalWinsOnFacebookLikeData(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	xs := SampleN(LogNormal{Mu: 9.9511, Sigma: 1.6764}, 8000, rng)
-	best := FitBest(xs)
-	if best == nil {
+	all := FitAll(xs)
+	if len(all) == 0 {
 		t.Fatal("no fit produced")
 	}
+	best := all[0]
 	if _, ok := best.Dist.(LogNormal); !ok {
 		t.Fatalf("best fit is %v (KS=%.4f), want LogNormal", best.Dist, best.KS)
 	}
@@ -121,8 +122,8 @@ func TestFitAllSortedByKS(t *testing.T) {
 	}
 }
 
-func TestFitBestEmptySample(t *testing.T) {
-	if FitBest(nil) != nil {
-		t.Fatal("empty sample should produce no best fit")
+func TestFitAllEmptySample(t *testing.T) {
+	if all := FitAll(nil); len(all) != 0 {
+		t.Fatalf("empty sample fitted %d families, want none", len(all))
 	}
 }

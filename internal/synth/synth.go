@@ -263,34 +263,3 @@ func shuffleEstimate(spec workload.Spec) float64 {
 	}
 	return est
 }
-
-// DeadlineAssigner draws job deadlines for the Figure 7/8 experiments:
-// uniformly distributed in [T_J, df·T_J] beyond arrival, where T_J is
-// the job's completion time given all cluster resources and df >= 1 is
-// the deadline factor.
-type DeadlineAssigner struct {
-	// Factor is df. Factor == 1 pins every deadline to T_J exactly.
-	Factor float64
-	// BaselineFor returns T_J for a job (typically a memoized
-	// full-cluster simulation of the job alone).
-	BaselineFor func(*trace.Job) float64
-}
-
-// Assign sets deadlines on every job of the trace in place.
-func (da *DeadlineAssigner) Assign(tr *trace.Trace, rng *rand.Rand) error {
-	if da.Factor < 1 {
-		return fmt.Errorf("synth: deadline factor %v < 1", da.Factor)
-	}
-	for _, j := range tr.Jobs {
-		tj := da.BaselineFor(j)
-		if tj <= 0 {
-			return fmt.Errorf("synth: job %d has nonpositive baseline %v", j.ID, tj)
-		}
-		rel := tj
-		if da.Factor > 1 {
-			rel = tj + rng.Float64()*tj*(da.Factor-1)
-		}
-		j.Deadline = j.Arrival + rel
-	}
-	return nil
-}

@@ -156,52 +156,6 @@ func TestProductionTraceDeterministic(t *testing.T) {
 	}
 }
 
-func TestDeadlineAssigner(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	tr := &trace.Trace{Jobs: []*trace.Job{
-		{Arrival: 0, Template: tpl(4)},
-		{Arrival: 10, Template: tpl(4)},
-	}}
-	tr.Normalize()
-	da := &DeadlineAssigner{
-		Factor:      3,
-		BaselineFor: func(j *trace.Job) float64 { return 100 },
-	}
-	if err := da.Assign(tr, rng); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range tr.Jobs {
-		rel := j.Deadline - j.Arrival
-		if rel < 100 || rel > 300 {
-			t.Fatalf("deadline %v outside [T_J, df*T_J]", rel)
-		}
-	}
-	// Factor 1 pins the deadline exactly.
-	da.Factor = 1
-	if err := da.Assign(tr, rng); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range tr.Jobs {
-		if j.Deadline-j.Arrival != 100 {
-			t.Fatalf("df=1 deadline should equal T_J, got %v", j.Deadline-j.Arrival)
-		}
-	}
-}
-
-func TestDeadlineAssignerErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tr := &trace.Trace{Jobs: []*trace.Job{{Arrival: 0, Template: tpl(2)}}}
-	tr.Normalize()
-	da := &DeadlineAssigner{Factor: 0.5, BaselineFor: func(*trace.Job) float64 { return 1 }}
-	if err := da.Assign(tr, rng); err == nil {
-		t.Fatal("factor < 1 should fail")
-	}
-	da = &DeadlineAssigner{Factor: 2, BaselineFor: func(*trace.Job) float64 { return 0 }}
-	if err := da.Assign(tr, rng); err == nil {
-		t.Fatal("nonpositive baseline should fail")
-	}
-}
-
 func tpl(maps int) *trace.Template {
 	ds := make([]float64, maps)
 	for i := range ds {

@@ -13,9 +13,8 @@ import (
 
 // ObserveExplanations folds finished per-job attributions into the
 // wait-breakdown histograms (simmr_job_wait_seconds{phase=...}) and the
-// deadline-miss root-cause counters. Call it once per finished run (or
-// once with a Collector's merged explanations); it is a cold path and
-// safe for concurrent use.
+// deadline-miss root-cause counters. Call it once per finished run; it
+// is a cold path and safe for concurrent use.
 func (t *SimMetrics) ObserveExplanations(exps []attr.Explanation) {
 	if t == nil || len(exps) == 0 {
 		return

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -59,58 +58,5 @@ func TestSerialRuntimeShared(t *testing.T) {
 	want := tr.Clone().SerialRuntime()
 	if got := tr.SerialRuntime(); math.Abs(got-want) > 1e-9*want {
 		t.Fatalf("SerialRuntime = %v, want %v", got, want)
-	}
-}
-
-// TestScaleTracePreservesSharing pins that scaling a deduplicated
-// trace resamples each unique template once and keeps the sharing
-// structure (same jobs-per-template partition) in the output.
-func TestScaleTracePreservesSharing(t *testing.T) {
-	tr := sharedJobsTrace(60, 3)
-	rng := rand.New(rand.NewSource(2))
-	out, err := ScaleTrace(tr, 2, false, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Jobs) != 60 {
-		t.Fatalf("%d jobs out, want 60", len(out.Jobs))
-	}
-	uniq := make(map[*Template]bool)
-	for i, j := range out.Jobs {
-		uniq[j.Template] = true
-		// Sharing partition preserved: jobs i and i+3 shared before,
-		// so they share after.
-		if i >= 3 && (tr.Jobs[i].Template == tr.Jobs[i-3].Template) != (j.Template == out.Jobs[i-3].Template) {
-			t.Fatalf("job %d sharing structure changed under scaling", i)
-		}
-		if j.Arrival != tr.Jobs[i].Arrival || j.ID != tr.Jobs[i].ID {
-			t.Fatalf("job %d arrival/ID mutated by scaling", i)
-		}
-		if j.Template.NumMaps != 2*tr.Jobs[i].Template.NumMaps {
-			t.Fatalf("job %d maps %d, want doubled from %d", i, j.Template.NumMaps, tr.Jobs[i].Template.NumMaps)
-		}
-	}
-	if len(uniq) != 3 {
-		t.Fatalf("%d unique templates after scaling, want 3", len(uniq))
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatalf("scaled trace invalid: %v", err)
-	}
-	// The input must be untouched.
-	if tr.Jobs[0].Template.NumMaps != 2 {
-		t.Fatal("ScaleTrace mutated its input")
-	}
-}
-
-func TestScaleTraceErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := ScaleTrace(nil, 2, false, rng); err == nil {
-		t.Fatal("nil trace accepted")
-	}
-	if _, err := ScaleTrace(&Trace{}, 2, false, rng); err == nil {
-		t.Fatal("empty trace accepted")
-	}
-	if _, err := ScaleTrace(sharedJobsTrace(5, 1), 0, false, rng); err == nil {
-		t.Fatal("zero factor accepted")
 	}
 }

@@ -53,42 +53,6 @@ func ScaleTemplate(t *Template, factor float64, scaleReduces bool, rng *rand.Ran
 	return out, nil
 }
 
-// ScaleTrace scales every job's template by factor, resampling each
-// *unique* template exactly once and remapping all jobs that share it
-// to the single scaled copy. Template sharing (and therefore dedup in
-// the packed binary format) survives scaling, and a million-job trace
-// with a few hundred templates costs a few hundred resamples, not a
-// million. Arrivals and deadlines are left untouched; use
-// CompressArrivals to reshape load.
-func ScaleTrace(tr *Trace, factor float64, scaleReduces bool, rng *rand.Rand) (*Trace, error) {
-	if tr == nil || len(tr.Jobs) == 0 {
-		return nil, ErrEmptyTrace
-	}
-	scaled := make(map[*Template]*Template)
-	out := &Trace{
-		Name: fmt.Sprintf("%s x%.2g", tr.Name, factor),
-		Jobs: make([]*Job, 0, len(tr.Jobs)),
-	}
-	for i, j := range tr.Jobs {
-		if j == nil || j.Template == nil {
-			return nil, fmt.Errorf("trace %q: job %d is nil or has no template", tr.Name, i)
-		}
-		st, ok := scaled[j.Template]
-		if !ok {
-			var err error
-			st, err = ScaleTemplate(j.Template, factor, scaleReduces, rng)
-			if err != nil {
-				return nil, fmt.Errorf("trace %q: job %d: %w", tr.Name, i, err)
-			}
-			scaled[j.Template] = st
-		}
-		nj := *j
-		nj.Template = st
-		out.Jobs = append(out.Jobs, &nj)
-	}
-	return out, nil
-}
-
 // resample draws n values from xs with replacement (bootstrap). If xs is
 // empty the result is all zeros.
 func resample(xs []float64, n int, rng *rand.Rand) []float64 {

@@ -180,16 +180,6 @@ func Apps() []App {
 	}
 }
 
-// AppByName returns the named application model.
-func AppByName(name string) (App, error) {
-	for _, a := range Apps() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return App{}, fmt.Errorf("workload: unknown application %q", name)
-}
-
 func wordCount(label string, inputMB float64) Spec {
 	return Spec{
 		App: "WordCount", Dataset: label,

@@ -32,18 +32,20 @@ func TestAppsAllValid(t *testing.T) {
 	}
 }
 
-func TestAppByName(t *testing.T) {
-	a, err := AppByName("Sort")
-	if err != nil || a.Name != "Sort" {
-		t.Fatalf("AppByName(Sort) = %v, %v", a.Name, err)
+// app returns the named paper application.
+func app(t *testing.T, name string) App {
+	t.Helper()
+	for _, a := range Apps() {
+		if a.Name == name {
+			return a
+		}
 	}
-	if _, err := AppByName("Nope"); err == nil {
-		t.Fatal("unknown app should error")
-	}
+	t.Fatalf("no paper application %q", name)
+	return App{}
 }
 
 func TestSpecIndexPanics(t *testing.T) {
-	a, _ := AppByName("Sort")
+	a := app(t, "Sort")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range dataset index should panic")
@@ -93,11 +95,11 @@ func TestSpecValidateErrors(t *testing.T) {
 
 func TestMapCountsMatchDatasetSizes(t *testing.T) {
 	// One map per 64MB block: WordCount 32GB -> 512 maps.
-	wc, _ := AppByName("WordCount")
+	wc := app(t, "WordCount")
 	if got := wc.Spec(0).NumMaps; got != 512 {
 		t.Fatalf("WordCount/32GB maps = %d, want 512", got)
 	}
-	srt, _ := AppByName("Sort")
+	srt := app(t, "Sort")
 	if got := srt.Spec(2).NumMaps; got != 1024 {
 		t.Fatalf("Sort/64GB maps = %d, want 1024", got)
 	}
@@ -131,7 +133,7 @@ func TestAppsAreDistinctDistributions(t *testing.T) {
 }
 
 func TestSortShufflesEverything(t *testing.T) {
-	s, _ := AppByName("Sort")
+	s := app(t, "Sort")
 	if s.Spec(0).Selectivity != 1.0 {
 		t.Fatal("Sort must have selectivity 1.0 (all input is shuffled)")
 	}

@@ -34,9 +34,6 @@ type (
 	// AttrOptions parameterizes an AttrSink (slot counts for exact
 	// free-slot blame, trace for names and deadlines).
 	AttrOptions = attr.Options
-	// AttrCollector shares attribution across sequential runs (its
-	// Sink method is a SinkFactory for ReplayBatchCfg-style fan-outs).
-	AttrCollector = attr.Collector
 	// AttrReport is a finished run's full attribution: per-job
 	// explanations, deadline-miss root causes, and the critical path.
 	AttrReport = attr.Report
@@ -64,11 +61,6 @@ type (
 // slot counts free-slot blame falls back to hand-off pairing, without a
 // trace jobs have no names or deadlines.
 func NewAttrSink(opts AttrOptions) *AttrSink { return attr.NewSink(opts) }
-
-// NewAttrCollector returns a collector whose Sink method yields one
-// attribution sink per run and retains every finished run's
-// explanations.
-func NewAttrCollector(opts AttrOptions) *AttrCollector { return attr.NewCollector(opts) }
 
 // DiffAttrReports contrasts a what-if branch's attribution against its
 // control: per-job completion and phase deltas (sorted by impact),

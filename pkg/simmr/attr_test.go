@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"simmr/internal/sched"
 )
 
 func checkAttrConservation(t *testing.T, exps []Explanation, label string) {
@@ -20,53 +22,44 @@ func checkAttrConservation(t *testing.T, exps []Explanation, label string) {
 	}
 }
 
-// One AttrCollector shared across a concurrent ReplayBatchCfg: each spec
-// gets its own sink from the collector (obs.Sink is single-goroutine),
-// the collector aggregates finished runs under its own lock, and the
-// conservation contract holds for every run. Run under -race by `make
-// verify`, this is the attribution layer's concurrency test.
-func TestAttrCollectorSharedAcrossBatch(t *testing.T) {
+// One attribution sink per spec of a concurrent ReplayBatchCfg (obs.Sink
+// is single-goroutine): the conservation contract holds for every run.
+// Run under -race by `make verify`, this is the attribution layer's
+// concurrency test.
+func TestAttrSinksAcrossBatch(t *testing.T) {
 	tr, err := MultiTenantTrace(60, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewAttrCollector(AttrOptions{MapSlots: 8, ReduceSlots: 8, Trace: tr})
 	policies := []Policy{
 		NewFIFO(), NewMaxEDF(), NewMinEDF(), NewFair(),
 		NewCapacity([]float64{0.6, 0.4}),
-		MinEDFWithEstimator("low"), MinEDFWithEstimator("up"),
+		sched.MinEDF{Estimate: sched.EstimatorLow}, sched.MinEDF{Estimate: sched.EstimatorUp},
 	}
 	specs := make([]ReplaySpec, len(policies))
+	sinks := make([]*AttrSink, len(policies))
 	for i, p := range policies {
+		sinks[i] = NewAttrSink(AttrOptions{MapSlots: 8, ReduceSlots: 8, Trace: tr})
 		specs[i] = ReplaySpec{
 			Name: fmt.Sprintf("p%d", i),
 			Config: ReplayConfig{
 				MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05,
-				Sink: col.Sink(),
+				Sink: sinks[i],
 			},
 			Trace:  tr,
 			Policy: p,
 		}
 	}
-	results, err := ReplayBatchCfg(context.Background(), BatchConfig{}, specs)
-	if err != nil {
+	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{}, specs); err != nil {
 		t.Fatal(err)
 	}
-	runs := col.Runs()
-	if len(runs) != len(specs) {
-		t.Fatalf("collector saw %d runs, want %d", len(runs), len(specs))
-	}
-	for i, s := range runs {
+	for i, s := range sinks {
 		exps := s.Explanations()
 		if len(exps) != len(tr.Jobs) {
 			t.Fatalf("run %d: %d explanations for %d jobs", i, len(exps), len(tr.Jobs))
 		}
 		checkAttrConservation(t, exps, fmt.Sprintf("run %d", i))
 	}
-	if got := len(col.Explanations()); got != len(specs)*len(tr.Jobs) {
-		t.Fatalf("merged explanations %d, want %d", got, len(specs)*len(tr.Jobs))
-	}
-	_ = results
 }
 
 // WhatIf.SinkFactory forks a prefix attribution sink per branch — the

@@ -69,11 +69,18 @@ func TestParallelSweepSharedPolicyAndTrace(t *testing.T) {
 	}
 }
 
-func TestCapacitySweepEmptyWorkload(t *testing.T) {
+// TestEmptyWorkload: CapacitySweep and BranchSet refuse a missing or
+// jobless trace with ErrEmptyWorkload (ReplayBatchCfg's case is
+// TestReplayBatchEmptySpec).
+func TestEmptyWorkload(t *testing.T) {
 	for _, tr := range []*Trace{nil, {Name: "empty"}} {
 		_, err := CapacitySweep(tr, SweepConfig{MapSlotCounts: []int{4}})
 		if !errors.Is(err, ErrEmptyWorkload) {
-			t.Fatalf("err = %v, want ErrEmptyWorkload", err)
+			t.Fatalf("CapacitySweep: err = %v, want ErrEmptyWorkload", err)
+		}
+		_, err = BranchSet(context.Background(), BranchSetConfig{Trace: tr}, []WhatIf{{}})
+		if !errors.Is(err, ErrEmptyWorkload) {
+			t.Fatalf("BranchSet: err = %v, want ErrEmptyWorkload", err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"simmr/internal/engine"
 	"simmr/internal/sched/schedtest"
 	"simmr/internal/telemetry/telemetrytest"
 )
@@ -153,7 +154,7 @@ func TestBranchSetMatchesIndependentReplays(t *testing.T) {
 				t.Fatalf("got %d results for %d branches", len(got), len(branches))
 			}
 			for i := range branches {
-				e, err := NewEngine(DefaultReplayConfig(), tr, v.mk())
+				e, err := engine.New(DefaultReplayConfig(), tr, v.mk())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,7 +296,7 @@ func TestBranchSetTelemetry(t *testing.T) {
 		ms := NewMetricsSink()
 		cfg := DefaultReplayConfig()
 		cfg.Sink = ms
-		e, err := NewEngine(cfg, tr, NewFIFO())
+		e, err := engine.New(cfg, tr, NewFIFO())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,6 @@
 package simmr
 
-import (
-	"simmr/internal/plan"
-	"simmr/internal/rcache"
-	"simmr/internal/runs"
-)
+import "simmr/internal/rcache"
 
 // Cache is the content-addressed replay result cache: a byte-budgeted
 // in-memory LRU of decoded results in front of an optional on-disk
@@ -52,13 +48,4 @@ func NewCache(o CacheOptions) *Cache {
 		opts.Obs = o.Telemetry
 	}
 	return rcache.New(opts)
-}
-
-// ReplayCached is Replay memoized through c: a hit returns the stored
-// result without touching the engine (hit=true); a miss replays and
-// stores. A nil cache, an unfingerprintable policy, or a corrupt entry
-// all degrade to a plain Replay. On a hit cfg.Sink does not fire — no
-// simulation ran.
-func ReplayCached(c *Cache, cfg ReplayConfig, tr *Trace, p Policy) (res *ReplayResult, hit bool, err error) {
-	return plan.One(plan.Options{Cache: c}, runs.KindReplay, cfg, tr, p)
 }

@@ -8,8 +8,20 @@ import (
 	"reflect"
 	"testing"
 
+	"simmr/internal/plan"
 	"simmr/internal/rcache"
+	"simmr/internal/runs"
+	"simmr/internal/sched"
 )
+
+// replayCached is one replay through the run plan with c as its cache,
+// as the CLI's -cache-dir runs it: a hit returns the stored result
+// without touching the engine (hit=true); a miss replays and stores. A
+// nil cache, an unfingerprintable policy, or a corrupt entry all degrade
+// to a plain replay, and on a hit cfg.Sink does not fire.
+func replayCached(c *Cache, cfg ReplayConfig, tr *Trace, p Policy) (*ReplayResult, bool, error) {
+	return plan.One(plan.Options{Cache: c}, runs.KindReplay, cfg, tr, p)
+}
 
 // cachePolicies enumerates every fingerprintable built-in — the seven
 // reference schedulers, plus each passed through the deprecated Indexed
@@ -26,8 +38,8 @@ func cachePolicies() []struct {
 		{"fifo", NewFIFO},
 		{"maxedf", NewMaxEDF},
 		{"minedf-avg", NewMinEDF},
-		{"minedf-low", func() Policy { return MinEDFWithEstimator("low") }},
-		{"minedf-up", func() Policy { return MinEDFWithEstimator("up") }},
+		{"minedf-low", func() Policy { return sched.MinEDF{Estimate: sched.EstimatorLow} }},
+		{"minedf-up", func() Policy { return sched.MinEDF{Estimate: sched.EstimatorUp} }},
 		{"fair", NewFair},
 		{"capacity", func() Policy { return NewCapacity([]float64{0.6, 0.4}) }},
 	}
@@ -83,7 +95,7 @@ func TestCacheDifferentialAllPolicies(t *testing.T) {
 					if cc.spans {
 						cfg.Sink = tl
 					}
-					res, hit, err := ReplayCached(c, cfg, tr, pc.mk())
+					res, hit, err := replayCached(c, cfg, tr, pc.mk())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -134,7 +146,7 @@ func TestCacheDifferentialAllPolicies(t *testing.T) {
 }
 
 // DynamicPriority is stateful and carries caller-supplied maps, so it
-// has no stable fingerprint: every ReplayCached through it must bypass
+// has no stable fingerprint: every cached replay through it must bypass
 // the cache entirely — no hit, no miss, no stored entry — while still
 // returning a correct replay.
 func TestCacheDynamicPriorityBypasses(t *testing.T) {
@@ -147,7 +159,7 @@ func TestCacheDynamicPriorityBypasses(t *testing.T) {
 	bids := map[int]float64{0: 2, 1: 1}
 	c := NewCache(CacheOptions{})
 	for pass := 0; pass < 2; pass++ {
-		res, hit, err := ReplayCached(c, cfg, tr, NewDynamicPriority(budgets, bids))
+		res, hit, err := replayCached(c, cfg, tr, NewDynamicPriority(budgets, bids))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +302,7 @@ func TestBatchMemoryTierHoldsRepeatingSpecs(t *testing.T) {
 }
 
 // A batch keys every spec off a digest taken once per distinct trace;
-// the keys must be the ones a lone ReplayCached of the same inputs
+// the keys must be the ones a lone cached replay of the same inputs
 // computes, whichever trace a spec replays.
 func TestBatchKeysEachDistinctTraceLikeReplayCached(t *testing.T) {
 	a, err := MultiTenantTrace(30, rand.New(rand.NewSource(21)))
@@ -315,18 +327,18 @@ func TestBatchKeysEachDistinctTraceLikeReplayCached(t *testing.T) {
 		t.Fatalf("batch over two distinct traces: %+v, want 2 misses / 2 hits", st)
 	}
 	for i, tr := range []*Trace{a, b} {
-		res, hit, err := ReplayCached(c, cfg, tr, NewMaxEDF())
+		res, hit, err := replayCached(c, cfg, tr, NewMaxEDF())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !hit || !reflect.DeepEqual(res, got[i]) {
-			t.Fatalf("trace %d: ReplayCached hit=%v on the entry the batch stored", i, hit)
+			t.Fatalf("trace %d: cached replay hit=%v on the entry the batch stored", i, hit)
 		}
 	}
 }
 
 // Disk-tier corruption at the public API level: flipping bytes in a
-// stored .srrc entry must degrade ReplayCached to a silent recompute —
+// stored .srrc entry must degrade a cached replay to a silent recompute —
 // no error surfaces, the corrupt file is removed, and the re-stored
 // entry hits again.
 func TestCacheCorruptDiskEntryFallsBack(t *testing.T) {
@@ -336,7 +348,7 @@ func TestCacheCorruptDiskEntryFallsBack(t *testing.T) {
 	}
 	cfg := ReplayConfig{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}
 	dir := t.TempDir()
-	fresh, _, err := ReplayCached(NewCache(CacheOptions{Dir: dir}), cfg, tr, NewFIFO())
+	fresh, _, err := replayCached(NewCache(CacheOptions{Dir: dir}), cfg, tr, NewFIFO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,14 +367,14 @@ func TestCacheCorruptDiskEntryFallsBack(t *testing.T) {
 	// A fresh Cache on the same dir has an empty memory tier, so the
 	// lookup must go to disk, detect the corruption, and recompute.
 	c := NewCache(CacheOptions{Dir: dir})
-	got, hit, err := ReplayCached(c, cfg, tr, NewFIFO())
+	got, hit, err := replayCached(c, cfg, tr, NewFIFO())
 	if err != nil || hit {
 		t.Fatalf("corrupt entry: hit=%v err=%v, want silent miss", hit, err)
 	}
 	if !reflect.DeepEqual(got, fresh) {
 		t.Fatal("recomputed result differs from original")
 	}
-	if _, hit, err = ReplayCached(c, cfg, tr, NewFIFO()); err != nil || !hit {
+	if _, hit, err = replayCached(c, cfg, tr, NewFIFO()); err != nil || !hit {
 		t.Fatalf("re-stored entry: hit=%v err=%v, want hit", hit, err)
 	}
 }

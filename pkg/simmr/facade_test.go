@@ -5,17 +5,6 @@ import (
 	"testing"
 )
 
-func TestMinEDFWithEstimator(t *testing.T) {
-	names := map[string]string{
-		"low": "MinEDF-low", "avg": "MinEDF", "up": "MinEDF-up", "": "MinEDF",
-	}
-	for arg, want := range names {
-		if got := MinEDFWithEstimator(arg).Name(); got != want {
-			t.Errorf("estimator %q -> %q, want %q", arg, got, want)
-		}
-	}
-}
-
 func TestParseDistFacade(t *testing.T) {
 	d, err := ParseDist("exponential(12)")
 	if err != nil {
@@ -45,27 +34,6 @@ func TestParseWorkloadDescFacade(t *testing.T) {
 	}
 	if _, err := ParseWorkloadDesc([]byte("{")); err == nil {
 		t.Fatal("bad JSON should fail")
-	}
-}
-
-func TestTraceTransformFacades(t *testing.T) {
-	tpl := &Template{AppName: "t", NumMaps: 1, MapDurations: []float64{1}}
-	tr := &Trace{Jobs: []*Job{
-		{Arrival: 0, Template: tpl},
-		{Arrival: 10000, Template: tpl.Clone()},
-	}}
-	tr.Normalize()
-	if err := StripIdle(tr, 50); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Jobs[1].Arrival != 50 {
-		t.Fatalf("StripIdle arrival = %v", tr.Jobs[1].Arrival)
-	}
-	if err := CompressArrivals(tr, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Jobs[1].Arrival != 25 {
-		t.Fatalf("CompressArrivals arrival = %v", tr.Jobs[1].Arrival)
 	}
 }
 

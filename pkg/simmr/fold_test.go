@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"simmr/internal/obs"
 )
 
 // sparseTestTrace is a sparse multi-tenant stream collected into a trace
@@ -95,8 +97,8 @@ func TestReplayAllocBudget(t *testing.T) {
 		sink Sink
 	}{
 		{"bare", nil},
-		{"flight", NewFlightRecorder(0)},
-		{"session", TeeSinks(NewMetricsSink(), NewFlightRecorder(0), NewTelemetry().EngineSink())},
+		{"flight", obs.NewFlightRecorder(0)},
+		{"session", TeeSinks(NewMetricsSink(), obs.NewFlightRecorder(0), NewTelemetry().EngineSink())},
 	} {
 		cfg := DefaultReplayConfig()
 		cfg.Sink = c.sink

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"simmr/internal/obs"
 )
 
 // Satellite 4: per-engine sinks in a parallel batch must be isolated —
@@ -16,7 +18,7 @@ import (
 func TestReplayBatchSinkIsolation(t *testing.T) {
 	tr := sweepTrace()
 	const n = 12
-	mkSpecs := func(sinks []*RecordSink) []ReplaySpec {
+	mkSpecs := func(sinks []*obs.RecordSink) []ReplaySpec {
 		specs := make([]ReplaySpec, n)
 		for i := range specs {
 			specs[i] = ReplaySpec{
@@ -34,11 +36,11 @@ func TestReplayBatchSinkIsolation(t *testing.T) {
 		return specs
 	}
 
-	serialSinks := make([]*RecordSink, n)
-	parallelSinks := make([]*RecordSink, n)
+	serialSinks := make([]*obs.RecordSink, n)
+	parallelSinks := make([]*obs.RecordSink, n)
 	for i := range serialSinks {
-		serialSinks[i] = &RecordSink{}
-		parallelSinks[i] = &RecordSink{}
+		serialSinks[i] = &obs.RecordSink{}
+		parallelSinks[i] = &obs.RecordSink{}
 	}
 	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 1}, mkSpecs(serialSinks)); err != nil {
 		t.Fatal(err)
@@ -61,7 +63,7 @@ func TestReplayBatchSinkIsolation(t *testing.T) {
 // replay under the default cluster configuration.
 func TestReplayBatchSinkKeepsDefaultConfig(t *testing.T) {
 	tr := sweepTrace()
-	rec := &RecordSink{}
+	rec := &obs.RecordSink{}
 	var cfg ReplayConfig
 	cfg.Sink = rec
 	withSink, err := ReplayBatchCfg(context.Background(), BatchConfig{}, []ReplaySpec{{Config: cfg, Trace: tr}})
@@ -87,12 +89,12 @@ func TestCapacitySweepSinkFactory(t *testing.T) {
 	tr := sweepTrace()
 	metrics := NewMetricsSink()
 	var mu sync.Mutex
-	perCell := map[[2]int]*RecordSink{}
+	perCell := map[[2]int]*obs.RecordSink{}
 	pts, err := CapacitySweep(tr, SweepConfig{
 		MapSlotCounts:    []int{2, 4, 8},
 		ReduceSlotCounts: []int{2, 4},
 		SinkFactory: func(mapSlots, reduceSlots int) Sink {
-			rec := &RecordSink{}
+			rec := &obs.RecordSink{}
 			mu.Lock()
 			perCell[[2]int{mapSlots, reduceSlots}] = rec
 			mu.Unlock()

@@ -128,7 +128,7 @@ func TestFailedSpecDeliversItsFlightDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &RecordSink{}
+	rec := &obs.RecordSink{}
 	reg := NewRunRegistry(4)
 	_, err = ReplayBatchCfg(context.Background(), BatchConfig{Workers: 1, Runs: reg, Flight: 256}, []ReplaySpec{{
 		Name: "stalls", Trace: tr, Config: ReplayConfig{Sink: rec}, Policy: &stallAfter{Policy: NewFIFO(), grants: 900},

@@ -39,8 +39,3 @@ func DefaultRuns() *RunRegistry { return runs.Default() }
 // NewRunRegistry builds a private registry retaining the last
 // recentCap completed runs (<= 0 selects the default capacity).
 func NewRunRegistry(recentCap int) *RunRegistry { return runs.New(recentCap) }
-
-// NewFlightRecorder builds a recorder retaining the last size events
-// (<= 0 selects the 4096 default). Attach it as (or Tee it into) a
-// replay's Sink; see obs.FlightRecorder for the trigger/dump contract.
-func NewFlightRecorder(size int) *FlightRecorder { return obs.NewFlightRecorder(size) }

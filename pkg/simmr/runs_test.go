@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"simmr/internal/engine"
 )
 
 // TestSweepRegistersRun covers the ops-plane wiring of CapacitySweep:
@@ -158,7 +160,7 @@ func TestBranchSetRegistersRun(t *testing.T) {
 	}
 	// Total events = prefix counted once + each branch's suffix. The
 	// prefix pauses at the first macro-step boundary at or past event 4.
-	e, err := NewEngine(DefaultReplayConfig(), tr, NewFIFO())
+	e, err := engine.New(DefaultReplayConfig(), tr, NewFIFO())
 	if err != nil {
 		t.Fatal(err)
 	}

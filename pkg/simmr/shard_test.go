@@ -2,13 +2,15 @@ package simmr
 
 import (
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 )
 
 // TestShardedSweepMatchesFull pins the sharded execution contract: the
-// merge of N shard runs is identical (cells, order, every metric) to
-// one unsharded sweep.
+// points of N shard runs cover the grid exactly once, and placed by
+// their Cell they are identical (cells, order, every metric) to one
+// unsharded sweep.
 func TestShardedSweepMatchesFull(t *testing.T) {
 	tr, err := MultiTenantTrace(80, rand.New(rand.NewSource(12)))
 	if err != nil {
@@ -43,9 +45,21 @@ func TestShardedSweepMatchesFull(t *testing.T) {
 			t.Fatalf("shard %d: %v", s, err)
 		}
 	}
-	merged, err := MergeSweepPoints(parts...)
-	if err != nil {
-		t.Fatal(err)
+	merged := make([]SweepPoint, len(full))
+	covered := make([]bool, len(full))
+	for s, part := range parts {
+		for _, p := range part {
+			if p.Cell < 0 || p.Cell >= len(full) || covered[p.Cell] {
+				t.Fatalf("shard %d: cell %d outside the grid or covered twice", s, p.Cell)
+			}
+			covered[p.Cell] = true
+			merged[p.Cell] = p
+		}
+	}
+	for cell, ok := range covered {
+		if !ok {
+			t.Fatalf("no shard covers cell %d", cell)
+		}
 	}
 	if !reflect.DeepEqual(full, merged) {
 		t.Fatalf("merged shards diverged from full sweep:\n full   %+v\n merged %+v", full, merged)
@@ -79,29 +93,19 @@ func TestShardValidation(t *testing.T) {
 	}
 }
 
-func TestMergeSweepPointsErrors(t *testing.T) {
-	if _, err := MergeSweepPoints(); err == nil {
-		t.Fatal("empty merge accepted")
-	}
-	dup := []SweepPoint{{Cell: 0}, {Cell: 0}}
-	if _, err := MergeSweepPoints(dup); err == nil {
-		t.Fatal("duplicate cells accepted")
-	}
-	gap := []SweepPoint{{Cell: 0}, {Cell: 2}}
-	if _, err := MergeSweepPoints(gap); err == nil {
-		t.Fatal("gapped cells accepted")
-	}
-}
-
 // TestPackedTraceFacadeRoundTrip covers the pkg-level packed-trace
-// surface: PackTrace → DecodePackedTrace and WritePackedTrace →
-// OpenPackedTrace, plus sniffing and replay equivalence.
+// surface: WritePackedTrace → OpenPackedTrace, plus sniffing and replay
+// equivalence.
 func TestPackedTraceFacadeRoundTrip(t *testing.T) {
 	tr, err := MultiTenantTrace(60, rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := PackTrace(tr)
+	path := t.TempDir() + "/t.strc"
+	if err := WritePackedTrace(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +114,6 @@ func TestPackedTraceFacadeRoundTrip(t *testing.T) {
 	}
 	if IsPackedTrace([]byte(`{"Name":"x"}`)) {
 		t.Fatal("JSON sniffed as packed")
-	}
-	dec, err := DecodePackedTrace(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := t.TempDir() + "/t.strc"
-	if err := WritePackedTrace(path, tr); err != nil {
-		t.Fatal(err)
 	}
 	opened, err := OpenPackedTrace(path)
 	if err != nil {
@@ -131,14 +126,12 @@ func TestPackedTraceFacadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, loaded := range []*Trace{dec, opened} {
-		got, err := Replay(cfg, loaded, NewFIFO())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Jobs, got.Jobs) || want.Makespan != got.Makespan {
-			t.Fatal("replay of packed-loaded trace diverged from original")
-		}
+	got, err := Replay(cfg, opened, NewFIFO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Jobs, got.Jobs) || want.Makespan != got.Makespan {
+		t.Fatal("replay of packed-loaded trace diverged from original")
 	}
 }
 

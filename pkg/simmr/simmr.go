@@ -24,7 +24,6 @@ package simmr
 import (
 	"io"
 	"math/rand"
-	"net/http"
 
 	"simmr/internal/cluster"
 	"simmr/internal/engine"
@@ -81,9 +80,9 @@ type (
 // identical to a from-scratch replay with the same edits. BranchSet is
 // the fan-out runtime over these primitives.
 type (
-	// Engine is a stepable SimMR replay engine: RunEvents pauses it at
-	// event boundaries, Snapshot seals it for forking, InjectJob /
-	// SetDeadline / SetPolicy edit a paused run.
+	// Engine is a paused branch engine, as WhatIf.Mutate receives it:
+	// InjectJob / SetDeadline / SetPolicy edit the run, Now reads its
+	// clock, Snapshot seals it for further forking.
 	Engine = engine.Engine
 	// EngineSnapshot is a sealed engine state — the shared fork source.
 	EngineSnapshot = engine.Snapshot
@@ -92,13 +91,6 @@ type (
 	// ForkStats reports the bytes arming a fork copied.
 	ForkStats = engine.ForkStats
 )
-
-// NewEngine builds a replay engine for stepwise use — RunEvents,
-// Snapshot, Fork. For plain end-to-end replays, Replay and ReplayPool
-// remain the shorter path.
-func NewEngine(cfg ReplayConfig, tr *Trace, p Policy) (*Engine, error) {
-	return engine.New(cfg, tr, p)
-}
 
 // Observability types (DESIGN.md §8): set ReplayConfig.Sink to receive
 // the engine's typed event stream. A nil sink costs nothing; each
@@ -115,8 +107,6 @@ type (
 	EngineEventKind = obs.Kind
 	// RunCounters are the run-level totals delivered at Sink.RunEnd.
 	RunCounters = obs.Counters
-	// RecordSink captures the raw event stream in memory.
-	RecordSink = obs.RecordSink
 	// TimelineSink reconstructs a per-slot occupancy timeline
 	// (Figure 1/2-style task-progress data).
 	TimelineSink = obs.TimelineSink
@@ -135,20 +125,17 @@ type (
 // Telemetry is the sweep-wide metrics registry (DESIGN.md §10):
 // counters, max-gauges, and fixed-bucket histograms updated with plain
 // atomics, each engine's sink writing once per block of events, so a
-// single Telemetry shared by every concurrent replay costs no mutex. Set SweepConfig.Telemetry / BatchConfig.Telemetry (or attach
-// EngineSink() to a ReplayConfig) to feed it, and serve it in
-// Prometheus text format via MetricsHandler. A nil *Telemetry is valid
-// everywhere and costs nothing.
+// single Telemetry shared by every concurrent replay costs no mutex. Set
+// SweepConfig.Telemetry / BatchConfig.Telemetry (or attach EngineSink()
+// to a ReplayConfig) to feed it; Registry().WritePrometheus renders it in
+// Prometheus text format, as the CLIs' -debug-addr /metrics endpoint
+// does. A nil *Telemetry is valid everywhere and costs nothing.
 type Telemetry = telemetry.SimMetrics
 
 // NewTelemetry builds the SimMR metric set (task-duration, completion,
 // and queue histograms; event, slot, and pool-reuse counters; replay
 // wall-time and lifecycle-span histograms).
 func NewTelemetry() *Telemetry { return telemetry.NewSimMetrics() }
-
-// MetricsHandler serves a Telemetry registry as a Prometheus /metrics
-// scrape endpoint (text exposition format 0.0.4).
-func MetricsHandler(t *Telemetry) http.Handler { return telemetry.Handler(t.Registry()) }
 
 // NewTimelineSink returns a slot-occupancy timeline recorder.
 func NewTimelineSink() *TimelineSink { return obs.NewTimelineSink() }
@@ -188,8 +175,6 @@ type (
 type (
 	// Bounds is a completion-time [low, up] estimate.
 	Bounds = model.Bounds
-	// Allocation is a (map slots, reduce slots) grant.
-	Allocation = model.Allocation
 )
 
 // NewFIFO returns the default FIFO policy.
@@ -212,20 +197,6 @@ func NewFair() Policy { return sched.Fair{} }
 // spending budgets keyed by job ID.
 func NewDynamicPriority(budgets, bids map[int]float64) Policy {
 	return sched.NewDynamicPriority(budgets, bids)
-}
-
-// MinEDFWithEstimator returns MinEDF sized against a bounds estimator:
-// "low", "avg" (paper default), or "up" — the knob behind the estimator
-// ablation.
-func MinEDFWithEstimator(which string) Policy {
-	switch which {
-	case "low":
-		return sched.MinEDF{Estimate: sched.EstimatorLow}
-	case "up":
-		return sched.MinEDF{Estimate: sched.EstimatorUp}
-	default:
-		return sched.MinEDF{}
-	}
 }
 
 // NewCapacity returns the Capacity scheduler approximation with the
@@ -311,12 +282,9 @@ func EncodeTrace(tr *Trace) ([]byte, error) { return trace.Encode(tr) }
 // DecodeTrace parses and validates a JSON trace.
 func DecodeTrace(data []byte) (*Trace, error) { return trace.Decode(data) }
 
-// PackTrace encodes a trace into the columnar binary `.strc` image —
-// deduplicated templates, one contiguous duration arena, per-section
-// CRCs (see FORMATS.md).
-func PackTrace(tr *Trace) ([]byte, error) { return tracebin.Pack(tr) }
-
-// WritePackedTrace packs a trace to path atomically.
+// WritePackedTrace packs a trace to path atomically, as the columnar
+// binary `.strc` image — deduplicated templates, one contiguous duration
+// arena, per-section CRCs (see FORMATS.md).
 func WritePackedTrace(path string, tr *Trace) error { return tracebin.WriteFile(path, tr) }
 
 // OpenPackedTrace loads a `.strc` file, memory-mapping it where the
@@ -326,15 +294,6 @@ func WritePackedTrace(path string, tr *Trace) error { return tracebin.WriteFile(
 // unchanged.
 func OpenPackedTrace(path string) (*Trace, error) {
 	s, err := tracebin.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return s.Trace(), nil
-}
-
-// DecodePackedTrace decodes an in-memory `.strc` image.
-func DecodePackedTrace(data []byte) (*Trace, error) {
-	s, err := tracebin.Decode(data)
 	if err != nil {
 		return nil, err
 	}
@@ -425,23 +384,8 @@ func ScaleTemplate(t *Template, factor float64, scaleReduces bool, rng *rand.Ran
 	return trace.ScaleTemplate(t, factor, scaleReduces, rng)
 }
 
-// StripIdle compresses inactivity out of a trace, shortening any
-// inter-arrival gap beyond maxGap (the paper replays its production
-// history "without inactivity periods", §IV-E).
-func StripIdle(tr *Trace, maxGap float64) error { return trace.StripIdle(tr, maxGap) }
-
-// CompressArrivals scales all inter-arrival gaps by factor for
-// load-scaling what-if replays.
-func CompressArrivals(tr *Trace, factor float64) error { return trace.CompressArrivals(tr, factor) }
-
 // JobBounds estimates completion-time bounds for a profile under a slot
 // allocation (the ARIA model of §V-A).
 func JobBounds(p Profile, mapSlots, reduceSlots int) Bounds {
 	return model.JobBounds(p, mapSlots, reduceSlots)
-}
-
-// MinimalSlots computes the fewest total slots meeting a relative
-// deadline — the allocation MinEDF grants on job arrival.
-func MinimalSlots(p Profile, deadline float64, maxMap, maxReduce int) Allocation {
-	return model.MinimalSlots(p, deadline, maxMap, maxReduce)
 }

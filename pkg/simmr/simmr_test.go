@@ -100,10 +100,6 @@ func TestModelHelpers(t *testing.T) {
 	if b.Low <= 0 || b.Up < b.Low {
 		t.Fatalf("bounds: %+v", b)
 	}
-	a := MinimalSlots(p, b.Avg()*2, 64, 64)
-	if !a.Feasible || a.MapSlots < 1 {
-		t.Fatalf("allocation: %+v", a)
-	}
 }
 
 func TestScaleTemplateThroughAPI(t *testing.T) {

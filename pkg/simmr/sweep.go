@@ -21,17 +21,18 @@ import (
 // concurrently from worker goroutines, and never serialize the pool.
 type ProgressFunc = parallel.ProgressFunc
 
-// ErrEmptyWorkload is returned by CapacitySweep and ReplayBatchCfg when
-// asked to simulate a workload with no jobs: every per-job statistic
-// (mean completion, deadline misses) would be undefined.
+// ErrEmptyWorkload is returned by CapacitySweep, ReplayBatchCfg and
+// BranchSet when asked to simulate a workload with no jobs: every
+// per-job statistic (mean completion, deadline misses) would be
+// undefined.
 var ErrEmptyWorkload = errors.New("simmr: empty workload")
 
 // SweepPoint is one cell of a capacity-planning sweep: the replay
 // outcome of the workload on a cluster with the given slot counts.
 type SweepPoint struct {
 	// Cell is the point's global grid index (map-slot major), stable
-	// across sharded execution — MergeSweepPoints reassembles shard
-	// outputs in grid order by it.
+	// across sharded execution: shard outputs placed by it reassemble
+	// the unsharded sweep's grid order.
 	Cell                  int
 	MapSlots, ReduceSlots int
 	Makespan              float64
@@ -102,7 +103,7 @@ type SweepConfig struct {
 	// with Shards = N > 1, only cells whose global grid index ≡
 	// ShardIndex (mod N) are replayed, and each process can share one
 	// mmapped packed trace read-only. Shards 0 or 1 runs the whole
-	// grid. Reassemble shard outputs with MergeSweepPoints.
+	// grid. Each point's Cell is its place in the whole grid.
 	Shards     int
 	ShardIndex int
 }
@@ -163,8 +164,8 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 	}
 
 	// Shard selection: this process replays only its residue class of
-	// the grid. Global cell indices ride along in the output so
-	// MergeSweepPoints can reassemble grid order across processes.
+	// the grid. Global cell indices ride along in the output so shard
+	// outputs reassemble in grid order across processes.
 	sel := make([]int, 0, len(cells))
 	switch {
 	case cfg.Shards < 0:
@@ -251,37 +252,6 @@ func sweepPoint(cell int, c sweepCell, res *engine.Result) SweepPoint {
 		p.MeanCompletion /= float64(n)
 	}
 	return p
-}
-
-// MergeSweepPoints reassembles the outputs of a sharded sweep into the
-// single grid-order slice an unsharded CapacitySweep would have
-// produced. It requires a complete, non-overlapping cover of the grid:
-// duplicate or missing cells are an error (a shard ran twice, or one
-// is still outstanding).
-func MergeSweepPoints(shards ...[]SweepPoint) ([]SweepPoint, error) {
-	n := 0
-	for _, s := range shards {
-		n += len(s)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("simmr: merge of zero sweep points")
-	}
-	out := make([]SweepPoint, n)
-	seen := make([]bool, n)
-	for _, s := range shards {
-		for _, p := range s {
-			if p.Cell < 0 || p.Cell >= n {
-				return nil, fmt.Errorf("simmr: sweep cell %d outside merged grid of %d", p.Cell, n)
-			}
-			if seen[p.Cell] {
-				return nil, fmt.Errorf("simmr: duplicate sweep cell %d in merge", p.Cell)
-			}
-			seen[p.Cell] = true
-			out[p.Cell] = p
-		}
-	}
-	// seen is fully true here: n points, all in [0,n), no duplicates.
-	return out, nil
 }
 
 // SmallestClusterMeeting returns the sweep point with the fewest slots

@@ -91,7 +91,7 @@ smoke-bigtrace:
 	$(GO) run ./cmd/tracegen -kind multitenant -n 100000 -format bin -stream -pool 256 -out $(SMOKE).strc
 	$(SMOKE)-simmr trace info -trace $(SMOKE).strc
 	GOMEMLIMIT=128MiB $(SMOKE)-simmr -trace $(SMOKE).strc -policy minedf
-	for p in fifo minedf; do \
+	for p in fifo maxedf minedf fair capacity; do \
 		GOMAXPROCS=1 $(SMOKE)-simmr -trace $(SMOKE).strc -policy $$p -v > $(SMOKE)-one.txt && \
 		$(SMOKE)-simmr -trace $(SMOKE).strc -policy $$p -v > $(SMOKE)-all.txt && \
 		cmp $(SMOKE)-one.txt $(SMOKE)-all.txt || exit 1; \

@@ -12,6 +12,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -747,23 +748,45 @@ func BenchmarkClusterEmulator(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerDecision isolates one policy decision over a
-// 100-job queue — the inner loop of every allocation round.
+// BenchmarkSchedulerDecision times what the engine runs for a built-in
+// policy: the scheduling index sched.IndexFor returns, asked by
+// AssignMapSlots for a round of 8 map slots over 4 and over 2,500 active
+// jobs that each want two more maps. After every round the granted tasks
+// are handed back, with the OnJobUpdate a preemption makes, so each
+// round starts from the same state; the hand-back is timed too. ns/grant
+// is the number to compare.
 func BenchmarkSchedulerDecision(b *testing.B) {
-	q := make([]*sched.JobInfo, 100)
-	for i := range q {
-		q[i] = &sched.JobInfo{
-			ID: i, Arrival: float64(i), Deadline: float64(1000 + i*7%301),
-			NumMaps: 100, NumReduces: 10, ReduceReady: true,
-		}
-	}
-	policies := []sched.Policy{sched.FIFO{}, sched.MaxEDF{}, sched.MinEDF{}, sched.Fair{}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := policies[i%len(policies)]
-		if p.ChooseNextMapTask(q) < 0 {
-			b.Fatal("no job chosen")
+	const slots = 8
+	for _, p := range []sched.Policy{sched.FIFO{}, sched.MaxEDF{}, sched.Fair{}} {
+		for _, n := range []int{4, 2500} {
+			b.Run(fmt.Sprintf("%s/jobs=%d", p.Name(), n), func(b *testing.B) {
+				ix := sched.IndexFor(p, nil)
+				jobs := make([]*sched.JobInfo, n)
+				for i := range jobs {
+					jobs[i] = &sched.JobInfo{
+						ID: i, Arrival: float64(i), Deadline: float64(1000 + i*7%301),
+						NumMaps: 100, ScheduledMaps: 98, CompletedMaps: 90, NumReduces: 10,
+					}
+					ix.OnJobAdmit(jobs[i], 64, 64)
+				}
+				grants := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ids := ix.AssignMapSlots(nil, slots)
+					grants += len(ids)
+					for _, id := range ids {
+						jobs[id].ScheduledMaps--
+					}
+					for _, id := range ids {
+						ix.OnJobUpdate(jobs[id])
+					}
+				}
+				if grants == 0 {
+					b.Fatal("no slot granted")
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(grants), "ns/grant")
+			})
 		}
 	}
 }

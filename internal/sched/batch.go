@@ -118,14 +118,28 @@ func wants(j *JobInfo, kind int) bool {
 	return j.wantsReduceSlot()
 }
 
-// grant applies one slot grant of the given kind to j's counters — the
-// increment the engine makes between ChooseNext* calls on the scan path.
-func grant(j *JobInfo, kind int) {
+// grant applies n slot grants of the given kind to j's counters — the
+// increments the engine makes between ChooseNext* calls on the scan path.
+func grant(j *JobInfo, kind, n int) {
 	if kind == forMaps {
-		j.ScheduledMaps++
+		j.ScheduledMaps += n
 	} else {
-		j.ScheduledReduces++
+		j.ScheduledReduces += n
 	}
+}
+
+// room is how many more slots of the given kind an eligible j can use
+// before wants turns false: its pending tasks, capped by its wanted
+// allocation (MinEDF) less its running ones.
+func room(j *JobInfo, kind int) int {
+	pending, running, wanted := j.PendingMaps(), j.RunningMaps(), j.WantedMaps
+	if kind == forReduces {
+		pending, running, wanted = j.PendingReduces(), j.RunningReduces(), j.WantedReduces
+	}
+	if wanted > 0 {
+		return min(pending, wanted-running)
+	}
+	return pending
 }
 
 // jobIndex is one tournament over the active jobs — the whole index for
@@ -189,8 +203,11 @@ func (ix *jobIndex) ResetQueue() { ix.t.Reset() }
 func (ix *jobIndex) ReadsRunning() bool { return ix.running }
 
 // assign grants up to n slots of one kind: take the winner, count the
-// grant, re-rank it. A grant of one kind never changes the other
-// ranking's eligibility or keys.
+// grants, re-rank it. A grant of one kind never changes the other
+// ranking's eligibility or keys. Under a static ranking a grant touches
+// no key and no other leaf, so the winner stays the winner until it
+// wants no more: it takes all the slots it has room for at once. Fair's
+// key is the running count a grant moves, so there it takes one.
 func (ix *jobIndex) assign(kind, n int) []int {
 	ix.grants = ix.grants[:0]
 	for len(ix.grants) < n {
@@ -198,9 +215,15 @@ func (ix *jobIndex) assign(kind, n int) []int {
 		if j == nil {
 			break
 		}
-		grant(j, kind)
+		k := 1
+		if !ix.running {
+			k = min(n-len(ix.grants), room(j, kind))
+		}
+		grant(j, kind, k)
 		ix.t.FixOrder(kind, j, wants(j, kind))
-		ix.grants = append(ix.grants, j.ID)
+		for range k {
+			ix.grants = append(ix.grants, j.ID)
+		}
 	}
 	return ix.grants
 }
@@ -322,8 +345,9 @@ func (ix *capacityIndex) ReadsRunning() bool { return true }
 
 // best returns the winning queue for one kind of slot under the scan's
 // ordering — smallest running/share ratio among queues with an eligible
-// job, ratio ties broken by the candidate jobs' arrival order — or nil.
-func (ix *capacityIndex) best(kind int) *capacityQueue {
+// job, ratio ties broken by the candidate jobs' arrival order — and its
+// candidate job, or nils.
+func (ix *capacityIndex) best(kind int) (*capacityQueue, *JobInfo) {
 	var bestQ *capacityQueue
 	var bestJ *JobInfo
 	var bestRatio float64
@@ -339,7 +363,7 @@ func (ix *capacityIndex) best(kind int) *capacityQueue {
 			bestQ, bestJ, bestRatio = q, j, ratio
 		}
 	}
-	return bestQ
+	return bestQ, bestJ
 }
 
 // assign grants up to n slots of one kind, one queue choice per slot:
@@ -348,12 +372,11 @@ func (ix *capacityIndex) best(kind int) *capacityQueue {
 func (ix *capacityIndex) assign(kind, n int) []int {
 	ix.grants = ix.grants[:0]
 	for len(ix.grants) < n {
-		q := ix.best(kind)
+		q, j := ix.best(kind)
 		if q == nil {
 			break
 		}
-		j := q.t.Best(kind)
-		grant(j, kind)
+		grant(j, kind, 1)
 		s, _ := q.t.slot(j)
 		q.fold(s, j)
 		q.t.FixOrder(kind, j, wants(j, kind))

@@ -1,11 +1,14 @@
 package sched
 
-import "unsafe"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // This file implements the incrementally maintained ordered index behind
-// the engine's scheduling index (DESIGN.md §11): winner trees (complete
-// binary tournaments) over the active jobs with an eligibility bitset at
-// the leaves.
+// the engine's scheduling index (DESIGN.md §11): an eligibility bitset
+// over the active jobs' leaf slots and, past its starting capacity,
+// winner trees (complete binary tournaments) over it.
 //
 // Why a tournament and not a heap or a sorted ring: a job's *key* is
 // static for FIFO and the EDF family (arrival, deadline) but its
@@ -13,15 +16,18 @@ import "unsafe"
 // slowstart gates open, MinEDF caps fill up, preemption hands map tasks
 // back. A heap ordered by key would have to pop-and-stash ineligible
 // winners on every query; an arrival ring would have to rescan past
-// head-of-line jobs that are active but currently ineligible. The
-// tournament keeps both updates O(log n) and the winner O(1): each leaf
-// is one job plus an eligibility bit, each internal node caches the
-// better of its children's winners (ineligible leaves lose to anything),
-// and a key or eligibility change only recomputes the leaf's root path —
-// and only as far up as the winner actually changes, so at the small
-// queues of a sparse replay most updates touch one or two nodes.
-// Fair's fully dynamic key (running-task count) fits the same mold
-// because every counter change already flows through a Fix call.
+// head-of-line jobs that are active but currently ineligible. Each leaf
+// is one job plus an eligibility bit. Up to flatLeaves leaves there is
+// no tree, only its root: a touched leaf has only to beat the winner,
+// and a touched winner is found again among the set bits — at the
+// handful of jobs a sparse replay keeps active, a tree's re-sift on
+// every flip cost more than that scan. Past flatLeaves, each internal
+// node caches the better of its children's winners (ineligible leaves
+// lose to anything), and a key or eligibility change recomputes the
+// leaf's root path, O(log n), only as far up as the winner actually
+// changes. Either way Best reads the root: O(1). Fair's fully dynamic key (running-task
+// count) fits the same mold because every counter change already flows
+// through a Fix call.
 
 // Line isolation. An index is hammered by exactly one engine — every
 // event rewrites a grant slice header, an eligibility word, a few tree
@@ -108,7 +114,7 @@ type Order struct {
 // winnerTree is one Order's tree over the tournament's shared leaves.
 type winnerTree struct {
 	Order
-	win  []int32  // 1-based; win[size+i] is leaf i; -1 = no winner
+	win  []int32  // 1-based; win[size+i] is leaf i; -1 = no winner; flat: win[1] only
 	elig []uint64 // eligibility bitset over leaf slots
 }
 
@@ -119,9 +125,9 @@ const maxOrders = 2
 // Tournament is a winner-tree index over a mutating set of jobs, ranked
 // under one or two Orders at once: the jobs, their leaf slots and the
 // job→leaf lookup are shared, so keeping a second ranking costs one more
-// tree, not one more index. The zero value is not ready; build with
-// NewTournament. It is not safe for concurrent use — like the engine
-// that owns it, it is single-goroutine state.
+// bitset and tree, not one more index. The zero value is not ready;
+// build with NewTournament. It is not safe for concurrent use — like
+// the engine that owns it, it is single-goroutine state.
 type Tournament struct {
 	lane  Lane
 	n     int // rankings in use
@@ -134,9 +140,17 @@ type Tournament struct {
 	count int
 }
 
-// minTournamentSize keeps the trees deep enough that growth is rare for
-// small queues without wasting memory on tiny runs.
-const minTournamentSize = 16
+// minTournamentSize keeps growth rare for small queues without wasting
+// memory on tiny runs. Up to flatLeaves leaves a tournament keeps no
+// trees, and a Reset one keeps its capacity and so its mode. A scan
+// costs a comparison per eligible job: per grant, flat is 8–38 %
+// cheaper than the tree at 4 eligible jobs, −5 to +20 % at 8 and
+// 40–53 % dearer at 16, and a flat word of 64 leaves costs 2.7–5.3
+// times the tree at 48–64 jobs, so only the starting capacity is flat.
+const (
+	minTournamentSize = 16
+	flatLeaves        = minTournamentSize
+)
 
 // NewTournament builds an empty index on the given lane, ranked under
 // each of orders (one or two); Best(k) answers under orders[k].
@@ -157,7 +171,11 @@ func (t *Tournament) alloc(size int) {
 	t.jobs = lineSlice[*JobInfo](size)
 	for k := 0; k < t.n; k++ {
 		tr := &t.trees[k]
-		tr.win = lineSlice[int32](2 * size)
+		n := 2 * size
+		if size <= flatLeaves {
+			n = 2 // the root alone
+		}
+		tr.win = lineSlice[int32](n)
 		for i := range tr.win {
 			tr.win[i] = -1
 		}
@@ -300,8 +318,23 @@ func (tr *winnerTree) refresh(t *Tournament, s int32, now bool) {
 // at the first ancestor whose winner is unchanged and is some other
 // leaf: nothing above it compared against the touched leaf, so nothing
 // above it can change. An unchanged winner that *is* the touched leaf
-// must keep climbing — its key may have moved (Fair).
+// must keep climbing — its key may have moved (Fair). A flat tournament
+// has only the root: a touched winner is looked for again among the set
+// bits, and any other touched leaf has only to beat it.
 func (tr *winnerTree) sift(t *Tournament, s int32) {
+	if t.size <= flatLeaves {
+		r := tr.win[1]
+		if r == s {
+			r = -1
+			for w := tr.elig[0]; w != 0; w &= w - 1 {
+				r = tr.merge(t, r, int32(bits.TrailingZeros64(w)))
+			}
+		} else if tr.elig[0]&(1<<s) != 0 {
+			r = tr.merge(t, r, s)
+		}
+		tr.win[1] = r
+		return
+	}
 	v := int(s) + t.size
 	if tr.elig[s>>6]&(1<<(s&63)) != 0 {
 		tr.win[v] = s
@@ -333,7 +366,8 @@ func (tr *winnerTree) merge(t *Tournament, a, b int32) int32 {
 
 // grow doubles the leaf capacity, preserving slot assignments (the
 // jobs' leaf handles stay valid) and rebuilding the winner trees
-// bottom-up.
+// bottom-up from the eligibility bits. It always leaves a tree: a flat
+// tournament is one at its starting capacity.
 func (t *Tournament) grow() {
 	oldJobs, oldSize := t.jobs, t.size
 	var oldElig [maxOrders][]uint64

@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS  = -ldflags "-X simmr/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: build test verify smoke-bigtrace smoke-ops clean
+.PHONY: build test verify smoke-bigtrace clean
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -97,13 +97,6 @@ smoke-bigtrace:
 		cmp $(SMOKE)-one.txt $(SMOKE)-all.txt || exit 1; \
 	done
 	rm -f $(SMOKE).strc $(SMOKE)-simmr $(SMOKE)-one.txt $(SMOKE)-all.txt
-
-# smoke-ops is the live ops-plane end-to-end check: run a real sweep
-# with the debug server up, then prove the run registry, SSE progress
-# stream and health/buildinfo endpoints all answer. CI runs this as the
-# ops-smoke job.
-smoke-ops: build
-	./scripts/ops_smoke.sh
 
 # clean removes what `go build ./cmd/<name>` leaves at the repo root
 # (the list .gitignore carries).

@@ -132,16 +132,16 @@ func run() error {
 		printInfo(tr)
 		return nil
 	}
-	cache := cf.open(tel)
-	if *sweep != "" {
-		return runSweep(tr, *sweep, *shard, tel, cache)
-	}
-	if *shard != "" {
-		return fmt.Errorf("-shard only applies to -sweep")
-	}
 	policy, err := rf.policy()
 	if err != nil {
 		return err
+	}
+	cache := cf.open(tel)
+	if *sweep != "" {
+		return runSweep(tr, *sweep, *shard, policy, *rf.slowstart, tel, cache)
+	}
+	if *shard != "" {
+		return fmt.Errorf("-shard only applies to -sweep")
 	}
 
 	if *engineKind == "simmr" {
@@ -246,14 +246,15 @@ func writeTimeline(path string, spans []simmr.SlotSpan, makespan, step float64) 
 	return nil
 }
 
-// runSweep replays the trace across a grid of square cluster sizes.
+// runSweep replays the trace across a grid of square cluster sizes,
+// under -policy and -slowstart as a single replay would.
 // When telemetry is live (-debug-addr), every concurrent cell reports
 // into the shared registry — each cell's sink writes it once per block
 // of events, so aggregation costs no mutex. With -shard I/N only
 // this process's residue class of the grid runs (each process can
 // mmap one shared packed trace read-only); the output gains a cell
 // column so shard outputs merge back into grid order.
-func runSweep(tr *simmr.Trace, spec, shard string, tel *simmr.Telemetry, cache *simmr.Cache) error {
+func runSweep(tr *simmr.Trace, spec, shard string, policy simmr.Policy, slowstart float64, tel *simmr.Telemetry, cache *simmr.Cache) error {
 	var counts []int
 	for _, part := range strings.Split(spec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -266,7 +267,8 @@ func runSweep(tr *simmr.Trace, spec, shard string, tel *simmr.Telemetry, cache *
 	// follow the sweep, with a flight recorder per simulated replay for
 	// post-mortems.
 	o := opsOptions(tel, cache)
-	scfg := simmr.SweepConfig{MapSlotCounts: counts, Telemetry: tel, Cache: cache, Runs: o.Runs, Flight: o.Flight}
+	scfg := simmr.SweepConfig{MapSlotCounts: counts, Policy: policy, MinMapPercentCompleted: slowstart,
+		Telemetry: tel, Cache: cache, Runs: o.Runs, Flight: o.Flight}
 	if shard != "" {
 		i, n, _ := strings.Cut(shard, "/")
 		var err error

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -232,6 +233,8 @@ func TestCLIGolden(t *testing.T) {
 		{"sweep", "-trace trace.strc -sweep 8,16,32", 0},
 		{"sweep-shard0", "-trace trace.strc -sweep 8,16,32 -shard 0/2", 0},
 		{"sweep-shard1", "-trace trace.strc -sweep 8,16,32 -shard 1/2", 0},
+		{"sweep-maxedf", "-trace trace.strc -sweep 8,16,32 -policy maxedf -slowstart 0.5", 0},
+		{"sweep-policy-bad", "-trace trace.strc -sweep 8,16 -policy bogus", 1},
 		{"sweep-bad", "-trace trace.strc -sweep 8,x", 1},
 		{"sweep-junk", "-trace trace.strc -sweep 16,24x", 1},
 		{"shard-junk", "-trace trace.strc -sweep 8,16 -shard 0/2x", 1},
@@ -403,31 +406,9 @@ func TestCLIGolden(t *testing.T) {
 // one post-mortem its one flight recorder captured (MinEDF misses
 // deadlines on the fixture) — read from the lingering process.
 func TestReplayRegistersOnOpsPlane(t *testing.T) {
-	cmd := exec.Command(simmrBin, "-trace", "trace.strc", "-policy", "minedf", "-debug-addr", "127.0.0.1:0", "-linger", "30s")
-	cmd.Dir = cliFixture(t)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
-	// The startup line names the bound port.
-	sc := bufio.NewScanner(stderr)
-	var base string
-	for base == "" && sc.Scan() {
-		if _, rest, ok := strings.Cut(sc.Text(), "debug endpoint at "); ok {
-			base = strings.TrimSuffix(strings.Fields(rest)[0], "/metrics")
-		}
-	}
-	if base == "" {
-		t.Fatal("simmr never announced its debug endpoint")
-	}
-	tr, err := simmr.OpenPackedTrace(filepath.Join(cmd.Dir, "trace.strc"))
+	dir := cliFixture(t)
+	base := startLingering(t, dir, nil, "-trace", "trace.strc", "-policy", "minedf")
+	tr, err := simmr.OpenPackedTrace(filepath.Join(dir, "trace.strc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,5 +443,149 @@ func TestReplayRegistersOnOpsPlane(t *testing.T) {
 	}
 	if got.FlightDumps != 1 || got.Jobs != uint64(len(tr.Jobs)) || got.Events == 0 {
 		t.Fatalf("one recorder, one deadline-miss dump, every job counted: %+v", got)
+	}
+}
+
+// startLingering starts simmr with args, the debug server on a free
+// port and 30 s of -linger, in dir with env added to its environment,
+// and returns the server's base URL. The process is killed when the
+// test ends.
+func startLingering(t *testing.T, dir string, env []string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(simmrBin, append(args, "-debug-addr", "127.0.0.1:0", "-linger", "30s")...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), env...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	// The startup line names the bound port.
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		if _, rest, ok := strings.Cut(sc.Text(), "debug endpoint at "); ok {
+			go io.Copy(io.Discard, stderr) // keep the pipe drained
+			return strings.TrimSuffix(strings.Fields(rest)[0], "/metrics")
+		}
+	}
+	t.Fatal("simmr never announced its debug endpoint")
+	return ""
+}
+
+// getOK fetches url and returns its body, failing the test on anything
+// but a 200.
+func getOK(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s %v\n%s", url, resp.Status, err, body)
+	}
+	return body
+}
+
+// TestSweepStreamsOnOpsPlane drives the ops plane of a live sweep end to
+// end: /healthz and /buildinfo answer, /runs and /runs/latest list the
+// sweep, its SSE stream delivers a progress frame taken while it ran and
+// the end event after, and its final snapshot is ok with events counted.
+// The stream is subscribed while the sweep runs: 64 cells of a
+// 10 000-job burst on one core (GOMAXPROCS=1) take about a second, where
+// finding the run takes milliseconds. The burst keeps every cell's
+// cluster busy, so no cell is answered by another's replay.
+func TestSweepStreamsOnOpsPlane(t *testing.T) {
+	dir := t.TempDir()
+	tr, err := simmr.MultiTenantTrace(10_000, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := simmr.WritePackedTrace(filepath.Join(dir, "ops.strc"), tr); err != nil {
+		t.Fatal(err)
+	}
+	var cells []string
+	for n := 4; n <= 256; n += 4 {
+		cells = append(cells, strconv.Itoa(n))
+	}
+	base := startLingering(t, dir, []string{"GOMAXPROCS=1"},
+		"-trace", "ops.strc", "-policy", "maxedf", "-sweep", strings.Join(cells, ","))
+
+	if body := getOK(t, base+"/healthz"); string(body) != "ok\n" {
+		t.Errorf("/healthz = %q, want \"ok\"", body)
+	}
+	var info struct{ Version string }
+	if err := json.Unmarshal(getOK(t, base+"/buildinfo"), &info); err != nil || info.Version == "" {
+		t.Errorf("/buildinfo has no version (%v)", err)
+	}
+
+	// The sweep registers once its trace is loaded.
+	var run simmr.RunSnapshot
+	for deadline := time.Now().Add(20 * time.Second); run.Kind != "sweep"; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("/runs/latest never resolved the sweep")
+		}
+		resp, err := http.Get(base + "/runs/latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&run)
+		}
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Get(base + "/runs/" + run.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []simmr.RunSnapshot
+	ended := false
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	for event := ""; !ended && sc.Scan(); {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+			ended = event == "end"
+		case event == "progress" && strings.HasPrefix(line, "data: "):
+			var f simmr.RunSnapshot
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &f); err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, f)
+		}
+	}
+	resp.Body.Close()
+	if len(frames) == 0 || frames[0].Outcome != "running" || !ended {
+		t.Fatalf("stream of %s: %d progress frames (the first %+v), end event %v; want a running frame first and the end event",
+			run.ID, len(frames), frames, ended)
+	}
+
+	var list struct {
+		Runs []simmr.RunSnapshot `json:"runs"`
+	}
+	if err := json.Unmarshal(getOK(t, base+"/runs"), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Runs) != 1 || list.Runs[0].ID != run.ID || list.Runs[0].Kind != "sweep" || list.Runs[0].Policy != "MaxEDF" {
+		t.Fatalf("/runs lists %+v, want the one MaxEDF sweep %s", list.Runs, run.ID)
+	}
+	var final simmr.RunSnapshot
+	if err := json.Unmarshal(getOK(t, base+"/runs/"+run.ID), &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.Outcome != "ok" || final.Events == 0 || final.Done != len(cells) {
+		t.Fatalf("final snapshot %+v: want outcome ok, events counted, %d cells done", final, len(cells))
 	}
 }

@@ -278,8 +278,8 @@ type Options struct {
 	MapSlots    int
 	ReduceSlots int
 	// Trace, when set, supplies job names and deadlines (they are not
-	// part of the event stream). Jobs missing from the trace — e.g.
-	// branch-injected ones — get empty names and no deadline.
+	// part of the event stream). Jobs missing from the trace get empty
+	// names and no deadline.
 	Trace *trace.Trace
 }
 

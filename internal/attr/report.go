@@ -348,8 +348,8 @@ type AttrDiff struct {
 }
 
 // Diff computes the attribution delta of branch relative to control.
-// Jobs only present in one run (branch injections) are skipped — there
-// is nothing to diff against.
+// Jobs only present in one run are skipped — there is nothing to diff
+// against.
 func Diff(control, branch *Report) *AttrDiff {
 	base := make(map[int]*Explanation, len(control.Jobs))
 	for i := range control.Jobs {

@@ -114,21 +114,11 @@ func (q *Lanes) ScheduleNext() bool {
 	return lane == laneSched
 }
 
-// OwnSchedule moves the queue onto a private copy of its schedule,
-// built in buf's storage (which must not overlap the current schedule)
-// and returned for the caller to keep: the way a clone outlives the
-// queue it was cloned from.
-func (q *Lanes) OwnSchedule(buf []Arrival) []Arrival {
-	q.sched = append(buf[:0], q.sched...)
-	return q.sched
-}
-
 // CloneInto reproduces the queue's complete state into dst, in dst's
 // own lane storage: two slice copies (the heap as it lies, the pending
 // part of the same-instant lane) and the counters. The schedule is
 // immutable, so the clone shares it and copies only the cursor (see
-// Preload for the lifetime this imposes, and OwnSchedule for ending the
-// sharing). Seqs name the same records in the clone as in the source,
+// Preload for the lifetime this imposes). Seqs name the same records in the clone as in the source,
 // reservations included. The source is not modified and may be cloned
 // again.
 func (q *Lanes) CloneInto(dst *Lanes) {

@@ -179,10 +179,10 @@ func TestDifferentialIndexedPreemption(t *testing.T) {
 // scheduling index (Engine.completionCounts, DESIGN.md §11) against the
 // scan, where every decision reads the counters afresh. Under both ends of
 // the slowstart range, with and without preemption, every policy replays
-// byte-identically, and so does a MinEDF replay switched to FIFO midway:
-// by SetPolicy, which re-admits the live jobs unsized, and by a fork under
-// FIFO, which keeps their MinEDF caps — capped jobs under a static order,
-// whose completions must still reach the index.
+// byte-identically, and so does a MinEDF replay paused midway: switched to
+// FIFO by SetPolicy, which re-admits the live jobs unsized, and forked,
+// which keeps their MinEDF caps — capped jobs whose completions must
+// still reach the index the fork rebuilt.
 func TestDifferentialCompletionRule(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(300, rand.New(rand.NewSource(41)))
 	if err != nil {
@@ -206,8 +206,9 @@ func TestDifferentialCompletionRule(t *testing.T) {
 }
 
 // assertIdenticalSwitch replays tr under MinEDF to half its events, then
-// under FIFO — switched by SetPolicy, and on a fork under FIFO — on the
-// scan path and on the scheduling index, and compares the two.
+// under FIFO switched by SetPolicy, and on a fork of the paused MinEDF
+// replay, on the scan path and on the scheduling index, and compares the
+// two.
 func assertIdenticalSwitch(t *testing.T, cfg Config, tr *trace.Trace) {
 	t.Helper()
 	full, err := Run(cfg, tr, sched.MinEDF{})
@@ -233,7 +234,7 @@ func assertIdenticalSwitch(t *testing.T, cfg Config, tr *trace.Trace) {
 		set = replay{res, sink}
 		src, _ := pauseAt(t, cfg, tr, wrap(sched.MinEDF{}), at)
 		fork.sink = &obs.RecordSink{}
-		f, err := src.Fork(ForkOptions{Policy: wrap(sched.FIFO{}), Sink: fork.sink})
+		f, err := src.Fork(ForkOptions{Sink: fork.sink})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,11 +251,10 @@ func assertIdenticalSwitch(t *testing.T, cfg Config, tr *trace.Trace) {
 	scanSet, scanFork, _ := run(schedtest.ScanOnly)
 	idxSet, idxFork, capped := run(func(p sched.Policy) sched.Policy { return p })
 	if capped == 0 {
-		t.Fatalf("no capped job unfinished at event %d: the fork under FIFO tests nothing", at)
+		t.Fatalf("no capped job unfinished at event %d: the fork tests nothing", at)
 	}
-	scan := schedtest.ScanOnly(sched.FIFO{})
-	assertSameReplay(t, scan, scanSet.res, scanSet.sink, idxSet.res, idxSet.sink)
-	assertSameReplay(t, scan, scanFork.res, scanFork.sink, idxFork.res, idxFork.sink)
+	assertSameReplay(t, schedtest.ScanOnly(sched.FIFO{}), scanSet.res, scanSet.sink, idxSet.res, idxSet.sink)
+	assertSameReplay(t, schedtest.ScanOnly(sched.MinEDF{}), scanFork.res, scanFork.sink, idxFork.res, idxFork.sink)
 }
 
 // TestDifferentialIndexedAblations runs the shuffle-model ablations and

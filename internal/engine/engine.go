@@ -222,7 +222,7 @@ type simJob struct {
 	info sched.JobInfo   // scheduler-visible state, engine-owned
 	tpl  *trace.Template // read-only view into the shared trace
 	out  *JobOutcome     // the job's entry in the run's Result.Jobs, or Engine.unkept
-	pos  int             // index of that entry: trace position, injected jobs after
+	pos  int             // index of that entry: the job's trace position
 
 	nextMap      int
 	nextReduce   int
@@ -292,17 +292,13 @@ type Engine struct {
 	arrivals []des.Arrival
 	inOrder  bool
 
-	// tr is the trace being replayed and extra the jobs injected after
-	// it, by value. A job's position — its index in tr.Jobs, or
-	// len(tr.Jobs)+k for extra[k] — names its outcome in out and its
-	// entry in slotOf; indexOf maps job IDs to positions and is nil when
-	// the IDs are dense (ID == position + idBase), sharedIndex marks it
-	// as borrowed read-only from the fork source.
-	tr          *trace.Trace
-	extra       []trace.Job
-	indexOf     map[int]int
-	idBase      int
-	sharedIndex bool
+	// tr is the trace being replayed. A job's position — its index in
+	// tr.Jobs — names its outcome in out and its entry in slotOf; indexOf
+	// maps job IDs to positions and is nil when the IDs are dense (ID ==
+	// position + idBase). A fork borrows its source's read-only.
+	tr      *trace.Trace
+	indexOf map[int]int
+	idBase  int
 
 	// The live window. slotOf[p] is the state of the job at position p
 	// while it is live and nil before its arrival and after its
@@ -353,7 +349,7 @@ type Engine struct {
 	makespan  float64 // time of the latest job departure
 
 	// src is the sealed snapshot this engine was forked from, whose
-	// arrival schedule (and ID map) it borrows; nil on ordinary engines.
+	// arrival schedule and ID map it borrows; nil on ordinary engines.
 	// snap caches this engine's own Snapshot once sealed.
 	src   *Snapshot
 	snap  *Snapshot
@@ -538,12 +534,9 @@ func (e *Engine) release() {
 	clear(e.deadlines)
 	e.fillers, e.fillerFree = e.fillers[:0], -1
 	e.tr = nil
-	clear(e.extra)
-	e.extra = e.extra[:0]
-	e.src = nil
-	if e.sharedIndex {
+	if e.src != nil {
 		// The map belongs to the fork source; drop it rather than clear it.
-		e.indexOf, e.sharedIndex = nil, false
+		e.indexOf, e.src = nil, nil
 	}
 }
 
@@ -637,14 +630,6 @@ func (e *Engine) jobLookup(id int) (pos int, ok bool) {
 	return pos, ok
 }
 
-// jobAt returns the job at position p: the trace's, or an injected one.
-func (e *Engine) jobAt(p int) *trace.Job {
-	if n := len(e.tr.Jobs); p >= n {
-		return &e.extra[p-n]
-	}
-	return e.tr.Jobs[p]
-}
-
 // slotChunk is the least number of job slots carved at once; each
 // further chunk doubles the slots the engine owns.
 const slotChunk = 16
@@ -670,7 +655,7 @@ func (e *Engine) newSlot() *simJob {
 // its outcome — the first half of handling its arrival event.
 func (e *Engine) arm(p int) *simJob {
 	sj := e.newSlot()
-	j := e.jobAt(p)
+	j := e.tr.Jobs[p]
 	deadline := j.Deadline
 	if len(e.deadlines) > 0 {
 		if d, ok := e.deadlines[p]; ok {
@@ -871,7 +856,7 @@ func (e *Engine) RunInto(res *Result) error {
 // macro-step boundary. It reports whether the replay is complete.
 // RunEvents(0) starts the run — arrivals pushed, nothing fired — so a
 // t=0 snapshot is well-defined. A paused engine accepts the mutation
-// APIs (SetDeadline, InjectJob, SetPolicy), further RunEvents calls,
+// APIs (SetDeadline, SetPolicy), further RunEvents calls,
 // Snapshot, or a finishing Run; note Run, not RunEvents, assembles the
 // Result and emits the sink's RunEnd. The sink has seen every event up
 // to the pause when RunEvents returns.
@@ -1336,10 +1321,9 @@ func (e *Engine) onReduceTaskDeparture(sj *simJob, task int) {
 // completionCounts reports whether a task completion of sj can change
 // the scheduling index's answer through the running counts it lowers:
 // the index ranks by them (eachCompletion), or a cap of the job compares
-// them — MinEDF's sizing, which a fork under another policy keeps. A
-// completion that does neither, and opens no slow-start gate, leaves
-// every ranking and eligibility bit of a static index as it was, so it
-// does not reach the index (DESIGN.md §11).
+// them — MinEDF's sizing. A completion that does neither, and opens no
+// slow-start gate, leaves every ranking and eligibility bit of a static
+// index as it was, so it does not reach the index (DESIGN.md §11).
 func (e *Engine) completionCounts(sj *simJob) bool {
 	return e.eachCompletion || sj.info.WantedMaps != 0 || sj.info.WantedReduces != 0
 }

@@ -8,7 +8,7 @@
 // replayed, not by the trace: jobs yet to arrive have no state, and
 // their arrivals are the queue's immutable schedule, which the clone
 // shares. Forks are independent engines: they run, pause, mutate
-// (SetDeadline, InjectJob, SetPolicy), and produce Results
+// (SetDeadline, SetPolicy), and produce Results
 // byte-identical to a from-scratch replay that took the same decisions
 // at the same events — the fork differential suite pins this across the
 // whole policy family.
@@ -24,7 +24,6 @@ import (
 	"simmr/internal/des"
 	"simmr/internal/obs"
 	"simmr/internal/sched"
-	"simmr/internal/trace"
 )
 
 // jobBytes, outcomeBytes and eventBytes size the fork byte accounting.
@@ -65,18 +64,20 @@ func (s *Snapshot) Events() uint64 { return s.e.q.Fired() }
 func (s *Snapshot) Time() float64 { return s.e.clock.Now() }
 
 // Done reports whether the replay had already completed when sealed
-// (forks then produce the finished Result immediately — unless revived
-// by InjectJob).
+// (forks then produce the finished Result immediately).
 func (s *Snapshot) Done() bool { return s.e.remaining == 0 }
 
 // Snapshot seals the engine at its current macro-step boundary and
 // returns the immutable fork source. An idle engine is started first
 // (arrivals pushed, nothing fired), so a t=0 snapshot is well-defined;
-// a completed engine seals its final state. Sealing a fork first takes
-// private copies of what it borrows (the arrival schedule, the ID map)
-// so the new snapshot is self-contained and its own source is released.
-// Snapshot is idempotent: sealing twice returns the same *Snapshot.
+// a completed engine seals its final state. A fork cannot be sealed: it
+// borrows its source's arrival schedule and ID map, which the source's
+// Reset would pull from under its own forks. Snapshot is idempotent:
+// sealing twice returns the same *Snapshot.
 func (e *Engine) Snapshot() (*Snapshot, error) {
+	if e.src != nil {
+		return nil, fmt.Errorf("engine: cannot seal a fork; seal an engine replayed from the trace instead")
+	}
 	switch e.state {
 	case runSealed:
 		return e.snap, nil
@@ -87,13 +88,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	case runDone:
 		// Run gave the outcome array away with its Result.
 		e.out = slices.Clone(e.out)
-	}
-	if e.src != nil {
-		e.arrivals = e.q.OwnSchedule(e.arrivals)
-		if e.sharedIndex {
-			e.indexOf, e.sharedIndex = maps.Clone(e.indexOf), false
-		}
-		e.src = nil
 	}
 	e.compactActive() // forks copy the queue as sealed: make it exact
 	e.state = runSealed
@@ -127,16 +121,6 @@ func (e *Engine) forkJob(s *simJob) *simJob {
 
 // ForkOptions parameterizes one fork off a snapshot.
 type ForkOptions struct {
-	// Policy is the fork's scheduling policy instance. Nil shares the
-	// snapshot's policy — right for the stateless built-in values (FIFO,
-	// MaxEDF, MinEDF, Fair, Capacity; each fork builds its own
-	// scheduling index for them), while a policy carrying mutable state
-	// of its own (DynamicPriority) needs an instance per fork. To
-	// *change* policy at the branch point, fork with the old policy and
-	// call SetPolicy on the fork — that re-admits jobs under the new
-	// policy exactly like a from-scratch replay switching at the same
-	// event would.
-	Policy sched.Policy
 	// Sink receives the fork's own event stream (suffix only — the
 	// shared prefix was observed by the snapshot engine's sink) and the
 	// RunEnd counters, which cover the whole logical replay. One sink
@@ -148,11 +132,16 @@ type ForkOptions struct {
 // warmed storage exactly like Reset does — the pooled-fork path. dst
 // resumes from the snapshot's macro-step boundary: same clock, same
 // pending events (cloned), same per-job progress (live slots and
-// outcomes so far, copied), same policy decisions ahead of it. Index
-// state (the scheduling index, the preemption index) is rebuilt from the
-// forked queue in O(active · log) rather than cloned — rebuild benches
-// faster than an O(index-size) deep clone at replay scale and needs no
-// clone hooks; the fork differential suite pins its equivalence.
+// outcomes so far, copied), same policy decisions ahead of it. The fork
+// continues the snapshot's policy instance, shared: it must carry no
+// mutable state of its own (the built-in values; each fork builds its
+// own scheduling index for them). SetPolicy on the fork changes policy
+// at the branch point exactly like a from-scratch replay switching at
+// the same event would. Index state (the scheduling index, the
+// preemption index) is rebuilt from the forked queue in O(active · log)
+// rather than cloned — rebuild benches faster than an O(index-size)
+// deep clone at replay scale and needs no clone hooks; the fork
+// differential suite pins its equivalence.
 func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	src := s.e
 	if dst == src {
@@ -161,17 +150,13 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	if dst.state == runSealed {
 		return fmt.Errorf("engine: fork destination is sealed by Snapshot; Reset it first")
 	}
-	policy := opts.Policy
-	if policy == nil {
-		policy = src.policy
-	}
 
 	// Scalar replay state, counters included, so the fork's RunEnd
 	// totals match a from-scratch replay's.
 	dst.release()
 	dst.cfg = src.cfg
 	dst.setSink(opts.Sink) // and an empty block: the prefix's events are the prefix sink's
-	dst.setPolicy(policy)
+	dst.setPolicy(src.policy)
 	dst.clock = src.clock
 	dst.freeMap = src.freeMap
 	dst.freeReduce = src.freeReduce
@@ -190,14 +175,11 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	// for seq; un-arrived jobs stay in the snapshot's schedule, shared.
 	src.q.CloneInto(&dst.q)
 
-	// The replay's jobs: the trace and the ID map are shared read-only
-	// (InjectJob copies the map on write), injected jobs and deadline
-	// overrides are few and copied.
+	// The replay's jobs: the trace and the ID map are shared read-only,
+	// the deadline overrides are few and copied.
 	dst.src = s
 	dst.tr = src.tr
-	dst.extra = append(dst.extra, src.extra...)
 	dst.indexOf, dst.idBase = src.indexOf, src.idBase
-	dst.sharedIndex = src.indexOf != nil
 	dst.deadlines = maps.Clone(src.deadlines)
 
 	// Outcomes so far, then the live jobs in queue order — the snapshot
@@ -296,7 +278,7 @@ func (e *Engine) SetDeadline(jobID int, deadline float64) error {
 	if !ok {
 		return fmt.Errorf("engine: SetDeadline: no job %d in this replay", jobID)
 	}
-	arrival := e.jobAt(p).Arrival
+	arrival := e.tr.Jobs[p].Arrival
 	if e.arrived(p) {
 		return fmt.Errorf("engine: SetDeadline: job %d already arrived at t=%.3f; branch before its arrival to change its deadline", jobID, arrival)
 	}
@@ -308,71 +290,6 @@ func (e *Engine) SetDeadline(jobID int, deadline float64) error {
 	}
 	e.deadlines[p] = deadline
 	return nil
-}
-
-// InjectJob adds a job arrival at or after the pause point — the "what
-// if another job showed up" branch mutation. The job joins the replay
-// exactly as a traced arrival would: its arrival event enters the
-// queue with the next sequence number, so two engines injecting the
-// same job at the same pause point stay byte-identical. The template
-// is treated read-only like the trace's. Injecting into a completed
-// replay revives it: the next Run continues with the new arrival.
-func (e *Engine) InjectJob(j *trace.Job) error {
-	if err := e.mutable("InjectJob"); err != nil {
-		return err
-	}
-	if j == nil || j.Template == nil {
-		return fmt.Errorf("engine: InjectJob: nil job or template")
-	}
-	if err := j.Template.Validate(); err != nil {
-		return fmt.Errorf("engine: InjectJob: %w", err)
-	}
-	if math.IsNaN(j.Arrival) || j.Arrival < e.clock.Now() {
-		return fmt.Errorf("engine: InjectJob: arrival %v is in the simulated past (now %v)", j.Arrival, e.clock.Now())
-	}
-	if j.Deadline < 0 || (j.Deadline > 0 && j.Deadline < j.Arrival) {
-		return fmt.Errorf("engine: InjectJob: deadline %v before arrival %v", j.Deadline, j.Arrival)
-	}
-	if j.Template.NumReduces > 0 && e.cfg.ReduceSlots == 0 {
-		return fmt.Errorf("engine: InjectJob: job %d needs reduce slots but cluster has none", j.ID)
-	}
-	if _, exists := e.jobLookup(j.ID); exists {
-		return fmt.Errorf("engine: InjectJob: job ID %d already in the replay", j.ID)
-	}
-	e.ownIndex()
-
-	// The job takes the next position; its arrival event arms it like any
-	// other. Growing the outcome array moves it: re-point the live jobs.
-	p := len(e.out)
-	if p == cap(e.out) {
-		e.out = slices.Grow(e.out, 1)
-		for _, sj := range e.slots {
-			sj.out = &e.out[sj.pos]
-		}
-	}
-	e.out = append(e.out, JobOutcome{})
-	e.slotOf = append(e.slotOf, nil)
-	e.extra = append(e.extra, *j)
-	e.indexOf[j.ID] = p
-	e.remaining++
-	e.q.Push(j.Arrival, evJobArrival, j.ID, 0)
-	return nil
-}
-
-// ownIndex materializes an engine-owned indexOf map covering the
-// replay's jobs, replacing the dense-dispatch nil or a map borrowed from
-// a fork source. Cold path: only InjectJob needs it.
-func (e *Engine) ownIndex() {
-	switch {
-	case e.indexOf == nil:
-		e.indexOf = make(map[int]int, len(e.out)+1)
-		for i := range e.tr.Jobs {
-			e.indexOf[e.idBase+i] = i // dense dispatch: ID == position + idBase by Reset's check
-		}
-	case e.sharedIndex:
-		e.indexOf = maps.Clone(e.indexOf)
-	}
-	e.sharedIndex = false
 }
 
 // SetPolicy swaps the scheduling policy at the pause point — the

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"simmr/internal/synth"
-	"simmr/internal/trace"
 )
 
 // FuzzForkAtEvent drives the fork differential oracle from fuzzed
@@ -14,8 +13,10 @@ import (
 // index (the corpus seeds t=0, mid-run, and beyond-the-end; the mod
 // wrap keeps mutated indices in a widened range that still covers all
 // three regimes), any policy from the suite, and preemption on or off.
-// The property is the tentpole invariant itself: fork-then-run equals
-// pause-then-run on a fresh engine, byte for byte.
+// Both sides move the deadline of the first job still to arrive and, for
+// odd seeds, swap to the next policy of the suite. The property is the
+// tentpole invariant itself: fork-then-run equals pause-then-run on a
+// fresh engine, byte for byte.
 func FuzzForkAtEvent(f *testing.F) {
 	f.Add(int64(1), uint64(0), uint8(0), false)     // t=0 fork
 	f.Add(int64(2), uint64(100), uint8(2), true)    // mid-run, MinEDF, preemption
@@ -27,8 +28,22 @@ func FuzzForkAtEvent(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
+		spreadArrivals(tr)
 		pcs := diffPolicies()
 		mk := pcs[int(policyIdx)%len(pcs)].mk
+		swap := pcs[(int(policyIdx)+1)%len(pcs)].mk
+		edit := func(e *Engine) {
+			if id, arr := firstUnarrivedID(e); id >= 0 {
+				if err := e.SetDeadline(id, arr+300); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if seed&1 != 0 {
+				if err := e.SetPolicy(swap()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		cfg := DefaultConfig()
 		cfg.PreemptMapTasks = preempt
 
@@ -55,15 +70,7 @@ func FuzzForkAtEvent(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj := &trace.Job{
-			ID:       1 << 20,
-			Arrival:  fork.Now() + 2,
-			Deadline: fork.Now() + 300,
-			Template: injectTemplate(),
-		}
-		if err := fork.InjectJob(inj); err != nil {
-			t.Fatal(err)
-		}
+		edit(fork)
 		forkRes, err := fork.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -76,9 +83,7 @@ func FuzzForkAtEvent(f *testing.F) {
 		if _, err := scratch.RunEvents(forkAt); err != nil {
 			t.Fatal(err)
 		}
-		if err := scratch.InjectJob(inj); err != nil {
-			t.Fatal(err)
-		}
+		edit(scratch)
 		scratchRes, err := scratch.Run()
 		if err != nil {
 			t.Fatal(err)

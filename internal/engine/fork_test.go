@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -31,8 +32,8 @@ type forkMutation struct {
 	apply func(t *testing.T, e *Engine)
 }
 
-// injectTemplate builds a small well-formed template for injected jobs.
-func injectTemplate() *trace.Template {
+// smallTemplate builds a small well-formed template for hand-built traces.
+func smallTemplate() *trace.Template {
 	return &trace.Template{
 		AppName:         "whatif",
 		NumMaps:         6,
@@ -49,7 +50,7 @@ func injectTemplate() *trace.Template {
 func firstUnarrivedID(e *Engine) (int, float64) {
 	for p := range e.out {
 		if !e.arrived(p) {
-			j := e.jobAt(p)
+			j := e.tr.Jobs[p]
 			return j.ID, j.Arrival
 		}
 	}
@@ -59,32 +60,41 @@ func firstUnarrivedID(e *Engine) (int, float64) {
 func forkMutations(swap func() sched.Policy) []forkMutation {
 	return []forkMutation{
 		{"none", func(t *testing.T, e *Engine) {}},
-		{"inject", func(t *testing.T, e *Engine) {
-			j := &trace.Job{
-				ID:       9_000_000,
-				Name:     "injected",
-				Arrival:  e.Now() + 1.5,
-				Deadline: e.Now() + 400,
-				Template: injectTemplate(),
-			}
-			if err := e.InjectJob(j); err != nil {
-				t.Fatalf("InjectJob: %v", err)
-			}
+		{"deadline", moveFirstDeadline},
+		{"swap-policy", func(t *testing.T, e *Engine) { swapPolicy(t, e, swap) }},
+		{"deadline+swap", func(t *testing.T, e *Engine) {
+			moveFirstDeadline(t, e)
+			swapPolicy(t, e, swap)
 		}},
-		{"deadline", func(t *testing.T, e *Engine) {
-			id, arr := firstUnarrivedID(e)
-			if id < 0 {
-				return // branch point past the last arrival: nothing to move
-			}
-			if err := e.SetDeadline(id, arr+137.5); err != nil {
-				t.Fatalf("SetDeadline: %v", err)
-			}
-		}},
-		{"swap-policy", func(t *testing.T, e *Engine) {
-			if err := e.SetPolicy(swap()); err != nil {
-				t.Fatalf("SetPolicy: %v", err)
-			}
-		}},
+	}
+}
+
+// moveFirstDeadline tightens the deadline of the first job still to
+// arrive; past the last arrival there is nothing to move.
+func moveFirstDeadline(t *testing.T, e *Engine) {
+	if id, arr := firstUnarrivedID(e); id >= 0 {
+		if err := e.SetDeadline(id, arr+137.5); err != nil {
+			t.Fatalf("SetDeadline: %v", err)
+		}
+	}
+}
+
+func swapPolicy(t *testing.T, e *Engine, swap func() sched.Policy) {
+	if err := e.SetPolicy(swap()); err != nil {
+		t.Fatalf("SetPolicy: %v", err)
+	}
+}
+
+// spreadArrivals stretches a synthetic burst 400-fold, deadlines moving
+// with their jobs, so that jobs are still to arrive at a branch point
+// deep into the replay and SetDeadline has one to move.
+func spreadArrivals(tr *trace.Trace) {
+	for _, j := range tr.Jobs {
+		shift := j.Arrival * 399
+		j.Arrival += shift
+		if j.Deadline > 0 {
+			j.Deadline += shift
+		}
 	}
 }
 
@@ -105,9 +115,9 @@ func pauseAt(t *testing.T, cfg Config, tr *trace.Trace, p sched.Policy, events u
 }
 
 // assertForkMatchesScratch is the per-cell oracle. mk builds the replay
-// policy; the fork itself always takes a nil ForkOptions.Policy, so it
-// shares the snapshot's policy value and — on the indexed variants —
-// must rebuild its own scheduling index by re-admitting the live jobs.
+// policy; the fork shares the snapshot's policy value and — on the
+// indexed variants — must rebuild its own scheduling index by
+// re-admitting the live jobs.
 func assertForkMatchesScratch(t *testing.T, cfg Config, tr *trace.Trace, mk func() sched.Policy, forkEvents uint64, mut forkMutation) {
 	t.Helper()
 
@@ -225,6 +235,7 @@ func TestForkDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spreadArrivals(tr)
 	total, err := Run(DefaultConfig(), tr, sched.FIFO{})
 	if err != nil {
 		t.Fatal(err)
@@ -236,24 +247,24 @@ func TestForkDifferential(t *testing.T) {
 			muts := forkMutations(pv.swap)
 			// One randomized interior fork point per mutation, plus the
 			// edges on the "none" mutation.
-			points := []uint64{
-				uint64(rng.Int63n(int64(total.Events-2))) + 1,
-				0,                // t=0: nothing fired, all arrivals pending
-				total.Events + 7, // beyond the end: fork of a finished replay
-			}
-			for i, mut := range muts {
+			forkAt := uint64(rng.Int63n(int64(total.Events-2))) + 1
+			for _, mut := range muts[1:] {
 				mut := mut
-				forkAt := points[0]
-				if mut.name == "none" {
-					forkAt = points[1+i%2] // cover both edges across runs
-				}
 				t.Run(mut.name, func(t *testing.T) {
 					assertForkMatchesScratch(t, DefaultConfig(), tr, pv.mk, forkAt, mut)
 				})
 			}
+			// t=0: nothing fired, all arrivals pending.
+			t.Run("none", func(t *testing.T) {
+				assertForkMatchesScratch(t, DefaultConfig(), tr, pv.mk, 0, muts[0])
+			})
+			// Beyond the end: a fork of a finished replay.
+			t.Run("past-end", func(t *testing.T) {
+				assertForkMatchesScratch(t, DefaultConfig(), tr, pv.mk, total.Events+7, muts[0])
+			})
 			// Deep branch point (~90%), BenchmarkBranchSet's shape.
 			t.Run("deep", func(t *testing.T) {
-				assertForkMatchesScratch(t, DefaultConfig(), tr, pv.mk, total.Events*9/10, forkMutations(pv.swap)[1])
+				assertForkMatchesScratch(t, DefaultConfig(), tr, pv.mk, total.Events*9/10, forkMutations(pv.swap)[3])
 			})
 		})
 	}
@@ -271,6 +282,7 @@ func TestForkDifferentialPreemption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spreadArrivals(tr)
 	cfg := DefaultConfig()
 	cfg.PreemptMapTasks = true
 	total, err := Run(cfg, tr, sched.MaxEDF{})
@@ -281,8 +293,8 @@ func TestForkDifferentialPreemption(t *testing.T) {
 	for _, pv := range forkPolicyVariants() {
 		pv := pv
 		t.Run(pv.name, func(t *testing.T) {
-			for _, mut := range []int{0, 1, 3} { // none, inject, swap-policy
-				mut := forkMutations(pv.swap)[mut]
+			for _, mut := range forkMutations(pv.swap) {
+				mut := mut
 				forkAt := uint64(rng.Int63n(int64(total.Events-2))) + 1
 				t.Run(mut.name, func(t *testing.T) {
 					assertForkMatchesScratch(t, cfg, tr, pv.mk, forkAt, mut)
@@ -300,6 +312,7 @@ func TestForkDifferentialConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spreadArrivals(tr)
 	cfgs := []struct {
 		name string
 		cfg  Config
@@ -318,7 +331,7 @@ func TestForkDifferentialConfigs(t *testing.T) {
 		for _, pv := range forkPolicyVariants() {
 			pv := pv
 			t.Run(cc.name+"/"+pv.name, func(t *testing.T) {
-				mut := forkMutations(pv.swap)[1] // inject
+				mut := forkMutations(pv.swap)[3] // deadline+swap
 				assertForkMatchesScratch(t, cc.cfg, tr, pv.mk, total.Events/2, mut)
 			})
 		}
@@ -326,13 +339,13 @@ func TestForkDifferentialConfigs(t *testing.T) {
 }
 
 // TestForkDifferentialSparseIDs forks a replay whose job IDs force the
-// indexOf map path, then injects — exercising the copy ownIndex takes
-// of the borrowed map.
+// indexOf map path: the fork resolves every ID — its own events' and
+// SetDeadline's — through the map it borrows from the snapshot.
 func TestForkDifferentialSparseIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tr := &trace.Trace{Name: "sparse-fork"}
 	for i := 0; i < 30; i++ {
-		tpl := injectTemplate()
+		tpl := smallTemplate()
 		job := &trace.Job{
 			ID:       i*11 + 5,
 			Arrival:  float64(i) * 2,
@@ -363,117 +376,18 @@ func TestForkDifferentialSparseIDs(t *testing.T) {
 	}
 }
 
-// TestForkOfFork seals a running fork (the borrowed schedule is copied,
-// the source link dropped) and branches again; the
-// grandchild must still match a scratch replay paused at the second
-// branch point with both mutations applied in order.
-func TestForkOfFork(t *testing.T) {
-	tr, err := synth.MultiTenantTrace(60, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spread the burst out so jobs are still to arrive at both branch
-	// points: the forks then depend on the snapshot's arrival schedule.
-	for _, j := range tr.Jobs {
-		shift := j.Arrival * 399
-		j.Arrival += shift
-		if j.Deadline > 0 {
-			j.Deadline += shift
-		}
-	}
-	cfg := DefaultConfig()
-	total, err := Run(cfg, tr, sched.MinEDF{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, k2 := total.Events/4, total.Events*3/4
-
-	inject := func(t *testing.T, e *Engine, id int) {
-		t.Helper()
-		if err := e.InjectJob(&trace.Job{
-			ID: id, Arrival: e.Now() + 1, Deadline: e.Now() + 300, Template: injectTemplate(),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Fork chain: pause at k1, fork+inject, run to k2, seal the fork,
-	// fork again + inject, run to end.
-	prefix, prefixSink := pauseAt(t, cfg, tr, sched.MinEDF{}, k1)
-	snap1, err := prefix.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	midSink := &obs.RecordSink{}
-	mid, err := snap1.Fork(ForkOptions{Sink: midSink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inject(t, mid, 9_000_001)
-	if _, err := mid.RunEvents(k2); err != nil {
-		t.Fatal(err)
-	}
-	snap2, err := mid.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mid.src != nil {
-		t.Fatal("sealing a fork did not end its borrowing: src link still set")
-	}
-	// Self-contained means the first source can be re-armed and run —
-	// rewriting the arrival schedule mid borrowed until it was sealed.
-	other, err := synth.MultiTenantTrace(60, rand.New(rand.NewSource(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prefix.Reset(cfg, other, sched.FIFO{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prefix.Run(); err != nil {
-		t.Fatal(err)
-	}
-	leafSink := &obs.RecordSink{}
-	leaf, err := snap2.Fork(ForkOptions{Sink: leafSink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inject(t, leaf, 9_000_002)
-	leafRes, err := leaf.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Scratch: one engine, same pauses, same injections.
-	scratch, scratchSink := pauseAt(t, cfg, tr, sched.MinEDF{}, k1)
-	inject(t, scratch, 9_000_001)
-	if _, err := scratch.RunEvents(k2); err != nil {
-		t.Fatal(err)
-	}
-	inject(t, scratch, 9_000_002)
-	scratchRes, err := scratch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(leafRes, scratchRes) {
-		t.Fatalf("fork-of-fork diverged:\n leaf    %+v\n scratch %+v", leafRes, scratchRes)
-	}
-	gotLen := len(prefixSink.Events) + len(midSink.Events) + len(leafSink.Events)
-	if gotLen != len(scratchSink.Events) {
-		t.Fatalf("obs stream length %d, want %d", gotLen, len(scratchSink.Events))
-	}
-}
-
 // TestForkConcurrent fans 8 forks out of one snapshot from 8 goroutines
 // — under -race this is the lock-free shared-snapshot proof, and, every
 // fork sharing the snapshot's one MinEDF value, the proof that the
 // scheduling index lives in the engines and not in the policy. Each fork
-// applies a distinct mutation; each must match its own serial scratch.
+// applies a distinct mutation — a deadline moved, the odd ones a policy
+// swapped too; each must match its own serial scratch.
 func TestForkConcurrent(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(60, rand.New(rand.NewSource(13)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	spreadArrivals(tr)
 	cfg := DefaultConfig()
 	cfg.PreemptMapTasks = true
 	total, err := Run(cfg, tr, sched.MinEDF{})
@@ -486,6 +400,23 @@ func TestForkConcurrent(t *testing.T) {
 	snap, err := prefix.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// edit moves branch i's deadline by i seconds, and swaps the odd
+	// branches to a policy of the suite.
+	pcs := diffPolicies()
+	edit := func(e *Engine, i int) error {
+		id, arr := firstUnarrivedID(e)
+		if id < 0 {
+			return fmt.Errorf("no job left to arrive at event %d", forkAt)
+		}
+		if err := e.SetDeadline(id, arr+200+float64(i)); err != nil {
+			return err
+		}
+		if i%2 == 1 {
+			return e.SetPolicy(pcs[i%len(pcs)].mk())
+		}
+		return nil
 	}
 
 	const branches = 8
@@ -501,15 +432,9 @@ func TestForkConcurrent(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			if err := f.InjectJob(&trace.Job{
-				ID:      9_100_000 + i,
-				Arrival: f.Now() + float64(i)*0.5, Deadline: f.Now() + 200 + float64(i),
-				Template: injectTemplate(),
-			}); err != nil {
-				errs[i] = err
-				return
+			if errs[i] = edit(f, i); errs[i] == nil {
+				results[i], errs[i] = f.Run()
 			}
-			results[i], errs[i] = f.Run()
 		}(i)
 	}
 	wg.Wait()
@@ -519,11 +444,7 @@ func TestForkConcurrent(t *testing.T) {
 			t.Fatalf("branch %d: %v", i, errs[i])
 		}
 		scratch, _ := pauseAt(t, cfg, tr, sched.MinEDF{}, forkAt)
-		if err := scratch.InjectJob(&trace.Job{
-			ID:      9_100_000 + i,
-			Arrival: scratch.Now() + float64(i)*0.5, Deadline: scratch.Now() + 200 + float64(i),
-			Template: injectTemplate(),
-		}); err != nil {
+		if err := edit(scratch, i); err != nil {
 			t.Fatal(err)
 		}
 		want, err := scratch.Run()
@@ -645,8 +566,8 @@ func TestForkStatsAccounting(t *testing.T) {
 }
 
 // TestForkAPIErrors pins the guard rails: sealed engines reject Run and
-// mutation, destinations can't be the source or sealed, mutations
-// validate their inputs.
+// mutation, destinations can't be the source or sealed, a fork can't be
+// sealed, mutations validate their inputs.
 func TestForkAPIErrors(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(20, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -668,8 +589,8 @@ func TestForkAPIErrors(t *testing.T) {
 	if _, err := e.Run(); err == nil {
 		t.Fatal("Run on a sealed engine did not error")
 	}
-	if err := e.InjectJob(&trace.Job{ID: 999, Arrival: 1e9, Template: injectTemplate()}); err == nil {
-		t.Fatal("InjectJob on a sealed engine did not error")
+	if err := e.SetDeadline(tr.Jobs[len(tr.Jobs)-1].ID, 0); err == nil {
+		t.Fatal("SetDeadline on a sealed engine did not error")
 	}
 	if err := snap.ForkInto(e, ForkOptions{}); err == nil {
 		t.Fatal("ForkInto the snapshot's own source did not error")
@@ -679,11 +600,11 @@ func TestForkAPIErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.InjectJob(&trace.Job{ID: 0, Arrival: f.Now() + 1, Template: injectTemplate()}); err == nil {
-		t.Fatal("duplicate job ID injection did not error")
+	if s, err := f.Snapshot(); err == nil || s != nil {
+		t.Fatal("Snapshot on a fork did not error")
 	}
-	if err := f.InjectJob(&trace.Job{ID: 999, Arrival: f.Now() - 1, Template: injectTemplate()}); err == nil {
-		t.Fatal("past-arrival injection did not error")
+	if _, err := f.Fork(ForkOptions{}); err == nil {
+		t.Fatal("Fork of a fork did not error")
 	}
 	if err := f.SetDeadline(0, 50); err == nil {
 		t.Fatal("SetDeadline on an arrived job did not error")
@@ -708,58 +629,20 @@ func TestForkAPIErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idle.InjectJob(&trace.Job{ID: 999, Arrival: 1, Template: injectTemplate()}); err == nil {
-		t.Fatal("InjectJob on an idle engine did not error")
+	if err := idle.SetDeadline(tr.Jobs[len(tr.Jobs)-1].ID, 0); err == nil {
+		t.Fatal("SetDeadline on an idle engine did not error")
 	}
-}
+	if err := idle.SetPolicy(sched.MaxEDF{}); err == nil {
+		t.Fatal("SetPolicy on an idle engine did not error")
+	}
 
-// TestForkRevivesDoneReplay forks past the end of the trace and injects:
-// the branch must come back to life and run the injected job exactly as
-// a scratch replay does.
-func TestForkRevivesDoneReplay(t *testing.T) {
-	tr, err := synth.MultiTenantTrace(20, rand.New(rand.NewSource(2)))
+	// A drained replay seals Done, and its fork is already finished.
+	done, _ := pauseAt(t, cfg, tr, sched.FIFO{}, 1<<62)
+	doneSnap, err := done.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-
-	prefix, prefixSink := pauseAt(t, cfg, tr, sched.FIFO{}, 1<<62)
-	snap, err := prefix.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Done() {
+	if !doneSnap.Done() {
 		t.Fatal("snapshot of a drained replay is not Done")
-	}
-	forkSink := &obs.RecordSink{}
-	fork, err := snap.Fork(ForkOptions{Sink: forkSink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := &trace.Job{ID: 9_000_000, Arrival: fork.Now() + 10, Deadline: fork.Now() + 500, Template: injectTemplate()}
-	if err := fork.InjectJob(inj); err != nil {
-		t.Fatal(err)
-	}
-	forkRes, err := fork.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scratch, scratchSink := pauseAt(t, cfg, tr, sched.FIFO{}, 1<<62)
-	if err := scratch.InjectJob(inj); err != nil {
-		t.Fatal(err)
-	}
-	scratchRes, err := scratch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(forkRes, scratchRes) {
-		t.Fatal("revived fork diverged from revived scratch replay")
-	}
-	if got, want := len(prefixSink.Events)+len(forkSink.Events), len(scratchSink.Events); got != want {
-		t.Fatalf("obs stream length %d, want %d", got, want)
-	}
-	if forkRes.Jobs[len(forkRes.Jobs)-1].ID != inj.ID {
-		t.Fatal("injected job missing from the revived branch's outcomes")
 	}
 }

@@ -103,17 +103,20 @@ func TestUnsortedTraceReplaysLikeSortedCopy(t *testing.T) {
 }
 
 // TestZeroDurationMapPreemptedAtItsOwnInstant pins the order at a pause
-// instant, given that a grant starts its task: after the first macro-step
-// both of lazy's zero-length maps have started, their departures head the
-// same-instant lane, and an urgent job injected at that instant queues
-// behind them. The maps finish before the injected arrival is handled, so
-// it finds both slots free and kills nothing. No arrival can be handled
-// between a zero-length map's start and its departure, so no kill reaches
-// the same-instant lane (DESIGN.md §9); that cancel is covered where it
+// instant, given that a grant starts its task: a preemptive policy, two
+// jobs arriving together, and zero-length maps. Both arrivals are handled
+// before the instant's allocation round, which starts two of lazy's
+// zero-length maps (lazy's deadline is the earlier); at the pause their
+// departures head the same-instant lane and no arrival is left at that
+// instant to kill them. They finish, lazy's other two run, and only then
+// does the 7-s job get the slots. No arrival can be handled between a
+// zero-length map's start and its departure, so no kill reaches the
+// same-instant lane (DESIGN.md §9); that cancel is covered where it
 // lives, TestRemoveFromSameInstantLane and the fuzz target in internal/des.
 func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 	tr := &trace.Trace{Jobs: []*trace.Job{
-		{Name: "lazy", Arrival: 0, Deadline: 10000, Template: uniformTemplate(4, 0, 0, 0, 0, 0)},
+		{Name: "lazy", Arrival: 0, Deadline: 40, Template: uniformTemplate(4, 0, 0, 0, 0, 0)},
+		{Name: "urgent", Arrival: 0, Deadline: 50, Template: uniformTemplate(2, 0, 7, 0, 0, 0)},
 	}}
 	tr.Normalize()
 	sink := &obs.RecordSink{}
@@ -122,8 +125,8 @@ func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One macro-step: the arrival fires, both slots are handed out and
-	// both maps start, due at t=0.
+	// One macro-step: both arrivals fire, both slots go to lazy and both
+	// its maps start, due at t=0.
 	if _, err := e.RunEvents(1); err != nil {
 		t.Fatal(err)
 	}
@@ -133,37 +136,32 @@ func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 			started++
 		}
 	}
-	if started != 2 || e.EventsFired() != 3 {
-		t.Fatalf("at the pause: %d maps started, %d events fired; want 2 started and 3 fired", started, e.EventsFired())
-	}
-	if err := e.InjectJob(&trace.Job{
-		ID: 9, Name: "urgent", Arrival: 0, Deadline: 50, Template: uniformTemplate(2, 0, 7, 0, 0, 0),
-	}); err != nil {
-		t.Fatal(err)
+	if started != 2 || e.EventsFired() != 4 {
+		t.Fatalf("at the pause: %d maps started, %d events fired; want 2 started and 4 fired", started, e.EventsFired())
 	}
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	finished, finishedBeforeUrgent, urgentArrived := 0, 0, false
+	finished, finishedBeforeUrgent, urgentStarted := 0, 0, false
 	for _, ev := range sink.Events {
 		switch {
-		case ev.Kind == obs.KindJobArrival && ev.JobID == 9:
-			urgentArrived = true
+		case ev.Kind == obs.KindMapTaskStart && ev.JobID == 1:
+			urgentStarted = true
 		case ev.Kind == obs.KindMapTaskFinish && ev.JobID == 0:
 			finished++
-			if !urgentArrived {
+			if !urgentStarted {
 				finishedBeforeUrgent++
 			}
 		}
 	}
 	lazy, urgent := res.Jobs[0], res.Jobs[1]
-	// The urgent job takes both free slots for 7 s; lazy's other two
-	// instant maps run when it lets go.
-	if finishedBeforeUrgent != 2 || sink.Counters.Preemptions != 0 || finished != 4 || lazy.Finish != 7 || urgent.Finish != 7 {
-		t.Fatalf("lazy: %d maps finished before the injected arrival, %d preempted, %d maps run, finish %v; urgent finish %v; "+
-			"want 2 before, none preempted, 4 run, both finishing at 7",
+	// The urgent job takes both slots for 7 s once lazy's instant maps
+	// are done.
+	if finishedBeforeUrgent != 4 || sink.Counters.Preemptions != 0 || finished != 4 || lazy.Finish != 0 || urgent.Finish != 7 {
+		t.Fatalf("lazy: %d maps finished before the urgent job started, %d preempted, %d maps run, finish %v; urgent finish %v; "+
+			"want all 4 before, none preempted, lazy finishing at 0 and urgent at 7",
 			finishedBeforeUrgent, sink.Counters.Preemptions, finished, lazy.Finish, urgent.Finish)
 	}
 }

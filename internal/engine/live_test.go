@@ -143,14 +143,12 @@ func withDeadline(tr *trace.Trace, p int, deadline float64) *trace.Trace {
 	return c
 }
 
-// TestSetDeadlineAcrossJobLifetime: what SetDeadline and InjectJob say
-// about a job does not depend on whether the engine still holds state for
-// it. A job yet to arrive has none — its new deadline waits in an
-// override and its arrival arms it, on this fork and on a fork of this
-// fork, exactly as a replay of the edited trace would; a live job and a
-// retired one (no slot any more) are refused alike, and a retired job's
-// ID is still taken. The second snapshot stays whole after the engine
-// behind the first one is re-armed for another trace.
+// TestSetDeadlineAcrossJobLifetime: what SetDeadline says about a job
+// does not depend on whether the engine still holds state for it. A job
+// yet to arrive has none — its new deadline waits in an override and its
+// arrival arms it, on a fork and on the forks of a paused replay sealed
+// with the override, exactly as a replay of the edited trace would; a
+// live job and a retired one (no slot any more) are refused alike.
 func TestSetDeadlineAcrossJobLifetime(t *testing.T) {
 	for _, dense := range []bool{true, false} {
 		t.Run(fmt.Sprintf("dense=%v", dense), func(t *testing.T) { setDeadlineAcrossJobLifetime(t, dense) })
@@ -158,9 +156,9 @@ func TestSetDeadlineAcrossJobLifetime(t *testing.T) {
 }
 
 func setDeadlineAcrossJobLifetime(t *testing.T, dense bool) {
-	tr, other := sparseStream(t, 300, 5), sparseStream(t, 50, 6)
+	tr := sparseStream(t, 300, 5)
 	if !dense { // IDs that are not positions: dispatch through the ID map
-		for _, j := range append(append([]*trace.Job(nil), tr.Jobs...), other.Jobs...) {
+		for _, j := range tr.Jobs {
 			j.ID = 3*j.ID + 7
 		}
 	}
@@ -205,12 +203,6 @@ func setDeadlineAcrossJobLifetime(t *testing.T, dense bool) {
 	if err, want := fork.SetDeadline(-1, 1), "engine: SetDeadline: no job -1 in this replay"; err == nil || err.Error() != want {
 		t.Errorf("SetDeadline(unknown job) = %v, want %q", err, want)
 	}
-	id := tr.Jobs[retired].ID
-	if err, want := fork.InjectJob(&trace.Job{ID: id, Arrival: fork.Now() + 1, Template: injectTemplate()}),
-		fmt.Sprintf("engine: InjectJob: job ID %d already in the replay", id); err == nil || err.Error() != want {
-		t.Errorf("InjectJob(retired job's ID) = %v, want %q", err, want)
-	}
-
 	id, deadline := tr.Jobs[next].ID, tr.Jobs[next].Arrival+42.5
 	if err := fork.SetDeadline(id, deadline); err != nil {
 		t.Fatal(err)
@@ -223,25 +215,31 @@ func setDeadlineAcrossJobLifetime(t *testing.T, dense bool) {
 		t.Fatal(err)
 	}
 
-	// A fork of the fork, sealed before the job arrives: the override
-	// travels, and nothing of the first snapshot is needed any more.
-	second, err := fork.Snapshot()
+	got, err := fork.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prefix.Reset(cfg, other, sched.FIFO{}); err != nil {
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("SetDeadline on a fork differs from replaying the edited trace")
+	}
+
+	// A replay paused and edited before the job arrives, then sealed: the
+	// override travels into every fork of it.
+	edited, _ := pauseAt(t, cfg, tr, sched.MinEDF{}, total.Events/2)
+	if err := edited.SetDeadline(id, deadline); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prefix.Run(); err != nil {
+	sealed, err := edited.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		leaf, err := second.Fork(ForkOptions{})
+		leaf, err := sealed.Fork(ForkOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 { // pause once more, past the arrival, before finishing
-			if _, err := leaf.RunEvents(second.Events() + total.Events/4); err != nil {
+			if _, err := leaf.RunEvents(sealed.Events() + total.Events/4); err != nil {
 				t.Fatal(err)
 			}
 			if err := leaf.SetDeadline(id, deadline+1); err == nil {
@@ -253,7 +251,7 @@ func setDeadlineAcrossJobLifetime(t *testing.T, dense bool) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("leaf %d: SetDeadline on a fork of a fork differs from replaying the edited trace", i)
+			t.Fatalf("leaf %d: a fork of an edited replay differs from replaying the edited trace", i)
 		}
 	}
 }
@@ -261,20 +259,34 @@ func setDeadlineAcrossJobLifetime(t *testing.T, dense bool) {
 // TestPutReleasesTrace: an engine idle in the pool points at nothing of
 // the replay it ran — not the trace, not the Result, not through the
 // slots on its free list — whether the run finished or was abandoned
-// half-way with jobs live and one injected.
+// half-way with jobs live and a deadline moved. A pooled fork drops the
+// ID map it borrowed and leaves its source's whole.
 func TestPutReleasesTrace(t *testing.T) {
 	tr := sparseStream(t, 200, 9)
+	for _, j := range tr.Jobs { // IDs that are not positions: an ID map to borrow
+		j.ID = 2*j.ID + 1
+	}
 	cfg := Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05, PreemptMapTasks: true}
 	var pool Pool
 	for _, finish := range []bool{true, false} {
-		e, err := New(cfg, tr, sched.MaxEDF{})
+		src, err := New(cfg, tr, sched.MaxEDF{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.RunEvents(2_000); err != nil {
+		if _, err := src.RunEvents(2_000); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.InjectJob(&trace.Job{ID: 9_000_000, Name: "late", Arrival: e.Now(), Template: injectTemplate()}); err != nil {
+		snap, err := src.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := snap.Fork(ForkOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, _ := firstUnarrivedID(e); id < 0 {
+			t.Fatal("no job left to arrive at the pause")
+		} else if err := e.SetDeadline(id, 0); err != nil {
 			t.Fatal(err)
 		}
 		if finish {
@@ -289,13 +301,12 @@ func TestPutReleasesTrace(t *testing.T) {
 		if e.tr != nil || e.out != nil || e.policy != nil || e.sink != nil || e.src != nil {
 			t.Errorf("finish=%v: pooled engine keeps its trace, outcomes, policy, sink or fork source", finish)
 		}
-		if len(e.active)+len(e.slots)+len(e.extra)+len(e.deadlines) != 0 || e.live != 0 {
+		if len(e.active)+len(e.slots)+len(e.deadlines) != 0 || e.live != 0 {
 			t.Errorf("finish=%v: pooled engine still lists jobs", finish)
 		}
-		for _, j := range e.extra[:cap(e.extra)] {
-			if j != (trace.Job{}) {
-				t.Errorf("finish=%v: injected job %d still reachable", finish, j.ID)
-			}
+		if e.indexOf != nil || len(src.indexOf) != len(tr.Jobs) {
+			t.Errorf("finish=%v: pooled fork keeps the borrowed ID map, or the source lost entries (%d of %d)",
+				finish, len(src.indexOf), len(tr.Jobs))
 		}
 		for p, sj := range e.slotOf[:cap(e.slotOf)] {
 			if sj != nil {

@@ -149,3 +149,100 @@ func assertScaledReplay(t *testing.T, k int, res *Result, sink *obs.RecordSink, 
 		t.Fatalf("run counters\n %+v\nscaled by 2^%d are\n %+v", sink.Counters, k, ssink.Counters)
 	}
 }
+
+// relabel returns a copy of tr whose job IDs are sparse and shuffled —
+// a random permutation of 7·i + 3 — in the same positions, so the
+// engine resolves them through its ID map; ids[p] is position p's ID.
+func relabel(tr *trace.Trace, rng *rand.Rand) (*trace.Trace, []int) {
+	out := &trace.Trace{Name: tr.Name}
+	ids := rng.Perm(len(tr.Jobs))
+	for p, j := range tr.Jobs {
+		ids[p] = 7*ids[p] + 3
+		cp := *j
+		cp.ID = ids[p]
+		out.Jobs = append(out.Jobs, &cp)
+	}
+	return out, ids
+}
+
+// TestRelabellingKeepsOutcomes: job IDs only name jobs. Relabelled
+// sparse and shuffled, a trace replays under FIFO, MaxEDF and MinEDF
+// with every job's outcome the dense-ID replay's, position by position,
+// and so does a fork of each, at a random event, with the same job's
+// deadline moved — the fork resolving the ID through the map it
+// borrows from its snapshot.
+func TestRelabellingKeepsOutcomes(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	edits := 0
+	for trial := 0; trial < 6; trial++ {
+		dense := randomTrace(rng, 60)
+		if trial%2 == 1 { // a burst: many jobs queued at once
+			for _, j := range dense.Jobs {
+				j.Arrival = rng.Float64() * 5
+			}
+			dense.Normalize()
+		}
+		sparse, ids := relabel(dense, rng)
+		for _, p := range []sched.Policy{sched.FIFO{}, sched.MaxEDF{}, sched.MinEDF{}} {
+			t.Run(fmt.Sprintf("trial=%d/%s", trial, p.Name()), func(t *testing.T) {
+				want, err := Run(DefaultConfig(), dense, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Run(DefaultConfig(), sparse, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertRelabelled(t, "replay", want, got, ids)
+
+				// The same edit on both forks: the first job still to
+				// arrive at the branch point gets a deadline 50 s after it.
+				at := uint64(rng.Int63n(int64(want.Events)))
+				fork := func(tr *trace.Trace) *Result {
+					src, _ := pauseAt(t, DefaultConfig(), tr, p, at)
+					if tr == sparse && src.indexOf == nil {
+						t.Fatal("relabelled IDs dispatch without the ID map")
+					}
+					snap, err := src.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					f, err := snap.Fork(ForkOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if id, arr := firstUnarrivedID(f); id >= 0 {
+						if err := f.SetDeadline(id, arr+50); err != nil {
+							t.Fatal(err)
+						}
+						edits++
+					}
+					res, err := f.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				assertRelabelled(t, fmt.Sprintf("fork at event %d", at), fork(dense), fork(sparse), ids)
+			})
+		}
+	}
+	if edits == 0 {
+		t.Error("no fork had a job left to arrive: the edit went untested")
+	}
+}
+
+// assertRelabelled checks that got, a replay of the relabelled trace,
+// is want, the dense replay, with position p's ID replaced by ids[p].
+func assertRelabelled(t *testing.T, what string, want, got *Result, ids []int) {
+	t.Helper()
+	if got.Events != want.Events || got.Makespan != want.Makespan {
+		t.Fatalf("%s: events %d, makespan %v; dense IDs give %d, %v", what, got.Events, got.Makespan, want.Events, want.Makespan)
+	}
+	for p, o := range want.Jobs {
+		o.ID = ids[p]
+		if got.Jobs[p] != o {
+			t.Fatalf("%s: position %d:\n %+v\nwith dense IDs:\n %+v", what, p, got.Jobs[p], want.Jobs[p])
+		}
+	}
+}

@@ -350,8 +350,8 @@ func TestDenseDispatchOffsetIDs(t *testing.T) {
 		if _, err := e.RunEvents(e.EventsFired() + 60_000); err != nil {
 			t.Fatal(err)
 		}
-		// The mutations resolve IDs through jobLookup, and InjectJob
-		// replaces the dense dispatch with an owned map.
+		// The mutations resolve IDs through jobLookup, bounded by the
+		// trace's first and last ID.
 		id, _ := firstUnarrivedID(e)
 		if err := e.SetDeadline(id, 0); err != nil {
 			t.Fatal(err)
@@ -359,8 +359,8 @@ func TestDenseDispatchOffsetIDs(t *testing.T) {
 		if err := e.SetDeadline(base-1, 0); err == nil {
 			t.Fatalf("SetDeadline of ID %d, below the trace's, succeeded", base-1)
 		}
-		if err := e.InjectJob(&trace.Job{ID: base + len(tr.Jobs), Arrival: e.Now() + 1, Template: injectTemplate()}); err != nil {
-			t.Fatal(err)
+		if err := e.SetDeadline(base+len(tr.Jobs), 0); err == nil {
+			t.Fatalf("SetDeadline of ID %d, past the trace's, succeeded", base+len(tr.Jobs))
 		}
 		res, err := e.Run()
 		if err != nil {

@@ -99,7 +99,6 @@ func TestBranchSetAttrSinkFactory(t *testing.T) {
 	results, err := BranchSet(context.Background(), BranchSetConfig{
 		Config:       cfg,
 		Trace:        tr,
-		Policy:       NewFIFO(),
 		BranchEvents: ref.Events / 2,
 	}, branches)
 	if err != nil {

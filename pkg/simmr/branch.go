@@ -3,10 +3,8 @@ package simmr
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"simmr/internal/engine"
-	"simmr/internal/obs"
 	"simmr/internal/plan"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
@@ -24,21 +22,13 @@ type WhatIf struct {
 	// if they had just arrived. Use a fresh instance per branch for
 	// stateful policies.
 	Policy Policy
-	// SetDeadlines moves the deadlines of not-yet-arrived jobs, keyed by
-	// job ID (0 removes a deadline). Applied in ascending ID order.
-	SetDeadlines map[int]float64
-	// InjectJobs adds job arrivals at or after the branch point, applied
-	// in slice order. Templates are treated read-only; IDs must not
-	// collide with the trace's or each other's.
-	InjectJobs []*Job
-	// Mutate, when set, runs after the edits above with the paused
-	// branch engine — the escape hatch for edits the declarative fields
-	// don't cover (e.g. deadline scaling computed from Engine.Now).
+	// Mutate, when set, runs after the policy swap with the paused branch
+	// engine: Engine.SetDeadline moves a deadline of a job still to
+	// arrive, Engine.Now reads the branch point's clock.
 	Mutate func(*Engine) error
-	// Sink observes this branch's own event suffix and RunEnd counters.
-	// The shared prefix is observed once, by BranchSetConfig.Config.Sink.
-	Sink Sink
-	// SinkFactory, when set, overrides Sink: it is called on the branch's
+	// SinkFactory, when set, builds the sink that observes this branch's
+	// own event suffix and RunEnd counters; the shared prefix is observed
+	// once, by BranchSetConfig.Config.Sink. It is called on the branch's
 	// worker goroutine after the shared prefix has been sealed, so it can
 	// fork prefix-fed stateful sinks. An attribution sink observing the
 	// prefix (via Config.Sink) hands each branch a continuation with
@@ -51,18 +41,17 @@ type WhatIf struct {
 type BranchSetConfig struct {
 	// Config is the engine configuration for the prefix and every
 	// branch. Config.Sink observes the shared prefix only; per-branch
-	// streams go to WhatIf.Sink. A zero Config means
+	// streams go to WhatIf.SinkFactory. A zero Config means
 	// DefaultReplayConfig, like ReplaySpec.
 	Config ReplayConfig
 	// Trace is the replayed workload, shared read-only.
 	Trace *Trace
-	// Policy schedules the prefix and (unless a branch overrides it)
-	// the branches; nil means FIFO. The built-in policy values are
-	// stateless and shared safely by the prefix and every branch.
-	Policy Policy
-	// PolicyFactory, when set, builds the policy instance the prefix
-	// runs under, overriding Policy; branches inherit that instance
-	// unless their WhatIf.Policy replaces it.
+	// PolicyFactory builds the policy the prefix runs under; nil means
+	// FIFO. Every branch continues that one instance unless its
+	// WhatIf.Policy replaces it, so it must be a policy whose decisions
+	// are a pure function of its configuration (it has a stable
+	// fingerprint: the built-in values); a stateful one (DynamicPriority)
+	// is refused.
 	PolicyFactory func() Policy
 	// BranchEvents is the branch point as a total-event count: the
 	// prefix runs until this many events have fired (or the replay
@@ -72,8 +61,6 @@ type BranchSetConfig struct {
 	// Workers bounds concurrent branches: 0 means one per CPU, 1 forces
 	// the serial path. Results are in branch order regardless.
 	Workers int
-	// Progress, when set, receives bounded-rate (done, total) callbacks.
-	Progress ProgressFunc
 	// Telemetry, when set, records the fan-out into the metrics
 	// registry: fork counts and bytes copied (ForkDone), each
 	// branch's wall time and suffix events/sec (ReplayDone), engine
@@ -92,7 +79,7 @@ type BranchSetConfig struct {
 }
 
 // BranchSet answers K what-if questions for the price of one shared
-// prefix: it replays Config/Trace/Policy up to BranchEvents once, seals
+// prefix: it replays Config/Trace/PolicyFactory up to BranchEvents once, seals
 // the engine, and fans the branches out across a worker pool — each
 // branch a pooled fork (cloned pending events, live job state and
 // outcomes so far) that applies its edits and runs to completion. Results
@@ -107,11 +94,12 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 	if len(branches) == 0 {
 		return nil, nil
 	}
-	policy := cfg.Policy
+	var policy Policy = sched.FIFO{}
 	if cfg.PolicyFactory != nil {
 		policy = cfg.PolicyFactory()
-	} else if policy == nil {
-		policy = sched.FIFO{}
+	}
+	if _, ok := sched.FingerprintOf(policy); !ok {
+		return nil, fmt.Errorf("simmr: branch set: prefix policy %s has no stable fingerprint: every branch would share its state", policy.Name())
 	}
 	ecfg := cfg.Config
 	sink := ecfg.Sink
@@ -122,7 +110,7 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 	ecfg.Sink = sink
 
 	p := plan.Begin(
-		plan.Options{Workers: cfg.Workers, Progress: cfg.Progress, Telemetry: cfg.Telemetry, Runs: cfg.Runs, Flight: cfg.Flight},
+		plan.Options{Workers: cfg.Workers, Telemetry: cfg.Telemetry, Runs: cfg.Runs, Flight: cfg.Flight},
 		plan.Run{Kind: runs.KindBranch, Policy: policy, Traces: []*Trace{cfg.Trace}, Replays: len(branches),
 			Config: fmt.Sprintf("branches=%d branch_events=%d", len(branches), cfg.BranchEvents)})
 	// Shared prefix: one replay to the branch point, sealed.
@@ -133,9 +121,6 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 	err := p.End(p.Each(ctx, len(branches), func(i int) error {
 		b := &branches[i]
 		pc := plan.Cell{Edit: b.apply, Sink: b.SinkFactory}
-		if pc.Sink == nil {
-			pc.Sink = func() obs.Sink { return b.Sink }
-		}
 		if p.Recording() {
 			pc.Label = branchName(b, i)
 		}
@@ -151,27 +136,10 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 }
 
 // apply makes the branch's edits on its paused fork, in the documented
-// order: policy, deadlines, injected jobs, Mutate.
+// order: policy, then Mutate.
 func (b *WhatIf) apply(f *Engine) error {
 	if b.Policy != nil {
 		if err := f.SetPolicy(b.Policy); err != nil {
-			return err
-		}
-	}
-	// Map iteration order is random; apply in ascending job ID so a
-	// branch is reproducible run to run.
-	ids := make([]int, 0, len(b.SetDeadlines))
-	for id := range b.SetDeadlines {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if err := f.SetDeadline(id, b.SetDeadlines[id]); err != nil {
-			return err
-		}
-	}
-	for _, j := range b.InjectJobs {
-		if err := f.InjectJob(j); err != nil {
 			return err
 		}
 	}

@@ -49,7 +49,7 @@ func latestJob(tr *Trace) *Job {
 	return last
 }
 
-// whatIfTemplate returns a valid template for injected jobs.
+// whatIfTemplate returns a valid template for hand-built jobs.
 func whatIfTemplate() *Template {
 	return &Template{
 		AppName:         "whatif",
@@ -63,24 +63,27 @@ func whatIfTemplate() *Template {
 }
 
 // testBranches returns a representative what-if mix: a control branch,
-// an injection (anchored past the makespan so it is future-dated at any
-// branch point), a deadline move on the latest-arriving job, a policy
-// swap, and a Mutate hook.
+// a deadline move on the latest-arriving job, a policy swap, and a swap
+// to Fair with every deadline still to come halved, as
+// `simmr trace whatif -deadline-scale` does it.
 func testBranches(t *testing.T, tr *Trace, horizon float64) []WhatIf {
 	t.Helper()
 	last := latestJob(tr)
 	return []WhatIf{
 		{Name: "control"},
-		{Name: "inject", InjectJobs: []*Job{{
-			ID: 1 << 20, Name: "surprise", Arrival: horizon + 10,
-			Deadline: horizon + 500, Template: whatIfTemplate(),
-		}}},
-		{Name: "deadline", SetDeadlines: map[int]float64{last.ID: last.Arrival + 250}},
+		{Name: "deadline", Mutate: func(e *Engine) error {
+			return e.SetDeadline(last.ID, last.Arrival+250)
+		}},
 		{Name: "swap", Policy: NewMaxEDF()},
-		{Name: "mutate", Mutate: func(e *Engine) error {
-			return e.InjectJob(&Job{
-				ID: 1<<20 + 1, Arrival: e.Now() + 2, Template: whatIfTemplate(),
-			})
+		{Name: "swap+scale", Policy: NewFair(), Mutate: func(e *Engine) error {
+			for _, j := range tr.Jobs {
+				if j.Arrival > e.Now() && j.Deadline > 0 {
+					if err := e.SetDeadline(j.ID, j.Arrival+(j.Deadline-j.Arrival)/2); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
 		}},
 	}
 }
@@ -91,16 +94,6 @@ func applyWhatIf(t *testing.T, e *Engine, b *WhatIf) {
 	t.Helper()
 	if b.Policy != nil {
 		if err := e.SetPolicy(b.Policy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id, d := range b.SetDeadlines {
-		if err := e.SetDeadline(id, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, j := range b.InjectJobs {
-		if err := e.InjectJob(j); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +128,7 @@ func TestBranchSetMatchesIndependentReplays(t *testing.T) {
 		cfg  BranchSetConfig
 		mk   func() Policy
 	}{
-		{"scan", BranchSetConfig{Policy: schedtest.ScanOnly(NewMinEDF())},
+		{"scan", BranchSetConfig{PolicyFactory: func() Policy { return schedtest.ScanOnly(NewMinEDF()) }},
 			func() Policy { return schedtest.ScanOnly(NewMinEDF()) }},
 		{"indexed", BranchSetConfig{PolicyFactory: NewMinEDF}, NewMinEDF},
 	}
@@ -198,9 +191,9 @@ func TestBranchSetSerialParallelIdentical(t *testing.T) {
 }
 
 // TestBranchSetEdges covers the degenerate shapes: zero branches, a
-// branch point at t=0, and one past the end of the trace (the control
-// branch then just reports the finished replay; the inject branch
-// revives it).
+// branch point at t=0 (a policy swap there replays the trace under the
+// new policy from the start), and one past the end of the trace (the
+// control branch then just reports the finished replay).
 func TestBranchSetEdges(t *testing.T) {
 	tr, total, horizon := branchFixture(t, 20, NewFIFO())
 
@@ -230,15 +223,14 @@ func TestBranchSetEdges(t *testing.T) {
 		if !reflect.DeepEqual(res[0].Jobs, want.Jobs) {
 			t.Fatalf("control branch at %d diverged from plain replay", at)
 		}
-		// Inject branch carries the extra job.
-		found := false
-		for _, j := range res[1].Jobs {
-			if j.ID == 1<<20 {
-				found = true
+		if at == 0 {
+			want, err := Replay(DefaultReplayConfig(), tr, NewMaxEDF())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !found {
-			t.Fatalf("inject branch at %d lost the injected job", at)
+			if !reflect.DeepEqual(res[2].Jobs, want.Jobs) {
+				t.Fatal("policy swap at t=0 diverged from a plain replay under the new policy")
+			}
 		}
 	}
 }
@@ -251,10 +243,42 @@ func TestBranchSetErrorNamesBranch(t *testing.T) {
 		Trace: tr, BranchEvents: total / 2,
 	}, []WhatIf{
 		{Name: "ok"},
-		{Name: "bad-inject", InjectJobs: []*Job{{ID: 0, Arrival: 1e9, Template: whatIfTemplate()}}},
+		{Name: "bad-deadline", Mutate: func(e *Engine) error { return e.SetDeadline(tr.Jobs[0].ID, 1e9) }},
 	})
-	if err == nil || !strings.Contains(err.Error(), "bad-inject") {
+	if err == nil || !strings.Contains(err.Error(), "bad-deadline") {
 		t.Fatalf("err = %v, want branch name in error", err)
+	}
+}
+
+// TestBranchSetRefusesStatefulPrefixPolicy: every branch continues the
+// prefix's policy instance, so a policy with state of its own would be
+// shared by concurrent branches (a data race) and, run serially, carry
+// one branch's spending into the next (zero-edit branches that end at
+// different makespans). BranchSet refuses such a policy, by name, before
+// it replays anything.
+func TestBranchSetRefusesStatefulPrefixPolicy(t *testing.T) {
+	tr, err := MultiTenantTrace(400, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets, bids := map[int]float64{}, map[int]float64{}
+	for _, j := range tr.Jobs {
+		budgets[j.ID], bids[j.ID] = 200, float64(1+j.ID%5)
+	}
+	cfg := DefaultReplayConfig()
+	cfg.MapSlots, cfg.ReduceSlots = 8, 8
+	for _, workers := range []int{4, 1} {
+		res, err := BranchSet(context.Background(), BranchSetConfig{
+			Config:        cfg,
+			Trace:         tr,
+			PolicyFactory: func() Policy { return NewDynamicPriority(budgets, bids) },
+			BranchEvents:  200,
+			Workers:       workers,
+		}, make([]WhatIf, 4))
+		if err == nil || res != nil || !strings.Contains(err.Error(), "DynamicPriority") {
+			t.Errorf("Workers: %d: BranchSet under a stateful prefix policy = %d results, %v; want an error naming DynamicPriority",
+				workers, len(res), err)
+		}
 	}
 }
 
@@ -278,8 +302,8 @@ func TestBranchSetTelemetry(t *testing.T) {
 	if got := v["simmr_replays_total"]; got != float64(len(branches)) {
 		t.Errorf("simmr_replays_total = %v, want %d", got, len(branches))
 	}
-	if got := v["simmr_engine_forks_total"]; got != 5 {
-		t.Errorf("simmr_engine_forks_total = %v, want 5", got)
+	if got := v["simmr_engine_forks_total"]; got != float64(len(branches)) {
+		t.Errorf("simmr_engine_forks_total = %v, want %d", got, len(branches))
 	}
 	if got := v["simmr_engine_fork_bytes_copied"]; got <= 0 {
 		t.Errorf("simmr_engine_fork_bytes_copied = %v, want the forks' copy cost", got)

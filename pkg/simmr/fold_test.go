@@ -155,16 +155,17 @@ func TestSweepAllocBudget(t *testing.T) {
 // them, so a Workers: 4 sweep may run on an engine a Workers: 1 sweep
 // left behind next to ones it builds itself, on one a sweep under
 // another policy dirtied, and on what a BranchSet put back — forks with
-// an injected job, a borrowed ID map and a switched policy. Whatever the
+// a moved deadline, a borrowed ID map and a switched policy. Whatever the
 // pool holds, every sweep equals the fresh-engine oracle.
 func TestSharedPoolSerialThenParallel(t *testing.T) {
 	tr := sparseTestTrace(t, 300, 2)
 	counts := []int{4, 16, 64}
 	for _, p := range []Policy{NewFIFO(), NewMinEDF(), NewCapacity([]float64{0.7, 0.3})} {
 		want := freshSweep(t, tr, counts, p)
-		late := &Job{ID: 10_000, Name: "late", Arrival: latestJob(tr).Arrival + 1, Template: whatIfTemplate()}
-		if _, err := BranchSet(context.Background(), BranchSetConfig{Trace: tr, Policy: p, BranchEvents: 500, Workers: 2},
-			[]WhatIf{{Policy: NewMaxEDF()}, {InjectJobs: []*Job{late}}, {}}); err != nil {
+		last := latestJob(tr)
+		late := func(e *Engine) error { return e.SetDeadline(last.ID, last.Arrival+1) }
+		if _, err := BranchSet(context.Background(), BranchSetConfig{Trace: tr, PolicyFactory: func() Policy { return p }, BranchEvents: 500, Workers: 2},
+			[]WhatIf{{Policy: NewMaxEDF()}, {Mutate: late}, {}}); err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{4, 1, 4, 4} {

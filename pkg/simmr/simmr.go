@@ -75,14 +75,14 @@ type (
 
 // What-if branching types (DESIGN.md §12): pause a replay at any event,
 // seal it into an immutable snapshot, and fork branch
-// engines off the shared prefix — each branch mutates (inject a job,
-// move a deadline, swap the policy) and runs to its own end, byte-
-// identical to a from-scratch replay with the same edits. BranchSet is
-// the fan-out runtime over these primitives.
+// engines off the shared prefix — each branch mutates (move a deadline,
+// swap the policy) and runs to its own end, byte-identical to a
+// from-scratch replay with the same edits. BranchSet is the fan-out
+// runtime over these primitives.
 type (
 	// Engine is a paused branch engine, as WhatIf.Mutate receives it:
-	// InjectJob / SetDeadline / SetPolicy edit the run, Now reads its
-	// clock, Snapshot seals it for further forking.
+	// SetDeadline / SetPolicy edit the run, Now reads its clock. A
+	// branch is a fork of the sealed prefix and cannot be sealed itself.
 	Engine = engine.Engine
 	// EngineSnapshot is a sealed engine state — the shared fork source.
 	EngineSnapshot = engine.Snapshot

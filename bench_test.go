@@ -11,9 +11,12 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -250,7 +253,7 @@ func BenchmarkFork(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := snap.ForkInto(&dst, simmr.ForkOptions{}); err != nil {
+		if err := snap.ForkInto(&dst, engine.ForkOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -387,13 +390,13 @@ func BenchmarkSweepAfterSerialSweep(b *testing.B) {
 	}
 
 	// foldSweep is the sweep's fan-out on a given pool: two workers, one
-	// Fold per cell.
+	// trail-less FoldTrail per cell.
 	foldSweep := func(b *testing.B, pool *engine.Pool) time.Duration {
 		start := time.Now()
 		_, err := parallel.Map(context.Background(), 2, len(grid)*len(grid), func(_ context.Context, i int) (float64, error) {
 			cfg := engine.Config{MapSlots: grid[i/len(grid)], ReduceSlots: grid[i%len(grid)], MinMapPercentCompleted: 0.05}
 			var makespan float64
-			err := pool.Fold(cfg, tr, sched.FIFO{}, func(res *engine.Result) { makespan = res.Makespan })
+			err := pool.FoldTrail(cfg, tr, sched.FIFO{}, nil, func(res *engine.Result, _ int, _ uint64) { makespan = res.Makespan })
 			return makespan, err
 		})
 		if err != nil {
@@ -484,13 +487,19 @@ func traceLoad(b *testing.B, encode func(*simmr.Trace) ([]byte, error), decode f
 }
 
 // BenchmarkTraceLoadBin measures full `.strc` decode — header and CRC
-// verification, template pool reconstruction, zero-copy arena views,
-// job table walk, Validate. This is the in-memory decode path; the mmap
-// path (Open) does strictly less work per byte since the image is never
-// copied.
+// verification, template pool reconstruction, arena views, job table
+// walk, Validate — through OpenReaderAt, which copies the image once;
+// the mmap path (Open) does strictly less work per byte since the image
+// is never copied.
 func BenchmarkTraceLoadBin(b *testing.B) {
-	traceLoad(b, tracebin.Pack, func(img []byte) (*simmr.Trace, error) {
-		s, err := tracebin.Decode(img)
+	path := filepath.Join(b.TempDir(), "load.strc")
+	traceLoad(b, func(tr *simmr.Trace) ([]byte, error) {
+		if err := simmr.WritePackedTrace(path, tr); err != nil {
+			return nil, err
+		}
+		return os.ReadFile(path)
+	}, func(img []byte) (*simmr.Trace, error) {
+		s, err := tracebin.OpenReaderAt(bytes.NewReader(img), int64(len(img)))
 		if err != nil {
 			return nil, err
 		}

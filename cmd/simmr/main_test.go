@@ -243,7 +243,7 @@ func TestCLIGolden(t *testing.T) {
 		{"sparse-sweep", "-trace sparse.strc -sweep " + sparseSweep, 0},
 		{"shard-without-sweep", "-trace trace.strc -shard 0/2", 1},
 		{"trace-run", "trace run -trace trace.strc -policy fair -out events.json -slot-timeline slots.tsv", 0},
-		{"whatif", "trace whatif -trace trace.strc -policies minedf -deadline-scale 2 -explain", 0},
+		{"whatif", "trace whatif -trace trace.strc -at 0 -policies minedf -deadline-scale 2 -explain", 0},
 		{"explain", "trace explain -trace trace.strc -policy maxedf", 0},
 		{"cached#1", "-trace trace.strc -policy minedf -cache-dir cache", 0},
 		{"cached#2", "-trace trace.strc -policy minedf -cache-dir cache", 0},

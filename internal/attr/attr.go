@@ -277,9 +277,9 @@ type Options struct {
 	// falls back to same-timestamp release pairing.
 	MapSlots    int
 	ReduceSlots int
-	// Trace, when set, supplies job names and deadlines (they are not
-	// part of the event stream). Jobs missing from the trace get empty
-	// names and no deadline.
+	// Trace, when set, supplies job names (they are not part of the
+	// event stream); jobs missing from it get empty names. Deadlines
+	// come from each job's arrival event.
 	Trace *trace.Trace
 }
 
@@ -394,8 +394,7 @@ type jobState struct {
 
 // Sink consumes one engine's event stream and reconstructs per-job
 // explanations and the makespan critical path. Single-goroutine like
-// every obs.Sink; one Sink per engine. Read Explanations / CriticalPath
-// / Report after RunEnd.
+// every obs.Sink; one Sink per engine. Read its Report after RunEnd.
 type Sink struct {
 	opts Options
 
@@ -416,9 +415,13 @@ type Sink struct {
 	lastArrivalJob  int
 	lastArrivalTime float64
 
+	// posOf maps a job ID to its Options.Trace position, built on the
+	// first job whose ID is not its position; read-only after, so
+	// forks share it.
+	posOf map[int]int
+
 	counters obs.Counters
-	done     bool
-	exps     []Explanation
+	exps     []Explanation // nil until RunEnd
 	cp       []CPStep
 }
 
@@ -481,21 +484,28 @@ func (s *Sink) initJob(j *jobState, id int) {
 	j.rIdleStart = math.NaN()
 	j.preemptor = -1
 	if s.opts.Trace != nil {
-		jobs := s.opts.Trace.Jobs
-		// Normalized traces carry dense IDs (ID == index): look there
-		// first, so naming a job is not a scan of everything before it.
-		if id >= 0 && id < len(jobs) && jobs[id].ID == id {
-			jobs = jobs[id : id+1]
-		}
-		for _, tj := range jobs {
-			if tj.ID == id {
-				j.name = tj.Name
-				j.deadline = tj.Deadline
-				break
-			}
+		if p, ok := s.tracePos(id); ok {
+			j.name = s.opts.Trace.Jobs[p].Name
 		}
 	}
 	s.ids = append(s.ids, id)
+}
+
+// tracePos finds job id in Options.Trace: at its ID in a normalized
+// trace (ID == index), else through posOf.
+func (s *Sink) tracePos(id int) (int, bool) {
+	jobs := s.opts.Trace.Jobs
+	if id >= 0 && id < len(jobs) && jobs[id].ID == id {
+		return id, true
+	}
+	if s.posOf == nil {
+		s.posOf = make(map[int]int, len(jobs))
+		for p := len(jobs) - 1; p >= 0; p-- {
+			s.posOf[jobs[p].ID] = p
+		}
+	}
+	p, ok := s.posOf[id]
+	return p, ok
 }
 
 // Event consumes one engine event.
@@ -505,6 +515,7 @@ func (s *Sink) Event(ev obs.Event) {
 		j := s.job(ev.JobID)
 		j.arrived = true
 		j.arrival = ev.Time
+		j.deadline = ev.End
 		s.lastArrivalJob, s.lastArrivalTime = ev.JobID, ev.Time
 	case obs.KindMapSlotAlloc:
 		s.onAlloc(s.job(ev.JobID), ev.Time, false)
@@ -836,7 +847,6 @@ func (s *Sink) RunEnd(c obs.Counters) {
 		s.exps = append(s.exps, e)
 	}
 	s.cp = s.walkCriticalPath()
-	s.done = true
 }
 
 // jobRO returns the state for id without creating it.
@@ -978,20 +988,6 @@ func recEndingAt(s *Sink, j *jobState, t float64) int32 {
 	return -1
 }
 
-// Done reports whether RunEnd has been delivered.
-func (s *Sink) Done() bool { return s.done }
-
-// Counters returns the run-level totals delivered at RunEnd.
-func (s *Sink) Counters() obs.Counters { return s.counters }
-
-// Explanations returns the per-job attributions, sorted by job ID.
-// Valid after RunEnd.
-func (s *Sink) Explanations() []Explanation { return s.exps }
-
-// CriticalPath returns the makespan critical path in chronological
-// order. Valid after RunEnd.
-func (s *Sink) CriticalPath() []CPStep { return s.cp }
-
 // Fork deep-copies the sink's mid-stream state so a what-if branch can
 // continue attribution from a shared replay prefix: feed the copy the
 // branch engine's event suffix and it produces a full-run attribution.
@@ -1006,6 +1002,7 @@ func (s *Sink) Fork() *Sink {
 		lastArrivalJob:  s.lastArrivalJob,
 		lastArrivalTime: s.lastArrivalTime,
 		lastClosed:      s.lastClosed,
+		posOf:           s.posOf,
 	}
 	for k, v := range s.open {
 		f.open[k] = v

@@ -82,7 +82,7 @@ func TestExplainReportGolden(t *testing.T) {
 func TestOverlaySpans(t *testing.T) {
 	cfg := engine.Config{MapSlots: 2, ReduceSlots: 1, MinMapPercentCompleted: 0.05}
 	_, sink := runWithAttr(t, cfg, goldenTrace(), sched.FIFO{})
-	cp := sink.CriticalPath()
+	cp := sink.Report().CriticalPath
 	if len(cp) == 0 {
 		t.Fatal("empty critical path")
 	}

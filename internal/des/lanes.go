@@ -235,16 +235,15 @@ func (q *Lanes) fifoDrained() {
 	}
 }
 
-// Lane numbers, as head reports them.
+// Lane numbers, as head reports them; 0 is none.
 const (
-	laneNone = iota
-	laneSched
+	laneSched = iota + 1
 	laneFIFO
 	laneHeap
 )
 
 // head returns the lane holding the earliest pending record and that
-// record's time; laneNone and +Inf when the lanes are empty.
+// record's time; lane 0 and +Inf when the lanes are empty.
 func (q *Lanes) head() (lane int, t Time) {
 	// +Inf is later than any record's time (Infinity is finite), so the
 	// first lane with a head takes it without an "is there one yet" test.

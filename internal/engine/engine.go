@@ -156,7 +156,7 @@ func (o *JobOutcome) ExceededDeadline() bool {
 // a full replay's. A Result returned by Run
 // (and by everything built on it: Pool.Run, simmr.Replay,
 // ReplayBatchCfg) is owned by the caller and never written by the
-// engine again. A Result handed to a Pool.Fold callback is the engine's
+// engine again. A Result handed to a Pool.FoldTrail callback is the engine's
 // own scratch: it is valid only until the callback returns, and nothing
 // reached through Jobs may be retained.
 //
@@ -399,7 +399,7 @@ type Engine struct {
 	mapSlotAllocs    uint64
 	reduceSlotAllocs uint64
 
-	// scratch is the Result Pool.Fold runs into and lends to its
+	// scratch is the Result Pool.FoldTrail runs into and lends to its
 	// callback; its Jobs capacity is recycled across folds and emptied
 	// after each, so an idle engine pins no outcome.
 	scratch Result
@@ -888,10 +888,6 @@ func (e *Engine) stepUntil(n uint64) error {
 // on an engine stopped by RunEvents.
 func (e *Engine) Now() float64 { return e.clock.Now() }
 
-// EventsFired returns the number of events handled so far; on a fork it
-// includes the shared prefix's events, matching Result.Events.
-func (e *Engine) EventsFired() uint64 { return e.q.Fired() }
-
 // counters assembles the run-level observability totals.
 func (e *Engine) counters(res *Result) obs.Counters {
 	return obs.Counters{
@@ -1057,7 +1053,7 @@ func (e *Engine) onJobArrival(sj *simJob) {
 	e.slots = append(e.slots, sj)
 	e.live++
 	if e.sink != nil {
-		e.emit(obs.KindJobArrival, sj.info.ID, -1, 0, 0)
+		e.emit(obs.KindJobArrival, sj.info.ID, -1, sj.info.Deadline, 0)
 	}
 	if e.batch != nil {
 		e.batch.OnJobAdmit(&sj.info, e.cfg.MapSlots, e.cfg.ReduceSlots)
@@ -1419,7 +1415,7 @@ type Pool struct {
 var Shared Pool
 
 // Observed returns a handle on p that reports each acquisition (Get,
-// Run, Fold, Fork) to onGet with whether a warmed engine was reused
+// Run, FoldTrail, Fork) to onGet with whether a warmed engine was reused
 // (true) or a fresh one built (false) — the telemetry hook behind the
 // engine-reuse hit rate. Engines still come from and go back to p, so
 // one call's observer never hears another's acquisitions. onGet is
@@ -1513,15 +1509,4 @@ func (p *Pool) Run(cfg Config, tr *trace.Trace, policy sched.Policy) (*Result, e
 	res, err := e.Run()
 	p.Put(e)
 	return res, err
-}
-
-// Fold is Run for callers that reduce the outcome on the spot: the
-// replay runs into the pooled engine's own scratch Result, fn reads it,
-// and the engine goes back to the pool — no Result, no per-job outcome
-// array is allocated, which is what makes a warmed sweep cell
-// allocation-free. The Result is lent, not given: it is emptied when fn
-// returns, and nothing reached through it may be kept. fn is not called
-// when the replay fails.
-func (p *Pool) Fold(cfg Config, tr *trace.Trace, policy sched.Policy, fn func(*Result)) error {
-	return p.FoldTrail(cfg, tr, policy, nil, func(res *Result, _ int, _ uint64) { fn(res) })
 }

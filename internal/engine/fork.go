@@ -60,13 +60,6 @@ type Snapshot struct {
 // Events returns the number of events fired up to the snapshot point.
 func (s *Snapshot) Events() uint64 { return s.e.q.Fired() }
 
-// Time returns the simulated time at the snapshot point.
-func (s *Snapshot) Time() float64 { return s.e.clock.Now() }
-
-// Done reports whether the replay had already completed when sealed
-// (forks then produce the finished Result immediately).
-func (s *Snapshot) Done() bool { return s.e.remaining == 0 }
-
 // Snapshot seals the engine at its current macro-step boundary and
 // returns the immutable fork source. An idle engine is started first
 // (arrivals pushed, nothing fired), so a t=0 snapshot is well-defined;
@@ -228,17 +221,6 @@ func (s *Snapshot) Fork(opts ForkOptions) (*Engine, error) {
 		return nil, err
 	}
 	return dst, nil
-}
-
-// Fork seals the engine (Snapshot) and branches once off it — the
-// one-shot convenience; fan-outs take the Snapshot and fork it K
-// times, ideally through Pool.Fork.
-func (e *Engine) Fork(opts ForkOptions) (*Engine, error) {
-	s, err := e.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return s.Fork(opts)
 }
 
 // Fork arms a pooled engine as a branch of the snapshot: Get the

@@ -642,7 +642,7 @@ func TestForkAPIErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !doneSnap.Done() {
+	if doneSnap.e.remaining != 0 {
 		t.Fatal("snapshot of a drained replay is not Done")
 	}
 }

@@ -162,7 +162,11 @@ func TestEngineOrderInsensitivityProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shuffled := tr.Clone()
+		shuffled := &trace.Trace{Name: tr.Name}
+		for _, j := range tr.Jobs {
+			cj := *j // Normalize renumbers the copies, not tr's jobs
+			shuffled.Jobs = append(shuffled.Jobs, &cj)
+		}
 		rng.Shuffle(len(shuffled.Jobs), func(a, b int) {
 			shuffled.Jobs[a], shuffled.Jobs[b] = shuffled.Jobs[b], shuffled.Jobs[a]
 		})

@@ -60,12 +60,20 @@ func (p *Pool) RunTrail(cfg Config, tr *trace.Trace, policy sched.Policy) (*Resu
 	return &t.res, t, nil
 }
 
-// FoldTrail is Fold for a replay that follows t, a trail of the same
-// trace under a config that differs in slot counts only, and a policy
-// that decides as t's did: it copies every stretch of t it may. Any other
-// replay — nil t, a sink, or one that is not trailable — folds as Fold
-// does. fn is also handed how many job outcomes, and how many of the
-// Result's events, were copied from t.
+// FoldTrail is Run for callers that reduce the outcome on the spot: the
+// replay runs into the pooled engine's own scratch Result, fn reads it,
+// and the engine goes back to the pool — no Result, no per-job outcome
+// array is allocated, which is what makes a warmed sweep cell
+// allocation-free. The Result is lent, not given: it is emptied when fn
+// returns, and nothing reached through it may be kept. fn is not called
+// when the replay fails.
+//
+// A replay that follows t, a trail of the same trace under a config that
+// differs in slot counts only, and a policy that decides as t's did,
+// copies every stretch of t it may; fn is also handed how many job
+// outcomes, and how many of the Result's events, were copied from t.
+// Any other replay — nil t, a sink, or one that is not trailable — runs
+// in full and copies none.
 func (p *Pool) FoldTrail(cfg Config, tr *trace.Trace, policy sched.Policy, t *Trail, fn func(res *Result, jobs int, events uint64)) error {
 	e, err := p.Get(cfg, tr, policy)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"simmr/internal/cluster"
 	"simmr/internal/engine"
 	"simmr/internal/metrics"
-	"simmr/internal/model"
 	"simmr/internal/mumak"
 	"simmr/internal/sched"
 	"simmr/internal/workload"
@@ -172,36 +171,4 @@ func (r *Figure5Result) Render(w io.Writer) error {
 		header += "\tmumak_s\tmumak_err_pct"
 	}
 	return writeRows(w, header, rows)
-}
-
-// ModelValidation cross-checks the ARIA bounds model against the
-// testbed: for each application the measured completion time must fall
-// within (or near) the model's [low, up] bounds computed from its own
-// profile. This supports the §V-A machinery MinEDF relies on.
-type ModelValidation struct {
-	App             string
-	Actual, Low, Up float64
-	WithinBounds    bool
-}
-
-// ValidateBoundsModel runs each application once and evaluates the
-// bounds at the testbed allocation.
-func ValidateBoundsModel(seed int64) ([]ModelValidation, error) {
-	var out []ModelValidation
-	cfgEng := EngineConfig()
-	for _, app := range workload.Apps() {
-		spec := app.Spec(0)
-		tpl, actual, err := profileSpec(TestbedConfig(seed), spec)
-		if err != nil {
-			return nil, err
-		}
-		b := model.JobBounds(tpl.Profile(), cfgEng.MapSlots, cfgEng.ReduceSlots)
-		out = append(out, ModelValidation{
-			App: app.Name, Actual: actual, Low: b.Low, Up: b.Up,
-			// The greedy-bound theorem applies per stage; composed
-			// bounds carry small slack, so allow 5% at the edges.
-			WithinBounds: actual >= b.Low*0.95 && actual <= b.Up*1.05,
-		})
-	}
-	return out, nil
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"simmr/internal/model"
+	"simmr/internal/workload"
 )
 
 func TestFigure5FIFOAccuracyShape(t *testing.T) {
@@ -168,4 +171,36 @@ func TestFacebookFitValidation(t *testing.T) {
 	if _, err := FacebookFit("bogus", 1000, 1); err == nil {
 		t.Fatal("unknown phase should fail")
 	}
+}
+
+// ModelValidation cross-checks the ARIA bounds model against the
+// testbed: for each application the measured completion time must fall
+// within (or near) the model's [low, up] bounds computed from its own
+// profile. This supports the §V-A machinery MinEDF relies on.
+type ModelValidation struct {
+	App             string
+	Actual, Low, Up float64
+	WithinBounds    bool
+}
+
+// ValidateBoundsModel runs each application once and evaluates the
+// bounds at the testbed allocation.
+func ValidateBoundsModel(seed int64) ([]ModelValidation, error) {
+	var out []ModelValidation
+	cfgEng := EngineConfig()
+	for _, app := range workload.Apps() {
+		spec := app.Spec(0)
+		tpl, actual, err := profileSpec(TestbedConfig(seed), spec)
+		if err != nil {
+			return nil, err
+		}
+		b := model.JobBounds(tpl.Profile(), cfgEng.MapSlots, cfgEng.ReduceSlots)
+		out = append(out, ModelValidation{
+			App: app.Name, Actual: actual, Low: b.Low, Up: b.Up,
+			// The greedy-bound theorem applies per stage; composed
+			// bounds carry small slack, so allow 5% at the edges.
+			WithinBounds: actual >= b.Low*0.95 && actual <= b.Up*1.05,
+		})
+	}
+	return out, nil
 }

@@ -295,17 +295,3 @@ func (r *DeadlineSweepResult) Render(w io.Writer) error {
 	}
 	return writeRows(w, "deadline_factor\tmean_interarrival_s\tmaxedf\tminedf", rows)
 }
-
-// MinEDFWinsAtRelaxedDeadlines reports whether, aggregated over points
-// with df > 1, MinEDF's utility is at most MaxEDF's — the paper's
-// headline conclusion.
-func (r *DeadlineSweepResult) MinEDFWinsAtRelaxedDeadlines() bool {
-	var minSum, maxSum float64
-	for _, p := range r.Points {
-		if p.DeadlineFactor > 1 {
-			minSum += p.MinEDF
-			maxSum += p.MaxEDF
-		}
-	}
-	return minSum <= maxSum
-}

@@ -143,3 +143,17 @@ func TestAssignDeadlines(t *testing.T) {
 		}
 	}
 }
+
+// MinEDFWinsAtRelaxedDeadlines reports whether, aggregated over points
+// with df > 1, MinEDF's utility is at most MaxEDF's — the paper's
+// headline conclusion.
+func (r *DeadlineSweepResult) MinEDFWinsAtRelaxedDeadlines() bool {
+	var minSum, maxSum float64
+	for _, p := range r.Points {
+		if p.DeadlineFactor > 1 {
+			minSum += p.MinEDF
+			maxSum += p.MaxEDF
+		}
+	}
+	return minSum <= maxSum
+}

@@ -192,21 +192,3 @@ func (r *TableIResult) Render(w io.Writer) error {
 		"app\tmap_min\tmap_avg\tmap_max\tsh_min\tsh_avg\tsh_max\tred_min\tred_avg\tred_max",
 		rows)
 }
-
-// WithinBelowCross reports whether every within-app average KL is below
-// the cross-app average for that phase — the paper's qualitative claim
-// ("these values are much higher than the KL values for executions of
-// the same application"). We compare against the cross-app average
-// rather than its minimum: the smallest profiled job (TF-IDF, 64 maps)
-// carries enough sampling noise that a single adjacent application pair
-// (WordCount/TF-IDF map profiles overlap) can undercut it, whereas the
-// aggregate separation is orders of magnitude.
-func (r *TableIResult) WithinBelowCross() bool {
-	for _, row := range r.Rows {
-		if row.Map.Avg >= r.CrossMap.Avg || row.Reduce.Avg >= r.CrossReduce.Avg ||
-			row.Shuffle.Avg >= r.CrossShuffle.Avg {
-			return false
-		}
-	}
-	return true
-}

@@ -17,7 +17,7 @@ import (
 
 // TestUtilityFoldMatchesMetrics: the in-place utility fold is the
 // paper's metric, term for term and in the same summation order as
-// metrics.RelativeDeadlineExceeded over the same outcomes — what keeps
+// metrics.DeadlineExcess summed over the same outcomes — what keeps
 // results/*.tsv byte-identical.
 func TestUtilityFoldMatchesMetrics(t *testing.T) {
 	tr, err := synth.MultiTenantTrace(400, rand.New(rand.NewSource(5)))
@@ -28,16 +28,15 @@ func TestUtilityFoldMatchesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := make([]metrics.DeadlineObservation, 0, len(res.Jobs))
+	var want float64
 	for _, j := range res.Jobs {
-		obs = append(obs, metrics.DeadlineObservation{RelCompletion: j.Finish - j.Arrival, RelDeadline: j.Deadline - j.Arrival})
+		want += metrics.DeadlineExcess(j.Finish-j.Arrival, j.Deadline-j.Arrival)
 	}
-	want := metrics.RelativeDeadlineExceeded(obs)
 	if want == 0 {
 		t.Fatal("fixture misses no deadline; the comparison would be vacuous")
 	}
 	if got := utility(res); got != want {
-		t.Fatalf("utility fold = %v, metrics.RelativeDeadlineExceeded = %v", got, want)
+		t.Fatalf("utility fold = %v, summed metrics.DeadlineExcess = %v", got, want)
 	}
 	viaFold, err := runUtility(plan.Begin(plan.Options{}, plan.Run{}), engine.Config{MapSlots: 8, ReduceSlots: 8, MinMapPercentCompleted: 0.05}, tr, sched.MaxEDF{})
 	if err != nil {

@@ -34,12 +34,10 @@ const (
 	KeyJobID         = "JOBID"
 	KeyJobName       = "JOBNAME"
 	KeySubmitTime    = "SUBMIT_TIME"
-	KeyLaunchTime    = "LAUNCH_TIME"
 	KeyFinishTime    = "FINISH_TIME"
 	KeyJobStatus     = "JOB_STATUS"
 	KeyTotalMaps     = "TOTAL_MAPS"
 	KeyTotalReduces  = "TOTAL_REDUCES"
-	KeyTaskID        = "TASKID"
 	KeyTaskAttemptID = "TASK_ATTEMPT_ID"
 	KeyStartTime     = "START_TIME"
 	KeyTrackerName   = "TRACKER_NAME"

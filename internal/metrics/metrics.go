@@ -9,37 +9,18 @@ import (
 	"sort"
 )
 
-// RelativeDeadlineExceeded is the paper's utility function: over the set
-// Θ of jobs whose deadline was exceeded, Σ (T_J − D_J)/D_J, where T_J is
-// the completion time and D_J the deadline, both measured relative to
-// the job's arrival. Lower is better.
-//
-// Each element of jobs supplies (finish − arrival) and
-// (deadline − arrival); jobs with no deadline (relDeadline <= 0) are
-// skipped.
-func RelativeDeadlineExceeded(jobs []DeadlineObservation) float64 {
-	var sum float64
-	for _, j := range jobs {
-		sum += DeadlineExcess(j.RelCompletion, j.RelDeadline)
-	}
-	return sum
-}
-
-// DeadlineExcess is one job's term of RelativeDeadlineExceeded:
-// (T_J − D_J)/D_J when the job has a deadline and exceeded it, else 0 —
-// for callers that fold the utility over outcomes they already hold.
+// DeadlineExcess is one job's term of the paper's utility function,
+// the relative deadline exceeded: over the set Θ of jobs whose deadline
+// was exceeded, Σ (T_J − D_J)/D_J, where T_J is the completion time and
+// D_J the deadline, both measured relative to the job's arrival (lower
+// is better). The term is (T_J − D_J)/D_J when the job has a deadline
+// (relDeadline > 0) and exceeded it, else 0; callers fold it over the
+// outcomes they already hold.
 func DeadlineExcess(relCompletion, relDeadline float64) float64 {
 	if relDeadline <= 0 || relCompletion <= relDeadline {
 		return 0
 	}
 	return (relCompletion - relDeadline) / relDeadline
-}
-
-// DeadlineObservation is one job's completion and deadline, both
-// relative to its arrival.
-type DeadlineObservation struct {
-	RelCompletion float64
-	RelDeadline   float64
 }
 
 // RelativeErrorPct returns 100·|simulated − actual|/actual, the per-job
@@ -170,16 +151,4 @@ func PeakConcurrency(ivs []Interval) int {
 		}
 	}
 	return peak
-}
-
-// Mean returns the arithmetic mean of xs (NaN for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -125,11 +125,25 @@ func TestWaves(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("mean broken")
+// RelativeDeadlineExceeded is the paper's utility function: over the set
+// Θ of jobs whose deadline was exceeded, Σ (T_J − D_J)/D_J, where T_J is
+// the completion time and D_J the deadline, both measured relative to
+// the job's arrival. Lower is better.
+//
+// Each element of jobs supplies (finish − arrival) and
+// (deadline − arrival); jobs with no deadline (relDeadline <= 0) are
+// skipped.
+func RelativeDeadlineExceeded(jobs []DeadlineObservation) float64 {
+	var sum float64
+	for _, j := range jobs {
+		sum += DeadlineExcess(j.RelCompletion, j.RelDeadline)
 	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("empty mean should be NaN")
-	}
+	return sum
+}
+
+// DeadlineObservation is one job's completion and deadline, both
+// relative to its arrival.
+type DeadlineObservation struct {
+	RelCompletion float64
+	RelDeadline   float64
 }

@@ -28,22 +28,6 @@ type Bounds struct {
 	Low, Up float64
 }
 
-// Avg returns the midpoint of the bounds — "typically ... a good
-// approximation of the job completion time" (§V-A).
-func (b Bounds) Avg() float64 { return (b.Low + b.Up) / 2 }
-
-// StageBounds returns the makespan bounds of a greedy assignment of n
-// tasks with the given average and maximum durations onto k slots.
-func StageBounds(n, k int, avg, max float64) Bounds {
-	if n <= 0 || k <= 0 {
-		return Bounds{}
-	}
-	return Bounds{
-		Low: float64(n) * avg / float64(k),
-		Up:  float64(n-1)*avg/float64(k) + max,
-	}
-}
-
 // Coeffs are the coefficients of the separable completion-time form
 // T = A·N_M/S_M + B·N_R/S_R + C (equation 1 of the paper).
 type Coeffs struct {
@@ -99,12 +83,6 @@ func JobBounds(p trace.Profile, mapSlots, reduceSlots int) Bounds {
 	}
 }
 
-// Estimate returns the midpoint completion-time estimate for an
-// allocation — the quantity MinEDF compares against the deadline.
-func Estimate(p trace.Profile, mapSlots, reduceSlots int) float64 {
-	return JobBounds(p, mapSlots, reduceSlots).Avg()
-}
-
 // Allocation is a number of map and reduce slots granted to one job.
 type Allocation struct {
 	MapSlots, ReduceSlots int
@@ -113,16 +91,12 @@ type Allocation struct {
 	Feasible bool
 }
 
-// Total returns MapSlots + ReduceSlots, the quantity MinimalSlots
-// minimizes.
-func (a Allocation) Total() int { return a.MapSlots + a.ReduceSlots }
-
-// MinimalSlots solves the inverse problem of §V-A: the fewest total
-// slots (S_M + S_R) such that the estimated completion time meets
-// `deadline` (a duration relative to job start). Using the midpoint
-// coefficients, all integral points on the hyperbola
-// A·N_M/S_M + B·N_R/S_R = deadline − C are feasible allocations; the
-// continuous minimum of S_M + S_R, by Lagrange multipliers, is at
+// MinimalSlotsCoeffs solves the inverse problem of §V-A: the fewest
+// total slots (S_M + S_R) such that the completion time estimated with
+// coefficients c meets `deadline` (a duration relative to job start).
+// All integral points on the hyperbola A·N_M/S_M + B·N_R/S_R =
+// deadline − C are feasible allocations; the continuous minimum of
+// S_M + S_R, by Lagrange multipliers, is at
 //
 //	S_M = (a + sqrt(a·b)) / d,   S_R = (b + sqrt(a·b)) / d
 //
@@ -130,13 +104,8 @@ func (a Allocation) Total() int { return a.MapSlots + a.ReduceSlots }
 // is rounded up and then greedily tightened while the deadline still
 // holds. Results are clamped to the cluster capacity (maxMap, maxReduce)
 // and to the job's task counts (extra slots beyond tasks are useless).
-func MinimalSlots(p trace.Profile, deadline float64, maxMap, maxReduce int) Allocation {
-	return MinimalSlotsCoeffs(p, AvgCoeffs(p), deadline, maxMap, maxReduce)
-}
-
-// MinimalSlotsCoeffs is MinimalSlots with an explicit coefficient choice
-// (LowCoeffs for optimistic sizing, UpCoeffs for conservative sizing) —
-// the knob behind the MinEDF-estimator ablation.
+// MinEDF passes AvgCoeffs; LowCoeffs (optimistic) and UpCoeffs
+// (conservative) are the MinEDF-estimator ablation.
 func MinimalSlotsCoeffs(p trace.Profile, c Coeffs, deadline float64, maxMap, maxReduce int) Allocation {
 	capM := minInt(maxMap, p.NumMaps)
 	capR := minInt(maxReduce, p.NumReduces)

@@ -296,3 +296,35 @@ func minIntT(a, b int) int {
 	}
 	return b
 }
+
+// StageBounds returns the makespan bounds of a greedy assignment of n
+// tasks with the given average and maximum durations onto k slots.
+func StageBounds(n, k int, avg, max float64) Bounds {
+	if n <= 0 || k <= 0 {
+		return Bounds{}
+	}
+	return Bounds{
+		Low: float64(n) * avg / float64(k),
+		Up:  float64(n-1)*avg/float64(k) + max,
+	}
+}
+
+// Estimate returns the midpoint completion-time estimate for an
+// allocation — the quantity MinEDF compares against the deadline.
+func Estimate(p trace.Profile, mapSlots, reduceSlots int) float64 {
+	return JobBounds(p, mapSlots, reduceSlots).Avg()
+}
+
+// Total returns MapSlots + ReduceSlots, the quantity MinimalSlots
+// minimizes.
+func (a Allocation) Total() int { return a.MapSlots + a.ReduceSlots }
+
+// MinimalSlots is MinimalSlotsCoeffs at the midpoint coefficients, as
+// MinEDF sizes a job.
+func MinimalSlots(p trace.Profile, deadline float64, maxMap, maxReduce int) Allocation {
+	return MinimalSlotsCoeffs(p, AvgCoeffs(p), deadline, maxMap, maxReduce)
+}
+
+// Avg returns the midpoint of the bounds — "typically ... a good
+// approximation of the job completion time" (§V-A).
+func (b Bounds) Avg() float64 { return (b.Low + b.Up) / 2 }

@@ -173,3 +173,7 @@ func TestFlightRecorderTriggerServedByBlocks(t *testing.T) {
 		t.Fatal("a served trigger fired again")
 	}
 }
+
+// Recorded returns the total number of events recorded so far.
+// Owner-side only.
+func (f *FlightRecorder) Recorded() uint64 { return f.written }

@@ -126,10 +126,6 @@ func (f *FlightRecorder) Dump(trigger string) *FlightDump {
 // been taken. Safe from any goroutine; the dump is immutable.
 func (f *FlightRecorder) Latest() *FlightDump { return f.last.Load() }
 
-// Recorded returns the total number of events recorded so far.
-// Owner-side only.
-func (f *FlightRecorder) Recorded() uint64 { return f.written }
-
 // Fork returns a new recorder of the same capacity seeded with the
 // receiver's ring contents, so a what-if branch's flight dump shows
 // the shared prefix leading into the divergence — the same

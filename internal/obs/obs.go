@@ -96,8 +96,10 @@ type Event struct {
 	Task int
 	// End is the planned finish time for task-start events — math.Inf(1)
 	// for a first-wave filler reduce, whose real end is unknown until
-	// the map stage completes — and the patched finish time for
-	// KindFillerPatch. Zero for all other kinds.
+	// the map stage completes — the patched finish time for
+	// KindFillerPatch, and the job's effective deadline for
+	// KindJobArrival (after any what-if SetDeadline; 0 means none).
+	// Zero for all other kinds.
 	End float64
 	// ShuffleEnd is the shuffle/reduce phase boundary for reduce-task
 	// starts (math.Inf(1) for fillers) and for KindFillerPatch, where it

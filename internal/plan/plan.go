@@ -186,7 +186,7 @@ type Cell struct {
 	// the worker goroutine, and only if the replay will simulate.
 	Sink func() obs.Sink
 	// Keep hands the fold a Result of its own, as Pool.Run returns it,
-	// instead of lending the engine's, as Pool.Fold does. A hit's Result
+	// instead of lending the engine's, as Pool.FoldTrail does. A hit's Result
 	// is the fold's to keep either way.
 	Keep bool
 	// Edit, on a Branch cell, mutates the paused fork before it runs.

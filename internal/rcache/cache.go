@@ -305,14 +305,6 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// Dir reports the disk-tier directory ("" when memory-only).
-func (c *Cache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
-}
-
 // DiskInfo scans the disk tier and reports entry count and total
 // bytes — the `simmr cache info` backing.
 func (c *Cache) DiskInfo() (entries int, bytes int64, err error) {

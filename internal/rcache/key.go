@@ -9,9 +9,8 @@
 // (trace.ContentHash — every duration entry; the run registry prints
 // the same digest as a run's trace_hash), a canonical binary encoding of
 // the engine.Config identity fields, the sched policy fingerprint, and
-// engine.SemanticsVersion; anything unfingerprintable (custom
-// policies, stateful policies, Capacity with a caller-supplied
-// QueueOf) bypasses the cache rather than risk a wrong hit.
+// engine.SemanticsVersion; anything unfingerprintable (custom or
+// stateful policies) bypasses the cache rather than risk a wrong hit.
 //
 // Tier one is a byte-budgeted in-memory LRU holding encoded entries;
 // tier two is an optional on-disk store, one file per entry, written

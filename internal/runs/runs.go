@@ -262,9 +262,6 @@ func (h *Handle) End(err error) {
 	h.subMu.Unlock()
 }
 
-// Running reports whether End has not yet been called.
-func (h *Handle) Running() bool { return h != nil && h.end.Load() == nil }
-
 // Snapshot assembles the current JSON view.
 func (h *Handle) Snapshot() Snapshot {
 	if h == nil {

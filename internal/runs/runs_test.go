@@ -330,3 +330,6 @@ func TestIDsSortable(t *testing.T) {
 		}
 	}
 }
+
+// Running reports whether End has not yet been called.
+func (h *Handle) Running() bool { return h != nil && h.end.Load() == nil }

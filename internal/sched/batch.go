@@ -239,12 +239,8 @@ func (ix *jobIndex) AssignReduceSlots(_ []*JobInfo, n int) []int { return ix.ass
 // running counts. Slot assignment picks the most underserved queue
 // (smallest running/share ratio, ties by the queue head's arrival order
 // — the scan's exact tie-break) and takes that queue's FIFO head:
-// O(queues + log jobs) per slot instead of O(jobs).
-//
-// A job's queue is re-derived from cfg.queue on every hook, so a custom
-// QueueOf must be a pure function of the job (the scan re-evaluates it
-// per decision too; any sane assignment — and the default ID-modulo
-// one — is stable, making the paths identical).
+// O(queues + log jobs) per slot instead of O(jobs). A job's queue is
+// its ID modulo the queue count (Capacity.queue), as in the scan.
 type capacityIndex struct {
 	cfg    Capacity
 	queues []capacityQueue

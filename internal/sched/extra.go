@@ -54,23 +54,15 @@ type Capacity struct {
 	// Shares are the queues' guaranteed fractions; they need not sum
 	// to 1 (they are normalized). Empty means a single queue (= FIFO).
 	Shares []float64
-	// QueueOf maps a job to a queue index; nil assigns ID % len(Shares).
-	QueueOf func(*JobInfo) int
 }
 
 // Name implements Policy.
 func (c Capacity) Name() string { return "Capacity" }
 
+// queue is job j's queue: its ID modulo the number of queues.
 func (c Capacity) queue(j *JobInfo) int {
 	if len(c.Shares) == 0 {
 		return 0
-	}
-	if c.QueueOf != nil {
-		q := c.QueueOf(j)
-		if q < 0 || q >= len(c.Shares) {
-			return 0
-		}
-		return q
 	}
 	return j.ID % len(c.Shares)
 }

@@ -8,10 +8,9 @@ import "math"
 // every input, because cache keys built from the fingerprint treat
 // their results as interchangeable. The engine's scheduling index is
 // not part of a policy's identity — the differential suite pins it
-// byte-identical to the scan — but stateful or caller-extended policies
-// (DynamicPriority, Capacity with a custom QueueOf) refuse to
-// fingerprint at all: a wrong cache hit is a silent correctness bug,
-// a bypass is just a slower replay.
+// byte-identical to the scan — but a stateful policy (DynamicPriority)
+// refuses to fingerprint at all: a wrong cache hit is a silent
+// correctness bug, a bypass is just a slower replay.
 //
 // The version suffix in each tag ("/v1") is the invalidation lever: any
 // behavior-affecting change to a policy must bump its tag, which the
@@ -87,13 +86,8 @@ func (p MinEDF) Fingerprint() (uint64, bool) {
 // Fingerprint identifies Fair: no parameters.
 func (Fair) Fingerprint() (uint64, bool) { return uint64(fpTag("sched.Fair/v1")), true }
 
-// Fingerprint identifies Capacity by its share vector. A caller-supplied
-// QueueOf is an arbitrary function the cache cannot see inside, so such
-// configurations decline to fingerprint and bypass caching.
+// Fingerprint identifies Capacity by its share vector.
 func (p Capacity) Fingerprint() (uint64, bool) {
-	if p.QueueOf != nil {
-		return 0, false
-	}
 	h := fpTag("sched.Capacity/v1")
 	h.u64(uint64(len(p.Shares)))
 	for _, s := range p.Shares {

@@ -42,7 +42,6 @@ func TestFingerprintGolden(t *testing.T) {
 		p    Policy
 	}{
 		{"DynamicPriority", &DynamicPriority{Budgets: map[int]float64{1: 2}}},
-		{"Capacity/customQueueOf", Capacity{Shares: []float64{1}, QueueOf: func(*JobInfo) int { return 0 }}},
 	}
 	for _, g := range decline {
 		if fp, ok := FingerprintOf(g.p); ok {

@@ -211,9 +211,6 @@ func (t *Tournament) reorder(k int, better func(a, b *JobInfo) bool, static bool
 	t.trees[k].Better, t.trees[k].Static = better, static
 }
 
-// Len returns the number of jobs in the index (eligible or not).
-func (t *Tournament) Len() int { return t.count }
-
 // slot returns j's leaf. The handle on the job is only a hint: it is
 // trusted when the leaf it names holds this very *JobInfo, so a handle
 // left over from an earlier index, or copied along with its job into a

@@ -680,3 +680,6 @@ func TestIndexedResetQueueReArms(t *testing.T) {
 		})
 	}
 }
+
+// Len returns the number of jobs in the index (eligible or not).
+func (t *Tournament) Len() int { return t.count }

@@ -205,17 +205,6 @@ func TestCapacityNoSharesActsLikeFIFO(t *testing.T) {
 	}
 }
 
-func TestCapacityCustomQueueFunc(t *testing.T) {
-	c := Capacity{
-		Shares:  []float64{0.5, 0.5},
-		QueueOf: func(j *JobInfo) int { return 99 }, // out of range -> queue 0
-	}
-	j := mkJob(0, 0, 0, 1, 0)
-	if got := c.ChooseNextMapTask([]*JobInfo{j}); got != 0 {
-		t.Fatalf("pick = %d", got)
-	}
-}
-
 func TestPolicyNames(t *testing.T) {
 	for _, p := range []Policy{FIFO{}, MaxEDF{}, MinEDF{}, Fair{}, Capacity{}} {
 		if p.Name() == "" {

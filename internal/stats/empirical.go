@@ -34,9 +34,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(i) / float64(len(e.sorted))
 }
 
-// Quantile returns the q-th sample quantile.
-func (e *ECDF) Quantile(q float64) float64 { return Quantile(e.sorted, q) }
-
 // Min and Max return the sample range; NaN when empty.
 func (e *ECDF) Min() float64 {
 	if len(e.sorted) == 0 {

@@ -146,9 +146,6 @@ func (s *Stream) Next() (*trace.Job, bool, error) {
 	return j, true, nil
 }
 
-// Emitted reports how many jobs the stream has yielded so far.
-func (s *Stream) Emitted() int { return s.next }
-
 // Name returns the configured trace name.
 func (s *Stream) Name() string { return s.cfg.Name }
 

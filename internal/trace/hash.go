@@ -42,8 +42,8 @@ func (h fnv64) str(s string) fnv64 {
 // the template's profile cache; what-if scaling builds new Templates
 // and transforms touch only Job-level fields), so after the first call
 // over a template set the cost is O(jobs). Per-job fields (arrival,
-// deadline) are always folded fresh, so in-place edits like StripIdle
-// or deadline reassignment still re-key.
+// deadline) are always folded fresh, so in-place edits of arrivals or
+// deadlines still re-key.
 func (t *Trace) ContentHash() uint64 {
 	h := fnv64(fnvOffset).str(t.Name).u64(uint64(len(t.Jobs)))
 	for _, j := range t.Jobs {

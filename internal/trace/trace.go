@@ -408,15 +408,3 @@ func (tr *Trace) SerialRuntime() float64 {
 	}
 	return total
 }
-
-// Clone deep-copies the trace so a simulation run can mutate arrival
-// times or deadlines without affecting the stored version.
-func (tr *Trace) Clone() *Trace {
-	c := &Trace{Name: tr.Name, Jobs: make([]*Job, len(tr.Jobs))}
-	for i, j := range tr.Jobs {
-		cj := *j
-		cj.Template = j.Template.Clone()
-		c.Jobs[i] = &cj
-	}
-	return c
-}

@@ -434,3 +434,15 @@ func mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
+
+// Clone deep-copies the trace so a simulation run can mutate arrival
+// times or deadlines without affecting the stored version.
+func (tr *Trace) Clone() *Trace {
+	c := &Trace{Name: tr.Name, Jobs: make([]*Job, len(tr.Jobs))}
+	for i, j := range tr.Jobs {
+		cj := *j
+		cj.Template = j.Template.Clone()
+		c.Jobs[i] = &cj
+	}
+	return c
+}

@@ -1,13 +1,15 @@
 package tracebin
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
 )
 
 // FuzzDecodeSTRC throws corrupted, truncated, and adversarial images
-// at the decoder. The contract under fuzzing: Decode either returns a
+// at the decoder through OpenReaderAt, the path that reads a file
+// without mapping it. The contract under fuzzing: it either returns a
 // validated trace or an error — it must never panic, over-read, or
 // hand back objects referencing memory outside the image. The seeds
 // cover a valid image, truncations at every section boundary, and
@@ -75,7 +77,7 @@ func FuzzDecodeSTRC(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(data)
+		s, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}

@@ -118,15 +118,7 @@ func OpenReaderAt(r io.ReaderAt, size int64) (*Store, error) {
 	return openBytes(data, nil, false, size)
 }
 
-// Decode decodes an in-memory `.strc` image. The returned trace
-// aliases data's arena bytes where the platform allows zero-copy
-// float64 views; data must not be mutated afterwards.
-func Decode(data []byte) (*Store, error) {
-	return openBytes(data, nil, false, int64(len(data)))
-}
-
-// openBytes is the decode core shared by Open, OpenReaderAt, and
-// Decode. Every cross-section reference is bounds-checked and every
+// openBytes is the decode core shared by Open and OpenReaderAt. Every cross-section reference is bounds-checked and every
 // section CRC verified before any trace object is built, so corrupt
 // input errors cleanly.
 func openBytes(data []byte, closer io.Closer, mapped bool, fileSize int64) (*Store, error) {

@@ -3,6 +3,7 @@ package tracebin
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -148,7 +149,6 @@ func TestTemplateDedup(t *testing.T) {
 
 	// Content dedup: byte-identical copies behind distinct pointers
 	// must merge into the same pool entries.
-	clone := tr.Clone()
 	var m2 memSeeker
 	w2, err := NewWriter(&m2, tr.Name)
 	if err != nil {
@@ -160,10 +160,10 @@ func TestTemplateDedup(t *testing.T) {
 		}
 		if err := w2.Add(&trace.Job{
 			ID:       1000 + i,
-			Name:     clone.Jobs[i].Name,
-			Arrival:  clone.Jobs[i].Arrival,
-			Deadline: clone.Jobs[i].Deadline,
-			Template: clone.Jobs[i].Template,
+			Name:     j.Name,
+			Arrival:  j.Arrival,
+			Deadline: j.Deadline,
+			Template: j.Template.Clone(),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -408,4 +408,58 @@ func TestCorruptSectionCRC(t *testing.T) {
 	if _, err := Decode(corrupt2); err == nil {
 		t.Fatal("expected header CRC error")
 	}
+}
+
+// Pack encodes a trace into an in-memory `.strc` image.
+func Pack(tr *trace.Trace) ([]byte, error) {
+	var m memSeeker
+	if err := WriteTrace(&m, tr); err != nil {
+		return nil, err
+	}
+	return m.buf, nil
+}
+
+// memSeeker is a minimal in-memory io.WriteSeeker for Pack.
+type memSeeker struct {
+	buf []byte
+	off int
+}
+
+func (m *memSeeker) Write(p []byte) (int, error) {
+	if need := m.off + len(p); need > len(m.buf) {
+		if need > cap(m.buf) {
+			grown := make([]byte, need, need*2)
+			copy(grown, m.buf)
+			m.buf = grown
+		} else {
+			m.buf = m.buf[:need]
+		}
+	}
+	copy(m.buf[m.off:], p)
+	m.off += len(p)
+	return len(p), nil
+}
+
+func (m *memSeeker) Seek(offset int64, whence int) (int64, error) {
+	var abs int64
+	switch whence {
+	case io.SeekStart:
+		abs = offset
+	case io.SeekCurrent:
+		abs = int64(m.off) + offset
+	case io.SeekEnd:
+		abs = int64(len(m.buf)) + offset
+	default:
+		return 0, fmt.Errorf("tracebin: bad whence %d", whence)
+	}
+	if abs < 0 {
+		return 0, fmt.Errorf("tracebin: negative seek %d", abs)
+	}
+	m.off = int(abs)
+	return abs, nil
+}
+
+// Decode decodes an in-memory `.strc` image through OpenReaderAt.
+func Decode(data []byte) (*Store, error) {
+	return OpenReaderAt(bytes.NewReader(data), int64(len(data)))
 }

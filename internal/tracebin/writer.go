@@ -408,52 +408,3 @@ func WriteSource(path, name string, src JobSource) (WriterStats, error) {
 	}
 	return st, os.Rename(tmp, path)
 }
-
-// Pack encodes a trace into an in-memory `.strc` image.
-func Pack(tr *trace.Trace) ([]byte, error) {
-	var m memSeeker
-	if err := WriteTrace(&m, tr); err != nil {
-		return nil, err
-	}
-	return m.buf, nil
-}
-
-// memSeeker is a minimal in-memory io.WriteSeeker for Pack.
-type memSeeker struct {
-	buf []byte
-	off int
-}
-
-func (m *memSeeker) Write(p []byte) (int, error) {
-	if need := m.off + len(p); need > len(m.buf) {
-		if need > cap(m.buf) {
-			grown := make([]byte, need, need*2)
-			copy(grown, m.buf)
-			m.buf = grown
-		} else {
-			m.buf = m.buf[:need]
-		}
-	}
-	copy(m.buf[m.off:], p)
-	m.off += len(p)
-	return len(p), nil
-}
-
-func (m *memSeeker) Seek(offset int64, whence int) (int64, error) {
-	var abs int64
-	switch whence {
-	case io.SeekStart:
-		abs = offset
-	case io.SeekCurrent:
-		abs = int64(m.off) + offset
-	case io.SeekEnd:
-		abs = int64(len(m.buf)) + offset
-	default:
-		return 0, fmt.Errorf("tracebin: bad whence %d", whence)
-	}
-	if abs < 0 {
-		return 0, fmt.Errorf("tracebin: negative seek %d", abs)
-	}
-	m.off = int(abs)
-	return abs, nil
-}

@@ -29,10 +29,10 @@ import "simmr/internal/attr"
 type (
 	// AttrSink consumes a replay's event stream and reconstructs per-job
 	// explanations plus the makespan critical path. One sink per engine;
-	// read Report / Explanations / CriticalPath after the run.
+	// read its Report after the run.
 	AttrSink = attr.Sink
 	// AttrOptions parameterizes an AttrSink (slot counts for exact
-	// free-slot blame, trace for names and deadlines).
+	// free-slot blame, trace for names; deadlines come from the events).
 	AttrOptions = attr.Options
 	// AttrReport is a finished run's full attribution: per-job
 	// explanations, deadline-miss root causes, and the critical path.
@@ -52,14 +52,12 @@ type (
 	WaitInterval = attr.WaitInterval
 	// CriticalPathStep is one step of the makespan critical path.
 	CriticalPathStep = attr.CPStep
-	// MissCause aggregates deadline misses by root-cause phase.
-	MissCause = attr.MissCause
 )
 
 // NewAttrSink returns an attribution sink; set it (or a Tee including
 // it) as ReplayConfig.Sink. Zero Options degrade gracefully: without
 // slot counts free-slot blame falls back to hand-off pairing, without a
-// trace jobs have no names or deadlines.
+// trace jobs have no names.
 func NewAttrSink(opts AttrOptions) *AttrSink { return attr.NewSink(opts) }
 
 // DiffAttrReports contrasts a what-if branch's attribution against its

@@ -54,7 +54,7 @@ func TestAttrSinksAcrossBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range sinks {
-		exps := s.Explanations()
+		exps := s.Report().Jobs
 		if len(exps) != len(tr.Jobs) {
 			t.Fatalf("run %d: %d explanations for %d jobs", i, len(exps), len(tr.Jobs))
 		}
@@ -110,7 +110,7 @@ func TestBranchSetAttrSinkFactory(t *testing.T) {
 		if branchAttr[i] == nil {
 			t.Fatalf("branch %d: SinkFactory never called", i)
 		}
-		if !branchAttr[i].Done() {
+		if branchAttr[i].Report().Jobs == nil {
 			t.Fatalf("branch %d: sink never saw RunEnd", i)
 		}
 		reports[i] = branchAttr[i].Report()
@@ -124,7 +124,7 @@ func TestBranchSetAttrSinkFactory(t *testing.T) {
 	}
 
 	// The prefix sink itself must be untouched by the branch forks.
-	if prefix.Done() {
+	if prefix.Report().Jobs != nil {
 		t.Fatal("prefix sink saw RunEnd through a branch")
 	}
 

@@ -36,8 +36,6 @@ type BatchConfig struct {
 	// each is its own spec's replay whichever specs shared one
 	// (ReplayBatchCfg).
 	Workers int
-	// Progress, when set, receives bounded-rate (done, total) callbacks.
-	Progress ProgressFunc
 	// Telemetry, when set, records the replays the batch simulates into
 	// the metrics registry: engine events and duration histograms,
 	// per-replay wall time and events/sec, and the engine pool's reuse
@@ -85,7 +83,7 @@ func ReplayBatchCfg(ctx context.Context, bcfg BatchConfig, specs []ReplaySpec) (
 		reqs[i] = plan.Request{Cfg: cfg, Trace: spec.Trace, Policy: policy}
 	}
 	p := plan.Begin(
-		plan.Options{Workers: bcfg.Workers, Progress: bcfg.Progress, Telemetry: bcfg.Telemetry, Runs: bcfg.Runs, Flight: bcfg.Flight, Cache: bcfg.Cache},
+		plan.Options{Workers: bcfg.Workers, Telemetry: bcfg.Telemetry, Runs: bcfg.Runs, Flight: bcfg.Flight, Cache: bcfg.Cache},
 		plan.Run{Kind: runs.KindBatch, Traces: traces, Replays: len(specs), Config: fmt.Sprintf("specs=%d", len(specs))})
 	results := make([]*ReplayResult, len(specs))
 	err := p.Fan(ctx, plan.Fanout{

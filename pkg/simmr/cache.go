@@ -15,7 +15,7 @@ import "simmr/internal/rcache"
 // caching everywhere it is accepted.
 //
 // Policies without a stable fingerprint (DynamicPriority, custom
-// policies, Capacity with a caller-supplied QueueOf) bypass the cache.
+// policies) bypass the cache.
 // A cache hit skips the engine entirely, so observability sinks do NOT
 // fire for cached cells — hit counts are surfaced in Stats, telemetry,
 // and the run registry so a memoized run is never mistaken for a

@@ -94,7 +94,7 @@ func TestJobBoundsFacade(t *testing.T) {
 		ReduceDurations: constSlice(2, 1),
 	}
 	b := JobBounds(tpl.Profile(), 5, 2)
-	if !(b.Low > 0 && b.Low <= b.Avg() && b.Avg() <= b.Up) {
+	if !(b.Low > 0 && b.Low <= b.Up) {
 		t.Fatalf("bounds disordered: %+v", b)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"simmr/internal/obs"
@@ -118,41 +117,5 @@ func TestCapacitySweepSinkFactory(t *testing.T) {
 	}
 	if snap.Observed == 0 || snap.RunsFinished != len(pts) {
 		t.Fatalf("metrics snapshot %+v", snap)
-	}
-}
-
-// The batch progress plumbing: a final (total, total) call arrives
-// exactly once for both batches and sweeps.
-func TestBatchAndSweepProgress(t *testing.T) {
-	tr := sweepTrace()
-	specs := make([]ReplaySpec, 6)
-	for i := range specs {
-		specs[i] = ReplaySpec{Trace: tr}
-	}
-	var batchFinals atomic.Int64
-	if _, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 3, Progress: func(done, total int) {
-		if done == total && total == len(specs) {
-			batchFinals.Add(1)
-		}
-	}}, specs); err != nil {
-		t.Fatal(err)
-	}
-	if batchFinals.Load() != 1 {
-		t.Fatalf("batch final progress delivered %d times", batchFinals.Load())
-	}
-
-	var sweepFinals atomic.Int64
-	if _, err := CapacitySweep(tr, SweepConfig{
-		MapSlotCounts: []int{2, 4, 8, 16},
-		Progress: func(done, total int) {
-			if done == total && total == 4 {
-				sweepFinals.Add(1)
-			}
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sweepFinals.Load() != 1 {
-		t.Fatalf("sweep final progress delivered %d times", sweepFinals.Load())
 	}
 }

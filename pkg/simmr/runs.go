@@ -20,16 +20,10 @@ type (
 	// RunRegistry tracks live runs plus a bounded ring of completed
 	// ones.
 	RunRegistry = runs.Registry
-	// RunHandle is one registered run; see SweepConfig.Runs.
-	RunHandle = runs.Handle
 	// RunSnapshot is the JSON view served by /runs.
 	RunSnapshot = runs.Snapshot
-	// RunMeta is the identity a run registers with.
-	RunMeta = runs.Meta
 	// FlightRecorder is the fixed-ring post-mortem sink (obs package).
 	FlightRecorder = obs.FlightRecorder
-	// FlightDump is one immutable flight-recorder capture.
-	FlightDump = obs.FlightDump
 )
 
 // DefaultRuns returns the process-wide run registry — the one the

@@ -84,12 +84,6 @@ type (
 	// SetDeadline / SetPolicy edit the run, Now reads its clock. A
 	// branch is a fork of the sealed prefix and cannot be sealed itself.
 	Engine = engine.Engine
-	// EngineSnapshot is a sealed engine state — the shared fork source.
-	EngineSnapshot = engine.Snapshot
-	// ForkOptions parameterizes one fork off a snapshot.
-	ForkOptions = engine.ForkOptions
-	// ForkStats reports the bytes arming a fork copied.
-	ForkStats = engine.ForkStats
 )
 
 // Observability types (DESIGN.md §8): set ReplayConfig.Sink to receive

@@ -139,7 +139,7 @@ func TestAllPoliciesRunnable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []Policy{NewFIFO(), NewMaxEDF(), NewMinEDF(), NewFair(), NewCapacity([]float64{0.7, 0.3})} {
-		res, err := Replay(DefaultReplayConfig(), tr.Clone(), p)
+		res, err := Replay(DefaultReplayConfig(), tr, p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}

@@ -8,18 +8,10 @@ import (
 
 	"simmr/internal/engine"
 	"simmr/internal/obs"
-	"simmr/internal/parallel"
 	"simmr/internal/plan"
 	"simmr/internal/runs"
 	"simmr/internal/sched"
 )
-
-// ProgressFunc receives bounded-rate completion callbacks from the
-// worker pool: done grid cells (or batch specs) out of total. See
-// parallel.ProgressFunc for the delivery contract — calls are at least
-// parallel.MinProgressInterval apart (final call excepted), may arrive
-// concurrently from worker goroutines, and never serialize the pool.
-type ProgressFunc = parallel.ProgressFunc
 
 // ErrEmptyWorkload is returned by CapacitySweep, ReplayBatchCfg and
 // BranchSet when asked to simulate a workload with no jobs: every
@@ -65,9 +57,6 @@ type SweepConfig struct {
 	// order and identical regardless of the worker count; which cells
 	// replay may vary with it.
 	Workers int
-	// Progress, when set, receives bounded-rate completion callbacks
-	// (done cells, total cells) while the sweep runs.
-	Progress ProgressFunc
 	// SinkFactory, when set, builds one observability sink per grid
 	// cell (called from the worker goroutine, so it must be safe for
 	// concurrent calls); each cell's engine gets its own sink, keeping
@@ -190,7 +179,7 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 	}
 
 	p := plan.Begin(
-		plan.Options{Workers: cfg.Workers, Progress: cfg.Progress, Telemetry: cfg.Telemetry, Runs: cfg.Runs, Flight: cfg.Flight, Cache: cfg.Cache},
+		plan.Options{Workers: cfg.Workers, Telemetry: cfg.Telemetry, Runs: cfg.Runs, Flight: cfg.Flight, Cache: cfg.Cache},
 		plan.Run{Kind: runs.KindSweep, Policy: policy, Traces: []*Trace{tr}, Replays: len(sel),
 			Config: fmt.Sprintf("grid=%dx%d shards=%d", len(cfg.MapSlotCounts), rows, max(cfg.Shards, 1))})
 	points := make([]SweepPoint, len(sel))

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"simmr/internal/obs"
@@ -218,5 +219,57 @@ func TestChromeTraceGoldenTwoJobFIFO(t *testing.T) {
 	// 2 map-stage completions) = at least 16 events.
 	if len(file.TraceEvents) < 16 {
 		t.Fatalf("suspiciously small trace: %d events", len(file.TraceEvents))
+	}
+}
+
+// A job-arrival event carries the job's effective deadline in End (0:
+// none), so a sink reading the stream needs no trace: the trace's
+// deadline on a straight replay, and a SetDeadline edit on a fork.
+func TestArrivalEventCarriesDeadline(t *testing.T) {
+	tpl := uniformTemplate(1, 0, 10, 0, 0, 0)
+	tr := &trace.Trace{Jobs: []*trace.Job{
+		{ID: 0, Arrival: 0, Deadline: 50, Template: tpl},
+		{ID: 1, Arrival: 5, Template: tpl},
+		{ID: 2, Arrival: 100, Deadline: 200, Template: tpl},
+	}}
+	tr.Normalize()
+	cfg := Config{MapSlots: 1, ReduceSlots: 1, MinMapPercentCompleted: 0.05}
+	arrivals := func(evs []obs.Event) map[int]float64 {
+		m := map[int]float64{}
+		for _, ev := range evs {
+			if ev.Kind == obs.KindJobArrival {
+				m[ev.JobID] = ev.End
+			}
+		}
+		return m
+	}
+
+	rec := &obs.RecordSink{}
+	straight := cfg
+	straight.Sink = rec
+	if _, err := Run(straight, tr, sched.FIFO{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := arrivals(rec.Events), map[int]float64{0: 50, 1: 0, 2: 200}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("straight replay: arrival deadlines %v, want %v", got, want)
+	}
+
+	prefix, rec := pauseAt(t, cfg, tr, sched.FIFO{}, 4)
+	if id, _ := firstUnarrivedID(prefix); id != 2 {
+		t.Fatalf("first job still to arrive at the branch point is %d, want 2", id)
+	}
+	forkRec := &obs.RecordSink{}
+	fork, err := prefix.Fork(ForkOptions{Sink: forkRec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fork.SetDeadline(2, 180); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fork.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := arrivals(append(rec.Events, forkRec.Events...)), map[int]float64{0: 50, 1: 0, 2: 180}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("forked replay: arrival deadlines %v, want %v", got, want)
 	}
 }

@@ -362,3 +362,43 @@ func TestLeadSettlesWhatAnswersAccepts(t *testing.T) {
 		t.Fatalf("%d riders answered and %d cut: both paths must run", answered, cut)
 	}
 }
+
+// The progress plumbing: a fan-out's final (total, total) call arrives
+// exactly once, for a batch whose requests keep their Results and for a
+// sweep whose cells fold, at one worker and at several.
+func TestBatchAndSweepProgress(t *testing.T) {
+	tr := planTrace(10)
+	batch := make([]Request, 6)
+	for i := range batch {
+		batch[i] = Request{Cfg: engine.Config{MapSlots: 4, ReduceSlots: 4, MinMapPercentCompleted: 0.05}, Trace: tr, Policy: sched.FIFO{}}
+	}
+	var sweep []Request
+	for _, m := range []int{2, 4, 8, 16} {
+		sweep = append(sweep, Request{Cfg: engine.Config{MapSlots: m, ReduceSlots: 4, MinMapPercentCompleted: 0.05}, Trace: tr})
+	}
+	for _, c := range []struct {
+		kind runs.Kind
+		f    Fanout
+	}{
+		{runs.KindBatch, Fanout{Requests: batch, Keep: true}},
+		{runs.KindSweep, Fanout{Requests: sweep, NewPolicy: func() sched.Policy { return sched.FIFO{} }, Took: func(int, int) {}}},
+	} {
+		c.f.Cell = func(int) Cell { return Cell{} }
+		c.f.Fold = func(int, *engine.Result) {}
+		for _, workers := range []int{1, 3} {
+			total := len(c.f.Requests)
+			var finals atomic.Int64
+			p := Begin(Options{Workers: workers, Progress: func(done, n int) {
+				if done == n && n == total {
+					finals.Add(1)
+				}
+			}}, Run{Kind: c.kind, Traces: []*trace.Trace{tr}, Replays: total})
+			if err := p.End(p.Fan(context.Background(), c.f)); err != nil {
+				t.Fatal(err)
+			}
+			if finals.Load() != 1 {
+				t.Fatalf("%s, Workers %d: final progress delivered %d times", c.kind, workers, finals.Load())
+			}
+		}
+	}
+}

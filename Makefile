@@ -30,6 +30,8 @@ test:
 # The tests of how the fan-out scheduler's workers claim, wait for and
 # cancel a sweep's cells (SWEEP_CLAIMS, in pkg/simmr and internal/plan)
 # run twenty times: a scheduling bug shows in some interleavings only.
+# A branch set's branches go through the same claim loop, so its
+# serial-versus-parallel test runs a few more times too.
 # one-path keeps the run plan the only executor: the calls that make up
 # its sequence (key, observe the pool, attach a recorder, account), the
 # split replay, which must start from a single replay and never from a
@@ -71,7 +73,7 @@ verify:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
-	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestBatchGroupErrorIsLowestSpec|TestLeadSettlesWhatAnswersAccepts|TestSpeculationDeterministic|TestSharedDirAcrossProcesses|TestHitIsTheCallersCopy|TestConcurrentWritersAndScraper|TestTallyConcurrentWriters|TestTelemetryConcurrentReplays|TestCheckerCatchesBadShortcuts|TestPlanObservedBatchSharesAsBare' -count=3 ./internal/engine ./pkg/simmr ./internal/plan ./internal/plan/plantest ./internal/cluster ./internal/rcache ./internal/telemetry
+	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestBatchGroupErrorIsLowestSpec|TestLeadSettlesWhatAnswersAccepts|TestSpeculationDeterministic|TestSharedDirAcrossProcesses|TestHitIsTheCallersCopy|TestConcurrentWritersAndScraper|TestTallyConcurrentWriters|TestTelemetryConcurrentReplays|TestCheckerCatchesBadShortcuts|TestPlanObservedBatchSharesAsBare|TestBranchSetSerialParallelIdentical' -count=3 ./internal/engine ./pkg/simmr ./internal/plan ./internal/plan/plantest ./internal/cluster ./internal/rcache ./internal/telemetry
 	$(GO) test -race -run '$(SWEEP_CLAIMS)' -count=20 ./pkg/simmr ./internal/plan
 
 # smoke-bigtrace is the large-trace end-to-end check: stream-generate

@@ -3,6 +3,7 @@ package attr_test
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -433,6 +434,27 @@ func TestDiff(t *testing.T) {
 	}
 	if !strings.Contains(jd.String(), "now meets deadline") {
 		t.Fatalf("job delta string %q", jd.String())
+	}
+}
+
+// TestDiffRanksDeadlineFlips: among jobs whose completion moved alike, a
+// job whose deadline a branch fixed or broke ranks ahead of one whose
+// status held, so a deadline-only branch, which moves no completion,
+// shows the jobs it flipped in its top rows; a larger shift still ranks
+// first.
+func TestDiffRanksDeadlineFlips(t *testing.T) {
+	job := func(id int, finish float64, missed bool) attr.Explanation {
+		return attr.Explanation{JobID: id, Finish: finish, Missed: missed}
+	}
+	control := &attr.Report{Jobs: []attr.Explanation{job(0, 10, false), job(1, 10, true), job(2, 10, false), job(3, 10, false), job(4, 10, true)}}
+	branch := &attr.Report{Jobs: []attr.Explanation{job(0, 10, false), job(1, 10, false), job(2, 10, true), job(3, 12, false), job(4, 10, true)}}
+	d := attr.Diff(control, branch)
+	var order []int
+	for _, jd := range d.Jobs {
+		order = append(order, jd.JobID)
+	}
+	if want := []int{3, 1, 2, 0, 4}; !slices.Equal(order, want) {
+		t.Fatalf("diff rows in job order %v, want %v", order, want)
 	}
 }
 

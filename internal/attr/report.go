@@ -336,7 +336,8 @@ func (d *JobDelta) String() string {
 // AttrDiff compares a branch attribution against its control.
 type AttrDiff struct {
 	// Jobs holds per-job deltas for every job present in both runs,
-	// sorted by |completion delta| descending.
+	// sorted by |completion delta| descending; among equal deltas, the
+	// jobs whose deadline status changed come first.
 	Jobs []JobDelta
 	// PhaseTotals sums the per-job phase deltas.
 	PhaseTotals [PhaseCount]float64
@@ -378,8 +379,14 @@ func Diff(control, branch *Report) *AttrDiff {
 		}
 		d.Jobs = append(d.Jobs, jd)
 	}
+	// Largest completion shift first; among equal shifts, a job whose
+	// deadline was fixed or broken ahead of one whose status held.
 	sort.SliceStable(d.Jobs, func(i, k int) bool {
-		return math.Abs(d.Jobs[i].CompletionDelta) > math.Abs(d.Jobs[k].CompletionDelta)
+		a, b := &d.Jobs[i], &d.Jobs[k]
+		if da, db := math.Abs(a.CompletionDelta), math.Abs(b.CompletionDelta); da != db {
+			return da > db
+		}
+		return a.MissedControl != a.MissedBranch && b.MissedControl == b.MissedBranch
 	})
 	return d
 }

@@ -334,6 +334,29 @@ func TestDifferentialIndexedSparseIDs(t *testing.T) {
 	}
 }
 
+// TestCapacityNegativeJobIDs: a trace may carry negative job IDs, and
+// Capacity buckets jobs by ID. The two-job trace with IDs −3 and −1
+// once crashed the scheduling index (index out of range [-1]); it and
+// the sparse-ID trace with every ID negated now replay under Capacity
+// exactly as under the scan.
+func TestCapacityNegativeJobIDs(t *testing.T) {
+	two := sparseIDTrace(t)
+	two.Name, two.Jobs = "negative-ids", two.Jobs[:2]
+	two.Jobs[0].ID, two.Jobs[1].ID = -3, -1
+	negated := sparseIDTrace(t)
+	for _, j := range negated.Jobs {
+		j.ID = -j.ID
+	}
+	capacity := func() sched.Policy { return sched.Capacity{Shares: []float64{0.5, 0.5}} }
+	for _, tr := range []*trace.Trace{two, negated} {
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		assertIdenticalReplays(t, DefaultConfig(), tr, capacity)
+		assertIdenticalReplays(t, DefaultConfig(), tr, diffPolicies()[6].mk)
+	}
+}
+
 // TestIndexedEngineReuseDeterministic re-runs one engine through Reset
 // and asserts the second replay is byte-identical — the recycled-index
 // leg of the engine-reuse contract.

@@ -13,13 +13,16 @@ import (
 )
 
 // Request is one replay a fan-out asks for: Replay's config, trace and
-// policy.
+// policy, or a branch from a sealed prefix (Plan.Prefix).
 type Request struct {
 	Cfg   engine.Config
 	Trace *trace.Trace
 	// Policy, when nil, is built by Fanout.NewPolicy when the request is
 	// first looked up or replayed.
 	Policy sched.Policy
+	// Edit, on a branch, mutates the paused fork before it runs.
+	Edit func(*engine.Engine) error
+	pre  *prefix // the sealed prefix a branch forks from
 }
 
 // Fanout is a fan-out of requests (Plan.Fan) and where their outcomes go.
@@ -74,10 +77,12 @@ type Fanout struct {
 //   - Results. A member that keeps its Result gets its own copy; a
 //     rider's is allocated before the replay it rides starts. One that
 //     folds folds the replay's lent Result inside its fold window.
-//   - Cache. Every member is looked up before its group's lead starts. A
-//     repeat of an earlier member's config is looked up once that member
-//     has finished, and hits what it stored. An answered request that
-//     keeps its Result is stored under its own key.
+//   - Cache. Every member is looked up before its group's lead starts.
+//     An answered request that keeps its Result is stored under its own
+//     key.
+//   - Branches. A request that carries a sealed prefix (Plan.Prefix)
+//     shares with no other request and is never looked up: it forks from
+//     the prefix, and settles as Forked.
 //
 // Each request takes one worker body (Each), so Progress counts
 // requests. The error is the lowest failing request's, in request order,
@@ -106,8 +111,7 @@ type fan struct {
 	p      *Plan
 	ms     []member
 	groups []group
-	ready  []unit // late members, in the order they became ready
-	looked int    // members the lookup sequence has passed
+	looked int // members the lookup sequence has passed
 
 	mu      sync.Mutex
 	running int // units being worked on
@@ -124,7 +128,6 @@ type member struct {
 	pending
 	g         *group // nil: the request shares with no other
 	claimable bool   // a member of a ready group, waiting to be claimed
-	late      int    // the earlier member whose config it repeats, or -1
 	riders    []int  // the members riding its replay (claim)
 	// What the member's Result holds: a kept Result, and the peaks.
 	res   *engine.Result
@@ -135,7 +138,6 @@ type member struct {
 type group struct {
 	left    int   // members not looked up yet
 	ms      []int // the misses, in visit order once ready
-	late    []int // members that repeat an earlier member's config
 	running []int // members whose replay is in flight
 	kept    []int // finished members whose peaks answer a larger cluster
 	trail   *engine.Trail
@@ -149,7 +151,7 @@ type unitKind uint8
 
 const (
 	lookupUnit unitKind = iota
-	loneUnit            // lookup and replay in one: a lone or late member
+	loneUnit            // lookup and replay in one: a lone member
 	replayUnit          // a group member's replay, with its riders
 	tookUnit            // a bare member answered by from
 )
@@ -173,9 +175,11 @@ func newFan(p *Plan, f Fanout) *fan {
 	groups := map[groupKey]*group{}
 	for i, rq := range f.Requests {
 		m := &s.ms[i]
-		m.pending = pending{p: p, cfg: rq.Cfg, tr: rq.Trace, pol: rq.Policy, c: f.Cell(i), i: i}
+		m.pending = pending{p: p, cfg: rq.Cfg, tr: rq.Trace, pol: rq.Policy, c: f.Cell(i), i: i, pre: rq.pre, edit: rq.Edit}
 		m.c.Keep = f.Keep
-		m.late = -1
+		if rq.pre != nil {
+			continue
+		}
 		k := groupKey{tr: rq.Trace, cfg: rq.Cfg}
 		k.cfg.MapSlots, k.cfg.ReduceSlots, k.cfg.Sink = 0, 0, nil
 		if rq.Policy != nil {
@@ -192,15 +196,7 @@ func newFan(p *Plan, f Fanout) *fan {
 			m.g = &s.groups[len(s.groups)-1]
 			groups[k] = m.g
 		}
-		for j := 0; j < i && p.Cache != nil; j++ {
-			if o := &s.ms[j]; o.g == m.g && o.late < 0 && o.cfg == m.cfg {
-				m.late, m.g.late = j, append(m.g.late, i)
-				break
-			}
-		}
-		if m.late < 0 {
-			m.g.left++
-		}
+		m.g.left++
 	}
 	// A group's misses, running and kept members come out of one array.
 	buf := make([]int, 3*n)
@@ -209,7 +205,7 @@ func newFan(p *Plan, f Fanout) *fan {
 		g.ms, g.running, g.kept, buf = buf[:0:g.left], buf[g.left:g.left:2*g.left], buf[2*g.left:2*g.left:3*g.left], buf[3*g.left:]
 	}
 	for i := range s.ms {
-		if g := s.ms[i].g; g != nil && g.left == 1 && len(g.late) == 0 {
+		if g := s.ms[i].g; g != nil && g.left == 1 {
 			s.ms[i].g = nil
 		}
 	}
@@ -246,21 +242,13 @@ func (s *fan) next(ctx context.Context) error {
 	}
 }
 
-// claim takes the first late member ready, else the first member in
-// visit order that Fan's rule lets go, else the next lookup. Once a
-// request has failed, only work for lower requests is claimed. The
-// caller holds s.mu.
+// claim takes the first member in visit order that Fan's rule lets go,
+// else the next lookup. Once a request has failed, only work for lower
+// requests is claimed. The caller holds s.mu.
 func (s *fan) claim() (unit, bool) {
 	before := func(i int) bool { return s.err == nil || i < s.errAt }
 again:
 	for {
-		for k, u := range s.ready {
-			if before(u.i) {
-				s.ready = slices.Delete(s.ready, k, k+1)
-				s.ms[u.i].g.running = append(s.ms[u.i].g.running, u.i)
-				return u, true
-			}
-		}
 		for k := range s.groups {
 			g := &s.groups[k]
 			for _, i := range g.ms {
@@ -298,7 +286,6 @@ again:
 			i := s.looked
 			s.looked++
 			switch m := &s.ms[i]; {
-			case m.late >= 0:
 			case m.g == nil:
 				if before(i) {
 					return unit{kind: loneUnit, i: i}, true
@@ -515,20 +502,14 @@ func (s *fan) finish(i int, err error, own bool) int {
 
 // settled records member i as finished, with err or not. A Result of
 // its own — a replay or a hit — whose peaks answer a larger cluster is
-// kept for the group, and the members that repeat its config are
-// queued. It returns how many members that finished. The caller holds
-// s.mu.
+// kept for the group. It returns how many members that finished. The
+// caller holds s.mu.
 func (s *fan) settled(i int, err error, own bool) int {
 	m := &s.ms[i]
 	if g := m.g; g != nil {
 		g.running = slices.DeleteFunc(g.running, func(r int) bool { return r == i })
 		if err == nil && own && answersLarger(m) {
 			g.kept = append(g.kept, i)
-		}
-		for _, l := range g.late {
-			if s.ms[l].late == i {
-				s.ready = append(s.ready, unit{kind: loneUnit, i: l})
-			}
 		}
 	}
 	s.changed.Broadcast()

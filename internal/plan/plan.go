@@ -7,15 +7,16 @@
 //	key → lookup → observe → run-or-fold → store → account
 //
 // in two layers. Begin / Each / End is the fan-out: run registration,
-// the worker pool, and on every exit the run's End. Replay (Branch for a
-// what-if cell) is the per-replay step inside a cell. Fan is the one
-// scheduler of a fan-out whose replays may share: a capacity sweep's
-// cells and a batch's specs. The entry points
+// the worker pool, and on every exit the run's End. Replay is the
+// per-replay step inside a cell. Fan is the one scheduler of a fan-out
+// of requests: a capacity sweep's cells, a batch's specs, and a what-if
+// branch set's branches, each a request that forks from the prefix
+// Prefix sealed. The entry points
 // in pkg/simmr, internal/experiments and cmd/simmr generate cells and
 // reduce results; none of them touches the cache, the run registry, a
 // flight recorder, the telemetry registry or the engine pool (`make
 // verify` greps for it). The contract — who takes the digest, when sinks
-// are built, what a hit skips, the phase names, what a branch cell
+// are built, what a hit skips, the phase names, what a branch request
 // varies — is DESIGN.md §7 "The run plan"; TestPlanContract checks it.
 package plan
 
@@ -67,8 +68,8 @@ type Run struct {
 	// before the fan-out (repeats allowed). When they are all one trace
 	// the identity carries its name and digest.
 	Traces []*trace.Trace
-	// Replays is the number of Replay/Branch calls or Fan requests of a
-	// plan that runs to completion.
+	// Replays is the number of Replay calls or Fan requests of a plan
+	// that runs to completion.
 	Replays int
 }
 
@@ -84,21 +85,6 @@ type Plan struct {
 	single bool
 	// settled counts the Results handed out, by how each was produced.
 	settled [hows]atomic.Int64
-
-	// The sealed prefix of a branch set (Prefix): every Branch cell
-	// forks from snap, continues a Fork of prefixRec and of prefixTel,
-	// and inherited baseline events.
-	snap      *engine.Snapshot
-	prefixRec *obs.FlightRecorder
-	prefixTel forkSink
-	baseline  uint64
-}
-
-// forkSink is a telemetry engine sink: a branch's continues a Fork of
-// the prefix's, so it knows the jobs that arrived before the branch.
-type forkSink interface {
-	obs.Sink
-	Fork() obs.Sink
 }
 
 // Begin starts a plan: digests, run registration, the observed engine
@@ -145,7 +131,7 @@ func sole(traces []*trace.Trace) *trace.Trace {
 }
 
 // Each runs body(i) for every cell in [0, cells) on the worker pool;
-// body calls Replay or Branch for the cell's replays and writes its
+// body calls Replay for the cell's replays and writes its
 // reduced result where the caller keeps it. The lowest failing cell's
 // error is returned and the remaining cells are cancelled.
 func (p *Plan) Each(ctx context.Context, cells int, body func(i int) error) error {
@@ -189,8 +175,6 @@ type Cell struct {
 	// instead of lending the engine's, as Pool.FoldTrail does. A hit's Result
 	// is the fold's to keep either way.
 	Keep bool
-	// Edit, on a Branch cell, mutates the paused fork before it runs.
-	Edit func(*engine.Engine) error
 	// split lets a kept replay run as segments on up to Workers cores
 	// when nothing observes it (engine.Pool.RunSplit): One's cell only, as
 	// a fan-out keeps the cores busy with its cells.
@@ -223,6 +207,10 @@ type pending struct {
 	keyed bool
 	i     int      // the request's index in a Fan: its Provenance.From
 	from  *pending // the request whose replay or answer this one took (Fan)
+	// pre and edit make a branch (Fan): a fork of pre's sealed prefix,
+	// edited while paused.
+	pre  *prefix
+	edit func(*engine.Engine) error
 	// follow is a trail of the same trace for a bare replay to copy what
 	// it may of (engine.Pool.FoldTrail); leads makes a bare replay leave
 	// one (engine.Pool.RunTrail), in trail, for others to follow.
@@ -251,7 +239,7 @@ type pending struct {
 // so that Replay's closure stays on its caller's stack.
 func (r *pending) lookup(fold func(*engine.Result)) bool {
 	p := r.p
-	if p.Cache == nil || r.tr == nil {
+	if p.Cache == nil || r.pre != nil {
 		return false
 	}
 	digest, known := p.digests[r.tr]
@@ -290,9 +278,10 @@ func (r *pending) observe() obs.Sink {
 	p := r.p
 	sink := r.own()
 	switch {
-	case p.prefixRec != nil:
-		r.rec = p.prefixRec.Fork()
-	case p.Recording():
+	case !p.Recording():
+	case r.pre != nil:
+		r.rec = r.pre.rec.Fork()
+	default:
 		r.rec = obs.NewFlightRecorder(p.Flight)
 	}
 	if r.rec != nil {
@@ -304,8 +293,8 @@ func (r *pending) observe() obs.Sink {
 		sink = obs.Tee(sink, p.run.EngineHook())
 	}
 	if tel := p.Telemetry; tel != nil {
-		if p.prefixTel != nil {
-			sink = obs.Tee(sink, p.prefixTel.Fork())
+		if r.pre != nil {
+			sink = obs.Tee(sink, r.pre.tel.Fork())
 		} else {
 			sink = obs.Tee(sink, tel.EngineSink())
 		}
@@ -382,9 +371,9 @@ func (r *pending) settle(pv Provenance, res *engine.Result, fold func(*engine.Re
 	if Settled != nil {
 		var src Request
 		if f := r.from; f != nil {
-			src = Request{f.cfg, f.tr, f.pol}
+			src = Request{Cfg: f.cfg, Trace: f.tr, Policy: f.pol}
 		}
-		Settled(pv, simulated, Request{r.cfg, r.tr, r.pol}, res, src)
+		Settled(pv, simulated, Request{Cfg: r.cfg, Trace: r.tr, Policy: r.pol, Edit: r.edit}, res, src)
 	}
 	if res != nil {
 		fold(res)
@@ -403,9 +392,9 @@ func (r *pending) run(fold func(*engine.Result)) (err error) {
 	var res *engine.Result
 	pv := Provenance{How: Simulated}
 	switch {
-	case p.snap != nil:
-		res, err = p.branch(sink, c.Edit)
-		pv = Provenance{How: Forked, Event: p.baseline}
+	case r.pre != nil:
+		res, err = r.branch(sink)
+		pv = Provenance{How: Forked, Event: r.pre.events}
 	case r.leads && cfg.Sink == nil:
 		res, r.trail, err = p.pool.RunTrail(cfg, r.tr, r.pol)
 	case c.split:
@@ -446,56 +435,69 @@ func (r *pending) run(fold func(*engine.Result)) (err error) {
 	return err
 }
 
-// Prefix turns the plan into a branch set: it replays tr under cfg and
-// pol on an engine of its own for the given number of events (or to the
-// end of the replay), observed by cfg.Sink, the telemetry sink and a
-// prefix flight recorder, and seals it. Every cell after it is a Branch.
-// The prefix's events are added to the run once, here.
-func (p *Plan) Prefix(cfg engine.Config, tr *trace.Trace, pol sched.Policy, events uint64) error {
+// prefix is a branch set's sealed prefix (Plan.Prefix): a request that
+// carries it is armed by a fork of snap (Pool.Fork, not Pool.Get),
+// edited while paused, recorded by Forks of rec and of tel, and
+// accounted for the events beyond the prefix's.
+type prefix struct {
+	snap   *engine.Snapshot
+	rec    *obs.FlightRecorder
+	tel    forkSink
+	events uint64
+}
+
+// forkSink is a telemetry engine sink: a branch's continues a Fork of
+// the prefix's, so it knows the jobs that arrived before the branch.
+type forkSink interface {
+	obs.Sink
+	Fork() obs.Sink
+}
+
+// Prefix replays tr under cfg and pol on an engine of its own for the
+// given number of events (or to the end of the replay), observed by
+// cfg.Sink, the telemetry sink and a prefix flight recorder, seals it,
+// and returns the request of a branch from it: a copy given an Edit is a
+// Fan request of this plan (Fan's "Branches" rule). The prefix's events
+// are added to the run once, here.
+func (p *Plan) Prefix(cfg engine.Config, tr *trace.Trace, pol sched.Policy, events uint64) (Request, error) {
 	p.run.SetPhase("prefix")
+	pre := &prefix{}
+	rq := Request{Cfg: cfg, Trace: tr, Policy: pol, pre: pre}
+	rq.Cfg.Sink = nil
 	if p.Recording() {
-		p.prefixRec = obs.NewFlightRecorder(p.Flight)
-		cfg.Sink = obs.Tee(cfg.Sink, p.prefixRec)
+		pre.rec = obs.NewFlightRecorder(p.Flight)
+		cfg.Sink = obs.Tee(cfg.Sink, pre.rec)
 	}
 	if tel := p.Telemetry; tel != nil {
-		p.prefixTel = tel.EngineSink().(forkSink)
-		cfg.Sink = obs.Tee(cfg.Sink, p.prefixTel)
+		pre.tel = tel.EngineSink().(forkSink)
+		cfg.Sink = obs.Tee(cfg.Sink, pre.tel)
 	}
 	e, err := engine.New(cfg, tr, pol)
 	if err == nil {
 		_, err = e.RunEvents(events)
 	}
 	if err == nil {
-		p.snap, err = e.Snapshot()
+		pre.snap, err = e.Snapshot()
 	}
 	if err != nil {
-		return err
+		return Request{}, err
 	}
-	p.baseline = p.snap.Events()
-	p.run.AddEvents(p.baseline)
+	pre.events = pre.snap.Events()
+	p.run.AddEvents(pre.events)
 	p.run.SetPhase("branches")
-	return nil
-}
-
-// Branch is Replay for a cell of a branch set: armed by Pool.Fork from
-// the sealed prefix instead of Pool.Get, edited by c.Edit while paused,
-// recorded by Forks of the prefix recorder and telemetry sink,
-// accounted for the events beyond the prefix's. Branches are never
-// keyed, and keep their Result.
-func (p *Plan) Branch(c Cell, fold func(*engine.Result)) error {
-	_, err := p.Replay(engine.Config{}, nil, nil, c, fold)
-	return err
+	return rq, nil
 }
 
 // branch is the arm-edit-run variation of run-or-fold. The fork goes
 // back to the pool whether or not its edit and run succeed.
-func (p *Plan) branch(sink obs.Sink, edit func(*engine.Engine) error) (res *engine.Result, err error) {
-	f, err := p.pool.Fork(p.snap, engine.ForkOptions{Sink: sink})
+func (r *pending) branch(sink obs.Sink) (res *engine.Result, err error) {
+	p := r.p
+	f, err := p.pool.Fork(r.pre.snap, engine.ForkOptions{Sink: sink})
 	if err != nil {
 		return nil, err
 	}
-	if edit != nil {
-		err = edit(f)
+	if r.edit != nil {
+		err = r.edit(f)
 	}
 	if err == nil {
 		res, err = f.Run()

@@ -428,9 +428,21 @@ func TestPlanTotals(t *testing.T) {
 	}
 }
 
-// TestPlanBranchCells covers the arm variation: branches fork from the
-// sealed prefix, are never keyed, count only their own suffix, and a
-// failing prefix or edit finishes no replay.
+// branches is a Fan of n branches from the sealed prefix rq, each
+// edited by edit.
+func branches(rq Request, n int, edit func(*engine.Engine) error, fold func(i int, res *engine.Result)) Fanout {
+	rqs := make([]Request, n)
+	for i := range rqs {
+		rqs[i] = rq
+		rqs[i].Edit = edit
+	}
+	return Fanout{Requests: rqs, Keep: true, Fold: fold,
+		Cell: func(i int) Cell { return Cell{Label: "b" + strconv.Itoa(i)} }}
+}
+
+// TestPlanBranchCells covers the arm variation: branch requests fork
+// from the sealed prefix, are never keyed, count only their own suffix,
+// and a failing prefix or edit finishes no replay.
 func TestPlanBranchCells(t *testing.T) {
 	tr := planTrace(10)
 	cfg := engine.Config{MapSlots: 4, ReduceSlots: 4, MinMapPercentCompleted: 0.05}
@@ -440,18 +452,17 @@ func TestPlanBranchCells(t *testing.T) {
 	}
 	tel := telemetry.NewSimMetrics()
 	reg := runs.New(4)
-	o := Options{Workers: 2, Telemetry: tel, Runs: reg, Flight: 32}
+	o := Options{Workers: 2, Telemetry: tel, Runs: reg, Flight: 32, Cache: rcache.New(rcache.Options{})}
 	var prefix uint64
 	branchSet := func(cfg engine.Config, edit func(*engine.Engine) error) ([]uint64, error) {
 		p := Begin(o, Run{Kind: runs.KindBranch, Traces: []*trace.Trace{tr}, Replays: 3})
-		if err := p.Prefix(cfg, tr, sched.FIFO{}, 20); err != nil {
+		rq, err := p.Prefix(cfg, tr, sched.FIFO{}, 20)
+		if err != nil {
 			return nil, p.End(err)
 		}
-		prefix = p.baseline
+		prefix = rq.pre.events
 		events := make([]uint64, 3)
-		return events, p.End(p.Each(context.Background(), 3, func(i int) error {
-			return p.Branch(Cell{Label: "b" + strconv.Itoa(i), Edit: edit}, func(res *engine.Result) { events[i] = res.Events })
-		}))
+		return events, p.End(p.Fan(context.Background(), branches(rq, 3, edit, func(i int, res *engine.Result) { events[i] = res.Events })))
 	}
 
 	events, err := branchSet(cfg, nil)
@@ -466,6 +477,9 @@ func TestPlanBranchCells(t *testing.T) {
 		if ev != full.Events {
 			t.Fatalf("unedited branch %d replayed %d events, the full replay %d", i, ev, full.Events)
 		}
+	}
+	if st := o.Cache.Stats(); st.Hits+st.Misses != 0 || st.MemEntries != 0 {
+		t.Fatalf("branches reached the cache: %+v", st)
 	}
 
 	bad := cfg
@@ -500,14 +514,16 @@ func TestBranchPutsBackFailedFork(t *testing.T) {
 			reused.Add(1)
 		}
 	})
-	if err := p.Prefix(cfg, tr, sched.FIFO{}, 20); err != nil {
+	rq, err := p.Prefix(cfg, tr, sched.FIFO{}, 20)
+	if err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
 	for i := 0; i < 8; i++ {
-		err := p.Branch(Cell{Edit: func(*engine.Engine) error { return boom }}, func(*engine.Result) {
+		// One Fan a branch: a fan-out stops at its first failure.
+		err := p.Fan(context.Background(), branches(rq, 1, func(*engine.Engine) error { return boom }, func(int, *engine.Result) {
 			t.Fatal("a failed branch folded a result")
-		})
+		}))
 		if !errors.Is(err, boom) {
 			t.Fatalf("branch %d: err = %v, want the edit's", i, err)
 		}

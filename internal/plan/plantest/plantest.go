@@ -5,7 +5,10 @@
 // trail, a gate follower's, a cache hit — is re-derived by a fresh,
 // unpooled engine.Run and compared with it. A totals-only split Result
 // (no Jobs: plan.Totals) is compared by its totals — events, makespan and
-// peaks. Forks are left to internal/engine's fork differentials.
+// peaks. A fork, a branch from a sealed prefix, is compared with a fresh
+// engine paused at the fork's event, edited by the request's Edit and run
+// to its end: the edit is applied a second time, so it must act on the
+// engine it is handed alone.
 //
 //	func TestMain(m *testing.M) {
 //		plan.Settled = plantest.Shortcuts.Settle
@@ -32,10 +35,10 @@ var Shortcuts Checker
 // Checker checks settlements (Settle) and tallies those of the traces a
 // test watches (Watch). The zero value is ready to use.
 type Checker struct {
-	mu               sync.Mutex
-	checked, skipped int
-	mismatches       []string
-	watched          map[*trace.Trace]*Tally
+	mu                      sync.Mutex
+	checked, forks, skipped int
+	mismatches              []string
+	watched                 map[*trace.Trace]*Tally
 	// straight holds the digests of each straight replay made so far, so
 	// that a shortcut taken again is checked without replaying, and with
 	// no allocation.
@@ -70,13 +73,15 @@ type Tally struct {
 var names = [...]string{"simulated", "split", "answered", "copied", "followed", "cached", "forked"}
 
 // Settle is plan.Settled's signature. It tallies the settlement when its
-// trace is watched, and checks it unless it was simulated or forked. A
-// Result produced under a policy with no fingerprint is not checked:
-// such a policy may carry state from one replay to the next, and a fresh
-// one would take another call of the caller's factory.
+// trace is watched, and checks it unless it was simulated straight
+// through. A Result produced under a policy with no fingerprint is not
+// checked, but counted: such a policy may carry state from one replay to
+// the next, and a fresh one would take another call of the caller's
+// factory; a fork's straight replay could not start from the policy
+// state the fork inherited.
 func (c *Checker) Settle(pv plan.Provenance, simulated bool, rq plan.Request, res *engine.Result, src plan.Request) {
 	c.tally(pv, simulated, rq, res)
-	if pv.How == plan.Simulated || pv.How == plan.Forked {
+	if pv.How == plan.Simulated {
 		return
 	}
 	if rq.Policy == nil {
@@ -89,13 +94,22 @@ func (c *Checker) Settle(pv plan.Provenance, simulated bool, rq plan.Request, re
 		c.mu.Unlock()
 		return
 	}
-	d := c.check(pv, rq, res, src.Cfg, fp)
+	var d string
+	if pv.How == plan.Forked {
+		d = fork(pv.Event, rq, res)
+	} else {
+		d = c.check(pv, rq, res, src.Cfg, fp)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.checked++
+	if pv.How == plan.Forked {
+		c.forks++
+	} else {
+		c.checked++
+	}
 	if d != "" {
-		c.mismatches = append(c.mismatches, fmt.Sprintf("%s Result of %q on %d+%d slots under %s (from %d, segments %d, cancelled %d, jobs copied %d): %s",
-			names[pv.How], rq.Trace.Name, rq.Cfg.MapSlots, rq.Cfg.ReduceSlots, rq.Policy.Name(), pv.From, pv.Segments, pv.Cancelled, pv.Jobs, d))
+		c.mismatches = append(c.mismatches, fmt.Sprintf("%s Result of %q on %d+%d slots under %s (from %d, segments %d, cancelled %d, jobs copied %d, events taken %d): %s",
+			names[pv.How], rq.Trace.Name, rq.Cfg.MapSlots, rq.Cfg.ReduceSlots, rq.Policy.Name(), pv.From, pv.Segments, pv.Cancelled, pv.Jobs, pv.Event, d))
 	}
 }
 
@@ -129,6 +143,29 @@ func (c *Checker) check(pv plan.Provenance, rq plan.Request, res *engine.Result,
 		return d
 	}
 	return "the digests differ"
+}
+
+// fork compares res, a fork's Result, with a straight replay of rq paused
+// at event at, edited by rq.Edit and run to its end, and says how the two
+// differ, or returns "".
+func fork(at uint64, rq plan.Request, res *engine.Result) string {
+	cfg := rq.Cfg
+	cfg.Sink = nil
+	e, err := engine.New(cfg, rq.Trace, rq.Policy)
+	if err == nil {
+		_, err = e.RunEvents(at)
+	}
+	if err == nil && rq.Edit != nil {
+		err = rq.Edit(e)
+	}
+	var want *engine.Result
+	if err == nil {
+		want, err = e.Run()
+	}
+	if err != nil {
+		return "the straight replay failed: " + err.Error()
+	}
+	return diff(res, want, false)
 }
 
 // replay returns the digests of a straight replay of cfg, tr and p, whose
@@ -271,11 +308,11 @@ func (c *Checker) Verdict(code int) int {
 		fmt.Fprintln(os.Stderr, "shortcut mismatch:", s)
 	}
 	if len(m) > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d of %d shortcuts differ from a straight replay\n", len(m), c.checked)
+		fmt.Fprintf(os.Stderr, "FAIL: %d of %d shortcuts and forks differ from a straight replay\n", len(m), c.checked+c.forks)
 		return 1
 	}
 	if testing.Verbose() {
-		fmt.Printf("plantest: %d shortcuts checked against a straight replay, none differ; %d under a policy with no fingerprint not checked\n", c.checked, c.skipped)
+		fmt.Printf("plantest: %d shortcuts and %d forks checked against a straight replay, none differ; %d under a policy with no fingerprint not checked\n", c.checked, c.forks, c.skipped)
 	}
 	return code
 }

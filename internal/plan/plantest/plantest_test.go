@@ -120,3 +120,63 @@ func TestCheckerComparesTotals(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckerChecksForks settles forks on a checker of its own. One whose
+// Result is a straight replay paused at its event, edited and run on
+// passes. One that dropped its edit, and one that forked at another
+// event, are reported. One under a policy with no fingerprint is not
+// checked, but counted.
+func TestCheckerChecksForks(t *testing.T) {
+	tr, err := synth.MultiTenantTrace(60, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.DefaultConfig()
+	cfg.MapSlots, cfg.ReduceSlots = 8, 8
+	full, err := engine.Run(cfg, tr, sched.FIFO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := full.Events / 3
+	edit := func(e *engine.Engine) error { return e.SetPolicy(sched.MaxEDF{}) }
+	e, err := engine.New(cfg, tr, sched.FIFO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunEvents(at); err != nil {
+		t.Fatal(err)
+	}
+	if err := edit(e); err != nil {
+		t.Fatal(err)
+	}
+	edited, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff(edited, full, false) == "" {
+		t.Fatal("the edit changes no outcome; pick another")
+	}
+
+	var c Checker
+	rq := plan.Request{Cfg: cfg, Trace: tr, Policy: sched.FIFO{}, Edit: edit}
+	forked := plan.Provenance{How: plan.Forked, Event: at}
+	c.Settle(forked, true, rq, edited, plan.Request{})
+	if m := c.Mismatches(); len(m) != 0 {
+		t.Fatalf("a good fork reported: %q", m)
+	}
+	c.Settle(forked, true, rq, full, plan.Request{})
+	c.Settle(plan.Provenance{How: plan.Forked}, true, rq, edited, plan.Request{})
+	m := c.Mismatches()
+	if len(m) != 2 || !strings.HasPrefix(m[0], "forked ") || !strings.HasPrefix(m[1], "forked ") {
+		t.Fatalf("a fork that dropped its edit and one forked at event 0: reported %q, want both", m)
+	}
+	rq.Policy = sched.NewDynamicPriority(nil, nil)
+	c.Settle(forked, true, rq, full, plan.Request{})
+	if len(c.Mismatches()) != 2 || c.skipped != 1 || c.forks != 3 {
+		t.Fatalf("a fork under a policy with no fingerprint: %d mismatches, %d skipped, %d forks checked; want it skipped",
+			len(c.Mismatches()), c.skipped, c.forks)
+	}
+	for _, line := range m {
+		t.Log(line)
+	}
+}

@@ -59,12 +59,14 @@ type Capacity struct {
 // Name implements Policy.
 func (c Capacity) Name() string { return "Capacity" }
 
-// queue is job j's queue: its ID modulo the number of queues.
+// queue is job j's queue: its ID modulo the number of queues, taken
+// non-negative, as a job ID may be negative.
 func (c Capacity) queue(j *JobInfo) int {
-	if len(c.Shares) == 0 {
+	n := len(c.Shares)
+	if n == 0 {
 		return 0
 	}
-	return j.ID % len(c.Shares)
+	return (j.ID%n + n) % n
 }
 
 // choose picks the eligible job in the most underserved queue.

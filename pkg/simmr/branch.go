@@ -113,23 +113,27 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 		plan.Options{Workers: cfg.Workers, Telemetry: cfg.Telemetry, Runs: cfg.Runs, Flight: cfg.Flight},
 		plan.Run{Kind: runs.KindBranch, Policy: policy, Traces: []*Trace{cfg.Trace}, Replays: len(branches),
 			Config: fmt.Sprintf("branches=%d branch_events=%d", len(branches), cfg.BranchEvents)})
-	// Shared prefix: one replay to the branch point, sealed.
-	if err := p.Prefix(ecfg, cfg.Trace, policy, cfg.BranchEvents); err != nil {
+	// Shared prefix: one replay to the branch point, sealed. Each branch
+	// is a request that forks from it.
+	rq, err := p.Prefix(ecfg, cfg.Trace, policy, cfg.BranchEvents)
+	if err != nil {
 		return nil, p.End(fmt.Errorf("simmr: branch set: prefix: %w", err))
 	}
+	rqs := make([]plan.Request, len(branches))
+	for i := range rqs {
+		rqs[i] = rq
+		rqs[i].Edit = branches[i].apply
+	}
 	results := make([]*ReplayResult, len(branches))
-	err := p.End(p.Each(ctx, len(branches), func(i int) error {
-		b := &branches[i]
-		pc := plan.Cell{Edit: b.apply, Sink: b.SinkFactory}
-		if p.Recording() {
-			pc.Label = branchName(b, i)
-		}
-		if err := p.Branch(pc, func(res *engine.Result) { results[i] = res }); err != nil {
-			return fmt.Errorf("simmr: branch %d (%s): %w", i, branchName(b, i), err)
-		}
-		return nil
-	}))
-	if err != nil {
+	if err := p.End(p.Fan(ctx, plan.Fanout{Requests: rqs, Keep: true,
+		Cell: func(i int) plan.Cell {
+			return plan.Cell{Label: branchName(&branches[i], i), Sink: branches[i].SinkFactory}
+		},
+		Fold: func(i int, res *engine.Result) { results[i] = res },
+		Wrap: func(i int, err error) error {
+			return fmt.Errorf("simmr: branch %d (%s): %w", i, branchName(&branches[i], i), err)
+		},
+	})); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -138,15 +142,14 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 // apply makes the branch's edits on its paused fork, in the documented
 // order: policy, then Mutate.
 func (b *WhatIf) apply(f *Engine) error {
+	var err error
 	if b.Policy != nil {
-		if err := f.SetPolicy(b.Policy); err != nil {
-			return err
-		}
+		err = f.SetPolicy(b.Policy)
 	}
-	if b.Mutate != nil {
-		return b.Mutate(f)
+	if err == nil && b.Mutate != nil {
+		err = b.Mutate(f)
 	}
-	return nil
+	return err
 }
 
 func branchName(b *WhatIf, i int) string {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"simmr/internal/engine"
 	"simmr/internal/plan"
 	"simmr/internal/rcache"
 	"simmr/internal/runs"
@@ -244,8 +245,11 @@ func TestBatchCacheSecondPassAllHits(t *testing.T) {
 	reg := NewRunRegistry(8)
 	// Workers: 1 makes the hit/miss split deterministic: an indexed
 	// policy shares its reference policy's fingerprint (they are pinned
-	// byte-identical), so within the cold pass the 7 indexed specs hit
-	// the entries the 7 base specs just stored.
+	// byte-identical). Within the cold pass an indexed spec under a
+	// policy no replay answers for (MinEDF's three estimators) replays
+	// alone, after its base spec has stored the entry it hits; the other
+	// four pairs each form a group whose members are all looked up before
+	// any replays, so both miss.
 	bcfg := BatchConfig{Workers: 1, Cache: c, Runs: reg}
 	first, err := ReplayBatchCfg(t.Context(), bcfg, mkSpecs())
 	if err != nil {
@@ -258,9 +262,15 @@ func TestBatchCacheSecondPassAllHits(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("warm batch results differ from cold batch")
 	}
-	nbase := uint64(len(pols) / 2)
-	if st := c.Stats(); st.Misses != nbase || st.Hits != nbase+uint64(len(pols)) {
-		t.Fatalf("stats = %+v, want %d misses / %d hits", st, nbase, nbase+uint64(len(pols)))
+	var alone uint64
+	for _, p := range pols[:len(pols)/2] {
+		if cfg := mkSpecs()[0].Config; !engine.Answers(&engine.Result{}, cfg, cfg, p.mk()) {
+			alone++
+		}
+	}
+	misses := 2*(uint64(len(pols)/2)-alone) + alone
+	if st := c.Stats(); alone != 3 || st.Misses != misses || st.Hits != alone+uint64(len(pols)) {
+		t.Fatalf("stats = %+v with %d pairs replayed alone, want 3 such pairs: %d misses / %d hits", st, alone, misses, alone+uint64(len(pols)))
 	}
 	snap := reg.Latest().Snapshot()
 	if snap.Cached != uint64(len(pols)) || snap.Phase != "cached" {
@@ -323,8 +333,10 @@ func TestBatchKeysEachDistinctTraceLikeReplayCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Misses != 2 || st.Hits != 2 {
-		t.Fatalf("batch over two distinct traces: %+v, want 2 misses / 2 hits", st)
+	// The repeats group with the specs they repeat, and are looked up
+	// before either replays.
+	if st := c.Stats(); st.Misses != 4 || st.Hits != 0 || st.MemEntries != 2 {
+		t.Fatalf("batch over two distinct traces: %+v, want 4 misses / 0 hits / 2 entries", st)
 	}
 	for i, tr := range []*Trace{a, b} {
 		res, hit, err := replayCached(c, cfg, tr, NewMaxEDF())

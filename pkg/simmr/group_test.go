@@ -126,9 +126,9 @@ func ridden(cfgs []ReplayConfig, want []*ReplayResult, p Policy) int {
 // own (TestLeadSettlesWhatAnswersAccepts in internal/plan checks each
 // gate of a lead's replay). A bare spec that a finished
 // replay answers takes a copy of its Result, counted as cached: on one
-// worker every one the lead answers. With a cache, a repeat of an
-// earlier spec's config hits what that spec stored, and its sink sees
-// nothing. Sparse, dense and burst traces under FIFO, MaxEDF, Fair and
+// worker every one the lead answers. With a cache, every spec is looked
+// up before the lead starts, so a repeat of an earlier spec's config
+// misses too and settles by the same rules. Sparse, dense and burst traces under FIFO, MaxEDF, Fair and
 // Capacity; follower counts below, at and above the lead's peaks plus
 // duplicate specs; every spec observed (sinks, telemetry), the even
 // specs by their own sinks, or none; 1 and 4 workers; with and without a
@@ -230,26 +230,18 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							hits := 0
 							for i := range specs {
-								// With a cache, the duplicates hit.
-								hit := cached && i >= distinct
-								if hit {
-									hits++
-								}
 								if !reflect.DeepEqual(got[i], want[i]) {
 									t.Fatalf("spec %d (%d+%d slots): Result differs from its own replay", i, cfgs[i].MapSlots, cfgs[i].ReduceSlots)
 								}
-								if s, w := streams[i], wantStream[i]; hit && s != nil && !reflect.DeepEqual(s, &streamRecord{}) {
-									t.Fatalf("spec %d hit the cache, yet its sink saw %d events", i, len(s.Stream))
-								} else if !hit && s != nil && !reflect.DeepEqual(s, w) {
+								if s, w := streams[i], wantStream[i]; s != nil && !reflect.DeepEqual(s, w) {
 									t.Fatalf("spec %d (%d+%d slots): stream of %d events, %d+%d samples, %d ends; its own replay's %d, %d+%d, %d",
 										i, cfgs[i].MapSlots, cfgs[i].ReduceSlots,
 										len(s.Stream), len(s.Depth), len(s.Progress), len(s.Ends), len(w.Stream), len(w.Depth), len(w.Progress), len(w.Ends))
 								}
 							}
-							if st := bcfg.Cache.Stats(); st.Hits != uint64(hits) || cached && st.Misses != uint64(distinct) {
-								t.Fatalf("cache saw %d hits / %d misses, want %d / %d", st.Hits, st.Misses, hits, distinct)
+							if st := bcfg.Cache.Stats(); st.Hits != 0 || cached && st.Misses != uint64(len(specs)) {
+								t.Fatalf("cache saw %d hits / %d misses, want 0 / %d", st.Hits, st.Misses, len(specs))
 							}
 							snap := bcfg.Runs.Latest().Snapshot()
 							if snap.Done != len(specs) || snap.Jobs != uint64(len(specs)*len(tr.Jobs)) {
@@ -262,20 +254,13 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 								if m["simmr_replays_total"] != float64(len(tl.Simulated)) {
 									t.Fatalf("simmr_replays_total = %v, want every spec the provenance has simulated: %d", m["simmr_replays_total"], len(tl.Simulated))
 								}
-								// With a cache, the duplicates hit instead. A spec the lead's
-								// gate cuts may ride a later replay before its own; on one
-								// worker, exactly the replays rides leaves to make are made.
-								wantCuts := cuts[0]
-								if !cached {
-									wantCuts += cuts[1]
-								}
+								// A spec the lead's gate cuts may ride a later replay before
+								// its own; on one worker, exactly the replays rides leaves to
+								// make are made.
+								wantCuts := cuts[0] + cuts[1]
 								gets := m[`simmr_engine_pool_gets_total{reused="false"}`] + m[`simmr_engine_pool_gets_total{reused="true"}`]
 								if workers == 1 {
-									n := len(cfgs)
-									if cached {
-										n = distinct
-									}
-									if want := ridden(cfgs[:n], want, pc.mk()); gets != float64(want) {
+									if want := ridden(cfgs, want, pc.mk()); gets != float64(want) {
 										t.Fatalf("%v pool gets, want the %d replays that each answer the riders Answers accepts", gets, want)
 									}
 								} else if gets < 1 || gets > float64(1+wantCuts) || wantCuts > 0 && gets < 2 {
@@ -290,11 +275,8 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 									answered, cut = answered+answers[0]+answers[1], cut+cuts[0]+cuts[1]
 								}
 							case "none":
-								byLead := answers[0]
-								if !cached {
-									byLead += answers[1]
-								}
-								if n := int(snap.Cached) - hits; workers == 1 && answersLarger(want[lead], cfgs[lead], pc.mk()) && n < byLead {
+								byLead := answers[0] + answers[1]
+								if n := int(snap.Cached); workers == 1 && answersLarger(want[lead], cfgs[lead], pc.mk()) && n < byLead {
 									t.Fatalf("%d specs taken from a finished replay, but the lead answers %d", n, byLead)
 								} else if workers == 1 && !cached {
 									reused += n

@@ -134,10 +134,14 @@ func TestBranchSetRegistersRun(t *testing.T) {
 	reg := NewRunRegistry(8)
 	tr := sweepTrace()
 	// Each branch, paused at the branch point, triggers every recorder
-	// attached so far: its own (forked) one is among them.
+	// attached so far: its own (forked) one is among them. The shortcut
+	// checker applies the edit again to a straight replay, which is no
+	// fork and triggers nothing.
 	var attached []int
-	trigger := func(*Engine) error {
-		attached = append(attached, reg.Latest().TriggerFlight())
+	trigger := func(e *Engine) error {
+		if e.ForkStats() != (engine.ForkStats{}) {
+			attached = append(attached, reg.Latest().TriggerFlight())
+		}
 		return nil
 	}
 	res, err := BranchSet(context.Background(), BranchSetConfig{

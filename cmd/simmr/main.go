@@ -120,6 +120,14 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown engine %q (simmr or mumak)", *engineKind)
 	}
+	// A sweep's cells take their slot counts from -sweep alone.
+	if *sweep != "" {
+		var slots bool
+		flag.Visit(func(f *flag.Flag) { slots = slots || f.Name == "map-slots" || f.Name == "reduce-slots" })
+		if slots {
+			return fmt.Errorf("-sweep sets both slot counts of each cell: drop -map-slots and -reduce-slots")
+		}
+	}
 
 	tel, tr, err := rf.open()
 	if tel != nil {
@@ -275,7 +283,7 @@ func runSweep(tr *simmr.Trace, spec, shard string, policy simmr.Policy, slowstar
 		if scfg.ShardIndex, err = strconv.Atoi(i); err == nil {
 			scfg.Shards, err = strconv.Atoi(n)
 		}
-		if err != nil {
+		if err != nil || scfg.Shards == 0 {
 			return fmt.Errorf("bad -shard %q (want I/N)", shard)
 		}
 	}

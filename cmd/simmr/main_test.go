@@ -238,6 +238,8 @@ func TestCLIGolden(t *testing.T) {
 		{"sweep-bad", "-trace trace.strc -sweep 8,x", 1},
 		{"sweep-junk", "-trace trace.strc -sweep 16,24x", 1},
 		{"shard-junk", "-trace trace.strc -sweep 8,16 -shard 0/2x", 1},
+		{"shard-zero", "-trace trace.strc -sweep 16 -shard 0/0", 1},
+		{"sweep-slots", "-trace trace.strc -sweep 16,32 -reduce-slots 8", 1},
 		{"shares-junk", "-trace trace.strc -policy capacity -capacity-shares 0.5x,0.5", 1},
 		{"whatif-scale-junk", "trace whatif -trace trace.strc -policies minedf -deadline-scale 2x", 1},
 		{"sparse-sweep", "-trace sparse.strc -sweep " + sparseSweep, 0},
@@ -388,6 +390,12 @@ func TestCLIGolden(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dirs["mumak-cache"], "cache")); err == nil {
 		t.Error("-engine mumak -cache-dir made the directory; the combination is a usage error")
+	}
+	// A sweep flag it would ignore is refused, and the error names it.
+	for name, flag := range map[string]string{"shard-zero": "-shard", "sweep-slots": "-reduce-slots"} {
+		if !strings.Contains(stderr[name], flag) {
+			t.Errorf("%s: the error %q does not name %s", name, stderr[name], flag)
+		}
 	}
 	// `cache info|clear` on a mistyped directory names it and creates nothing.
 	for _, name := range []string{"cache-info-missing", "cache-clear-missing"} {

@@ -95,33 +95,26 @@ func TestBlocksAreFullUntilTheLast(t *testing.T) {
 	}
 }
 
-// samplingProbe is a block recorder that also samples: at every sampler
-// call it notes what it held.
+// samplingProbe is a block recorder that also samples depth: at every
+// call it notes what it held and how many events its engine had fired.
 type samplingProbe struct {
 	blockRecorder
-	heldAtDepth int
-	depthCalls  int
-	samples     []probeSample
+	e       *Engine
+	samples []probeSample
 }
 
 type probeSample struct {
-	now               float64
-	fired             uint64
-	held, heldAtDepth int // events held at this call and at the SampleDepth before it
-	depthCalls        int
+	now   float64
+	fired uint64
+	held  int
 }
 
-func (p *samplingProbe) SampleDepth(float64, int) {
-	p.depthCalls++
-	p.heldAtDepth = len(p.events)
+func (p *samplingProbe) SampleDepth(now float64, _ int) {
+	p.samples = append(p.samples, probeSample{now, p.e.q.Fired(), len(p.events)})
 }
 
-func (p *samplingProbe) SampleProgress(now float64, events uint64, _, _ int) {
-	p.samples = append(p.samples, probeSample{now, events, len(p.events), p.heldAtDepth, p.depthCalls})
-}
-
-// Every event handled before a sampler call has been delivered when the
-// call is made — to a block-taking sink and, through the per-event
+// Every event handled before a SampleDepth call has been delivered when
+// the call is made — to a block-taking sink and, through the per-event
 // loop, to a plain one teed beside it — and RunEnd comes last.
 func TestFlushBeforeSamplersAndRunEnd(t *testing.T) {
 	tr := deliveryTrace(t)
@@ -129,7 +122,12 @@ func TestFlushBeforeSamplersAndRunEnd(t *testing.T) {
 	probe, plain := &samplingProbe{}, &obs.RecordSink{}
 	cfg := DefaultConfig()
 	cfg.Sink = obs.Tee(plain, probe)
-	res, err := Run(cfg, tr, sched.MaxEDF{})
+	e, err := New(cfg, tr, sched.MaxEDF{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.e = e
+	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +136,8 @@ func TestFlushBeforeSamplersAndRunEnd(t *testing.T) {
 	}
 	for i, s := range probe.samples {
 		want := heldAfter(ref, s.fired)
-		if s.held != want || s.heldAtDepth != want || s.depthCalls != i+1 {
-			t.Fatalf("sample %d (t=%v, %d events fired): held %d at SampleDepth (call %d) and %d at SampleProgress, want %d",
-				i, s.now, s.fired, s.heldAtDepth, s.depthCalls, s.held, want)
+		if s.held != want {
+			t.Fatalf("sample %d (t=%v, %d events fired): held %d at SampleDepth, want %d", i, s.now, s.fired, s.held, want)
 		}
 		if want > 0 && ref[want-1].Time > s.now {
 			t.Fatalf("sample %d at t=%v holds an event from t=%v", i, s.now, ref[want-1].Time)
@@ -353,7 +350,7 @@ func TestBlockOutlivesRunsItsContentsDoNot(t *testing.T) {
 
 	var pool Pool
 	pool.Put(e)
-	if e.sink != nil || e.cfg.Sink != nil || e.depth != nil || e.prog != nil {
+	if e.sink != nil || e.cfg.Sink != nil || e.depth != nil {
 		t.Fatal("a pooled engine still references its sink")
 	}
 	if cap(e.block) != blockEvents || &e.block[:1][0] != block {

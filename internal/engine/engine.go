@@ -385,12 +385,10 @@ type Engine struct {
 	sink  obs.Sink
 	feed  obs.Feed
 	block []obs.Event
-	// depth and prog are cfg.Sink's DepthSampler / ProgressSampler
-	// sides, resolved by setSink so step() pays cached-field nil
-	// checks instead of per-step type assertions; depthTick counts
-	// macro-steps between samples (one cadence for both).
+	// depth is cfg.Sink's DepthSampler side, resolved by setSink so
+	// step() pays a cached-field nil check instead of a per-step type
+	// assertion; depthTick counts macro-steps between samples.
 	depth     obs.DepthSampler
-	prog      obs.ProgressSampler
 	depthTick uint32
 	// Run-level observability counters, maintained unconditionally
 	// (plain increments on cold paths) and delivered via sink.RunEnd.
@@ -582,7 +580,6 @@ func (e *Engine) setSink(s obs.Sink) {
 	e.sink = s
 	e.feed = obs.FeedOf(s)
 	e.depth, _ = s.(obs.DepthSampler)
-	e.prog, _ = s.(obs.ProgressSampler)
 	e.depthTick = 0
 	if s != nil && e.block == nil {
 		e.block = make([]obs.Event, 0, blockEvents)
@@ -789,18 +786,13 @@ func (e *Engine) step() error {
 		}
 	}
 	e.allocate()
-	if e.depth != nil || e.prog != nil {
+	if e.depth != nil {
 		if e.depthTick++; e.depthTick >= depthSampleEvery {
 			e.depthTick = 0
 			// A sample describes the engine now; the sinks must have
 			// seen everything that led here first.
 			e.flush()
-			if e.depth != nil {
-				e.depth.SampleDepth(e.clock.Now(), e.q.Len())
-			}
-			if e.prog != nil {
-				e.prog.SampleProgress(e.clock.Now(), e.q.Fired(), len(e.tr.Jobs)-e.remaining, len(e.tr.Jobs))
-			}
+			e.depth.SampleDepth(e.clock.Now(), e.q.Len())
 		}
 	}
 	return nil

@@ -267,7 +267,7 @@ func assignDeadlines(tr *trace.Trace, baselines []float64, df float64, rng *rand
 // read off the cached one). The engine treats the trace as read-only,
 // so back-to-back replays need no clone.
 func runUtility(p *plan.Plan, cfg engine.Config, tr *trace.Trace, policy sched.Policy) (util float64, err error) {
-	_, err = p.Replay(cfg, tr, policy, plan.Cell{}, func(res *engine.Result) { util = utility(res) })
+	_, err = p.Replay(plan.Request{Cfg: cfg, Trace: tr, Policy: policy}, func(res *engine.Result) { util = utility(res) })
 	return util, err
 }
 

@@ -24,14 +24,6 @@ func (b *blockSink) Events(evs []Event) {
 
 func (b *blockSink) RunEnd(Counters) {}
 
-// progressRecSink is a RecordSink that also samples progress.
-type progressRecSink struct {
-	RecordSink
-	samples int
-}
-
-func (p *progressRecSink) SampleProgress(float64, uint64, int, int) { p.samples++ }
-
 // feedIn delivers evs through f in consecutive blocks of size n.
 func feedIn(f Feed, evs []Event, n int) {
 	for len(evs) > n {
@@ -75,7 +67,7 @@ func TestFeedDeliversBlocksOrLoops(t *testing.T) {
 // nil members gone at every level, samplers found behind the nesting.
 func TestTeeFlattens(t *testing.T) {
 	a, c, e := &RecordSink{}, &RecordSink{}, &RecordSink{}
-	b, d := &depthRecSink{}, &progressRecSink{}
+	b, d := &depthRecSink{}, &depthRecSink{}
 	var order []Sink
 	nested := Tee(Tee(nil, a, b), nil, Tee(c), Tee(Tee(d, nil), e))
 	for _, f := range nested.(interface{ members() []Feed }).members() {
@@ -94,9 +86,8 @@ func TestTeeFlattens(t *testing.T) {
 		}
 	}
 	nested.(DepthSampler).SampleDepth(2, 7)
-	nested.(ProgressSampler).SampleProgress(2, 11, 0, 1)
-	if len(b.depths) != 1 || d.samples != 1 {
-		t.Fatalf("samplers behind the nesting got %d depth and %d progress samples", len(b.depths), d.samples)
+	if len(b.depths) != 1 || len(d.depths) != 1 {
+		t.Fatalf("samplers behind the nesting got %d and %d depth samples", len(b.depths), len(d.depths))
 	}
 	if _, ok := Tee(Tee(a, c), e).(DepthSampler); ok {
 		t.Fatal("flattening sampler-blind tees made a DepthSampler")

@@ -181,43 +181,3 @@ func TestFlightDumpChromeTrace(t *testing.T) {
 		t.Fatalf("chrome trace missing traceEvents: %s", buf.String())
 	}
 }
-
-func TestTeeForwardsProgressSampler(t *testing.T) {
-	p := &progressRecorder{}
-	r := &RecordSink{}
-	tee := Tee(r, p)
-	ps, ok := tee.(ProgressSampler)
-	if !ok {
-		t.Fatal("tee with a ProgressSampler member does not sample progress")
-	}
-	ps.SampleProgress(1.0, 10, 2, 8)
-	if len(p.samples) != 1 || p.samples[0] != 2 {
-		t.Fatalf("progress not forwarded: %v", p.samples)
-	}
-	// And the full tee: depth + progress members.
-	full := Tee(&depthRecorder{}, p)
-	if _, ok := full.(DepthSampler); !ok {
-		t.Fatal("full tee lost DepthSampler")
-	}
-	if _, ok := full.(ProgressSampler); !ok {
-		t.Fatal("full tee lost ProgressSampler")
-	}
-}
-
-// progressRecorder is a minimal Sink + ProgressSampler for tee tests.
-type progressRecorder struct {
-	RecordSink
-	samples []int
-}
-
-func (p *progressRecorder) SampleProgress(now float64, events uint64, jobsDone, jobsTotal int) {
-	p.samples = append(p.samples, jobsDone)
-}
-
-// depthRecorder is a minimal Sink + DepthSampler + ProgressSampler.
-type depthRecorder struct {
-	RecordSink
-	depths []int
-}
-
-func (d *depthRecorder) SampleDepth(now float64, depth int) { d.depths = append(d.depths, depth) }

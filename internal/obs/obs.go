@@ -10,15 +10,24 @@
 //     TestReplayAllocBudget holds the allocations, bare and observed.
 //   - Exact order, delivered in blocks. The engine appends each event to
 //     a block of its own (512 events) and hands the sink the filled part
-//     when it is full, before every DepthSampler/ProgressSampler call,
-//     and on every way out of Run and RunEvents — finished (before
-//     RunEnd), paused or failed. The delivered sequence is the engine's
-//     handled order, every event exactly once — a replayed audit log of
-//     the simulation, in the spirit of the paper's per-job timeline
-//     validation (Figures 1–2). Whenever the engine is not inside
-//     Run/RunEvents, and whenever a sampler or RunEnd is called, the
-//     sink has seen everything handled so far; in between it trails by
-//     less than one block.
+//     when it is full, before every SampleDepth call, and on every way
+//     out of Run and RunEvents — finished (before RunEnd), paused or
+//     failed. The delivered sequence is the engine's handled order,
+//     every event exactly once — a replayed audit log of the simulation,
+//     in the spirit of the paper's per-job timeline validation (Figures
+//     1–2). Whenever the engine is not inside Run/RunEvents, and
+//     whenever SampleDepth or RunEnd is called, the sink has seen
+//     everything handled so far; in between it trails by less than one
+//     block.
+//   - The stream is the one record of progress. Its events of the
+//     paper's seven kinds (Kind < KindMapSlotAlloc) are exactly the
+//     events the engine fired: over a replay they number Result.Events
+//     (Counters.Events), over a fork's stream the events fired after its
+//     branch point. Its KindJobDeparture events are the jobs done. A
+//     sink that wants live progress — the run registry's engine hook —
+//     counts them; the engine has no other progress channel.
+//     TestStreamCountsFiredEvents holds this; a change to what the
+//     engine emits keeps it or bumps engine.SemanticsVersion.
 //   - Sink is the whole obligation. A sink with only Event and RunEnd
 //     receives each block as a loop of Event calls. One that also
 //     implements BatchSink receives it in one Events call: the slice is
@@ -178,18 +187,6 @@ type DepthSampler interface {
 	SampleDepth(now float64, depth int)
 }
 
-// ProgressSampler is an optional Sink extension: the engine
-// periodically (on the same macro-step cadence as DepthSampler)
-// reports replay progress — simulated time, events handled so far, and
-// jobs departed out of the total — to sinks that implement it. This is
-// the run registry's intra-replay progress feed: a single long replay
-// surfaces live percent-complete without any per-event work. Like
-// Event, SampleProgress is called from the engine's single goroutine.
-type ProgressSampler interface {
-	// SampleProgress reports replay progress at simulated time now.
-	SampleProgress(now float64, events uint64, jobsDone, jobsTotal int)
-}
-
 // BatchSink is an optional Sink extension for sinks on the hot path: the
 // engine buffers its events in a block (DESIGN.md §8) and hands a sink
 // that implements BatchSink the whole block in one Events call instead
@@ -235,7 +232,7 @@ func (f Feed) Events(evs []Event) {
 type teeSink struct{ feeds []Feed }
 
 // members exposes the fan-out list so Tee can flatten a tee it is
-// handed; the sampling variants inherit it by embedding.
+// handed; the depth-sampling variant inherits it by embedding.
 func (t teeSink) members() []Feed { return t.feeds }
 
 func (t teeSink) Event(ev Event) {
@@ -273,40 +270,13 @@ func (t depthTeeSink) SampleDepth(now float64, depth int) {
 	}
 }
 
-// progressTeeSink is the tee variant for members that sample progress
-// but not depth; like depthTeeSink it exists so a progress-blind tee
-// doesn't satisfy ProgressSampler vacuously.
-type progressTeeSink struct {
-	teeSink
-	progress []ProgressSampler
-}
-
-func (t progressTeeSink) SampleProgress(now float64, events uint64, jobsDone, jobsTotal int) {
-	for _, s := range t.progress {
-		s.SampleProgress(now, events, jobsDone, jobsTotal)
-	}
-}
-
-// fullTeeSink samples both depth and progress.
-type fullTeeSink struct {
-	depthTeeSink
-	progress []ProgressSampler
-}
-
-func (t fullTeeSink) SampleProgress(now float64, events uint64, jobsDone, jobsTotal int) {
-	for _, s := range t.progress {
-		s.SampleProgress(now, events, jobsDone, jobsTotal)
-	}
-}
-
 // Tee combines sinks into one that forwards every event, block and
 // RunEnd to each, in argument order. Nil sinks are skipped; Tee()
 // returns nil. A member that is itself a Tee is replaced by its own
 // members, in place, so composing in steps — Tee(Tee(a, b), c) — costs
 // one fan-out over a, b, c, not a nested dispatch. If any member
-// implements DepthSampler or ProgressSampler, so does the combined
-// sink; samplers and BatchSink sides are resolved once here, not per
-// call.
+// implements DepthSampler, so does the combined sink; samplers and
+// BatchSink sides are resolved once here, not per call.
 func Tee(sinks ...Sink) Sink {
 	live := make([]Feed, 0, len(sinks))
 	for _, s := range sinks {
@@ -325,23 +295,14 @@ func Tee(sinks ...Sink) Sink {
 		return live[0].sink
 	}
 	var samplers []DepthSampler
-	var progress []ProgressSampler
 	for _, f := range live {
 		if ds, ok := f.sink.(DepthSampler); ok {
 			samplers = append(samplers, ds)
 		}
-		if ps, ok := f.sink.(ProgressSampler); ok {
-			progress = append(progress, ps)
-		}
 	}
 	tee := teeSink{feeds: live}
-	switch {
-	case len(samplers) > 0 && len(progress) > 0:
-		return fullTeeSink{depthTeeSink{tee, samplers}, progress}
-	case len(samplers) > 0:
+	if len(samplers) > 0 {
 		return depthTeeSink{tee, samplers}
-	case len(progress) > 0:
-		return progressTeeSink{tee, progress}
 	}
 	return tee
 }

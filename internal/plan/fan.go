@@ -12,30 +12,15 @@ import (
 	"simmr/internal/trace"
 )
 
-// Request is one replay a fan-out asks for: Replay's config, trace and
-// policy, or a branch from a sealed prefix (Plan.Prefix).
-type Request struct {
-	Cfg   engine.Config
-	Trace *trace.Trace
-	// Policy, when nil, is built by Fanout.NewPolicy when the request is
-	// first looked up or replayed.
-	Policy sched.Policy
-	// Edit, on a branch, mutates the paused fork before it runs.
-	Edit func(*engine.Engine) error
-	pre  *prefix // the sealed prefix a branch forks from
-}
-
 // Fanout is a fan-out of requests (Plan.Fan) and where their outcomes go.
 type Fanout struct {
 	Requests []Request
 	// NewPolicy builds the policy of each request that has none. Those
 	// requests share it, as a sweep's cells share its policy or factory.
 	NewPolicy func() sched.Policy
-	// Keep hands every request a Result of its own (Cell.Keep); otherwise
-	// each folds a lent one.
+	// Keep hands every request a Result of its own; otherwise each folds
+	// a lent one.
 	Keep bool
-	// Cell gives request i's label and sink; its other fields are ignored.
-	Cell func(i int) Cell
 	// Fold receives request i's Result.
 	Fold func(i int, res *engine.Result)
 	// Took gives request i, when it does not keep its Result, the outcome
@@ -54,7 +39,7 @@ type Fanout struct {
 //   - Order. Once every member is looked up, the misses are visited
 //     largest cluster first (most slots, then most map slots), then by
 //     ascending map and reduce slots. The first leads.
-//   - Members with a sink of their own (Cell.Sink) ride each replay of
+//   - Members with a sink of their own (Request.Sink) ride each replay of
 //     the group that starts while they wait to be claimed, the lead's
 //     first, through a gate (gate) that feeds that sink alone: the
 //     plan's recorders and telemetry see what the engine simulates. A
@@ -175,8 +160,7 @@ func newFan(p *Plan, f Fanout) *fan {
 	groups := map[groupKey]*group{}
 	for i, rq := range f.Requests {
 		m := &s.ms[i]
-		m.pending = pending{p: p, cfg: rq.Cfg, tr: rq.Trace, pol: rq.Policy, c: f.Cell(i), i: i, pre: rq.pre, edit: rq.Edit}
-		m.c.Keep = f.Keep
+		m.pending = pending{Request: rq, p: p, keep: f.Keep, i: i}
 		if rq.pre != nil {
 			continue
 		}
@@ -256,12 +240,12 @@ again:
 				if !m.claimable || !before(i) {
 					continue
 				}
-				if m.c.Sink == nil {
-					if from, ok := s.find(g, m.cfg); ok {
+				if m.Sink == nil {
+					if from, ok := s.find(g, m.Cfg); ok {
 						m.claimable = false
 						return unit{kind: tookUnit, i: i, from: from}, true
 					}
-					if s.expected(g, m.cfg) {
+					if s.expected(g, m.Cfg) {
 						continue
 					}
 					// Only the lead leaves a trail, once it has finished.
@@ -274,7 +258,7 @@ again:
 				// Riders board before the replay starts, so that no worker
 				// claims them in between.
 				for _, j := range g.ms {
-					if r := &s.ms[j]; r.c.Sink != nil && r.claimable && !g.refuses {
+					if r := &s.ms[j]; r.Sink != nil && r.claimable && !g.refuses {
 						r.claimable = false
 						m.riders = append(m.riders, j)
 					}
@@ -314,7 +298,7 @@ func (s *fan) lookedUp(i int, missed bool) bool {
 	if g.left--; g.left > 0 || len(g.ms) == 0 {
 		return false
 	}
-	cfg := func(i int) engine.Config { return s.ms[i].cfg }
+	cfg := func(i int) engine.Config { return s.ms[i].Cfg }
 	slices.SortFunc(g.ms, func(a, b int) int {
 		return cmp.Or(cmp.Compare(cfg(a).MapSlots, cfg(b).MapSlots), cmp.Compare(cfg(a).ReduceSlots, cfg(b).ReduceSlots), cmp.Compare(a, b))
 	})
@@ -334,7 +318,7 @@ func (s *fan) lookedUp(i int, missed bool) bool {
 // find returns a finished member whose peaks answer for cfg.
 func (s *fan) find(g *group, cfg engine.Config) (int, bool) {
 	for _, k := range g.kept {
-		if f := &s.ms[k]; engine.Answers(&f.peaks, f.cfg, cfg, f.pol) {
+		if f := &s.ms[k]; engine.Answers(&f.peaks, f.Cfg, cfg, f.Policy) {
 			return k, true
 		}
 	}
@@ -346,10 +330,10 @@ func (s *fan) find(g *group, cfg engine.Config) (int, bool) {
 // least S's slots left one of the other kind free at S's count.
 func (s *fan) expected(g *group, cfg engine.Config) bool {
 	for _, r := range g.running {
-		sc := s.ms[r].cfg
+		sc := s.ms[r].Cfg
 		for _, k := range g.kept {
 			f := &s.ms[k]
-			if f.cfg.MapSlots < sc.MapSlots || f.cfg.ReduceSlots < sc.ReduceSlots {
+			if f.Cfg.MapSlots < sc.MapSlots || f.Cfg.ReduceSlots < sc.ReduceSlots {
 				continue
 			}
 			if cfg.MapSlots == sc.MapSlots && cfg.ReduceSlots > sc.ReduceSlots && f.peaks.PeakReduceSlots < sc.ReduceSlots ||
@@ -406,7 +390,7 @@ func (s *fan) replay(i int) int {
 	g := l.g
 	s.policy(l)
 	riders := l.riders
-	if len(riders) > 0 && !engine.Answers(&engine.Result{}, l.cfg, l.cfg, l.pol) {
+	if len(riders) > 0 && !engine.Answers(&engine.Result{}, l.Cfg, l.Cfg, l.Policy) {
 		s.mu.Lock()
 		g.refuses = true
 		for _, j := range riders {
@@ -421,15 +405,15 @@ func (s *fan) replay(i int) int {
 	for k, j := range riders {
 		m := &s.ms[j]
 		if s.Keep && m.into == nil {
-			m.into = &engine.Result{Jobs: make([]engine.JobOutcome, 0, len(m.tr.Jobs))}
+			m.into = &engine.Result{Jobs: make([]engine.JobOutcome, 0, len(m.Trace.Jobs))}
 		}
-		gates[k] = newGate(l.cfg, &m.pending, func() { s.mu.Lock(); m.claimable = true; s.changed.Broadcast(); s.mu.Unlock() })
+		gates[k] = newGate(l.Cfg, &m.pending, func() { s.mu.Lock(); m.claimable = true; s.changed.Broadcast(); s.mu.Unlock() })
 		if !gates[k].closed {
 			sinks = append(sinks, gates[k])
 		}
 	}
 	l.gates = obs.Tee(sinks...)
-	l.leads = i == g.ms[0] && slices.ContainsFunc(g.ms, func(j int) bool { return s.ms[j].c.Sink == nil && j != i })
+	l.leads = i == g.ms[0] && slices.ContainsFunc(g.ms, func(j int) bool { return s.ms[j].Sink == nil && j != i })
 	err := l.run(func(res *engine.Result) {
 		s.keep(i, res)
 		for k, gt := range gates {
@@ -467,9 +451,9 @@ func (s *fan) replay(i int) int {
 // policy builds m's policy if the request has none, and names the run's
 // policy after it.
 func (s *fan) policy(m *member) {
-	if m.pol == nil {
-		m.pol = s.NewPolicy()
-		s.p.run.NamePolicy(m.pol.Name())
+	if m.Policy == nil {
+		m.Policy = s.NewPolicy()
+		s.p.run.NamePolicy(m.Policy.Name())
 	}
 }
 
@@ -526,10 +510,10 @@ func (s *fan) settled(i int, err error, own bool) int {
 // cluster with one more slot of some kind: whether it left a slot unused
 // throughout, under a policy that may be answered for.
 func answersLarger(m *member) bool {
-	wider, taller := m.cfg, m.cfg
+	wider, taller := m.Cfg, m.Cfg
 	wider.MapSlots++
 	taller.ReduceSlots++
-	return engine.Answers(&m.peaks, m.cfg, wider, m.pol) || engine.Answers(&m.peaks, m.cfg, taller, m.pol)
+	return engine.Answers(&m.peaks, m.Cfg, wider, m.Policy) || engine.Answers(&m.peaks, m.Cfg, taller, m.Policy)
 }
 
 // testHookSettled, when set, runs each time a replay or hit has

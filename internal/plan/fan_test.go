@@ -99,7 +99,6 @@ func kneeSweep(t *testing.T, ctx context.Context, tr *trace.Trace, workers int, 
 			}
 			return sched.FIFO{}
 		},
-		Cell: func(int) Cell { return Cell{} },
 		Fold: func(int, *engine.Result) {},
 		Took: func(int, int) {},
 	}))
@@ -185,11 +184,11 @@ func TestBatchGroupErrorIsLowestSpec(t *testing.T) {
 	slots := [][2]int{{0, 4}, {100, 0}, {8, 8}, {50, 0}}
 	reqs := make([]Request, len(slots))
 	for i, s := range slots {
-		reqs[i] = Request{Cfg: engine.Config{MapSlots: s[0], ReduceSlots: s[1], MinMapPercentCompleted: 0.05}, Trace: tr, Policy: sched.FIFO{}}
+		reqs[i] = Request{Cfg: engine.Config{MapSlots: s[0], ReduceSlots: s[1], MinMapPercentCompleted: 0.05}, Trace: tr, Policy: sched.FIFO{},
+			Sink: func() obs.Sink { return &obs.RecordSink{} }}
 	}
 	f := Fanout{
 		Requests: reqs, Keep: true,
-		Cell: func(int) Cell { return Cell{Sink: func() obs.Sink { return &obs.RecordSink{} }} },
 		Fold: func(int, *engine.Result) {},
 		Wrap: func(i int, err error) error { return fmt.Errorf("spec %d: %w", i, err) },
 	}
@@ -297,12 +296,11 @@ func TestLeadSettlesWhatAnswersAccepts(t *testing.T) {
 			sinks := make([]obs.RecordSink, len(cfgs))
 			got := make([]*engine.Result, len(cfgs))
 			for i, cfg := range cfgs {
-				reqs[i] = Request{Cfg: cfg, Trace: tr, Policy: mk()}
+				reqs[i] = Request{Cfg: cfg, Trace: tr, Policy: mk(), Sink: func() obs.Sink { return &sinks[i] }}
 			}
 			p := Begin(Options{Workers: 1}, Run{Kind: runs.KindBatch, Replays: len(reqs)})
 			s := newFan(p, Fanout{
 				Requests: reqs, Keep: true,
-				Cell: func(i int) Cell { return Cell{Sink: func() obs.Sink { return &sinks[i] }} },
 				Fold: func(i int, res *engine.Result) { got[i] = res },
 			})
 			name := fmt.Sprintf("%s/%s", tr.Name, reqs[0].Policy.Name())
@@ -383,7 +381,6 @@ func TestBatchAndSweepProgress(t *testing.T) {
 		{runs.KindBatch, Fanout{Requests: batch, Keep: true}},
 		{runs.KindSweep, Fanout{Requests: sweep, NewPolicy: func() sched.Policy { return sched.FIFO{} }, Took: func(int, int) {}}},
 	} {
-		c.f.Cell = func(int) Cell { return Cell{} }
 		c.f.Fold = func(int, *engine.Result) {}
 		for _, workers := range []int{1, 3} {
 			total := len(c.f.Requests)

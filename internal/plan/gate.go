@@ -16,8 +16,8 @@ func copyInto(dst, res *engine.Result) *engine.Result {
 }
 
 // passed counts what a gate has passed on of a stream: events, and
-// calls of each sampler.
-type passed struct{ events, depth, progress uint64 }
+// depth samples.
+type passed struct{ events, depth uint64 }
 
 // gate passes a replay's stream on to one follower's own sink for as
 // long as it is the follower's own stream, less what an earlier gate
@@ -29,18 +29,17 @@ type passed struct{ events, depth, progress uint64 }
 // up to a round rather than over the whole replay). So for each kind
 // whose counts differ the gate closes just before the first allocation
 // that takes the lead's holding to the smaller count: everything before
-// it is the follower's stream, events, sampler calls and all. A gate
+// it is the follower's stream, events, depth samples and all. A gate
 // still open at the end forwards RunEnd, and stays open exactly when
 // engine.Answers holds for the lead's Result. Closing records what was
 // passed on with the follower and hands it off (cut); the gate forwards
 // nothing after that.
 type gate struct {
-	f        *pending
-	sink     obs.Sink // the follower's own sink; nil when it builds none
-	feed     obs.Feed
-	depth    obs.DepthSampler
-	progress obs.ProgressSampler
-	cut      func()
+	f     *pending
+	sink  obs.Sink // the follower's own sink; nil when it builds none
+	feed  obs.Feed
+	depth obs.DepthSampler
+	cut   func()
 
 	// The lead's holding of each kind, and the holding at which the gate
 	// closes (math.MaxInt when both clusters have the same count).
@@ -57,11 +56,10 @@ func newGate(ran engine.Config, f *pending, cut func()) *gate {
 	sink := f.own()
 	g := &gate{
 		f: f, sink: sink, feed: obs.FeedOf(sink), cut: cut,
-		mapLimit:    limit(ran.MapSlots, f.cfg.MapSlots),
-		reduceLimit: limit(ran.ReduceSlots, f.cfg.ReduceSlots),
+		mapLimit:    limit(ran.MapSlots, f.Cfg.MapSlots),
+		reduceLimit: limit(ran.ReduceSlots, f.Cfg.ReduceSlots),
 	}
 	g.depth, _ = sink.(obs.DepthSampler)
-	g.progress, _ = sink.(obs.ProgressSampler)
 	if g.mapLimit <= 0 || g.reduceLimit <= 0 {
 		g.close()
 	}
@@ -124,16 +122,6 @@ func (g *gate) SampleDepth(now float64, depth int) {
 	}
 }
 
-func (g *gate) SampleProgress(now float64, events uint64, jobsDone, jobsTotal int) {
-	if g.closed {
-		return
-	}
-	g.passed.progress++
-	if g.progress != nil {
-		g.progress.SampleProgress(now, events, jobsDone, jobsTotal)
-	}
-}
-
 func (g *gate) RunEnd(c obs.Counters) {
 	if !g.closed && g.sink != nil {
 		g.sink.RunEnd(c)
@@ -146,26 +134,24 @@ func (g *gate) RunEnd(c obs.Counters) {
 func (g *gate) close() {
 	g.closed = true
 	seen := &g.f.seen
-	seen.events, seen.depth, seen.progress = max(seen.events, g.passed.events), max(seen.depth, g.passed.depth), max(seen.progress, g.passed.progress)
+	seen.events, seen.depth = max(seen.events, g.passed.events), max(seen.depth, g.passed.depth)
 	g.cut()
 }
 
 // mute is a cut follower's own sink for a later stream of its own: it
-// drops the events and sampler calls gates already passed on, then
+// drops the events and depth samples gates already passed on, then
 // forwards the rest, so that the sink sees the follower's stream
 // once.
 type mute struct {
-	sink     obs.Sink
-	feed     obs.Feed
-	depth    obs.DepthSampler
-	progress obs.ProgressSampler
-	skip     passed
+	sink  obs.Sink
+	feed  obs.Feed
+	depth obs.DepthSampler
+	skip  passed
 }
 
 func newMute(s obs.Sink, seen passed) *mute {
 	m := &mute{sink: s, feed: obs.FeedOf(s), skip: seen}
 	m.depth, _ = s.(obs.DepthSampler)
-	m.progress, _ = s.(obs.ProgressSampler)
 	return m
 }
 
@@ -186,14 +172,6 @@ func (m *mute) SampleDepth(now float64, depth int) {
 		m.skip.depth--
 	} else if m.depth != nil {
 		m.depth.SampleDepth(now, depth)
-	}
-}
-
-func (m *mute) SampleProgress(now float64, events uint64, jobsDone, jobsTotal int) {
-	if m.skip.progress > 0 {
-		m.skip.progress--
-	} else if m.progress != nil {
-		m.progress.SampleProgress(now, events, jobsDone, jobsTotal)
 	}
 }
 

@@ -158,59 +158,59 @@ func (p *Plan) End(err error) error {
 // Hits returns how many replays the cache has served so far.
 func (p *Plan) Hits() uint64 { return uint64(p.settled[Cached].Load()) }
 
-// Recording reports whether simulated cells carry a flight recorder —
-// the only time a cell's label is read, so a caller that formats labels
-// can skip it otherwise.
+// Recording reports whether simulated replays carry a flight recorder —
+// the only time a request's Label is read, so a caller that formats
+// labels can skip it otherwise.
 func (p *Plan) Recording() bool { return p.run != nil && p.Flight != 0 }
 
-// Cell is what one replay brings besides its (config, trace, policy):
-// nothing in it outlives the Replay call.
-type Cell struct {
+// Request is one replay: its config, trace and policy, or a branch from
+// a sealed prefix (Plan.Prefix), and what observes it besides the plan.
+// Nothing in it outlives the replay.
+type Request struct {
+	// Cfg configures the replay; its Sink is ignored (see Sink).
+	Cfg   engine.Config
+	Trace *trace.Trace
+	// Policy, when nil, is built by Fanout.NewPolicy when the request is
+	// first looked up or replayed.
+	Policy sched.Policy
+	// Edit, on a branch, mutates the paused fork before it runs.
+	Edit func(*engine.Engine) error
 	// Label names the replay's flight recorder.
 	Label string
-	// Sink, when set, builds the cell's own observer. It is called on
+	// Sink, when set, builds the replay's own observer. It is called on
 	// the worker goroutine, and only if the replay will simulate.
 	Sink func() obs.Sink
-	// Keep hands the fold a Result of its own, as Pool.Run returns it,
-	// instead of lending the engine's, as Pool.FoldTrail does. A hit's Result
-	// is the fold's to keep either way.
-	Keep bool
-	// split lets a kept replay run as segments on up to Workers cores
-	// when nothing observes it (engine.Pool.RunSplit): One's cell only, as
-	// a fan-out keeps the cores busy with its cells.
-	split bool
-	// totals marks a fold that reads the Result's totals only (Totals):
-	// unless the plan reads the jobs itself, the split replay keeps none.
-	totals bool
+	pre  *prefix // the sealed prefix a branch forks from
 }
 
-// Replay is the per-replay step: it replays tr under cfg (whose Sink is
-// ignored — see Cell.Sink) and pol, or serves the cached result, and
-// hands the outcome to fold. fold is not called when the replay fails.
-func (p *Plan) Replay(cfg engine.Config, tr *trace.Trace, pol sched.Policy, c Cell, fold func(*engine.Result)) (hit bool, err error) {
-	r := pending{p: p, cfg: cfg, tr: tr, pol: pol, c: c}
-	if r.lookup(fold) {
-		return true, nil
-	}
-	return false, r.run(fold)
+// Replay is the per-replay step: it replays rq, or serves the cached
+// result, and hands the outcome to fold. fold is not called when the
+// replay fails.
+func (p *Plan) Replay(rq Request, fold func(*engine.Result)) (hit bool, err error) {
+	r := pending{Request: rq, p: p}
+	return r.replay(fold)
 }
 
 // pending is one replay's path past its key: lookup, then observe →
 // run-or-fold → store → account (run).
 type pending struct {
-	p     *Plan
-	cfg   engine.Config
-	tr    *trace.Trace
-	pol   sched.Policy
-	c     Cell
-	key   rcache.Key
-	keyed bool
-	i     int      // the request's index in a Fan: its Provenance.From
-	from  *pending // the request whose replay or answer this one took (Fan)
-	// pre and edit make a branch (Fan): a fork of pre's sealed prefix,
-	// edited while paused.
-	pre  *prefix
-	edit func(*engine.Engine) error
+	Request
+	p *Plan
+	// keep hands the fold a Result of its own, as Pool.Run returns it,
+	// instead of lending the engine's, as Pool.FoldTrail does. A hit's
+	// Result is the fold's to keep either way.
+	keep bool
+	// split lets a kept replay run as segments on up to Workers cores
+	// when nothing observes it (engine.Pool.RunSplit): One's replay only,
+	// as a fan-out keeps the cores busy with its requests.
+	split bool
+	// totals marks a fold that reads the Result's totals only (Totals):
+	// unless the plan reads the jobs itself, the split replay keeps none.
+	totals bool
+	key    rcache.Key
+	keyed  bool
+	i      int      // the request's index in a Fan: its Provenance.From
+	from   *pending // the request whose replay or answer this one took (Fan)
 	// follow is a trail of the same trace for a bare replay to copy what
 	// it may of (engine.Pool.FoldTrail); leads makes a bare replay leave
 	// one (engine.Pool.RunTrail), in trail, for others to follow.
@@ -221,17 +221,25 @@ type pending struct {
 	// (Fan).
 	gates obs.Sink
 
-	// The cell's own sink, once built (own), and the replay's recorder
+	// The request's own sink, once built (own), and the replay's recorder
 	// (observe).
 	built bool
 	sink  obs.Sink
 	rec   *obs.FlightRecorder
 	start time.Time
-	// seen is what gates passed on to the cell's own sink before they cut
-	// the replays it rode: its own run mutes that much (Fan).
+	// seen is what gates passed on to the request's own sink before they
+	// cut the replays it rode: its own run mutes that much (Fan).
 	seen passed
 	// into, when set, is where a kept replay puts its Result (Fan).
 	into *engine.Result
+}
+
+// replay is lookup, then run on a miss.
+func (r *pending) replay(fold func(*engine.Result)) (hit bool, err error) {
+	if r.lookup(fold) {
+		return true, nil
+	}
+	return false, r.run(fold)
 }
 
 // lookup is key → lookup; it reports a hit, which it has folded. fold
@@ -242,11 +250,11 @@ func (r *pending) lookup(fold func(*engine.Result)) bool {
 	if p.Cache == nil || r.pre != nil {
 		return false
 	}
-	digest, known := p.digests[r.tr]
+	digest, known := p.digests[r.Trace]
 	if !known {
-		digest = r.tr.ContentHash()
+		digest = r.Trace.ContentHash()
 	}
-	if r.key, r.keyed = rcache.KeyFor(digest, r.cfg, r.pol); !r.keyed {
+	if r.key, r.keyed = rcache.KeyFor(digest, r.Cfg, r.Policy); !r.keyed {
 		return false
 	}
 	res, ok := p.Cache.Get(r.key)
@@ -256,11 +264,11 @@ func (r *pending) lookup(fold func(*engine.Result)) bool {
 	return ok
 }
 
-// own is the cell's own sink, built once, hiding what gates already
+// own is the request's own sink, built once, hiding what gates already
 // passed on to it (Fan).
 func (r *pending) own() obs.Sink {
-	if !r.built && r.c.Sink != nil {
-		r.sink = r.c.Sink()
+	if !r.built && r.Sink != nil {
+		r.sink = r.Sink()
 	}
 	r.built = true
 	if r.sink == nil || r.seen == (passed{}) {
@@ -269,7 +277,7 @@ func (r *pending) own() obs.Sink {
 	return newMute(r.sink, r.seen)
 }
 
-// observe builds the observers of a replay that simulates: the cell's
+// observe builds the observers of a replay that simulates: the request's
 // own sink, a recorder, the engine hook of a single replay and the
 // telemetry sink, behind one flat Tee — and no Tee at all on a bare
 // plan. A rider's gate feeds its own sink alone (Fan), so the plan's
@@ -285,12 +293,12 @@ func (r *pending) observe() obs.Sink {
 		r.rec = obs.NewFlightRecorder(p.Flight)
 	}
 	if r.rec != nil {
-		r.rec.SetLabel(r.c.Label)
+		r.rec.SetLabel(r.Label)
 		p.run.AttachFlight(r.rec)
 		sink = obs.Tee(sink, r.rec)
 	}
 	if p.single {
-		sink = obs.Tee(sink, p.run.EngineHook())
+		sink = obs.Tee(sink, p.run.EngineHook(len(r.Trace.Jobs)))
 	}
 	if tel := p.Telemetry; tel != nil {
 		if r.pre != nil {
@@ -351,7 +359,7 @@ func (r *pending) settle(pv Provenance, res *engine.Result, fold func(*engine.Re
 	simulated := pv.How.simulated()
 	if !simulated {
 		p.run.AddCached(1)
-		p.run.AddJobs(uint64(len(r.tr.Jobs)))
+		p.run.AddJobs(uint64(len(r.Trace.Jobs)))
 	} else {
 		events := res.Events - pv.Event
 		if r.rec != nil && slices.ContainsFunc(res.Jobs, func(j engine.JobOutcome) bool { return j.ExceededDeadline() }) {
@@ -371,21 +379,21 @@ func (r *pending) settle(pv Provenance, res *engine.Result, fold func(*engine.Re
 	if Settled != nil {
 		var src Request
 		if f := r.from; f != nil {
-			src = Request{Cfg: f.cfg, Trace: f.tr, Policy: f.pol}
+			src = f.Request
 		}
-		Settled(pv, simulated, Request{Cfg: r.cfg, Trace: r.tr, Policy: r.pol, Edit: r.edit}, res, src)
+		Settled(pv, simulated, r.Request, res, src)
 	}
 	if res != nil {
 		fold(res)
 	}
 }
 
-// run replays the cell — observe, run or fold, store, account — and
+// run replays the request — observe, run or fold, store, account — and
 // hands the outcome to fold, which is not called when the replay fails.
 func (r *pending) run(fold func(*engine.Result)) (err error) {
-	p, c := r.p, &r.c
+	p := r.p
 	sink := r.observe()
-	cfg := r.cfg
+	cfg := r.Cfg
 	if cfg.Sink = sink; r.gates != nil {
 		cfg.Sink = obs.Tee(sink, r.gates)
 	}
@@ -396,28 +404,28 @@ func (r *pending) run(fold func(*engine.Result)) (err error) {
 		res, err = r.branch(sink)
 		pv = Provenance{How: Forked, Event: r.pre.events}
 	case r.leads && cfg.Sink == nil:
-		res, r.trail, err = p.pool.RunTrail(cfg, r.tr, r.pol)
-	case c.split:
+		res, r.trail, err = p.pool.RunTrail(cfg, r.Trace, r.Policy)
+	case r.split:
 		// The plan reads the jobs of a Result it stores or whose recorder
 		// may dump a deadline miss (settle).
-		totals := c.totals && !r.keyed && r.rec == nil
+		totals := r.totals && !r.keyed && r.rec == nil
 		var segments, cancelled int
-		if res, segments, cancelled, err = p.pool.RunSplit(cfg, r.tr, r.pol, p.Workers, totals); segments > 1 {
+		if res, segments, cancelled, err = p.pool.RunSplit(cfg, r.Trace, r.Policy, p.Workers, totals); segments > 1 {
 			pv = Provenance{How: Split, Segments: segments, Cancelled: cancelled}
 		}
-	case c.Keep && r.follow == nil:
+	case r.keep && r.follow == nil:
 		if res = r.into; res == nil {
 			res = new(engine.Result)
 		}
 		var e *engine.Engine
-		if e, err = p.pool.Get(cfg, r.tr, r.pol); err == nil {
+		if e, err = p.pool.Get(cfg, r.Trace, r.Policy); err == nil {
 			err = e.RunInto(res)
 			p.pool.Put(e)
 		}
 	default:
 		// A follower's Result is lent; a kept one is a copy of it.
-		err = p.pool.FoldTrail(cfg, r.tr, r.pol, r.follow, func(res *engine.Result, jobs int, events uint64) {
-			if c.Keep {
+		err = p.pool.FoldTrail(cfg, r.Trace, r.Policy, r.follow, func(res *engine.Result, jobs int, events uint64) {
+			if r.keep {
 				res = copyInto(&engine.Result{}, res)
 			}
 			if jobs > 0 {
@@ -496,8 +504,8 @@ func (r *pending) branch(sink obs.Sink) (res *engine.Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.edit != nil {
-		err = r.edit(f)
+	if r.Edit != nil {
+		err = r.Edit(f)
 	}
 	if err == nil {
 		res, err = f.Run()
@@ -511,11 +519,12 @@ func (r *pending) branch(sink obs.Sink) (res *engine.Result, err error) {
 
 // One is the one-cell plan behind a single replay whose caller reads the
 // per-job outcomes — `simmr -trace` with -v or -json, and `trace run`;
-// Totals serves the rest. cfg.Sink is the cell's sink (it does not fire
-// on a hit), the Result is the caller's, and live progress comes from
-// the run handle's engine hook rather than from cell completions. A replay with no sink of any kind — no cfg.Sink,
-// Runs or Telemetry — splits at quiescent instants over Workers cores
-// (0: all of them; DESIGN.md §7).
+// Totals serves the rest. cfg.Sink is the request's sink (it does not
+// fire on a hit), the Result is the caller's, and live progress comes
+// from the run handle's engine hook, which counts the replay's event
+// stream, rather than from cell completions. A replay with no sink of
+// any kind — no cfg.Sink, Runs or Telemetry — splits at quiescent
+// instants over Workers cores (0: all of them; DESIGN.md §7).
 func One(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sched.Policy) (res *engine.Result, hit bool, err error) {
 	return one(o, kind, cfg, tr, pol, false)
 }
@@ -533,14 +542,15 @@ func Totals(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol s
 }
 
 func one(o Options, kind runs.Kind, cfg engine.Config, tr *trace.Trace, pol sched.Policy, totals bool) (res *engine.Result, hit bool, err error) {
-	r := Run{Kind: kind, Policy: pol, Traces: []*trace.Trace{tr}, Replays: 1}
+	run := Run{Kind: kind, Policy: pol, Traces: []*trace.Trace{tr}, Replays: 1}
 	if o.Runs != nil {
-		r.Config = fmt.Sprintf("map_slots=%d reduce_slots=%d", cfg.MapSlots, cfg.ReduceSlots)
+		run.Config = fmt.Sprintf("map_slots=%d reduce_slots=%d", cfg.MapSlots, cfg.ReduceSlots)
 	}
-	p := Begin(o, r)
+	p := Begin(o, run)
 	p.single = p.run != nil
 	sink := cfg.Sink
-	hit, err = p.Replay(cfg, tr, pol, Cell{Label: string(kind), Keep: true, split: true, totals: totals, Sink: func() obs.Sink { return sink }},
-		func(r *engine.Result) { res = r })
+	r := pending{Request: Request{Cfg: cfg, Trace: tr, Policy: pol, Label: string(kind), Sink: func() obs.Sink { return sink }},
+		p: p, keep: true, split: true, totals: totals}
+	hit, err = r.replay(func(r *engine.Result) { res = r })
 	return res, hit, p.End(err)
 }

@@ -90,17 +90,17 @@ func execute(ctx context.Context, o Options, tr *trace.Trace, cells []cellSpec) 
 		if cells[i].reused {
 			// Answered by a replay of its own config, which a straight
 			// replay of the cell matches.
-			r := pending{p: p, cfg: cfg, tr: tr, pol: cells[i].policy}
+			r := pending{Request: Request{Cfg: cfg, Trace: tr, Policy: cells[i].policy}, p: p}
 			r.from = &r
 			r.settle(Provenance{How: Answered}, nil, nil)
 			out.results[i] = folded{Jobs: len(tr.Jobs)}
 			return nil
 		}
-		c := Cell{Label: "cell-" + strconv.Itoa(i), Sink: func() obs.Sink {
+		rq := Request{Cfg: cfg, Trace: tr, Policy: cells[i].policy, Label: "cell-" + strconv.Itoa(i), Sink: func() obs.Sink {
 			atomic.AddInt32(&out.sinkCalls[i], 1)
 			return &obs.RecordSink{}
 		}}
-		if _, err := p.Replay(cfg, tr, cells[i].policy, c, func(res *engine.Result) {
+		if _, err := p.Replay(rq, func(res *engine.Result) {
 			out.results[i] = folded{res.Makespan, res.Events, len(res.Jobs)}
 		}); err != nil {
 			return fmt.Errorf("cell %d: %w", i, err)
@@ -434,10 +434,9 @@ func branches(rq Request, n int, edit func(*engine.Engine) error, fold func(i in
 	rqs := make([]Request, n)
 	for i := range rqs {
 		rqs[i] = rq
-		rqs[i].Edit = edit
+		rqs[i].Edit, rqs[i].Label = edit, "b"+strconv.Itoa(i)
 	}
-	return Fanout{Requests: rqs, Keep: true, Fold: fold,
-		Cell: func(i int) Cell { return Cell{Label: "b" + strconv.Itoa(i)} }}
+	return Fanout{Requests: rqs, Keep: true, Fold: fold}
 }
 
 // TestPlanBranchCells covers the arm variation: branch requests fork

@@ -2,50 +2,55 @@ package runs
 
 import "simmr/internal/obs"
 
-// engineHook feeds a run from inside one engine: the engine's periodic
-// progress samples (obs.ProgressSampler, every 64 macro-steps) become
-// live intra-replay done/total and event counts, and RunEnd settles
-// the totals. One hook serves one engine at a time (the Sink
-// contract); pooled reuse across runs is fine because q.Fired()
-// restarts from zero at Reset, which RunEnd mirrors by clearing the
-// delta base.
+// engineHook feeds a run from inside one engine. It reads progress from
+// the event stream (the obs package's contract): each block's events of
+// the paper's seven kinds are engine events fired, its job departures
+// are jobs done, so a block becomes live intra-replay done/total and
+// event counts, and RunEnd settles the totals. One hook serves one
+// engine at a time (the Sink contract); pooled reuse across runs is
+// fine because RunEnd clears the counts.
 type engineHook struct {
 	h          *Handle
-	lastEvents uint64
+	jobs       int
+	events     uint64
+	departures int
 }
 
-// EngineHook returns an obs.Sink that streams one engine's progress
-// into the run — Tee it with whatever other sinks the caller attaches.
-// This is how a single long replay (no sweep-level ProgressFunc)
-// surfaces live percent-complete on /runs/{id}/stream. Returns nil for
-// a nil handle, which obs.Tee skips.
-func (h *Handle) EngineHook() obs.Sink {
+// EngineHook returns an obs.Sink that streams the progress of one
+// engine replaying a trace of jobs jobs into the run — Tee it with
+// whatever other sinks the caller attaches. This is how a single long
+// replay (no sweep-level ProgressFunc) surfaces live percent-complete on
+// /runs/{id}/stream. Returns nil for a nil handle, which obs.Tee skips.
+func (h *Handle) EngineHook(jobs int) obs.Sink {
 	if h == nil {
 		return nil
 	}
-	return &engineHook{h: h}
+	return &engineHook{h: h, jobs: jobs}
 }
 
-// Event and Events ignore the stream: the hook reads only the samples
-// and the counters. Events makes it an obs.BatchSink, so a block costs
-// it one call instead of one per event.
-func (e *engineHook) Event(obs.Event) {}
+func (e *engineHook) Event(ev obs.Event) { e.Events((&[1]obs.Event{ev})[:]) }
 
-func (e *engineHook) Events([]obs.Event) {}
-
-func (e *engineHook) SampleProgress(now float64, events uint64, jobsDone, jobsTotal int) {
-	if events > e.lastEvents {
-		e.h.AddEvents(events - e.lastEvents)
-		e.lastEvents = events
+// Events counts a block's fired events and departures and reports them.
+func (e *engineHook) Events(evs []obs.Event) {
+	var fired uint64
+	for i := range evs {
+		if k := evs[i].Kind; k < obs.KindMapSlotAlloc {
+			fired++
+			if k == obs.KindJobDeparture {
+				e.departures++
+			}
+		}
 	}
-	e.h.Progress(jobsDone, jobsTotal)
+	e.events += fired
+	e.h.AddEvents(fired)
+	e.h.Progress(e.departures, e.jobs)
 }
 
 func (e *engineHook) RunEnd(c obs.Counters) {
-	if c.Events > e.lastEvents {
-		e.h.AddEvents(c.Events - e.lastEvents)
+	if c.Events > e.events {
+		e.h.AddEvents(c.Events - e.events)
 	}
-	e.lastEvents = 0
+	e.events, e.departures = 0, 0
 	e.h.AddJobs(uint64(c.Jobs))
 	e.h.Progress(c.Jobs, c.Jobs)
 }

@@ -14,8 +14,9 @@
 // rate-bounded through the same CAS-elected ticker election that
 // bounds parallel.MapProgress.
 //
-// ROADMAP item 1 (`simmr serve`) mounts tenancy and admission on this
-// registry; this package is the substrate, not the policy.
+// A multi-tenant `simmr serve` (parked in ROADMAP.md) would mount
+// tenancy and admission on this registry; this package is the
+// substrate, not the policy.
 package runs
 
 import (

@@ -286,33 +286,61 @@ func TestEndedRunsDoNotPinFlightRings(t *testing.T) {
 	}
 }
 
+// hookBlock is a block of fired events of the paper's seven kinds, the
+// first departures of them job departures, each of the first internal
+// followed by an engine-internal event (slot, preempt, filler kinds).
+func hookBlock(fired, departures, internal int) []obs.Event {
+	others := []obs.Kind{obs.KindJobArrival, obs.KindMapTaskStart, obs.KindMapTaskFinish,
+		obs.KindReduceTaskStart, obs.KindReduceTaskFinish, obs.KindMapStageComplete}
+	var evs []obs.Event
+	for i := 0; i < fired; i++ {
+		k := others[i%len(others)]
+		if i < departures {
+			k = obs.KindJobDeparture
+		}
+		evs = append(evs, obs.Event{Kind: k})
+		if i < internal {
+			evs = append(evs, obs.Event{Kind: obs.KindMapSlotAlloc + obs.Kind(i)%(obs.KindCount-obs.KindMapSlotAlloc)})
+		}
+	}
+	return evs
+}
+
+// TestEngineHook: the hook reads progress from the blocks it is fed —
+// events of the paper's seven kinds are events fired, departures are jobs
+// done — and RunEnd settles the totals.
 func TestEngineHook(t *testing.T) {
 	r := New(4)
 	h := r.Begin(Meta{Kind: KindReplay})
-	sink := h.EngineHook()
+	sink := h.EngineHook(100)
 	// A block costs the hook one call: it takes blocks whole.
-	if _, ok := sink.(obs.BatchSink); !ok {
+	batch, ok := sink.(obs.BatchSink)
+	if !ok {
 		t.Fatal("the engine hook is not an obs.BatchSink")
 	}
-	ps := sink.(obs.ProgressSampler)
-	ps.SampleProgress(10, 1000, 20, 100)
+	batch.Events(hookBlock(1000, 20, 700))
 	s := h.Snapshot()
 	if s.Done != 20 || s.Total != 100 || s.Events != 1000 {
-		t.Fatalf("after sample: %+v", s)
+		t.Fatalf("after a block: %+v", s)
 	}
-	ps.SampleProgress(20, 1500, 40, 100)
-	if s = h.Snapshot(); s.Events != 1500 {
-		t.Fatalf("cumulative events = %d, want 1500", s.Events)
+	batch.Events(hookBlock(499, 19, 300))
+	sink.Event(obs.Event{Kind: obs.KindJobDeparture})
+	if s = h.Snapshot(); s.Events != 1500 || s.Done != 40 {
+		t.Fatalf("cumulative events = %d, done = %d, want 1500 and 40", s.Events, s.Done)
 	}
 	sink.RunEnd(obs.Counters{Events: 2000, Jobs: 100})
 	s = h.Snapshot()
 	if s.Events != 2000 || s.Jobs != 100 || s.Done != 100 {
 		t.Fatalf("after RunEnd: %+v", s)
 	}
-	// Pooled reuse: the next run's samples restart from zero.
-	ps.SampleProgress(5, 300, 10, 100)
+	// Pooled reuse: the next run's counts restart from zero.
+	batch.Events(hookBlock(300, 10, 50))
 	if s = h.Snapshot(); s.Events != 2300 {
 		t.Fatalf("second run events = %d, want 2300", s.Events)
+	}
+	sink.RunEnd(obs.Counters{Events: 300, Jobs: 100})
+	if s = h.Snapshot(); s.Events != 2300 || s.Jobs != 200 {
+		t.Fatalf("second RunEnd: events = %d, jobs = %d, want 2300 and 200", s.Events, s.Jobs)
 	}
 }
 

@@ -80,7 +80,10 @@ func ReplayBatchCfg(ctx context.Context, bcfg BatchConfig, specs []ReplaySpec) (
 		if policy == nil {
 			policy = sched.FIFO{}
 		}
-		reqs[i] = plan.Request{Cfg: cfg, Trace: spec.Trace, Policy: policy}
+		reqs[i] = plan.Request{Cfg: cfg, Trace: spec.Trace, Policy: policy, Label: specName(spec)}
+		if sink := spec.Config.Sink; sink != nil {
+			reqs[i].Sink = func() obs.Sink { return sink }
+		}
 	}
 	p := plan.Begin(
 		plan.Options{Workers: bcfg.Workers, Telemetry: bcfg.Telemetry, Runs: bcfg.Runs, Flight: bcfg.Flight, Cache: bcfg.Cache},
@@ -89,15 +92,7 @@ func ReplayBatchCfg(ctx context.Context, bcfg BatchConfig, specs []ReplaySpec) (
 	err := p.Fan(ctx, plan.Fanout{
 		Requests: reqs,
 		Keep:     true,
-		Cell: func(i int) plan.Cell {
-			spec := &specs[i]
-			c := plan.Cell{Label: specName(spec)}
-			if spec.Config.Sink != nil {
-				c.Sink = func() obs.Sink { return spec.Config.Sink }
-			}
-			return c
-		},
-		Fold: func(i int, res *engine.Result) { results[i] = res },
+		Fold:     func(i int, res *engine.Result) { results[i] = res },
 		Wrap: func(i int, err error) error {
 			return fmt.Errorf("simmr: replay batch spec %d (%s): %w", i, specName(&specs[i]), err)
 		},

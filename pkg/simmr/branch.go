@@ -122,13 +122,10 @@ func BranchSet(ctx context.Context, cfg BranchSetConfig, branches []WhatIf) ([]*
 	rqs := make([]plan.Request, len(branches))
 	for i := range rqs {
 		rqs[i] = rq
-		rqs[i].Edit = branches[i].apply
+		rqs[i].Edit, rqs[i].Label, rqs[i].Sink = branches[i].apply, branchName(&branches[i], i), branches[i].SinkFactory
 	}
 	results := make([]*ReplayResult, len(branches))
 	if err := p.End(p.Fan(ctx, plan.Fanout{Requests: rqs, Keep: true,
-		Cell: func(i int) plan.Cell {
-			return plan.Cell{Label: branchName(&branches[i], i), Sink: branches[i].SinkFactory}
-		},
 		Fold: func(i int, res *engine.Result) { results[i] = res },
 		Wrap: func(i int, err error) error {
 			return fmt.Errorf("simmr: branch %d (%s): %w", i, branchName(&branches[i], i), err)

@@ -17,12 +17,11 @@ import (
 )
 
 // streamRecord is everything a sink is told about one replay, in order:
-// event blocks, sampler calls and the run counters.
+// event blocks, depth samples and the run counters.
 type streamRecord struct {
-	Stream   []obs.Event
-	Depth    [][2]float64
-	Progress [][4]float64
-	Ends     []obs.Counters
+	Stream []obs.Event
+	Depth  [][2]float64
+	Ends   []obs.Counters
 }
 
 func (r *streamRecord) Event(ev obs.Event)     { r.Stream = append(r.Stream, ev) }
@@ -30,9 +29,6 @@ func (r *streamRecord) Events(evs []obs.Event) { r.Stream = append(r.Stream, evs
 func (r *streamRecord) RunEnd(c obs.Counters)  { r.Ends = append(r.Ends, c) }
 func (r *streamRecord) SampleDepth(t float64, d int) {
 	r.Depth = append(r.Depth, [2]float64{t, float64(d)})
-}
-func (r *streamRecord) SampleProgress(t float64, events uint64, done, total int) {
-	r.Progress = append(r.Progress, [4]float64{t, float64(events), float64(done), float64(total)})
 }
 
 // groupTraces are a sparse stream, whose cluster often empties, a dense
@@ -235,9 +231,9 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 									t.Fatalf("spec %d (%d+%d slots): Result differs from its own replay", i, cfgs[i].MapSlots, cfgs[i].ReduceSlots)
 								}
 								if s, w := streams[i], wantStream[i]; s != nil && !reflect.DeepEqual(s, w) {
-									t.Fatalf("spec %d (%d+%d slots): stream of %d events, %d+%d samples, %d ends; its own replay's %d, %d+%d, %d",
+									t.Fatalf("spec %d (%d+%d slots): stream of %d events, %d samples, %d ends; its own replay's %d, %d, %d",
 										i, cfgs[i].MapSlots, cfgs[i].ReduceSlots,
-										len(s.Stream), len(s.Depth), len(s.Progress), len(s.Ends), len(w.Stream), len(w.Depth), len(w.Progress), len(w.Ends))
+										len(s.Stream), len(s.Depth), len(s.Ends), len(w.Stream), len(w.Depth), len(w.Ends))
 								}
 							}
 							if st := bcfg.Cache.Stats(); st.Hits != 0 || cached && st.Misses != uint64(len(specs)) {

@@ -184,28 +184,24 @@ func CapacitySweepCtx(ctx context.Context, tr *Trace, cfg SweepConfig) ([]SweepP
 			Config: fmt.Sprintf("grid=%dx%d shards=%d", len(cfg.MapSlotCounts), rows, max(cfg.Shards, 1))})
 	points := make([]SweepPoint, len(sel))
 	reqs := make([]plan.Request, len(sel))
+	sinks := cfg.SinkFactory
 	for i, cell := range sel {
 		c := cells[cell]
-		reqs[i] = plan.Request{Cfg: engine.Config{MapSlots: c.m, ReduceSlots: c.r, MinMapPercentCompleted: slowstart}, Trace: tr}
+		rq := &reqs[i]
+		*rq = plan.Request{Cfg: engine.Config{MapSlots: c.m, ReduceSlots: c.r, MinMapPercentCompleted: slowstart}, Trace: tr}
+		if sinks != nil {
+			rq.Sink = func() obs.Sink { return sinks(c.m, c.r) }
+		}
+		if p.Recording() {
+			rq.Label = fmt.Sprintf("cell-%dx%d", c.m, c.r)
+		}
 	}
-	sinks := cfg.SinkFactory
 	// Each cell keeps seven numbers of its replay, so it folds the outcome
 	// while the plan's pooled engine still owns it.
 	err := p.Fan(ctx, plan.Fanout{
 		Requests:  reqs,
 		NewPolicy: newPolicy,
-		Cell: func(i int) plan.Cell {
-			var pc plan.Cell
-			c := cells[sel[i]]
-			if sinks != nil {
-				pc.Sink = func() obs.Sink { return sinks(c.m, c.r) }
-			}
-			if p.Recording() {
-				pc.Label = fmt.Sprintf("cell-%dx%d", c.m, c.r)
-			}
-			return pc
-		},
-		Fold: func(i int, res *engine.Result) { points[i] = sweepPoint(sel[i], cells[sel[i]], res) },
+		Fold:      func(i int, res *engine.Result) { points[i] = sweepPoint(sel[i], cells[sel[i]], res) },
 		Took: func(i, from int) {
 			c := cells[sel[i]]
 			points[i] = points[from]

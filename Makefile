@@ -45,6 +45,11 @@ ONE_PATH = ReplayDone\(|\.Observed\(|rcache\.KeyFor\(|AttachFlight\(|\.EngineHoo
 # des.Record): des.EventQueue is a deprecated wrapper of it that only the
 # benchmark's probe still uses, and there is no des.Event.
 POINTER_QUEUE = des\.(EventQueue|Event)\b
+# one-input keeps the event stream a sink's only input: no non-test code
+# implements or calls a sampler. obs.DepthSampler stays declared (its
+# comment, type line and method line in internal/obs/obs.go) for the
+# benchmark harness alone, which names it (ROADMAP item 1e).
+SAMPLER = SampleDepth|DepthSampler
 # a grant starts its task: the engine has no task-arrival event type to
 # queue, so nothing can pause, snapshot or fork between a slot grant and
 # the start of its task.
@@ -63,6 +68,9 @@ verify:
 		test -z "$$second" || { echo "run-plan calls outside internal/plan:"; echo "$$second"; exit 1; }
 	@pointer="$$(grep -rnE '$(POINTER_QUEUE)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal)"; \
 		test -z "$$pointer" || { echo "non-test code names the pointer queue:"; echo "$$pointer"; exit 1; }
+	@sampler="$$(grep -rnE '$(SAMPLER)' --include='*.go' --exclude='*_test.go' cmd pkg examples internal \
+		| grep -vE '^internal/obs/obs\.go:[0-9]+:(//.*|type DepthSampler interface \{|[[:space:]]+SampleDepth\(now float64, depth int\))$$')"; \
+		test -z "$$sampler" || { echo "non-test code implements or calls a sampler:"; echo "$$sampler"; exit 1; }
 	@queued="$$(grep -rnE '$(QUEUED_ARRIVAL)' --include='*.go' --exclude='*_test.go' internal/engine)"; \
 		test -z "$$queued" || { echo "internal/engine names a task-arrival event type:"; echo "$$queued"; exit 1; }
 	@settle="$$(grep -rnE '$(ONE_SETTLE)' --include='*.go' cmd pkg examples internal | grep -vE '^internal/(runs/|plan/plan\.go:)')"; \

@@ -69,11 +69,8 @@ func run() error {
 	}
 	var cache *rcache.Cache
 	if *cacheDir != "" || *cacheMem > 0 {
-		opts := rcache.Options{Dir: *cacheDir, MemBytes: int64(*cacheMem) << 20}
-		if tel != nil {
-			opts.Obs = tel
-		}
-		cache = rcache.New(opts)
+		cache = rcache.New(rcache.Options{Dir: *cacheDir, MemBytes: int64(*cacheMem) << 20})
+		tel.BindCache(cache)
 	}
 	selected := map[string]bool{}
 	if *only != "" {

@@ -67,29 +67,24 @@ import (
 func main() {
 	// Subcommands come before the flag-only interface; everything else
 	// falls through to the classic replay path.
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		if err := runTraceCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "simmr:", err)
-			os.Exit(1)
-		}
-		return
+	sub := ""
+	if len(os.Args) > 1 {
+		sub = os.Args[1]
 	}
-	if len(os.Args) > 1 && os.Args[1] == "cache" {
-		if err := runCacheCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "simmr:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch sub {
+	case "trace":
+		err = runTraceCmd(os.Args[2:])
+	case "cache":
+		err = runCacheCmd(os.Args[2:])
+	case "ops":
+		err = runOpsCmd(os.Args[2:])
+	default:
+		err = run()
 	}
-	if len(os.Args) > 1 && os.Args[1] == "ops" {
-		if err := runOpsCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "simmr:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "simmr:", err)
+	if err != nil {
+		// pkg/simmr's errors carry the prefix already: print it once.
+		fmt.Fprintln(os.Stderr, "simmr:", strings.TrimPrefix(err.Error(), "simmr: "))
 		os.Exit(1)
 	}
 }
@@ -283,8 +278,8 @@ func runSweep(tr *simmr.Trace, spec, shard string, policy simmr.Policy, slowstar
 		if scfg.ShardIndex, err = strconv.Atoi(i); err == nil {
 			scfg.Shards, err = strconv.Atoi(n)
 		}
-		if err != nil || scfg.Shards == 0 {
-			return fmt.Errorf("bad -shard %q (want I/N)", shard)
+		if err != nil || scfg.ShardIndex < 0 || scfg.ShardIndex >= scfg.Shards {
+			return fmt.Errorf("bad -shard %q (want I/N, 0 <= I < N)", shard)
 		}
 	}
 	stopRun := tel.Span("run")

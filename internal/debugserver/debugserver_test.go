@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -271,5 +272,56 @@ func testStreamAndScrapeConcurrently(t *testing.T, addr string) {
 	case <-doneAll:
 	case <-time.After(10 * time.Second):
 		t.Fatal("concurrent stream/scrape test hung")
+	}
+}
+
+// Every family /metrics emits — the SimMR set, the run registry's and
+// build info — has a row in DESIGN.md §10's "Signals and who reads
+// them" table, and every row names an emitted family: a series added or
+// dropped without its reader row fails here.
+func TestSignalTableMatchesExposition(t *testing.T) {
+	tel := telemetry.NewSimMetrics()
+	tel.StampBuildInfo("test")
+	registerRunMetrics(tel.Registry())
+	var sb strings.Builder
+	if err := tel.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	emitted := map[string]bool{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			emitted[strings.Fields(typ)[0]] = true
+		}
+	}
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(design), "| Series (`simmr_…`) | Fed by | Read by |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no signal table")
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		// The first cell names the families in backticks, labels in braces.
+		series := strings.Split(strings.Split(line, "|")[1], "`")
+		for i := 1; i < len(series); i += 2 {
+			name, _, _ := strings.Cut(series[i], "{")
+			rows["simmr_"+name] = true
+		}
+	}
+	for name := range emitted {
+		if !rows[name] {
+			t.Errorf("/metrics emits %s, which has no row in DESIGN.md's signal table", name)
+		}
+	}
+	for name := range rows {
+		if !emitted[name] {
+			t.Errorf("DESIGN.md's signal table has a row for %s, which /metrics does not emit", name)
+		}
 	}
 }

@@ -70,8 +70,8 @@ func assertHolds(t *testing.T, when string, got, ref []obs.Event, want int, now 
 	}
 }
 
-// With no sampler attached the block is handed over exactly when it is
-// full and once more at the end: the sink lags by whole blocks only.
+// The block is handed over exactly when it is full and once more at the
+// end: the sink lags by whole blocks only.
 func TestBlocksAreFullUntilTheLast(t *testing.T) {
 	tr := deliveryTrace(t)
 	ref := referenceStream(t, DefaultConfig(), tr, sched.FIFO{})
@@ -95,69 +95,28 @@ func TestBlocksAreFullUntilTheLast(t *testing.T) {
 	}
 }
 
-// samplingProbe is a block recorder that also samples depth: at every
-// call it notes what it held and how many events its engine had fired.
-type samplingProbe struct {
-	blockRecorder
-	e       *Engine
-	samples []probeSample
-}
-
-type probeSample struct {
-	now   float64
-	fired uint64
-	held  int
-}
-
-func (p *samplingProbe) SampleDepth(now float64, _ int) {
-	p.samples = append(p.samples, probeSample{now, p.e.q.Fired(), len(p.events)})
-}
-
-// Every event handled before a SampleDepth call has been delivered when
-// the call is made — to a block-taking sink and, through the per-event
-// loop, to a plain one teed beside it — and RunEnd comes last.
-func TestFlushBeforeSamplersAndRunEnd(t *testing.T) {
+// A block-taking sink and a plain one teed beside it both hold the whole
+// stream, the block-taking one in full blocks but the last, and RunEnd
+// comes to each after its last event.
+func TestFlushBeforeRunEnd(t *testing.T) {
 	tr := deliveryTrace(t)
 	ref := referenceStream(t, DefaultConfig(), tr, sched.MaxEDF{})
-	probe, plain := &samplingProbe{}, &obs.RecordSink{}
+	rec, plain := &blockRecorder{}, &obs.RecordSink{}
 	cfg := DefaultConfig()
-	cfg.Sink = obs.Tee(plain, probe)
-	e, err := New(cfg, tr, sched.MaxEDF{})
+	cfg.Sink = obs.Tee(plain, rec)
+	res, err := Run(cfg, tr, sched.MaxEDF{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe.e = e
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probe.samples) < 10 {
-		t.Fatalf("only %d samples: the run is too short to test the tick", len(probe.samples))
-	}
-	for i, s := range probe.samples {
-		want := heldAfter(ref, s.fired)
-		if s.held != want {
-			t.Fatalf("sample %d (t=%v, %d events fired): held %d at SampleDepth, want %d", i, s.now, s.fired, s.held, want)
-		}
-		if want > 0 && ref[want-1].Time > s.now {
-			t.Fatalf("sample %d at t=%v holds an event from t=%v", i, s.now, ref[want-1].Time)
+	for i, n := range rec.blocks[:len(rec.blocks)-1] {
+		if n != blockEvents {
+			t.Fatalf("block %d of %d has %d events, want %d", i, len(rec.blocks), n, blockEvents)
 		}
 	}
-	// The tick, not only a full block, made deliveries: some blocks are
-	// short of capacity before the last.
-	short := 0
-	for _, n := range probe.blocks[:len(probe.blocks)-1] {
-		if n < blockEvents {
-			short++
-		}
-	}
-	if short == 0 {
-		t.Fatal("every block was full: the sampling tick never flushed")
-	}
-	assertHolds(t, "probe after Run", probe.events, ref, len(ref), res.Makespan)
+	assertHolds(t, "block sink after Run", rec.events, ref, len(ref), res.Makespan)
 	assertHolds(t, "plain sink after Run", plain.Events, ref, len(ref), res.Makespan)
-	if !probe.ended || !plain.Ended || probe.late != 0 || probe.counters.Events != res.Events {
-		t.Fatalf("RunEnd: probe %v (late %d, %+v), plain %v", probe.ended, probe.late, probe.counters, plain.Ended)
+	if !rec.ended || !plain.Ended || rec.late != 0 || rec.counters.Events != res.Events {
+		t.Fatalf("RunEnd: block sink %v (late %d, %+v), plain %v", rec.ended, rec.late, rec.counters, plain.Ended)
 	}
 }
 
@@ -350,7 +309,7 @@ func TestBlockOutlivesRunsItsContentsDoNot(t *testing.T) {
 
 	var pool Pool
 	pool.Put(e)
-	if e.sink != nil || e.cfg.Sink != nil || e.depth != nil {
+	if e.sink != nil || e.cfg.Sink != nil || e.feed != (obs.Feed{}) {
 		t.Fatal("a pooled engine still references its sink")
 	}
 	if cap(e.block) != blockEvents || &e.block[:1][0] != block {

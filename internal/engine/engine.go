@@ -385,11 +385,6 @@ type Engine struct {
 	sink  obs.Sink
 	feed  obs.Feed
 	block []obs.Event
-	// depth is cfg.Sink's DepthSampler side, resolved by setSink so
-	// step() pays a cached-field nil check instead of a per-step type
-	// assertion; depthTick counts macro-steps between samples.
-	depth     obs.DepthSampler
-	depthTick uint32
 	// Run-level observability counters, maintained unconditionally
 	// (plain increments on cold paths) and delivered via sink.RunEnd.
 	preemptions      uint64
@@ -579,8 +574,6 @@ func (e *Engine) setSink(s obs.Sink) {
 	e.cfg.Sink = s
 	e.sink = s
 	e.feed = obs.FeedOf(s)
-	e.depth, _ = s.(obs.DepthSampler)
-	e.depthTick = 0
 	if s != nil && e.block == nil {
 		e.block = make([]obs.Event, 0, blockEvents)
 	}
@@ -786,22 +779,8 @@ func (e *Engine) step() error {
 		}
 	}
 	e.allocate()
-	if e.depth != nil {
-		if e.depthTick++; e.depthTick >= depthSampleEvery {
-			e.depthTick = 0
-			// A sample describes the engine now; the sinks must have
-			// seen everything that led here first.
-			e.flush()
-			e.depth.SampleDepth(e.clock.Now(), e.q.Len())
-		}
-	}
 	return nil
 }
-
-// depthSampleEvery is the macro-step period of queue-depth sampling
-// for sinks implementing obs.DepthSampler — frequent enough to resolve
-// queue pressure over a run, rare enough to stay off the hot path.
-const depthSampleEvery = 64
 
 // Run replays the trace to completion and assembles the Result. Each
 // New or Reset arms exactly one full replay; running twice without a
@@ -916,10 +895,10 @@ func (e *Engine) emit(kind obs.Kind, jobID, task int, end, shuffleEnd float64) {
 }
 
 // flush hands the filled part of the block to the sink and empties it.
-// It is called when the block is full, before every sampler call, and
-// on every exit of the step loop (stepUntil) — nowhere else; between
-// those points a sink trails the engine by less than one block. With
-// nothing buffered (and so with no sink) it does nothing.
+// It is called when the block is full and on every exit of the step
+// loop (stepUntil) — nowhere else; between those points a sink trails
+// the engine by less than one block. With nothing buffered (and so with
+// no sink) it does nothing.
 func (e *Engine) flush() {
 	if len(e.block) == 0 {
 		return

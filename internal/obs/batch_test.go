@@ -64,13 +64,12 @@ func TestFeedDeliversBlocksOrLoops(t *testing.T) {
 }
 
 // Tee(Tee(a, b), c) is one fan-out over a, b, c: argument order kept,
-// nil members gone at every level, samplers found behind the nesting.
+// nil members gone at every level.
 func TestTeeFlattens(t *testing.T) {
-	a, c, e := &RecordSink{}, &RecordSink{}, &RecordSink{}
-	b, d := &depthRecSink{}, &depthRecSink{}
+	a, b, c, d, e := &RecordSink{}, &RecordSink{}, &RecordSink{}, &RecordSink{}, &RecordSink{}
 	var order []Sink
 	nested := Tee(Tee(nil, a, b), nil, Tee(c), Tee(Tee(d, nil), e))
-	for _, f := range nested.(interface{ members() []Feed }).members() {
+	for _, f := range nested.(teeSink).feeds {
 		order = append(order, f.sink)
 	}
 	if want := []Sink{a, b, c, d, e}; !reflect.DeepEqual(order, want) {
@@ -80,17 +79,10 @@ func TestTeeFlattens(t *testing.T) {
 	nested.Event(Event{Time: 1, Kind: KindJobArrival, Task: -1})
 	nested.(BatchSink).Events(flightEvents(10))
 	nested.RunEnd(Counters{Events: 11})
-	for i, r := range []*RecordSink{a, &b.RecordSink, c, &d.RecordSink, e} {
+	for i, r := range []*RecordSink{a, b, c, d, e} {
 		if len(r.Events) != 11 || !r.Ended || r.Counters.Events != 11 {
 			t.Fatalf("member %d: %d events, ended %v", i, len(r.Events), r.Ended)
 		}
-	}
-	nested.(DepthSampler).SampleDepth(2, 7)
-	if len(b.depths) != 1 || len(d.depths) != 1 {
-		t.Fatalf("samplers behind the nesting got %d and %d depth samples", len(b.depths), len(d.depths))
-	}
-	if _, ok := Tee(Tee(a, c), e).(DepthSampler); ok {
-		t.Fatal("flattening sampler-blind tees made a DepthSampler")
 	}
 	if Tee(nil, Tee(nil, a)) != Sink(a) || Tee(Tee(), nil) != nil {
 		t.Fatal("a tee of one is that sink, a tee of none is nil")

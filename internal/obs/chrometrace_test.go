@@ -7,51 +7,6 @@ import (
 	"testing"
 )
 
-// depthRecSink is a RecordSink that also samples queue depth.
-type depthRecSink struct {
-	RecordSink
-	times  []float64
-	depths []int
-}
-
-func (d *depthRecSink) SampleDepth(now float64, depth int) {
-	d.times = append(d.times, now)
-	d.depths = append(d.depths, depth)
-}
-
-// A tee containing a depth-aware member must forward SampleDepth to
-// exactly the depth-aware members; a tee of depth-blind sinks must not
-// satisfy DepthSampler at all (the engine would pay sampling for
-// nothing).
-func TestTeeDepthSampling(t *testing.T) {
-	plain := &RecordSink{}
-	d1, d2 := &depthRecSink{}, &depthRecSink{}
-	sink := Tee(plain, d1, nil, d2)
-
-	ds, ok := sink.(DepthSampler)
-	if !ok {
-		t.Fatal("tee with depth-aware members does not implement DepthSampler")
-	}
-	ds.SampleDepth(5, 3)
-	ds.SampleDepth(9, 1)
-	for name, d := range map[string]*depthRecSink{"d1": d1, "d2": d2} {
-		if len(d.times) != 2 || d.times[0] != 5 || d.depths[0] != 3 || d.times[1] != 9 || d.depths[1] != 1 {
-			t.Fatalf("%s: samples not forwarded: times=%v depths=%v", name, d.times, d.depths)
-		}
-	}
-
-	// Events still reach every member through the depth-aware tee.
-	ev := Event{Time: 1, Kind: KindJobArrival, JobID: 0, Task: -1}
-	sink.Event(ev)
-	if len(plain.Events) != 1 || len(d1.Events) != 1 {
-		t.Fatal("depth-aware tee dropped events")
-	}
-
-	if _, ok := Tee(&RecordSink{}, &RecordSink{}).(DepthSampler); ok {
-		t.Fatal("depth-blind tee vacuously implements DepthSampler")
-	}
-}
-
 // SetOverlay adds a fourth pseudo-process track; without an overlay the
 // export must not mention it at all.
 func TestChromeTraceOverlay(t *testing.T) {

@@ -155,11 +155,9 @@ func (f *FlightRecorder) capture(trigger string) *FlightDump {
 	for i := range evs {
 		evs[i] = f.ring[(start+uint64(i))&f.mask]
 	}
-	perJob := make(map[int]int)
 	var now float64
-	for _, ev := range evs {
-		perJob[ev.JobID]++
-		now = ev.Time
+	if keep > 0 {
+		now = evs[keep-1].Time
 	}
 	return &FlightDump{
 		Label:    f.label,
@@ -167,7 +165,6 @@ func (f *FlightRecorder) capture(trigger string) *FlightDump {
 		Time:     now,
 		Dropped:  f.written - keep,
 		Events:   evs,
-		PerJob:   perJob,
 		Counters: f.counters,
 		Ended:    f.ended,
 	}
@@ -193,8 +190,6 @@ type FlightDump struct {
 	Dropped uint64
 	// Events is the retained window, oldest first.
 	Events []Event
-	// PerJob counts retained events per job ID.
-	PerJob map[int]int
 	// Counters/Ended carry the last RunEnd delivery, when one happened
 	// before the dump.
 	Counters Counters
@@ -220,7 +215,6 @@ type flightFile struct {
 	Dropped  uint64        `json:"dropped"`
 	Ended    bool          `json:"ended"`
 	Counters Counters      `json:"counters"`
-	PerJob   map[int]int   `json:"events_per_job,omitempty"`
 	Events   []flightEvent `json:"events"`
 }
 
@@ -239,7 +233,6 @@ func (d *FlightDump) WriteJSON(w io.Writer) error {
 	out := flightFile{
 		Label: d.Label, Trigger: d.Trigger, Time: d.Time,
 		Dropped: d.Dropped, Ended: d.Ended, Counters: d.Counters,
-		PerJob: d.PerJob,
 		Events: make([]flightEvent, len(d.Events)),
 	}
 	for i, ev := range d.Events {

@@ -10,15 +10,14 @@
 //     TestReplayAllocBudget holds the allocations, bare and observed.
 //   - Exact order, delivered in blocks. The engine appends each event to
 //     a block of its own (512 events) and hands the sink the filled part
-//     when it is full, before every SampleDepth call, and on every way
-//     out of Run and RunEvents — finished (before RunEnd), paused or
-//     failed. The delivered sequence is the engine's handled order,
-//     every event exactly once — a replayed audit log of the simulation,
-//     in the spirit of the paper's per-job timeline validation (Figures
-//     1–2). Whenever the engine is not inside Run/RunEvents, and
-//     whenever SampleDepth or RunEnd is called, the sink has seen
-//     everything handled so far; in between it trails by less than one
-//     block.
+//     when it is full and on every way out of Run and RunEvents —
+//     finished (before RunEnd), paused or failed. The delivered sequence
+//     is the engine's handled order, every event exactly once — a
+//     replayed audit log of the simulation, in the spirit of the paper's
+//     per-job timeline validation (Figures 1–2). Whenever the engine is
+//     not inside Run/RunEvents, and whenever RunEnd is called, the sink
+//     has seen everything handled so far; in between it trails by less
+//     than one block.
 //   - The stream is the one record of progress. Its events of the
 //     paper's seven kinds (Kind < KindMapSlotAlloc) are exactly the
 //     events the engine fired: over a replay they number Result.Events
@@ -28,11 +27,12 @@
 //     counts them; the engine has no other progress channel.
 //     TestStreamCountsFiredEvents holds this; a change to what the
 //     engine emits keeps it or bumps engine.SemanticsVersion.
-//   - Sink is the whole obligation. A sink with only Event and RunEnd
-//     receives each block as a loop of Event calls. One that also
-//     implements BatchSink receives it in one Events call: the slice is
-//     in handled order, contiguous with the previous delivery, and valid
-//     only during the call.
+//   - Sink is the whole obligation, and the stream a sink's only input:
+//     the engine calls nothing on a sink but Event, Events and RunEnd.
+//     A sink with only Event and RunEnd receives each block as a loop of
+//     Event calls. One that also implements BatchSink receives it in one
+//     Events call: the slice is in handled order, contiguous with the
+//     previous delivery, and valid only during the call.
 //   - One sink per engine. Sinks are not required to be safe for
 //     concurrent use; under parallel fan-out (ReplayBatchCfg,
 //     CapacitySweep) every engine must own its own sink instance,
@@ -176,14 +176,11 @@ func (r *RecordSink) Event(ev Event) { r.Events = append(r.Events, ev) }
 // RunEnd stores the run counters.
 func (r *RecordSink) RunEnd(c Counters) { r.Counters, r.Ended = c, true }
 
-// DepthSampler is an optional Sink extension: the engine periodically
-// (every few hundred handled events) reports the pending-event-queue
-// depth to sinks that implement it, so queue pressure over time is
-// observable as a distribution, not just the final high-water mark.
-// Like Event, SampleDepth is called from the engine's single goroutine.
+// DepthSampler is kept only because the frozen benchmark harness
+// (benchmark/wrap.go) names it. Nothing else implements it and nothing
+// calls it: the engine has no queue-depth channel. It goes with
+// ROADMAP item 1e, as the des package's EventQueue shim does.
 type DepthSampler interface {
-	// SampleDepth reports the event queue's pending population at
-	// simulated time now.
 	SampleDepth(now float64, depth int)
 }
 
@@ -201,8 +198,8 @@ type BatchSink interface {
 }
 
 // Feed is a Sink with its block-taking side resolved once — by the
-// engine when it is armed, by Tee when it is built — the way the
-// samplers are. The zero Feed has no sink and must not be fed.
+// engine when it is armed, by Tee when it is built. The zero Feed has
+// no sink and must not be fed.
 type Feed struct {
 	sink  Sink
 	batch BatchSink // sink's BatchSink side, nil when it has none
@@ -231,10 +228,6 @@ func (f Feed) Events(evs []Event) {
 // teeSink fans one engine's stream out to several sinks in order.
 type teeSink struct{ feeds []Feed }
 
-// members exposes the fan-out list so Tee can flatten a tee it is
-// handed; the depth-sampling variant inherits it by embedding.
-func (t teeSink) members() []Feed { return t.feeds }
-
 func (t teeSink) Event(ev Event) {
 	for _, f := range t.feeds {
 		f.sink.Event(ev)
@@ -256,34 +249,19 @@ func (t teeSink) RunEnd(c Counters) {
 	}
 }
 
-// depthTeeSink is the tee variant returned when at least one member
-// samples queue depth; kept separate so a depth-blind tee doesn't
-// satisfy DepthSampler vacuously.
-type depthTeeSink struct {
-	teeSink
-	samplers []DepthSampler
-}
-
-func (t depthTeeSink) SampleDepth(now float64, depth int) {
-	for _, s := range t.samplers {
-		s.SampleDepth(now, depth)
-	}
-}
-
 // Tee combines sinks into one that forwards every event, block and
 // RunEnd to each, in argument order. Nil sinks are skipped; Tee()
 // returns nil. A member that is itself a Tee is replaced by its own
 // members, in place, so composing in steps — Tee(Tee(a, b), c) — costs
-// one fan-out over a, b, c, not a nested dispatch. If any member
-// implements DepthSampler, so does the combined sink; samplers and
-// BatchSink sides are resolved once here, not per call.
+// one fan-out over a, b, c, not a nested dispatch. BatchSink sides are
+// resolved once here, not per call.
 func Tee(sinks ...Sink) Sink {
 	live := make([]Feed, 0, len(sinks))
 	for _, s := range sinks {
 		switch t := s.(type) {
 		case nil:
-		case interface{ members() []Feed }:
-			live = append(live, t.members()...)
+		case teeSink:
+			live = append(live, t.feeds...)
 		default:
 			live = append(live, FeedOf(s))
 		}
@@ -294,15 +272,5 @@ func Tee(sinks ...Sink) Sink {
 	case 1:
 		return live[0].sink
 	}
-	var samplers []DepthSampler
-	for _, f := range live {
-		if ds, ok := f.sink.(DepthSampler); ok {
-			samplers = append(samplers, ds)
-		}
-	}
-	tee := teeSink{feeds: live}
-	if len(samplers) > 0 {
-		return depthTeeSink{tee, samplers}
-	}
-	return tee
+	return teeSink{feeds: live}
 }

@@ -227,9 +227,10 @@ type pending struct {
 	sink  obs.Sink
 	rec   *obs.FlightRecorder
 	start time.Time
-	// seen is what gates passed on to the request's own sink before they
-	// cut the replays it rode: its own run mutes that much (Fan).
-	seen passed
+	// seen counts the events gates passed on to the request's own sink
+	// before they cut the replays it rode: its own run mutes that many
+	// (Fan).
+	seen uint64
 	// into, when set, is where a kept replay puts its Result (Fan).
 	into *engine.Result
 }
@@ -271,7 +272,7 @@ func (r *pending) own() obs.Sink {
 		r.sink = r.Sink()
 	}
 	r.built = true
-	if r.sink == nil || r.seen == (passed{}) {
+	if r.sink == nil || r.seen == 0 {
 		return r.sink
 	}
 	return newMute(r.sink, r.seen)
@@ -366,7 +367,7 @@ func (r *pending) settle(pv Provenance, res *engine.Result, fold func(*engine.Re
 			p.run.AddFlightDump(r.rec.Dump("deadline-miss"))
 		}
 		if tel := p.Telemetry; tel != nil {
-			tel.ReplayDone(time.Since(r.start), events)
+			tel.ReplayDone(time.Since(r.start))
 		}
 		if !p.single {
 			p.run.AddEvents(events)

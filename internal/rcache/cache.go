@@ -41,16 +41,6 @@ func isTempName(name string) bool {
 		strings.Trim(key, "0123456789abcdef") == "" && strings.Trim(digits, "0123456789") == ""
 }
 
-// Observer receives cache events for telemetry. All methods must be
-// safe for concurrent use; telemetry.SimMetrics implements it with
-// nil-receiver-safe methods.
-type Observer interface {
-	RCacheHit(disk bool)
-	RCacheMiss()
-	RCacheEvictions(n uint64)
-	RCacheBytes(n int64)
-}
-
 // Options configures New.
 type Options struct {
 	// Dir enables the on-disk tier: one file per entry, written
@@ -61,8 +51,6 @@ type Options struct {
 	// the tier holds the entries read back from disk (and any whose disk
 	// write failed); without Dir it holds every Put.
 	MemBytes int64
-	// Obs, when non-nil, receives hit/miss/eviction/bytes events.
-	Obs Observer
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.
@@ -81,7 +69,6 @@ type Stats struct {
 type Cache struct {
 	dir    string
 	budget int64
-	obs    Observer
 
 	// The memory tier: one LRU under one lock, holding at most budget
 	// bytes. The lock covers map and list surgery only — a hit's copy,
@@ -163,7 +150,7 @@ func (r *resident) cost() int64 {
 // memory-only rather than erroring — the cache is an accelerator, not
 // a dependency.
 func New(opts Options) *Cache {
-	c := &Cache{dir: opts.Dir, obs: opts.Obs, budget: opts.MemBytes, m: make(map[Key]*list.Element)}
+	c := &Cache{dir: opts.Dir, budget: opts.MemBytes, m: make(map[Key]*list.Element)}
 	if c.budget <= 0 {
 		c.budget = DefaultMemBytes
 	}
@@ -210,15 +197,9 @@ func (c *Cache) Get(k Key) (*engine.Result, bool) {
 	}
 	if res == nil {
 		c.misses.Add(1)
-		if c.obs != nil {
-			c.obs.RCacheMiss()
-		}
 		return nil, false
 	}
 	c.hits.Add(1)
-	if c.obs != nil {
-		c.obs.RCacheHit(!mem)
-	}
 	return res, true
 }
 
@@ -249,7 +230,6 @@ func (c *Cache) insert(k Key, res *engine.Result) {
 	if err != nil || r.cost() > c.budget {
 		return
 	}
-	var evicted uint64
 	c.mu.Lock()
 	e, ok := c.m[k]
 	if ok {
@@ -265,20 +245,10 @@ func (c *Cache) insert(k Key, res *engine.Result) {
 	// the tier over budget just as a fresh insert can. The just-touched
 	// entry is at the front and excluded, so the loop always terminates.
 	for c.bytes > c.budget && c.lru.Back() != e {
-		evicted++
+		c.evictions.Add(1)
 		c.drop(c.lru.Back())
 	}
-	resident := c.bytes
 	c.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-		if c.obs != nil {
-			c.obs.RCacheEvictions(evicted)
-		}
-	}
-	if c.obs != nil {
-		c.obs.RCacheBytes(resident)
-	}
 }
 
 // drop takes e out of the memory tier. The caller holds c.mu.
@@ -343,9 +313,6 @@ func (c *Cache) Clear() error {
 	c.lru.Init()
 	c.bytes = 0
 	c.mu.Unlock()
-	if c.obs != nil {
-		c.obs.RCacheBytes(0)
-	}
 	if c.dir == "" {
 		return nil
 	}

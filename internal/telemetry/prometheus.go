@@ -32,15 +32,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, c := range f.children {
 			switch f.kind {
 			case counterKind:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, braced(c.labels), c.ctr.Value())
+				fmt.Fprintf(bw, "%s%s %d\n", f.name, braced(c.labels), c.count())
 			case gaugeKind:
-				v := 0.0
-				if c.fn != nil {
-					v = c.fn()
-				} else {
-					v = c.mg.Value()
-				}
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, braced(c.labels), fmtFloat(v))
+				fmt.Fprintf(bw, "%s%s %s\n", f.name, braced(c.labels), fmtFloat(c.fn()))
 			case histogramKind:
 				writeHistogram(bw, f.name, c.labels, c.h)
 			}

@@ -2,14 +2,18 @@ package telemetry
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"simmr/internal/engine"
 	"simmr/internal/obs"
+	"simmr/internal/rcache"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -80,7 +84,7 @@ func TestHandlerContentType(t *testing.T) {
 // stream: job 1 with one map and a first-wave filler reduce patched at
 // map-stage completion, job 2 with two maps and a regular reduce. The
 // derived durations land in known buckets.
-func simulateTwoJobs(tel *SimMetrics) {
+func simulateTwoJobs(t *testing.T, tel *SimMetrics) {
 	a := tel.EngineSink()
 	b := tel.EngineSink()
 
@@ -119,13 +123,32 @@ func simulateTwoJobs(tel *SimMetrics) {
 	tel.ForkDone(1000)
 	tel.ForkDone(1500)
 
-	// Replay cache traffic: one memory hit, one disk hit, one miss, two
-	// LRU evictions, 4 KiB resident.
-	tel.RCacheHit(false)
-	tel.RCacheHit(true)
-	tel.RCacheMiss()
-	tel.RCacheEvictions(2)
-	tel.RCacheBytes(4096)
+	// Replay cache traffic through two bound caches: one memory hit, one
+	// disk hit, one miss, two LRU evictions, 4 KiB resident.
+	mem := rcache.New(rcache.Options{MemBytes: 4096})
+	tel.BindCache(mem)
+	mem.Put(rcache.Key{Lo: 1}, cacheResult(1, ""))
+	mem.Put(rcache.Key{Lo: 2}, cacheResult(1, ""))
+	// A resident entry costs 48 B a job, its name bytes and 128 B: this
+	// one fills the 4 KiB budget alone and evicts the two before it.
+	mem.Put(rcache.Key{Lo: 3}, cacheResult(82, strings.Repeat("n", 32)))
+	mem.Get(rcache.Key{Lo: 3})
+	mem.Get(rcache.Key{Lo: 1})
+	// A disk hit too large for its memory tier stays on disk.
+	disk := rcache.New(rcache.Options{Dir: t.TempDir(), MemBytes: 1})
+	tel.BindCache(disk)
+	disk.Put(rcache.Key{Lo: 4}, cacheResult(1, ""))
+	disk.Get(rcache.Key{Lo: 4})
+}
+
+// cacheResult is a Result of n jobs, the first of them named name.
+func cacheResult(n int, name string) *engine.Result {
+	res := &engine.Result{Jobs: make([]engine.JobOutcome, n), Events: uint64(n)}
+	for i := range res.Jobs {
+		res.Jobs[i] = engine.JobOutcome{ID: i, Finish: float64(i + 1), Events: 1}
+	}
+	res.Jobs[0].Name = name
+	return res
 }
 
 // TestSimMetricsGolden pins the full /metrics exposition of the SimMR
@@ -136,7 +159,7 @@ func simulateTwoJobs(tel *SimMetrics) {
 // `go test ./internal/telemetry -run Golden -update`.
 func TestSimMetricsGolden(t *testing.T) {
 	tel := NewSimMetrics()
-	simulateTwoJobs(tel)
+	simulateTwoJobs(t, tel)
 
 	var sb strings.Builder
 	if err := tel.Registry().WritePrometheus(&sb); err != nil {
@@ -200,12 +223,63 @@ func TestSimMetricsGolden(t *testing.T) {
 	}
 }
 
+// The simmr_rcache_* series are the bound cache's own Stats, read at
+// scrape: after memory hits, disk hits, misses and evictions they equal
+// Cache.Stats(), and they follow it from one scrape to the next.
+func TestRCacheSeriesEqualStats(t *testing.T) {
+	tel := NewSimMetrics()
+	// Room for one 4-job entry: promoting a second evicts the first.
+	c := rcache.New(rcache.Options{Dir: t.TempDir(), MemBytes: 600})
+	tel.BindCache(c)
+	check := func(when string) {
+		t.Helper()
+		var sb strings.Builder
+		if err := tel.Registry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if series, v, ok := strings.Cut(line, " "); ok && strings.HasPrefix(series, "simmr_rcache_") {
+				got[series] = v
+			}
+		}
+		st := c.Stats()
+		want := map[string]string{
+			`simmr_rcache_hits_total{tier="mem"}`:  fmt.Sprint(st.Hits - st.DiskHits),
+			`simmr_rcache_hits_total{tier="disk"}`: fmt.Sprint(st.DiskHits),
+			"simmr_rcache_misses_total":            fmt.Sprint(st.Misses),
+			"simmr_rcache_evictions_total":         fmt.Sprint(st.Evictions),
+			"simmr_rcache_bytes":                   fmt.Sprint(st.MemBytes),
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: scraped %v, Stats %+v", when, got, st)
+		}
+	}
+	check("empty")
+	for k := uint64(1); k <= 3; k++ {
+		c.Put(rcache.Key{Lo: k}, cacheResult(4, ""))
+	}
+	c.Get(rcache.Key{Lo: 1}) // disk hit, promoted
+	c.Get(rcache.Key{Lo: 1}) // memory hit
+	c.Get(rcache.Key{Lo: 2}) // disk hit, promoted over 1
+	c.Get(rcache.Key{Lo: 9}) // miss
+	if st := c.Stats(); st.Hits != 3 || st.DiskHits != 2 || st.Misses != 1 || st.Evictions != 1 || st.MemBytes == 0 {
+		t.Fatalf("traffic did not reach every count: %+v", st)
+	}
+	check("after traffic")
+	if err := c.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Clear")
+}
+
 // TestNilSimMetrics pins the disabled path: every method on a nil
 // receiver is inert and EngineSink returns a true nil interface, so the
 // engine's `sink != nil` fast path stays taken.
 func TestNilSimMetrics(t *testing.T) {
 	var tel *SimMetrics
-	tel.ReplayDone(time.Second, 100)
+	tel.ReplayDone(time.Second)
+	tel.BindCache(rcache.New(rcache.Options{}))
 	tel.PoolGet(true)
 	tel.ForkDone(10)
 	tel.Span("run")()

@@ -10,11 +10,11 @@ import (
 	"maps"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"simmr/internal/attr"
 	"simmr/internal/obs"
+	"simmr/internal/rcache"
 )
 
 // Bucket boundaries, in seconds unless noted. Fixed at registration so
@@ -28,10 +28,6 @@ var (
 	// WallBuckets covers real (not simulated) elapsed time: replay wall
 	// time and lifecycle spans, from sub-millisecond to tens of seconds.
 	WallBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
-	// RateBuckets covers per-replay events/sec throughput.
-	RateBuckets = []float64{1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7, 2.5e7}
-	// QueueBuckets covers the event queue's pending population.
-	QueueBuckets = []float64{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 	// WaitBuckets covers per-job attributed wait times by phase; the
 	// low end resolves near-zero waits (most jobs on an idle cluster).
 	WaitBuckets = []float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
@@ -53,9 +49,7 @@ type SimMetrics struct {
 	mapTaskDur    *Histogram
 	reduceTaskDur *Histogram
 	jobCompletion *Histogram
-	queueDepth    *Histogram
 	replayWall    *Histogram
-	replayRate    *Histogram
 	spans         []*Histogram // by SpanStages index
 	jobWait       []*Histogram // by attr.WaitPhases index
 	missCause     []*Counter   // by attr.Phase
@@ -71,10 +65,8 @@ type SimMetrics struct {
 	forksTotal      *Counter
 	forkBytesCopied *Counter
 
-	rcacheHits      [2]*Counter // by serving tier: [mem, disk]
-	rcacheMisses    *Counter
-	rcacheEvictions *Counter
-	rcacheBytes     atomic.Int64 // resident bytes, exposed as a func gauge
+	cachesMu sync.Mutex
+	caches   []*rcache.Cache // read at scrape by the rcache families (BindCache)
 
 	makespan *MaxGauge
 	queueMax *MaxGauge
@@ -99,12 +91,8 @@ func NewSimMetrics(...int) *SimMetrics {
 			"Simulated durations of replayed reduce tasks (shuffle + reduce phase).", TaskDurationBuckets),
 		jobCompletion: r.NewHistogram("simmr_job_completion_seconds",
 			"Simulated job completion times (departure - arrival).", CompletionBuckets),
-		queueDepth: r.NewHistogram("simmr_queue_depth_events",
-			"Pending-event population of the DES queue, sampled periodically during replays (queue pressure over time, not just the high-water mark).", QueueBuckets),
 		replayWall: r.NewHistogram("simmr_replay_wall_seconds",
 			"Wall-clock time per replay through the parallel runtime.", WallBuckets),
-		replayRate: r.NewHistogram("simmr_replay_events_per_second",
-			"Engine event throughput per replay (events / wall seconds).", RateBuckets),
 		eventsTotal: r.NewCounter("simmr_engine_events_total",
 			"Engine events processed (DES queue pops), summed at replay end."),
 		eventsByKind: r.NewCounterVec("simmr_engine_events_by_kind_total",
@@ -130,17 +118,25 @@ func NewSimMetrics(...int) *SimMetrics {
 		"Engine acquisitions from the replay pool, by whether a warmed engine was reused.",
 		"reused", []string{"false", "true"})
 	t.poolGets[0], t.poolGets[1] = pg[0], pg[1]
-	rh := r.NewCounterVec("simmr_rcache_hits_total",
+	r.NewFuncCounterVec("simmr_rcache_hits_total",
 		"Replay result cache hits, by the tier that served them.",
-		"tier", []string{"mem", "disk"})
-	t.rcacheHits[0], t.rcacheHits[1] = rh[0], rh[1]
-	t.rcacheMisses = r.NewCounter("simmr_rcache_misses_total",
-		"Replay result cache misses (including corrupt entries silently dropped).")
-	t.rcacheEvictions = r.NewCounter("simmr_rcache_evictions_total",
-		"Entries evicted from the cache's in-memory LRU tier under byte-budget pressure.")
+		"tier", []string{"mem", "disk"},
+		func(i int) uint64 {
+			st := t.cacheStats()
+			if i == 0 {
+				return st.Hits - st.DiskHits
+			}
+			return st.DiskHits
+		})
+	r.NewFuncCounter("simmr_rcache_misses_total",
+		"Replay result cache misses (including corrupt entries silently dropped).",
+		func() uint64 { return t.cacheStats().Misses })
+	r.NewFuncCounter("simmr_rcache_evictions_total",
+		"Entries evicted from the cache's in-memory LRU tier under byte-budget pressure.",
+		func() uint64 { return t.cacheStats().Evictions })
 	r.NewFuncGauge("simmr_rcache_bytes",
 		"Bytes resident in the replay result cache's in-memory tier.",
-		func() float64 { return float64(t.rcacheBytes.Load()) })
+		func() float64 { return float64(t.cacheStats().MemBytes) })
 	t.spans = r.NewHistogramVec("simmr_replay_stage_seconds",
 		"Wall-clock replay lifecycle stage timings (trace load, engine build, run, report).",
 		"stage", SpanStages, WallBuckets)
@@ -169,17 +165,13 @@ func (t *SimMetrics) Registry() *Registry {
 	return t.reg
 }
 
-// ReplayDone records one replay's wall time and throughput. Callers
-// invoke it once per replay (cold path).
-func (t *SimMetrics) ReplayDone(wall time.Duration, events uint64) {
+// ReplayDone records one replay's wall time. Callers invoke it once
+// per replay (cold path).
+func (t *SimMetrics) ReplayDone(wall time.Duration) {
 	if t == nil {
 		return
 	}
-	sec := wall.Seconds()
-	t.replayWall.Observe(sec)
-	if sec > 0 {
-		t.replayRate.Observe(float64(events) / sec)
-	}
+	t.replayWall.Observe(wall.Seconds())
 }
 
 // ForkDone records one finished what-if branch and the bytes arming it
@@ -204,43 +196,32 @@ func (t *SimMetrics) PoolGet(reused bool) {
 	t.poolGets[i].Inc()
 }
 
-// RCacheHit records one replay-result-cache hit; disk says which tier
-// served it. Together with RCacheMiss/RCacheEvictions/RCacheBytes this
-// makes *SimMetrics satisfy rcache.Observer. Cold path, once per
-// lookup.
-func (t *SimMetrics) RCacheHit(disk bool) {
-	if t == nil {
+// BindCache adds c to the caches the simmr_rcache_* families report:
+// each scrape sums their Stats, the one place a cache counts its hits,
+// misses, evictions and resident bytes. A nil receiver or cache is
+// ignored.
+func (t *SimMetrics) BindCache(c *rcache.Cache) {
+	if t == nil || c == nil {
 		return
 	}
-	i := 0
-	if disk {
-		i = 1
-	}
-	t.rcacheHits[i].Inc()
+	t.cachesMu.Lock()
+	t.caches = append(t.caches, c)
+	t.cachesMu.Unlock()
 }
 
-// RCacheMiss records one replay-result-cache miss.
-func (t *SimMetrics) RCacheMiss() {
-	if t == nil {
-		return
+// cacheStats sums the bound caches' Stats.
+func (t *SimMetrics) cacheStats() (sum rcache.Stats) {
+	t.cachesMu.Lock()
+	defer t.cachesMu.Unlock()
+	for _, c := range t.caches {
+		st := c.Stats()
+		sum.Hits += st.Hits
+		sum.DiskHits += st.DiskHits
+		sum.Misses += st.Misses
+		sum.Evictions += st.Evictions
+		sum.MemBytes += st.MemBytes
 	}
-	t.rcacheMisses.Inc()
-}
-
-// RCacheEvictions records n entries evicted from the memory tier.
-func (t *SimMetrics) RCacheEvictions(n uint64) {
-	if t == nil {
-		return
-	}
-	t.rcacheEvictions.Add(n)
-}
-
-// RCacheBytes reports the cache's current resident memory bytes.
-func (t *SimMetrics) RCacheBytes(n int64) {
-	if t == nil {
-		return
-	}
-	t.rcacheBytes.Store(n)
+	return sum
 }
 
 // Span starts timing one replay-lifecycle stage ("load", "build",
@@ -375,13 +356,6 @@ func (s *engineSink) Events(evs []obs.Event) {
 	s.mapTaskDur.Flush()
 	s.reduceTaskDur.Flush()
 	s.jobCompletion.Flush()
-}
-
-// SampleDepth implements obs.DepthSampler: the engine reports the
-// event queue's pending population periodically during the run, so
-// queue pressure lands in simmr_queue_depth_events as a distribution.
-func (s *engineSink) SampleDepth(_ float64, depth int) {
-	s.t.queueDepth.Observe(float64(depth))
 }
 
 // RunEnd folds the run-level counters into the registry and resets the

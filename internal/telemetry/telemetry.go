@@ -56,15 +56,15 @@ func (k metricKind) String() string {
 	}
 }
 
-// child is one labeled instance inside a family; exactly one of the
-// metric pointers (or fn, for scrape-evaluated gauges) is set,
-// matching the family kind.
+// child is one labeled instance inside a family. A scrape reads it
+// through the one field its family kind uses: count for a counter, fn
+// for a gauge — a metric's own Value, or a function over state kept
+// elsewhere — and h for a histogram.
 type child struct {
 	labels string // pre-rendered `k="v"` pairs, "" for unlabeled
-	ctr    *Counter
-	mg     *MaxGauge
-	h      *Histogram
+	count  func() uint64
 	fn     func() float64
+	h      *Histogram
 }
 
 // family is one exposition unit: a metric name with HELP/TYPE emitted
@@ -94,25 +94,42 @@ type Counter struct{ v atomic.Uint64 }
 // NewCounter registers an unlabeled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{}
-	r.register(&family{name: name, help: help, kind: counterKind,
-		children: []child{{ctr: c}}})
+	r.NewFuncCounter(name, help, c.Value)
 	return c
 }
 
 // NewCounterVec registers one counter per label value under a shared
 // family name; the returned slice is in `values` order.
 func (r *Registry) NewCounterVec(name, help, label string, values []string) []*Counter {
-	f := &family{name: name, help: help, kind: counterKind}
 	out := make([]*Counter, len(values))
-	for i, v := range values {
+	for i := range out {
 		out[i] = &Counter{}
+	}
+	r.NewFuncCounterVec(name, help, label, values, func(i int) uint64 { return out[i].Value() })
+	return out
+}
+
+// NewFuncCounter registers a counter whose total is read at scrape time
+// by fn — the counter form of NewFuncGauge, for counts already kept
+// elsewhere (a cache's own Stats). fn must be safe for concurrent calls,
+// fast, and never decrease.
+func (r *Registry) NewFuncCounter(name, help string, fn func() uint64) {
+	r.register(&family{name: name, help: help, kind: counterKind,
+		children: []child{{count: fn}}})
+}
+
+// NewFuncCounterVec registers one scrape-evaluated counter per label
+// value under a shared family name; fn receives the value's index in
+// `values` order.
+func (r *Registry) NewFuncCounterVec(name, help, label string, values []string, fn func(i int) uint64) {
+	f := &family{name: name, help: help, kind: counterKind}
+	for i, v := range values {
 		f.children = append(f.children, child{
 			labels: fmt.Sprintf("%s=%q", label, v),
-			ctr:    out[i],
+			count:  func() uint64 { return fn(i) },
 		})
 	}
 	r.register(f)
-	return out
 }
 
 // Inc adds one to the counter.
@@ -131,8 +148,7 @@ type MaxGauge struct{ bits atomic.Uint64 } // float64 bits
 // NewMaxGauge registers a max-merged gauge.
 func (r *Registry) NewMaxGauge(name, help string) *MaxGauge {
 	g := &MaxGauge{}
-	r.register(&family{name: name, help: help, kind: gaugeKind,
-		children: []child{{mg: g}}})
+	r.NewFuncGauge(name, help, g.Value)
 	return g
 }
 
@@ -146,7 +162,7 @@ func (r *Registry) NewMaxGaugeLabeled(name, help string, labels [][2]string) *Ma
 		parts[i] = fmt.Sprintf("%s=%q", kv[0], kv[1])
 	}
 	r.register(&family{name: name, help: help, kind: gaugeKind,
-		children: []child{{labels: strings.Join(parts, ","), mg: g}}})
+		children: []child{{labels: strings.Join(parts, ","), fn: g.Value}}})
 	return g
 }
 
@@ -166,7 +182,6 @@ func (r *Registry) NewFuncGauge(name, help string, fn func() float64) {
 func (r *Registry) NewFuncGaugeVec(name, help, label string, values []string, fn func(i int) float64) {
 	f := &family{name: name, help: help, kind: gaugeKind}
 	for i, v := range values {
-		i := i
 		f.children = append(f.children, child{
 			labels: fmt.Sprintf("%s=%q", label, v),
 			fn:     func() float64 { return fn(i) },

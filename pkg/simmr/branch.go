@@ -63,8 +63,8 @@ type BranchSetConfig struct {
 	Workers int
 	// Telemetry, when set, records the fan-out into the metrics
 	// registry: fork counts and bytes copied (ForkDone), each
-	// branch's wall time and suffix events/sec (ReplayDone), engine
-	// pool reuse, and every branch's event stream.
+	// branch's wall time (ReplayDone), engine pool reuse, and every
+	// branch's event stream.
 	Telemetry *Telemetry
 	// Runs, when set, registers the fan-out in the ops-plane run
 	// registry (kind "branch", phases "prefix" then "branches") — see

@@ -37,15 +37,14 @@ type CacheOptions struct {
 	// to disk alone unless that write fails); without Dir it holds every
 	// result.
 	MemBytes int64
-	// Telemetry, when set, receives simmr_rcache_* counter updates.
+	// Telemetry, when set, reports the cache's counts as the
+	// simmr_rcache_* series, read from the cache at scrape time.
 	Telemetry *Telemetry
 }
 
 // NewCache builds a replay result cache.
 func NewCache(o CacheOptions) *Cache {
-	opts := rcache.Options{Dir: o.Dir, MemBytes: o.MemBytes}
-	if o.Telemetry != nil {
-		opts.Obs = o.Telemetry
-	}
-	return rcache.New(opts)
+	c := rcache.New(rcache.Options{Dir: o.Dir, MemBytes: o.MemBytes})
+	o.Telemetry.BindCache(c)
+	return c
 }

@@ -17,19 +17,15 @@ import (
 )
 
 // streamRecord is everything a sink is told about one replay, in order:
-// event blocks, depth samples and the run counters.
+// event blocks and the run counters.
 type streamRecord struct {
 	Stream []obs.Event
-	Depth  [][2]float64
 	Ends   []obs.Counters
 }
 
 func (r *streamRecord) Event(ev obs.Event)     { r.Stream = append(r.Stream, ev) }
 func (r *streamRecord) Events(evs []obs.Event) { r.Stream = append(r.Stream, evs...) }
 func (r *streamRecord) RunEnd(c obs.Counters)  { r.Ends = append(r.Ends, c) }
-func (r *streamRecord) SampleDepth(t float64, d int) {
-	r.Depth = append(r.Depth, [2]float64{t, float64(d)})
-}
 
 // groupTraces are a sparse stream, whose cluster often empties, a dense
 // production trace and a burst, whose jobs all arrive at once.
@@ -231,9 +227,9 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 									t.Fatalf("spec %d (%d+%d slots): Result differs from its own replay", i, cfgs[i].MapSlots, cfgs[i].ReduceSlots)
 								}
 								if s, w := streams[i], wantStream[i]; s != nil && !reflect.DeepEqual(s, w) {
-									t.Fatalf("spec %d (%d+%d slots): stream of %d events, %d samples, %d ends; its own replay's %d, %d, %d",
+									t.Fatalf("spec %d (%d+%d slots): stream of %d events, %d ends; its own replay's %d, %d",
 										i, cfgs[i].MapSlots, cfgs[i].ReduceSlots,
-										len(s.Stream), len(s.Depth), len(s.Ends), len(w.Stream), len(w.Depth), len(w.Ends))
+										len(s.Stream), len(s.Ends), len(w.Stream), len(w.Ends))
 								}
 							}
 							if st := bcfg.Cache.Stats(); st.Hits != 0 || cached && st.Misses != uint64(len(specs)) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -256,6 +257,98 @@ func TestForkSinkSeesBranchEventsOnly(t *testing.T) {
 	if len(prefixRec.events) != cut || prefixRec.ended || !branchRec.ended {
 		t.Fatalf("prefix sink holds %d events (ended %v) after the branch ran, want %d", len(prefixRec.events), prefixRec.ended, cut)
 	}
+}
+
+// A fork is observed through its own ForkOptions.Sink only: one armed
+// without a sink holds none, delivers nothing to the snapshot source's
+// sink nor to the sink its recycled engine last had, and replays the
+// branch exactly as an observed fork does.
+func TestForkWithoutSinkIsUnobserved(t *testing.T) {
+	tr := deliveryTrace(t)
+	ref := referenceStream(t, DefaultConfig(), tr, sched.FIFO{})
+	prefixRec := &blockRecorder{}
+	cfg := DefaultConfig()
+	cfg.Sink = prefixRec
+	prefix, err := New(cfg, tr, sched.FIFO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := prefix.RunEvents(3000); err != nil || done {
+		t.Fatalf("prefix RunEvents = %v, %v", done, err)
+	}
+	snap, err := prefix.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := heldAfter(ref, snap.Events())
+
+	observed, err := snap.Fork(ForkOptions{Sink: &obs.RecordSink{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := observed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// blind runs a fork armed without a sink and checks it stayed so.
+	blind := func(t *testing.T, fork *Engine) {
+		t.Helper()
+		if fork.sink != nil || fork.cfg.Sink != nil || fork.feed != (obs.Feed{}) || len(fork.block) != 0 {
+			t.Fatal("a fork armed without a sink holds one, or buffered events")
+		}
+		res, err := fork.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Events != want.Events || res.Makespan != want.Makespan || !reflect.DeepEqual(res.Jobs, want.Jobs) {
+			t.Fatalf("blind fork: %d events, makespan %v; observed fork: %d, %v",
+				res.Events, res.Makespan, want.Events, want.Makespan)
+		}
+		if len(fork.block) != 0 {
+			t.Fatalf("blind fork buffered %d events", len(fork.block))
+		}
+		if len(prefixRec.events) != cut || prefixRec.ended {
+			t.Fatalf("prefix sink holds %d events (ended %v) after a blind fork ran, want %d", len(prefixRec.events), prefixRec.ended, cut)
+		}
+	}
+
+	t.Run("Fork", func(t *testing.T) {
+		fork, err := snap.Fork(ForkOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blind(t, fork)
+		if fork.block != nil {
+			t.Fatal("a fresh fork without a sink allocated a block")
+		}
+	})
+
+	t.Run("ForkInto", func(t *testing.T) {
+		// dst last ran observed: its block is warm, its sink must not
+		// be carried into the branch.
+		dstRec := &blockRecorder{}
+		dcfg := DefaultConfig()
+		dcfg.Sink = dstRec
+		dst, err := New(dcfg, tr, sched.FIFO{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dst.Run(); err != nil {
+			t.Fatal(err)
+		}
+		held := len(dstRec.events)
+		if err := snap.ForkInto(dst, ForkOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		blind(t, dst)
+		if len(dstRec.events) != held || dstRec.late != 0 {
+			t.Fatalf("recycled engine's old sink got %d more events", len(dstRec.events)-held)
+		}
+		if cap(dst.block) != blockEvents {
+			t.Fatalf("recycled engine's block has cap %d, want %d", cap(dst.block), blockEvents)
+		}
+	})
 }
 
 // panicSink fails its first delivery, leaving the engine with a block

@@ -16,8 +16,9 @@ test:
 # verify is the pre-merge gate: static checks (an unformatted file
 # fails it), a full build, and the complete test suite under the race
 # detector (the concurrency model's determinism tests only mean
-# something with -race on). The subscribe/End race in internal/runs
-# showed up once in ~30 runs, so its test is repeated until it would.
+# something with -race on). The debug server's test runs twenty times:
+# six runs progress and end while their streams poll them and scrapers
+# read /runs and /metrics, and every stream must end after its run does.
 # Which cells a parallel capacity sweep answers from a finished replay,
 # or copies from its largest cell's trail, depends on which replays
 # finish first, and which worker replays a batch follower its group cut
@@ -80,7 +81,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -race -run TestSubscribeCancelRace -count=200 ./internal/runs
+	$(GO) test -race -run TestStartServesDebugSurface -count=20 ./internal/debugserver
 	$(GO) test -race -run 'TestReplayAboveThePeakIsIdentical|TestAnswersRefuses|TestTrailFollowerMatchesReplay|TestSweepReuseMatchesReplay|TestBatchFollowersMatchOwnReplay|TestBatchGroupErrorIsLowestSpec|TestLeadSettlesWhatAnswersAccepts|TestSpeculationDeterministic|TestSharedDirAcrossProcesses|TestHitIsTheCallersCopy|TestConcurrentWritersAndScraper|TestTallyConcurrentWriters|TestTelemetryConcurrentReplays|TestCheckerCatchesBadShortcuts|TestPlanObservedBatchSharesAsBare|TestBranchSetSerialParallelIdentical' -count=3 ./internal/engine ./pkg/simmr ./internal/plan ./internal/plan/plantest ./internal/cluster ./internal/rcache ./internal/telemetry
 	$(GO) test -race -run '$(SWEEP_CLAIMS)' -count=20 ./pkg/simmr ./internal/plan
 

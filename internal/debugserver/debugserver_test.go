@@ -1,10 +1,13 @@
 package debugserver
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -113,7 +116,7 @@ func testOpsSurface(t *testing.T, tel *telemetry.SimMetrics, addr string, get fu
 		t.Errorf("/buildinfo = %+v", bi)
 	}
 
-	const sweeps = `simmr_runs_started{kind="sweep"}`
+	const sweeps = `simmr_runs_started_total{kind="sweep"}`
 	before := telemetrytest.Scrape(t, tel.Registry())[sweeps]
 	h := runs.Default().Begin(runs.Meta{Kind: runs.KindSweep, Trace: "unit", Policy: "fifo"})
 	h.SetPhase("replay")
@@ -144,6 +147,9 @@ func testOpsSurface(t *testing.T, tel *telemetry.SimMetrics, addr string, get fu
 	metrics := get("/metrics")
 	if !strings.Contains(metrics, "simmr_runs_active 1") {
 		t.Errorf("metrics missing live simmr_runs_active:\n%s", metrics)
+	}
+	if !strings.Contains(metrics, "# TYPE simmr_runs_started_total counter") {
+		t.Errorf("metrics does not type simmr_runs_started_total a counter:\n%s", metrics)
 	}
 	if got := telemetrytest.Scrape(t, tel.Registry())[sweeps]; got != before+1 {
 		t.Errorf("%s = %v after one more sweep began, was %v", sweeps, got, before)
@@ -272,6 +278,94 @@ func testStreamAndScrapeConcurrently(t *testing.T, addr string) {
 	case <-doneAll:
 	case <-time.After(10 * time.Second):
 		t.Fatal("concurrent stream/scrape test hung")
+	}
+}
+
+// A stream reads the run's state: a live run's frames follow its phase,
+// its final frame and the end event follow End, an ended run gets both
+// at once, and a stream returns when its client goes away.
+func TestStreamReadsRunState(t *testing.T) {
+	h := runs.New(4).Begin(runs.Meta{Kind: runs.KindBranch})
+	h.SetPhase("prefix")
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serveStream(w, r, h)
+	}))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	// next returns the next frame's event and, for a progress frame, its
+	// snapshot.
+	next := func() (string, runs.Snapshot) {
+		t.Helper()
+		event := ""
+		for sc.Scan() {
+			line := sc.Text()
+			if e, ok := strings.CutPrefix(line, "event: "); ok {
+				event = e
+			} else if data, ok := strings.CutPrefix(line, "data: "); ok {
+				var snap runs.Snapshot
+				if event == "progress" {
+					if err := json.Unmarshal([]byte(data), &snap); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return event, snap
+			}
+		}
+		t.Fatalf("stream closed before the next frame (%v)", sc.Err())
+		return "", runs.Snapshot{}
+	}
+
+	if ev, snap := next(); ev != "progress" || snap.Phase != "prefix" || snap.Outcome != runs.OutcomeRunning {
+		t.Fatalf("first frame %s %+v, want the running prefix phase", ev, snap)
+	}
+	h.SetPhase("branches")
+	for ev, snap := next(); snap.Phase != "branches"; ev, snap = next() {
+		if ev != "progress" || snap.Outcome != runs.OutcomeRunning {
+			t.Fatalf("frame %s %+v before the phase change showed", ev, snap)
+		}
+	}
+	h.Progress(4, 4)
+	h.End(nil)
+	ev, snap := next()
+	for snap.Outcome == runs.OutcomeRunning {
+		ev, snap = next()
+	}
+	if ev != "progress" || snap.Outcome != runs.OutcomeOK || snap.Done != 4 {
+		t.Fatalf("final frame %s %+v, want ok with 4 done", ev, snap)
+	}
+	if ev, _ := next(); ev != "end" {
+		t.Fatalf("frame after the final one is %q, want end", ev)
+	}
+	for sc.Scan() {
+		if sc.Text() != "" {
+			t.Fatalf("stream goes on after its end event: %q", sc.Text())
+		}
+	}
+
+	// An ended run: its final frame, then the end event, at once.
+	rec := httptest.NewRecorder()
+	serveStream(rec, httptest.NewRequest(http.MethodGet, "/runs/x/stream", nil), h)
+	body := rec.Body.String()
+	if strings.Count(body, "event: progress") != 1 || !strings.Contains(body, `"outcome":"ok"`) ||
+		!strings.HasSuffix(body, "event: end\ndata: {}\n\n") {
+		t.Fatalf("stream of an ended run:\n%s", body)
+	}
+
+	// A live run whose client has gone: the stream returns without an
+	// end event.
+	live := runs.New(4).Begin(runs.Meta{Kind: runs.KindReplay})
+	defer live.End(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec = httptest.NewRecorder()
+	serveStream(rec, httptest.NewRequest(http.MethodGet, "/runs/x/stream", nil).WithContext(ctx), live)
+	if body := rec.Body.String(); !strings.Contains(body, `"outcome":"running"`) || strings.Contains(body, "event: end") {
+		t.Fatalf("stream of a live run after its client left:\n%s", body)
 	}
 }
 

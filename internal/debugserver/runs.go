@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"time"
 
 	"simmr/internal/buildinfo"
+	"simmr/internal/parallel"
 	"simmr/internal/runs"
 	"simmr/internal/telemetry"
 )
@@ -20,20 +22,21 @@ import (
 //	/runs/{id}              one run snapshot ({id} may be a unique
 //	                        prefix or "latest")
 //	/runs/{id}/stream       Server-Sent Events: one `progress` frame
-//	                        now, rate-bounded deltas while live, a
-//	                        final frame + `end` event at completion
+//	                        now, one per MinProgressInterval while
+//	                        live, a final frame + `end` event once
+//	                        the run has ended
 //	/runs/{id}/flight       GET: collected flight-recorder dumps
 //	                        (?format=chrome renders one as a Chrome
 //	                        trace, ?i=N picks which); POST: trigger a
 //	                        live capture on every attached recorder
 //
-// Everything serves immutable snapshots or rate-bounded subscriptions,
+// Everything serves snapshots read from the run's atomics when asked,
 // so scrapers and dashboards never contend with the simulation's hot
 // path.
 
 // registerRunMetrics exposes the run registry on /metrics:
-// simmr_runs_active (live runs right now) and simmr_runs_started by
-// kind — both evaluated at scrape time against the registry's own
+// simmr_runs_active (live runs right now) and simmr_runs_started_total
+// by kind — both evaluated at scrape time against the registry's own
 // bookkeeping, so they can never drift from /runs.
 func registerRunMetrics(r *telemetry.Registry) {
 	reg := runs.Default()
@@ -44,10 +47,10 @@ func registerRunMetrics(r *telemetry.Registry) {
 	for i, k := range runs.Kinds {
 		kinds[i] = string(k)
 	}
-	r.NewFuncGaugeVec("simmr_runs_started",
+	r.NewFuncCounterVec("simmr_runs_started_total",
 		"Runs ever registered, by kind.",
 		"kind", kinds,
-		func(i int) float64 { return float64(reg.Started(runs.Kinds[i])) })
+		func(i int) uint64 { return reg.Started(runs.Kinds[i]) })
 }
 
 // registerOps mounts the ops-plane handlers on the default mux against
@@ -120,11 +123,12 @@ func handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// serveStream tails one run as Server-Sent Events. Frames arrive
-// rate-bounded through the handle's subscription (the same CAS ticker
-// election as parallel.MapProgress); the final frame always arrives
-// and is followed by an `end` event, so `curl -N` and the `simmr ops
-// watch` tailer both terminate cleanly.
+// serveStream tails one run as Server-Sent Events by reading its state:
+// the current snapshot at once, then one `progress` frame per
+// parallel.MinProgressInterval while the run is live. A phase shorter
+// than the interval may get no frame of its own; the run's final
+// snapshot always does, followed by an `end` event, so `curl -N` and
+// the `simmr ops watch` tailer both terminate cleanly.
 func serveStream(w http.ResponseWriter, r *http.Request, h *runs.Handle) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -135,26 +139,26 @@ func serveStream(w http.ResponseWriter, r *http.Request, h *runs.Handle) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
-	ch, cancel := h.Subscribe()
-	defer cancel()
+	poll := time.NewTicker(parallel.MinProgressInterval)
+	defer poll.Stop()
 	for {
+		snap := h.Snapshot()
+		data, err := json.Marshal(snap)
+		if err != nil {
+			return
+		}
+		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
+		if snap.Outcome != runs.OutcomeRunning {
+			fmt.Fprint(w, "event: end\ndata: {}\n\n")
+			fl.Flush()
+			return
+		}
+		fl.Flush()
 		select {
 		case <-r.Context().Done():
 			return
-		case snap, open := <-ch:
-			if !open {
-				fmt.Fprint(w, "event: end\ndata: {}\n\n")
-				fl.Flush()
-				return
-			}
-			data, err := json.Marshal(snap)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
-			fl.Flush()
+		case <-poll.C:
 		}
 	}
 }

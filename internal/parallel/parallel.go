@@ -18,9 +18,7 @@
 //     MinProgressInterval (plus one final call), claimed via a single
 //     compare-and-swap — workers that lose the claim proceed
 //     immediately, so progress reporting never serializes the pool no
-//     matter how slow the callback is. The rate-window election is
-//     exported as Ticker for other bounded publishers (the run
-//     registry's SSE delta pusher reuses it).
+//     matter how slow the callback is.
 //
 // Simulation runs share immutable inputs (traces, templates, pools of
 // profiled jobs) read-only; all mutable state lives inside each run's
@@ -62,60 +60,38 @@ type ProgressFunc func(done, total int)
 // O(runtime/MinProgressInterval) times, not O(T).
 const MinProgressInterval = 100 * time.Millisecond
 
-// Ticker is the lock-free rate-window election behind MapProgress's
-// bounded reporting, exported so other bounded publishers (the run
-// registry's SSE delta pusher, flight-recorder trigger polling) share
-// one mechanism. Any number of goroutines call Try; within each
-// interval-wide window exactly one of them wins a single
-// compare-and-swap and is elected to publish, and the losers return
-// immediately without blocking or spinning. The zero value is not
-// usable; a nil Ticker never elects.
-type Ticker struct {
-	interval int64
-	last     atomic.Int64 // wall nanos of the last claimed window
-}
-
-// NewTicker returns a Ticker whose first election lands one full
-// interval after creation: the window opening at "now" is pre-claimed,
-// so an instantly-completing first task does not publish a frame.
-func NewTicker(interval time.Duration) *Ticker {
-	t := &Ticker{interval: int64(interval)}
-	t.last.Store(time.Now().UnixNano())
-	return t
-}
-
-// Try reports whether the caller won the current rate window. At most
-// one caller per interval wins; everyone else gets false without
-// waiting.
-func (t *Ticker) Try() bool {
-	if t == nil {
-		return false
-	}
-	now := time.Now().UnixNano()
-	last := t.last.Load()
-	if now-last < t.interval {
-		return false
-	}
-	// One CAS elects a single reporter per window; losers fall through
-	// without blocking.
-	return t.last.CompareAndSwap(last, now)
-}
-
 // progress is the rate-bounded completion counter shared by the
 // workers of one Map call.
 type progress struct {
-	fn     ProgressFunc
-	total  int
-	done   atomic.Int64
-	final  atomic.Bool // the guaranteed last call has been delivered
-	ticker *Ticker
+	fn    ProgressFunc
+	total int
+	done  atomic.Int64
+	final atomic.Bool  // the guaranteed last call has been delivered
+	last  atomic.Int64 // wall nanos of the last claimed rate window
 }
 
+// newProgress pre-claims the window opening now, so the first
+// intermediate call lands one full MinProgressInterval later and an
+// instantly-completing first task does not report.
 func newProgress(fn ProgressFunc, total int) *progress {
 	if fn == nil {
 		return nil
 	}
-	return &progress{fn: fn, total: total, ticker: NewTicker(MinProgressInterval)}
+	p := &progress{fn: fn, total: total}
+	p.last.Store(time.Now().UnixNano())
+	return p
+}
+
+// elect reports whether the caller won the current rate window: within
+// each MinProgressInterval exactly one caller wins a single
+// compare-and-swap, and the losers return at once without blocking.
+func (p *progress) elect() bool {
+	now := time.Now().UnixNano()
+	last := p.last.Load()
+	if now-last < int64(MinProgressInterval) {
+		return false
+	}
+	return p.last.CompareAndSwap(last, now)
 }
 
 // tick records one completed task and invokes the callback if this
@@ -132,7 +108,7 @@ func (p *progress) tick() {
 		}
 		return
 	}
-	if p.ticker.Try() {
+	if p.elect() {
 		p.fn(d, p.total)
 	}
 }

@@ -238,30 +238,30 @@ func TestMapProgressFinalOnPreCanceled(t *testing.T) {
 	}
 }
 
-func TestTickerElectsOnePerWindow(t *testing.T) {
-	tk := NewTicker(time.Hour)
-	if tk.Try() {
+// The rate window opening at creation is pre-claimed; once a window has
+// passed, concurrent reporters elect one winner per window.
+func TestProgressElectsOnePerWindow(t *testing.T) {
+	p := newProgress(func(int, int) {}, 10)
+	if p.elect() {
 		t.Fatal("first window should be pre-claimed at creation")
 	}
-	tk = NewTicker(0)
+	p.last.Store(0)
+	start := time.Now()
 	var wins atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if tk.Try() {
+			if p.elect() {
 				wins.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if wins.Load() < 1 {
-		t.Fatal("zero-interval ticker never elected")
-	}
-	var nilTicker *Ticker
-	if nilTicker.Try() {
-		t.Fatal("nil ticker elected")
+	windows := 1 + int64(time.Since(start)/MinProgressInterval)
+	if n := wins.Load(); n < 1 || n > windows {
+		t.Fatalf("%d winners over %d rate window(s), want 1 per window", n, windows)
 	}
 }
 

@@ -176,20 +176,6 @@ func (r *Registry) NewFuncGauge(name, help string, fn func() float64) {
 		children: []child{{fn: fn}}})
 }
 
-// NewFuncGaugeVec registers one scrape-evaluated gauge per label value
-// under a shared family name; fn receives the value's index in
-// `values` order.
-func (r *Registry) NewFuncGaugeVec(name, help, label string, values []string, fn func(i int) float64) {
-	f := &family{name: name, help: help, kind: gaugeKind}
-	for i, v := range values {
-		f.children = append(f.children, child{
-			labels: fmt.Sprintf("%s=%q", label, v),
-			fn:     func() float64 { return fn(i) },
-		})
-	}
-	r.register(f)
-}
-
 // Observe raises the gauge to v if v is larger, with a lock-free CAS
 // loop.
 func (g *MaxGauge) Observe(v float64) {

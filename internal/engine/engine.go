@@ -385,12 +385,6 @@ type Engine struct {
 	sink  obs.Sink
 	feed  obs.Feed
 	block []obs.Event
-	// Run-level observability counters, maintained unconditionally
-	// (plain increments on cold paths) and delivered via sink.RunEnd.
-	preemptions      uint64
-	fillerPatches    uint64
-	mapSlotAllocs    uint64
-	reduceSlotAllocs uint64
 
 	// scratch is the Result Pool.FoldTrail runs into and lends to its
 	// callback; its Jobs capacity is recycled across folds and emptied
@@ -475,10 +469,6 @@ func (e *Engine) rearm(cfg Config, tr *trace.Trace, policy sched.Policy, dense b
 	e.stats = ForkStats{}
 	e.arrivalSeq = 0
 	e.resetPreemptIdx()
-	e.preemptions = 0
-	e.fillerPatches = 0
-	e.mapSlotAllocs = 0
-	e.reduceSlotAllocs = 0
 	e.idBase = base
 	if dense {
 		e.indexOf = nil
@@ -862,14 +852,10 @@ func (e *Engine) Now() float64 { return e.clock.Now() }
 // counters assembles the run-level observability totals.
 func (e *Engine) counters(res *Result) obs.Counters {
 	return obs.Counters{
-		Events:           e.q.Fired(),
-		HeapHighWater:    e.q.HighWater(),
-		Preemptions:      e.preemptions,
-		FillerPatches:    e.fillerPatches,
-		MapSlotAllocs:    e.mapSlotAllocs,
-		ReduceSlotAllocs: e.reduceSlotAllocs,
-		Jobs:             len(e.slotOf), // every job of the replay: a totals-only Result has no Jobs to count
-		Makespan:         res.Makespan,
+		Events:        e.q.Fired(),
+		HeapHighWater: e.q.HighWater(),
+		Jobs:          len(e.slotOf), // every job of the replay: a totals-only Result has no Jobs to count
+		Makespan:      res.Makespan,
 	}
 }
 
@@ -989,15 +975,12 @@ func (e *Engine) allocate() {
 	if len(g) == 0 {
 		return
 	}
-	reduces := len(g) - maps
 	e.freeMap -= maps
-	e.freeReduce -= reduces
+	e.freeReduce -= len(g) - maps
 	// Slots are taken only here, so a round that grants is where a peak
 	// can rise.
 	e.peakMap = max(e.peakMap, e.cfg.MapSlots-e.freeMap)
 	e.peakReduce = max(e.peakReduce, e.cfg.ReduceSlots-e.freeReduce)
-	e.mapSlotAllocs += uint64(maps)
-	e.reduceSlotAllocs += uint64(reduces)
 	if e.sink != nil {
 		for _, id := range g[:maps] {
 			e.emit(obs.KindMapSlotAlloc, id, -1, 0, 0)
@@ -1081,7 +1064,6 @@ func (e *Engine) preemptVictim(victim *simJob) bool {
 	delete(victim.runningMaps, killTask)
 	victim.retryMaps = append(victim.retryMaps, killTask)
 	victim.info.ScheduledMaps--
-	e.preemptions++
 	e.freeMap++
 	e.preemptIdx.Fix(&victim.info, victim.preemptible())
 	if e.batch != nil {
@@ -1168,7 +1150,6 @@ func (e *Engine) onMapStageComplete(sj *simJob) {
 		f := &e.fillers[i]
 		end := now + f.firstShuffle + f.reducePhase
 		e.q.Place(f.seq, end, evReduceTaskDeparture, sj.info.ID, f.task)
-		e.fillerPatches++
 		if e.sink != nil {
 			e.emit(obs.KindFillerPatch, sj.info.ID, f.task, end, now+f.firstShuffle)
 		}

@@ -157,10 +157,6 @@ func (s *Snapshot) ForkInto(dst *Engine, opts ForkOptions) error {
 	dst.remaining = src.remaining
 	dst.makespan = src.makespan
 	dst.arrivalSeq = src.arrivalSeq
-	dst.preemptions = src.preemptions
-	dst.fillerPatches = src.fillerPatches
-	dst.mapSlotAllocs = src.mapSlotAllocs
-	dst.reduceSlotAllocs = src.reduceSlotAllocs
 	dst.state = runStarted
 	dst.snap = nil
 

@@ -71,7 +71,7 @@ func TestUnsortedTraceReplaysLikeSortedCopy(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			got, gotSink := replayRecorded(t, c.cfg, tr, c.p)
 			want, wantSink := replayRecorded(t, c.cfg, sorted, c.p)
-			if c.cfg.PreemptMapTasks && wantSink.Counters.Preemptions == 0 {
+			if c.cfg.PreemptMapTasks && kindTotal(wantSink.Events, obs.KindPreempt) == 0 {
 				t.Fatal("preemption never fired: the cell checks nothing")
 			}
 			if !reflect.DeepEqual(gotSink, wantSink) {
@@ -159,10 +159,11 @@ func TestZeroDurationMapPreemptedAtItsOwnInstant(t *testing.T) {
 	lazy, urgent := res.Jobs[0], res.Jobs[1]
 	// The urgent job takes both slots for 7 s once lazy's instant maps
 	// are done.
-	if finishedBeforeUrgent != 4 || sink.Counters.Preemptions != 0 || finished != 4 || lazy.Finish != 0 || urgent.Finish != 7 {
+	preempts := kindTotal(sink.Events, obs.KindPreempt)
+	if finishedBeforeUrgent != 4 || preempts != 0 || finished != 4 || lazy.Finish != 0 || urgent.Finish != 7 {
 		t.Fatalf("lazy: %d maps finished before the urgent job started, %d preempted, %d maps run, finish %v; urgent finish %v; "+
 			"want all 4 before, none preempted, lazy finishing at 0 and urgent at 7",
-			finishedBeforeUrgent, sink.Counters.Preemptions, finished, lazy.Finish, urgent.Finish)
+			finishedBeforeUrgent, preempts, finished, lazy.Finish, urgent.Finish)
 	}
 }
 

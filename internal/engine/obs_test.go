@@ -75,9 +75,6 @@ func TestSinkObservesExactEventSequence(t *testing.T) {
 	if c.HeapHighWater != 2 {
 		t.Errorf("HeapHighWater = %d, want 2", c.HeapHighWater)
 	}
-	if c.FillerPatches != 1 || c.MapSlotAllocs != 2 || c.ReduceSlotAllocs != 1 || c.Preemptions != 0 {
-		t.Errorf("counters %+v", c)
-	}
 	if c.Jobs != 1 || c.Makespan != 28 {
 		t.Errorf("summary counters %+v", c)
 	}
@@ -88,6 +85,18 @@ func kindCount(events []obs.Event, jobID int, kind obs.Kind) int {
 	n := 0
 	for _, ev := range events {
 		if ev.JobID == jobID && ev.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// kindTotal counts the events of one kind in a recorded stream, every
+// job's: the one record of how many slots, patches and kills a run took.
+func kindTotal(events []obs.Event, kind obs.Kind) int {
+	n := 0
+	for _, ev := range events {
+		if ev.Kind == kind {
 			n++
 		}
 	}
@@ -133,9 +142,6 @@ func TestSinkObservesPreemption(t *testing.T) {
 	if preempts == 0 || kindCount(rec.Events, 1, obs.KindPreempt) != 0 {
 		t.Fatalf("%d preempts of the victim, %d of the urgent job; want some and none",
 			preempts, kindCount(rec.Events, 1, obs.KindPreempt))
-	}
-	if uint64(preempts) != rec.Counters.Preemptions {
-		t.Fatalf("preempt events %d != counter %d", preempts, rec.Counters.Preemptions)
 	}
 	// Every map still ran to completion exactly once.
 	if finished := kindCount(rec.Events, 0, obs.KindMapTaskFinish); finished != 12 {

@@ -199,7 +199,7 @@ func settleGolden(t *testing.T, file string, lines []string, pinned map[string]s
 // The event counts and run counters of the same 28 replays, pinned in
 // testdata/counters.golden: what the engine counts as an event (in
 // total and per job), how deep the queue got, and how many slots,
-// patches and kills the run took. The file was written by the engine
+// patches and kills the run took (counted in its recorded stream). The file was written by the engine
 // that still queued a task-arrival event per grant; an engine that
 // starts the task in the granting round must count exactly the same.
 // Regenerate — only for an intended change of what an event is — with
@@ -218,9 +218,10 @@ func TestCountersMatchPinned(t *testing.T) {
 			for _, o := range res.Jobs {
 				perJob += o.Events
 			}
-			c := sink.Counters
+			c, evs := sink.Counters, sink.Events
 			line := fmt.Sprintf("events=%d perjob=%d highwater=%d mapallocs=%d reduceallocs=%d patches=%d preemptions=%d",
-				res.Events, perJob, c.HeapHighWater, c.MapSlotAllocs, c.ReduceSlotAllocs, c.FillerPatches, c.Preemptions)
+				res.Events, perJob, c.HeapHighWater, kindTotal(evs, obs.KindMapSlotAlloc), kindTotal(evs, obs.KindReduceSlotAlloc),
+				kindTotal(evs, obs.KindFillerPatch), kindTotal(evs, obs.KindPreempt))
 			lines = append(lines, name+" "+line)
 			if c.Events != res.Events {
 				t.Errorf("%s: RunEnd counted %d events, the Result %d", name, c.Events, res.Events)

@@ -68,10 +68,6 @@ func (m *MetricsSink) RunEnd(c Counters) {
 	m.mu.Lock()
 	t := &m.s.Counters
 	t.Events += c.Events
-	t.Preemptions += c.Preemptions
-	t.FillerPatches += c.FillerPatches
-	t.MapSlotAllocs += c.MapSlotAllocs
-	t.ReduceSlotAllocs += c.ReduceSlotAllocs
 	t.Jobs += c.Jobs
 	if c.HeapHighWater > t.HeapHighWater {
 		t.HeapHighWater = c.HeapHighWater

@@ -117,24 +117,20 @@ type Event struct {
 }
 
 // Counters are the run-level totals delivered to Sink.RunEnd once a
-// replay completes. The engine maintains them with plain integer
-// arithmetic whether or not a sink is attached.
+// replay completes: only what the event stream cannot say. A count of
+// one event kind (preemptions, filler patches, slot grants, departures)
+// is the number of that kind's events a sink was given; nothing
+// restates it here.
 type Counters struct {
-	// Events is the number of engine events processed (queue pops).
+	// Events is the number of engine events processed (queue pops) over
+	// the whole replay — for a fork, its prefix's too, where its stream
+	// starts at the branch point.
 	Events uint64
 	// HeapHighWater is the peak pending-event population of the event
 	// queue across all its lanes and reservations (DESIGN.md §9), not of
 	// its heap alone: un-arrived jobs count from the start, so it is at
 	// least the job count.
 	HeapHighWater int
-	// Preemptions counts map tasks killed under PreemptMapTasks.
-	Preemptions uint64
-	// FillerPatches counts first-wave filler reduces whose departure
-	// was patched at map-stage completion (§III-B shuffle modeling).
-	FillerPatches uint64
-	// MapSlotAllocs / ReduceSlotAllocs count slot grants.
-	MapSlotAllocs    uint64
-	ReduceSlotAllocs uint64
 	// Jobs and Makespan summarize the replay outcome.
 	Jobs     int
 	Makespan float64

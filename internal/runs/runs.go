@@ -69,16 +69,13 @@ const (
 // Snapshot is one point-in-time JSON view of a run — the payload of
 // GET /runs, GET /runs/{id}, and every SSE frame.
 type Snapshot struct {
-	ID        string    `json:"id"`
-	Kind      Kind      `json:"kind"`
-	Trace     string    `json:"trace,omitempty"`
-	TraceHash string    `json:"trace_hash,omitempty"`
-	Policy    string    `json:"policy,omitempty"`
-	Config    string    `json:"config,omitempty"`
-	Start     time.Time `json:"start"`
-	// End is the zero time while the run is live.
-	End   time.Time `json:"end,omitempty"`
-	Phase string    `json:"phase,omitempty"`
+	ID        string `json:"id"`
+	Kind      Kind   `json:"kind"`
+	Trace     string `json:"trace,omitempty"`
+	TraceHash string `json:"trace_hash,omitempty"`
+	Policy    string `json:"policy,omitempty"`
+	Config    string `json:"config,omitempty"`
+	Phase     string `json:"phase,omitempty"`
 	// Done/Total count the run's coarse work units (sweep cells, batch
 	// entries, branches; jobs for a single replay). Total 0 means the
 	// extent is unknown.
@@ -98,7 +95,7 @@ type Snapshot struct {
 	// "canceled"; Error carries the failure message.
 	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"`
-	// ElapsedSec is wall time from Start to End (or to now while live).
+	// ElapsedSec is wall time from Begin to End (or to now while live).
 	ElapsedSec float64 `json:"elapsed_sec"`
 	// FlightDumps counts the post-mortem captures available at
 	// /runs/{id}/flight.
@@ -257,7 +254,6 @@ func (h *Handle) Snapshot() Snapshot {
 		ID: h.id, Kind: h.meta.Kind,
 		Trace: h.meta.Trace, TraceHash: h.meta.TraceHash,
 		Policy: h.meta.Policy, Config: h.meta.Config,
-		Start:   h.start,
 		Done:    int(h.done.Load()),
 		Total:   int(h.total.Load()),
 		Events:  h.events.Load(),
@@ -278,7 +274,6 @@ func (h *Handle) Snapshot() Snapshot {
 		}
 	}
 	if rec != nil {
-		s.End = rec.at
 		s.Outcome = rec.outcome
 		s.Error = rec.errMsg
 		s.ElapsedSec = rec.at.Sub(h.start).Seconds()

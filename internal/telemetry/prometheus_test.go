@@ -25,7 +25,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("fmt_ops_total", "Operations.")
 	vec := r.NewCounterVec("fmt_by_kind_total", "By kind.", "kind", []string{"a", "b"})
-	g := r.NewMaxGauge("fmt_high_water", "Peak.")
+	r.NewFuncGauge("fmt_high_water", "Peak.", func() float64 { return 1.5 })
 	// Binary-exact bounds and observations keep the rendered _sum stable.
 	h := r.NewHistogram("fmt_latency_seconds", "Latency.", []float64{0.25, 2.5, 10})
 
@@ -33,8 +33,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	c.Add(4)
 	vec[0].Inc()
 	vec[1].Add(5)
-	g.Observe(1.5)
-	g.Observe(0.5)
 	h.Observe(0.25) // le="0.25": bounds are inclusive
 	h.Observe(1)    // le="2.5"
 	h.Observe(99)   // +Inf
@@ -101,8 +99,7 @@ func simulateTwoJobs(t *testing.T, tel *SimMetrics) {
 	a.Event(obs.Event{Time: 20, Kind: obs.KindFillerPatch, JobID: 1, Task: 0, End: 80, ShuffleEnd: 30})
 	a.Event(obs.Event{Time: 80, Kind: obs.KindReduceTaskFinish, JobID: 1, Task: 0})
 	a.Event(obs.Event{Time: 80, Kind: obs.KindJobDeparture, JobID: 1, Task: -1})
-	a.RunEnd(obs.Counters{Events: 12, HeapHighWater: 4, FillerPatches: 1,
-		MapSlotAllocs: 1, ReduceSlotAllocs: 1, Jobs: 1, Makespan: 80})
+	a.RunEnd(obs.Counters{Events: 12, HeapHighWater: 4, Jobs: 1, Makespan: 80})
 
 	// Job 2 on sink b: maps of 4s (le=5) and 30s (le=50), reduce of 200s
 	// (le=250), one preemption; completion 240 (le=250).
@@ -112,8 +109,7 @@ func simulateTwoJobs(t *testing.T, tel *SimMetrics) {
 	b.Event(obs.Event{Time: 12, Kind: obs.KindPreempt, JobID: 2, Task: 1})
 	b.Event(obs.Event{Time: 40, Kind: obs.KindReduceTaskStart, JobID: 2, Task: 0, End: 240, ShuffleEnd: 50})
 	b.Event(obs.Event{Time: 250, Kind: obs.KindJobDeparture, JobID: 2, Task: -1})
-	b.RunEnd(obs.Counters{Events: 9, HeapHighWater: 3, Preemptions: 1,
-		MapSlotAllocs: 2, ReduceSlotAllocs: 1, Jobs: 1, Makespan: 250})
+	b.RunEnd(obs.Counters{Events: 9, HeapHighWater: 3, Jobs: 1, Makespan: 250})
 
 	tel.PoolGet(false)
 	tel.PoolGet(true)
@@ -200,17 +196,15 @@ func TestSimMetricsGolden(t *testing.T) {
 		{`simmr_job_completion_seconds_bucket{le="250"} 2`}, // job 2: 240s
 		{`simmr_job_completion_seconds_sum 320`},
 		{`simmr_job_completion_seconds_count 2`},
-		{`simmr_engine_events_total 21`},
+		{`simmr_engine_events_total 12`}, // the paper's kinds in the streams: 7 on a, 5 on b
 		{`simmr_jobs_completed_total 2`},
 		{`simmr_replays_total 2`},
-		{`simmr_preemptions_total 1`},
-		{`simmr_filler_patches_total 1`},
+		{`simmr_engine_events_by_kind_total{kind="preempt"} 1`},
+		{`simmr_engine_events_by_kind_total{kind="filler-patch"} 1`},
 		{`simmr_engine_pool_gets_total{reused="false"} 1`},
 		{`simmr_engine_pool_gets_total{reused="true"} 2`},
 		{`simmr_engine_forks_total 2`},
 		{`simmr_engine_fork_bytes_copied 2500`},
-		{`simmr_makespan_seconds 250`},
-		{`simmr_queue_high_water_events_max 4`},
 		{`simmr_rcache_hits_total{tier="mem"} 1`},
 		{`simmr_rcache_hits_total{tier="disk"} 1`},
 		{`simmr_rcache_misses_total 1`},

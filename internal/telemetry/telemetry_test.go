@@ -19,18 +19,6 @@ func TestCounterSums(t *testing.T) {
 	}
 }
 
-func TestMaxGaugeMergesByMax(t *testing.T) {
-	r := NewRegistry()
-	g := r.NewMaxGauge("g", "test")
-	g.Observe(5)
-	g.Observe(9)
-	g.Observe(7) // lower than the current max: ignored
-	g.Observe(3)
-	if got := g.Value(); got != 9 {
-		t.Fatalf("Value() = %g, want 9", got)
-	}
-}
-
 func TestHistogramBucketsAndMerge(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("h", "test", []float64{1, 5, 10})
@@ -80,7 +68,6 @@ func TestConcurrentWritersAndScraper(t *testing.T) {
 	)
 	r := NewRegistry()
 	c := r.NewCounter("stress_total", "test")
-	g := r.NewMaxGauge("stress_max", "test")
 	h := r.NewHistogram("stress_hist", "test", []float64{100, 1000, 10000})
 
 	stop := make(chan struct{})
@@ -99,7 +86,6 @@ func TestConcurrentWritersAndScraper(t *testing.T) {
 				return
 			}
 			_ = c.Value()
-			_ = g.Value()
 			_ = h.Snapshot()
 		}
 	}()
@@ -107,14 +93,13 @@ func TestConcurrentWritersAndScraper(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 1; i <= perG; i++ {
 				c.Inc()
-				g.Observe(float64(w*perG + i))
 				h.Observe(float64(i))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	close(stop)
@@ -122,9 +107,6 @@ func TestConcurrentWritersAndScraper(t *testing.T) {
 
 	if got := c.Value(); got != writers*perG {
 		t.Errorf("counter = %d, want %d", got, writers*perG)
-	}
-	if got := g.Value(); got != float64((writers-1)*perG+perG) {
-		t.Errorf("max gauge = %g, want %d", got, writers*perG)
 	}
 	s := h.Snapshot()
 	if s.Count != writers*perG {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"simmr/internal/engine"
+	"simmr/internal/obs"
 	"simmr/internal/sched/schedtest"
 	"simmr/internal/telemetry/telemetrytest"
 )
@@ -284,9 +285,10 @@ func TestBranchSetRefusesStatefulPrefixPolicy(t *testing.T) {
 
 // TestBranchSetTelemetry wires a Telemetry through a fan-out and checks
 // the fork counters, finished-runs accounting, byte conservation, that
-// the prefix's events were emitted once, not once per branch, and that
-// every branch's departures are observed as completions, the jobs that
-// arrived in the prefix included.
+// the prefix's events were emitted once, not once per branch — and
+// counted once in simmr_engine_events_total — and that every branch's
+// departures are observed as completions, the jobs that arrived in the
+// prefix included.
 func TestBranchSetTelemetry(t *testing.T) {
 	tr, total, horizon := branchFixture(t, 30, NewFIFO())
 	tel := NewTelemetry()
@@ -315,7 +317,15 @@ func TestBranchSetTelemetry(t *testing.T) {
 	// one engine emits up to the branch point plus what each branch's
 	// independent replay emits after it; a fork that ran the prefix again
 	// would deliver a whole replay per branch.
-	var want uint64
+	// fired counts a snapshot's events of the paper's seven kinds: the
+	// events its engine fired (obs package doc).
+	fired := func(s obs.MetricsSnapshot) (n uint64) {
+		for _, c := range s.ByKind[:obs.KindMapSlotAlloc] {
+			n += c
+		}
+		return n
+	}
+	var want, wantFired uint64
 	for i := range branches {
 		ms := NewMetricsSink()
 		cfg := DefaultReplayConfig()
@@ -327,17 +337,29 @@ func TestBranchSetTelemetry(t *testing.T) {
 		if _, err := e.RunEvents(total / 2); err != nil {
 			t.Fatal(err)
 		}
-		prefix := ms.Snapshot().Observed
+		prefix := ms.Snapshot()
 		applyWhatIf(t, e, &branches[i])
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			want = prefix
+			want, wantFired = prefix.Observed, fired(prefix)
 		}
-		want += ms.Snapshot().Observed - prefix
+		want += ms.Snapshot().Observed - prefix.Observed
+		wantFired += fired(ms.Snapshot()) - fired(prefix)
 	}
 	if got := v.Sum("simmr_engine_events_by_kind_total"); got != float64(want) {
 		t.Errorf("sinks were delivered %v events, want the prefix once and %d suffixes: %d", got, len(branches), want)
+	}
+	var paperKinds float64
+	for k := EngineEventKind(0); k < obs.KindMapSlotAlloc; k++ {
+		paperKinds += v[`simmr_engine_events_by_kind_total{kind="`+k.String()+`"}`]
+	}
+	if got := v["simmr_engine_events_total"]; got != paperKinds || got != float64(wantFired) {
+		t.Errorf("simmr_engine_events_total = %v, want the paper's seven kinds delivered, %v, and the prefix once and %d suffixes: %d",
+			got, paperKinds, len(branches), wantFired)
+	}
+	if got, want := v["simmr_jobs_completed_total"], v[`simmr_engine_events_by_kind_total{kind="job-departure"}`]; got != want {
+		t.Errorf("simmr_jobs_completed_total = %v, want the departures delivered, %v", got, want)
 	}
 }

@@ -117,18 +117,18 @@ type (
 )
 
 // Telemetry is the sweep-wide metrics registry (DESIGN.md §10):
-// counters, max-gauges, and fixed-bucket histograms updated with plain
-// atomics, each engine's sink writing once per block of events, so a
-// single Telemetry shared by every concurrent replay costs no mutex. Set
+// counters, scrape-time gauges, and fixed-bucket histograms updated with
+// plain atomics, each engine's sink writing once per block of events, so
+// a single Telemetry shared by every concurrent replay costs no mutex. Set
 // SweepConfig.Telemetry / BatchConfig.Telemetry (or attach EngineSink()
 // to a ReplayConfig) to feed it; Registry().WritePrometheus renders it in
 // Prometheus text format, as the CLIs' -debug-addr /metrics endpoint
 // does. A nil *Telemetry is valid everywhere and costs nothing.
 type Telemetry = telemetry.SimMetrics
 
-// NewTelemetry builds the SimMR metric set (task-duration, completion,
-// and queue histograms; event, slot, and pool-reuse counters; replay
-// wall-time and lifecycle-span histograms).
+// NewTelemetry builds the SimMR metric set (task-duration and
+// completion histograms; per-kind event, replay and pool-reuse counters;
+// replay wall-time and lifecycle-span histograms).
 func NewTelemetry() *Telemetry { return telemetry.NewSimMetrics() }
 
 // NewTimelineSink returns a slot-occupancy timeline recorder.

@@ -12,6 +12,7 @@ import (
 
 	"simmr/internal/engine"
 	"simmr/internal/obs"
+	"simmr/internal/plan"
 	"simmr/internal/plan/plantest"
 	"simmr/internal/telemetry/telemetrytest"
 )
@@ -70,15 +71,6 @@ func leadOf(cfgs []ReplayConfig) int {
 		}
 	}
 	return lead
-}
-
-// answersLarger reports whether res, a replay under cfg, left a slot of
-// some kind unused throughout: whether it may answer a larger cluster.
-func answersLarger(res *ReplayResult, cfg ReplayConfig, p Policy) bool {
-	wider, taller := cfg, cfg
-	wider.MapSlots++
-	taller.ReduceSlots++
-	return engine.Answers(res, cfg, wider, p) || engine.Answers(res, cfg, taller, p)
 }
 
 // ridden is how many replays a one-worker fan-out of observed specs of
@@ -268,7 +260,7 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 								}
 							case "none":
 								byLead := answers[0] + answers[1]
-								if n := int(snap.Cached); workers == 1 && answersLarger(want[lead], cfgs[lead], pc.mk()) && n < byLead {
+								if n := int(snap.Cached); workers == 1 && n < byLead {
 									t.Fatalf("%d specs taken from a finished replay, but the lead answers %d", n, byLead)
 								} else if workers == 1 && !cached {
 									reused += n
@@ -303,5 +295,46 @@ func TestBatchFollowersMatchOwnReplay(t *testing.T) {
 	}
 	if replays := int64(len(specs)) - int64(reg.Latest().Snapshot().Cached); replays > calls.Load() {
 		t.Fatalf("a bare batch of the sweep's %d cells replayed %d of them; the sweep replayed %d", len(specs), replays, calls.Load())
+	}
+}
+
+// TestBatchRepeatIsAnswered: a bare spec that repeats another's config
+// takes that spec's answer whatever the first replay's peaks are — a
+// replay that held every slot of both kinds answers its own config too
+// (engine.Answers). Two identical FIFO specs on one worker, at slot
+// counts the trace saturates and at one it does not, settle as one
+// simulated and one answered, and neither is replayed along a trail.
+func TestBatchRepeatIsAnswered(t *testing.T) {
+	tr, err := MultiTenantTrace(200, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saturated := 0
+	for _, n := range []int{1, 2, 4, 8} {
+		cfg := DefaultReplayConfig()
+		cfg.MapSlots, cfg.ReduceSlots = n, n
+		specs := []ReplaySpec{
+			{Name: "first", Config: cfg, Trace: tr, Policy: NewFIFO()},
+			{Name: "repeat", Config: cfg, Trace: tr, Policy: NewFIFO()},
+		}
+		tally := plantest.Shortcuts.Watch(tr)
+		got, err := ReplayBatchCfg(context.Background(), BatchConfig{Workers: 1}, specs)
+		tl := tally()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("%d+%d slots: the repeat's Result differs from the first's", n, n)
+		}
+		if got[0].PeakMapSlots == n && got[0].PeakReduceSlots == n {
+			saturated++
+		}
+		if tl.By[plan.Simulated] != 1 || tl.By[plan.Answered] != 1 || tl.Copied != 0 {
+			t.Errorf("%d+%d slots (peaks %d+%d): provenance %v, %d jobs copied; want 1 simulated, 1 answered, none copied",
+				n, n, got[0].PeakMapSlots, got[0].PeakReduceSlots, tl.By, tl.Copied)
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no replay held every slot of both kinds: the saturated case is untested")
 	}
 }

@@ -322,8 +322,15 @@ func (tr *Trace) Validate() error {
 		if j == nil || j.Template == nil {
 			return fmt.Errorf("trace %q: job %d is nil or has no template", tr.Name, i)
 		}
-		if j.Arrival < 0 || math.IsNaN(j.Arrival) {
+		// An arrival at +Inf never comes: the replay would deadlock with
+		// the job unfinished.
+		if j.Arrival < 0 || math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 1) {
 			return fmt.Errorf("trace %q: job %d: invalid arrival %v", tr.Name, i, j.Arrival)
+		}
+		// A NaN deadline compares false with everything, so deadline
+		// orders (and Engine.SetDeadline) refuse it.
+		if math.IsNaN(j.Deadline) {
+			return fmt.Errorf("trace %q: job %d: invalid deadline %v", tr.Name, i, j.Deadline)
 		}
 		if j.Deadline < 0 || (j.Deadline > 0 && j.Deadline < j.Arrival) {
 			return fmt.Errorf("trace %q: job %d: deadline %v before arrival %v", tr.Name, i, j.Deadline, j.Arrival)

@@ -19,8 +19,10 @@
 #   - simmr on a 20 000-job multi-tenant .strc under all five policies,
 #     plus -v, -sweep, -shard, `trace whatif -explain`, `trace explain`,
 #     `trace run`, `trace pack|unpack|info` and `cache info|clear`;
-#   - one -debug-addr replay with -linger 0s, so the ops plane exits
-#     normally and writes its counters;
+#   - one -debug-addr replay that lingers 3 s after it ends, read by
+#     `simmr ops list`, `simmr ops watch` and curl of /metrics,
+#     /buildinfo and /runs/latest/flight; it then exits normally and
+#     writes its counters;
 #   - `benchmark --smoke` at --trace 0 and 1.
 #
 # One gap: the benchmark's bigtrace-cold workload builds the simmr it
@@ -79,7 +81,23 @@ quiet "$S" trace info -trace "$work/again.strc"
 quiet "$S" -trace "$T" -sweep 16,32 -cache-dir "$work/cache"
 quiet "$S" cache info -cache-dir "$work/cache"
 quiet "$S" cache clear -cache-dir "$work/cache"
-quiet "$S" -trace "$T" -policy maxedf -debug-addr localhost:0 -linger 0s
+
+echo "traffic-cover: the ops plane, read while the replay lingers" >&2
+"$S" -trace "$T" -policy maxedf -debug-addr 127.0.0.1:0 -linger 3s >/dev/null 2>"$work/debug.err" &
+pid=$!
+addr=
+while [ -z "$addr" ] && kill -0 "$pid" 2>/dev/null; do
+	sleep 0.1
+	addr=$(sed -n 's|.*debug endpoint at http://\([^/]*\)/metrics.*|\1|p' "$work/debug.err")
+done
+if [ -n "$addr" ]; then
+	quiet "$S" ops list -addr "$addr"
+	quiet "$S" ops watch -addr "$addr"
+	for path in metrics buildinfo runs/latest/flight; do
+		quiet curl -s "http://$addr/$path"
+	done
+fi
+wait "$pid"
 
 echo "traffic-cover: benchmark --smoke" >&2
 for t in 0 1; do

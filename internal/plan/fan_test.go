@@ -129,6 +129,41 @@ func TestParallelSweepReplaysWhatSerialDoes(t *testing.T) {
 	}
 }
 
+// TestArrivalAwareSweepStaysParallel: under a policy that Answers
+// refuses (MinEDF), no finished replay answers a cell or is expected to,
+// so two workers replay the grid two cells at a time to its last cell.
+// Each replay but the lead and the last is held until the next one has
+// started: a worker that waited on a running replay would leave it held.
+func TestArrivalAwareSweepStaysParallel(t *testing.T) {
+	tr := sparseTrace(t)
+	var reqs []Request
+	for _, m := range kneeGrid {
+		for _, r := range kneeGrid {
+			reqs = append(reqs, Request{Cfg: engine.Config{MapSlots: m, ReduceSlots: r, MinMapPercentCompleted: 0.05}, Trace: tr})
+		}
+	}
+	var calls atomic.Int64
+	p := Begin(Options{Workers: 2}, Run{Kind: runs.KindSweep, Traces: []*trace.Trace{tr}, Replays: len(reqs)})
+	err := p.End(p.Fan(context.Background(), Fanout{
+		Requests: reqs,
+		NewPolicy: func() sched.Policy {
+			n := calls.Add(1)
+			if n > 1 && n < int64(len(reqs)) && !waitFor(func() bool { return calls.Load() > n }) {
+				t.Errorf("replay %d ran alone", n)
+			}
+			return sched.MinEDF{}
+		},
+		Fold: func(int, *engine.Result) {},
+		Took: func(int, int) {},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != int64(len(reqs)) {
+		t.Fatalf("replayed %d of %d cells", got, len(reqs))
+	}
+}
+
 // waitingIn reports whether a goroutine is blocked in a fan-out's worker
 // body, waiting for a running replay to finish.
 func waitingIn() bool {

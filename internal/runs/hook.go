@@ -6,13 +6,13 @@ import "simmr/internal/obs"
 // the event stream (the obs package's contract): each block's events of
 // the paper's seven kinds are engine events fired, its job departures
 // are jobs done, so a block becomes live intra-replay done/total and
-// event counts, and RunEnd settles the totals. One hook serves one
-// engine at a time (the Sink contract); pooled reuse across runs is
-// fine because RunEnd clears the counts.
+// event counts, and RunEnd settles the jobs. The stream is the only
+// source of the event count: a fork's RunEnd counts its prefix too. One
+// hook serves one engine at a time (the Sink contract); pooled reuse
+// across runs is fine because RunEnd clears the count of departures.
 type engineHook struct {
 	h          *Handle
 	jobs       int
-	events     uint64
 	departures int
 }
 
@@ -41,16 +41,12 @@ func (e *engineHook) Events(evs []obs.Event) {
 			}
 		}
 	}
-	e.events += fired
 	e.h.AddEvents(fired)
 	e.h.Progress(e.departures, e.jobs)
 }
 
 func (e *engineHook) RunEnd(c obs.Counters) {
-	if c.Events > e.events {
-		e.h.AddEvents(c.Events - e.events)
-	}
-	e.events, e.departures = 0, 0
+	e.departures = 0
 	e.h.AddJobs(uint64(c.Jobs))
 	e.h.Progress(c.Jobs, c.Jobs)
 }

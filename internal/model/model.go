@@ -107,8 +107,8 @@ type Allocation struct {
 // MinEDF passes AvgCoeffs; LowCoeffs (optimistic) and UpCoeffs
 // (conservative) are the MinEDF-estimator ablation.
 func MinimalSlotsCoeffs(p trace.Profile, c Coeffs, deadline float64, maxMap, maxReduce int) Allocation {
-	capM := minInt(maxMap, p.NumMaps)
-	capR := minInt(maxReduce, p.NumReduces)
+	capM := min(maxMap, p.NumMaps)
+	capR := min(maxReduce, p.NumReduces)
 	if capM < 1 {
 		capM = 1
 	}
@@ -168,13 +168,6 @@ func shrinkGain(c Coeffs, p trace.Profile, sm, sr int) (gainM, gainR float64) {
 		gainR = cur - c.Eval(p.NumMaps, p.NumReduces, sm, sr+1)
 	}
 	return gainM, gainR
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func clampInt(x, lo, hi int) int {

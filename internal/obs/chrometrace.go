@@ -40,9 +40,9 @@ type ctEvent struct {
 // ctFile is the JSON Object Format variant of the trace file, which
 // carries metadata alongside the event array.
 type ctFile struct {
-	TraceEvents     []ctEvent      `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	OtherData       map[string]any `json:"otherData,omitempty"`
+	TraceEvents     []ctEvent `json:"traceEvents"`
+	DisplayTimeUnit string    `json:"displayTimeUnit"`
+	OtherData       Counters  `json:"otherData"`
 }
 
 // ChromeTraceSink records a replay and exports it in Chrome trace-event
@@ -180,12 +180,7 @@ func (c *ChromeTraceSink) WriteJSON(w io.Writer) error {
 	file := ctFile{
 		TraceEvents:     events,
 		DisplayTimeUnit: "ms",
-		OtherData: map[string]any{
-			"events":          c.counters.Events,
-			"heap_high_water": c.counters.HeapHighWater,
-			"jobs":            c.counters.Jobs,
-			"makespan_s":      c.counters.Makespan,
-		},
+		OtherData:       c.counters,
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

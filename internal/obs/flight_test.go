@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -158,6 +159,29 @@ func TestFlightDumpJSONRoundTrip(t *testing.T) {
 	}
 	if back.Counters != d.Counters {
 		t.Fatal("counters lost in round trip")
+	}
+
+	// The counters object has the snake_case keys of the rest of the
+	// dump, the same object as the Chrome trace's otherData.
+	var dump struct {
+		Counters map[string]any `json:"counters"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	var chrome bytes.Buffer
+	if err := d.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	var ct struct {
+		OtherData map[string]any `json:"otherData"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &ct); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{"events": 100.0, "heap_high_water": 0.0, "jobs": 7.0, "makespan_s": 0.0}
+	if !reflect.DeepEqual(dump.Counters, want) || !reflect.DeepEqual(ct.OtherData, want) {
+		t.Fatalf("counters %v, otherData %v, want both %v", dump.Counters, ct.OtherData, want)
 	}
 }
 

@@ -125,15 +125,15 @@ type Counters struct {
 	// Events is the number of engine events processed (queue pops) over
 	// the whole replay — for a fork, its prefix's too, where its stream
 	// starts at the branch point.
-	Events uint64
+	Events uint64 `json:"events"`
 	// HeapHighWater is the peak pending-event population of the event
 	// queue across all its lanes and reservations (DESIGN.md §9), not of
 	// its heap alone: un-arrived jobs count from the start, so it is at
 	// least the job count.
-	HeapHighWater int
+	HeapHighWater int `json:"heap_high_water"`
 	// Jobs and Makespan summarize the replay outcome.
-	Jobs     int
-	Makespan float64
+	Jobs     int     `json:"jobs"`
+	Makespan float64 `json:"makespan_s"`
 }
 
 // Sink receives the engine's event stream. Implementations need not be

@@ -200,7 +200,6 @@ func (j *jobAccum) build() (*trace.Job, error) {
 			mapStageEnd = fin
 		}
 	}
-	sort.Float64s(mapDur) // map iteration order must not leak into traces
 	if j.totalMaps == 0 {
 		j.totalMaps = len(mapDur)
 	}
@@ -209,9 +208,7 @@ func (j *jobAccum) build() (*trace.Job, error) {
 			j.jobID, len(mapDur), j.totalMaps)
 	}
 
-	var first, typical, reduce []float64
-	type redObs struct{ start, sortEnd, finish float64 }
-	obs := make([]redObs, 0, len(j.redFinish))
+	reds := make([]cluster.ReduceSpan, 0, len(j.redFinish))
 	for id, fin := range j.redFinish {
 		start, okS := j.redStart[id]
 		sortEnd, okC := j.redSort[id]
@@ -221,68 +218,55 @@ func (j *jobAccum) build() (*trace.Job, error) {
 		if sortEnd < start || fin < sortEnd {
 			return nil, fmt.Errorf("profiler: job %s: reduce %s phases out of order", j.jobID, id)
 		}
-		obs = append(obs, redObs{start, sortEnd, fin})
-	}
-	sort.Slice(obs, func(a, b int) bool { return obs[a].start < obs[b].start })
-	for _, o := range obs {
-		if o.start < mapStageEnd {
-			// First-wave reduce: record only the part of its shuffle
-			// that does not overlap the map stage.
-			d := o.sortEnd - mapStageEnd
-			if d < 0 {
-				d = 0
-			}
-			first = append(first, d)
-		} else {
-			typical = append(typical, o.sortEnd-o.start)
-		}
-		reduce = append(reduce, o.finish-o.sortEnd)
+		reds = append(reds, cluster.ReduceSpan{Start: start, SortEnd: sortEnd, End: fin})
 	}
 	if j.totalReds == 0 {
-		j.totalReds = len(reduce)
+		j.totalReds = len(reds)
 	}
-	if len(reduce) != j.totalReds {
+	if len(reds) != j.totalReds {
 		return nil, fmt.Errorf("profiler: job %s: %d completed reduces, expected %d",
-			j.jobID, len(reduce), j.totalReds)
+			j.jobID, len(reds), j.totalReds)
 	}
-
-	// Degenerate wave structures: a replayable template needs both
-	// shuffle arrays when the job has reduces at all. If the profiled
-	// run had only one kind of wave, fall back to the observed one.
-	if j.totalReds > 0 {
-		if len(typical) == 0 {
-			// Single reduce wave: approximate a typical shuffle with the
-			// full observed shuffle spans after map end. Conservative:
-			// a cold shuffle cannot be faster than the residual one.
-			for _, o := range obs {
-				typical = append(typical, o.sortEnd-maxF(o.start, mapStageEnd))
-			}
-		}
-		if len(first) == 0 {
-			// All reduces started after the map stage (tiny map stage):
-			// there is no overlapped portion; first shuffle = typical.
-			first = append(first, typical...)
-		}
-	}
-
-	tpl := &trace.Template{
-		AppName:         j.name,
-		NumMaps:         j.totalMaps,
-		NumReduces:      j.totalReds,
-		Counters:        j.counters,
-		MapDurations:    mapDur,
-		FirstShuffle:    first,
-		TypicalShuffle:  typical,
-		ReduceDurations: reduce,
-	}
+	tpl := template(j.name, mapDur, reds, mapStageEnd)
+	tpl.Counters = j.counters
 	return &trace.Job{Name: j.name, Arrival: j.submit, Template: tpl}, nil
 }
 
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
+// template applies §III-A's extraction rule to one job's observed map
+// durations and reduce spans, sorting both in place. A reduce started
+// before the map stage ended (first wave) records only the part of its
+// shuffle that does not overlap the map stage; a later one records its
+// whole shuffle as typical. A replayable template needs both shuffle
+// arrays when the job has reduces at all, so a run with only one kind
+// of wave falls back to the observed one.
+func template(name string, maps []float64, reds []cluster.ReduceSpan, mapStageEnd float64) *trace.Template {
+	sort.Float64s(maps) // neither log nor task order may leak into traces
+	sort.Slice(reds, func(a, b int) bool { return reds[a].Start < reds[b].Start })
+	tpl := &trace.Template{AppName: name, NumMaps: len(maps), NumReduces: len(reds), MapDurations: maps}
+	for _, r := range reds {
+		if r.Start < mapStageEnd {
+			tpl.FirstShuffle = append(tpl.FirstShuffle, max(r.SortEnd-mapStageEnd, 0))
+		} else {
+			tpl.TypicalShuffle = append(tpl.TypicalShuffle, r.ShuffleDuration())
+		}
+		tpl.ReduceDurations = append(tpl.ReduceDurations, r.ReduceDuration())
 	}
-	return b
+	if len(reds) > 0 {
+		if len(tpl.TypicalShuffle) == 0 {
+			// Single reduce wave: approximate a typical shuffle with the
+			// full observed shuffle spans after map end. Conservative:
+			// a cold shuffle cannot be faster than the residual one.
+			for _, r := range reds {
+				tpl.TypicalShuffle = append(tpl.TypicalShuffle, r.SortEnd-max(r.Start, mapStageEnd))
+			}
+		}
+		if len(tpl.FirstShuffle) == 0 {
+			// All reduces started after the map stage (tiny map stage):
+			// there is no overlapped portion; first shuffle = typical.
+			tpl.FirstShuffle = append(tpl.FirstShuffle, tpl.TypicalShuffle...)
+		}
+	}
+	return tpl
 }
 
 // FromResult builds the same trace directly from an emulator result,
@@ -292,40 +276,12 @@ func FromResult(res *cluster.Result) *trace.Trace {
 	tr := &trace.Trace{}
 	for i := range res.Jobs {
 		jr := &res.Jobs[i]
-		tpl := &trace.Template{
-			AppName:    jr.Name,
-			Dataset:    jr.Dataset,
-			NumMaps:    len(jr.Maps),
-			NumReduces: len(jr.Reduces),
-		}
+		var maps []float64
 		for _, m := range jr.Maps {
-			tpl.MapDurations = append(tpl.MapDurations, m.Duration())
+			maps = append(maps, m.Duration())
 		}
-		sort.Float64s(tpl.MapDurations)
-		reds := append([]cluster.ReduceSpan(nil), jr.Reduces...)
-		sort.Slice(reds, func(a, b int) bool { return reds[a].Start < reds[b].Start })
-		for _, r := range reds {
-			if r.Start < jr.MapStageEnd {
-				d := r.SortEnd - jr.MapStageEnd
-				if d < 0 {
-					d = 0
-				}
-				tpl.FirstShuffle = append(tpl.FirstShuffle, d)
-			} else {
-				tpl.TypicalShuffle = append(tpl.TypicalShuffle, r.ShuffleDuration())
-			}
-			tpl.ReduceDurations = append(tpl.ReduceDurations, r.ReduceDuration())
-		}
-		if tpl.NumReduces > 0 {
-			if len(tpl.TypicalShuffle) == 0 {
-				for _, r := range reds {
-					tpl.TypicalShuffle = append(tpl.TypicalShuffle, r.SortEnd-maxF(r.Start, jr.MapStageEnd))
-				}
-			}
-			if len(tpl.FirstShuffle) == 0 {
-				tpl.FirstShuffle = append(tpl.FirstShuffle, tpl.TypicalShuffle...)
-			}
-		}
+		tpl := template(jr.Name, maps, append([]cluster.ReduceSpan(nil), jr.Reduces...), jr.MapStageEnd)
+		tpl.Dataset = jr.Dataset
 		tr.Jobs = append(tr.Jobs, &trace.Job{
 			Name:     jr.Name,
 			Arrival:  jr.Submit,

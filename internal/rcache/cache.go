@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"simmr/internal/engine"
+	"simmr/internal/trace"
 )
 
 // DefaultMemBytes is the in-memory tier budget when Options.MemBytes
@@ -26,14 +27,14 @@ const DefaultMemBytes = 64 << 20
 const entryOverhead = 128
 
 // diskExt is the on-disk entry suffix; Clear only ever removes files
-// carrying it, and writeFileAtomic's temp files, so pointing -cache-dir
-// at a populated directory cannot destroy foreign data.
+// carrying it, and trace.WriteFileAtomic's temp files, so pointing
+// -cache-dir at a populated directory cannot destroy foreign data.
 const diskExt = ".srrc"
 
-// isTempName reports whether name is exactly one of writeFileAtomic's
-// temp files, <32 hex digits>.srrc.<decimal digits>.tmp (os.CreateTemp
-// replaces the "*" with decimal digits): a writer killed between write
-// and rename leaves one behind, and only Clear removes it.
+// isTempName reports whether name is exactly one of the temp files
+// trace.WriteFileAtomic makes for an entry, <32 hex digits>.srrc.
+// <decimal digits>.tmp: a writer killed between write and rename leaves
+// one behind, and only Clear removes it.
 func isTempName(name string) bool {
 	key, rest, ok := strings.Cut(name, diskExt+".")
 	digits, isTmp := strings.CutSuffix(rest, ".tmp")
@@ -214,7 +215,14 @@ func (c *Cache) Put(k Key, res *engine.Result) {
 		return
 	}
 	if c.dir != "" {
-		if data, err := Encode(k, res); err == nil && writeFileAtomic(c.entryPath(k), data) == nil {
+		data, err := Encode(k, res)
+		if err == nil {
+			err = trace.WriteFileAtomic(c.entryPath(k), func(f *os.File) error {
+				_, err := f.Write(data)
+				return err
+			})
+		}
+		if err == nil {
 			return
 		}
 	}
@@ -336,29 +344,4 @@ func (c *Cache) Clear() error {
 
 func (c *Cache) entryPath(k Key) string {
 	return filepath.Join(c.dir, k.String()+diskExt)
-}
-
-// writeFileAtomic is the tracebin.WriteFile pattern: write a sibling
-// temp file, then rename into place, so a reader never observes a
-// half-written entry. The temp name is unique per writer so two
-// goroutines storing the same key never interleave into one file.
-// A failure leaves no temp litter and no entry, and is reported so Put
-// can keep the entry in memory instead.
-func writeFileAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }

@@ -14,18 +14,17 @@
 //
 // Tier one is a byte-budgeted in-memory LRU holding encoded entries;
 // tier two is an optional on-disk store, one file per entry, written
-// atomically (temp + rename, like tracebin.Writer) and CRC-guarded. Any
-// decode or CRC failure on either tier is treated as a miss and silently
-// falls back to recompute — corruption can cost a replay, never
-// correctness.
+// atomically (trace.WriteFileAtomic) and CRC-guarded. Any decode or CRC
+// failure on either tier is treated as a miss and silently falls back to
+// recompute — corruption can cost a replay, never correctness.
 package rcache
 
 import (
 	"fmt"
-	"math"
 
 	"simmr/internal/engine"
 	"simmr/internal/sched"
+	"simmr/internal/trace"
 )
 
 // keyVersion is folded into every key. Bump it whenever the entry
@@ -81,16 +80,11 @@ func KeyFor(traceDigest uint64, cfg engine.Config, p sched.Policy) (Key, bool) {
 // keyLane is one FNV-1a pass over the canonical key material; lane
 // seeds differ so Hi and Lo are independent hashes of the same bytes.
 func keyLane(seed, traceDigest uint64, cfg engine.Config, policyFP uint64) uint64 {
-	h := fnvOffset
-	h.u64(seed)
-	h.u64(keyVersion)
-	h.u64(engine.SemanticsVersion)
-	h.u64(traceDigest)
+	h := trace.FNVOffset.U64(seed).U64(keyVersion).U64(engine.SemanticsVersion).U64(traceDigest)
 	// Canonical Config encoding: every field that can change outcomes,
 	// in declaration order, fixed width. Sink is observability-only.
-	h.u64(uint64(int64(cfg.MapSlots)))
-	h.u64(uint64(int64(cfg.ReduceSlots)))
-	h.u64(math.Float64bits(cfg.MinMapPercentCompleted))
+	h = h.U64(uint64(int64(cfg.MapSlots))).U64(uint64(int64(cfg.ReduceSlots))).
+		F64(cfg.MinMapPercentCompleted)
 	// Bit 0 is spent: it keyed a knob that no longer exists, and the other
 	// bits keep their values so that the keys in use did not move.
 	var flags uint64
@@ -103,21 +97,6 @@ func keyLane(seed, traceDigest uint64, cfg engine.Config, policyFP uint64) uint6
 	if cfg.PreemptMapTasks {
 		flags |= 8
 	}
-	h.u64(flags)
-	h.u64(policyFP)
+	h = h.U64(flags).U64(policyFP)
 	return uint64(h)
-}
-
-// fnv64 is the FNV-1a accumulator idiom shared with trace.ContentHash.
-type fnv64 uint64
-
-const (
-	fnvOffset fnv64  = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func (h *fnv64) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		*h = fnv64((uint64(*h) ^ uint64(byte(v>>(8*i)))) * fnvPrime)
-	}
 }

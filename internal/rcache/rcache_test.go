@@ -585,7 +585,7 @@ func TestClearRemovesTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	c := New(Options{Dir: dir})
 	k := Key{Hi: 0xfeed, Lo: 0xbeef}
-	// Named the way writeFileAtomic names it, then abandoned.
+	// Named the way trace.WriteFileAtomic names it, then abandoned.
 	f, err := os.CreateTemp(dir, filepath.Base(c.entryPath(k))+".*.tmp")
 	if err != nil {
 		t.Fatal(err)

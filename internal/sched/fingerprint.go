@@ -1,6 +1,6 @@
 package sched
 
-import "math"
+import "simmr/internal/trace"
 
 // Policy fingerprints give the replay result cache (internal/rcache) a
 // stable 64-bit identity for every built-in policy: two policies with
@@ -35,63 +35,28 @@ func FingerprintOf(p Policy) (uint64, bool) {
 	return f.Fingerprint()
 }
 
-// fp64 is a FNV-1a accumulator, the same idiom trace.ContentHash uses.
-type fp64 uint64
-
-const (
-	fpOffset fp64   = 14695981039346656037
-	fpPrime  uint64 = 1099511628211
-)
-
-func (h *fp64) byte(b byte) {
-	*h = fp64((uint64(*h) ^ uint64(b)) * fpPrime)
-}
-
-func (h *fp64) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v >> (8 * i)))
-	}
-}
-
-func (h *fp64) f64(v float64) { h.u64(math.Float64bits(v)) }
-
-func (h *fp64) str(s string) {
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
-	}
-	h.u64(uint64(len(s)))
-}
-
-// fpTag hashes a versioned policy tag.
-func fpTag(tag string) fp64 {
-	h := fpOffset
-	h.str(tag)
-	return h
-}
-
 // Fingerprint identifies FIFO: no parameters.
-func (FIFO) Fingerprint() (uint64, bool) { return uint64(fpTag("sched.FIFO/v1")), true }
+func (FIFO) Fingerprint() (uint64, bool) { return uint64(trace.FNVOffset.Str("sched.FIFO/v1")), true }
 
 // Fingerprint identifies MaxEDF: no parameters.
-func (MaxEDF) Fingerprint() (uint64, bool) { return uint64(fpTag("sched.MaxEDF/v1")), true }
+func (MaxEDF) Fingerprint() (uint64, bool) {
+	return uint64(trace.FNVOffset.Str("sched.MaxEDF/v1")), true
+}
 
 // Fingerprint identifies MinEDF folded with its estimator: the three
 // estimator variants schedule differently and must never share entries.
 func (p MinEDF) Fingerprint() (uint64, bool) {
-	h := fpTag("sched.MinEDF/v1")
-	h.u64(uint64(p.Estimate))
-	return uint64(h), true
+	return uint64(trace.FNVOffset.Str("sched.MinEDF/v1").U64(uint64(p.Estimate))), true
 }
 
 // Fingerprint identifies Fair: no parameters.
-func (Fair) Fingerprint() (uint64, bool) { return uint64(fpTag("sched.Fair/v1")), true }
+func (Fair) Fingerprint() (uint64, bool) { return uint64(trace.FNVOffset.Str("sched.Fair/v1")), true }
 
 // Fingerprint identifies Capacity by its share vector.
 func (p Capacity) Fingerprint() (uint64, bool) {
-	h := fpTag("sched.Capacity/v1")
-	h.u64(uint64(len(p.Shares)))
+	h := trace.FNVOffset.Str("sched.Capacity/v1").U64(uint64(len(p.Shares)))
 	for _, s := range p.Shares {
-		h.f64(s)
+		h = h.F64(s)
 	}
 	return uint64(h), true
 }

@@ -40,7 +40,8 @@ func OpenDB(dir string) (*DB, error) {
 }
 
 // Put stores (or replaces) a trace under its Name. The trace must
-// validate. Writes are atomic: a temp file is renamed into place.
+// validate. Writes are atomic (WriteFileAtomic), so handles in any
+// number of processes may store one name at once: the last rename wins.
 func (db *DB) Put(tr *Trace) error {
 	if tr.Name == "" {
 		return fmt.Errorf("trace: Put: trace has no name")
@@ -55,15 +56,44 @@ func (db *DB) Put(tr *Trace) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	path := filepath.Join(db.root, sanitize(tr.Name)+".trace.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := WriteFileAtomic(path, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("trace: write %q: %w", tr.Name, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("trace: commit %q: %w", tr.Name, err)
 	}
 	db.idx[tr.Name] = path
 	return nil
+}
+
+// WriteFileAtomic writes path through a temp file of its own beside it,
+// <base>.<digits>.tmp, which fill writes and which is then renamed into
+// place. A reader never sees a half-written file, and writers racing on
+// one path, in one process or many, never share a temp file: each
+// rename installs one whole file, and the last one stays. On any
+// failure the temp file is removed and path is left as it was. The file
+// is readable by all (0644), as os.WriteFile(path, data, 0o644) leaves
+// it under the usual umask. Every file the module stores is written
+// through it: trace databases, .strc traces and cache entries.
+func WriteFileAtomic(path string, fill func(*os.File) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = fill(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // Get loads a trace by name.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -137,6 +138,49 @@ func TestDBConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if len(db.List()) != 8 {
 		t.Fatalf("expected 8 traces, got %d", len(db.List()))
+	}
+}
+
+// TestDBHandlesShareOneName: two handles on one directory — two
+// processes, as far as the file system can tell — store one name at
+// once. Each write goes through a temp file of its own, so every Put
+// succeeds and the stored trace is one of the two, whole.
+func TestDBHandlesShareOneName(t *testing.T) {
+	dir := t.TempDir()
+	var dbs [2]*DB
+	for i := range dbs {
+		var err error
+		if dbs[i], err = OpenDB(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := testTrace("shared"), testTrace("shared")
+	b.Jobs[0].Arrival = 5
+	want := map[uint64]bool{a.ContentHash(): true, b.ContentHash(): true}
+	for round := 0; round < 100; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, tr := range []*Trace{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = dbs[i].Put(tr)
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		got, err := dbs[round%2].Get("shared")
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !want[got.ContentHash()] {
+			t.Fatalf("round %d: the stored trace is neither input", round)
+		}
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 1 {
+		t.Fatalf("%d files in the database, want the one trace", len(left))
 	}
 }
 

@@ -2,30 +2,37 @@ package trace
 
 import "math"
 
-// fnv64 constants (FNV-1a), inlined so hashing needs no hash.Hash64
-// allocation or per-field interface calls.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// FNV is a 64-bit FNV-1a accumulator: the one fold behind trace
+// digests, policy fingerprints (internal/sched) and result-cache keys
+// (internal/rcache). Each method returns the folded state, so folds
+// chain without a hash.Hash64 allocation or per-field interface calls.
+// Start from FNVOffset.
+type FNV uint64
 
-type fnv64 uint64
+// FNVOffset is FNV-1a's 64-bit offset basis: the empty fold.
+const FNVOffset FNV = 14695981039346656037
 
-func (h fnv64) u64(v uint64) fnv64 {
+const fnvPrime = 1099511628211
+
+// U64 folds v's eight bytes, least significant first.
+func (h FNV) U64(v uint64) FNV {
 	for i := 0; i < 8; i++ {
-		h = (h ^ fnv64(v&0xff)) * fnvPrime
+		h = (h ^ FNV(v&0xff)) * fnvPrime
 		v >>= 8
 	}
 	return h
 }
 
-func (h fnv64) f64(v float64) fnv64 { return h.u64(math.Float64bits(v)) }
+// F64 folds v's IEEE-754 bits.
+func (h FNV) F64(v float64) FNV { return h.U64(math.Float64bits(v)) }
 
-func (h fnv64) str(s string) fnv64 {
+// Str folds s's bytes, then its length, so that adjacent strings cannot
+// trade bytes.
+func (h FNV) Str(s string) FNV {
 	for i := 0; i < len(s); i++ {
-		h = (h ^ fnv64(s[i])) * fnvPrime
+		h = (h ^ FNV(s[i])) * fnvPrime
 	}
-	return h.u64(uint64(len(s)))
+	return h.U64(uint64(len(s)))
 }
 
 // ContentHash returns a full-content 64-bit digest of the trace: the
@@ -45,15 +52,15 @@ func (h fnv64) str(s string) fnv64 {
 // deadline) are always folded fresh, so in-place edits of arrivals or
 // deadlines still re-key.
 func (t *Trace) ContentHash() uint64 {
-	h := fnv64(fnvOffset).str(t.Name).u64(uint64(len(t.Jobs)))
+	h := FNVOffset.Str(t.Name).U64(uint64(len(t.Jobs)))
 	for _, j := range t.Jobs {
-		h = h.u64(uint64(j.ID)).f64(j.Arrival).f64(j.Deadline)
+		h = h.U64(uint64(j.ID)).F64(j.Arrival).F64(j.Deadline)
 		tpl := j.Template
 		if tpl == nil {
-			h = h.u64(0)
+			h = h.U64(0)
 			continue
 		}
-		h = h.u64(tpl.Digest())
+		h = h.U64(tpl.Digest())
 	}
 	return uint64(h)
 }
@@ -67,14 +74,14 @@ func (tpl *Template) Digest() uint64 {
 	if p := tpl.digest.Load(); p != nil {
 		return *p
 	}
-	th := fnv64(fnvOffset).str(tpl.AppName).str(tpl.Dataset).
-		u64(uint64(tpl.NumMaps)).u64(uint64(tpl.NumReduces))
+	th := FNVOffset.Str(tpl.AppName).Str(tpl.Dataset).
+		U64(uint64(tpl.NumMaps)).U64(uint64(tpl.NumReduces))
 	for _, col := range [][]float64{
 		tpl.MapDurations, tpl.FirstShuffle, tpl.TypicalShuffle, tpl.ReduceDurations,
 	} {
-		th = th.u64(uint64(len(col)))
+		th = th.U64(uint64(len(col)))
 		for _, d := range col {
-			th = th.f64(d)
+			th = th.F64(d)
 		}
 	}
 	v := uint64(th)

@@ -32,20 +32,20 @@ func ScaleTemplate(t *Template, factor float64, scaleReduces bool, rng *rand.Ran
 		AppName: t.AppName,
 		Dataset: fmt.Sprintf("%s x%.2g", t.Dataset, factor),
 	}
-	out.NumMaps = maxInt(1, int(float64(t.NumMaps)*factor+0.5))
+	out.NumMaps = max(1, int(float64(t.NumMaps)*factor+0.5))
 	out.MapDurations = resample(t.MapDurations, out.NumMaps, rng)
 
 	out.NumReduces = t.NumReduces
 	shuffleScale := factor
 	if scaleReduces && t.NumReduces > 0 {
-		out.NumReduces = maxInt(1, int(float64(t.NumReduces)*factor+0.5))
+		out.NumReduces = max(1, int(float64(t.NumReduces)*factor+0.5))
 		shuffleScale = 1
 	}
 	if out.NumReduces > 0 {
 		out.ReduceDurations = scaleAll(resample(t.ReduceDurations, out.NumReduces, rng), shuffleScale)
-		nFirst := minInt(out.NumReduces, len(t.FirstShuffle))
+		nFirst := min(out.NumReduces, len(t.FirstShuffle))
 		if nFirst == 0 {
-			nFirst = minInt(out.NumReduces, 1)
+			nFirst = min(out.NumReduces, 1)
 		}
 		out.FirstShuffle = scaleAll(resample(t.FirstShuffle, nFirst, rng), shuffleScale)
 		out.TypicalShuffle = scaleAll(resample(t.TypicalShuffle, out.NumReduces, rng), shuffleScale)
@@ -71,18 +71,4 @@ func scaleAll(xs []float64, f float64) []float64 {
 		xs[i] *= f
 	}
 	return xs
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

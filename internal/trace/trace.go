@@ -66,16 +66,20 @@ type Template struct {
 	// Job-level fields), and racing writers store identical values.
 	digest atomic.Pointer[uint64]
 
-	// valid memoizes a successful Validate for Trace.Validate, which then
-	// checks a template shared by any number of jobs (or traces) once with
-	// one load per job, where a per-call set of checked templates cost a
-	// map probe per job. Same contract as the caches above: a template is
-	// not mutated once validated.
+	// valid memoizes a successful Validate, so a template shared by any
+	// number of jobs (or traces) is checked once, and a trace validated
+	// again costs one load per job, where a per-call set of checked
+	// templates cost a map probe per job. Same contract as the caches
+	// above: a template is not mutated once validated.
 	valid atomic.Bool
 }
 
-// Validate checks the template's internal consistency.
+// Validate checks the template's internal consistency, once: a
+// success is memoized (see valid).
 func (t *Template) Validate() error {
+	if t.valid.Load() {
+		return nil
+	}
 	switch {
 	case t.NumMaps <= 0:
 		return fmt.Errorf("trace: template %q: NumMaps = %d, need > 0", t.AppName, t.NumMaps)
@@ -100,6 +104,7 @@ func (t *Template) Validate() error {
 			}
 		}
 	}
+	t.valid.Store(true)
 	return nil
 }
 
@@ -296,12 +301,34 @@ func (tr *Trace) Close() error {
 // ErrEmptyTrace is returned when validating a trace with no jobs.
 var ErrEmptyTrace = errors.New("trace: no jobs")
 
-// Validate checks every job and the trace-level invariants. Template
-// validation runs once per *unique* template, not once per job: a
-// deduplicated million-job trace whose jobs share a few hundred
-// templates validates in time proportional to the jobs plus the
-// unique duration volume, never re-walking shared arrays (a template
-// remembers that it passed, Template.valid).
+// ValidateJob checks the rules one job must keep, whatever trace it is
+// in: it has a template, and the template is valid; its arrival is a
+// finite time >= 0 (an arrival at +Inf never comes, and the replay
+// would deadlock with the job unfinished); its deadline is 0 (none) or
+// at or after its arrival, and never NaN (a NaN deadline compares false
+// with everything, so deadline orders and Engine.SetDeadline refuse it).
+// The .strc writer checks each job it is given with it.
+func ValidateJob(j *Job) error {
+	switch {
+	case j == nil || j.Template == nil:
+		return errors.New("nil or has no template")
+	case j.Arrival < 0 || math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 1):
+		return fmt.Errorf("invalid arrival %v", j.Arrival)
+	case math.IsNaN(j.Deadline):
+		return fmt.Errorf("invalid deadline %v", j.Deadline)
+	case j.Deadline < 0 || (j.Deadline > 0 && j.Deadline < j.Arrival):
+		return fmt.Errorf("deadline %v before arrival %v", j.Deadline, j.Arrival)
+	}
+	return j.Template.Validate()
+}
+
+// Validate checks every job (ValidateJob) and the rules that need the
+// whole trace: at least one job, and unique IDs. A template is checked
+// once however many jobs share it (Template.Validate remembers that it
+// passed), so a deduplicated million-job trace validates in time
+// proportional to its jobs plus its unique duration volume. The .strc
+// reader hands every trace it decodes to Validate, and WriteFile packs
+// only a trace that passes, so a packed file keeps this same contract.
 //
 // A successful Validate is memoized: pooled engines validate the shared
 // trace on every Run, and the per-job walk would otherwise dominate a
@@ -319,21 +346,8 @@ func (tr *Trace) Validate() error {
 	// map from the first job that breaks the pattern on.
 	var seen map[int]bool
 	for i, j := range tr.Jobs {
-		if j == nil || j.Template == nil {
-			return fmt.Errorf("trace %q: job %d is nil or has no template", tr.Name, i)
-		}
-		// An arrival at +Inf never comes: the replay would deadlock with
-		// the job unfinished.
-		if j.Arrival < 0 || math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 1) {
-			return fmt.Errorf("trace %q: job %d: invalid arrival %v", tr.Name, i, j.Arrival)
-		}
-		// A NaN deadline compares false with everything, so deadline
-		// orders (and Engine.SetDeadline) refuse it.
-		if math.IsNaN(j.Deadline) {
-			return fmt.Errorf("trace %q: job %d: invalid deadline %v", tr.Name, i, j.Deadline)
-		}
-		if j.Deadline < 0 || (j.Deadline > 0 && j.Deadline < j.Arrival) {
-			return fmt.Errorf("trace %q: job %d: deadline %v before arrival %v", tr.Name, i, j.Deadline, j.Arrival)
+		if err := ValidateJob(j); err != nil {
+			return fmt.Errorf("trace %q: job %d: %w", tr.Name, i, err)
 		}
 		if seen == nil && j.ID != i {
 			seen = make(map[int]bool, len(tr.Jobs))
@@ -346,12 +360,6 @@ func (tr *Trace) Validate() error {
 				return fmt.Errorf("trace %q: duplicate job ID %d", tr.Name, j.ID)
 			}
 			seen[j.ID] = true
-		}
-		if t := j.Template; !t.valid.Load() {
-			if err := t.Validate(); err != nil {
-				return fmt.Errorf("trace %q: job %d: %w", tr.Name, i, err)
-			}
-			t.valid.Store(true)
 		}
 	}
 	tr.validated.Store(true)

@@ -12,8 +12,9 @@ import (
 // without mapping it. The contract under fuzzing: it either returns a
 // validated trace or an error — it must never panic, over-read, or
 // hand back objects referencing memory outside the image. The seeds
-// cover a valid image, truncations at every section boundary, and
-// targeted corruption of counts, section offsets, and arena spans.
+// cover a valid image, truncations at every section boundary, targeted
+// corruption of counts, section offsets, and arena spans, and one
+// image per rule of the trace contract.
 func FuzzDecodeSTRC(f *testing.F) {
 	tr := sharedTrace(f, 12, 3)
 	img, err := Pack(tr)
@@ -74,6 +75,12 @@ func FuzzDecodeSTRC(f *testing.F) {
 			patchHeaderCRC(mut)
 			f.Add(mut)
 		}
+	}
+
+	// One image per rule of the trace contract Open hands to
+	// Trace.Validate, and one with no jobs.
+	for _, tc := range contractImages(f) {
+		f.Add(tc.img)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

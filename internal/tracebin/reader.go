@@ -118,9 +118,11 @@ func OpenReaderAt(r io.ReaderAt, size int64) (*Store, error) {
 	return openBytes(data, nil, false, size)
 }
 
-// openBytes is the decode core shared by Open and OpenReaderAt. Every cross-section reference is bounds-checked and every
-// section CRC verified before any trace object is built, so corrupt
-// input errors cleanly.
+// openBytes is the decode core shared by Open and OpenReaderAt. Every
+// cross-section reference is bounds-checked and every section CRC
+// verified before any trace object is built, so corrupt input errors
+// cleanly. What the format cannot say for itself — the job contract —
+// is Trace.Validate's: the decoded trace passes it or Open fails.
 func openBytes(data []byte, closer io.Closer, mapped bool, fileSize int64) (*Store, error) {
 	h, err := decodeHeader(data, uint64(len(data)))
 	if err != nil {
@@ -209,9 +211,8 @@ func openBytes(data []byte, closer io.Closer, mapped bool, fileSize int64) (*Sto
 				t.Counters[key] = math.Float64frombits(binary.LittleEndian.Uint64(crec[8:16]))
 			}
 		}
-		// One validation per unique template covers every job that
-		// references it — this is where NaN/negative durations and
-		// count/length mismatches are rejected.
+		// Every template in the pool is checked, referenced or not; the
+		// check is memoized, so Trace.Validate below does not repeat it.
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("tracebin: %w", err)
 		}
@@ -227,7 +228,6 @@ func openBytes(data []byte, closer io.Closer, mapped bool, fileSize int64) (*Sto
 	// One slab for all jobs: two allocations for the whole job table.
 	jobSlab := make([]trace.Job, h.jobCount)
 	jobPtrs := make([]*trace.Job, h.jobCount)
-	idsSorted := true
 	for i := uint64(0); i < h.jobCount; i++ {
 		rec := jobData[i*jobRecSize : (i+1)*jobRecSize]
 		j := &jobSlab[i]
@@ -237,36 +237,22 @@ func openBytes(data []byte, closer io.Closer, mapped bool, fileSize int64) (*Sto
 		}
 		j.Arrival = math.Float64frombits(binary.LittleEndian.Uint64(rec[16:24]))
 		j.Deadline = math.Float64frombits(binary.LittleEndian.Uint64(rec[24:32]))
-		if j.Arrival < 0 || math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) {
-			return nil, fmt.Errorf("tracebin: job %d: invalid arrival %v", i, j.Arrival)
-		}
-		if j.Deadline < 0 || math.IsNaN(j.Deadline) || (j.Deadline > 0 && j.Deadline < j.Arrival) {
-			return nil, fmt.Errorf("tracebin: job %d: invalid deadline %v", i, j.Deadline)
-		}
 		tplIdx := binary.LittleEndian.Uint32(rec[32:36])
 		if uint64(tplIdx) >= h.tplCount {
 			return nil, fmt.Errorf("tracebin: job %d references template %d of %d", i, tplIdx, h.tplCount)
 		}
 		j.Template = &tpls[tplIdx]
-		if i > 0 && jobSlab[i-1].ID >= j.ID {
-			idsSorted = false
-		}
 		jobPtrs[i] = j
 	}
-	// Uniqueness: strictly increasing IDs (the normalized common case)
-	// are unique for free; otherwise fall back to a set.
-	if !idsSorted {
-		seen := make(map[int]struct{}, h.jobCount)
-		for i := range jobSlab {
-			if _, dup := seen[jobSlab[i].ID]; dup {
-				return nil, fmt.Errorf("tracebin: duplicate job ID %d", jobSlab[i].ID)
-			}
-			seen[jobSlab[i].ID] = struct{}{}
-		}
+	// The jobs keep the same contract as every other trace: one check,
+	// memoized, so the engine's own Validate is then one load.
+	tr := &trace.Trace{Name: name, Jobs: jobPtrs}
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("tracebin: %w", err)
 	}
 
 	s := &Store{
-		tr:     &trace.Trace{Name: name, Jobs: jobPtrs},
+		tr:     tr,
 		closer: closer,
 		info: Info{
 			FileSize:        fileSize,

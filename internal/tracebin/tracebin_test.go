@@ -338,8 +338,8 @@ func TestWriteSource(t *testing.T) {
 	if _, err := os.Stat(badPath); !os.IsNotExist(err) {
 		t.Fatalf("failed WriteSource left %s behind", badPath)
 	}
-	if _, err := os.Stat(badPath + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("failed WriteSource left temp file behind")
+	if left, _ := filepath.Glob(badPath + ".*.tmp"); len(left) != 0 {
+		t.Fatalf("failed WriteSource left temp files behind: %v", left)
 	}
 }
 

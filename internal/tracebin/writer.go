@@ -84,21 +84,15 @@ func NewWriter(ws io.WriteSeeker, name string) (*Writer, error) {
 	return w, nil
 }
 
-// Add appends one job. The job's template is validated (once per
-// unique template) and interned; the job record itself is buffered
-// until Close.
+// Add appends one job. The job is checked with trace.ValidateJob (its
+// template once) and its template interned; the job record itself is
+// buffered until Close.
 func (w *Writer) Add(j *trace.Job) error {
 	if w.err != nil {
 		return w.err
 	}
-	if j == nil || j.Template == nil {
-		return w.fail(fmt.Errorf("tracebin: job %d is nil or has no template", w.jobCount))
-	}
-	if j.Arrival < 0 || math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) {
-		return w.fail(fmt.Errorf("tracebin: job %d: invalid arrival %v", w.jobCount, j.Arrival))
-	}
-	if j.Deadline < 0 || math.IsNaN(j.Deadline) || (j.Deadline > 0 && j.Deadline < j.Arrival) {
-		return w.fail(fmt.Errorf("tracebin: job %d: invalid deadline %v (arrival %v)", w.jobCount, j.Deadline, j.Arrival))
+	if err := trace.ValidateJob(j); err != nil {
+		return w.fail(fmt.Errorf("tracebin: job %d: %w", w.jobCount, err))
 	}
 	tplIdx, err := w.intern(j.Template)
 	if err != nil {
@@ -243,9 +237,6 @@ func (w *Writer) intern(t *trace.Template) (uint32, error) {
 			return e.idx, nil
 		}
 	}
-	if err := t.Validate(); err != nil {
-		return 0, fmt.Errorf("tracebin: %w", err)
-	}
 	if len(w.pool) >= math.MaxUint32 {
 		return 0, fmt.Errorf("tracebin: template pool overflow")
 	}
@@ -357,54 +348,34 @@ func WriteTrace(ws io.WriteSeeker, tr *trace.Trace) error {
 	return w.Close()
 }
 
-// WriteFile packs a trace to path atomically (temp file + rename).
+// WriteFile packs a trace to path atomically (trace.WriteFileAtomic).
+// It packs only a trace that passes Trace.Validate, so it never writes a
+// file Open refuses.
 func WriteFile(path string, tr *trace.Trace) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
+	if err := tr.Validate(); err != nil {
+		return fmt.Errorf("tracebin: %w", err)
 	}
-	if err := WriteTrace(f, tr); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return trace.WriteFileAtomic(path, func(f *os.File) error { return WriteTrace(f, tr) })
 }
 
 // WriteSource streams a JobSource into a packed file atomically — the
 // bounded-memory generation path: jobs flow from the source through
 // the writer to disk without a materialized trace. Returns the
 // writer's dedup stats.
-func WriteSource(path, name string, src JobSource) (WriterStats, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+func WriteSource(path, name string, src JobSource) (st WriterStats, err error) {
+	err = trace.WriteFileAtomic(path, func(f *os.File) error {
+		w, err := NewWriter(f, name)
+		if err != nil {
+			return err
+		}
+		if err := w.AddAll(src); err != nil {
+			return err
+		}
+		st = w.Stats()
+		return w.Close()
+	})
 	if err != nil {
 		return WriterStats{}, err
 	}
-	fail := func(err error) (WriterStats, error) {
-		f.Close()
-		os.Remove(tmp)
-		return WriterStats{}, err
-	}
-	w, err := NewWriter(f, name)
-	if err != nil {
-		return fail(err)
-	}
-	if err := w.AddAll(src); err != nil {
-		return fail(err)
-	}
-	st := w.Stats()
-	if err := w.Close(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return WriterStats{}, err
-	}
-	return st, os.Rename(tmp, path)
+	return st, nil
 }
